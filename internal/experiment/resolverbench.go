@@ -71,10 +71,11 @@ type ResolverBenchRow struct {
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Probes is the topology resolver's node-visit count.
+	// Probes is the topology resolver's AnonID HMAC count.
 	Probes uint64 `json:"probes"`
-	// ProbesPerMark is the mean candidate MACs checked per anonymous mark.
-	ProbesPerMark float64 `json:"probes_per_mark"`
+	// MACCandidatesPerMark is the mean candidate MACs checked per anonymous
+	// mark.
+	MACCandidatesPerMark float64 `json:"mac_candidates_per_mark"`
 	// MarksVerified and Stops summarize verification outcomes; every row
 	// must agree on both (the resolvers are equivalent).
 	MarksVerified uint64 `json:"marks_verified"`
@@ -209,17 +210,17 @@ func runResolverBenchRow(name string, capacity int, scheme marking.Scheme, keys 
 	hits := reg.Counter("sink.resolver.cache_hits").Value()
 	misses := reg.Counter("sink.resolver.cache_misses").Value()
 	row := ResolverBenchRow{
-		Resolver:      name,
-		CacheCapacity: capacity,
-		Packets:       len(stream),
-		NsPerPacket:   float64(elapsed.Nanoseconds()) / float64(len(stream)),
-		TableBuilds:   reg.Counter("sink.resolver.table_builds").Value(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		Probes:        reg.Counter("sink.resolver.probes").Value(),
-		ProbesPerMark: reg.Histogram("sink.verify.probes_per_mark").Mean(),
-		MarksVerified: reg.Counter("sink.verify.marks_verified").Value(),
-		Stops:         reg.Counter("sink.verify.stops").Value(),
+		Resolver:             name,
+		CacheCapacity:        capacity,
+		Packets:              len(stream),
+		NsPerPacket:          float64(elapsed.Nanoseconds()) / float64(len(stream)),
+		TableBuilds:          reg.Counter("sink.resolver.table_builds").Value(),
+		CacheHits:            hits,
+		CacheMisses:          misses,
+		Probes:               reg.Counter("sink.resolver.probes").Value(),
+		MACCandidatesPerMark: reg.Histogram("sink.verify.mac_candidates_per_mark").Mean(),
+		MarksVerified:        reg.Counter("sink.verify.marks_verified").Value(),
+		Stops:                reg.Counter("sink.verify.stops").Value(),
 	}
 	if hits+misses > 0 {
 		row.CacheHitRate = float64(hits) / float64(hits+misses)

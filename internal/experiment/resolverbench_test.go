@@ -70,7 +70,7 @@ func TestResolverBenchStructure(t *testing.T) {
 				r.Resolver, r.MarksVerified, r.Stops, single.MarksVerified, single.Stops)
 		}
 	}
-	if topoRow.Probes == 0 || topoRow.ProbesPerMark <= 0 {
+	if topoRow.Probes == 0 || topoRow.MACCandidatesPerMark <= 0 {
 		t.Fatalf("topology row missing probe counters: %+v", topoRow)
 	}
 }

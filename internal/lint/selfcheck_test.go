@@ -178,6 +178,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.VerifyAt",
+		"pnm/internal/sink.TopologyResolver.Resolve",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",

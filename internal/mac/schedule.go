@@ -192,11 +192,15 @@ func (s *Schedule) finish() []byte {
 // and wraps it in private scratch, so per-goroutine warmup costs two
 // digest constructions instead of two SHA-256 pad compressions.
 //
-// pnmlint:single-goroutine — the schedule map and the schedules themselves
-// are unsynchronized; one goroutine owns a Hasher for its lifetime.
+// pnmlint:single-goroutine — the schedule table and the schedules
+// themselves are unsynchronized; one goroutine owns a Hasher for its
+// lifetime.
 type Hasher struct {
-	ks        *KeyStore
-	schedules map[packet.NodeID]*Schedule
+	ks *KeyStore
+	// schedules is indexed by NodeID (nil = not built yet) and grows on
+	// demand to the largest ID seen: node IDs are dense, and an indexed
+	// load is cheaper than a map lookup on every probe.
+	schedules []*Schedule
 	epoch     uint64 // KeyStore schedule epoch the cache was filled under
 
 	// obs bindings; nil (no-op) unless Instrument was called.
@@ -208,7 +212,7 @@ type Hasher struct {
 // Hasher returns a new, empty schedule cache over the store's keys. Each
 // goroutine must take its own.
 func (ks *KeyStore) Hasher() *Hasher {
-	return &Hasher{ks: ks, schedules: make(map[packet.NodeID]*Schedule)}
+	return &Hasher{ks: ks}
 }
 
 // Instrument binds the cache's counters (mac.schedule.hits / .misses /
@@ -220,17 +224,24 @@ func (h *Hasher) Instrument(reg *obs.Registry) {
 }
 
 // Schedule returns node id's cached key schedule, building it around the
-// store's shared core on first use. The hot path is one local map hit —
-// no lock, no allocation; the miss path's allocations are the callees'
-// (newScheduleFromCore), outside this body. A store epoch bump
-// (InvalidateSchedules) is noticed here, on the miss path, and drops the
-// local cache wholesale.
+// store's shared core on first use. The hot path is one indexed load —
+// no lock, no allocation; the miss path lives in build.
 // pnmlint:noalloc
 func (h *Hasher) Schedule(id packet.NodeID) *Schedule {
-	if s, ok := h.schedules[id]; ok {
-		h.hits.Inc()
-		return s
+	if int(id) < len(h.schedules) {
+		if s := h.schedules[id]; s != nil {
+			h.hits.Inc()
+			return s
+		}
 	}
+	return h.build(id)
+}
+
+// build is Schedule's miss path: it wraps the store's shared core for id
+// in private scratch, growing the table to cover id. A store epoch bump
+// (InvalidateSchedules) is noticed here and drops the local cache
+// wholesale.
+func (h *Hasher) build(id packet.NodeID) *Schedule {
 	h.misses.Inc()
 	core, epoch, built := h.ks.scheduleCore(id)
 	if built {
@@ -241,6 +252,14 @@ func (h *Hasher) Schedule(id packet.NodeID) *Schedule {
 		// filled: every local schedule may wrap a stale core.
 		clear(h.schedules)
 		h.epoch = epoch
+	}
+	if int(id) >= len(h.schedules) {
+		// Grow to the next multiple of 64 past id, not by doubling: a
+		// sink that hashes a few nodes of a large ID space keeps a table
+		// no longer than its largest ID.
+		grown := make([]*Schedule, (int(id)|63)+1)
+		copy(grown, h.schedules)
+		h.schedules = grown
 	}
 	s := newScheduleFromCore(core)
 	h.schedules[id] = s

@@ -50,6 +50,12 @@ func ResolveAll(r Resolver, report packet.Report, anon [packet.AnonIDLen]byte, p
 // for real HMAC collisions.
 type anonIDFunc func(k mac.Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte
 
+// scheduleCacher is implemented by resolvers that hash through a key
+// schedule cache their owning verifier may share (see NewVerifier).
+type scheduleCacher interface {
+	scheduleCache() *mac.Hasher
+}
+
 // DefaultTableCacheSize is the per-resolver anonymous-ID table cache
 // capacity. Interleaved traffic from several sources (each source's
 // retransmissions sharing a report) revisits a small working set of
@@ -116,6 +122,9 @@ func (r *ExhaustiveResolver) Instrument(reg *obs.Registry) {
 	r.candidates = reg.Counter("sink.resolver.candidates")
 	r.hasher.Instrument(reg)
 }
+
+// scheduleCache implements scheduleCacher.
+func (r *ExhaustiveResolver) scheduleCache() *mac.Hasher { return r.hasher }
 
 // Resolve implements Resolver. The prev hint is ignored: the table already
 // narrows candidates to exact anonymous-ID matches. The epoch is ignored
@@ -199,6 +208,16 @@ func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonID
 // immediately; the full-subtree sweep happens only for genuinely invalid
 // marks, which the base method pays O(n) for as well.
 //
+// Path hints order the search, never narrow it. A source keeps reporting
+// the same Location and, within an epoch, its packets keep following the
+// same route, so the resolver remembers per Location the most upstream
+// marker its BFS accepted (the tip). A later Resolve first probes the
+// tip's root path strictly below the search start, in depth order, and
+// only then runs the subtree BFS, which skips the nodes already hashed.
+// The candidate set is still the whole subtree, so collisions and
+// agreement with the exhaustive resolver are unaffected; Location is a
+// cache key only, never evidence.
+//
 // pnmlint:single-goroutine — owned by one goroutine for its lifetime like
 // every sink-side object (see the package doc's Ownership section). The
 // ownership analyzer enforces this.
@@ -207,23 +226,50 @@ type TopologyResolver struct {
 	epochs *topology.EpochSet
 	hasher *mac.Hasher
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
-	// children is the downlink adjacency of the epoch named by
-	// curVersion; trees holds one adjacency per epoch seen so far, built
-	// lazily and cached forever (epochs are immutable, and their count is
-	// bounded by the churn events of a run). Epoch 0 is prebuilt, so a
-	// static network never touches the cache.
-	children   map[packet.NodeID][]packet.NodeID
+	// cur is the routing tree of the epoch named by curVersion; trees
+	// holds one per epoch seen so far, built lazily and cached forever
+	// (epochs are immutable, and their count is bounded by the churn
+	// events of a run). Epoch 0 is prebuilt, so a static network never
+	// touches the cache.
+	cur        epochTree
 	curVersion topology.EpochVersion
-	trees      map[topology.EpochVersion]map[packet.NodeID][]packet.NodeID
-	// frontier/next are the BFS level buffers, reused across Resolve
-	// calls so a steady-state resolution allocates nothing. Safe only
-	// because the type is single-goroutine (see above).
+	trees      map[topology.EpochVersion]epochTree
+	// frontier/next are the BFS level buffers and path the hint-path
+	// buffer, reused across Resolve calls so a steady-state resolution
+	// allocates nothing. Safe only because the type is single-goroutine
+	// (see above).
 	frontier []packet.NodeID
 	next     []packet.NodeID
+	path     []packet.NodeID
+	// hints maps Report.Location to the route learned for it. It holds at
+	// most hintCap (the node count) entries and is cleared when full, so
+	// a flood of distinct Locations costs one table's worth of memory.
+	hints   map[uint32]pathHint
+	hintCap int
+	// stamp[v] == gen marks node v as hashed by the current call's hint
+	// probes, so the BFS never hashes a node twice in one Resolve.
+	stamp []uint16
+	gen   uint16
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	probes     *obs.Counter
 	candidates *obs.Counter
+	hintHits   *obs.Counter
+	hintMisses *obs.Counter
+}
+
+// epochTree is one epoch's routing snapshot and the downlink adjacency
+// built from it.
+type epochTree struct {
+	children map[packet.NodeID][]packet.NodeID
+	net      *topology.Network
+}
+
+// pathHint is the route learned for one Location: the most upstream
+// marker the BFS accepted, and the epoch whose tree it was accepted in.
+type pathHint struct {
+	epoch topology.EpochVersion
+	tip   packet.NodeID
 }
 
 // NewTopologyResolver returns a resolver that exploits the known topology.
@@ -243,19 +289,21 @@ func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *T
 		keys:   keys,
 		epochs: epochs,
 		hasher: keys.Hasher(),
-		trees:  make(map[topology.EpochVersion]map[packet.NodeID][]packet.NodeID),
+		trees:  make(map[topology.EpochVersion]epochTree),
 	}
-	r.children = r.treeFor(0)
+	r.cur = r.treeFor(0)
+	r.hintCap = max(r.cur.net.NumNodes(), 1)
 	return r
 }
 
-// treeFor returns the downlink adjacency of epoch v, building and caching
-// it on first use. Orphaned nodes (depth -1 after a partition-causing
-// fault) are excluded: they have no forwarding parent in that epoch, so
-// no mark can originate downstream of them.
-func (r *TopologyResolver) treeFor(v topology.EpochVersion) map[packet.NodeID][]packet.NodeID {
-	if ch, ok := r.trees[v]; ok {
-		return ch
+// treeFor returns the routing tree of epoch v, building and caching it on
+// first use. Orphaned nodes (depth -1 after a partition-causing fault)
+// are excluded: they have no forwarding parent in that epoch, so no mark
+// can originate downstream of them. It also sizes the per-node stamp
+// array to cover the epoch's nodes.
+func (r *TopologyResolver) treeFor(v topology.EpochVersion) epochTree {
+	if t, ok := r.trees[v]; ok {
+		return t
 	}
 	net := r.epochs.At(v)
 	children := make(map[packet.NodeID][]packet.NodeID, net.NumNodes())
@@ -266,24 +314,36 @@ func (r *TopologyResolver) treeFor(v topology.EpochVersion) map[packet.NodeID][]
 		parent := net.Parent(id)
 		children[parent] = append(children[parent], id)
 	}
-	r.trees[v] = children
-	return children
+	if n := net.NumNodes() + 1; len(r.stamp) < n {
+		r.stamp = append(r.stamp, make([]uint16, n-len(r.stamp))...)
+	}
+	t := epochTree{children: children, net: net}
+	r.trees[v] = t
+	return t
 }
 
 // Instrument binds the resolver's counters into reg.
 func (r *TopologyResolver) Instrument(reg *obs.Registry) {
 	r.probes = reg.Counter("sink.resolver.probes")
 	r.candidates = reg.Counter("sink.resolver.candidates")
+	r.hintHits = reg.Counter("sink.resolver.hint_hits")
+	r.hintMisses = reg.Counter("sink.resolver.hint_misses")
 	r.hasher.Instrument(reg)
 }
 
-// Resolve implements Resolver.
+// scheduleCache implements scheduleCacher.
+func (r *TopologyResolver) scheduleCache() *mac.Hasher { return r.hasher }
+
+// Resolve implements Resolver. A call is a hint hit when the caller
+// accepts a node on the learned path; every other call falls through to
+// the subtree BFS and counts as a miss.
+// pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
 	if epoch != r.curVersion {
 		// Swap in the routing tree of the packet's arrival epoch. Sink
 		// batches arrive roughly in epoch order, so this is a cached-map
 		// hit on all but the first packet after a topology change.
-		r.children = r.treeFor(epoch)
+		r.cur = r.treeFor(epoch)
 		r.curVersion = epoch
 	}
 	start := prev
@@ -292,38 +352,108 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		// from the sink; the marker usually sits within ~1/p hops.
 		start = packet.SinkID
 	}
+	// Probe the learned path first, shallowest node first: the marker
+	// nearest start is the one an honest chain carries next.
+	hinted := false
+	if h, ok := r.hints[report.Location]; ok && h.epoch == epoch {
+		if path := r.hintPath(h.tip, start); len(path) > 0 {
+			hinted = true
+			if r.gen++; r.gen == 0 {
+				clear(r.stamp)
+				r.gen = 1
+			}
+			for i := len(path) - 1; i >= 0; i-- {
+				v := path[i]
+				r.stamp[v] = r.gen
+				if r.probe(report, anon, v, yield) {
+					r.hintHits.Inc()
+					return
+				}
+			}
+		}
+	}
+	r.hintMisses.Inc()
 	// BFS through the routing subtree of start, streaming matches in
-	// depth order. The expansion continues past levels whose matches the
-	// caller rejects — see the type comment on collision robustness. The
-	// two level buffers live on the resolver and are reused across calls
-	// (their capacities converge on the widest level, after which a
-	// resolution allocates nothing); they are swapped between iterations,
-	// so the initial frontier must be a copy: children's slices are
-	// shared state. Both headers are stored back before returning — even
-	// on early accept — so growth is never lost.
-	frontier := append(r.frontier[:0], r.children[start]...)
+	// depth order and skipping (but still expanding) the nodes the hint
+	// probes hashed. The expansion continues past levels whose matches
+	// the caller rejects — see the type comment on collision robustness.
+	// The two level buffers live on the resolver and are reused across
+	// calls (their capacities converge on the widest level, after which
+	// a resolution allocates nothing); they are swapped between
+	// iterations, so the initial frontier must be a copy: children's
+	// slices are shared state. Both headers are stored back before
+	// returning — even on early accept — so growth is never lost.
+	frontier := append(r.frontier[:0], r.cur.children[start]...)
 	next := r.next[:0]
 	done := false
 	for len(frontier) > 0 && !done {
 		next = next[:0]
 		for _, v := range frontier {
-			r.probes.Inc()
-			var a [packet.AnonIDLen]byte
-			if r.anonID != nil {
-				a = r.anonID(r.keys.Key(v), report, v)
-			} else {
-				a = r.hasher.AnonID(v, report)
-			}
-			if a == anon {
-				r.candidates.Inc()
-				if yield(v) {
+			if !hinted || r.stamp[v] != r.gen {
+				if r.probe(report, anon, v, yield) {
+					r.learn(report.Location, pathHint{epoch: epoch, tip: v})
 					done = true
 					break
 				}
 			}
-			next = append(next, r.children[v]...)
+			next = append(next, r.cur.children[v]...)
 		}
 		frontier, next = next, frontier
 	}
 	r.frontier, r.next = frontier, next
+}
+
+// probe hashes node v's anonymous ID for report and, on a match, offers v
+// to the caller. It reports whether the caller accepted v.
+// pnmlint:noalloc
+func (r *TopologyResolver) probe(report packet.Report, anon [packet.AnonIDLen]byte, v packet.NodeID, yield func(packet.NodeID) bool) bool {
+	r.probes.Inc()
+	var a [packet.AnonIDLen]byte
+	if r.anonID != nil {
+		a = r.anonID(r.keys.Key(v), report, v)
+	} else {
+		a = r.hasher.AnonID(v, report)
+	}
+	if a != anon {
+		return false
+	}
+	r.candidates.Inc()
+	return yield(v)
+}
+
+// hintPath returns the nodes of tip's root path strictly below start in
+// the current epoch's tree, tip first, or nil when start is not an
+// ancestor of tip. The slice aliases the resolver's path buffer.
+// pnmlint:noalloc
+func (r *TopologyResolver) hintPath(tip, start packet.NodeID) []packet.NodeID {
+	net := r.cur.net
+	if !net.HasRoute(tip) || !net.HasRoute(start) {
+		return nil
+	}
+	path := r.path[:0]
+	v := tip
+	for d := net.Depth(tip); d > net.Depth(start); d-- {
+		path = append(path, v)
+		v = net.Parent(v)
+	}
+	r.path = path
+	if v != start {
+		return nil
+	}
+	return path
+}
+
+// learn records h as loc's route, clearing the table first when a new
+// Location would overflow it. Map growth allocates, so it stays out of
+// Resolve's noalloc body.
+//
+//go:noinline
+func (r *TopologyResolver) learn(loc uint32, h pathHint) {
+	if r.hints == nil {
+		r.hints = make(map[uint32]pathHint)
+	}
+	if _, ok := r.hints[loc]; !ok && len(r.hints) >= r.hintCap {
+		clear(r.hints)
+	}
+	r.hints[loc] = h
 }

@@ -94,7 +94,14 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 		if resolver == nil {
 			return nil, fmt.Errorf("sink: PNM verification needs a resolver")
 		}
-		return &NestedVerifier{keys: keys, numNodes: numNodes, resolver: resolver}, nil
+		v := &NestedVerifier{keys: keys, numNodes: numNodes, resolver: resolver}
+		if sc, ok := resolver.(scheduleCacher); ok {
+			// The verifier calls its resolver on its own goroutine, so both
+			// can hash through one cache: every node the resolver probes
+			// and the verifier then MAC-checks needs one schedule, not two.
+			v.hasher = sc.scheduleCache()
+		}
+		return v, nil
 	case marking.AMS:
 		return &AMSVerifier{keys: keys, numNodes: numNodes}, nil
 	case marking.PPM:
@@ -124,7 +131,8 @@ type NestedVerifier struct {
 	// hasher caches per-node HMAC key schedules; encBuf is the reusable
 	// nested-MAC input buffer. Together they make recomputing a mark's MAC
 	// allocation-free. Both are lazily built so tests can construct
-	// verifiers literally.
+	// verifiers literally; NewVerifier hands a PNM verifier its
+	// resolver's hasher instead.
 	hasher *mac.Hasher
 	encBuf []byte
 
@@ -139,12 +147,12 @@ type NestedVerifier struct {
 	// resolver on every probe instead of allocating a closure per mark.
 	// The rs* scratch fields carry the per-mark probe state the closure
 	// used to capture.
-	resolveFn func(packet.NodeID) bool
-	rsMsg     packet.Message
-	rsK       int
-	rsFound   packet.NodeID
-	rsOK      bool
-	rsProbes  uint64
+	resolveFn    func(packet.NodeID) bool
+	rsMsg        packet.Message
+	rsK          int
+	rsFound      packet.NodeID
+	rsOK         bool
+	rsCandidates uint64
 	// curEpoch is the arrival epoch of the packet being verified, set by
 	// VerifyAt and handed to the resolver on every probe of that packet.
 	curEpoch topology.EpochVersion
@@ -153,17 +161,23 @@ type NestedVerifier struct {
 	packets       *obs.Counter
 	marksVerified *obs.Counter
 	stops         *obs.Counter
-	probesPerMark *obs.Histogram
+	macCandidates *obs.Histogram
 }
 
 // schedule returns node id's cached key schedule from the verifier's
 // private hasher, creating the hasher on first use.
 func (v *NestedVerifier) schedule(id packet.NodeID) *mac.Schedule {
 	if v.hasher == nil {
-		v.hasher = v.keys.Hasher()
+		v.ensureHasher()
 	}
 	return v.hasher.Schedule(id)
 }
+
+// ensureHasher lazily builds the per-verifier hasher, hoisted out of the
+// noalloc kernels that inline schedule.
+//
+//go:noinline
+func (v *NestedVerifier) ensureHasher() { v.hasher = v.keys.Hasher() }
 
 // Name implements Verifier.
 func (v *NestedVerifier) Name() string { return "nested" }
@@ -174,7 +188,7 @@ func (v *NestedVerifier) Instrument(reg *obs.Registry) {
 	v.packets = reg.Counter("sink.verify.packets")
 	v.marksVerified = reg.Counter("sink.verify.marks_verified")
 	v.stops = reg.Counter("sink.verify.stops")
-	v.probesPerMark = reg.Histogram("sink.verify.probes_per_mark")
+	v.macCandidates = reg.Histogram("sink.verify.mac_candidates_per_mark")
 	if v.hasher == nil {
 		v.hasher = v.keys.Hasher()
 	}
@@ -243,9 +257,9 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 			return 0, false // anonymous mark under a plaintext scheme: invalid
 		}
 		v.rsMsg, v.rsK = msg, k
-		v.rsFound, v.rsOK, v.rsProbes = 0, false, 0
+		v.rsFound, v.rsOK, v.rsCandidates = 0, false, 0
 		v.resolver.Resolve(msg.Report, mk.AnonID, prev, havePrev, v.curEpoch, v.resolveFn)
-		v.probesPerMark.Observe(v.rsProbes)
+		v.macCandidates.Observe(v.rsCandidates)
 		return v.rsFound, v.rsOK
 	}
 	if mk.ID == packet.SinkID || int(mk.ID) > v.numNodes {
@@ -265,7 +279,7 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 // stays allocation-free.
 // pnmlint:noalloc
 func (v *NestedVerifier) resolveProbe(id packet.NodeID) bool {
-	v.rsProbes++
+	v.rsCandidates++
 	mk := v.rsMsg.Marks[v.rsK]
 	var want [packet.MACLen]byte
 	want, v.encBuf = marking.NestedMACAnonSched(v.schedule(id), v.encBuf, v.rsMsg, v.rsK, mk.AnonID)

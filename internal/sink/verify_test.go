@@ -224,6 +224,14 @@ func TestNewVerifierFactory(t *testing.T) {
 	if _, err := NewVerifier(marking.PNM{P: 0.3}, testKS, 4, nil); err == nil {
 		t.Fatal("want error for PNM without resolver")
 	}
+	// A PNM verifier hashes through its resolver's schedule cache.
+	v, err := NewVerifier(marking.PNM{P: 0.3}, testKS, 4, resolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.(*NestedVerifier).hasher != resolver.hasher {
+		t.Fatal("PNM verifier built a second schedule cache instead of sharing its resolver's")
+	}
 }
 
 func TestResolversAgree(t *testing.T) {

@@ -477,6 +477,16 @@ func (s *Server) pause(d time.Duration) bool {
 	}
 }
 
+// stopping reports whether Close has begun.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // admit registers conn unless the connection bound is reached or the
 // server is stopping.
 func (s *Server) admit(conn net.Conn) bool {
@@ -515,7 +525,9 @@ func (s *Server) readLoop(conn net.Conn) {
 	}()
 	for {
 		if err := fr.Next(msg); err != nil {
-			if err == io.EOF {
+			if err == io.EOF || errors.Is(err, net.ErrClosed) || s.stopping() {
+				// The peer hung up, or Close shut the connection under the
+				// read: a clean exit, not a malformed frame.
 				return
 			}
 			s.c.countDecodeErr(err)

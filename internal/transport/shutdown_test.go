@@ -75,6 +75,53 @@ func TestUDPLoopExitsOnClosedSocket(t *testing.T) {
 	}
 }
 
+// TestCloseIdleConnNotTruncated pins the read-loop shutdown fix: Close
+// shuts an idle connection under its blocked read, and the resulting
+// error is the server's own doing, not a truncated frame. The old loop
+// counted it in transport.decode.truncated.
+func TestCloseIdleConnNotTruncated(t *testing.T) {
+	sc := testScenario(t)
+	reg := obs.New()
+	srv, err := Listen("127.0.0.1:0", "", Config{
+		NewVerifier: sc.NewVerifier,
+		Topo:        sc.Topo,
+		Obs:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("transport.conns_accepted").Value() == 0 {
+		if time.Now().After(deadline) {
+			srv.Close()
+			t.Fatal("connection never accepted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+
+	if got := reg.Counter("transport.decode.truncated").Value(); got != 0 {
+		t.Fatalf("transport.decode.truncated = %d after closing an idle connection, want 0", got)
+	}
+	frames := reg.Counter("transport.frames").Value()
+	delivered := reg.Counter("transport.delivered").Value()
+	policy := reg.Counter("transport.ingest.queue_drop_newest").Value() +
+		reg.Counter("transport.ingest.queue_drop_oldest").Value()
+	down := reg.Counter("transport.chaos.dropped_while_down").Value()
+	onClose := reg.Counter("transport.ingest.dropped_on_close").Value()
+	if frames != delivered+policy+down+onClose {
+		t.Fatalf("ledger invariant broken: %d != %d + %d + %d + %d",
+			frames, delivered, policy, down, onClose)
+	}
+}
+
 // TestDropOldestEnqueueReturnsAfterStop pins the DropOldest shutdown
 // bugfix. Two racing readers drive enqueue against a full queue that no
 // sink will ever drain — exactly the readLoop shape during Close. The
