@@ -101,6 +101,11 @@ type ChurnBenchRow struct {
 	Stop        packet.NodeID `json:"stop"`
 	Identified  bool          `json:"identified"`
 	VerdictHash string        `json:"verdict_hash"`
+	// FinalPrecise reports whether the final verdict's suspects contain
+	// the mole: one-hop precision at the end of the run rather than at
+	// the first catch. It is recorded, not enforced, until the verdict
+	// accounts for relations accumulated across epochs.
+	FinalPrecise bool `json:"final_precise"`
 }
 
 // ChurnBenchResult is the committed document.
@@ -261,6 +266,7 @@ func runChurnPoint(cfg ChurnBenchConfig, base *topology.Network, moleID packet.N
 	row.Stop = v.Stop
 	row.Identified = v.Identified
 	row.VerdictHash = verdictDigest(v)
+	row.FinalPrecise = v.SuspectsContain(moleID)
 	if got := verdictDigest(rebuild.Verdict()); got != row.VerdictHash {
 		return ChurnBenchRow{}, fmt.Errorf("full-rebuild verdict hash %s, incremental %s", got, row.VerdictHash)
 	}

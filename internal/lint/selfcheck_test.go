@@ -179,6 +179,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.VerifyAt",
 		"pnm/internal/sink.TopologyResolver.Resolve",
+		"pnm/internal/sink.routeTree.build",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",

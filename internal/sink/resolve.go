@@ -218,6 +218,12 @@ func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonID
 // agreement with the exhaustive resolver are unaffected; Location is a
 // cache key only, never evidence.
 //
+// The resolver holds at most two routing trees, however many epochs the
+// set accumulates: the current epoch's and the last other one's. A new
+// epoch is rebuilt into the older tree's buffers, so a long-running sink
+// under churn keeps constant resolver state and, once warm, an epoch
+// switch allocates nothing.
+//
 // pnmlint:single-goroutine — owned by one goroutine for its lifetime like
 // every sink-side object (see the package doc's Ownership section). The
 // ownership analyzer enforces this.
@@ -226,14 +232,12 @@ type TopologyResolver struct {
 	epochs *topology.EpochSet
 	hasher *mac.Hasher
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
-	// cur is the routing tree of the epoch named by curVersion; trees
-	// holds one per epoch seen so far, built lazily and cached forever
-	// (epochs are immutable, and their count is bounded by the churn
-	// events of a run). Epoch 0 is prebuilt, so a static network never
-	// touches the cache.
-	cur        epochTree
-	curVersion topology.EpochVersion
-	trees      map[topology.EpochVersion]epochTree
+	// cur is the routing tree of the epoch last resolved against and
+	// other the one before it. Sink batches arrive roughly in epoch
+	// order, so a batch straddling an epoch boundary flips between the
+	// two without rebuilding either. Both start unbuilt (nil net); the
+	// first Resolve builds its epoch's tree.
+	cur, other routeTree
 	// frontier/next are the BFS level buffers and path the hint-path
 	// buffer, reused across Resolve calls so a steady-state resolution
 	// allocates nothing. Safe only because the type is single-goroutine
@@ -256,13 +260,68 @@ type TopologyResolver struct {
 	candidates *obs.Counter
 	hintHits   *obs.Counter
 	hintMisses *obs.Counter
+	treeBuilds *obs.Counter
 }
 
-// epochTree is one epoch's routing snapshot and the downlink adjacency
-// built from it.
-type epochTree struct {
-	children map[packet.NodeID][]packet.NodeID
-	net      *topology.Network
+// routeTree is one epoch's routing snapshot and its downlink adjacency in
+// compressed-sparse-row form: node v's children are kids[off[v]:off[v+1]],
+// in ascending ID order. off has NumNodes()+2 entries, one per NodeID
+// (the sink included) plus the end sentinel.
+type routeTree struct {
+	version topology.EpochVersion
+	net     *topology.Network // nil until the first build
+	off     []int32
+	kids    []packet.NodeID
+}
+
+// build makes t epoch v's tree over net, reusing t's buffers: a counting
+// sort of the routed nodes by parent. Orphaned nodes (depth -1 after a
+// partition-causing fault) are left out: they have no forwarding parent in
+// that epoch, so no mark can originate downstream of them. Once the
+// buffers have grown to the node count, a rebuild allocates nothing.
+// pnmlint:noalloc
+func (t *routeTree) build(v topology.EpochVersion, net *topology.Network) {
+	n := net.NumNodes()
+	t.version, t.net = v, net
+	// Explicit capacity checks rather than append(s, make(...)...): the
+	// race detector's instrumentation turns that idiom into an allocation.
+	if cap(t.off) < n+2 {
+		t.off = make([]int32, n+2) //pnmlint:allow noalloc grows only until it covers the node count
+	}
+	t.off = t.off[:n+2]
+	clear(t.off)
+	for id := 1; id <= n; id++ {
+		if net.HasRoute(packet.NodeID(id)) {
+			t.off[net.Parent(packet.NodeID(id))]++
+		}
+	}
+	// Inclusive prefix sums: off[p] is now the end of p's children.
+	for i := 1; i < len(t.off); i++ {
+		t.off[i] += t.off[i-1]
+	}
+	// Place children from the highest ID down, decrementing each parent's
+	// cursor: every list comes out ascending and off[p] ends at p's start.
+	routed := int(t.off[n+1])
+	if cap(t.kids) < routed {
+		t.kids = make([]packet.NodeID, routed) //pnmlint:allow noalloc grows only until it covers the node count
+	}
+	t.kids = t.kids[:routed]
+	for id := n; id >= 1; id-- {
+		if net.HasRoute(packet.NodeID(id)) {
+			p := net.Parent(packet.NodeID(id))
+			t.off[p]--
+			t.kids[t.off[p]] = packet.NodeID(id)
+		}
+	}
+}
+
+// children returns v's children in t, nil for an ID outside the tree. The
+// slice aliases t's buffer.
+func (t *routeTree) children(v packet.NodeID) []packet.NodeID {
+	if int(v)+1 >= len(t.off) {
+		return nil
+	}
+	return t.kids[t.off[v]:t.off[v+1]]
 }
 
 // pathHint is the route learned for one Location: the most upstream
@@ -285,41 +344,28 @@ func NewTopologyResolver(keys *mac.KeyStore, topo *topology.Network) *TopologyRe
 // The set may keep growing (the fault machinery appends on every route
 // repair) while resolvers read it from their own goroutines.
 func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *TopologyResolver {
-	r := &TopologyResolver{
-		keys:   keys,
-		epochs: epochs,
-		hasher: keys.Hasher(),
-		trees:  make(map[topology.EpochVersion]epochTree),
+	return &TopologyResolver{
+		keys:    keys,
+		epochs:  epochs,
+		hasher:  keys.Hasher(),
+		hintCap: max(epochs.At(0).NumNodes(), 1),
 	}
-	r.cur = r.treeFor(0)
-	r.hintCap = max(r.cur.net.NumNodes(), 1)
-	return r
 }
 
-// treeFor returns the routing tree of epoch v, building and caching it on
-// first use. Orphaned nodes (depth -1 after a partition-causing fault)
-// are excluded: they have no forwarding parent in that epoch, so no mark
-// can originate downstream of them. It also sizes the per-node stamp
-// array to cover the epoch's nodes.
-func (r *TopologyResolver) treeFor(v topology.EpochVersion) epochTree {
-	if t, ok := r.trees[v]; ok {
-		return t
+// useEpoch makes epoch v's tree current. The current tree becomes the
+// other one; the tree swapped in is rebuilt for v unless it already holds
+// it. It also sizes the per-node stamp array to cover the epoch's nodes.
+func (r *TopologyResolver) useEpoch(v topology.EpochVersion) {
+	r.cur, r.other = r.other, r.cur
+	if r.cur.net != nil && r.cur.version == v {
+		return
 	}
 	net := r.epochs.At(v)
-	children := make(map[packet.NodeID][]packet.NodeID, net.NumNodes())
-	for _, id := range net.Nodes() {
-		if !net.HasRoute(id) {
-			continue
-		}
-		parent := net.Parent(id)
-		children[parent] = append(children[parent], id)
-	}
+	r.cur.build(v, net)
+	r.treeBuilds.Inc()
 	if n := net.NumNodes() + 1; len(r.stamp) < n {
 		r.stamp = append(r.stamp, make([]uint16, n-len(r.stamp))...)
 	}
-	t := epochTree{children: children, net: net}
-	r.trees[v] = t
-	return t
 }
 
 // Instrument binds the resolver's counters into reg.
@@ -328,6 +374,7 @@ func (r *TopologyResolver) Instrument(reg *obs.Registry) {
 	r.candidates = reg.Counter("sink.resolver.candidates")
 	r.hintHits = reg.Counter("sink.resolver.hint_hits")
 	r.hintMisses = reg.Counter("sink.resolver.hint_misses")
+	r.treeBuilds = reg.Counter("sink.resolver.tree_builds")
 	r.hasher.Instrument(reg)
 }
 
@@ -339,12 +386,10 @@ func (r *TopologyResolver) scheduleCache() *mac.Hasher { return r.hasher }
 // the subtree BFS and counts as a miss.
 // pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
-	if epoch != r.curVersion {
-		// Swap in the routing tree of the packet's arrival epoch. Sink
-		// batches arrive roughly in epoch order, so this is a cached-map
-		// hit on all but the first packet after a topology change.
-		r.cur = r.treeFor(epoch)
-		r.curVersion = epoch
+	if epoch != r.cur.version || r.cur.net == nil {
+		// Swap in the routing tree of the packet's arrival epoch: only
+		// the first packet after a topology change rebuilds one.
+		r.useEpoch(epoch)
 	}
 	start := prev
 	if !havePrev {
@@ -381,9 +426,9 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 	// calls (their capacities converge on the widest level, after which
 	// a resolution allocates nothing); they are swapped between
 	// iterations, so the initial frontier must be a copy: children's
-	// slices are shared state. Both headers are stored back before
+	// slices alias the tree. Both headers are stored back before
 	// returning — even on early accept — so growth is never lost.
-	frontier := append(r.frontier[:0], r.cur.children[start]...)
+	frontier := append(r.frontier[:0], r.cur.children(start)...)
 	next := r.next[:0]
 	done := false
 	for len(frontier) > 0 && !done {
@@ -396,7 +441,7 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 					break
 				}
 			}
-			next = append(next, r.cur.children[v]...)
+			next = append(next, r.cur.children(v)...)
 		}
 		frontier, next = next, frontier
 	}
