@@ -177,9 +177,9 @@ func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 	r := MacBenchResult{
 		Iters:           iters,
 		ColdSumNs:       timeOp(func() { mac.Sum(k, data) }),
-		SchedSumNs:      timeOp(func() { sched.Sum(data) }),
+		SchedSumNs:      timeOp(func() { sched.Sum(data, nil) }),
 		ColdSumAllocs:   testing.AllocsPerRun(iters, func() { mac.Sum(k, data) }),
-		SchedSumAllocs:  testing.AllocsPerRun(iters, func() { sched.Sum(data) }),
+		SchedSumAllocs:  testing.AllocsPerRun(iters, func() { sched.Sum(data, nil) }),
 		ColdAnonNs:      timeOp(func() { mac.AnonID(k, report, id) }),
 		SchedAnonNs:     timeOp(func() { sched.AnonID(report, id) }),
 		ColdAnonAllocs:  testing.AllocsPerRun(iters, func() { mac.AnonID(k, report, id) }),

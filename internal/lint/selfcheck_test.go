@@ -167,7 +167,8 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 	for _, want := range []string{
 		"pnm/internal/mac.Schedule.Sum",
 		"pnm/internal/mac.Schedule.AnonID",
-		"pnm/internal/mac.Schedule.finish",
+		"pnm/internal/mac.Schedule.hmac",
+		"pnm/internal/mac.scratch.restore",
 		"pnm/internal/mac.Hasher.Schedule",
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",
@@ -178,7 +179,9 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.VerifyAt",
+		"pnm/internal/sink.NestedVerifier.publish",
 		"pnm/internal/sink.TopologyResolver.Resolve",
+		"pnm/internal/sink.TopologyResolver.hint",
 		"pnm/internal/sink.routeTree.build",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",

@@ -71,22 +71,20 @@ type KeyStore struct {
 	keys map[packet.NodeID]Key
 
 	// cores caches the immutable pad-absorbed halves of the per-node key
-	// schedules, shared across every Hasher over this store: N workers
-	// warming up on the same node pay the two pad compressions once, not
-	// N times. epoch versions the cache — InvalidateSchedules bumps it,
-	// and Hashers that notice a new epoch drop their local schedules.
-	cores      map[packet.NodeID]schedCore // pnmlint:guarded-by mu
-	epoch      uint64                      // pnmlint:guarded-by mu
-	coreBuilds uint64                      // pnmlint:guarded-by mu
+	// schedules (64 bytes each), indexed by NodeID and shared across every
+	// Hasher over this store: N workers warming up on the same node pay
+	// the two pad compressions once, not N times. epoch versions the
+	// cache — InvalidateSchedules bumps it, and Hashers that notice a new
+	// epoch drop their local schedules.
+	cores      []*schedCore // pnmlint:guarded-by mu
+	epoch      uint64       // pnmlint:guarded-by mu
+	coreBuilds uint64       // pnmlint:guarded-by mu
 }
 
 // NewKeyStore returns a store whose keys are derived from the given master
 // secret. Two stores built from the same secret agree on every key.
 func NewKeyStore(master []byte) *KeyStore {
-	ks := &KeyStore{
-		keys:  make(map[packet.NodeID]Key),
-		cores: make(map[packet.NodeID]schedCore),
-	}
+	ks := &KeyStore{keys: make(map[packet.NodeID]Key)}
 	ks.master = sha256.Sum256(master)
 	return ks
 }

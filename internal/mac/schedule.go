@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding"
 	"fmt"
@@ -13,6 +14,11 @@ import (
 // blockSize is SHA-256's compression block size, the HMAC pad length.
 const blockSize = 64
 
+// chainOff is where a marshaled SHA-256 state keeps the 32-byte chaining
+// value: right after the 4-byte format magic. absorbPad checks every
+// state it reads against this layout.
+const chainOff = 4
+
 // marshalingHash is the capability set the schedule needs from the stdlib
 // SHA-256 digest: hashing plus state snapshot/restore. crypto/sha256's
 // digest has implemented both marshaling directions since Go 1.8.
@@ -22,105 +28,168 @@ type marshalingHash interface {
 	encoding.BinaryUnmarshaler
 }
 
-// Schedule is a precomputed HMAC-SHA256 key schedule for one node key.
-//
-// A fresh hmac.New(sha256.New, key) pays two pad compressions (ipad and
-// opad) and several allocations on every Sum. The sink recomputes MACs for
-// every received mark — §4.2's whole feasibility argument is that it can
-// do so at line rate — so the schedule absorbs each pad into a SHA-256
-// state exactly once, snapshots both states via the digest's binary
-// marshaling, and restores them per call into two reusable digests. After
-// construction, Sum and AnonID run zero-alloc and skip both pad
-// compressions; outputs are bit-identical to the package-level Sum and
-// AnonID for the same key.
-//
-// pnmlint:single-goroutine — the reusable digests and buffers are
-// unsynchronized mutable state; one goroutine owns a schedule for its
-// lifetime. Hand each worker its own via KeyStore.Hasher.
-type Schedule struct {
-	inner, outer []byte // marshaled pad-absorbed SHA-256 states
-	ih, oh       marshalingHash
-	buf          []byte // reusable digest output, cap sha256.Size
-	enc          []byte // reusable AnonID input buffer
-}
+// stateTemplate is the marshaled state of a SHA-256 digest that has
+// absorbed exactly one 64-byte block: magic, chaining value, an empty
+// block buffer and a length of 64. Every pad-absorbed HMAC state has this
+// shape and differs from it only in the 32 chaining bytes, so a schedule
+// stores just those bytes and restores a state by writing them into a
+// copy of the template.
+var stateTemplate = func() []byte {
+	d := sha256.New().(marshalingHash)
+	d.Write(make([]byte, blockSize))
+	st, err := d.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("mac: marshal sha256 state: %v", err))
+	}
+	return st
+}()
 
-// schedCore is the immutable, shareable half of a key schedule: the two
-// marshaled pad-absorbed SHA-256 states. Building one pays the ipad and
-// opad compressions; everything else in a Schedule is cheap per-goroutine
-// scratch. A core is never written after construction, so KeyStore caches
-// one per node and hands the same core to every Hasher.
+// schedCore is the immutable, per-key half of an HMAC-SHA256 key schedule:
+// the SHA-256 chaining values after absorbing key⊕ipad and key⊕opad.
+// Building one pays the two pad compressions; a core is never written
+// afterwards, so KeyStore keeps one per node and every Hasher reads it.
 type schedCore struct {
-	inner, outer []byte
+	inner, outer [sha256.Size]byte
 }
 
 // newSchedCore absorbs k's HMAC pads — the expensive, once-per-key step.
-func newSchedCore(k Key) schedCore {
+func newSchedCore(k Key) *schedCore {
 	var pad [blockSize]byte
 	copy(pad[:], k[:])
 	for i := range pad {
 		pad[i] ^= 0x36
 	}
-	ih := sha256.New().(marshalingHash)
-	ih.Write(pad[:])
+	c := new(schedCore)
+	absorbPad(&c.inner, pad[:])
 	for i := range pad {
 		pad[i] ^= 0x36 ^ 0x5c // flip ipad to opad
 	}
-	oh := sha256.New().(marshalingHash)
-	oh.Write(pad[:])
-	inner, err := ih.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("mac: marshal inner sha256 state: %v", err))
-	}
-	outer, err := oh.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("mac: marshal outer sha256 state: %v", err))
-	}
-	return schedCore{inner: inner, outer: outer}
+	absorbPad(&c.outer, pad[:])
+	return c
 }
 
-// newScheduleFromCore wraps a shared core in fresh single-goroutine
-// scratch (digests and buffers) — no pad compressions, no hashing.
-func newScheduleFromCore(c schedCore) *Schedule {
-	return &Schedule{
-		inner: c.inner,
-		outer: c.outer,
-		ih:    sha256.New().(marshalingHash),
-		oh:    sha256.New().(marshalingHash),
+// absorbPad hashes one pad block and stores the resulting chaining value
+// in dst. It is also the layout guard: the digest's marshaled state must
+// equal stateTemplate everywhere but the chaining bytes, or restoring
+// from the template would silently compute wrong MACs. A Go release that
+// changed the layout would therefore fail every MAC test at once rather
+// than corrupt verdicts.
+func absorbPad(dst *[sha256.Size]byte, pad []byte) {
+	d := sha256.New().(marshalingHash)
+	d.Write(pad)
+	st, err := d.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("mac: marshal sha256 state: %v", err))
+	}
+	end := chainOff + len(dst)
+	if len(st) != len(stateTemplate) ||
+		!bytes.Equal(st[:chainOff], stateTemplate[:chainOff]) ||
+		!bytes.Equal(st[end:], stateTemplate[end:]) {
+		panic("mac: unexpected sha256 marshaled-state layout")
+	}
+	copy(dst[:], st[chainOff:end])
+}
+
+// scratch is the per-goroutine half of a key schedule: one reusable
+// digest, a private copy of stateTemplate to restore it from, and the
+// digest-output and AnonID-input buffers. The inner and outer passes run
+// one after the other, so one digest and one template serve both.
+type scratch struct {
+	h     marshalingHash
+	state []byte // stateTemplate copy; chaining bytes rewritten per restore
+	buf   []byte // digest output, cap sha256.Size
+	enc   []byte // AnonID input
+}
+
+// newScratch returns fresh scratch: a digest, a template copy and
+// buffers sized for one HMAC.
+func newScratch() *scratch {
+	return &scratch{
+		h:     sha256.New().(marshalingHash),
+		state: bytes.Clone(stateTemplate),
 		buf:   make([]byte, 0, sha256.Size),
 		enc:   make([]byte, 0, len(anonDomain)+packet.ReportLen+2),
 	}
 }
 
-// NewSchedule precomputes the key schedule for k. This is the only
-// allocating step; amortize it by caching schedules per key (see Hasher,
-// which additionally shares the pad-absorbed cores across goroutines via
-// the KeyStore).
-func NewSchedule(k Key) *Schedule {
-	return newScheduleFromCore(newSchedCore(k))
+// restore resets the digest to the pad-absorbed state with chaining value
+// chain: a 32-byte copy into the template, then UnmarshalBinary.
+// pnmlint:noalloc
+func (sc *scratch) restore(chain *[sha256.Size]byte) {
+	copy(sc.state[chainOff:], chain[:])
+	_ = sc.h.UnmarshalBinary(sc.state)
+}
+
+// Schedule is a precomputed HMAC-SHA256 key schedule for one node key.
+//
+// A fresh hmac.New(sha256.New, key) pays two pad compressions (ipad and
+// opad) and several allocations on every Sum. The sink recomputes MACs for
+// every received mark — §4.2's whole feasibility argument is that it can
+// do so at line rate — so a schedule pairs the key's shared, immutable
+// pad-absorbed chaining values (built once) with its goroutine's scratch
+// digest, which each call restores to those values. Sum and AnonID run
+// zero-alloc and skip both pad compressions; outputs are bit-identical to
+// the package-level Sum and AnonID for the same key.
+//
+// A Schedule is a two-pointer value — the key's core and the goroutine's
+// scratch — so handing one out costs no allocation; every schedule a
+// Hasher returns shares its scratch.
+//
+// pnmlint:single-goroutine — the scratch digest and buffers are
+// unsynchronized mutable state; one goroutine owns a schedule for its
+// lifetime. Hand each worker its own via KeyStore.Hasher.
+type Schedule struct {
+	core *schedCore
+	sc   *scratch
+}
+
+// NewSchedule precomputes the key schedule for k, with its own scratch.
+// This is the only allocating step; a sink amortizes it with a Hasher,
+// which shares one scratch across its schedules and the pad-absorbed
+// cores across goroutines via the KeyStore.
+func NewSchedule(k Key) Schedule {
+	return Schedule{core: newSchedCore(k), sc: newScratch()}
 }
 
 // scheduleCore returns the store-wide shared core for id's key, building
 // and caching it on first use, along with the store's current schedule
 // epoch and whether this call built the core (for the caller's miss
 // accounting).
-func (ks *KeyStore) scheduleCore(id packet.NodeID) (schedCore, uint64, bool) {
+func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, uint64, bool) {
 	ks.mu.RLock()
-	c, ok := ks.cores[id]
+	var c *schedCore
+	if int(id) < len(ks.cores) {
+		c = ks.cores[id]
+	}
 	epoch := ks.epoch
 	ks.mu.RUnlock()
-	if ok {
+	if c != nil {
 		return c, epoch, false
 	}
 	k := ks.Key(id) // takes ks.mu itself; derive before the write lock
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if c, ok := ks.cores[id]; ok {
+	ks.cores = growTo(ks.cores, id)
+	if c := ks.cores[id]; c != nil {
 		return c, ks.epoch, false
 	}
 	c = newSchedCore(k)
 	ks.cores[id] = c
 	ks.coreBuilds++
 	return c, ks.epoch, true
+}
+
+// growTo returns a core table that covers index id: t itself when it
+// already does, else a copy grown to the next multiple of 64 past id. Not
+// doubling keeps a table that sees a few nodes of a large ID space no
+// longer than its largest ID.
+func growTo(t []*schedCore, id packet.NodeID) []*schedCore {
+	if int(id) < len(t) {
+		return t
+	}
+	grown := make([]*schedCore, (int(id)|63)+1)
+	copy(grown, t)
+	return grown
 }
 
 // InvalidateSchedules drops every cached schedule core and bumps the
@@ -145,14 +214,16 @@ func (ks *KeyStore) CoreBuilds() uint64 {
 	return ks.coreBuilds
 }
 
-// Sum computes the truncated marking MAC H_k(data), bit-identical to the
-// package-level Sum for the schedule's key, with zero allocations.
+// Sum computes the truncated marking MAC H_k(prefix ‖ suffix),
+// bit-identical to the package-level Sum over the concatenation, with
+// zero allocations. Taking the input in two parts lets the sink MAC a
+// slice of one per-packet encoding followed by a short per-candidate
+// suffix without copying either. Both slices reach the digest through an
+// interface call, so they must not point at the caller's stack.
 // pnmlint:noalloc
-func (s *Schedule) Sum(data []byte) [packet.MACLen]byte {
-	_ = s.ih.UnmarshalBinary(s.inner)
-	s.ih.Write(data)
+func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
 	var out [packet.MACLen]byte
-	copy(out[:], s.finish())
+	copy(out[:], s.hmac(prefix, suffix))
 	return out
 }
 
@@ -160,48 +231,54 @@ func (s *Schedule) Sum(data []byte) [packet.MACLen]byte {
 // bit-identical to the package-level AnonID for the schedule's key, with
 // zero allocations.
 // pnmlint:noalloc
-func (s *Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	_ = s.ih.UnmarshalBinary(s.inner)
-	s.enc = append(s.enc[:0], anonDomain...)
-	s.enc = report.Encode(s.enc)
-	s.enc = append(s.enc, byte(id>>8), byte(id))
-	s.ih.Write(s.enc)
+func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
+	sc := s.sc
+	sc.enc = append(sc.enc[:0], anonDomain...)
+	sc.enc = report.Encode(sc.enc)
+	sc.enc = append(sc.enc, byte(id>>8), byte(id))
 	var out [packet.AnonIDLen]byte
-	copy(out[:], s.finish())
+	copy(out[:], s.hmac(sc.enc, nil))
 	return out
 }
 
-// finish completes the HMAC: finalize the inner digest, then hash its
-// output under the restored outer state. The returned slice aliases the
-// schedule's reusable buffer and is valid until the next call.
+// hmac runs the full HMAC over prefix ‖ suffix: restore the inner state,
+// absorb the message and finalize, then hash that digest under the
+// restored outer state. The returned slice aliases the scratch's digest
+// buffer and is valid until the scratch's next call.
 // pnmlint:noalloc
-func (s *Schedule) finish() []byte {
-	s.buf = s.ih.Sum(s.buf[:0])
-	_ = s.oh.UnmarshalBinary(s.outer)
-	s.oh.Write(s.buf)
-	s.buf = s.oh.Sum(s.buf[:0])
-	return s.buf
+func (s Schedule) hmac(prefix, suffix []byte) []byte {
+	sc := s.sc
+	sc.restore(&s.core.inner)
+	sc.h.Write(prefix)
+	if len(suffix) > 0 { // AnonID has none: skip the interface call
+		sc.h.Write(suffix)
+	}
+	sc.buf = sc.h.Sum(sc.buf[:0])
+	sc.restore(&s.core.outer)
+	sc.h.Write(sc.buf)
+	sc.buf = sc.h.Sum(sc.buf[:0])
+	return sc.buf
 }
 
-// Hasher is a goroutine-local cache of per-node key schedules over a
+// Hasher is a goroutine-local table of per-node key schedules over a
 // KeyStore. The KeyStore itself is synchronized and shared freely; the
-// schedules are not, so each goroutine that verifies MACs (a sink
-// pipeline worker, a cluster shard, a resolver) holds its own Hasher. A
-// local miss fetches the node's shared pad-absorbed core from the store
-// (built at most once per node store-wide, whatever the worker count)
-// and wraps it in private scratch, so per-goroutine warmup costs two
-// digest constructions instead of two SHA-256 pad compressions.
+// Hasher's one scratch is not, so each goroutine that verifies MACs (a
+// sink pipeline worker, a cluster shard, a resolver) holds its own
+// Hasher. A local miss fetches the node's shared pad-absorbed core from
+// the store (built at most once per node store-wide, whatever the worker
+// count) and records a pointer to it; Schedule pairs that core with the
+// Hasher's scratch.
 //
-// pnmlint:single-goroutine — the schedule table and the schedules
-// themselves are unsynchronized; one goroutine owns a Hasher for its
-// lifetime.
+// pnmlint:single-goroutine — the schedule table and the scratch are
+// unsynchronized; one goroutine owns a Hasher for its lifetime.
 type Hasher struct {
 	ks *KeyStore
-	// schedules is indexed by NodeID (nil = not built yet) and grows on
+	sc *scratch
+	// cores is indexed by NodeID (nil = not fetched yet) and grows on
 	// demand to the largest ID seen: node IDs are dense, and an indexed
 	// load is cheaper than a map lookup on every probe.
-	schedules []*Schedule
-	epoch     uint64 // KeyStore schedule epoch the cache was filled under
+	cores []*schedCore
+	epoch uint64 // KeyStore schedule epoch the table was filled under
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	hits       *obs.Counter
@@ -209,10 +286,10 @@ type Hasher struct {
 	coreBuilds *obs.Counter
 }
 
-// Hasher returns a new, empty schedule cache over the store's keys. Each
-// goroutine must take its own.
+// Hasher returns a new, empty schedule table over the store's keys, with
+// its own scratch. Each goroutine must take its own.
 func (ks *KeyStore) Hasher() *Hasher {
-	return &Hasher{ks: ks}
+	return &Hasher{ks: ks, sc: newScratch()}
 }
 
 // Instrument binds the cache's counters (mac.schedule.hits / .misses /
@@ -223,53 +300,45 @@ func (h *Hasher) Instrument(reg *obs.Registry) {
 	h.coreBuilds = reg.Counter("mac.schedule.core_builds")
 }
 
-// Schedule returns node id's cached key schedule, building it around the
-// store's shared core on first use. The hot path is one indexed load —
-// no lock, no allocation; the miss path lives in build.
+// Schedule returns node id's key schedule, fetching the store's shared
+// core on first use. The hot path is one indexed load — no lock, no
+// allocation; the miss path lives in build.
 // pnmlint:noalloc
-func (h *Hasher) Schedule(id packet.NodeID) *Schedule {
-	if int(id) < len(h.schedules) {
-		if s := h.schedules[id]; s != nil {
+func (h *Hasher) Schedule(id packet.NodeID) Schedule {
+	if int(id) < len(h.cores) {
+		if c := h.cores[id]; c != nil {
 			h.hits.Inc()
-			return s
+			return Schedule{core: c, sc: h.sc}
 		}
 	}
 	return h.build(id)
 }
 
-// build is Schedule's miss path: it wraps the store's shared core for id
-// in private scratch, growing the table to cover id. A store epoch bump
-// (InvalidateSchedules) is noticed here and drops the local cache
+// build is Schedule's miss path: it records the store's shared core for
+// id, growing the table to cover id. A store epoch bump
+// (InvalidateSchedules) is noticed here and drops the local table
 // wholesale.
-func (h *Hasher) build(id packet.NodeID) *Schedule {
+func (h *Hasher) build(id packet.NodeID) Schedule {
 	h.misses.Inc()
 	core, epoch, built := h.ks.scheduleCore(id)
 	if built {
 		h.coreBuilds.Inc()
 	}
 	if epoch != h.epoch {
-		// The store invalidated its schedules since this cache was
-		// filled: every local schedule may wrap a stale core.
-		clear(h.schedules)
+		// The store invalidated its schedules since this table was
+		// filled: every local entry may be a stale core.
+		clear(h.cores)
 		h.epoch = epoch
 	}
-	if int(id) >= len(h.schedules) {
-		// Grow to the next multiple of 64 past id, not by doubling: a
-		// sink that hashes a few nodes of a large ID space keeps a table
-		// no longer than its largest ID.
-		grown := make([]*Schedule, (int(id)|63)+1)
-		copy(grown, h.schedules)
-		h.schedules = grown
-	}
-	s := newScheduleFromCore(core)
-	h.schedules[id] = s
-	return s
+	h.cores = growTo(h.cores, id)
+	h.cores[id] = core
+	return Schedule{core: core, sc: h.sc}
 }
 
 // Sum computes H_k(data) under node id's key via the cached schedule.
 // pnmlint:noalloc
 func (h *Hasher) Sum(id packet.NodeID, data []byte) [packet.MACLen]byte {
-	return h.Schedule(id).Sum(data)
+	return h.Schedule(id).Sum(data, nil)
 }
 
 // AnonID computes node id's anonymous ID for report via the cached

@@ -1,8 +1,12 @@
 package mac
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pnm/internal/obs"
 	"pnm/internal/packet"
@@ -21,7 +25,7 @@ func TestScheduleMatchesColdHMAC(t *testing.T) {
 		for _, n := range []int{0, 1, 31, 64, 65, 200} {
 			data := make([]byte, n)
 			rng.Read(data)
-			if got, want := s.Sum(data), Sum(k, data); got != want {
+			if got, want := s.Sum(data, nil), Sum(k, data); got != want {
 				t.Fatalf("Schedule.Sum(%d bytes) = %x, cold Sum = %x", n, got, want)
 			}
 		}
@@ -37,6 +41,80 @@ func TestScheduleMatchesColdHMAC(t *testing.T) {
 	}
 }
 
+// TestScheduleTwoPartMatchesStdlibHMAC pins the two-part Sum and AnonID
+// against crypto/hmac directly, not against the package's own cold
+// path: for random keys, every message length from 0 to 300 and every
+// split point of it, Sum(prefix, suffix) is the truncated
+// HMAC-SHA256(prefix ‖ suffix), and AnonID the truncated HMAC of
+// anonDomain ‖ report ‖ id. Schedules from a Hasher (shared scratch and
+// store cores) and from NewSchedule (private scratch) are both checked,
+// interleaved across keys so any state one call leaves in the shared
+// scratch would show in the next.
+func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ks := NewKeyStore([]byte("two-part"))
+	h := ks.Hasher()
+	stdlib := func(k Key, parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, k[:])
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)
+	}
+	data := make([]byte, 300)
+	for trial := 0; trial < 4; trial++ {
+		ids := []packet.NodeID{packet.NodeID(1 + rng.Intn(500)), packet.NodeID(1 + rng.Intn(500))}
+		for n := 0; n <= len(data); n++ {
+			rng.Read(data[:n])
+			id := ids[n%2]
+			k := ks.Key(id)
+			want := [packet.MACLen]byte(stdlib(k, data[:n]))
+			own := NewSchedule(k)
+			for split := 0; split <= n; split++ {
+				if got := h.Schedule(id).Sum(data[:split], data[split:n]); got != want {
+					t.Fatalf("Hasher schedule %v: Sum(%d|%d bytes) = %x, crypto/hmac = %x", id, split, n-split, got, want)
+				}
+				if got := own.Sum(data[:split], data[split:n]); got != want {
+					t.Fatalf("NewSchedule %v: Sum(%d|%d bytes) = %x, crypto/hmac = %x", id, split, n-split, got, want)
+				}
+			}
+			report := packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()}
+			idb := binary.BigEndian.AppendUint16(nil, uint16(id))
+			wantAnon := [packet.AnonIDLen]byte(stdlib(k, anonDomain, report.Encode(nil), idb))
+			if got := h.AnonID(id, report); got != wantAnon {
+				t.Fatalf("Hasher.AnonID(%v) = %x, crypto/hmac = %x", id, got, wantAnon)
+			}
+			if got := own.AnonID(report, id); got != wantAnon {
+				t.Fatalf("NewSchedule(%v).AnonID = %x, crypto/hmac = %x", id, got, wantAnon)
+			}
+		}
+	}
+}
+
+// TestStateTemplateLayout pins the layout guard's premise on the running
+// Go release: a digest after one 64-byte block marshals to the template
+// with its chaining value at chainOff, and a state restored from a
+// template copy carrying a core's chaining bytes hashes exactly like the
+// digest that absorbed the pad.
+func TestStateTemplateLayout(t *testing.T) {
+	pad := make([]byte, blockSize)
+	for i := range pad {
+		pad[i] = byte(i) ^ 0x36
+	}
+	var chain [sha256.Size]byte
+	absorbPad(&chain, pad) // panics on a layout mismatch
+	live := sha256.New()
+	live.Write(pad)
+	sc := newScratch()
+	sc.restore(&chain)
+	msg := []byte("after the pad block")
+	live.Write(msg)
+	sc.h.Write(msg)
+	if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
+		t.Fatalf("restored state hashes to %x, live digest to %x", got, want)
+	}
+}
+
 // TestScheduleReuseIsStateless verifies that interleaving Sum and AnonID
 // calls on one schedule never leaks state between calls.
 func TestScheduleReuseIsStateless(t *testing.T) {
@@ -48,7 +126,7 @@ func TestScheduleReuseIsStateless(t *testing.T) {
 	wantSum := Sum(k, data)
 	wantAnon := AnonID(k, report, 3)
 	for i := 0; i < 10; i++ {
-		if got := s.Sum(data); got != wantSum {
+		if got := s.Sum(data, nil); got != wantSum {
 			t.Fatalf("call %d: Sum drifted: %x != %x", i, got, wantSum)
 		}
 		if got := s.AnonID(report, 3); got != wantAnon {
@@ -58,24 +136,36 @@ func TestScheduleReuseIsStateless(t *testing.T) {
 }
 
 // TestScheduleZeroAllocs pins the zero-alloc claim the sink pipeline's
-// throughput rests on: after construction, neither Sum nor AnonID
-// allocates.
+// throughput rests on: after construction, neither Sum (whole or split
+// input) nor AnonID allocates, on a NewSchedule or through a warm
+// Hasher — the path every sink verifier and resolver takes.
 func TestScheduleZeroAllocs(t *testing.T) {
 	ks := NewKeyStore([]byte("schedule-allocs"))
 	s := NewSchedule(ks.Key(1))
+	h := ks.Hasher()
+	h.Schedule(2)
 	data := make([]byte, 96)
 	report := packet.Report{Event: 9, Location: 9, Timestamp: 9, Seq: 9}
 
-	if n := testing.AllocsPerRun(200, func() { s.Sum(data) }); n != 0 {
-		t.Errorf("Schedule.Sum allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { s.AnonID(report, 1) }); n != 0 {
-		t.Errorf("Schedule.AnonID allocates %.1f/op, want 0", n)
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Schedule.Sum", func() { s.Sum(data, nil) }},
+		{"Schedule.Sum (split)", func() { s.Sum(data[:90], data[90:]) }},
+		{"Schedule.AnonID", func() { s.AnonID(report, 1) }},
+		{"Hasher Sum (split)", func() { h.Schedule(2).Sum(data[:90], data[90:]) }},
+		{"Hasher.AnonID", func() { h.AnonID(2, report) }},
+	} {
+		if n := testing.AllocsPerRun(200, c.op); n != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", c.name, n)
+		}
 	}
 }
 
 // TestHasherCachesSchedules verifies the per-goroutine cache hands back
-// the same schedule per node and counts hits and misses.
+// the same schedule per node, counts hits and misses, and keeps one
+// scratch for all of its schedules.
 func TestHasherCachesSchedules(t *testing.T) {
 	ks := NewKeyStore([]byte("hasher-cache"))
 	h := ks.Hasher()
@@ -86,7 +176,9 @@ func TestHasherCachesSchedules(t *testing.T) {
 	if s2 := h.Schedule(7); s2 != s1 {
 		t.Fatal("second Schedule(7) returned a different instance")
 	}
-	h.Schedule(8)
+	if s8 := h.Schedule(8); s8.sc != s1.sc || s8.core == s1.core {
+		t.Error("schedules of one Hasher must share its scratch and keep per-key cores")
+	}
 	if hits := reg.Counter("mac.schedule.hits").Value(); hits != 1 {
 		t.Errorf("hits = %d, want 1", hits)
 	}
@@ -102,6 +194,51 @@ func TestHasherCachesSchedules(t *testing.T) {
 	report := packet.Report{Event: 5}
 	if got, want := h.AnonID(7, report), AnonID(ks.Key(7), report, 7); got != want {
 		t.Errorf("Hasher.AnonID = %x, want %x", got, want)
+	}
+}
+
+// TestHashersShareStoreCores pins the per-key/per-goroutine split: two
+// Hashers over one store read the same 64-byte core per node (built once,
+// counted by CoreBuilds) through their own scratch, a Hasher keeps one
+// pointer per node and hands out two-pointer Schedules, and
+// InvalidateSchedules makes both rebuild on their next miss.
+func TestHashersShareStoreCores(t *testing.T) {
+	ks := NewKeyStore([]byte("shared-cores"))
+	a, b := ks.Hasher(), ks.Hasher()
+	if n := unsafe.Sizeof(schedCore{}); n != 2*sha256.Size {
+		t.Errorf("schedCore is %d bytes, want %d (two chaining values)", n, 2*sha256.Size)
+	}
+	ptr := unsafe.Sizeof(uintptr(0))
+	if n := unsafe.Sizeof(a.cores[0]); n != ptr {
+		t.Errorf("Hasher table entry is %d bytes, want %d (one core pointer)", n, ptr)
+	}
+	if n := unsafe.Sizeof(Schedule{}); n != 2*ptr {
+		t.Errorf("Schedule is %d bytes, want %d (core and scratch pointers)", n, 2*ptr)
+	}
+	for id := packet.NodeID(1); id <= 5; id++ {
+		sa, sb := a.Schedule(id), b.Schedule(id)
+		if sa.core != sb.core {
+			t.Fatalf("node %v: hashers hold different cores", id)
+		}
+		if sa.sc == sb.sc {
+			t.Fatalf("node %v: hashers share a scratch", id)
+		}
+	}
+	if got := ks.CoreBuilds(); got != 5 {
+		t.Fatalf("CoreBuilds = %d after two hashers warmed 5 nodes, want 5", got)
+	}
+	old := a.Schedule(3).core
+	ks.InvalidateSchedules()
+	a.Schedule(9) // a miss notices the new epoch and drops a's table
+	if a.Schedule(3).core == old {
+		t.Fatal("Hasher kept a core from before InvalidateSchedules")
+	}
+	data := []byte("rotated")
+	if got, want := a.Sum(3, data), Sum(ks.Key(3), data); got != want {
+		t.Fatalf("Sum after invalidation = %x, want %x", got, want)
+	}
+	if got := ks.CoreBuilds(); got != 7 {
+		t.Fatalf("CoreBuilds = %d after invalidation, want 7", got)
 	}
 }
 
@@ -126,7 +263,7 @@ func BenchmarkSumSchedule(b *testing.B) {
 	s := NewSchedule(ks.Key(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Sum(benchData)
+		s.Sum(benchData, nil)
 	}
 }
 

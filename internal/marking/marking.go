@@ -74,34 +74,40 @@ func AMSMAC(key mac.Key, report packet.Report, id packet.NodeID) [packet.MACLen]
 // with a caller-owned encode buffer: the sink verifies one MAC per
 // received mark (and O(n) per resolver table build), so its hot path must
 // skip both the per-call HMAC pad compressions and the per-call encode
-// allocation. Each returns the MAC plus the (possibly grown) buffer for
-// the caller to reuse. Outputs are bit-identical to the cold functions
-// above, which remain the one-shot node-side path.
+// allocation. Each encodes the message part and the appended ID into buf
+// and MACs them as prefix and suffix through mac.Schedule.Sum — the same
+// two-part call the sink's verifier makes over its once-per-packet
+// encoding. Each returns the MAC plus the (possibly grown) buffer for the
+// caller to reuse. Outputs are bit-identical to the cold functions above,
+// which remain the one-shot node-side path.
 
 // NestedMACPlainSched is NestedMACPlain on node id's cached schedule.
 // pnmlint:noalloc
-func NestedMACPlainSched(s *mac.Schedule, buf []byte, msg packet.Message, k int, id packet.NodeID) ([packet.MACLen]byte, []byte) {
+func NestedMACPlainSched(s mac.Schedule, buf []byte, msg packet.Message, k int, id packet.NodeID) ([packet.MACLen]byte, []byte) {
 	buf = msg.EncodePrefix(buf[:0], k)
+	n := len(buf)
 	ib := idBytes(id)
 	buf = append(buf, ib[:]...)
-	return s.Sum(buf), buf
+	return s.Sum(buf[:n], buf[n:]), buf
 }
 
 // NestedMACAnonSched is NestedMACAnon on the marker's cached schedule.
 // pnmlint:noalloc
-func NestedMACAnonSched(s *mac.Schedule, buf []byte, msg packet.Message, k int, anon [packet.AnonIDLen]byte) ([packet.MACLen]byte, []byte) {
+func NestedMACAnonSched(s mac.Schedule, buf []byte, msg packet.Message, k int, anon [packet.AnonIDLen]byte) ([packet.MACLen]byte, []byte) {
 	buf = msg.EncodePrefix(buf[:0], k)
+	n := len(buf)
 	buf = append(buf, anon[:]...)
-	return s.Sum(buf), buf
+	return s.Sum(buf[:n], buf[n:]), buf
 }
 
 // AMSMACSched is AMSMAC on node id's cached schedule.
 // pnmlint:noalloc
-func AMSMACSched(s *mac.Schedule, buf []byte, report packet.Report, id packet.NodeID) ([packet.MACLen]byte, []byte) {
+func AMSMACSched(s mac.Schedule, buf []byte, report packet.Report, id packet.NodeID) ([packet.MACLen]byte, []byte) {
 	buf = report.Encode(buf[:0])
+	n := len(buf)
 	ib := idBytes(id)
 	buf = append(buf, ib[:]...)
-	return s.Sum(buf), buf
+	return s.Sum(buf[:n], buf[n:]), buf
 }
 
 // Nested is the basic nested marking scheme: deterministic, plaintext IDs,
@@ -153,7 +159,7 @@ func (s PNM) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.R
 // the allocation-conscious path load generators drive per send. For equal
 // inputs the appended mark is byte-identical to Mark's.
 // pnmlint:noalloc
-func (s PNM) MarkSched(sched *mac.Schedule, buf []byte, msg *packet.Message, id packet.NodeID, rng *rand.Rand) []byte {
+func (s PNM) MarkSched(sched mac.Schedule, buf []byte, msg *packet.Message, id packet.NodeID, rng *rand.Rand) []byte {
 	if rng.Float64() >= s.P {
 		return buf
 	}

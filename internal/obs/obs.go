@@ -63,13 +63,19 @@ type Histogram struct {
 }
 
 // Observe records one sample. A nil histogram is a no-op.
-func (h *Histogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v at the cost of one: a hot path
+// can tally a common value in a plain local and publish it once, leaving
+// the histogram exactly as n Observe(v) calls would. A nil histogram is a
+// no-op.
+func (h *Histogram) ObserveN(v, n uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	h.buckets[bits.Len64(v)].Add(n)
 }
 
 // Count returns how many samples were observed. Nil reads zero.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -60,6 +61,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if m := h.Mean(); m != 2.5 {
 		t.Fatalf("mean = %v, want 2.5", m)
+	}
+
+	// ObserveN(v, n) is n Observe(v) calls; n = 0 records nothing.
+	var g Histogram
+	for _, vn := range [][2]uint64{{0, 1}, {1, 2}, {2, 1}, {3, 1}, {8, 1}, {5, 0}} {
+		g.ObserveN(vn[0], vn[1])
+	}
+	if g.Count() != h.Count() || g.Sum() != h.Sum() || fmt.Sprint(g.Buckets()) != fmt.Sprint(got) {
+		t.Fatalf("ObserveN histogram count=%d sum=%d buckets=%v, want %d/%d/%v",
+			g.Count(), g.Sum(), g.Buckets(), h.Count(), h.Sum(), got)
 	}
 }
 

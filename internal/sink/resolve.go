@@ -250,6 +250,10 @@ type TopologyResolver struct {
 	// a flood of distinct Locations costs one table's worth of memory.
 	hints   map[uint32]pathHint
 	hintCap int
+	// memo caches the last hints lookup: every mark of a packet shares
+	// its report's Location, so a packet pays one map lookup, not one per
+	// mark. learn invalidates it.
+	memo memoHint
 	// stamp[v] == gen marks node v as hashed by the current call's hint
 	// probes, so the BFS never hashes a node twice in one Resolve.
 	stamp []uint16
@@ -331,6 +335,15 @@ type pathHint struct {
 	tip   packet.NodeID
 }
 
+// memoHint is one memoized hints lookup: the entry for loc and whether
+// the table held one. The zero value is an empty memo.
+type memoHint struct {
+	valid bool
+	found bool
+	loc   uint32
+	hint  pathHint
+}
+
 // NewTopologyResolver returns a resolver that exploits the known topology.
 // The network is treated as the base (and only) epoch; every packet
 // resolves against it, which is exactly the pre-epoch behavior for static
@@ -400,7 +413,7 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 	// Probe the learned path first, shallowest node first: the marker
 	// nearest start is the one an honest chain carries next.
 	hinted := false
-	if h, ok := r.hints[report.Location]; ok && h.epoch == epoch {
+	if h, ok := r.hint(report.Location); ok && h.epoch == epoch {
 		if path := r.hintPath(h.tip, start); len(path) > 0 {
 			hinted = true
 			if r.gen++; r.gen == 0 {
@@ -488,12 +501,24 @@ func (r *TopologyResolver) hintPath(tip, start packet.NodeID) []packet.NodeID {
 	return path
 }
 
+// hint returns loc's learned route, served from the memo when the
+// previous lookup was for the same Location.
+// pnmlint:noalloc
+func (r *TopologyResolver) hint(loc uint32) (pathHint, bool) {
+	if !r.memo.valid || r.memo.loc != loc {
+		h, ok := r.hints[loc]
+		r.memo = memoHint{valid: true, found: ok, loc: loc, hint: h}
+	}
+	return r.memo.hint, r.memo.found
+}
+
 // learn records h as loc's route, clearing the table first when a new
 // Location would overflow it. Map growth allocates, so it stays out of
 // Resolve's noalloc body.
 //
 //go:noinline
 func (r *TopologyResolver) learn(loc uint32, h pathHint) {
+	r.memo = memoHint{}
 	if r.hints == nil {
 		r.hints = make(map[uint32]pathHint)
 	}

@@ -128,13 +128,22 @@ type NestedVerifier struct {
 	numNodes int
 	resolver Resolver // nil for plaintext-ID nested schemes
 
-	// hasher caches per-node HMAC key schedules; encBuf is the reusable
-	// nested-MAC input buffer. Together they make recomputing a mark's MAC
-	// allocation-free. Both are lazily built so tests can construct
-	// verifiers literally; NewVerifier hands a PNM verifier its
-	// resolver's hasher instead.
+	// hasher caches per-node HMAC key schedules. It is lazily built so
+	// tests can construct verifiers literally; NewVerifier hands a PNM
+	// verifier its resolver's hasher instead.
 	hasher *mac.Hasher
-	encBuf []byte
+
+	// enc holds the packet being verified encoded once — report, then
+	// every mark — and off[k] is where mark k's encoding starts, so
+	// enc[:off[k]] is exactly the prefix M_{i-1} mark k's MAC covers.
+	// suffix carries the bytes MACed after that prefix (the candidate's
+	// plaintext ID or the mark's anonymous ID); it lives on the verifier
+	// because a stack array handed to the digest would escape. Together
+	// with hasher they make every MAC check allocation-free and
+	// re-encoding-free.
+	enc    []byte
+	off    []int
+	suffix [packet.AnonIDLen]byte
 
 	// chains is the Result.Chain arena: Verify appends each packet's
 	// accepted ids here and returns a capacity-clipped region, so the
@@ -148,14 +157,19 @@ type NestedVerifier struct {
 	// The rs* scratch fields carry the per-mark probe state the closure
 	// used to capture.
 	resolveFn    func(packet.NodeID) bool
-	rsMsg        packet.Message
-	rsK          int
+	rsMAC        [packet.MACLen]byte
+	rsPrefix     int
 	rsFound      packet.NodeID
 	rsOK         bool
 	rsCandidates uint64
 	// curEpoch is the arrival epoch of the packet being verified, set by
 	// VerifyAt and handed to the resolver on every probe of that packet.
 	curEpoch topology.EpochVersion
+	// singles counts the current packet's anonymous marks that needed
+	// exactly one candidate MAC — almost all of them — so VerifyAt
+	// publishes them to macCandidates in one ObserveN instead of one
+	// shared atomic update per mark.
+	singles uint64
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	packets       *obs.Counter
@@ -166,7 +180,7 @@ type NestedVerifier struct {
 
 // schedule returns node id's cached key schedule from the verifier's
 // private hasher, creating the hasher on first use.
-func (v *NestedVerifier) schedule(id packet.NodeID) *mac.Schedule {
+func (v *NestedVerifier) schedule(id packet.NodeID) mac.Schedule {
 	if v.hasher == nil {
 		v.ensureHasher()
 	}
@@ -214,6 +228,11 @@ func (v *NestedVerifier) Verify(msg packet.Message) Result {
 // tree of the packet's arrival epoch, so honest chains survive route
 // churn between injection and verification. The Result's Chain aliases
 // the verifier's arena: it stays valid until ResetVerifyScratch.
+//
+// The packet is encoded once up front; every MAC check, including each
+// anonymous-ID candidate's, hashes a prefix of that encoding plus a short
+// suffix. The per-mark counters are tallied locally and published once
+// per packet, on either return path.
 // pnmlint:noalloc
 func (v *NestedVerifier) VerifyAt(msg packet.Message, epoch topology.EpochVersion) Result {
 	v.packets.Inc()
@@ -223,6 +242,13 @@ func (v *NestedVerifier) VerifyAt(msg packet.Message, epoch topology.EpochVersio
 		// kernels below.
 		v.bindResolveFn()
 	}
+	v.enc = msg.Report.Encode(v.enc[:0])
+	v.off = v.off[:0]
+	for _, mk := range msg.Marks {
+		v.off = append(v.off, len(v.enc))
+		v.enc = mk.Encode(v.enc)
+	}
+	v.singles = 0
 	start := len(v.chains)
 	prev := packet.SinkID
 	havePrev := false
@@ -230,13 +256,27 @@ func (v *NestedVerifier) VerifyAt(msg packet.Message, epoch topology.EpochVersio
 		id, ok := v.verifyMark(msg, k, prev, havePrev)
 		if !ok {
 			v.stops.Inc()
+			v.publish(start)
 			return Result{Chain: reverse(chainRegion(v.chains, start)), Stopped: true}
 		}
-		v.marksVerified.Inc()
 		v.chains = append(v.chains, id)
 		prev, havePrev = id, true
 	}
+	v.publish(start)
 	return Result{Chain: reverse(chainRegion(v.chains, start))}
+}
+
+// publish adds the current packet's locally tallied counts to the shared
+// metrics: the marks accepted since the chain arena stood at start, and
+// the single-candidate anonymous marks.
+// pnmlint:noalloc
+func (v *NestedVerifier) publish(start int) {
+	if n := len(v.chains) - start; n > 0 {
+		v.marksVerified.Add(uint64(n))
+	}
+	if v.singles > 0 {
+		v.macCandidates.ObserveN(1, v.singles)
+	}
 }
 
 // bindResolveFn allocates the one-time resolver callback method value,
@@ -245,10 +285,10 @@ func (v *NestedVerifier) VerifyAt(msg packet.Message, epoch topology.EpochVersio
 //go:noinline
 func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
-// verifyMark checks the mark at position k and returns the marker's real ID.
-// It recomputes one HMAC per plaintext mark and one per anonymous-resolution
-// probe, so it runs once per mark per received packet — the sink's hottest
-// path.
+// verifyMark checks the mark at position k of msg, which VerifyAt has
+// encoded into v.enc, and returns the marker's real ID. It recomputes one
+// HMAC per plaintext mark and one per anonymous-resolution probe, so it
+// runs once per mark per received packet — the sink's hottest path.
 // pnmlint:noalloc
 func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeID, havePrev bool) (packet.NodeID, bool) {
 	mk := msg.Marks[k]
@@ -256,34 +296,35 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 		if v.resolver == nil {
 			return 0, false // anonymous mark under a plaintext scheme: invalid
 		}
-		v.rsMsg, v.rsK = msg, k
+		v.rsMAC, v.rsPrefix = mk.MAC, v.off[k]
 		v.rsFound, v.rsOK, v.rsCandidates = 0, false, 0
+		v.suffix = mk.AnonID
 		v.resolver.Resolve(msg.Report, mk.AnonID, prev, havePrev, v.curEpoch, v.resolveFn)
-		v.macCandidates.Observe(v.rsCandidates)
+		if v.rsCandidates == 1 {
+			v.singles++
+		} else {
+			v.macCandidates.Observe(v.rsCandidates)
+		}
 		return v.rsFound, v.rsOK
 	}
 	if mk.ID == packet.SinkID || int(mk.ID) > v.numNodes {
 		return 0, false
 	}
-	var want [packet.MACLen]byte
-	want, v.encBuf = marking.NestedMACPlainSched(v.schedule(mk.ID), v.encBuf, msg, k, mk.ID)
-	if !mac.Equal(mk.MAC, want) {
+	v.suffix[0], v.suffix[1] = byte(mk.ID>>8), byte(mk.ID)
+	if !mac.Equal(mk.MAC, v.schedule(mk.ID).Sum(v.enc[:v.off[k]], v.suffix[:2])) {
 		return 0, false
 	}
 	return mk.ID, true
 }
 
 // resolveProbe is the resolver callback for anonymous marks: it recomputes
-// the candidate's MAC over the scratch state verifyMark stashed in the rs*
-// fields. It is a bound method rather than a per-mark closure so probing
-// stays allocation-free.
+// the candidate's MAC over the prefix and suffix verifyMark stashed. It
+// is a bound method rather than a per-mark closure so probing stays
+// allocation-free.
 // pnmlint:noalloc
 func (v *NestedVerifier) resolveProbe(id packet.NodeID) bool {
 	v.rsCandidates++
-	mk := v.rsMsg.Marks[v.rsK]
-	var want [packet.MACLen]byte
-	want, v.encBuf = marking.NestedMACAnonSched(v.schedule(id), v.encBuf, v.rsMsg, v.rsK, mk.AnonID)
-	if mac.Equal(mk.MAC, want) {
+	if mac.Equal(v.rsMAC, v.schedule(id).Sum(v.enc[:v.rsPrefix], v.suffix[:])) {
 		v.rsFound, v.rsOK = id, true
 		return true
 	}

@@ -68,7 +68,7 @@ func TestVerifyMarkZeroAlloc(t *testing.T) {
 				t.Fatalf("verifier is %T, want *NestedVerifier", vi)
 			}
 			// Warm up: binds resolveFn, fills the schedule cache, grows
-			// encBuf, builds the resolver table — and checks the chain.
+			// encode buffers, builds the resolver table — and checks the chain.
 			if res := v.Verify(msg); len(res.Chain) != len(msg.Marks) || res.Stopped {
 				t.Fatalf("warm-up verify: chain %d/%d marks, stopped=%v",
 					len(res.Chain), len(msg.Marks), res.Stopped)

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pnm/internal/packet"
 )
@@ -159,17 +159,9 @@ func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 	n := len(pos) - 1
 	nw := &Network{
 		pos:       pos,
-		neighbors: make([][]packet.NodeID, n+1),
+		neighbors: radioNeighbors(pos, radioRange),
 		parent:    make([]packet.NodeID, n+1),
 		depth:     make([]int, n+1),
-	}
-	for i := 0; i <= n; i++ {
-		for j := i + 1; j <= n; j++ {
-			if dist(pos[i], pos[j]) <= radioRange {
-				nw.neighbors[i] = append(nw.neighbors[i], packet.NodeID(j))
-				nw.neighbors[j] = append(nw.neighbors[j], packet.NodeID(i))
-			}
-		}
 	}
 	// BFS from the sink; parents point one hop closer to the sink.
 	for i := range nw.depth {
@@ -193,15 +185,94 @@ func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 			return nil, fmt.Errorf("topology: node %d unreachable from sink", i)
 		}
 	}
-	// Drop the sink from sensor neighbor lists? No: the sink is a radio
-	// neighbor like any other, and verdict neighborhoods may include it
-	// (a suspected neighborhood adjacent to the sink still identifies the
-	// stop node itself). Keep lists sorted for determinism.
-	for i := range nw.neighbors {
-		ns := nw.neighbors[i]
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-	}
 	return nw, nil
+}
+
+// radioNeighbors returns every node's radio neighbors — the nodes within
+// radioRange of it, by the same dist <= radioRange test as a check of
+// every pair — as ascending lists sharing one backing array. The sink is
+// a radio neighbor like any other: verdict neighborhoods may include it
+// (a suspected neighborhood adjacent to the sink still identifies the
+// stop node itself).
+//
+// Nodes are bucketed into a grid of square cells at least radioRange
+// wide, so an in-range pair always sits in the same or adjacent cells and
+// each node tests only its 3×3 block instead of every other node. The
+// cells are widened a hair past radioRange to absorb rounding in the
+// cell arithmetic, and further when the field is much wider than the
+// range, which caps the grid at about 4× the node count.
+func radioNeighbors(pos []Point, radioRange float64) [][]packet.NodeID {
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for _, p := range pos {
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
+	}
+	cellW := max(radioRange*(1+1e-9), max(maxX-minX, maxY-minY)/math.Sqrt(float64(len(pos))))
+	nx, ny := 1, 1
+	if cellW > 0 && !math.IsInf(cellW, 0) {
+		nx, ny = int((maxX-minX)/cellW)+1, int((maxY-minY)/cellW)+1
+	} else {
+		// Coincident points, or a zero, infinite or NaN range: one cell,
+		// which tests every pair.
+		cellW = math.Inf(1)
+	}
+	coord := func(v, lo float64, cells int) int {
+		return min(max(int((v-lo)/cellW), 0), cells-1)
+	}
+
+	// Counting sort of the nodes by cell, as routeTree.build sorts nodes
+	// by parent: cell c ends up holding byCell[start[c]:start[c+1]], in
+	// ascending ID order.
+	cellOf := make([]int, len(pos))
+	start := make([]int, nx*ny+1)
+	for i, p := range pos {
+		cellOf[i] = coord(p.Y, minY, ny)*nx + coord(p.X, minX, nx)
+		start[cellOf[i]]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	byCell := make([]packet.NodeID, len(pos))
+	for i := len(pos) - 1; i >= 0; i-- {
+		start[cellOf[i]]--
+		byCell[start[cellOf[i]]] = packet.NodeID(i)
+	}
+
+	// Each in-range pair once, lower ID first.
+	var edges [][2]packet.NodeID
+	degree := make([]int, len(pos))
+	for i, p := range pos {
+		cx, cy := cellOf[i]%nx, cellOf[i]/nx
+		for y := max(cy-1, 0); y <= min(cy+1, ny-1); y++ {
+			for x := max(cx-1, 0); x <= min(cx+1, nx-1); x++ {
+				c := y*nx + x
+				for _, j := range byCell[start[c]:start[c+1]] {
+					if int(j) > i && dist(p, pos[j]) <= radioRange {
+						edges = append(edges, [2]packet.NodeID{packet.NodeID(i), j})
+						degree[i]++
+						degree[j]++
+					}
+				}
+			}
+		}
+	}
+
+	neighbors := make([][]packet.NodeID, len(pos))
+	all := make([]packet.NodeID, 2*len(edges))
+	off := 0
+	for i, d := range degree {
+		neighbors[i] = all[off : off : off+d]
+		off += d
+	}
+	for _, e := range edges {
+		neighbors[e[0]] = append(neighbors[e[0]], e[1])
+		neighbors[e[1]] = append(neighbors[e[1]], e[0])
+	}
+	for _, ns := range neighbors {
+		slices.Sort(ns)
+	}
+	return neighbors
 }
 
 // Rewire returns a new Network over the same nodes and radio graph whose

@@ -759,6 +759,10 @@ func (s *Server) fold(batch []item) {
 			s.tracker.ObserveAt(*batch[i].msg, batch[i].epoch)
 		}
 	}
+	// The copied headers' Marks alias the pooled messages releaseBatch is
+	// about to recycle; drop them so the reusable slice pins no mark
+	// storage between batches.
+	clear(s.foldMsgs)
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
 	for i := range batch {
