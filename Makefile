@@ -6,7 +6,7 @@ GO ?= go
 # GOMAXPROCS. Results are byte-identical for every value.
 WORKERS ?= 0
 
-.PHONY: all build test race vet lint bench bench-resolver bench-sink bench-fault bench-shard bench-scale bench-churn fuzz-smoke soak ci figures examples clean
+.PHONY: all build test race vet lint bench bench-resolver bench-sink bench-fault bench-scale bench-churn fuzz-smoke soak ci figures examples clean
 
 all: build test
 
@@ -59,21 +59,12 @@ bench-sink:
 bench-fault:
 	$(GO) run ./cmd/pnmsim -exp benchfault > BENCH_fault.json
 
-# Regenerate the committed sharded-sink baseline: cluster widths 1/2/8
-# versus the serial sink over keyed-source streams (10k → 1M distinct
-# reports) plus a single-shard crash/restore scenario. Verdict hashes and
-# verdict-visible counters are deterministic and checked against the
-# unsharded baseline at generation time; timings vary with the machine.
-bench-shard:
-	$(GO) run ./cmd/pnmsim -exp benchshard > BENCH_shard.json
-
 # Regenerate the committed multicore-scaling benchmark (E22): serial vs
-# pipeline workers (W1-W8) vs cluster shards (1/2/8) over the keyed-source
-# workload, with per-row GOMAXPROCS/NumCPU provenance and allocation
-# columns (B/op, allocs/op) bracketing only the observe region. Verdict
-# hashes are checked against the serial baseline at generation time;
-# timings and speedups vary with the machine - read them against the
-# recorded gomaxprocs.
+# pipeline workers (W1-W8) over the keyed-source workload, with per-row
+# GOMAXPROCS/NumCPU provenance and allocation columns (B/op, allocs/op)
+# bracketing only the observe region. Verdict hashes are checked against
+# the serial baseline at generation time; timings and speedups vary with
+# the machine - read them against the recorded gomaxprocs.
 bench-scale:
 	$(GO) run ./cmd/pnmsim -exp benchscale > BENCH_scale.json
 

@@ -16,13 +16,10 @@
 // them against the live server: the tracker checkpoints (PNM2), goes
 // down — arrivals are dropped and counted — and restores mid-stream.
 // -queue selects the ingest overflow policy (block, drop-newest,
-// drop-oldest); -workers sizes the verification pipeline; -shards runs
-// the sink as a cluster of independently checkpointed shards instead
-// (verdicts are byte-identical at any shard count, and -chaos then
-// crashes and restores a single shard rather than the whole sink).
-// -stats dumps
-// the obs registry (transport.*, sink.*) to stderr at exit; -debug ADDR
-// additionally serves pprof and expvar.
+// drop-oldest); -workers sizes the verification pipeline (verdicts are
+// byte-identical at any worker count). -stats dumps the obs registry
+// (transport.*, sink.*) to stderr at exit; -debug ADDR additionally
+// serves pprof and expvar.
 package main
 
 import (
@@ -83,10 +80,10 @@ func serveDebug(addr string, reg *obs.Registry) (func() error, error) {
 	}, nil
 }
 
-// chaosFromFaultPlan maps a PR 5 fault plan onto the transport server:
-// only the sink and shard events exist here (there are no simulated nodes
-// or links in front of a real socket), so node/link events are dropped
-// and the milestones carry over as processed-frame counts.
+// chaosFromFaultPlan maps a netsim fault plan onto the transport server:
+// only the sink events exist here (there are no simulated nodes or links
+// in front of a real socket), so node/link events are dropped and the
+// milestones carry over as processed-frame counts.
 func chaosFromFaultPlan(plan *netsim.FaultPlan) *transport.ChaosPlan {
 	out := &transport.ChaosPlan{}
 	for _, ev := range plan.Events {
@@ -95,10 +92,6 @@ func chaosFromFaultPlan(plan *netsim.FaultPlan) *transport.ChaosPlan {
 			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosSinkCrash})
 		case netsim.FaultSinkRestore:
 			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosSinkRestore})
-		case netsim.FaultShardCrash:
-			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosShardCrash, Shard: ev.Shard})
-		case netsim.FaultShardRestore:
-			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosShardRestore, Shard: ev.Shard})
 		}
 	}
 	return out
@@ -116,7 +109,6 @@ func run(args []string, w io.Writer) (err error) {
 		seed       = fs.Int64("seed", 1, "scenario: RNG seed")
 		packets    = fs.Int("packets", 400, "exit after this many ingested reports (0 = until killed)")
 		workers    = fs.Int("workers", 1, "sink verification pipeline workers (<=1 serial)")
-		shards     = fs.Int("shards", 1, "sink cluster shards (<=1 unsharded; supersedes -workers)")
 		queueFlag  = fs.String("queue", "block", "ingest overflow policy: block, drop-newest, drop-oldest")
 		depth      = fs.Int("queue-depth", 256, "ingest queue depth")
 		maxFrame   = fs.Int("max-frame", transport.DefaultMaxFrameBytes, "max frame payload bytes accepted from a peer")
@@ -158,16 +150,9 @@ func run(args []string, w io.Writer) (err error) {
 		if *packets <= 0 {
 			return fmt.Errorf("-chaos needs -packets to place its milestones")
 		}
-		// Sharded servers take the crash at shard granularity: one shard
-		// checkpoints and goes down while the sink stays up; unsharded
-		// servers keep the PR 5 whole-sink crash.
-		planCfg := netsim.FaultPlanConfig{Start: *packets / 8, Step: *packets / 8}
-		if *shards > 1 {
-			planCfg.ShardCrashes, planCfg.Shards = 1, *shards
-		} else {
-			planCfg.SinkCrashes = 1
-		}
-		full := netsim.GenerateFaultPlan(*seed, sc.Topo, planCfg)
+		full := netsim.GenerateFaultPlan(*seed, sc.Topo, netsim.FaultPlanConfig{
+			Start: *packets / 8, Step: *packets / 8, SinkCrashes: 1,
+		})
 		plan = chaosFromFaultPlan(full)
 		fmt.Fprintf(os.Stderr, "chaos plan: %v\n", plan.Events)
 	}
@@ -176,7 +161,6 @@ func run(args []string, w io.Writer) (err error) {
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
 		Workers:     *workers,
-		Shards:      *shards,
 		QueueDepth:  *depth,
 		Policy:      policy,
 		Limits:      transport.Limits{MaxFrameBytes: *maxFrame, MaxMarks: *maxMarks},
@@ -192,13 +176,8 @@ func run(args []string, w io.Writer) (err error) {
 	if u := srv.UDPAddr(); u != nil {
 		fmt.Fprintf(w, " (udp %s)", u)
 	}
-	if *shards > 1 {
-		fmt.Fprintf(w, "\nscenario: %d nodes, mole %v at %d hops, policy %s, %d shards\n",
-			sc.Topo.NumNodes(), sc.Mole, sc.Hops, policy, *shards)
-	} else {
-		fmt.Fprintf(w, "\nscenario: %d nodes, mole %v at %d hops, policy %s, %d workers\n",
-			sc.Topo.NumNodes(), sc.Mole, sc.Hops, policy, *workers)
-	}
+	fmt.Fprintf(w, "\nscenario: %d nodes, mole %v at %d hops, policy %s, %d workers\n",
+		sc.Topo.NumNodes(), sc.Mole, sc.Hops, policy, *workers)
 
 	if *packets > 0 {
 		if err := srv.WaitDelivered(*packets, *timeout); err != nil {

@@ -98,55 +98,6 @@ func TestServeLoopback(t *testing.T) {
 	}
 }
 
-// TestServeShardedLoopback boots the command with -shards 4 and checks
-// the verdict line still matches the in-process (unsharded) ground truth
-// — the cluster's determinism contract through the full binary.
-func TestServeShardedLoopback(t *testing.T) {
-	const packets = 150
-	args := []string{
-		"-listen", "127.0.0.1:0",
-		"-nodes", "80", "-side", "5", "-range", "1.4", "-seed", "3",
-		"-packets", "150", "-shards", "4", "-timeout", "20s",
-	}
-	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := loadgen.FormatVerdict(sc.Verdict(packets))
-
-	out := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() { done <- run(args, out) }()
-
-	cl, err := transport.Dial(listenAddr(t, out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range sc.Stream(packets) {
-		if err := cl.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("run never exited; output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), want) {
-		t.Fatalf("sharded verdict line missing\nwant: %s\noutput:\n%s", want, out.String())
-	}
-	if !strings.Contains(out.String(), "4 shards") {
-		t.Fatalf("shard banner missing; output:\n%s", out.String())
-	}
-}
-
 // TestServeBadFlags covers flag validation paths.
 func TestServeBadFlags(t *testing.T) {
 	if err := run([]string{"-queue", "bogus"}, &bytes.Buffer{}); err == nil {

@@ -2,13 +2,13 @@
 //
 // Usage:
 //
-//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchresolver|benchsink|benchfault|benchshard|benchscale|benchchurn|filter [flags]
+//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchresolver|benchsink|benchfault|benchscale|benchchurn|filter [flags]
 //
 // Output is CSV for the figure experiments (pipe into a plotter), an
 // aligned text table for the tabular ones, or JSON for benchresolver,
-// benchsink, benchfault, benchshard, benchscale and benchchurn (redirect
-// into BENCH_resolver.json / BENCH_sink.json / BENCH_fault.json /
-// BENCH_shard.json / BENCH_scale.json / BENCH_churn.json). -plot renders
+// benchsink, benchfault, benchscale and benchchurn (redirect into
+// BENCH_resolver.json / BENCH_sink.json / BENCH_fault.json /
+// BENCH_scale.json / BENCH_churn.json). -plot renders
 // a crude ASCII plot instead of CSV. -stats dumps the sink chain's obs counters to stderr
 // after instrumented experiments (resolve).
 //
@@ -42,7 +42,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("pnmsim", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchresolver, benchsink, benchfault, benchshard, benchscale, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
+		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchresolver, benchsink, benchfault, benchscale, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
 		runs    = fs.Int("runs", 0, "override the run count (0 = experiment default)")
 		seed    = fs.Int64("seed", 0, "override the RNG seed (0 = experiment default)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for run-parallel experiments (<= 0 = GOMAXPROCS); results are identical for every value")
@@ -191,26 +191,6 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprint(w, doc)
 		return nil
-	case "benchshard":
-		// Sharded sink cluster versus the serial baseline over keyed-source
-		// streams (10k → 1M distinct reports) plus a single-shard
-		// crash/restore scenario; verdict-hash equality with the unsharded
-		// baseline is enforced at generation time, so the committed
-		// document can never contain a diverging shard count.
-		cfg := experiment.DefaultShardBench()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiment.ShardBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderShardBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
 	case "benchchurn":
 		// Traceback under topology churn with epoch-versioned resolution
 		// (E23): packets-to-catch and reconstruction cost per churn level,
@@ -232,10 +212,10 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprint(w, doc)
 		return nil
 	case "benchscale":
-		// Multicore scaling truth (E22): serial vs pipeline workers vs
-		// cluster shards over the keyed-source workload, with per-row
-		// GOMAXPROCS/NumCPU and allocation columns; verdict-hash equality
-		// with the serial baseline is enforced at generation time.
+		// Multicore scaling truth (E22): serial vs pipeline workers over
+		// the keyed-source workload, with per-row GOMAXPROCS/NumCPU and
+		// allocation columns; verdict-hash equality with the serial
+		// baseline is enforced at generation time.
 		cfg := experiment.DefaultScaleBench()
 		if *seed != 0 {
 			cfg.Seed = *seed

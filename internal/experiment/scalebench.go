@@ -2,12 +2,18 @@ package experiment
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"math/rand"
 	"runtime"
+	"sort"
 	"time"
 
+	"pnm/internal/analytic"
 	"pnm/internal/mac"
+	"pnm/internal/marking"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
@@ -16,9 +22,9 @@ import (
 
 // ScaleBenchConfig parameterizes the multicore-scaling benchmark
 // committed as BENCH_scale.json: the keyed-source workload (see
-// keyedGen) folded by the serial tracker, the pipeline at each worker
-// count and the cluster at each shard width, with wall time and
-// allocation columns per configuration. Every row records GOMAXPROCS
+// keyedGen) folded by the serial tracker and by the pipeline at each
+// worker count, with wall time and allocation columns per
+// configuration. Every row records GOMAXPROCS
 // and NumCPU at measurement time, so a 1-core container's rows are
 // honest about what they measured: determinism always, speedup only
 // when the hardware could deliver one.
@@ -33,23 +39,20 @@ type ScaleBenchConfig struct {
 	Sources int `json:"sources"`
 	// Workers lists the pipeline worker counts to sweep.
 	Workers []int `json:"workers"`
-	// Shards lists the cluster widths to sweep.
-	Shards []int `json:"shards"`
 	// BatchLen is the lockstep generation/fold batch size.
 	BatchLen int `json:"batch_len"`
 	// Seed drives topology and marking.
 	Seed int64 `json:"seed"`
 }
 
-// DefaultScaleBench sweeps W1→W8 pipeline workers and 1/2/8 shards over
-// the 2k-node keyed workload — the roadmap's "multicore truth" matrix.
+// DefaultScaleBench sweeps W1→W8 pipeline workers over the 2k-node
+// keyed workload — the roadmap's "multicore truth" matrix.
 func DefaultScaleBench() ScaleBenchConfig {
 	return ScaleBenchConfig{
 		Nodes:    2048,
 		Hosts:    64,
 		Sources:  100_000,
 		Workers:  []int{1, 2, 4, 8},
-		Shards:   []int{1, 2, 8},
 		BatchLen: 1024,
 		Seed:     17,
 	}
@@ -59,12 +62,10 @@ func DefaultScaleBench() ScaleBenchConfig {
 // on VerdictHash, MarksVerified and Stops with the serial baseline —
 // enforced at generation time, never committed diverged.
 type ScaleBenchRow struct {
-	// Mode is "serial", "pipeline" or "cluster".
+	// Mode is "serial" or "pipeline".
 	Mode string `json:"mode"`
-	// Workers is the pipeline worker count (1 otherwise).
+	// Workers is the pipeline worker count (1 on the serial row).
 	Workers int `json:"workers"`
-	// Shards is the cluster width (1 otherwise).
-	Shards int `json:"shards"`
 	// Sources and Packets count the keyed stream folded.
 	Sources int `json:"sources"`
 	Packets int `json:"packets"`
@@ -96,8 +97,8 @@ type ScaleBenchResult struct {
 	Rows   []ScaleBenchRow  `json:"rows"`
 }
 
-// scaleSink adapts one sink configuration (serial, pipeline, cluster) to
-// the row runner. observe folds a batch and returns Results valid until
+// scaleSink adapts one sink configuration (serial or pipeline) to the
+// row runner. observe folds a batch and returns Results valid until
 // the next observe call.
 type scaleSink struct {
 	observe func(batch []packet.Message) []sink.Result
@@ -112,8 +113,8 @@ type scaleSink struct {
 // fresh-sink measured pass bracketed by MemStats reads so the committed
 // B/op and allocs/op columns cover exactly the observe region.
 func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
-	if cfg.BatchLen < 1 || cfg.Sources < 2*cfg.BatchLen || len(cfg.Workers) == 0 || len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("experiment: batch_len, workers, shards and sources >= 2*batch_len must be set")
+	if cfg.BatchLen < 1 || cfg.Sources < 2*cfg.BatchLen || len(cfg.Workers) == 0 {
+		return nil, fmt.Errorf("experiment: batch_len, workers and sources >= 2*batch_len must be set")
 	}
 	topo, err := geometricOfSize(cfg.Nodes, cfg.Seed)
 	if err != nil {
@@ -126,7 +127,7 @@ func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
 	}
 
 	res := &ScaleBenchResult{Env: CaptureBenchEnv(true), Config: cfg}
-	serial, err := runScaleRow(cfg, gen, "serial", 1, 1, func(reg *obs.Registry) scaleSink {
+	serial, err := runScaleRow(cfg, gen, "serial", 1, func(reg *obs.Registry) scaleSink {
 		return newScaleSerial(gen, topo, keys, reg, cfg.BatchLen)
 	})
 	if err != nil {
@@ -136,21 +137,8 @@ func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
 
 	for _, w := range cfg.Workers {
 		w := w
-		row, err := runScaleRow(cfg, gen, "pipeline", w, 1, func(reg *obs.Registry) scaleSink {
+		row, err := runScaleRow(cfg, gen, "pipeline", w, func(reg *obs.Registry) scaleSink {
 			return newScalePipeline(gen, topo, keys, reg, w)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := checkScaleRow(row, serial); err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, shards := range cfg.Shards {
-		shards := shards
-		row, err := runScaleRow(cfg, gen, "cluster", 1, shards, func(reg *obs.Registry) scaleSink {
-			return newScaleCluster(gen, topo, keys, reg, shards)
 		})
 		if err != nil {
 			return nil, err
@@ -166,12 +154,12 @@ func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
 // checkScaleRow enforces the determinism contract at generation time.
 func checkScaleRow(row, serial ScaleBenchRow) error {
 	if row.VerdictHash != serial.VerdictHash {
-		return fmt.Errorf("experiment: %s workers=%d shards=%d verdict hash %s diverged from serial %s",
-			row.Mode, row.Workers, row.Shards, row.VerdictHash, serial.VerdictHash)
+		return fmt.Errorf("experiment: %s workers=%d verdict hash %s diverged from serial %s",
+			row.Mode, row.Workers, row.VerdictHash, serial.VerdictHash)
 	}
 	if row.MarksVerified != serial.MarksVerified || row.Stops != serial.Stops {
-		return fmt.Errorf("experiment: %s workers=%d shards=%d verdict-visible counters (%d, %d) diverged from serial (%d, %d)",
-			row.Mode, row.Workers, row.Shards, row.MarksVerified, row.Stops, serial.MarksVerified, serial.Stops)
+		return fmt.Errorf("experiment: %s workers=%d verdict-visible counters (%d, %d) diverged from serial (%d, %d)",
+			row.Mode, row.Workers, row.MarksVerified, row.Stops, serial.MarksVerified, serial.Stops)
 	}
 	return nil
 }
@@ -189,12 +177,15 @@ func newScaleSerial(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, r
 	resBuf := make([]sink.Result, 0, batchLen)
 	return scaleSink{
 		observe: func(batch []packet.Message) []sink.Result {
-			// ObserveKeep with one reset per batch: the caller reads the
-			// whole batch's Results together.
+			// One reset per batch, then verify and fold per packet: the
+			// caller reads the whole batch's Results together, which a
+			// per-packet Observe would recycle under it.
 			resBuf = resBuf[:0]
 			tracker.ResetVerifyScratch()
 			for _, m := range batch {
-				resBuf = append(resBuf, tracker.ObserveKeep(m))
+				res := sink.VerifyAtEpoch(v, m, 0)
+				tracker.Fold(res)
+				resBuf = append(resBuf, res)
 			}
 			return resBuf
 		},
@@ -205,32 +196,16 @@ func newScaleSerial(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, r
 }
 
 func newScalePipeline(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, reg *obs.Registry, workers int) scaleSink {
-	factory := shardVerifierFactory(gen.scheme, keys, topo, reg)
+	factory := keyedVerifierFactory(gen.scheme, keys, topo, reg)
 	tracker := sink.NewTracker(factory(), topo)
 	tracker.Instrument(reg)
 	pipe := sink.NewPipeline(workers, factory, tracker)
 	pipe.Instrument(reg)
 	return scaleSink{
-		observe: pipe.Observe,
+		observe: func(batch []packet.Message) []sink.Result { return pipe.Observe(batch, nil) },
 		packets: tracker.Packets,
 		verdict: tracker.Verdict,
 		close:   func() { pipe.Close() },
-	}
-}
-
-func newScaleCluster(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, reg *obs.Registry, shards int) scaleSink {
-	cluster := sink.NewCluster(shards, shardVerifierFactory(gen.scheme, keys, topo, reg), topo, reg)
-	return scaleSink{
-		observe: func(batch []packet.Message) []sink.Result {
-			results, dropped := cluster.Observe(batch)
-			if dropped > 0 {
-				panic(fmt.Sprintf("experiment: cluster dropped %d packets with no shard down", dropped))
-			}
-			return results
-		},
-		packets: cluster.Packets,
-		verdict: cluster.Verdict,
-		close:   cluster.Close,
 	}
 }
 
@@ -239,7 +214,7 @@ func newScaleCluster(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, 
 // from scratch and times the observe region with MemStats brackets, the
 // first batch excluded as warmup (schedule caches, arenas and pipeline
 // scratch fill there).
-func runScaleRow(cfg ScaleBenchConfig, gen *keyedGen, mode string, workers, shards int, mk func(reg *obs.Registry) scaleSink) (ScaleBenchRow, error) {
+func runScaleRow(cfg ScaleBenchConfig, gen *keyedGen, mode string, workers int, mk func(reg *obs.Registry) scaleSink) (ScaleBenchRow, error) {
 	buf := make([]packet.Message, cfg.BatchLen)
 
 	// Pass 1: verdict hash and verdict-visible counters.
@@ -255,11 +230,11 @@ func runScaleRow(cfg ScaleBenchConfig, gen *keyedGen, mode string, workers, shar
 		fed += n
 	}
 	if got := s.packets(); got != cfg.Sources {
-		return ScaleBenchRow{}, fmt.Errorf("experiment: %s workers=%d shards=%d folded %d of %d packets",
-			mode, workers, shards, got, cfg.Sources)
+		return ScaleBenchRow{}, fmt.Errorf("experiment: %s workers=%d folded %d of %d packets",
+			mode, workers, got, cfg.Sources)
 	}
 	row := ScaleBenchRow{
-		Mode: mode, Workers: workers, Shards: shards,
+		Mode: mode, Workers: workers,
 		Sources: cfg.Sources, Packets: s.packets(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
@@ -305,6 +280,116 @@ func runScaleRow(cfg ScaleBenchConfig, gen *keyedGen, mode string, workers, shar
 	row.BytesPerPacket = float64(bytes) / float64(measured)
 	row.AllocsPerPacket = float64(mallocs) / float64(measured)
 	return row, nil
+}
+
+// keyedGen deterministically generates the keyed-source stream in
+// batches: source i hosts on the (i mod Hosts)-th deepest node and emits
+// one packet with a stream-unique Event, marked along the host's real
+// forwarding path. reset rewinds to source 0 with the marking RNG
+// reseeded, so every configuration folds a byte-identical stream.
+type keyedGen struct {
+	scheme marking.PNM
+	keys   *mac.KeyStore
+	hasher *mac.Hasher
+	macBuf []byte
+	seed   int64
+	hosts  []packet.NodeID
+	paths  [][]packet.NodeID
+	rng    *rand.Rand
+	next   int
+}
+
+func newKeyedGen(nodes, hosts int, seed int64, topo *topology.Network, keys *mac.KeyStore) (*keyedGen, error) {
+	all := topo.Nodes()
+	byDepth := make([]packet.NodeID, len(all))
+	copy(byDepth, all)
+	sort.SliceStable(byDepth, func(i, j int) bool {
+		return topo.Depth(byDepth[i]) > topo.Depth(byDepth[j])
+	})
+	if hosts < 1 || len(byDepth) < hosts {
+		return nil, fmt.Errorf("experiment: %d nodes cannot host %d keyed-source hosts", len(byDepth), hosts)
+	}
+	hostIDs := byDepth[:hosts]
+	maxHops := topo.Depth(hostIDs[0]) - 1
+	if maxHops < 1 {
+		return nil, fmt.Errorf("experiment: degenerate topology at size %d", nodes)
+	}
+	paths := make([][]packet.NodeID, len(hostIDs))
+	for i, h := range hostIDs {
+		paths[i] = topo.Forwarders(h)
+	}
+	return &keyedGen{
+		scheme: marking.PNM{P: analytic.ProbabilityForMarks(maxHops, 3)},
+		keys:   keys,
+		hasher: keys.Hasher(),
+		seed:   seed,
+		hosts:  hostIDs,
+		paths:  paths,
+	}, nil
+}
+
+func (g *keyedGen) reset() {
+	g.rng = rand.New(rand.NewSource(g.seed))
+	g.next = 0
+}
+
+// batch fills buf with the next len(buf) packets of the stream,
+// overwriting buf in place: each slot's mark storage is reused, so
+// steady-state generation allocates nothing and the messages of the
+// previous batch are invalidated. Marking runs on cached key schedules
+// through MarkSched, which is byte-identical to Scheme.Mark.
+func (g *keyedGen) batch(buf []packet.Message) {
+	for k := range buf {
+		i := g.next
+		g.next++
+		h := i % len(g.hosts)
+		m := &buf[k]
+		m.Report = packet.Report{
+			Event: uint32(i + 1), Location: uint32(g.hosts[h]), Seq: 1,
+		}
+		m.Marks = m.Marks[:0]
+		for _, hop := range g.paths[h] {
+			g.macBuf = g.scheme.MarkSched(g.hasher.Schedule(hop), g.macBuf, m, hop, g.rng)
+		}
+	}
+}
+
+// keyedVerifierFactory builds one verifier for the keyed workload: the
+// topology resolver (the exhaustive resolver's O(n)-per-report table
+// build is infeasible at 100k distinct reports), instrumented into the
+// shared registry. Safe to call from the pipeline's worker goroutines:
+// the registry is concurrent and each verifier is factory-owned.
+func keyedVerifierFactory(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, reg *obs.Registry) func() sink.Verifier {
+	return func() sink.Verifier {
+		v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(), sink.NewTopologyResolver(keys, topo))
+		if err != nil {
+			panic(err)
+		}
+		if ins, ok := v.(sink.Instrumentable); ok {
+			ins.Instrument(reg)
+		}
+		return v
+	}
+}
+
+// hashResults streams a batch of Results into the row digest, in stream
+// order, in resultHash's format.
+func hashResults(h hash.Hash, results []sink.Result) {
+	for _, res := range results {
+		fmt.Fprintf(h, "%v|%v;", res.Stopped, res.Chain)
+	}
+}
+
+func finishHash(h hash.Hash, verdict sink.Verdict) string {
+	fmt.Fprintf(h, "verdict:%+v", verdict)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// verdictDigest hashes a verdict alone (no per-packet results).
+func verdictDigest(v sink.Verdict) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "verdict:%+v", v)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // RenderScaleBench serializes the result as the committed JSON document.

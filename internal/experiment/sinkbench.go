@@ -337,13 +337,13 @@ func runSinkBenchPipeline(scheme marking.Scheme, keys *mac.KeyStore, topo *topol
 	observe := func(stream []packet.Message, out []sink.Result) []sink.Result {
 		for lo := 0; lo < len(stream); lo += batchLen {
 			hi := min(lo+batchLen, len(stream))
-			for _, res := range pipe.Observe(stream[lo:hi]) {
+			for _, res := range pipe.Observe(stream[lo:hi], nil) {
 				out = append(out, sink.Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)})
 			}
 		}
 		return out
 	}
-	return runSinkBenchPasses("pipeline", pipe.Workers(), stream, reg, tracker, observe)
+	return runSinkBenchPasses("pipeline", workers, stream, reg, tracker, observe)
 }
 
 // RenderSinkBench serializes the result as the committed JSON document.

@@ -63,8 +63,9 @@ func TestDeterministicPackagesExist(t *testing.T) {
 }
 
 // TestSingleGoroutineMarkersPresent asserts the sink package's ownership
-// contract is machine-readable: Tracker and both resolvers carry the
-// // pnmlint:single-goroutine marker the ownership analyzer enforces.
+// contract is machine-readable: Tracker, Pipeline and both resolvers
+// carry the // pnmlint:single-goroutine marker the ownership analyzer
+// enforces.
 func TestSingleGoroutineMarkersPresent(t *testing.T) {
 	prog, err := Load("../..", "./internal/sink")
 	if err != nil {
@@ -79,7 +80,7 @@ func TestSingleGoroutineMarkersPresent(t *testing.T) {
 		"pnm/internal/sink.Tracker",
 		"pnm/internal/sink.ExhaustiveResolver",
 		"pnm/internal/sink.TopologyResolver",
-		"pnm/internal/sink.Cluster",
+		"pnm/internal/sink.Pipeline",
 	} {
 		if !names[want] {
 			var have []string
@@ -112,8 +113,6 @@ func TestServerGuardedFieldsPresent(t *testing.T) {
 	for field, mutex := range map[string]string{
 		"Server.tracker":     "mu",
 		"Server.pipe":        "mu",
-		"Server.cluster":     "mu",
-		"Server.shardCkpts":  "mu",
 		"Server.down":        "mu",
 		"Server.ckpt":        "mu",
 		"Server.delivered":   "mu",
@@ -127,9 +126,9 @@ func TestServerGuardedFieldsPresent(t *testing.T) {
 	}
 }
 
-// TestNetworkGuardedFieldsPresent pins the live simulator's sharded-sink
-// lock discipline: the cluster and its per-shard crash blobs travel
-// together under mu.
+// TestNetworkGuardedFieldsPresent pins the live simulator's sink lock
+// discipline: the tracker the sink goroutine folds into, and that
+// verdict reads and crash/restore swap, lives under mu.
 func TestNetworkGuardedFieldsPresent(t *testing.T) {
 	prog, err := Load("../..", "./internal/netsim")
 	if err != nil {
@@ -144,8 +143,7 @@ func TestNetworkGuardedFieldsPresent(t *testing.T) {
 		byName[g.owner+"."+v.Name()] = g.mutex
 	}
 	for field, mutex := range map[string]string{
-		"Network.cluster":    "mu",
-		"Network.shardCkpts": "mu",
+		"Network.tracker": "mu",
 	} {
 		if got := byName[field]; got != mutex {
 			t.Errorf("%s: guarded-by %q, want %q (annotation missing or moved)", field, got, mutex)

@@ -55,18 +55,10 @@ const (
 	// FaultLinkUp restores every link previously cut for the node.
 	FaultLinkUp
 	// FaultSinkCrash kills the sink after checkpointing the tracker
-	// (PNM2); arrivals while it is down are dropped. With SinkShards > 1
-	// the checkpoint is the cluster's per-shard blob set.
+	// (PNM2); arrivals while it is down are dropped.
 	FaultSinkCrash
 	// FaultSinkRestore rebuilds the sink chain from the crash checkpoint.
 	FaultSinkRestore
-	// FaultShardCrash checkpoints one cluster shard (PNM2) and takes only
-	// it down: the sink stays up, the other shards keep folding, and the
-	// down shard's partition of arriving packets terminates as accounted
-	// drops. Requires SinkShards > 1; a no-op otherwise.
-	FaultShardCrash
-	// FaultShardRestore rebuilds the crashed shard from its own blob.
-	FaultShardRestore
 )
 
 // String names the kind.
@@ -84,10 +76,6 @@ func (k FaultKind) String() string {
 		return "sink-crash"
 	case FaultSinkRestore:
 		return "sink-restore"
-	case FaultShardCrash:
-		return "shard-crash"
-	case FaultShardRestore:
-		return "shard-restore"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -99,11 +87,9 @@ type FaultEvent struct {
 	At int
 	// Kind selects the failure.
 	Kind FaultKind
-	// Node is the victim for node and link events; ignored for sink and
-	// shard events.
+	// Node is the victim for node and link events; ignored for sink
+	// events.
 	Node packet.NodeID
-	// Shard is the victim for shard events; ignored otherwise.
-	Shard int
 }
 
 // String renders the event for logs and benchmark rows.
@@ -111,8 +97,6 @@ func (e FaultEvent) String() string {
 	switch e.Kind {
 	case FaultSinkCrash, FaultSinkRestore:
 		return fmt.Sprintf("@%d %s", e.At, e.Kind)
-	case FaultShardCrash, FaultShardRestore:
-		return fmt.Sprintf("@%d %s s%d", e.At, e.Kind, e.Shard)
 	}
 	return fmt.Sprintf("@%d %s n%d", e.At, e.Kind, e.Node)
 }
@@ -143,13 +127,6 @@ type FaultPlanConfig struct {
 	LinkChurn int
 	// SinkCrashes schedules this many sink crash→restore pairs.
 	SinkCrashes int
-	// ShardCrashes schedules this many single-shard crash→restore pairs,
-	// rotating through Shards sink shards. Only meaningful when the sink
-	// runs as a cluster (SinkShards > 1).
-	ShardCrashes int
-	// Shards is the cluster width ShardCrashes rotates over; defaults to
-	// 1 (every pair hits shard 0).
-	Shards int
 	// Protect lists nodes never crashed or link-cut (e.g. the mole and
 	// its first hop, whose ordering evidence the traceback needs).
 	Protect []packet.NodeID
@@ -221,17 +198,6 @@ func GenerateFaultPlan(seed int64, topo *topology.Network, cfg FaultPlanConfig) 
 			FaultEvent{At: at + cfg.Step, Kind: FaultSinkRestore})
 		at += 2 * cfg.Step
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	for i := 0; i < cfg.ShardCrashes; i++ {
-		s := i % shards
-		plan.Events = append(plan.Events,
-			FaultEvent{At: at, Kind: FaultShardCrash, Shard: s},
-			FaultEvent{At: at + cfg.Step, Kind: FaultShardRestore, Shard: s})
-		at += 2 * cfg.Step
-	}
 	sort.SliceStable(plan.Events, func(i, j int) bool { return plan.Events[i].At < plan.Events[j].At })
 	return plan
 }
@@ -239,20 +205,17 @@ func GenerateFaultPlan(seed int64, topo *topology.Network, cfg FaultPlanConfig) 
 // faultCounters groups the fault layer's observability bindings. All
 // fields are nil-safe no-ops until bind is called.
 type faultCounters struct {
-	nodeCrashes   *obs.Counter
-	nodeRestarts  *obs.Counter
-	linkDown      *obs.Counter
-	linkUp        *obs.Counter
-	sinkCrashes   *obs.Counter
-	sinkRestores  *obs.Counter
-	shardCrashes  *obs.Counter
-	shardRestores *obs.Counter
-	reroutes      *obs.Counter
+	nodeCrashes  *obs.Counter
+	nodeRestarts *obs.Counter
+	linkDown     *obs.Counter
+	linkUp       *obs.Counter
+	sinkCrashes  *obs.Counter
+	sinkRestores *obs.Counter
+	reroutes     *obs.Counter
 
 	// Terminal drop reasons introduced by the fault layer.
 	inboxDropped  *obs.Counter // drained from a crashed node's inbox
 	sinkDropped   *obs.Counter // drained from the sink queue at sink crash
-	shardDropped  *obs.Counter // partitioned to a crashed shard at fold time
 	droppedToDown *obs.Counter // next hop (or sink) was down at send time
 	orphanDropped *obs.Counter // no route to the sink at send time
 	sendAborted   *obs.Counter // sender crashed while blocked on a full queue
@@ -265,12 +228,9 @@ func (f *faultCounters) bind(reg *obs.Registry) {
 	f.linkUp = reg.Counter("netsim.fault.link_up")
 	f.sinkCrashes = reg.Counter("netsim.fault.sink_crashes")
 	f.sinkRestores = reg.Counter("netsim.fault.sink_restores")
-	f.shardCrashes = reg.Counter("netsim.fault.shard_crashes")
-	f.shardRestores = reg.Counter("netsim.fault.shard_restores")
 	f.reroutes = reg.Counter("netsim.fault.reroutes")
 	f.inboxDropped = reg.Counter("netsim.fault.inbox_dropped")
 	f.sinkDropped = reg.Counter("netsim.fault.sink_dropped")
-	f.shardDropped = reg.Counter("netsim.fault.shard_dropped")
 	f.droppedToDown = reg.Counter("netsim.fault.dropped_to_down")
 	f.orphanDropped = reg.Counter("netsim.fault.orphan_dropped")
 	f.sendAborted = reg.Counter("netsim.fault.send_aborted")
@@ -296,10 +256,6 @@ func (n *Network) ApplyFault(ev FaultEvent) {
 		n.crashSinkLocked()
 	case FaultSinkRestore:
 		n.restoreSinkLocked()
-	case FaultShardCrash:
-		n.crashShardLocked(ev.Shard)
-	case FaultShardRestore:
-		n.restoreShardLocked(ev.Shard)
 	}
 }
 
@@ -420,17 +376,7 @@ func (n *Network) crashSinkLocked() {
 	close(n.sinkKill)
 	<-n.sinkDone
 	n.mu.Lock()
-	if n.cluster != nil {
-		// Every shard checkpoints to its own PNM2 blob; a sealed tracker
-		// keeps verdicts readable (stale, like the serial sink's) while
-		// the cluster is down.
-		n.shardCkpts = n.cluster.Checkpoint()
-		n.tracker = n.cluster.Seal()
-		n.cluster.Close()
-		n.cluster = nil
-	} else {
-		n.sinkCkpt = n.tracker.Checkpoint()
-	}
+	n.sinkCkpt = n.tracker.Checkpoint()
 	n.mu.Unlock()
 	// Mark it down before draining so new arrivals drop at the sender.
 	n.stateMu.Lock()
@@ -448,9 +394,9 @@ func (n *Network) crashSinkLocked() {
 }
 
 // restoreSinkLocked rebuilds the sink chain — tracker from the PNM2 crash
-// checkpoint, fresh verifier(s), fresh pipeline when SinkWorkers > 1 —
-// and respawns the sink goroutine. Neither the order matrix nor the
-// packet count is lost across the crash. Callers hold faultMu.
+// checkpoint, fresh verifier — and respawns the sink goroutine. Neither
+// the order matrix nor the packet count is lost across the crash.
+// Callers hold faultMu.
 func (n *Network) restoreSinkLocked() {
 	n.stateMu.RLock()
 	down := n.sinkDown
@@ -458,88 +404,25 @@ func (n *Network) restoreSinkLocked() {
 	if !down {
 		return
 	}
-	if n.cfg.SinkShards > 1 {
-		// The sink goroutine is dead here, so holding mu across the
-		// rebuild contends with nothing; it keeps the blob reads and the
-		// cluster swap under the cluster's lock discipline.
-		n.mu.Lock()
-		cl, err := sink.RestoreCluster(n.shardCkpts, n.newVerifier, n.cfg.Topo, n.cfg.Obs)
-		if err != nil {
-			// The blobs are our own bytes; failing to read them back is a
-			// programming error, not a runtime condition.
-			panic(fmt.Sprintf("netsim: sink restore: %v", err))
-		}
-		n.cluster = cl
-		n.tracker = nil
-		n.mu.Unlock()
-	} else {
-		tracker, err := sink.RestoreTracker(n.sinkCkpt, n.newVerifier(), n.cfg.Topo)
-		if err != nil {
-			// The checkpoint is our own bytes; failing to read it back is a
-			// programming error, not a runtime condition.
-			panic(fmt.Sprintf("netsim: sink restore: %v", err))
-		}
-		if n.cfg.Obs != nil {
-			// Counters are registry-backed, so the restored tracker continues
-			// the lifetime sink.tracker.* series rather than rewinding it.
-			tracker.Instrument(n.cfg.Obs)
-		}
-		n.mu.Lock()
-		n.tracker = tracker
-		if n.cfg.SinkWorkers > 1 {
-			n.pipe = sink.NewPipeline(n.cfg.SinkWorkers, n.newVerifier, tracker)
-			if n.cfg.Obs != nil {
-				n.pipe.Instrument(n.cfg.Obs)
-			}
-		}
-		n.mu.Unlock()
+	tracker, err := sink.RestoreTracker(n.sinkCkpt, n.newVerifier(), n.cfg.Topo)
+	if err != nil {
+		// The checkpoint is our own bytes; failing to read it back is a
+		// programming error, not a runtime condition.
+		panic(fmt.Sprintf("netsim: sink restore: %v", err))
 	}
+	if n.cfg.Obs != nil {
+		// Counters are registry-backed, so the restored tracker continues
+		// the lifetime sink.tracker.* series rather than rewinding it.
+		tracker.Instrument(n.cfg.Obs)
+	}
+	n.mu.Lock()
+	n.tracker = tracker
+	n.mu.Unlock()
 	n.stateMu.Lock()
 	n.sinkDown = false
 	n.stateMu.Unlock()
 	n.spawnSink()
 	n.obsFault.sinkRestores.Inc()
-}
-
-// crashShardLocked checkpoints one cluster shard (PNM2) and takes only it
-// down; arriving packets partitioned to it terminate as accounted drops
-// until restore. A no-op without a live cluster, on an unknown shard
-// index, or on an already-down shard — faults are idempotent. Callers
-// hold faultMu; the cluster ops take mu to serialize with the sink
-// goroutine's folds.
-func (n *Network) crashShardLocked(i int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.cluster == nil {
-		return
-	}
-	blob, err := n.cluster.CrashShard(i)
-	if err != nil {
-		return
-	}
-	if n.shardCkpts == nil {
-		n.shardCkpts = make([][]byte, n.cfg.SinkShards)
-	}
-	n.shardCkpts[i] = blob
-	n.obsFault.shardCrashes.Inc()
-}
-
-// restoreShardLocked rebuilds a crashed shard from its own blob and
-// brings it back into the partition; the shard's order matrix and packet
-// count survive the outage. Callers hold faultMu.
-func (n *Network) restoreShardLocked(i int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.cluster == nil || i < 0 || i >= len(n.shardCkpts) || n.shardCkpts[i] == nil {
-		return
-	}
-	if err := n.cluster.RestoreShard(i, n.shardCkpts[i]); err != nil {
-		// The blob is our own bytes; failing to read it back is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("netsim: shard restore: %v", err))
-	}
-	n.shardCkpts[i] = nil
-	n.obsFault.shardRestores.Inc()
 }
 
 // recomputeRoutesLocked rebuilds the routing view for the current fault

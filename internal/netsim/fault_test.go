@@ -442,11 +442,11 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 // runPlannedChain drives a fixed traffic schedule with fault-plan events
 // applied at exact settled-packet boundaries — the reproducible way to
 // run a plan — and returns the final verdict and delivered count.
-func runPlannedChain(t *testing.T, workers int, plan *FaultPlan) (sink.Verdict, int) {
+func runPlannedChain(t *testing.T, plan *FaultPlan) (sink.Verdict, int) {
 	t.Helper()
 	const n = 11
 	scheme := marking.PNM{P: 3 / float64(n-1)}
-	net, _, keys := startChain(t, n, Config{Scheme: scheme, Seed: 47, SinkWorkers: workers})
+	net, _, keys := startChain(t, n, Config{Scheme: scheme, Seed: 47})
 	src := &mole.Source{ID: n, Base: packet.Report{Event: 0xEE, Seq: 1}, Behavior: mole.MarkNever}
 	env := &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{n: keys.Key(n)}}
 	rng := rand.New(rand.NewSource(48))
@@ -478,29 +478,21 @@ func runPlannedChain(t *testing.T, workers int, plan *FaultPlan) (sink.Verdict, 
 	return net.Verdict(), net.Delivered()
 }
 
-// TestFaultPlanDeterministicAcrossWorkers: the same boundary-applied
-// fault plan must produce byte-identical verdicts and delivered counts
-// with a serial sink and a 4-worker pipeline — faults do not erode the
-// worker-count determinism guarantee.
-func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
+// TestFaultPlanDeterministicAcrossRuns: the same boundary-applied fault
+// plan must produce byte-identical verdicts and delivered counts on a
+// repeat run — faults applied at quiescent points keep the simulator
+// reproducible.
+func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 	plan := &FaultPlan{Events: []FaultEvent{
 		{At: 50, Kind: FaultNodeCrash, Node: 5},
 		{At: 100, Kind: FaultNodeRestart, Node: 5},
 		{At: 150, Kind: FaultSinkCrash},
 		{At: 200, Kind: FaultSinkRestore},
 	}}
-	v1, d1 := runPlannedChain(t, 1, plan)
-	v4, d4 := runPlannedChain(t, 4, plan)
-	if !reflect.DeepEqual(v1, v4) {
-		t.Fatalf("verdicts diverge across workers: serial %+v, pipelined %+v", v1, v4)
-	}
-	if d1 != d4 {
-		t.Fatalf("delivered diverges across workers: serial %d, pipelined %d", d1, d4)
-	}
-	// And the run is reproducible wholesale.
-	v1b, d1b := runPlannedChain(t, 1, plan)
-	if !reflect.DeepEqual(v1, v1b) || d1 != d1b {
-		t.Fatalf("repeat run diverged: %+v/%d vs %+v/%d", v1, d1, v1b, d1b)
+	v1, d1 := runPlannedChain(t, plan)
+	v2, d2 := runPlannedChain(t, plan)
+	if !reflect.DeepEqual(v1, v2) || d1 != d2 {
+		t.Fatalf("repeat run diverged: %+v/%d vs %+v/%d", v1, d1, v2, d2)
 	}
 }
 
@@ -559,7 +551,6 @@ func TestChaosUnderFaults(t *testing.T) {
 		LossProb:    0.05,
 		QueueLen:    4,
 		QueuePolicy: QueueDropOldest,
-		SinkWorkers: 2,
 		Faults:      plan,
 	})
 	if err != nil {

@@ -74,19 +74,6 @@ type Config struct {
 	// blocking backpressure (the default) or graceful degradation by
 	// dropping the newest or oldest frame.
 	QueuePolicy QueuePolicy
-	// SinkWorkers > 1 verifies delivered packets through a sink.Pipeline
-	// of that many workers (each with its own verifier chain) instead of
-	// serially; verdicts and delivered counts are byte-identical either
-	// way. <= 1 keeps the serial sink loop.
-	SinkWorkers int
-	// SinkShards > 1 folds delivered packets through a sink.Cluster of
-	// that many shards instead: packets partition by source identity, each
-	// shard owns its own tracker, resolver cache and verifier chain, and
-	// verdicts merge across shards deterministically — byte-identical to
-	// the serial sink. SinkShards supersedes SinkWorkers (the shards are
-	// the parallelism). Checkpoints become per-shard PNM2 blobs, which is
-	// what the FaultShardCrash/FaultShardRestore events operate on.
-	SinkShards int
 	// Faults, when non-nil, hands the plan to a scheduler goroutine that
 	// applies each event as its progress milestone is crossed. For exactly
 	// reproducible experiments, apply events with ApplyFault at quiescent
@@ -115,7 +102,7 @@ type Config struct {
 
 // transmission is one radio frame in flight. epoch is meaningful only on
 // the final sink hop: deliver stamps it with the topology epoch current
-// at arrival, and the sink loops hand it to verification so marks resolve
+// at arrival, and the sink loop hands it to verification so marks resolve
 // against the tree the packet was forwarded under.
 type transmission struct {
 	from  packet.NodeID
@@ -132,8 +119,8 @@ type Network struct {
 	wg     sync.WaitGroup
 
 	// newVerifier builds one verifier chain (resolver + scheme verifier).
-	// The serial sink, every pipeline worker, and sink restore each build
-	// their own instance through it — verifiers are single-goroutine.
+	// The sink and every sink restore build their own instance through
+	// it — verifiers are single-goroutine.
 	newVerifier func() sink.Verifier
 
 	// injectRng draws the loss decision for injected packets' first radio
@@ -169,17 +156,11 @@ type Network struct {
 	sinkDone    chan struct{}
 	sinkCkpt    []byte
 
-	mu      sync.Mutex
-	tracker *sink.Tracker
-	pipe    *sink.Pipeline
-	cluster *sink.Cluster // pnmlint:guarded-by mu
-	// shardCkpts holds the per-shard PNM2 blobs of crashed shards (and of
-	// the whole cluster while the sink is down); it travels with cluster
-	// under mu even though only the fault path writes it.
-	shardCkpts [][]byte // pnmlint:guarded-by mu
-	delivered  int
-	injected   int
-	dropped    int
+	mu        sync.Mutex
+	tracker   *sink.Tracker // pnmlint:guarded-by mu
+	delivered int
+	injected  int
+	dropped   int
 	// deliveredCh is closed and replaced under mu on every delivery or
 	// accounted drop, so WaitDelivered/WaitSettled and the fault scheduler
 	// can block instead of polling.
@@ -226,9 +207,9 @@ func Start(cfg Config) (*Network, error) {
 	// at sink arrival and topology-restricted resolvers walk that epoch's
 	// tree — the stale-resolver fix.
 	epochs := topology.NewEpochSet(cfg.Topo)
-	// Every sink incarnation — serial loop, pipeline worker, post-crash
-	// restore — builds its own verifier chain through this factory; only
-	// the KeyStore, the epoch set and obs counters are shared.
+	// Every sink incarnation — the first and each post-crash restore —
+	// builds its own verifier chain through this factory; only the
+	// KeyStore, the epoch set and obs counters are shared.
 	newVerifier := func() (sink.Verifier, error) {
 		var r sink.Resolver
 		if cfg.TopologyResolver {
@@ -251,6 +232,13 @@ func Start(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Build the guarded tracker before the Network value exists: once the
+	// &Network{} literal publishes it to the goroutines below, every touch
+	// of it must hold mu.
+	tracker := sink.NewTracker(verifier, cfg.Topo)
+	if cfg.Obs != nil {
+		tracker.Instrument(cfg.Obs)
+	}
 
 	n := &Network{
 		cfg:         cfg,
@@ -267,12 +255,10 @@ func Start(cfg Config) (*Network, error) {
 		nodeDone:    make(map[packet.NodeID]chan struct{}),
 		incarnation: make(map[packet.NodeID]int64),
 		linksDown:   make(map[packet.NodeID][][2]packet.NodeID),
+		tracker:     tracker,
 	}
-	if cfg.SinkShards <= 1 {
-		n.tracker = sink.NewTracker(verifier, cfg.Topo)
-	}
-	// The serial construction above already validated the verifier chain,
-	// so the factory's error path is unreachable from here on.
+	// The construction above already validated the verifier chain, so the
+	// factory's error path is unreachable from here on.
 	n.newVerifier = func() sink.Verifier {
 		v, err := newVerifier()
 		if err != nil {
@@ -289,24 +275,6 @@ func Start(cfg Config) (*Network, error) {
 		n.obsBlacklistRefused = cfg.Obs.Counter("netsim.blacklist_refused")
 		n.obsNodeDropped = cfg.Obs.Counter("netsim.node_dropped")
 		n.obsFault.bind(cfg.Obs)
-		if n.tracker != nil {
-			n.tracker.Instrument(cfg.Obs)
-		}
-	}
-	switch {
-	case cfg.SinkShards > 1:
-		// The shard trackers instrument themselves inside their worker
-		// goroutines; verifier-level metrics come from the factory. No
-		// goroutine is live yet, but the assignment takes mu to keep the
-		// cluster field's lock discipline unconditional.
-		n.mu.Lock()
-		n.cluster = sink.NewCluster(cfg.SinkShards, n.newVerifier, cfg.Topo, cfg.Obs)
-		n.mu.Unlock()
-	case cfg.SinkWorkers > 1:
-		n.pipe = sink.NewPipeline(cfg.SinkWorkers, n.newVerifier, n.tracker)
-		if cfg.Obs != nil {
-			n.pipe.Instrument(cfg.Obs)
-		}
 	}
 	for _, id := range cfg.Topo.Nodes() {
 		n.inbox[id] = make(chan transmission, cfg.QueueLen)
@@ -396,14 +364,6 @@ func (n *Network) runNode(id packet.NodeID, stack *node.Node, inc int64, kill, d
 func (n *Network) runSink(kill, done chan struct{}) {
 	defer n.wg.Done()
 	defer close(done)
-	if n.cfg.SinkShards > 1 {
-		n.runSinkSharded(kill)
-		return
-	}
-	if n.pipe != nil {
-		n.runSinkPipelined(kill)
-		return
-	}
 	for {
 		select {
 		case <-n.stop:
@@ -421,125 +381,6 @@ func (n *Network) runSink(kill, done chan struct{}) {
 			n.tracker.ObserveAt(tx.msg, tx.epoch)
 			n.delivered++
 			n.obsDelivered.Inc()
-			n.broadcastLocked()
-			n.mu.Unlock()
-		}
-	}
-}
-
-// runSinkPipelined is the sink loop with SinkWorkers > 1: it blocks for
-// one delivery, greedily drains whatever else has already arrived (up to
-// the sink queue's depth), and verifies the batch across the pipeline's
-// workers. Folding happens in arrival order on this goroutine, so
-// verdicts and counters match the serial loop byte for byte.
-func (n *Network) runSinkPipelined(kill chan struct{}) {
-	defer n.pipe.Close()
-	batch := make([]packet.Message, 0, n.cfg.QueueLen)
-	epochs := make([]topology.EpochVersion, 0, n.cfg.QueueLen)
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-kill:
-			return
-		case tx := <-n.sinkCh:
-			batch = batch[:0]
-			epochs = epochs[:0]
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor; refusals never reach the pipeline.
-			if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-				batch = append(batch, tx.msg)
-				epochs = append(epochs, tx.epoch)
-			} else {
-				n.noteDrop(n.obsBlacklistRefused)
-			}
-		drain:
-			for len(batch) < n.cfg.QueueLen {
-				select {
-				case tx = <-n.sinkCh:
-					if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-						batch = append(batch, tx.msg)
-						epochs = append(epochs, tx.epoch)
-					} else {
-						n.noteDrop(n.obsBlacklistRefused)
-					}
-				default:
-					break drain
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			n.mu.Lock()
-			n.pipe.ObserveEpochs(batch, epochs)
-			n.delivered += len(batch)
-			n.obsDelivered.Add(uint64(len(batch)))
-			n.broadcastLocked()
-			n.mu.Unlock()
-		}
-	}
-}
-
-// runSinkSharded is the sink loop with SinkShards > 1: batches drain off
-// the sink channel exactly like the pipelined loop, then partition across
-// the cluster's shards. A packet routed to a crashed shard terminates as
-// an accounted drop (netsim.fault.shard_dropped), so settledness stays
-// sound through per-shard outages. On network stop the merged state is
-// sealed into a read-only tracker so Verdict outlives the shard workers;
-// on sink kill the crash path owns the cluster's shutdown.
-func (n *Network) runSinkSharded(kill chan struct{}) {
-	batch := make([]packet.Message, 0, n.cfg.QueueLen)
-	epochs := make([]topology.EpochVersion, 0, n.cfg.QueueLen)
-	for {
-		select {
-		case <-n.stop:
-			n.mu.Lock()
-			if n.cluster != nil {
-				n.tracker = n.cluster.Seal()
-				n.cluster.Close()
-				n.cluster = nil
-			}
-			n.mu.Unlock()
-			return
-		case <-kill:
-			return // crashSinkLocked checkpoints and releases the cluster
-		case tx := <-n.sinkCh:
-			batch = batch[:0]
-			epochs = epochs[:0]
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor; refusals never reach the shards.
-			if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-				batch = append(batch, tx.msg)
-				epochs = append(epochs, tx.epoch)
-			} else {
-				n.noteDrop(n.obsBlacklistRefused)
-			}
-		drain:
-			for len(batch) < n.cfg.QueueLen {
-				select {
-				case tx = <-n.sinkCh:
-					if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-						batch = append(batch, tx.msg)
-						epochs = append(epochs, tx.epoch)
-					} else {
-						n.noteDrop(n.obsBlacklistRefused)
-					}
-				default:
-					break drain
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			n.mu.Lock()
-			_, shardDropped := n.cluster.ObserveEpochs(batch, epochs)
-			delivered := len(batch) - shardDropped
-			n.delivered += delivered
-			n.obsDelivered.Add(uint64(delivered))
-			if shardDropped > 0 {
-				n.dropped += shardDropped
-				n.obsFault.shardDropped.Add(uint64(shardDropped))
-			}
 			n.broadcastLocked()
 			n.mu.Unlock()
 		}
@@ -733,26 +574,18 @@ func (n *Network) Dropped() int {
 }
 
 // TrackerPackets returns how many packets the sink's tracker has folded.
-// It normally tracks Delivered exactly; a sink crash without restore, or a
-// restore from a legacy PNM1 checkpoint, can leave it behind.
+// It matches Delivered, across sink crashes too: the PNM2 checkpoint
+// carries the count through crash and restore.
 func (n *Network) TrackerPackets() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster != nil {
-		return n.cluster.Packets()
-	}
 	return n.tracker.Packets()
 }
 
-// Verdict returns the sink's current traceback conclusion. In sharded
-// mode this merges the per-shard order matrices — byte-identical to the
-// serial sink's verdict over the same delivered stream.
+// Verdict returns the sink's current traceback conclusion.
 func (n *Network) Verdict() sink.Verdict {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster != nil {
-		return n.cluster.Verdict()
-	}
 	return n.tracker.Verdict()
 }
 

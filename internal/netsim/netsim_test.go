@@ -314,53 +314,3 @@ func TestObsCountsRadioLoss(t *testing.T) {
 		t.Fatalf("delivered %d + lost %d != injected %d", got, lost, packets)
 	}
 }
-
-// TestPipelinedSinkMatchesSerial runs the same injected traffic through a
-// serial sink and a SinkWorkers=4 pipelined sink: both must deliver every
-// packet and identify the same source at the same stop.
-func TestPipelinedSinkMatchesSerial(t *testing.T) {
-	const n = 11
-	p := 3 / float64(n-1)
-	scheme := marking.PNM{P: p}
-
-	run := func(workers int) (int, obsnapshot) {
-		reg := obs.New()
-		net, _, keys := startChain(t, n, Config{Scheme: scheme, Seed: 9, SinkWorkers: workers, Obs: reg})
-		src := &mole.Source{ID: n, Base: packet.Report{Event: 0xE4}, Behavior: mole.MarkNever}
-		env := &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{n: keys.Key(n)}}
-		rng := rand.New(rand.NewSource(10))
-		const packets = 300
-		for i := 0; i < packets; i++ {
-			if err := net.Inject(n, src.Next(env, rng)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := net.WaitDelivered(packets, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		v := net.Verdict()
-		if !v.Identified || v.Stop != n-1 || !v.SuspectsContain(n) {
-			t.Fatalf("workers=%d: verdict = %+v, want identified with Stop V%d and source suspect", workers, v, n-1)
-		}
-		return net.Delivered(), obsnapshot{
-			verified: reg.Counter("sink.verify.marks_verified").Value(),
-			stops:    reg.Counter("sink.verify.stops").Value(),
-			folded:   reg.Counter("sink.tracker.chains_folded").Value(),
-		}
-	}
-
-	serialDelivered, serialObs := run(1)
-	pipedDelivered, pipedObs := run(4)
-	if serialDelivered != pipedDelivered {
-		t.Fatalf("delivered: serial %d, pipelined %d", serialDelivered, pipedDelivered)
-	}
-	if serialObs != pipedObs {
-		t.Fatalf("verdict-visible counters: serial %+v, pipelined %+v", serialObs, pipedObs)
-	}
-}
-
-// obsnapshot is the verdict-visible counter set compared across sink
-// modes (cache-locality counters legitimately differ).
-type obsnapshot struct {
-	verified, stops, folded uint64
-}

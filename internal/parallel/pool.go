@@ -63,9 +63,6 @@ func NewPool[S any](workers int, factory func() S) *Pool[S] {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool[S]) Workers() int { return p.workers }
-
 // run is one worker's loop: build private state, then process spans until
 // the pool closes.
 func (p *Pool[S]) run(in <-chan span[S], factory func() S) {

@@ -90,7 +90,7 @@ func RestoreOrder(data []byte) (*Order, error) {
 // trackerMagic marks the versioned full-tracker checkpoint: PNM2 carries
 // the packet count ahead of an embedded PNM1 order block, so a restored
 // sink's Packets() — and every packets-to-catch figure derived from it —
-// survives a crash. PNM1 data (order only) is still readable.
+// survives a crash.
 var trackerMagic = [4]byte{'P', 'N', 'M', '2'}
 
 // Checkpoint serializes the tracker's full reconstruction state in the
@@ -105,28 +105,21 @@ func (t *Tracker) Checkpoint() []byte {
 	return append(buf, t.order.Checkpoint()...)
 }
 
-// RestoreTracker rebuilds a tracker from a checkpoint, reattaching the
-// verifier and (optional) topology. It reads both formats: PNM2 restores
-// the order matrix and the packet count; a bare PNM1 order block predates
-// the count and restores with Packets() == 0.
+// RestoreTracker rebuilds a tracker from a PNM2 checkpoint, reattaching
+// the verifier and (optional) topology. A bare PNM1 order block carries
+// no packet count and is rejected.
 func RestoreTracker(data []byte, verifier Verifier, topo *topology.Network) (*Tracker, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("sink: checkpoint too short")
 	}
-	packets := 0
-	switch [4]byte(data[:4]) {
-	case trackerMagic:
-		if len(data) < 12 {
-			return nil, fmt.Errorf("sink: checkpoint truncated in packet count")
-		}
-		packets = int(binary.BigEndian.Uint64(data[4:12]))
-		data = data[12:]
-	case checkpointMagic:
-		// Legacy order-only checkpoint; the count was never persisted.
-	default:
+	if [4]byte(data[:4]) != trackerMagic {
 		return nil, fmt.Errorf("sink: not a tracker checkpoint")
 	}
-	order, err := RestoreOrder(data)
+	if len(data) < 12 {
+		return nil, fmt.Errorf("sink: checkpoint truncated in packet count")
+	}
+	packets := int(binary.BigEndian.Uint64(data[4:12]))
+	order, err := RestoreOrder(data[12:])
 	if err != nil {
 		return nil, err
 	}

@@ -123,12 +123,13 @@ func epochScenario(t *testing.T, seed int64, nodes, sources, packets, numEpochs 
 	return base, set, factory, stream, epochs
 }
 
-// TestClusterEpochTaggedDeterminism extends the shard-invariance contract
-// to epoch-tagged traffic: a stream whose packets traveled under four
-// different routing epochs produces byte-identical per-packet results and
-// verdicts whether observed serially (ObserveAt) or through a 1-, 2- or
-// 4-shard cluster (ObserveEpochs), with no honest chain reported stopped.
-func TestClusterEpochTaggedDeterminism(t *testing.T) {
+// TestPipelineEpochTaggedDeterminism extends the pipeline's determinism
+// contract to epoch-tagged traffic: a stream whose packets traveled under
+// four different routing epochs produces byte-identical per-packet
+// results and verdicts whether observed serially (ObserveAt) or through a
+// 1-, 2- or 4-worker pipeline (Observe with per-slot epochs), with no
+// honest chain reported stopped.
+func TestPipelineEpochTaggedDeterminism(t *testing.T) {
 	base, _, factory, stream, epochs := epochScenario(t, 424, 30, 4, 80, 4)
 
 	tracker := NewTracker(factory(), base)
@@ -145,24 +146,20 @@ func TestClusterEpochTaggedDeterminism(t *testing.T) {
 	}
 	baseVerdict := tracker.Verdict()
 
-	for _, shards := range []int{1, 2, 4} {
-		c := NewCluster(shards, factory, base, nil)
+	for _, workers := range []int{1, 2, 4} {
+		pipe := NewPipeline(workers, factory, NewTracker(factory(), base))
 		for lo := 0; lo < len(stream); lo += 16 {
 			hi := min(lo+16, len(stream))
-			res, dropped := c.ObserveEpochs(stream[lo:hi], epochs[lo:hi])
-			if dropped != 0 {
-				t.Errorf("shards=%d: dropped %d with no crash", shards, dropped)
-			}
-			for j, r := range res {
+			for j, r := range pipe.Observe(stream[lo:hi], epochs[lo:hi]) {
 				want := baseResults[lo+j]
 				if r.Stopped != want.Stopped || !reflect.DeepEqual(r.Chain, want.Chain) {
-					t.Fatalf("shards=%d packet %d: result %+v, want %+v", shards, lo+j, r, want)
+					t.Fatalf("workers=%d packet %d: result %+v, want %+v", workers, lo+j, r, want)
 				}
 			}
 		}
-		if v := c.Verdict(); !reflect.DeepEqual(v, baseVerdict) {
-			t.Errorf("shards=%d: verdict %+v, want %+v", shards, v, baseVerdict)
+		if v := pipe.Tracker().Verdict(); !reflect.DeepEqual(v, baseVerdict) {
+			t.Errorf("workers=%d: verdict %+v, want %+v", workers, v, baseVerdict)
 		}
-		c.Close()
+		pipe.Close()
 	}
 }

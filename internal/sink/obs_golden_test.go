@@ -142,7 +142,7 @@ func TestObsDumpGolden(t *testing.T) {
 	pipe.Tracker().Instrument(reg)
 	defer pipe.Close()
 	for lo := 0; lo < len(stream); lo += 16 {
-		pipe.Observe(stream[lo:min(lo+16, len(stream))])
+		pipe.Observe(stream[lo:min(lo+16, len(stream))], nil)
 	}
 	if got := dumpRegistry(reg); got != goldenPipelineDump {
 		t.Errorf("pipeline obs dump differs from the recorded one:\n%s", got)

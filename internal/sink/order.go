@@ -18,7 +18,7 @@ type Order struct {
 	anc  []bitset // anc[i]: nodes strictly upstream of i (closure)
 	// dir[i] holds the directly observed relations (consecutive chain
 	// pairs), a subset of desc[i]. The closure is a pure function of the
-	// direct relation set, so Merge and Checkpoint replay dir instead of
+	// direct relation set, so Checkpoint replays dir instead of
 	// the O(n²) closure — the incremental-order lever from *On Algebraic
 	// Traceback in Dynamic Networks*.
 	dir []bitset
@@ -77,7 +77,7 @@ func (o *Order) addEdge(u, v int) {
 	}
 	// Record the direct relation before the redundancy check: dir must
 	// generate the closure even when u -> v arrives after being implied
-	// transitively, or a Merge/Checkpoint replay would lose it.
+	// transitively, or a Checkpoint replay would lose it.
 	o.dir[u].set(v)
 	if o.desc[u].has(v) {
 		return
@@ -276,25 +276,4 @@ func (o *Order) MostUpstreamAfterLoop(loop []packet.NodeID) (packet.NodeID, bool
 		}
 	}
 	return best, bestOutside != -1
-}
-
-// Merge folds other's accumulated relation into o: every identity other
-// has seen is registered and every direct relation is re-added as an
-// edge, so o's closure becomes the closure of the union of both relations.
-// Replaying the direct set — not the O(n²) closure pairs — is sound
-// because the transitive closure is a pure function of the generating
-// relation, and it is what keeps a k-shard merge proportional to the
-// evidence actually observed. Merging in any sequence yields the same
-// relation — the determinism a sharded sink's cross-shard verdict rests
-// on.
-func (o *Order) Merge(other *Order) {
-	for _, id := range other.ids {
-		o.index(id)
-	}
-	for i := range other.ids {
-		ui := o.idx[other.ids[i]]
-		other.dir[i].forEach(func(j int) {
-			o.addEdge(ui, o.idx[other.ids[j]])
-		})
-	}
 }

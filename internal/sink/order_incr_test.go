@@ -2,17 +2,15 @@ package sink
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"pnm/internal/packet"
 )
 
 // orderDigest canonicalizes everything a verdict can read off an Order —
 // the id set, the full transitive closure, loop structure and the
-// reconstructed route — independent of insertion or merge order. Two
+// reconstructed route — independent of insertion order. Two
 // orders with equal digests are indistinguishable to the tracker.
 func orderDigest(o *Order) string {
 	var sb strings.Builder
@@ -70,47 +68,5 @@ func TestOrderAddEdgeSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if !orders[0].HasCycle() {
 		t.Fatal("back edge should have closed a loop")
-	}
-}
-
-// TestOrderMergeMatchesSequentialReplay: partitioning a chain stream
-// across any number of orders and merging them back in any sequence must
-// be indistinguishable from feeding one Order sequentially. This is what
-// lets the sharded cluster and the checkpoint replay use direct-relation
-// logs instead of the full closure.
-func TestOrderMergeMatchesSequentialReplay(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numChains := 1 + rng.Intn(12)
-		chains := make([][]packet.NodeID, numChains)
-		for i := range chains {
-			c := make([]packet.NodeID, 1+rng.Intn(6))
-			for j := range c {
-				c[j] = packet.NodeID(1 + rng.Intn(12))
-			}
-			chains[i] = c
-		}
-
-		ref := NewOrder()
-		for _, c := range chains {
-			ref.AddChain(c)
-		}
-
-		parts := make([]*Order, 1+rng.Intn(4))
-		for i := range parts {
-			parts[i] = NewOrder()
-		}
-		for _, c := range chains {
-			parts[rng.Intn(len(parts))].AddChain(c)
-		}
-		for len(parts) > 1 {
-			i := 1 + rng.Intn(len(parts)-1)
-			parts[0].Merge(parts[i])
-			parts = append(parts[:i], parts[i+1:]...)
-		}
-		return orderDigest(parts[0]) == orderDigest(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
 	}
 }

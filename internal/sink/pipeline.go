@@ -99,9 +99,6 @@ func (p *Pipeline) work(w *pipeWorker, i int) {
 	p.results[i] = w.v.Verify(p.curBatch[i])
 }
 
-// Workers returns the pipeline's worker count.
-func (p *Pipeline) Workers() int { return p.pool.Workers() }
-
 // Tracker returns the tracker the pipeline folds into.
 func (p *Pipeline) Tracker() *Tracker { return p.tracker }
 
@@ -114,17 +111,11 @@ func (p *Pipeline) Instrument(reg *obs.Registry) {
 }
 
 // Observe verifies one batch across the workers and folds every result
-// into the tracker in batch order. The returned slice is the pipeline's
-// scratch space: read it before the next Observe call.
-func (p *Pipeline) Observe(batch []packet.Message) []Result {
-	return p.ObserveEpochs(batch, nil)
-}
-
-// ObserveEpochs is Observe for a batch whose packets arrived under known
-// topology epochs: epochs[i] names slot i's arrival epoch. nil epochs (or
-// an epoch-independent verifier) verifies the whole batch against the
-// base epoch, reproducing Observe exactly.
-func (p *Pipeline) ObserveEpochs(batch []packet.Message, epochs []topology.EpochVersion) []Result {
+// into the tracker in batch order. epochs[i] names slot i's arrival
+// topology epoch; nil epochs (or an epoch-independent verifier) verifies
+// the whole batch against the base epoch. The returned slice is the
+// pipeline's scratch space: read it before the next Observe call.
+func (p *Pipeline) Observe(batch []packet.Message, epochs []topology.EpochVersion) []Result {
 	if len(batch) == 0 {
 		return nil
 	}

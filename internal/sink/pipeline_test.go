@@ -74,7 +74,7 @@ func runPipeline(t *testing.T, topo *topology.Network, stream []packet.Message, 
 	var all []Result
 	for lo := 0; lo < len(stream); lo += batchLen {
 		hi := min(lo+batchLen, len(stream))
-		for _, res := range pipe.Observe(stream[lo:hi]) {
+		for _, res := range pipe.Observe(stream[lo:hi], nil) {
 			cp := Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)}
 			all = append(all, cp)
 		}
@@ -192,7 +192,7 @@ func TestPipelineSharedKeyStoreRace(t *testing.T) {
 			pipe := NewPipeline(8, factory, NewTracker(serialV, topo))
 			defer pipe.Close()
 			for i := 0; i < 4; i++ {
-				pipe.Observe(stream)
+				pipe.Observe(stream, nil)
 			}
 			if got := pipe.Tracker().Packets(); got != 4*len(stream) {
 				panic(fmt.Sprintf("tracker folded %d packets, want %d", got, 4*len(stream)))

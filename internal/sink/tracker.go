@@ -81,7 +81,8 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 // reconstruction. It returns the packet's verification result, whose
 // Chain is valid until the next Observe (the verifier's chain arena is
 // recycled per packet here — callers that need a whole batch's Results
-// alive together use ObserveKeep with a per-round reset, like Cluster).
+// alive together call ResetVerifyScratch once per batch, then
+// VerifyAtEpoch and Fold per packet).
 func (t *Tracker) Observe(msg packet.Message) Result {
 	return t.ObserveAt(msg, 0)
 }
@@ -91,20 +92,6 @@ func (t *Tracker) Observe(msg packet.Message) Result {
 // Epoch 0 (the base topology) reproduces Observe exactly.
 func (t *Tracker) ObserveAt(msg packet.Message, epoch topology.EpochVersion) Result {
 	t.ResetVerifyScratch()
-	return t.ObserveKeepAt(msg, epoch)
-}
-
-// ObserveKeep verifies and folds one packet without recycling the
-// verifier's chain arena, so a batch caller can keep every Result of a
-// round valid together; the caller owns the reset cadence and calls
-// ResetVerifyScratch at batch boundaries.
-func (t *Tracker) ObserveKeep(msg packet.Message) Result {
-	return t.ObserveKeepAt(msg, 0)
-}
-
-// ObserveKeepAt is ObserveKeep against the routing tree of the packet's
-// arrival epoch.
-func (t *Tracker) ObserveKeepAt(msg packet.Message, epoch topology.EpochVersion) Result {
 	res := VerifyAtEpoch(t.verifier, msg, epoch)
 	t.Fold(res)
 	return res

@@ -66,8 +66,8 @@ type Instrumentable interface {
 // Result the verifier returned since the previous reset, so it must only
 // happen at a point where those Results are dead. Tracker.Observe resets
 // before each packet (its Result is valid until the next Observe); the
-// batch paths — Pipeline, Cluster — reset once per worker round, keeping
-// a whole round's Results alive together until the next round.
+// batch path — Pipeline — resets once per worker round, keeping a whole
+// round's Results alive together until the next round.
 type VerifyScratch interface {
 	ResetVerifyScratch()
 }

@@ -27,8 +27,8 @@ const (
 	// FrameVersion is the current header version.
 	FrameVersion byte = 1
 	// FrameReport is the only frame type so far: one encoded
-	// packet.Message. Further types (checkpoint transfer, shard
-	// hand-off) get new values; unknown types are a counted error.
+	// packet.Message. Further types (checkpoint transfer, say) get new
+	// values; unknown types are a counted error.
 	FrameReport byte = 1
 	// FrameHeaderLen is the fixed header size.
 	FrameHeaderLen = 8

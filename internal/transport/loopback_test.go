@@ -1,13 +1,19 @@
 package transport
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"pnm/internal/loadgen"
+	"pnm/internal/mac"
+	"pnm/internal/mole"
 	"pnm/internal/obs"
+	"pnm/internal/packet"
 	"pnm/internal/queue"
+	"pnm/internal/sink"
+	"pnm/internal/topology"
 )
 
 func testScenario(t *testing.T) *loadgen.Scenario {
@@ -21,7 +27,8 @@ func testScenario(t *testing.T) *loadgen.Scenario {
 
 // TestLoopbackVerdictByteIdentical is the acceptance test: replaying a
 // seeded scenario through a real TCP socket yields a verdict
-// byte-identical to folding the same stream in-process.
+// byte-identical to folding the same stream in-process — on a static
+// topology, and on one that churns while the stream is in flight.
 func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	const packets = 200
 	sc := testScenario(t)
@@ -58,6 +65,130 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: networked verdict differs\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
+
+	// Churn: segment e of the stream is marked along the mole's path in
+	// routing epoch e (each epoch rewires the last). Before sending a
+	// segment the test waits until every earlier frame is folded, then
+	// advances the server's epoch set, so the server stamps each frame
+	// with the epoch it was marked under. The wider radio range gives
+	// Rewire alternative parents, so the mole's path changes every epoch.
+	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 4
+	const seg = packets / epochs
+	nets := []*topology.Network{sc.Topo}
+	for e := 1; e < epochs; e++ {
+		nets = append(nets, nets[e-1].Rewire(int64(e)*101))
+	}
+	churned := churnedStream(sc, nets, seg)
+	verifierOver := func(set *topology.EpochSet) func() sink.Verifier {
+		return func() sink.Verifier {
+			v, err := sink.NewVerifier(sc.Scheme, sc.Keys, sc.Topo.NumNodes(), sink.NewTopologyResolverEpochs(sc.Keys, set))
+			if err != nil {
+				panic(err)
+			}
+			return v
+		}
+	}
+
+	// In-process reference: a serial tracker over the full epoch history,
+	// each packet observed at the epoch it was marked under.
+	refSet := topology.NewEpochSet(sc.Topo)
+	for _, net := range nets[1:] {
+		refSet.Advance(net)
+	}
+	ref := sink.NewTracker(verifierOver(refSet)(), sc.Topo)
+	for i, msg := range churned {
+		if res := ref.ObserveAt(msg, topology.EpochVersion(i/seg)); res.Stopped {
+			t.Fatalf("reference packet %d (epoch %d) stopped: %+v", i, i/seg, res)
+		}
+	}
+	want = loadgen.FormatVerdict(ref.Verdict())
+	// At the base epoch the churned stream does not verify, so a server
+	// that ignored the epoch stamps would count stops.
+	stale := sink.NewTracker(verifierOver(refSet)(), sc.Topo)
+	staleStops := 0
+	for _, msg := range churned {
+		if stale.Observe(msg).Stopped {
+			staleStops++
+		}
+	}
+	if staleStops == 0 {
+		t.Fatal("churned stream verifies at the base epoch; the epoch case tests nothing")
+	}
+
+	for _, workers := range []int{1, 4} {
+		set := topology.NewEpochSet(sc.Topo)
+		reg := obs.New()
+		srv, err := Listen("127.0.0.1:0", "", Config{
+			NewVerifier: verifierOver(set),
+			Topo:        sc.Topo,
+			Epochs:      set,
+			Workers:     workers,
+			Obs:         reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(srv.Addr().String())
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		for e := 0; e < epochs; e++ {
+			if e > 0 {
+				if err := srv.WaitDelivered(e*seg, 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				set.Advance(nets[e])
+			}
+			for _, msg := range churned[e*seg : (e+1)*seg] {
+				if err := cl.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		got := loadgen.FormatVerdict(srv.Verdict())
+		srv.Close()
+		if got != want {
+			t.Fatalf("churn workers=%d: networked verdict differs\n got: %s\nwant: %s", workers, got, want)
+		}
+		if stops := reg.Counter("sink.verify.stops").Value(); stops != 0 {
+			t.Fatalf("churn workers=%d: %d honest packets stopped", workers, stops)
+		}
+	}
+}
+
+// churnedStream marks len(nets)*seg packets of the scenario's mole
+// stream: packet i travels the mole's path in routing epoch i/seg.
+func churnedStream(sc *loadgen.Scenario, nets []*topology.Network, seg int) []packet.Message {
+	env := &mole.Env{Scheme: sc.Scheme, StolenKeys: map[packet.NodeID]mac.Key{sc.Mole: sc.Keys.Key(sc.Mole)}}
+	src := &mole.Source{
+		ID:       sc.Mole,
+		Base:     packet.Report{Event: 0xF00D, Location: uint32(sc.Mole)},
+		Behavior: mole.MarkNever,
+	}
+	rng := rand.New(rand.NewSource(5))
+	var out []packet.Message
+	for i := 0; i < len(nets)*seg; i++ {
+		msg := src.Next(env, rng)
+		for _, hop := range nets[i/seg].Forwarders(sc.Mole) {
+			msg = sc.Scheme.Mark(hop, sc.Keys.Key(hop), msg, rng)
+		}
+		out = append(out, msg)
+	}
+	return out
 }
 
 // TestLoopbackUDP delivers the same stream over UDP datagrams. Loopback

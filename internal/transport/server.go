@@ -35,14 +35,6 @@ type Config struct {
 	// workers; <= 1 keeps the serial sink loop. Verdicts are
 	// byte-identical either way.
 	Workers int
-	// Shards > 1 folds batches through a sink.Cluster instead: the batch
-	// partitions by source identity across that many shards, each with
-	// its own tracker, resolver cache and key schedules, and verdicts
-	// merge across shards deterministically — still byte-identical to the
-	// serial sink. Shards supersedes Workers (the shards are the
-	// parallelism); checkpoints become per-shard PNM2 blobs, so chaos can
-	// crash and restore one shard while the rest keep verifying.
-	Shards int
 	// QueueDepth is the ingest queue depth between the socket readers and
 	// the sink goroutine (default 256). It is also the maximum batch one
 	// pipeline pass verifies.
@@ -79,15 +71,8 @@ const (
 	// down; frames keep arriving and are dropped, counted.
 	ChaosSinkCrash ChaosKind = iota + 1
 	// ChaosSinkRestore rebuilds the sink chain from the crash checkpoint
-	// with a fresh verifier (and pipeline, when Workers > 1; per-shard
-	// blobs and a fresh cluster, when Shards > 1).
+	// with a fresh verifier (and pipeline, when Workers > 1).
 	ChaosSinkRestore
-	// ChaosShardCrash checkpoints one cluster shard (PNM2) and takes only
-	// it down; the other shards keep verifying and the down shard's
-	// packets are dropped and counted. Requires Shards > 1.
-	ChaosShardCrash
-	// ChaosShardRestore rebuilds the crashed shard from its own blob.
-	ChaosShardRestore
 )
 
 // String names the kind.
@@ -97,10 +82,6 @@ func (k ChaosKind) String() string {
 		return "sink-crash"
 	case ChaosSinkRestore:
 		return "sink-restore"
-	case ChaosShardCrash:
-		return "shard-crash"
-	case ChaosShardRestore:
-		return "shard-restore"
 	}
 	return fmt.Sprintf("ChaosKind(%d)", int(k))
 }
@@ -112,8 +93,6 @@ type ChaosEvent struct {
 	At int
 	// Kind selects the fault.
 	Kind ChaosKind
-	// Shard targets the shard kinds; ignored by whole-sink events.
-	Shard int
 }
 
 // ChaosPlan is a deterministic schedule of transport faults. Events fire
@@ -162,11 +141,9 @@ type counters struct {
 	ingestLatencyUs *obs.Histogram
 	droppedOnClose  *obs.Counter
 
-	chaosCrashes      *obs.Counter
-	chaosRestores     *obs.Counter
-	chaosShardCrashes *obs.Counter
-	chaosShardRsts    *obs.Counter
-	droppedWhileDown  *obs.Counter
+	chaosCrashes     *obs.Counter
+	chaosRestores    *obs.Counter
+	droppedWhileDown *obs.Counter
 }
 
 // bind resolves every metric name. A nil registry yields no-op metrics.
@@ -195,8 +172,6 @@ func (c *counters) bind(reg *obs.Registry) {
 	c.droppedOnClose = reg.Counter("transport.ingest.dropped_on_close")
 	c.chaosCrashes = reg.Counter("transport.chaos.sink_crashes")
 	c.chaosRestores = reg.Counter("transport.chaos.sink_restores")
-	c.chaosShardCrashes = reg.Counter("transport.chaos.shard_crashes")
-	c.chaosShardRsts = reg.Counter("transport.chaos.shard_restores")
 	c.droppedWhileDown = reg.Counter("transport.chaos.dropped_while_down")
 }
 
@@ -253,10 +228,8 @@ type Server struct {
 	mu          sync.Mutex
 	tracker     *sink.Tracker    // pnmlint:guarded-by mu
 	pipe        *sink.Pipeline   // pnmlint:guarded-by mu
-	cluster     *sink.Cluster    // pnmlint:guarded-by mu
 	down        bool             // pnmlint:guarded-by mu
 	ckpt        []byte           // pnmlint:guarded-by mu
-	shardCkpts  [][]byte         // pnmlint:guarded-by mu
 	delivered   int              // pnmlint:guarded-by mu
 	deliveredCh chan struct{}    // pnmlint:guarded-by mu
 	foldMsgs    []packet.Message // pnmlint:guarded-by mu
@@ -295,22 +268,14 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 	}
 	// Build the guarded sink state before the Server value exists: once
 	// the &Server{} literal publishes it to the goroutines below, every
-	// touch of tracker/pipe/cluster must hold mu.
-	var (
-		tracker *sink.Tracker
-		pipe    *sink.Pipeline
-		cluster *sink.Cluster
-	)
-	if cfg.Shards > 1 {
-		cluster = newCluster(cfg)
-	} else {
-		tracker = sink.NewTracker(cfg.NewVerifier(), cfg.Topo)
-		if cfg.Obs != nil {
-			tracker.Instrument(cfg.Obs)
-		}
-		if cfg.Workers > 1 {
-			pipe = newPipeline(cfg, tracker)
-		}
+	// touch of tracker/pipe must hold mu.
+	tracker := sink.NewTracker(cfg.NewVerifier(), cfg.Topo)
+	if cfg.Obs != nil {
+		tracker.Instrument(cfg.Obs)
+	}
+	var pipe *sink.Pipeline
+	if cfg.Workers > 1 {
+		pipe = newPipeline(cfg, tracker)
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -321,7 +286,6 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		tracker:     tracker,
 		pipe:        pipe,
-		cluster:     cluster,
 		deliveredCh: make(chan struct{}),
 	}
 	s.c.bind(cfg.Obs)
@@ -354,28 +318,6 @@ func newPipeline(cfg Config, tracker *sink.Tracker) *sink.Pipeline {
 		p.Instrument(cfg.Obs)
 	}
 	return p
-}
-
-// newCluster builds the sharded sink for Config.Shards > 1. Like
-// newPipeline it is a free function so Listen (and chaos restore) can
-// build the cluster outside the Server's lock discipline; the shard
-// trackers instrument themselves inside their owning worker goroutines.
-func newCluster(cfg Config) *sink.Cluster {
-	return sink.NewCluster(cfg.Shards, clusterFactory(cfg), cfg.Topo, cfg.Obs)
-}
-
-// clusterFactory wraps cfg.NewVerifier with obs instrumentation, the same
-// per-worker verifier recipe the pipeline uses.
-func clusterFactory(cfg Config) func() sink.Verifier {
-	return func() sink.Verifier {
-		v := cfg.NewVerifier()
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v
-	}
 }
 
 // getMsg takes a message from the pool; the caller owns it until it
@@ -729,40 +671,28 @@ func (s *Server) fold(batch []item) {
 		return
 	}
 	delivered := len(batch)
-	if s.cluster != nil || s.pipe != nil {
+	if s.pipe != nil {
 		// Flatten the pooled-item batch into the reusable message slice
-		// the pipeline and cluster Observe. The Message headers are
-		// copied; the mark storage still belongs to the pooled messages,
-		// which stay owned by the sink goroutine until releaseBatch —
-		// Observe has returned by then, so no worker reads a released
-		// message.
+		// the pipeline Observes. The Message headers are copied; the mark
+		// storage still belongs to the pooled messages, which stay owned
+		// by the sink goroutine until releaseBatch — Observe has returned
+		// by then, so no worker reads a released message.
 		s.foldMsgs = s.foldMsgs[:0]
 		s.foldEpochs = s.foldEpochs[:0]
 		for i := range batch {
 			s.foldMsgs = append(s.foldMsgs, *batch[i].msg)
 			s.foldEpochs = append(s.foldEpochs, batch[i].epoch)
 		}
-	}
-	switch {
-	case s.cluster != nil:
-		_, dropped := s.cluster.ObserveEpochs(s.foldMsgs, s.foldEpochs)
-		if dropped > 0 {
-			// A crashed shard's share of the batch: the sink is up, the
-			// failure domain is one shard wide.
-			s.c.droppedWhileDown.Add(uint64(dropped))
-			delivered -= dropped
-		}
-	case s.pipe != nil:
-		s.pipe.ObserveEpochs(s.foldMsgs, s.foldEpochs)
-	default:
+		s.pipe.Observe(s.foldMsgs, s.foldEpochs)
+		// The copied headers' Marks alias the pooled messages releaseBatch
+		// is about to recycle; drop them so the reusable slice pins no
+		// mark storage between batches.
+		clear(s.foldMsgs)
+	} else {
 		for i := range batch {
 			s.tracker.ObserveAt(*batch[i].msg, batch[i].epoch)
 		}
 	}
-	// The copied headers' Marks alias the pooled messages releaseBatch is
-	// about to recycle; drop them so the reusable slice pins no mark
-	// storage between batches.
-	clear(s.foldMsgs)
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
 	for i := range batch {
@@ -789,20 +719,10 @@ func (s *Server) applyChaos(ev ChaosEvent) {
 		if s.down {
 			return
 		}
-		if s.cluster != nil {
-			// The whole sink goes down: every shard checkpoints to its own
-			// PNM2 blob, and a sealed tracker keeps verdicts readable (and
-			// stale, like the serial sink's) while down.
-			s.shardCkpts = s.cluster.Checkpoint()
-			s.tracker = s.cluster.Seal()
-			s.cluster.Close()
-			s.cluster = nil
-		} else {
-			s.ckpt = s.tracker.Checkpoint()
-			if s.pipe != nil {
-				s.pipe.Close()
-				s.pipe = nil
-			}
+		s.ckpt = s.tracker.Checkpoint()
+		if s.pipe != nil {
+			s.pipe.Close()
+			s.pipe = nil
 		}
 		s.down = true
 		s.c.chaosCrashes.Inc()
@@ -810,56 +730,21 @@ func (s *Server) applyChaos(ev ChaosEvent) {
 		if !s.down {
 			return
 		}
-		if s.cfg.Shards > 1 {
-			cl, err := sink.RestoreCluster(s.shardCkpts, clusterFactory(s.cfg), s.cfg.Topo, s.cfg.Obs)
-			if err != nil {
-				// A checkpoint we wrote ourselves must restore; treat
-				// failure as an unrecoverable bug, not a runtime condition.
-				panic(fmt.Sprintf("transport: chaos restore: %v", err))
-			}
-			s.cluster = cl
-			s.tracker = nil
-			s.shardCkpts = nil
-		} else {
-			tr, err := sink.RestoreTracker(s.ckpt, s.cfg.NewVerifier(), s.cfg.Topo)
-			if err != nil {
-				panic(fmt.Sprintf("transport: chaos restore: %v", err))
-			}
-			s.tracker = tr
-			if s.cfg.Obs != nil {
-				s.tracker.Instrument(s.cfg.Obs)
-			}
-			if s.cfg.Workers > 1 {
-				s.pipe = newPipeline(s.cfg, s.tracker)
-			}
+		tr, err := sink.RestoreTracker(s.ckpt, s.cfg.NewVerifier(), s.cfg.Topo)
+		if err != nil {
+			// A checkpoint we wrote ourselves must restore; treat failure
+			// as an unrecoverable bug, not a runtime condition.
+			panic(fmt.Sprintf("transport: chaos restore: %v", err))
+		}
+		s.tracker = tr
+		if s.cfg.Obs != nil {
+			s.tracker.Instrument(s.cfg.Obs)
+		}
+		if s.cfg.Workers > 1 {
+			s.pipe = newPipeline(s.cfg, s.tracker)
 		}
 		s.down = false
 		s.c.chaosRestores.Inc()
-	case ChaosShardCrash:
-		if s.cluster == nil || s.down {
-			return // shard faults need a live cluster
-		}
-		blob, err := s.cluster.CrashShard(ev.Shard)
-		if err != nil {
-			return // no such shard, or already down: chaos is best-effort
-		}
-		if s.shardCkpts == nil {
-			s.shardCkpts = make([][]byte, s.cfg.Shards)
-		}
-		s.shardCkpts[ev.Shard] = blob
-		s.c.chaosShardCrashes.Inc()
-	case ChaosShardRestore:
-		if s.cluster == nil || s.down {
-			return
-		}
-		if ev.Shard < 0 || ev.Shard >= len(s.shardCkpts) || s.shardCkpts[ev.Shard] == nil {
-			return // nothing crashed under that index
-		}
-		if err := s.cluster.RestoreShard(ev.Shard, s.shardCkpts[ev.Shard]); err != nil {
-			panic(fmt.Sprintf("transport: chaos shard restore: %v", err))
-		}
-		s.shardCkpts[ev.Shard] = nil
-		s.c.chaosShardRsts.Inc()
 	}
 }
 
@@ -870,15 +755,10 @@ func (s *Server) Delivered() int {
 	return s.delivered
 }
 
-// Verdict returns the sink's current traceback conclusion. In cluster
-// mode this merges the per-shard order matrices — byte-identical to the
-// serial sink's verdict over the same delivered stream.
+// Verdict returns the sink's current traceback conclusion.
 func (s *Server) Verdict() sink.Verdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cluster != nil {
-		return s.cluster.Verdict()
-	}
 	return s.tracker.Verdict()
 }
 
@@ -941,14 +821,5 @@ func (s *Server) Close() {
 		if undelivered > 0 {
 			s.c.droppedOnClose.Add(uint64(undelivered))
 		}
-		s.mu.Lock()
-		if s.cluster != nil {
-			// Seal the merged state so Verdict outlives the shard workers,
-			// then release them.
-			s.tracker = s.cluster.Seal()
-			s.cluster.Close()
-			s.cluster = nil
-		}
-		s.mu.Unlock()
 	})
 }

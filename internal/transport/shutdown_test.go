@@ -248,53 +248,47 @@ func TestDroppedOnCloseBalancesLedger(t *testing.T) {
 }
 
 // TestFoldReleasesMessageHeaders pins the fold-slice leak fix: with a
-// pipelined or sharded sink, fold flattens each batch into a reusable
-// slice of message headers whose Marks alias pooled messages. Once the
-// batch is folded those messages go back to the pool, so every header
-// left in the slice must be zeroed — a stale one pins a released frame's
-// mark storage until the slot is next overwritten, and slots past a
-// smaller batch's length never are.
+// pipelined sink, fold flattens each batch into a reusable slice of
+// message headers whose Marks alias pooled messages. Once the batch is
+// folded those messages go back to the pool, so every header left in the
+// slice must be zeroed — a stale one pins a released frame's mark storage
+// until the slot is next overwritten, and slots past a smaller batch's
+// length never are.
 func TestFoldReleasesMessageHeaders(t *testing.T) {
 	const packets = 200
 	sc := testScenario(t)
-	for _, cfg := range []Config{{Workers: 2}, {Shards: 2}} {
-		cfg.NewVerifier = sc.NewVerifier
-		cfg.Topo = sc.Topo
-		srv, err := Listen("127.0.0.1:0", "", cfg)
-		if err != nil {
+	srv, err := Listen("127.0.0.1:0", "", Config{NewVerifier: sc.NewVerifier, Topo: sc.Topo, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range sc.Stream(packets) {
+		if err := cl.Send(msg); err != nil {
 			t.Fatal(err)
 		}
-		cl, err := Dial(srv.Addr().String())
-		if err != nil {
-			srv.Close()
-			t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	folded, stale := cap(srv.foldMsgs), 0
+	for _, m := range srv.foldMsgs[:folded] {
+		if m.Marks != nil {
+			stale++
 		}
-		for _, msg := range sc.Stream(packets) {
-			if err := cl.Send(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		srv.mu.Lock()
-		folded, stale := cap(srv.foldMsgs), 0
-		for _, m := range srv.foldMsgs[:folded] {
-			if m.Marks != nil {
-				stale++
-			}
-		}
-		srv.mu.Unlock()
-		srv.Close()
-		if folded == 0 {
-			t.Fatalf("workers=%d shards=%d: fold never used its message slice", cfg.Workers, cfg.Shards)
-		}
-		if stale > 0 {
-			t.Errorf("workers=%d shards=%d: %d of %d fold slots still alias released marks",
-				cfg.Workers, cfg.Shards, stale, folded)
-		}
+	}
+	srv.mu.Unlock()
+	if folded == 0 {
+		t.Fatal("fold never used its message slice")
+	}
+	if stale > 0 {
+		t.Errorf("%d of %d fold slots still alias released marks", stale, folded)
 	}
 }
