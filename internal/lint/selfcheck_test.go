@@ -167,6 +167,10 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.Schedule.AnonID",
 		"pnm/internal/mac.Schedule.hmac",
 		"pnm/internal/mac.scratch.restore",
+		"pnm/internal/mac.scratch.absorb",
+		"pnm/internal/mac.scratch.outerPass",
+		"pnm/internal/mac.padBlocks",
+		"pnm/internal/mac.putWords",
 		"pnm/internal/mac.Hasher.Schedule",
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",

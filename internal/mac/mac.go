@@ -36,7 +36,14 @@ func Sum(k Key, data []byte) [packet.MACLen]byte {
 }
 
 // anonDomain separates the anonymous-ID hash H'_k from the marking MAC H_k.
-var anonDomain = []byte("pnm/anon-id/v1")
+const anonDomain = "pnm/anon-id/v1"
+
+// The AnonID message anonDomain ‖ report ‖ id, laid out at fixed offsets.
+const (
+	anonReportOff = len(anonDomain)
+	anonIDOff     = anonReportOff + packet.ReportLen
+	anonMsgLen    = anonIDOff + 2
+)
 
 // AnonID computes the per-message anonymous ID i' = H'_ki(M | i), where M is
 // the original report. Binding i' to M means the mapping changes with every
@@ -44,10 +51,10 @@ var anonDomain = []byte("pnm/anon-id/v1")
 // ID-translation table over time.
 func AnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
 	h := hmac.New(sha256.New, k[:])
-	h.Write(anonDomain)
-	var buf [packet.ReportLen + 2]byte
-	report.Encode(buf[:0])
-	binary.BigEndian.PutUint16(buf[packet.ReportLen:], uint16(id))
+	var buf [anonMsgLen]byte
+	copy(buf[:], anonDomain)
+	report.Encode(buf[:anonReportOff])
+	binary.BigEndian.PutUint16(buf[anonIDOff:], uint16(id))
 	h.Write(buf[:])
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])

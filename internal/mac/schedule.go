@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"fmt"
 	"hash"
+	"reflect"
 
 	"pnm/internal/obs"
 	"pnm/internal/packet"
@@ -69,11 +71,13 @@ func newSchedCore(k Key) *schedCore {
 }
 
 // absorbPad hashes one pad block and stores the resulting chaining value
-// in dst. It is also the layout guard: the digest's marshaled state must
-// equal stateTemplate everywhere but the chaining bytes, or restoring
-// from the template would silently compute wrong MACs. A Go release that
-// changed the layout would therefore fail every MAC test at once rather
-// than corrupt verdicts.
+// in dst. It is also the layout guard, on every core build: the digest's
+// marshaled state must equal stateTemplate everywhere but the chaining
+// bytes, or restoring from the template would silently compute wrong
+// MACs, and the state words digestWords reads in place must equal those
+// chaining bytes, or every hot-path read would. A Go release that changed
+// either layout would therefore fail every MAC test at once rather than
+// corrupt verdicts.
 func absorbPad(dst *[sha256.Size]byte, pad []byte) {
 	d := sha256.New().(marshalingHash)
 	d.Write(pad)
@@ -88,28 +92,90 @@ func absorbPad(dst *[sha256.Size]byte, pad []byte) {
 		panic("mac: unexpected sha256 marshaled-state layout")
 	}
 	copy(dst[:], st[chainOff:end])
+	var words [sha256.Size]byte
+	putWords(words[:], digestWords(d))
+	if words != *dst {
+		panic("mac: sha256 state words disagree with the marshaled state")
+	}
+}
+
+// digestWords returns a pointer to d's eight live SHA-256 state words.
+// After a padded final block they are the hash, as big-endian words. The
+// stdlib exposes them only through MarshalBinary and AppendBinary, which
+// allocate: always, and under -race respectively (an instrumented build
+// does not elide the make that AppendBinary appends). So the schedule
+// reads them in place. d must point to a struct whose first field is
+// [8]uint32, and absorbPad checks the words against the marshaled state.
+func digestWords(d hash.Hash) *[8]uint32 {
+	v := reflect.ValueOf(d)
+	t := v.Type()
+	if t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct || t.Elem().NumField() == 0 ||
+		t.Elem().Field(0).Offset != 0 || t.Elem().Field(0).Type != reflect.TypeFor[[8]uint32]() {
+		panic("mac: unexpected sha256 digest layout")
+	}
+	return (*[8]uint32)(v.UnsafePointer())
+}
+
+// putWords writes the state words w to dst, big-endian.
+// pnmlint:noalloc
+func putWords(dst []byte, w *[8]uint32) {
+	for i, x := range w {
+		binary.BigEndian.PutUint32(dst[4*i:], x)
+	}
 }
 
 // scratch is the per-goroutine half of a key schedule: one reusable
 // digest, a private copy of stateTemplate to restore it from, and the
-// digest-output and AnonID-input buffers. The inner and outer passes run
-// one after the other, so one digest and one template serve both.
+// blocks the two HMAC passes feed it. The inner and outer passes run one
+// after the other, so one digest and one template serve both.
+//
+// Every Write hands the digest whole 64-byte blocks, message padding
+// included, so the digest's own buffering and Sum's padding and copies
+// never run: after the last block the digest's state words are the hash.
 type scratch struct {
 	h     marshalingHash
-	state []byte // stateTemplate copy; chaining bytes rewritten per restore
-	buf   []byte // digest output, cap sha256.Size
-	enc   []byte // AnonID input
+	words *[8]uint32 // h's state words, read in place (digestWords)
+	state []byte     // stateTemplate copy; chaining bytes rewritten per restore
+
+	// tail holds the inner message's last partial block and its padding.
+	tail [2 * blockSize]byte
+	// outer is the outer pass's only block: the 32-byte inner digest,
+	// then padding for a 64 + 32 byte message, fixed at construction.
+	outer [blockSize]byte
+	// anon is the padded AnonID inner block for report anonRep; a call
+	// for the same report rewrites only the two ID bytes.
+	anon    [blockSize]byte
+	anonRep packet.Report
+	// sum is the last HMAC's output.
+	sum [sha256.Size]byte
 }
 
-// newScratch returns fresh scratch: a digest, a template copy and
-// buffers sized for one HMAC.
+// newScratch returns fresh scratch: a digest, a template copy, and the
+// outer and AnonID blocks with their padding in place.
 func newScratch() *scratch {
-	return &scratch{
-		h:     sha256.New().(marshalingHash),
-		state: bytes.Clone(stateTemplate),
-		buf:   make([]byte, 0, sha256.Size),
-		enc:   make([]byte, 0, len(anonDomain)+packet.ReportLen+2),
+	h := sha256.New().(marshalingHash)
+	sc := &scratch{h: h, words: digestWords(h), state: bytes.Clone(stateTemplate)}
+	padBlocks(sc.outer[:], sha256.Size, blockSize+sha256.Size)
+	copy(sc.anon[:], anonDomain)
+	sc.anonRep.Encode(sc.anon[:anonReportOff])
+	padBlocks(sc.anon[:], anonMsgLen, blockSize+anonMsgLen)
+	return sc
+}
+
+// padBlocks writes SHA-256's padding for a msgLen-byte message into b
+// after the n message bytes already there — 0x80, zeros, and the
+// big-endian bit length — and returns the padded length, blockSize or
+// 2*blockSize. n < blockSize, and b must hold the returned length.
+// pnmlint:noalloc
+func padBlocks(b []byte, n, msgLen int) int {
+	end := blockSize
+	if n >= blockSize-8 {
+		end = 2 * blockSize
 	}
+	b[n] = 0x80
+	clear(b[n+1 : end-8])
+	binary.BigEndian.PutUint64(b[end-8:end], uint64(msgLen)<<3)
+	return end
 }
 
 // restore resets the digest to the pad-absorbed state with chaining value
@@ -118,6 +184,39 @@ func newScratch() *scratch {
 func (sc *scratch) restore(chain *[sha256.Size]byte) {
 	copy(sc.state[chainOff:], chain[:])
 	_ = sc.h.UnmarshalBinary(sc.state)
+}
+
+// absorb feeds p to the digest after the n bytes pending in tail: whole
+// blocks go straight from p, a completed tail block is written, and the
+// rest is left in tail. It returns the new pending count, below
+// blockSize.
+// pnmlint:noalloc
+func (sc *scratch) absorb(n int, p []byte) int {
+	if n > 0 {
+		k := copy(sc.tail[n:blockSize], p)
+		if n += k; n < blockSize {
+			return n
+		}
+		sc.h.Write(sc.tail[:blockSize])
+		p = p[k:]
+	}
+	if whole := len(p) &^ (blockSize - 1); whole > 0 {
+		sc.h.Write(p[:whole])
+		p = p[whole:]
+	}
+	return copy(sc.tail[:], p)
+}
+
+// outerPass finishes an HMAC whose padded inner message has been written:
+// it writes the inner digest into the outer block and hashes that block
+// under the restored outer state. The result aliases sc.sum.
+// pnmlint:noalloc
+func (sc *scratch) outerPass(outer *[sha256.Size]byte) []byte {
+	putWords(sc.outer[:sha256.Size], sc.words)
+	sc.restore(outer)
+	sc.h.Write(sc.outer[:])
+	putWords(sc.sum[:], sc.words)
+	return sc.sum[:]
 }
 
 // Schedule is a precomputed HMAC-SHA256 key schedule for one node key.
@@ -229,45 +328,46 @@ func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
 
 // AnonID computes the per-message anonymous ID i' = H'_k(M | i),
 // bit-identical to the package-level AnonID for the schedule's key, with
-// zero allocations.
+// zero allocations. Its 36-byte inner message always fits one padded
+// block, which the scratch keeps for the last report it saw: a probe for
+// the same report patches the two ID bytes, and a new report re-encodes
+// the block.
 // pnmlint:noalloc
 func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
 	sc := s.sc
-	sc.enc = append(sc.enc[:0], anonDomain...)
-	sc.enc = report.Encode(sc.enc)
-	sc.enc = append(sc.enc, byte(id>>8), byte(id))
+	if report != sc.anonRep {
+		sc.anonRep = report
+		report.Encode(sc.anon[:anonReportOff])
+	}
+	binary.BigEndian.PutUint16(sc.anon[anonIDOff:], uint16(id))
+	sc.restore(&s.core.inner)
+	sc.h.Write(sc.anon[:])
 	var out [packet.AnonIDLen]byte
-	copy(out[:], s.hmac(sc.enc, nil))
+	copy(out[:], sc.outerPass(&s.core.outer))
 	return out
 }
 
 // hmac runs the full HMAC over prefix ‖ suffix: restore the inner state,
-// absorb the message and finalize, then hash that digest under the
-// restored outer state. The returned slice aliases the scratch's digest
-// buffer and is valid until the scratch's next call.
+// absorb the message in whole blocks, write its padded tail, then run the
+// outer pass. The returned slice aliases the scratch and is valid until
+// the scratch's next call.
 // pnmlint:noalloc
 func (s Schedule) hmac(prefix, suffix []byte) []byte {
 	sc := s.sc
 	sc.restore(&s.core.inner)
-	sc.h.Write(prefix)
-	if len(suffix) > 0 { // AnonID has none: skip the interface call
-		sc.h.Write(suffix)
-	}
-	sc.buf = sc.h.Sum(sc.buf[:0])
-	sc.restore(&s.core.outer)
-	sc.h.Write(sc.buf)
-	sc.buf = sc.h.Sum(sc.buf[:0])
-	return sc.buf
+	n := sc.absorb(0, prefix)
+	n = sc.absorb(n, suffix)
+	sc.h.Write(sc.tail[:padBlocks(sc.tail[:], n, blockSize+len(prefix)+len(suffix))])
+	return sc.outerPass(&s.core.outer)
 }
 
 // Hasher is a goroutine-local table of per-node key schedules over a
 // KeyStore. The KeyStore itself is synchronized and shared freely; the
-// Hasher's one scratch is not, so each goroutine that verifies MACs (a
-// sink pipeline worker, a cluster shard, a resolver) holds its own
-// Hasher. A local miss fetches the node's shared pad-absorbed core from
-// the store (built at most once per node store-wide, whatever the worker
-// count) and records a pointer to it; Schedule pairs that core with the
-// Hasher's scratch.
+// Hasher's one scratch is not, so each goroutine that verifies MACs (the
+// serial sink, each pipeline worker) holds its own Hasher. A local miss
+// fetches the node's shared pad-absorbed core from the store (built at
+// most once per node store-wide, whatever the worker count) and records a
+// pointer to it; Schedule pairs that core with the Hasher's scratch.
 //
 // pnmlint:single-goroutine — the schedule table and the scratch are
 // unsynchronized; one goroutine owns a Hasher for its lifetime.

@@ -80,12 +80,88 @@ func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
 			}
 			report := packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()}
 			idb := binary.BigEndian.AppendUint16(nil, uint16(id))
-			wantAnon := [packet.AnonIDLen]byte(stdlib(k, anonDomain, report.Encode(nil), idb))
+			wantAnon := [packet.AnonIDLen]byte(stdlib(k, []byte(anonDomain), report.Encode(nil), idb))
 			if got := h.AnonID(id, report); got != wantAnon {
 				t.Fatalf("Hasher.AnonID(%v) = %x, crypto/hmac = %x", id, got, wantAnon)
 			}
 			if got := own.AnonID(report, id); got != wantAnon {
 				t.Fatalf("NewSchedule(%v).AnonID = %x, crypto/hmac = %x", id, got, wantAnon)
+			}
+		}
+	}
+}
+
+// TestWholeBlockPaddingMatchesSum256 pins the premise of the whole-block
+// engine on the running Go release: a fresh digest fed a message's whole
+// blocks and then the padded tail padBlocks builds holds exactly
+// sha256.Sum256 of the message, both in the state words the hot path
+// reads in place and at chainOff of its marshaled state. Lengths 0–200
+// cover one- and two-block padding (len % 64 below and from 56) and
+// multi-block messages.
+func TestWholeBlockPaddingMatchesSum256(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := newScratch()
+	m := make([]byte, 200)
+	for n := 0; n <= len(m); n++ {
+		rng.Read(m[:n])
+		sc.h.Reset()
+		pending := sc.absorb(0, m[:n])
+		sc.h.Write(sc.tail[:padBlocks(sc.tail[:], pending, n)])
+		want := sha256.Sum256(m[:n])
+		var words [sha256.Size]byte
+		putWords(words[:], sc.words)
+		if words != want {
+			t.Fatalf("len %d: state words %x, sha256.Sum256 %x", n, words, want)
+		}
+		st, err := sc.h.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [sha256.Size]byte(st[chainOff:]); got != want {
+			t.Fatalf("len %d: chaining value at chainOff %x, sha256.Sum256 %x", n, got, want)
+		}
+	}
+}
+
+// TestAnonIDReportMemo pins the AnonID block memo: the scratch keeps the
+// encoded block of the last report it saw, so a call for a different
+// report — even one differing in a single field — must re-encode it, and
+// a return to an earlier report must not reuse a stale block. Every
+// result, through a Hasher (one scratch across keys) and a NewSchedule,
+// is checked against crypto/hmac.
+func TestAnonIDReportMemo(t *testing.T) {
+	ks := NewKeyStore([]byte("anon-memo"))
+	h := ks.Hasher()
+	a := packet.Report{Event: 1, Location: 2, Timestamp: 3, Seq: 4}
+	b := packet.Report{Event: 9, Location: 8, Timestamp: 7, Seq: 6}
+	seq := []packet.Report{a, b, a}
+	for _, bump := range []func(*packet.Report){
+		func(r *packet.Report) { r.Event++ },
+		func(r *packet.Report) { r.Location++ },
+		func(r *packet.Report) { r.Timestamp++ },
+		func(r *packet.Report) { r.Seq++ },
+	} {
+		r := a
+		bump(&r)
+		seq = append(seq, r, a)
+	}
+	ids := []packet.NodeID{5, 300, 5}
+	own := NewSchedule(ks.Key(5))
+	for i, report := range seq {
+		for _, id := range ids {
+			k := ks.Key(id)
+			m := hmac.New(sha256.New, k[:])
+			m.Write([]byte(anonDomain))
+			m.Write(report.Encode(nil))
+			m.Write([]byte{byte(id >> 8), byte(id)})
+			want := [packet.AnonIDLen]byte(m.Sum(nil))
+			if got := h.AnonID(id, report); got != want {
+				t.Fatalf("step %d: Hasher.AnonID(%v, %+v) = %x, crypto/hmac = %x", i, id, report, got, want)
+			}
+			if id == 5 {
+				if got := own.AnonID(report, id); got != want {
+					t.Fatalf("step %d: NewSchedule.AnonID(%+v) = %x, crypto/hmac = %x", i, report, got, want)
+				}
 			}
 		}
 	}
@@ -144,7 +220,7 @@ func TestScheduleZeroAllocs(t *testing.T) {
 	s := NewSchedule(ks.Key(1))
 	h := ks.Hasher()
 	h.Schedule(2)
-	data := make([]byte, 96)
+	data := make([]byte, 200)
 	report := packet.Report{Event: 9, Location: 9, Timestamp: 9, Seq: 9}
 
 	for _, c := range []struct {
@@ -152,9 +228,12 @@ func TestScheduleZeroAllocs(t *testing.T) {
 		op   func()
 	}{
 		{"Schedule.Sum", func() { s.Sum(data, nil) }},
-		{"Schedule.Sum (split)", func() { s.Sum(data[:90], data[90:]) }},
+		{"Schedule.Sum (split)", func() { s.Sum(data[:90], data[90:96]) }},
+		{"Schedule.Sum (prefix over 128 bytes)", func() { s.Sum(data[:150], data[150:154]) }},
+		{"Schedule.Sum (suffix across a block)", func() { s.Sum(data[:60], data[60:80]) }},
+		{"Schedule.Sum (two-block padding)", func() { s.Sum(data[:56], data[56:60]) }},
 		{"Schedule.AnonID", func() { s.AnonID(report, 1) }},
-		{"Hasher Sum (split)", func() { h.Schedule(2).Sum(data[:90], data[90:]) }},
+		{"Hasher Sum (split)", func() { h.Schedule(2).Sum(data[:90], data[90:96]) }},
 		{"Hasher.AnonID", func() { h.AnonID(2, report) }},
 	} {
 		if n := testing.AllocsPerRun(200, c.op); n != 0 {
@@ -289,3 +368,47 @@ func BenchmarkAnonIDSchedule(b *testing.B) {
 		s.AnonID(report, 1)
 	}
 }
+
+// BenchmarkAnonIDHasher2k measures the resolver's probe shape on
+// keyed-2k: one report, anonymous IDs over 2,048 warm keys taken in a
+// scattered order, so each call restores a different key's core.
+func BenchmarkAnonIDHasher2k(b *testing.B) {
+	const nodes = 2048
+	ks := NewKeyStore([]byte("bench"))
+	h := ks.Hasher()
+	for id := packet.NodeID(0); id < nodes; id++ {
+		h.Schedule(id)
+	}
+	report := packet.Report{Event: 1, Location: 17, Timestamp: 5, Seq: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.AnonID(packet.NodeID(i*613%nodes), report)
+	}
+}
+
+// benchSumSplit measures a nested-MAC check the way the verifier runs
+// it: a per-packet encoding prefix of prefixLen bytes and a 4-byte
+// anonymous-ID suffix.
+func benchSumSplit(b *testing.B, prefixLen int) {
+	ks := NewKeyStore([]byte("bench"))
+	s := NewSchedule(ks.Key(1))
+	data := make([]byte, prefixLen+packet.AnonIDLen)
+	for i := range data {
+		data[i] = byte(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Sum(data[:prefixLen], data[prefixLen:])
+	}
+}
+
+// BenchmarkSumSplitKeyed2k is keyed-2k's 50-byte check: a 20-byte report
+// and two 13-byte anonymous marks, then the candidate's anonymous ID.
+func BenchmarkSumSplitKeyed2k(b *testing.B) { benchSumSplit(b, 46) }
+
+// BenchmarkSumSplitDense300 is dense-300's 167-byte check: a 20-byte
+// report and 11 13-byte anonymous marks, then the candidate's anonymous
+// ID.
+func BenchmarkSumSplitDense300(b *testing.B) { benchSumSplit(b, 163) }

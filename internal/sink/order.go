@@ -245,8 +245,7 @@ func (o *Order) Route() ([]packet.NodeID, bool) {
 // Ties (several candidates with equally few outside ancestors) break by
 // smallest node ID, never by insertion order, so the result — like every
 // other verdict input — is a pure function of the accumulated reachability
-// relation. That is what lets a sharded cluster merge per-shard matrices
-// in any order and still reproduce the unsharded verdict byte for byte.
+// relation.
 func (o *Order) MostUpstreamAfterLoop(loop []packet.NodeID) (packet.NodeID, bool) {
 	inLoop := make(map[packet.NodeID]bool, len(loop))
 	for _, id := range loop {

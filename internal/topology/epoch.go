@@ -11,7 +11,7 @@ import "sync"
 //
 // Ownership and determinism rules (DESIGN.md §14): an EpochSet is
 // append-only and internally synchronized — many sink-side readers (one
-// resolver per worker or shard) share one set with the single writer
+// resolver per pipeline worker) share one set with the single writer
 // that applies topology changes. Versions are dense, starting at 0 for
 // the base topology, so a version is both an identity and an index; a
 // packet stamped with version v always resolves against the same
