@@ -6,7 +6,7 @@ GO ?= go
 # GOMAXPROCS. Results are byte-identical for every value.
 WORKERS ?= 0
 
-.PHONY: all build test race vet lint bench bench-resolver bench-sink bench-fault bench-scale bench-churn fuzz-smoke soak ci figures examples clean
+.PHONY: all build test race vet lint bench bench-sink bench-fault bench-churn fuzz-smoke soak ci figures examples clean
 
 all: build test
 
@@ -40,15 +40,13 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Regenerate the committed resolver performance baseline. The counters in
-# the document are deterministic; only the ns_per_packet timings vary with
-# the machine.
-bench-resolver:
-	$(GO) run ./cmd/pnmsim -exp benchresolver > BENCH_resolver.json
-
-# Regenerate the committed MAC-engine / sink-pipeline baseline. The
-# verdict hashes and verdict-visible counters are deterministic; timings
-# vary with the machine.
+# Regenerate the committed sink-cost document: the MAC engine
+# micro-benchmark, the three resolvers on the interleaved stream, and the
+# serial tracker and pipeline workers (W1-W8) on the keyed stream, with
+# allocation columns and every sink counter per row. Verdict hashes and
+# verdict-visible counters are deterministic and checked within each
+# stream at generation time; timings vary with the machine - read them
+# against the recorded gomaxprocs.
 bench-sink:
 	$(GO) run ./cmd/pnmsim -exp benchsink > BENCH_sink.json
 
@@ -58,15 +56,6 @@ bench-sink:
 # baseline is enforced at generation time.
 bench-fault:
 	$(GO) run ./cmd/pnmsim -exp benchfault > BENCH_fault.json
-
-# Regenerate the committed multicore-scaling benchmark (E22): serial vs
-# pipeline workers (W1-W8) over the keyed-source workload, with per-row
-# GOMAXPROCS/NumCPU provenance and allocation columns (B/op, allocs/op)
-# bracketing only the observe region. Verdict hashes are checked against
-# the serial baseline at generation time; timings and speedups vary with
-# the machine - read them against the recorded gomaxprocs.
-bench-scale:
-	$(GO) run ./cmd/pnmsim -exp benchscale > BENCH_scale.json
 
 # Regenerate the committed churn benchmark (E23): traceback under
 # topology churn with epoch-versioned resolution. Fully deterministic
@@ -92,9 +81,11 @@ fuzz-smoke:
 soak:
 	$(GO) test -race -run 'TestLoopbackSoak' -count 1 ./internal/transport
 
-# What CI runs: build, vet, lint, the full test suite, and the race
-# detector over the packages that exercise goroutines.
+# What CI runs: build, vet, lint, the full test suite, the bench
+# module's tests (pnm/bench sits outside ./...), and the race detector
+# over the packages that exercise goroutines.
 ci: build vet lint test
+	$(GO) -C bench test ./...
 	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen
 
 # Regenerate every paper figure/table into results/. Run-averaged

@@ -2,13 +2,12 @@
 //
 // Usage:
 //
-//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchresolver|benchsink|benchfault|benchscale|benchchurn|filter [flags]
+//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchsink|benchfault|benchchurn|filter [flags]
 //
 // Output is CSV for the figure experiments (pipe into a plotter), an
-// aligned text table for the tabular ones, or JSON for benchresolver,
-// benchsink, benchfault, benchscale and benchchurn (redirect into
-// BENCH_resolver.json / BENCH_sink.json / BENCH_fault.json /
-// BENCH_scale.json / BENCH_churn.json). -plot renders
+// aligned text table for the tabular ones, or JSON for benchsink,
+// benchfault and benchchurn (redirect into BENCH_sink.json /
+// BENCH_fault.json / BENCH_churn.json). -plot renders
 // a crude ASCII plot instead of CSV. -stats dumps the sink chain's obs counters to stderr
 // after instrumented experiments (resolve).
 //
@@ -42,7 +41,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("pnmsim", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchresolver, benchsink, benchfault, benchscale, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
+		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchsink, benchfault, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
 		runs    = fs.Int("runs", 0, "override the run count (0 = experiment default)")
 		seed    = fs.Int64("seed", 0, "override the RNG seed (0 = experiment default)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for run-parallel experiments (<= 0 = GOMAXPROCS); results are identical for every value")
@@ -51,6 +50,18 @@ func run(args []string, w io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// emitBench prints a bench generator's JSON document.
+	emitBench := func(res any, err error) error {
+		if err != nil {
+			return err
+		}
+		doc, err := experiment.RenderBench(res)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, doc)
+		return nil
 	}
 
 	switch *exp {
@@ -138,40 +149,17 @@ func run(args []string, w io.Writer) error {
 			reg.Fprint(os.Stderr)
 		}
 		return nil
-	case "benchresolver":
-		// Serial for the same reason as resolve: the rows report wall-clock
-		// nanoseconds per packet.
-		cfg := experiment.DefaultResolverBench()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiment.ResolverBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderResolverBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
 	case "benchsink":
-		// The macro rows time a serial tracker against the worker pipeline;
-		// only the pipeline itself is concurrent.
+		// The rows time the serial tracker under each resolver and the
+		// worker pipeline on the keyed stream; only the pipeline itself is
+		// concurrent. Verdict-hash equality within each stream is enforced
+		// at generation time.
 		cfg := experiment.DefaultSinkBench()
 		if *seed != 0 {
-			cfg.Stream.Seed = *seed
+			cfg.Interleaved.Seed = *seed
+			cfg.Keyed.Seed = *seed
 		}
-		res, err := experiment.SinkBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderSinkBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitBench(experiment.SinkBench(cfg))
 	case "benchfault":
 		// Traceback convergence under deterministic fault plans in the
 		// live simulator (E20); verdict equality with the fault-free
@@ -181,16 +169,7 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		res, err := experiment.FaultBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderFaultBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitBench(experiment.FaultBench(cfg))
 	case "benchchurn":
 		// Traceback under topology churn with epoch-versioned resolution
 		// (E23): packets-to-catch and reconstruction cost per churn level,
@@ -201,35 +180,7 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		res, err := experiment.ChurnBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderChurnBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
-	case "benchscale":
-		// Multicore scaling truth (E22): serial vs pipeline workers over
-		// the keyed-source workload, with per-row GOMAXPROCS/NumCPU and
-		// allocation columns; verdict-hash equality with the serial
-		// baseline is enforced at generation time.
-		cfg := experiment.DefaultScaleBench()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiment.ScaleBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderScaleBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitBench(experiment.ChurnBench(cfg))
 	case "filter":
 		cfg := experiment.DefaultFilterCompare()
 		cfg.Workers = *workers

@@ -23,7 +23,6 @@ package experiment
 //     the same epochs is just a slower spelling of the same state.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -272,13 +271,4 @@ func runChurnPoint(cfg ChurnBenchConfig, base *topology.Network, moleID packet.N
 	}
 	row.ChainsFolded = reg.Counter("sink.tracker.chains_folded").Value()
 	return row, nil
-}
-
-// RenderChurnBench serializes the result as the committed JSON document.
-func RenderChurnBench(res *ChurnBenchResult) (string, error) {
-	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

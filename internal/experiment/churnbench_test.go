@@ -47,7 +47,7 @@ func TestChurnBenchSmall(t *testing.T) {
 		}
 		prevReplayed = r.RebuildChainsReplayed
 	}
-	doc, err := RenderChurnBench(res)
+	doc, err := RenderBench(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestChurnBenchReproducible(t *testing.T) {
 		a.Rows[i].IncrementalNs, a.Rows[i].RebuildNs = 0, 0
 		b.Rows[i].IncrementalNs, b.Rows[i].RebuildNs = 0, 0
 	}
-	da, err := RenderChurnBench(a)
+	da, err := RenderBench(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := RenderChurnBench(b)
+	db, err := RenderBench(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package experiment
 
-import "runtime"
+import (
+	"encoding/json"
+	"runtime"
+)
 
 // BenchEnv records the runtime provenance a bench document was measured
 // under. Every committed BENCH_*.json embeds one, so a future regression
@@ -33,4 +36,13 @@ func CaptureBenchEnv(benchmem bool) BenchEnv {
 		GOARCH:     runtime.GOARCH,
 		Benchmem:   benchmem,
 	}
+}
+
+// RenderBench serializes a bench result as its committed JSON document.
+func RenderBench(doc any) (string, error) {
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	return string(out) + "\n", nil
 }

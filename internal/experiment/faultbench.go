@@ -11,7 +11,6 @@ package experiment
 // packets. Rows commit the packets-to-catch deltas.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -256,13 +255,4 @@ func runFaultScenario(name string, topo *topology.Network, moleID packet.NodeID,
 	row.Delivered = net.Delivered()
 	row.Dropped = net.Dropped()
 	return row, nil
-}
-
-// RenderFaultBench serializes the result as the committed JSON document.
-func RenderFaultBench(res *FaultBenchResult) (string, error) {
-	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
 }

@@ -42,7 +42,7 @@ func TestFaultBenchSmall(t *testing.T) {
 			t.Fatalf("scenario %s verdict leaked through the equality gate: %+v", r.Scenario, r)
 		}
 	}
-	doc, err := RenderFaultBench(res)
+	doc, err := RenderBench(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestFaultBenchReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, err := RenderFaultBench(a)
+	da, err := RenderBench(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := RenderFaultBench(b)
+	db, err := RenderBench(b)
 	if err != nil {
 		t.Fatal(err)
 	}

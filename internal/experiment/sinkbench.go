@@ -3,11 +3,15 @@ package experiment
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"hash"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
+	"pnm/internal/analytic"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/obs"
@@ -16,29 +20,72 @@ import (
 	"pnm/internal/topology"
 )
 
-// SinkBenchConfig parameterizes the MAC-engine and sink-pipeline
-// benchmark committed as BENCH_sink.json. The macro rows replay the same
-// interleaved multi-source stream the resolver benchmark uses, so the
-// serial exhaustive-single row is directly comparable against
-// BENCH_resolver.json's.
+// SinkBenchConfig parameterizes BENCH_sink.json, the committed record of
+// what the sink costs: the MAC engine micro-benchmark, and the sink chain
+// replaying two packet streams, each measured by the same row runner.
 type SinkBenchConfig struct {
-	// Stream shapes the shared packet workload (see ResolverBenchConfig).
-	Stream ResolverBenchConfig `json:"stream"`
-	// Workers lists the pipeline widths to measure alongside serial.
+	// Interleaved is the resolver stream, replayed through the serial
+	// tracker under each resolver.
+	Interleaved InterleavedConfig `json:"interleaved"`
+	// Keyed is the keyed-source stream, folded by the serial tracker and
+	// by the pipeline at each Workers count.
+	Keyed KeyedConfig `json:"keyed"`
+	// Workers lists the pipeline widths measured on the keyed stream.
 	Workers []int `json:"workers"`
-	// BatchLen is the pipeline batch size, mimicking the netsim sink
-	// loop's queue-bounded drain.
-	BatchLen int `json:"batch_len"`
 	// MacIters sizes the mac micro-benchmark loops.
 	MacIters int `json:"mac_iters"`
 }
 
-// DefaultSinkBench is the committed configuration.
+// InterleavedConfig shapes the regime the exhaustive resolver's LRU table
+// cache exists for: several sources report concurrently, each report is
+// retransmitted several times, and deliveries interleave at the sink, so
+// consecutive packets almost always carry different reports and a
+// single-entry cache rebuilds the anonymous-ID table on nearly every
+// packet.
+type InterleavedConfig struct {
+	// Nodes is the network size.
+	Nodes int `json:"nodes"`
+	// Sources is how many concurrently reporting sources interleave.
+	Sources int `json:"sources"`
+	// Reports is how many distinct reports each source emits.
+	Reports int `json:"reports"`
+	// Repeats is how many times each report's packet is retransmitted.
+	Repeats int `json:"repeats"`
+	// Seed drives topology and marking.
+	Seed int64 `json:"seed"`
+	// CacheCapacity is the exhaustive-lru row's table-cache capacity.
+	CacheCapacity int `json:"cache_capacity"`
+	// BatchLen is how many packets the row runner feeds per observe call.
+	BatchLen int `json:"batch_len"`
+}
+
+// KeyedConfig shapes the keyed-source stream (see keyedGen): one
+// distinct report per packet, so only the topology resolver is feasible.
+type KeyedConfig struct {
+	// Nodes is the network size.
+	Nodes int `json:"nodes"`
+	// Hosts is how many distinct deepest nodes the keyed sources cycle
+	// through.
+	Hosts int `json:"hosts"`
+	// Sources is the keyed-source count (one packet per source).
+	Sources int `json:"sources"`
+	// BatchLen is the lockstep generation/fold batch size.
+	BatchLen int `json:"batch_len"`
+	// Seed drives topology and marking.
+	Seed int64 `json:"seed"`
+}
+
+// DefaultSinkBench is the committed configuration. The interleaved
+// stream's LRU covers the live report working set (Sources distinct
+// reports at a time) while the single-entry baseline thrashes.
 func DefaultSinkBench() SinkBenchConfig {
 	return SinkBenchConfig{
-		Stream:   DefaultResolverBench(),
+		Interleaved: InterleavedConfig{
+			Nodes: 1024, Sources: 8, Reports: 4, Repeats: 8, Seed: 9,
+			CacheCapacity: sink.DefaultTableCacheSize, BatchLen: 64,
+		},
+		Keyed:    KeyedConfig{Nodes: 2048, Hosts: 64, Sources: 100_000, BatchLen: 1024, Seed: 17},
 		Workers:  []int{1, 2, 4, 8},
-		BatchLen: 64,
 		MacIters: 4096,
 	}
 }
@@ -54,8 +101,8 @@ type MacBenchResult struct {
 	ColdSumAllocs  float64 `json:"cold_sum_allocs_per_op"`
 	SchedSumAllocs float64 `json:"sched_sum_allocs_per_op"`
 	SumSpeedup     float64 `json:"sum_speedup"`
-	// Anon rows measure anonymous-ID derivation, the resolver table's
-	// inner loop.
+	// Anon rows measure anonymous-ID derivation, the resolvers' inner
+	// loop.
 	ColdAnonNs      float64 `json:"cold_anon_ns_per_op"`
 	SchedAnonNs     float64 `json:"sched_anon_ns_per_op"`
 	ColdAnonAllocs  float64 `json:"cold_anon_allocs_per_op"`
@@ -63,94 +110,124 @@ type MacBenchResult struct {
 	AnonSpeedup     float64 `json:"anon_speedup"`
 }
 
-// TableBenchResult measures the ExhaustiveResolver table-build hot loop —
-// one anonymous ID per node — cold against a warm schedule cache.
-type TableBenchResult struct {
-	Nodes  int `json:"nodes"`
-	Builds int `json:"builds"`
-	// ColdNsPerBuild derives every ID through per-call HMAC; this is the
-	// pre-schedule table-build cost BENCH_resolver.json was measured at.
-	ColdNsPerBuild float64 `json:"cold_ns_per_build"`
-	// WarmNsPerBuild derives them through a warm Hasher.
-	WarmNsPerBuild float64 `json:"warm_ns_per_build"`
-	Speedup        float64 `json:"speedup"`
-}
-
-// SinkBenchRow is one sink-configuration measurement over the shared
-// stream: the serial tracker or the pipeline at one worker count, each
-// timed on a cold first pass (schedules and tables built on the fly) and
-// a warm second pass over the same stream.
+// SinkBenchRow is one sink configuration's measurement over one stream.
+// Every row on a stream agrees with the stream's first row on
+// VerdictHash and on the verdict-visible counters
+// sink.verify.marks_verified and sink.verify.stops, enforced at
+// generation time.
 type SinkBenchRow struct {
+	// Stream is "interleaved" or "keyed".
+	Stream string `json:"stream"`
+	// Resolver is exhaustive-single, exhaustive-lru or topology.
+	Resolver string `json:"resolver"`
 	// Mode is "serial" or "pipeline".
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
-	Packets int    `json:"packets"`
-	// ColdNsPerPacket and WarmNsPerPacket are mean wall time per packet
-	// for the first and second pass.
-	ColdNsPerPacket float64 `json:"cold_ns_per_packet"`
-	WarmNsPerPacket float64 `json:"warm_ns_per_packet"`
-	// VerdictHash digests the cold pass's per-packet Results and the
-	// verdict folded from them; every row must agree (the determinism
-	// contract), and the warm pass is checked against it internally.
+	Mode string `json:"mode"`
+	// Workers is the pipeline worker count (1 on serial rows).
+	Workers int `json:"workers"`
+	// Packets is the stream length the sink folded.
+	Packets int `json:"packets"`
+	// NsPerPacket is mean observe wall time per packet over the measured
+	// region (generation, hashing and the warmup batch are outside it).
+	NsPerPacket float64 `json:"ns_per_packet"`
+	// BytesPerPacket and AllocsPerPacket are heap allocation per packet
+	// over the same region (runtime.MemStats deltas bracketing only the
+	// observe calls).
+	BytesPerPacket  float64 `json:"bytes_per_packet"`
+	AllocsPerPacket float64 `json:"allocs_per_packet"`
+	// VerdictHash digests every per-packet Result in stream order plus
+	// the final verdict, from an untimed full pass.
 	VerdictHash string `json:"verdict_hash"`
-	// Cache-locality counters, summed over both passes. These
-	// legitimately vary with the worker count.
-	TableBuilds    uint64 `json:"table_builds"`
-	ScheduleHits   uint64 `json:"schedule_hits"`
-	ScheduleMisses uint64 `json:"schedule_misses"`
-	// Verdict-visible counters, summed over both passes; identical on
-	// every row.
-	MarksVerified uint64 `json:"marks_verified"`
-	Stops         uint64 `json:"stops"`
+	// Counters is every metric the sink chain exported during that pass
+	// (obs.Registry.Map): resolver probes, table builds and cache hits,
+	// schedule hits, marks verified, stops and the rest.
+	Counters map[string]any `json:"counters"`
 }
 
 // SinkBenchResult is the committed BENCH_sink.json document.
 type SinkBenchResult struct {
-	Env    BenchEnv         `json:"env"`
-	Config SinkBenchConfig  `json:"config"`
-	Mac    MacBenchResult   `json:"mac"`
-	Table  TableBenchResult `json:"table_build"`
-	Rows   []SinkBenchRow   `json:"rows"`
+	Env    BenchEnv        `json:"env"`
+	Config SinkBenchConfig `json:"config"`
+	Mac    MacBenchResult  `json:"mac"`
+	Rows   []SinkBenchRow  `json:"rows"`
 }
 
-// SinkBench runs the micro- and macro-benchmarks. Like ResolverBench the
-// macro rows report real wall time; the pipeline rows are the only
-// concurrency.
+// SinkBench runs the mac micro-benchmark, then measures the interleaved
+// stream under each resolver and the keyed stream serially and at each
+// pipeline width. The rows report real wall time; the pipeline rows are
+// the only concurrency.
 func SinkBench(cfg SinkBenchConfig) (*SinkBenchResult, error) {
-	if cfg.MacIters < 1 || cfg.BatchLen < 1 || len(cfg.Workers) == 0 {
-		return nil, fmt.Errorf("experiment: mac_iters, batch_len and workers must be set")
+	if cfg.MacIters < 1 || len(cfg.Workers) == 0 {
+		return nil, fmt.Errorf("experiment: mac_iters and workers must be set")
 	}
-	topo, err := geometricOfSize(cfg.Stream.Nodes, cfg.Stream.Seed)
+	// The row runner excludes the first batch as warmup, so each stream
+	// needs at least one more.
+	ilPackets := cfg.Interleaved.Sources * cfg.Interleaved.Reports * cfg.Interleaved.Repeats
+	if cfg.Interleaved.BatchLen < 1 || ilPackets < 2*cfg.Interleaved.BatchLen ||
+		cfg.Keyed.BatchLen < 1 || cfg.Keyed.Sources < 2*cfg.Keyed.BatchLen {
+		return nil, fmt.Errorf("experiment: each stream needs batch_len >= 1 and at least 2*batch_len packets")
+	}
+	il, err := newInterleavedStream(cfg.Interleaved)
 	if err != nil {
 		return nil, err
 	}
-	keys := mac.NewKeyStore([]byte("resolver-bench"))
-	stream, scheme, err := interleavedStream(cfg.Stream, topo, keys)
+	keyed, err := newKeyedStream(cfg.Keyed)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &SinkBenchResult{Env: CaptureBenchEnv(false), Config: cfg}
-	res.Mac = macBench(keys, cfg.MacIters)
-	res.Table = tableBench(keys, topo, cfg.MacIters/max(topo.NumNodes(), 1)+1)
+	res := &SinkBenchResult{Env: CaptureBenchEnv(true), Config: cfg}
+	res.Mac = macBench(il.keys, cfg.MacIters)
 
-	serial, err := runSinkBenchSerial(scheme, keys, topo, stream)
-	if err != nil {
-		return nil, err
+	type rowSpec struct {
+		st       *benchStream
+		resolver string
+		mode     string
+		workers  int
 	}
-	res.Rows = append(res.Rows, serial)
+	specs := []rowSpec{
+		{il, "exhaustive-single", "serial", 1},
+		{il, "exhaustive-lru", "serial", 1},
+		{il, "topology", "serial", 1},
+		{keyed, "topology", "serial", 1},
+	}
 	for _, w := range cfg.Workers {
-		row, err := runSinkBenchPipeline(scheme, keys, topo, stream, w, cfg.BatchLen)
+		specs = append(specs, rowSpec{keyed, "topology", "pipeline", w})
+	}
+	for _, sp := range specs {
+		row, err := runSinkRow(sp.st, sp.resolver, sp.mode, sp.workers)
 		if err != nil {
 			return nil, err
 		}
-		if row.VerdictHash != serial.VerdictHash {
-			return nil, fmt.Errorf("experiment: pipeline workers=%d verdict hash %s diverged from serial %s",
-				w, row.VerdictHash, serial.VerdictHash)
-		}
 		res.Rows = append(res.Rows, row)
 	}
+	if err := checkSinkRows(res.Rows); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// checkSinkRows enforces the determinism contract: every row verifies
+// and folds its stream exactly as the stream's first row did.
+func checkSinkRows(rows []SinkBenchRow) error {
+	first := map[string]SinkBenchRow{}
+	for _, row := range rows {
+		ref, ok := first[row.Stream]
+		if !ok {
+			first[row.Stream] = row
+			continue
+		}
+		if row.VerdictHash != ref.VerdictHash {
+			return fmt.Errorf("experiment: %s %s/%s/w%d verdict hash %s diverged from %s/%s %s",
+				row.Stream, row.Resolver, row.Mode, row.Workers, row.VerdictHash, ref.Resolver, ref.Mode, ref.VerdictHash)
+		}
+		for _, name := range []string{"sink.verify.marks_verified", "sink.verify.stops"} {
+			if row.Counters[name] != ref.Counters[name] {
+				return fmt.Errorf("experiment: %s %s/%s/w%d %s = %v diverged from %s/%s's %v",
+					row.Stream, row.Resolver, row.Mode, row.Workers, name, row.Counters[name], ref.Resolver, ref.Mode, ref.Counters[name])
+			}
+		}
+	}
+	return nil
 }
 
 // macBench times the per-call HMAC path against the precomputed schedule
@@ -194,129 +271,202 @@ func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 	return r
 }
 
-// tableBench times one full anonymous-ID table build — the
-// ExhaustiveResolver's per-report cost over every node — cold versus
-// through a warm schedule cache.
-func tableBench(keys *mac.KeyStore, topo *topology.Network, builds int) TableBenchResult {
-	nodes := topo.Nodes()
-	report := packet.Report{Event: 0xC0DE, Location: 1, Seq: 1}
-	hasher := keys.Hasher()
-	for _, id := range nodes {
-		hasher.Schedule(id) // warm the cache outside the timed region
-	}
-
-	timeBuilds := func(build func()) float64 {
-		//pnmlint:allow wallclock macro-benchmark reports real table-build latency
-		start := time.Now()
-		for i := 0; i < builds; i++ {
-			build()
-		}
-		//pnmlint:allow wallclock macro-benchmark reports real table-build latency
-		return float64(time.Since(start).Nanoseconds()) / float64(builds)
-	}
-	cold := timeBuilds(func() {
-		for _, id := range nodes {
-			mac.AnonID(keys.Key(id), report, id)
-		}
-	})
-	warm := timeBuilds(func() {
-		for _, id := range nodes {
-			hasher.AnonID(id, report)
-		}
-	})
-	r := TableBenchResult{Nodes: len(nodes), Builds: builds, ColdNsPerBuild: cold, WarmNsPerBuild: warm}
-	if warm > 0 {
-		r.Speedup = cold / warm
-	}
-	return r
+// benchStream is one replayable packet stream and the field it was
+// marked on.
+type benchStream struct {
+	name     string
+	topo     *topology.Network
+	keys     *mac.KeyStore
+	scheme   marking.PNM
+	cacheCap int
+	packets  int
+	batchLen int
+	src      packetSource
 }
 
-// resultHash digests a pass's per-packet Results and the verdict folded
-// from them.
-func resultHash(results []sink.Result, verdict sink.Verdict) string {
-	h := sha256.New()
-	for _, res := range results {
-		fmt.Fprintf(h, "%v|%v;", res.Stopped, res.Chain)
-	}
-	fmt.Fprintf(h, "verdict:%+v", verdict)
-	return hex.EncodeToString(h.Sum(nil))
+// packetSource yields a stream in batches. next returns the following n
+// packets, valid until the next call; reset rewinds to the first packet
+// so every row folds a byte-identical stream.
+type packetSource interface {
+	reset()
+	next(n int) []packet.Message
 }
 
-// observeFn abstracts one sink configuration for timing: it verifies and
-// folds the whole stream, appending a copy of every Result to out.
-type observeFn func(stream []packet.Message, out []sink.Result) []sink.Result
-
-// runSinkBenchPasses times a cold and a warm pass of observe over the
-// stream and assembles the row. The cold pass's results and verdict feed
-// the row's hash; the warm pass re-derives the per-packet results (they
-// are pure) and must hash identically.
-func runSinkBenchPasses(mode string, workers int, stream []packet.Message, reg *obs.Registry, tracker *sink.Tracker, observe observeFn) (SinkBenchRow, error) {
-	results := make([]sink.Result, 0, len(stream))
-
-	//pnmlint:allow wallclock macro-benchmark reports real verification latency
-	start := time.Now()
-	results = observe(stream, results)
-	//pnmlint:allow wallclock macro-benchmark reports real verification latency
-	cold := time.Since(start)
-	coldResults := resultHash(results, sink.Verdict{})
-	hash := resultHash(results, tracker.Verdict())
-
-	results = results[:0]
-	//pnmlint:allow wallclock macro-benchmark reports real verification latency
-	start = time.Now()
-	results = observe(stream, results)
-	//pnmlint:allow wallclock macro-benchmark reports real verification latency
-	warm := time.Since(start)
-	if got := resultHash(results, sink.Verdict{}); got != coldResults {
-		return SinkBenchRow{}, fmt.Errorf("experiment: %s warm pass results diverged from cold pass", mode)
-	}
-
-	return SinkBenchRow{
-		Mode:            mode,
-		Workers:         workers,
-		Packets:         len(stream),
-		ColdNsPerPacket: float64(cold.Nanoseconds()) / float64(len(stream)),
-		WarmNsPerPacket: float64(warm.Nanoseconds()) / float64(len(stream)),
-		VerdictHash:     hash,
-		TableBuilds:     reg.Counter("sink.resolver.table_builds").Value(),
-		ScheduleHits:    reg.Counter("mac.schedule.hits").Value(),
-		ScheduleMisses:  reg.Counter("mac.schedule.misses").Value(),
-		MarksVerified:   reg.Counter("sink.verify.marks_verified").Value(),
-		Stops:           reg.Counter("sink.verify.stops").Value(),
-	}, nil
+// replay is a packetSource over a pre-built stream.
+type replay struct {
+	msgs []packet.Message
+	off  int
 }
 
-// runSinkBenchSerial measures the serial tracker: a cold pass building
-// schedules and tables on the fly, then a warm pass over the same
-// verifier chain (fresh tracker, warm caches).
-func runSinkBenchSerial(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, stream []packet.Message) (SinkBenchRow, error) {
-	v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(),
-		sink.NewExhaustiveResolverCache(keys, topo.Nodes(), 1))
+func (r *replay) reset() { r.off = 0 }
+
+func (r *replay) next(n int) []packet.Message {
+	b := r.msgs[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+// newInterleavedStream pre-marks every (source, report) packet from the
+// cfg.Sources deepest nodes, whose depth spread keeps the topology
+// resolver's searches non-trivial, and interleaves retransmissions
+// round-robin across sources, the delivery order a sink sees under
+// concurrent reporting.
+func newInterleavedStream(cfg InterleavedConfig) (*benchStream, error) {
+	if cfg.Sources < 1 || cfg.Reports < 1 || cfg.Repeats < 1 {
+		return nil, fmt.Errorf("experiment: sources, reports and repeats must be positive")
+	}
+	topo, err := geometricOfSize(cfg.Nodes, cfg.Seed)
 	if err != nil {
-		return SinkBenchRow{}, err
+		return nil, err
 	}
-	reg := obs.New()
-	if ins, ok := v.(sink.Instrumentable); ok {
-		ins.Instrument(reg)
+	keys := mac.NewKeyStore([]byte("resolver-bench"))
+	sources, scheme, err := deepestSources(topo, cfg.Sources)
+	if err != nil {
+		return nil, err
 	}
-	tracker := sink.NewTracker(v, topo)
-	observe := func(stream []packet.Message, out []sink.Result) []sink.Result {
-		for _, m := range stream {
-			res := tracker.Observe(m)
-			out = append(out, sink.Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)})
+	rng := rand.New(rand.NewSource(cfg.Seed))
+
+	// msgs[s][r] is source s's packet for its r-th report.
+	msgs := make([][]packet.Message, len(sources))
+	for si, src := range sources {
+		msgs[si] = make([]packet.Message, cfg.Reports)
+		for r := 0; r < cfg.Reports; r++ {
+			msg := packet.Message{Report: packet.Report{
+				Event: uint32(src), Location: uint32(si), Seq: uint32(r + 1),
+			}}
+			for _, hop := range topo.Forwarders(src) {
+				msg = scheme.Mark(hop, keys.Key(hop), msg, rng)
+			}
+			msgs[si][r] = msg
 		}
-		return out
 	}
-	return runSinkBenchPasses("serial", 1, stream, reg, tracker, observe)
+
+	// Round-robin across sources: within one repeat sweep every source
+	// delivers once, so consecutive packets carry different reports and a
+	// capacity-1 table cache misses on each one, while any cache holding
+	// the cfg.Sources live reports hits after the first sweep.
+	var stream []packet.Message
+	for r := 0; r < cfg.Reports; r++ {
+		for rep := 0; rep < cfg.Repeats; rep++ {
+			for si := range sources {
+				stream = append(stream, msgs[si][r])
+			}
+		}
+	}
+	return &benchStream{name: "interleaved", topo: topo, keys: keys, scheme: scheme, cacheCap: cfg.CacheCapacity,
+		packets: len(stream), batchLen: cfg.BatchLen, src: &replay{msgs: stream}}, nil
 }
 
-// runSinkBenchPipeline measures the pipeline at one worker count, batched
-// the way the netsim sink loop batches.
-func runSinkBenchPipeline(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, stream []packet.Message, workers, batchLen int) (SinkBenchRow, error) {
-	reg := obs.New()
+// newKeyedStream builds the keyed-source field and its generator.
+func newKeyedStream(cfg KeyedConfig) (*benchStream, error) {
+	topo, err := geometricOfSize(cfg.Nodes, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	keys := mac.NewKeyStore([]byte("scale-bench"))
+	hosts, scheme, err := deepestSources(topo, cfg.Hosts)
+	if err != nil {
+		return nil, err
+	}
+	paths := make([][]packet.NodeID, len(hosts))
+	for i, h := range hosts {
+		paths[i] = topo.Forwarders(h)
+	}
+	gen := &keyedGen{
+		scheme: scheme, hasher: keys.Hasher(), seed: cfg.Seed,
+		hosts: hosts, paths: paths, buf: make([]packet.Message, cfg.BatchLen),
+	}
+	return &benchStream{name: "keyed", topo: topo, keys: keys, scheme: scheme,
+		packets: cfg.Sources, batchLen: cfg.BatchLen, src: gen}, nil
+}
+
+// deepestSources returns the n deepest nodes (a stable sort over the
+// deterministic Nodes() order) and the PNM scheme whose probability puts
+// three marks on the deepest one's path.
+func deepestSources(topo *topology.Network, n int) ([]packet.NodeID, marking.PNM, error) {
+	byDepth := append([]packet.NodeID(nil), topo.Nodes()...)
+	sort.SliceStable(byDepth, func(i, j int) bool {
+		return topo.Depth(byDepth[i]) > topo.Depth(byDepth[j])
+	})
+	if n < 1 || len(byDepth) < n {
+		return nil, marking.PNM{}, fmt.Errorf("experiment: %d nodes cannot host %d sources", len(byDepth), n)
+	}
+	maxHops := topo.Depth(byDepth[0]) - 1
+	if maxHops < 1 {
+		return nil, marking.PNM{}, fmt.Errorf("experiment: degenerate topology at size %d", len(byDepth))
+	}
+	return byDepth[:n], marking.PNM{P: analytic.ProbabilityForMarks(maxHops, 3)}, nil
+}
+
+// keyedGen deterministically generates the keyed-source stream: source
+// i hosts on the (i mod Hosts)-th deepest node and emits one packet with
+// a stream-unique Event, marked along the host's real forwarding path.
+// reset rewinds to source 0 with the marking RNG reseeded.
+type keyedGen struct {
+	scheme marking.PNM
+	hasher *mac.Hasher
+	macBuf []byte
+	seed   int64
+	hosts  []packet.NodeID
+	paths  [][]packet.NodeID
+	rng    *rand.Rand
+	pos    int
+	buf    []packet.Message
+}
+
+func (g *keyedGen) reset() {
+	g.rng = rand.New(rand.NewSource(g.seed))
+	g.pos = 0
+}
+
+// next generates the stream's next n packets into the generator's
+// buffer, overwriting the previous batch in place: each slot's mark
+// storage is reused, so steady-state generation allocates nothing.
+// Marking runs on cached key schedules through MarkSched, which is
+// byte-identical to Scheme.Mark.
+func (g *keyedGen) next(n int) []packet.Message {
+	batch := g.buf[:n]
+	for k := range batch {
+		i := g.pos
+		g.pos++
+		h := i % len(g.hosts)
+		m := &batch[k]
+		m.Report = packet.Report{
+			Event: uint32(i + 1), Location: uint32(g.hosts[h]), Seq: 1,
+		}
+		m.Marks = m.Marks[:0]
+		for _, hop := range g.paths[h] {
+			g.macBuf = g.scheme.MarkSched(g.hasher.Schedule(hop), g.macBuf, m, hop, g.rng)
+		}
+	}
+	return batch
+}
+
+// benchSink adapts one sink configuration to the row runner. observe
+// folds a batch and returns Results valid until the next observe call.
+type benchSink struct {
+	tracker *sink.Tracker
+	observe func(batch []packet.Message) []sink.Result
+	close   func()
+}
+
+// newSink builds a sink over st with the named resolver, every verifier
+// instrumented into reg: the serial tracker in "serial" mode, the
+// pipeline at the given width otherwise. The factory is safe to call from
+// the pipeline's worker goroutines: the registry is concurrent and each
+// verifier is factory-owned.
+func (st *benchStream) newSink(resolver, mode string, workers int, reg *obs.Registry) benchSink {
 	factory := func() sink.Verifier {
-		v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(),
-			sink.NewExhaustiveResolverCache(keys, topo.Nodes(), 1))
+		var r sink.Resolver
+		switch resolver {
+		case "exhaustive-single":
+			r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), 1)
+		case "exhaustive-lru":
+			r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), st.cacheCap)
+		default:
+			r = sink.NewTopologyResolver(st.keys, st.topo)
+		}
+		v, err := sink.NewVerifier(st.scheme, st.keys, st.topo.NumNodes(), r)
 		if err != nil {
 			panic(err)
 		}
@@ -325,32 +475,111 @@ func runSinkBenchPipeline(scheme marking.Scheme, keys *mac.KeyStore, topo *topol
 		}
 		return v
 	}
-	serialV, err := sink.NewVerifier(scheme, keys, topo.NumNodes(),
-		sink.NewExhaustiveResolverCache(keys, topo.Nodes(), 1))
-	if err != nil {
-		return SinkBenchRow{}, err
-	}
-	tracker := sink.NewTracker(serialV, topo)
-	pipe := sink.NewPipeline(workers, factory, tracker)
-	defer pipe.Close()
-	pipe.Instrument(reg)
-	observe := func(stream []packet.Message, out []sink.Result) []sink.Result {
-		for lo := 0; lo < len(stream); lo += batchLen {
-			hi := min(lo+batchLen, len(stream))
-			for _, res := range pipe.Observe(stream[lo:hi], nil) {
-				out = append(out, sink.Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)})
-			}
+	v := factory()
+	tracker := sink.NewTracker(v, st.topo)
+	tracker.Instrument(reg)
+	if mode == "pipeline" {
+		pipe := sink.NewPipeline(workers, factory, tracker)
+		pipe.Instrument(reg)
+		return benchSink{
+			tracker: tracker,
+			observe: func(batch []packet.Message) []sink.Result { return pipe.Observe(batch, nil) },
+			close:   pipe.Close,
 		}
-		return out
 	}
-	return runSinkBenchPasses("pipeline", workers, stream, reg, tracker, observe)
+	resBuf := make([]sink.Result, 0, st.batchLen)
+	return benchSink{
+		tracker: tracker,
+		observe: func(batch []packet.Message) []sink.Result {
+			// One reset per batch, then verify and fold per packet: the
+			// caller reads the whole batch's Results together, which a
+			// per-packet Observe would recycle under it.
+			resBuf = resBuf[:0]
+			tracker.ResetVerifyScratch()
+			for _, m := range batch {
+				res := sink.VerifyAtEpoch(v, m, 0)
+				tracker.Fold(res)
+				resBuf = append(resBuf, res)
+			}
+			return resBuf
+		},
+		close: func() {},
+	}
 }
 
-// RenderSinkBench serializes the result as the committed JSON document.
-func RenderSinkBench(res *SinkBenchResult) (string, error) {
-	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return "", err
+// runSinkRow measures one row. Pass 1 folds the full stream untimed,
+// hashing every Result and the verdict and keeping the registry's
+// counters. Pass 2 rebuilds the sink from scratch and times the observe
+// region with MemStats brackets, the first batch excluded as warmup
+// (schedule caches, tables, arenas and pipeline scratch fill there).
+func runSinkRow(st *benchStream, resolver, mode string, workers int) (SinkBenchRow, error) {
+	reg := obs.New()
+	s := st.newSink(resolver, mode, workers, reg)
+	digest := sha256.New()
+	st.src.reset()
+	for fed := 0; fed < st.packets; {
+		batch := st.src.next(min(st.batchLen, st.packets-fed))
+		hashResults(digest, s.observe(batch))
+		fed += len(batch)
 	}
-	return string(out) + "\n", nil
+	s.close()
+	if got := s.tracker.Packets(); got != st.packets {
+		return SinkBenchRow{}, fmt.Errorf("experiment: %s %s/%s/w%d folded %d of %d packets",
+			st.name, resolver, mode, workers, got, st.packets)
+	}
+	row := SinkBenchRow{
+		Stream: st.name, Resolver: resolver, Mode: mode, Workers: workers,
+		Packets:     st.packets,
+		VerdictHash: finishHash(digest, s.tracker.Verdict()),
+		Counters:    reg.Map(),
+	}
+
+	// Pass 2: fresh sink, measured. The MemStats brackets sit outside the
+	// timer, so their stop-the-world reads never inflate NsPerPacket, and
+	// generation never shows up in the allocation columns.
+	s = st.newSink(resolver, mode, workers, obs.New())
+	defer s.close()
+	st.src.reset()
+	var spent time.Duration
+	var mallocs, bytes uint64
+	var m0, m1 runtime.MemStats
+	measured := 0
+	s.observe(st.src.next(st.batchLen))
+	for fed := st.batchLen; fed < st.packets; {
+		batch := st.src.next(min(st.batchLen, st.packets-fed))
+		runtime.ReadMemStats(&m0)
+		//pnmlint:allow wallclock macro-benchmark reports real fold latency
+		start := time.Now()
+		s.observe(batch)
+		//pnmlint:allow wallclock macro-benchmark reports real fold latency
+		spent += time.Since(start)
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		measured += len(batch)
+		fed += len(batch)
+	}
+	row.NsPerPacket = float64(spent.Nanoseconds()) / float64(measured)
+	row.BytesPerPacket = float64(bytes) / float64(measured)
+	row.AllocsPerPacket = float64(mallocs) / float64(measured)
+	return row, nil
+}
+
+// hashResults streams a batch of Results into a row digest, in stream
+// order.
+func hashResults(h hash.Hash, results []sink.Result) {
+	for _, res := range results {
+		fmt.Fprintf(h, "%v|%v;", res.Stopped, res.Chain)
+	}
+}
+
+// finishHash closes a row digest with the final verdict.
+func finishHash(h hash.Hash, verdict sink.Verdict) string {
+	fmt.Fprintf(h, "verdict:%+v", verdict)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// verdictDigest hashes a verdict alone (no per-packet results).
+func verdictDigest(v sink.Verdict) string {
+	return finishHash(sha256.New(), v)
 }
