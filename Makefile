@@ -42,8 +42,8 @@ bench:
 
 # Regenerate the committed sink-cost document: the MAC engine
 # micro-benchmark, the three resolvers on the interleaved stream, and the
-# serial tracker and pipeline workers (W1-W8) on the keyed stream, with
-# allocation columns and every sink counter per row. Verdict hashes and
+# topology resolver on the keyed stream, with allocation columns and
+# every sink counter per row. Verdict hashes and
 # verdict-visible counters are deterministic and checked within each
 # stream at generation time; timings vary with the machine - read them
 # against the recorded gomaxprocs.
@@ -75,8 +75,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 
-# Live-server soak: pnmload-style replay into a pipelined ingest server
-# over real sockets while a chaos plan crashes and restores the sink from
+# Live-server soak: pnmload-style replay into the ingest server over real
+# sockets while a chaos plan crashes and restores the sink from
 # its PNM2 checkpoint, all under the race detector.
 soak:
 	$(GO) test -race -run 'TestLoopbackSoak' -count 1 ./internal/transport

@@ -243,7 +243,7 @@ func benchInterleaved(b *testing.B, capacity int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Round-robin across sources: every packet switches reports.
-		v.Verify(msgs[i%len(msgs)])
+		v.Verify(msgs[i%len(msgs)], 0)
 	}
 }
 
@@ -271,7 +271,7 @@ func BenchmarkSinkVerifyPNM(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Verify(msgs[i%len(msgs)])
+		v.Verify(msgs[i%len(msgs)], 0)
 	}
 }
 
@@ -301,7 +301,7 @@ func benchResolve(b *testing.B, topoResolver bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Verify(msgs[i%len(msgs)])
+		v.Verify(msgs[i%len(msgs)], 0)
 	}
 }
 

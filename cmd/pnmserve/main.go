@@ -1,6 +1,6 @@
 // Command pnmserve is the networked sink: it listens for framed marked
 // reports on real TCP (and optionally UDP) sockets, verifies them
-// through the sink pipeline, and prints the traceback verdict — the
+// on the sink goroutine, and prints the traceback verdict — the
 // in-process simulator's sink turned into a service.
 //
 // Usage:
@@ -16,13 +16,13 @@
 // them against the live server: the tracker checkpoints (PNM2), goes
 // down — arrivals are dropped and counted — and restores mid-stream.
 // -queue selects the ingest overflow policy (block, drop-newest,
-// drop-oldest); -workers sizes the verification pipeline (verdicts are
-// byte-identical at any worker count). -stats dumps the obs registry
-// (transport.*, sink.*) to stderr at exit; -debug ADDR additionally
-// serves pprof and expvar.
+// drop-oldest). -packets 0 serves until SIGINT or SIGTERM, then prints
+// the verdict. -stats dumps the obs registry (transport.*, sink.*) to
+// stderr at exit; -debug ADDR additionally serves pprof and expvar.
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -31,8 +31,10 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pnm/internal/loadgen"
@@ -43,7 +45,9 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "pnmserve:", err)
 		os.Exit(1)
 	}
@@ -97,8 +101,27 @@ func chaosFromFaultPlan(plan *netsim.FaultPlan) *transport.ChaosPlan {
 	return out
 }
 
-// run executes the server.
-func run(args []string, w io.Writer) (err error) {
+// wait blocks until srv has delivered packets reports, or, when packets
+// is 0, until ctx is cancelled. A cancellation or the timeout cuts a
+// positive wait short with an error.
+func wait(ctx context.Context, srv *transport.Server, packets int, timeout time.Duration) error {
+	if packets <= 0 {
+		<-ctx.Done()
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.WaitDelivered(packets, timeout) }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return fmt.Errorf("interrupted after %d of %d deliveries", srv.Delivered(), packets)
+	}
+}
+
+// run executes the server until it has delivered -packets reports or,
+// with -packets 0, until ctx is cancelled.
+func run(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("pnmserve", flag.ContinueOnError)
 	var (
 		listen     = fs.String("listen", "127.0.0.1:7101", "TCP listen address (:0 picks a port)")
@@ -108,7 +131,6 @@ func run(args []string, w io.Writer) (err error) {
 		radioRange = fs.Float64("range", 1.3, "scenario: radio range")
 		seed       = fs.Int64("seed", 1, "scenario: RNG seed")
 		packets    = fs.Int("packets", 400, "exit after this many ingested reports (0 = until killed)")
-		workers    = fs.Int("workers", 1, "sink verification pipeline workers (<=1 serial)")
 		queueFlag  = fs.String("queue", "block", "ingest overflow policy: block, drop-newest, drop-oldest")
 		depth      = fs.Int("queue-depth", 256, "ingest queue depth")
 		maxFrame   = fs.Int("max-frame", transport.DefaultMaxFrameBytes, "max frame payload bytes accepted from a peer")
@@ -160,7 +182,6 @@ func run(args []string, w io.Writer) (err error) {
 	srv, err := transport.Listen(*listen, *udpAddr, transport.Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
-		Workers:     *workers,
 		QueueDepth:  *depth,
 		Policy:      policy,
 		Limits:      transport.Limits{MaxFrameBytes: *maxFrame, MaxMarks: *maxMarks},
@@ -176,17 +197,11 @@ func run(args []string, w io.Writer) (err error) {
 	if u := srv.UDPAddr(); u != nil {
 		fmt.Fprintf(w, " (udp %s)", u)
 	}
-	fmt.Fprintf(w, "\nscenario: %d nodes, mole %v at %d hops, policy %s, %d workers\n",
-		sc.Topo.NumNodes(), sc.Mole, sc.Hops, policy, *workers)
+	fmt.Fprintf(w, "\nscenario: %d nodes, mole %v at %d hops, policy %s\n",
+		sc.Topo.NumNodes(), sc.Mole, sc.Hops, policy)
 
-	if *packets > 0 {
-		if err := srv.WaitDelivered(*packets, *timeout); err != nil {
-			return err
-		}
-	} else {
-		// Run until the process is killed; WaitDelivered can never
-		// satisfy a want beyond all traffic, so park on a huge target.
-		srv.WaitDelivered(int(^uint(0)>>1), *timeout)
+	if err := wait(ctx, srv, *packets, *timeout); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "delivered %d\n", srv.Delivered())
 	fmt.Fprintln(w, loadgen.FormatVerdict(srv.Verdict()))

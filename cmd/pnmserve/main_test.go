@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"pnm/internal/loadgen"
+	"pnm/internal/sink"
 	"pnm/internal/transport"
 )
 
@@ -57,7 +59,7 @@ func TestServeLoopback(t *testing.T) {
 	args := []string{
 		"-listen", "127.0.0.1:0",
 		"-nodes", "80", "-side", "5", "-range", "1.4", "-seed", "3",
-		"-packets", "150", "-workers", "2", "-timeout", "20s",
+		"-packets", "150", "-timeout", "20s",
 	}
 	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.4, Seed: 3})
 	if err != nil {
@@ -67,7 +69,7 @@ func TestServeLoopback(t *testing.T) {
 
 	out := &syncBuffer{}
 	done := make(chan error, 1)
-	go func() { done <- run(args, out) }()
+	go func() { done <- run(context.Background(), args, out) }()
 
 	cl, err := transport.Dial(listenAddr(t, out))
 	if err != nil {
@@ -98,15 +100,53 @@ func TestServeLoopback(t *testing.T) {
 	}
 }
 
+// TestServeUntilCancelled checks that -packets 0 serves past -timeout
+// and, once its context is cancelled, prints the delivered count and the
+// verdict and exits cleanly.
+func TestServeUntilCancelled(t *testing.T) {
+	args := []string{
+		"-listen", "127.0.0.1:0",
+		"-nodes", "80", "-side", "5", "-range", "1.4", "-seed", "3",
+		"-packets", "0", "-timeout", "100ms",
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, out) }()
+	listenAddr(t, out)
+
+	select {
+	case err := <-done:
+		t.Fatalf("run returned before cancellation: %v\noutput:\n%s", err, out.String())
+	case <-time.After(time.Second):
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run ignored cancellation; output:\n%s", out.String())
+	}
+	for _, want := range []string{"delivered 0\n", loadgen.FormatVerdict(sink.Verdict{})} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestServeBadFlags covers flag validation paths.
 func TestServeBadFlags(t *testing.T) {
-	if err := run([]string{"-queue", "bogus"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad -queue accepted")
-	}
-	if err := run([]string{"-chaos", "-packets", "0"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("-chaos without -packets accepted")
-	}
-	if err := run([]string{"-nodes", "0"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("empty scenario accepted")
+	for _, args := range [][]string{
+		{"-queue", "bogus"},
+		{"-chaos", "-packets", "0"}, // chaos milestones need a packet count
+		{"-nodes", "0"},             // empty scenario
+		{"-workers", "2"},           // no such flag
+	} {
+		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
+			t.Fatalf("run(%q) accepted", args)
+		}
 	}
 }

@@ -150,10 +150,10 @@ func run(args []string, w io.Writer) error {
 		}
 		return nil
 	case "benchsink":
-		// The rows time the serial tracker under each resolver and the
-		// worker pipeline on the keyed stream; only the pipeline itself is
-		// concurrent. Verdict-hash equality within each stream is enforced
-		// at generation time.
+		// The rows time the tracker under each resolver on the
+		// interleaved stream and under the topology resolver on the keyed
+		// stream. Verdict-hash equality within each stream is enforced at
+		// generation time.
 		cfg := experiment.DefaultSinkBench()
 		if *seed != 0 {
 			cfg.Interleaved.Seed = *seed

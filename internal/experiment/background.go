@@ -143,7 +143,7 @@ func backgroundMode(cfg BackgroundConfig, mode string, triage bool) (BackgroundR
 			if triage && !classifier.Suspicious(out.Report.Location) {
 				continue
 			}
-			tracker.Observe(out)
+			tracker.Observe(out, 0)
 			tracked++
 		}
 	}

@@ -210,17 +210,17 @@ func runChurnPoint(cfg ChurnBenchConfig, base *topology.Network, moleID packet.N
 			}
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			t0 := time.Now()
-			res := tracker.ObserveAt(msg, cur)
+			res := tracker.Observe(msg, cur)
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			row.IncrementalNs += time.Since(t0).Nanoseconds()
-			sres := stale.ObserveAt(msg, 0)
+			sres := stale.Observe(msg, 0)
 			if res.Stopped != sres.Stopped || !reflect.DeepEqual(res.Chain, sres.Chain) {
 				row.StaleDivergence++
 				if sres.Stopped {
 					row.StaleStops++
 				}
 			}
-			rebuild.ObserveAt(msg, cur)
+			rebuild.Observe(msg, cur)
 			chainLog = append(chainLog, logEntry{msg: msg, at: cur})
 		}
 		if row.PacketsToCatch == 0 {
@@ -242,7 +242,7 @@ func runChurnPoint(cfg ChurnBenchConfig, base *topology.Network, moleID packet.N
 			//pnmlint:allow wallclock macro-benchmark reports real rebuild latency
 			t0 := time.Now()
 			for _, e := range chainLog {
-				rb.ObserveAt(e.msg, e.at)
+				rb.Observe(e.msg, e.at)
 			}
 			//pnmlint:allow wallclock macro-benchmark reports real rebuild latency
 			row.RebuildNs += time.Since(t0).Nanoseconds()

@@ -90,7 +90,7 @@ func Dynamics(cfg DynamicsConfig) ([]DynamicsRow, error) {
 				for i := 0; i < packets; i++ {
 					msg := src.Next(env, rng)
 					if out, ok := net.Deliver(moleID, msg, rng); ok {
-						tracker.Observe(out)
+						tracker.Observe(out, 0)
 					}
 				}
 			}

@@ -8,8 +8,9 @@ import (
 // BenchEnv records the runtime provenance a bench document was measured
 // under. Every committed BENCH_*.json embeds one, so a future regression
 // (or an implausible speedup) is attributable to hardware versus code:
-// a 1-core container's pipeline rows legitimately show no speedup, and
-// without GOMAXPROCS in the document that reads as a code regression.
+// a 1-core container's run-parallel experiments legitimately show no
+// speedup, and without GOMAXPROCS in the document that reads as a code
+// regression.
 type BenchEnv struct {
 	// GOMAXPROCS is the scheduler's parallelism bound at generation time
 	// — the honest ceiling on any measured multicore speedup.

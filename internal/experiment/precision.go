@@ -103,7 +103,7 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 			for i := 0; i < cfg.Packets; i++ {
 				msg := srcMole.Next(net.Env, rng)
 				if out, ok := net.Deliver(src, msg, rng); ok {
-					tracker.Observe(out)
+					tracker.Observe(out, 0)
 				}
 			}
 			v := tracker.Verdict()

@@ -138,7 +138,7 @@ func timeVerify(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Networ
 	//pnmlint:allow wallclock E7/E8 report real verification latency per packet
 	start := time.Now()
 	for _, m := range msgs {
-		v.Verify(m)
+		v.Verify(m, 0)
 	}
 	if len(msgs) == 0 {
 		return 0, nil

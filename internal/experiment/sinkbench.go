@@ -27,11 +27,9 @@ type SinkBenchConfig struct {
 	// Interleaved is the resolver stream, replayed through the serial
 	// tracker under each resolver.
 	Interleaved InterleavedConfig `json:"interleaved"`
-	// Keyed is the keyed-source stream, folded by the serial tracker and
-	// by the pipeline at each Workers count.
+	// Keyed is the keyed-source stream, folded by the serial tracker
+	// under the topology resolver.
 	Keyed KeyedConfig `json:"keyed"`
-	// Workers lists the pipeline widths measured on the keyed stream.
-	Workers []int `json:"workers"`
 	// MacIters sizes the mac micro-benchmark loops.
 	MacIters int `json:"mac_iters"`
 }
@@ -85,7 +83,6 @@ func DefaultSinkBench() SinkBenchConfig {
 			CacheCapacity: sink.DefaultTableCacheSize, BatchLen: 64,
 		},
 		Keyed:    KeyedConfig{Nodes: 2048, Hosts: 64, Sources: 100_000, BatchLen: 1024, Seed: 17},
-		Workers:  []int{1, 2, 4, 8},
 		MacIters: 4096,
 	}
 }
@@ -120,10 +117,6 @@ type SinkBenchRow struct {
 	Stream string `json:"stream"`
 	// Resolver is exhaustive-single, exhaustive-lru or topology.
 	Resolver string `json:"resolver"`
-	// Mode is "serial" or "pipeline".
-	Mode string `json:"mode"`
-	// Workers is the pipeline worker count (1 on serial rows).
-	Workers int `json:"workers"`
 	// Packets is the stream length the sink folded.
 	Packets int `json:"packets"`
 	// NsPerPacket is mean observe wall time per packet over the measured
@@ -152,12 +145,11 @@ type SinkBenchResult struct {
 }
 
 // SinkBench runs the mac micro-benchmark, then measures the interleaved
-// stream under each resolver and the keyed stream serially and at each
-// pipeline width. The rows report real wall time; the pipeline rows are
-// the only concurrency.
+// stream under each resolver and the keyed stream under the topology
+// resolver. The rows report real wall time.
 func SinkBench(cfg SinkBenchConfig) (*SinkBenchResult, error) {
-	if cfg.MacIters < 1 || len(cfg.Workers) == 0 {
-		return nil, fmt.Errorf("experiment: mac_iters and workers must be set")
+	if cfg.MacIters < 1 {
+		return nil, fmt.Errorf("experiment: mac_iters must be set")
 	}
 	// The row runner excludes the first batch as warmup, so each stream
 	// needs at least one more.
@@ -178,23 +170,17 @@ func SinkBench(cfg SinkBenchConfig) (*SinkBenchResult, error) {
 	res := &SinkBenchResult{Env: CaptureBenchEnv(true), Config: cfg}
 	res.Mac = macBench(il.keys, cfg.MacIters)
 
-	type rowSpec struct {
+	specs := []struct {
 		st       *benchStream
 		resolver string
-		mode     string
-		workers  int
-	}
-	specs := []rowSpec{
-		{il, "exhaustive-single", "serial", 1},
-		{il, "exhaustive-lru", "serial", 1},
-		{il, "topology", "serial", 1},
-		{keyed, "topology", "serial", 1},
-	}
-	for _, w := range cfg.Workers {
-		specs = append(specs, rowSpec{keyed, "topology", "pipeline", w})
+	}{
+		{il, "exhaustive-single"},
+		{il, "exhaustive-lru"},
+		{il, "topology"},
+		{keyed, "topology"},
 	}
 	for _, sp := range specs {
-		row, err := runSinkRow(sp.st, sp.resolver, sp.mode, sp.workers)
+		row, err := runSinkRow(sp.st, sp.resolver)
 		if err != nil {
 			return nil, err
 		}
@@ -217,13 +203,13 @@ func checkSinkRows(rows []SinkBenchRow) error {
 			continue
 		}
 		if row.VerdictHash != ref.VerdictHash {
-			return fmt.Errorf("experiment: %s %s/%s/w%d verdict hash %s diverged from %s/%s %s",
-				row.Stream, row.Resolver, row.Mode, row.Workers, row.VerdictHash, ref.Resolver, ref.Mode, ref.VerdictHash)
+			return fmt.Errorf("experiment: %s %s verdict hash %s diverged from %s's %s",
+				row.Stream, row.Resolver, row.VerdictHash, ref.Resolver, ref.VerdictHash)
 		}
 		for _, name := range []string{"sink.verify.marks_verified", "sink.verify.stops"} {
 			if row.Counters[name] != ref.Counters[name] {
-				return fmt.Errorf("experiment: %s %s/%s/w%d %s = %v diverged from %s/%s's %v",
-					row.Stream, row.Resolver, row.Mode, row.Workers, name, row.Counters[name], ref.Resolver, ref.Mode, ref.Counters[name])
+				return fmt.Errorf("experiment: %s %s %s = %v diverged from %s's %v",
+					row.Stream, row.Resolver, name, row.Counters[name], ref.Resolver, ref.Counters[name])
 			}
 		}
 	}
@@ -442,79 +428,59 @@ func (g *keyedGen) next(n int) []packet.Message {
 	return batch
 }
 
-// benchSink adapts one sink configuration to the row runner. observe
-// folds a batch and returns Results valid until the next observe call.
+// benchSink is one sink configuration under the row runner: a tracker
+// over an instrumented verifier chain.
 type benchSink struct {
 	tracker *sink.Tracker
-	observe func(batch []packet.Message) []sink.Result
-	close   func()
+	v       sink.Verifier
+	results []sink.Result
 }
 
-// newSink builds a sink over st with the named resolver, every verifier
-// instrumented into reg: the serial tracker in "serial" mode, the
-// pipeline at the given width otherwise. The factory is safe to call from
-// the pipeline's worker goroutines: the registry is concurrent and each
-// verifier is factory-owned.
-func (st *benchStream) newSink(resolver, mode string, workers int, reg *obs.Registry) benchSink {
-	factory := func() sink.Verifier {
-		var r sink.Resolver
-		switch resolver {
-		case "exhaustive-single":
-			r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), 1)
-		case "exhaustive-lru":
-			r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), st.cacheCap)
-		default:
-			r = sink.NewTopologyResolver(st.keys, st.topo)
-		}
-		v, err := sink.NewVerifier(st.scheme, st.keys, st.topo.NumNodes(), r)
-		if err != nil {
-			panic(err)
-		}
-		if ins, ok := v.(sink.Instrumentable); ok {
-			ins.Instrument(reg)
-		}
-		return v
+// newSink builds a sink over st with the named resolver, its whole chain
+// instrumented into reg.
+func (st *benchStream) newSink(resolver string, reg *obs.Registry) *benchSink {
+	var r sink.Resolver
+	switch resolver {
+	case "exhaustive-single":
+		r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), 1)
+	case "exhaustive-lru":
+		r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), st.cacheCap)
+	default:
+		r = sink.NewTopologyResolver(st.keys, st.topo)
 	}
-	v := factory()
+	v, err := sink.NewVerifier(st.scheme, st.keys, st.topo.NumNodes(), r)
+	if err != nil {
+		panic(err)
+	}
 	tracker := sink.NewTracker(v, st.topo)
-	tracker.Instrument(reg)
-	if mode == "pipeline" {
-		pipe := sink.NewPipeline(workers, factory, tracker)
-		pipe.Instrument(reg)
-		return benchSink{
-			tracker: tracker,
-			observe: func(batch []packet.Message) []sink.Result { return pipe.Observe(batch, nil) },
-			close:   pipe.Close,
-		}
+	tracker.Instrument(reg) // binds the verifier and resolver too
+	return &benchSink{tracker: tracker, v: v, results: make([]sink.Result, 0, st.batchLen)}
+}
+
+// observe verifies and folds a batch and returns its Results, valid
+// until the next call. It resets the chain arena once per batch, then
+// verifies and folds per packet: the caller reads the whole batch's
+// Results together, which a per-packet Tracker.Observe would recycle
+// under it.
+func (b *benchSink) observe(batch []packet.Message) []sink.Result {
+	b.results = b.results[:0]
+	b.tracker.ResetVerifyScratch()
+	for _, m := range batch {
+		res := b.v.Verify(m, 0)
+		b.tracker.Fold(res)
+		b.results = append(b.results, res)
 	}
-	resBuf := make([]sink.Result, 0, st.batchLen)
-	return benchSink{
-		tracker: tracker,
-		observe: func(batch []packet.Message) []sink.Result {
-			// One reset per batch, then verify and fold per packet: the
-			// caller reads the whole batch's Results together, which a
-			// per-packet Observe would recycle under it.
-			resBuf = resBuf[:0]
-			tracker.ResetVerifyScratch()
-			for _, m := range batch {
-				res := sink.VerifyAtEpoch(v, m, 0)
-				tracker.Fold(res)
-				resBuf = append(resBuf, res)
-			}
-			return resBuf
-		},
-		close: func() {},
-	}
+	return b.results
 }
 
 // runSinkRow measures one row. Pass 1 folds the full stream untimed,
 // hashing every Result and the verdict and keeping the registry's
 // counters. Pass 2 rebuilds the sink from scratch and times the observe
 // region with MemStats brackets, the first batch excluded as warmup
-// (schedule caches, tables, arenas and pipeline scratch fill there).
-func runSinkRow(st *benchStream, resolver, mode string, workers int) (SinkBenchRow, error) {
+// (schedule caches, tables and arenas fill there).
+func runSinkRow(st *benchStream, resolver string) (SinkBenchRow, error) {
 	reg := obs.New()
-	s := st.newSink(resolver, mode, workers, reg)
+	s := st.newSink(resolver, reg)
 	digest := sha256.New()
 	st.src.reset()
 	for fed := 0; fed < st.packets; {
@@ -522,13 +488,12 @@ func runSinkRow(st *benchStream, resolver, mode string, workers int) (SinkBenchR
 		hashResults(digest, s.observe(batch))
 		fed += len(batch)
 	}
-	s.close()
 	if got := s.tracker.Packets(); got != st.packets {
-		return SinkBenchRow{}, fmt.Errorf("experiment: %s %s/%s/w%d folded %d of %d packets",
-			st.name, resolver, mode, workers, got, st.packets)
+		return SinkBenchRow{}, fmt.Errorf("experiment: %s %s folded %d of %d packets",
+			st.name, resolver, got, st.packets)
 	}
 	row := SinkBenchRow{
-		Stream: st.name, Resolver: resolver, Mode: mode, Workers: workers,
+		Stream: st.name, Resolver: resolver,
 		Packets:     st.packets,
 		VerdictHash: finishHash(digest, s.tracker.Verdict()),
 		Counters:    reg.Map(),
@@ -537,8 +502,7 @@ func runSinkRow(st *benchStream, resolver, mode string, workers int) (SinkBenchR
 	// Pass 2: fresh sink, measured. The MemStats brackets sit outside the
 	// timer, so their stop-the-world reads never inflate NsPerPacket, and
 	// generation never shows up in the allocation columns.
-	s = st.newSink(resolver, mode, workers, obs.New())
-	defer s.close()
+	s = st.newSink(resolver, obs.New())
 	st.src.reset()
 	var spent time.Duration
 	var mallocs, bytes uint64

@@ -16,7 +16,6 @@ func testSinkBenchConfig() SinkBenchConfig {
 			CacheCapacity: sink.DefaultTableCacheSize, BatchLen: 8,
 		},
 		Keyed:    KeyedConfig{Nodes: 96, Hosts: 8, Sources: 600, BatchLen: 64, Seed: 17},
-		Workers:  []int{1, 2},
 		MacIters: 256,
 	}
 }
@@ -32,8 +31,8 @@ func count(row SinkBenchRow, name string) uint64 {
 // checks its structural guarantees: the LRU removes the single-entry
 // cache's per-retransmission table rebuilds, the topology resolver
 // probes instead of building tables, every row on a stream verifies
-// identically (and the generator rejects one that does not), the serial
-// keyed path is allocation-free, the schedule paths are allocation-free
+// identically (and the generator rejects one that does not), the keyed
+// path is allocation-free, the schedule paths are allocation-free
 // and faster than cold HMAC, and the document is reproducible and
 // round-trips.
 func TestSinkBenchSmall(t *testing.T) {
@@ -42,7 +41,7 @@ func TestSinkBenchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 + 1 + len(cfg.Workers); len(res.Rows) != want {
+	if want := 3 + 1; len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	if res.Env.GOMAXPROCS != runtime.GOMAXPROCS(0) || res.Env.NumCPU != runtime.NumCPU() || !res.Env.Benchmem {
@@ -57,16 +56,16 @@ func TestSinkBenchSmall(t *testing.T) {
 			rows[row.Resolver] = row
 		}
 		if row.Packets != want {
-			t.Fatalf("%s %s/%s/w%d: packets = %d, want %d", row.Stream, row.Resolver, row.Mode, row.Workers, row.Packets, want)
+			t.Fatalf("%s %s: packets = %d, want %d", row.Stream, row.Resolver, row.Packets, want)
 		}
 		if row.NsPerPacket <= 0 || row.AllocsPerPacket < 0 || row.BytesPerPacket < 0 {
-			t.Fatalf("%s %s/%s/w%d: timing or alloc columns off: %+v", row.Stream, row.Resolver, row.Mode, row.Workers, row)
+			t.Fatalf("%s %s: timing or alloc columns off: %+v", row.Stream, row.Resolver, row)
 		}
 	}
 	single, lru, topo := rows["exhaustive-single"], rows["exhaustive-lru"], rows["topology"]
-	keyedSerial := res.Rows[3]
-	if keyedSerial.Stream != "keyed" || keyedSerial.Mode != "serial" {
-		t.Fatalf("row 3 is %s/%s, want the keyed serial row", keyedSerial.Stream, keyedSerial.Mode)
+	keyed := res.Rows[3]
+	if keyed.Stream != "keyed" {
+		t.Fatalf("row 3 is on the %s stream, want keyed", keyed.Stream)
 	}
 
 	// The LRU holds every live report, so it builds each marked report's
@@ -107,26 +106,26 @@ func TestSinkBenchSmall(t *testing.T) {
 		}
 		for _, name := range []string{"sink.verify.marks_verified", "sink.verify.stops"} {
 			if count(row, name) != count(ref, name) {
-				t.Fatalf("%s %s/%s/w%d: %s = %d, first row %d", row.Stream, row.Resolver, row.Mode, row.Workers,
+				t.Fatalf("%s %s: %s = %d, first row %d", row.Stream, row.Resolver,
 					name, count(row, name), count(ref, name))
 			}
 		}
 		if row.VerdictHash != ref.VerdictHash {
-			t.Fatalf("%s %s/%s/w%d: verdict hash %s, first row %s", row.Stream, row.Resolver, row.Mode, row.Workers,
+			t.Fatalf("%s %s: verdict hash %s, first row %s", row.Stream, row.Resolver,
 				row.VerdictHash, ref.VerdictHash)
 		}
 		bad := append([]SinkBenchRow(nil), res.Rows...)
 		bad[i].VerdictHash = "diverged"
 		if checkSinkRows(bad) == nil {
-			t.Fatalf("check accepted a diverged hash on %s %s/%s/w%d", row.Stream, row.Resolver, row.Mode, row.Workers)
+			t.Fatalf("check accepted a diverged hash on %s %s", row.Stream, row.Resolver)
 		}
 	}
 
-	// The serial verify path is the zero-copy claim's anchor: after the
+	// The keyed verify path is the zero-copy claim's anchor: after the
 	// warmup batch it runs allocation-free per packet (sub-1 means only
 	// stray background allocation, not per-packet work).
-	if keyedSerial.AllocsPerPacket >= 1 {
-		t.Fatalf("serial keyed path allocates %.2f allocs/packet at steady state, want < 1", keyedSerial.AllocsPerPacket)
+	if keyed.AllocsPerPacket >= 1 {
+		t.Fatalf("keyed path allocates %.2f allocs/packet at steady state, want < 1", keyed.AllocsPerPacket)
 	}
 	if res.Mac.SchedSumAllocs != 0 || res.Mac.SchedAnonAllocs != 0 {
 		t.Errorf("schedule paths allocate: Sum %.1f, AnonID %.1f allocs/op",

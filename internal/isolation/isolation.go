@@ -132,7 +132,7 @@ func (c *Campaign) Round(packets int) (sink.Verdict, error) {
 			if c.Manager.Blacklisted(lastHop(c.Net.Topo, s.ID)) {
 				continue // the sink refuses its blacklisted neighbor
 			}
-			tracker.Observe(out)
+			tracker.Observe(out, 0)
 			delivered++
 		}
 	}

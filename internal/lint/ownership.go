@@ -22,9 +22,9 @@ import (
 // goroutine's function literal (`own := NewTracker(...); own.Observe(m)`,
 // including selector/index chains like `wk.resolver.Resolve(...)` on a
 // local `wk`), and a receiver produced by a call made inside the literal
-// (`factory().Verify(m)` — the sink pipeline's worker-constructs-own-
-// instance pattern, where a factory closure invoked inside the worker
-// goroutine returns that worker's private chain).
+// (`factory().Verify(m)` — the worker-constructs-own-instance pattern,
+// where a factory closure invoked inside the worker goroutine returns
+// that worker's private chain).
 type Ownership struct{}
 
 // markerRx matches the single-goroutine marker in a doc-comment line.

@@ -63,9 +63,8 @@ func TestDeterministicPackagesExist(t *testing.T) {
 }
 
 // TestSingleGoroutineMarkersPresent asserts the sink package's ownership
-// contract is machine-readable: Tracker, Pipeline and both resolvers
-// carry the // pnmlint:single-goroutine marker the ownership analyzer
-// enforces.
+// contract is machine-readable: Tracker and both resolvers carry the
+// // pnmlint:single-goroutine marker the ownership analyzer enforces.
 func TestSingleGoroutineMarkersPresent(t *testing.T) {
 	prog, err := Load("../..", "./internal/sink")
 	if err != nil {
@@ -80,7 +79,6 @@ func TestSingleGoroutineMarkersPresent(t *testing.T) {
 		"pnm/internal/sink.Tracker",
 		"pnm/internal/sink.ExhaustiveResolver",
 		"pnm/internal/sink.TopologyResolver",
-		"pnm/internal/sink.Pipeline",
 	} {
 		if !names[want] {
 			var have []string
@@ -112,12 +110,10 @@ func TestServerGuardedFieldsPresent(t *testing.T) {
 	}
 	for field, mutex := range map[string]string{
 		"Server.tracker":     "mu",
-		"Server.pipe":        "mu",
 		"Server.down":        "mu",
 		"Server.ckpt":        "mu",
 		"Server.delivered":   "mu",
 		"Server.deliveredCh": "mu",
-		"Server.foldMsgs":    "mu",
 		"Server.conns":       "connMu",
 	} {
 		if got := byName[field]; got != mutex {
@@ -180,7 +176,6 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.verifyMark",
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",
-		"pnm/internal/sink.NestedVerifier.VerifyAt",
 		"pnm/internal/sink.NestedVerifier.publish",
 		"pnm/internal/sink.TopologyResolver.Resolve",
 		"pnm/internal/sink.TopologyResolver.hint",

@@ -3,12 +3,12 @@ package fixture
 import "sync"
 
 // newTally is the factory the worker patterns below call from inside
-// their goroutines, mirroring how sink.Pipeline workers build their
-// private verifier chains.
+// their goroutines, mirroring workers that build their own private
+// verifier chains.
 func newTally() *Tally { return &Tally{} }
 
-// worker bundles goroutine-local state behind a field, like the sink
-// pipeline's per-worker verifier chain.
+// worker bundles goroutine-local state behind a field, like a
+// per-worker verifier chain.
 type worker struct {
 	tally *Tally
 }

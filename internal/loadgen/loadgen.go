@@ -91,8 +91,8 @@ func New(cfg Config) (*Scenario, error) {
 
 // NewVerifier builds one verifier chain matching the scenario — the
 // topology-restricted resolver pnmlive uses. Each call returns a fresh
-// single-goroutine instance, so it serves as the factory a sink pipeline
-// or a crash-restore path needs.
+// single-goroutine instance, so it serves as the factory a server's sink
+// and its crash-restore path need.
 func (s *Scenario) NewVerifier() sink.Verifier {
 	r := sink.NewTopologyResolver(s.Keys, s.Topo)
 	v, err := sink.NewVerifier(s.Scheme, s.Keys, s.Topo.NumNodes(), r)
@@ -157,7 +157,7 @@ func (s *Scenario) Stream(n int) []packet.Message {
 func (s *Scenario) Verdict(n int) sink.Verdict {
 	tr := s.NewTracker()
 	for _, msg := range s.Stream(n) {
-		tr.Observe(msg)
+		tr.Observe(msg, 0)
 	}
 	return tr.Verdict()
 }

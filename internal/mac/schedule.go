@@ -363,11 +363,12 @@ func (s Schedule) hmac(prefix, suffix []byte) []byte {
 
 // Hasher is a goroutine-local table of per-node key schedules over a
 // KeyStore. The KeyStore itself is synchronized and shared freely; the
-// Hasher's one scratch is not, so each goroutine that verifies MACs (the
-// serial sink, each pipeline worker) holds its own Hasher. A local miss
-// fetches the node's shared pad-absorbed core from the store (built at
-// most once per node store-wide, whatever the worker count) and records a
-// pointer to it; Schedule pairs that core with the Hasher's scratch.
+// Hasher's one scratch is not, so each goroutine that verifies MACs (a
+// sink, each run of a run-parallel experiment) holds its own Hasher. A
+// local miss fetches the node's shared pad-absorbed core from the store
+// (built at most once per node store-wide, however many Hashers share
+// it) and records a pointer to it; Schedule pairs that core with the
+// Hasher's scratch.
 //
 // pnmlint:single-goroutine — the schedule table and the scratch are
 // unsynchronized; one goroutine owns a Hasher for its lifetime.

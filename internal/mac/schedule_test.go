@@ -211,10 +211,10 @@ func TestScheduleReuseIsStateless(t *testing.T) {
 	}
 }
 
-// TestScheduleZeroAllocs pins the zero-alloc claim the sink pipeline's
-// throughput rests on: after construction, neither Sum (whole or split
-// input) nor AnonID allocates, on a NewSchedule or through a warm
-// Hasher — the path every sink verifier and resolver takes.
+// TestScheduleZeroAllocs pins the zero-alloc claim the sink's throughput
+// rests on: after construction, neither Sum (whole or split input) nor
+// AnonID allocates, on a NewSchedule or through a warm Hasher — the path
+// every sink verifier and resolver takes.
 func TestScheduleZeroAllocs(t *testing.T) {
 	ks := NewKeyStore([]byte("schedule-allocs"))
 	s := NewSchedule(ks.Key(1))

@@ -378,7 +378,7 @@ func (n *Network) runSink(kill, done chan struct{}) {
 				continue
 			}
 			n.mu.Lock()
-			n.tracker.ObserveAt(tx.msg, tx.epoch)
+			n.tracker.Observe(tx.msg, tx.epoch)
 			n.delivered++
 			n.obsDelivered.Inc()
 			n.broadcastLocked()

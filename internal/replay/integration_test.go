@@ -60,7 +60,7 @@ func TestReplayAttackEndToEnd(t *testing.T) {
 	for _, hop := range []packet.NodeID{3, 2, 1} {
 		replayed = scheme.Mark(hop, keys.Key(hop), replayed, rng)
 	}
-	res := verifier.Verify(replayed)
+	res := verifier.Verify(replayed, 0)
 	if res.Stopped {
 		t.Fatal("replayed message should verify without defenses")
 	}

@@ -94,7 +94,7 @@ func TestNetNewTracker(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			msg, ok := net.Deliver(6, packet.Message{Report: packet.Report{Seq: uint32(i)}}, rng)
 			if ok {
-				tracker.Observe(msg)
+				tracker.Observe(msg, 0)
 			}
 		}
 		v := tracker.Verdict()
@@ -154,7 +154,7 @@ func TestTrackerCandidatesMultiSource(t *testing.T) {
 		for _, s := range srcs {
 			msg, ok := net.Deliver(s, packet.Message{Report: packet.Report{Location: uint32(s), Seq: uint32(i)}}, rng)
 			if ok {
-				tracker.Observe(msg)
+				tracker.Observe(msg, 0)
 			}
 		}
 	}

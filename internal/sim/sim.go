@@ -307,7 +307,7 @@ func (r *Runner) Step() (sink.Result, bool) {
 		inc.Apply(r.scheme, id, r.keys.Key(id), r.rng)
 	}
 	r.delivered++
-	return r.tracker.Observe(inc.Message()), true
+	return r.tracker.Observe(inc.Message(), 0), true
 }
 
 // Run executes packets steps and returns how many were delivered.

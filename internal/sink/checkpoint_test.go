@@ -114,7 +114,7 @@ func TestTrackerCheckpointResumesTraceback(t *testing.T) {
 			msg = scheme.Mark(id, testKS.Key(id), msg, rng)
 		}
 		for _, x := range tr {
-			x.Observe(msg)
+			x.Observe(msg, 0)
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -160,7 +160,7 @@ func TestTrackerCheckpointExactRoundTrip(t *testing.T) {
 		for _, id := range topo.Forwarders(9) {
 			msg = scheme.Mark(id, testKS.Key(id), msg, rng)
 		}
-		live.Observe(msg)
+		live.Observe(msg, 0)
 	}
 
 	blob := live.Checkpoint()

@@ -40,7 +40,7 @@ func TestAnonCollisionDisambiguatedByMAC(t *testing.T) {
 	// node 5's key verifies the MAC.
 	resolver := &stubResolver{candidates: []packet.NodeID{9, 7, 5}}
 	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 1 || res.Chain[0] != 5 {
 		t.Fatalf("result = %+v, want chain [V5]", res)
 	}
@@ -59,7 +59,7 @@ func TestAnonCollisionAllWrongRejects(t *testing.T) {
 
 	resolver := &stubResolver{candidates: []packet.NodeID{9, 7}}
 	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want rejection", res)
 	}
@@ -70,7 +70,7 @@ func TestAnonEmptyResolution(t *testing.T) {
 	resolver := &stubResolver{}
 	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
 	msg := packet.Message{Report: testReport(92), Marks: []packet.Mark{{Anonymous: true}}}
-	if res := v.Verify(msg); !res.Stopped || len(res.Chain) != 0 {
+	if res := v.Verify(msg, 0); !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want rejection", res)
 	}
 }
@@ -88,7 +88,7 @@ func TestDuplicateMarksFromOneNode(t *testing.T) {
 	msg = scheme.Mark(4, testKS.Key(4), msg, rng)
 
 	v := &NestedVerifier{keys: testKS, numNodes: 10}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 3 {
 		t.Fatalf("result = %+v, want all three marks", res)
 	}

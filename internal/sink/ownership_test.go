@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/mole"
 	"pnm/internal/packet"
@@ -28,6 +29,9 @@ func TestTrackerPerGoroutineOwnership(t *testing.T) {
 	scheme := marking.PNM{P: 0.3}
 	const n = 11
 	const goroutines = 2
+	// A fresh KeyStore, so the goroutines derive keys and build schedule
+	// cores in the shared store concurrently.
+	ks := mac.NewKeyStore([]byte(t.Name()))
 
 	run := func(seed int64) Verdict {
 		topo, err := topology.NewChain(n)
@@ -35,9 +39,9 @@ func TestTrackerPerGoroutineOwnership(t *testing.T) {
 			t.Error(err)
 			return Verdict{}
 		}
-		// Private resolver + verifier + tracker; only testKS is shared.
-		resolver := NewExhaustiveResolver(testKS, topo.Nodes())
-		v, err := NewVerifier(scheme, testKS, n, resolver)
+		// Private resolver + verifier + tracker; only ks is shared.
+		resolver := NewExhaustiveResolver(ks, topo.Nodes())
+		v, err := NewVerifier(scheme, ks, n, resolver)
 		if err != nil {
 			t.Error(err)
 			return Verdict{}
@@ -50,9 +54,9 @@ func TestTrackerPerGoroutineOwnership(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			msg := src.Next(menv, rng)
 			for _, id := range topo.Forwarders(packet.NodeID(n)) {
-				msg = scheme.Mark(id, testKS.Key(id), msg, rng)
+				msg = scheme.Mark(id, ks.Key(id), msg, rng)
 			}
-			tracker.Observe(msg)
+			tracker.Observe(msg, 0)
 		}
 		return tracker.Verdict()
 	}
@@ -90,7 +94,6 @@ func TestSingleGoroutineAnnotations(t *testing.T) {
 		"TopologyResolver":   "resolve.go",
 		"NestedVerifier":     "verify.go",
 		"AMSVerifier":        "verify.go",
-		"Pipeline":           "pipeline.go",
 	}
 	fset := token.NewFileSet()
 	for typeName, file := range want {

@@ -39,7 +39,7 @@ func TestHonestChainsAlwaysVerifyProperty(t *testing.T) {
 				msg = s.Mark(packet.NodeID(i), testKS.Key(packet.NodeID(i)), msg, runRng)
 				marked += len(msg.Marks) - before
 			}
-			res := v.Verify(msg)
+			res := v.Verify(msg, 0)
 			if res.Stopped || len(res.Chain) != marked {
 				return false
 			}
@@ -71,7 +71,7 @@ func TestNestedCorruptionNeverYieldsUpstreamMarksProperty(t *testing.T) {
 			}
 		}
 		v := &NestedVerifier{keys: testKS, numNodes: n}
-		res := v.Verify(msg)
+		res := v.Verify(msg, 0)
 		if !res.Stopped {
 			return false // corruption must always be detected
 		}
@@ -116,7 +116,7 @@ func TestPNMCorruptionDetectedProperty(t *testing.T) {
 			}
 		}
 		v := &NestedVerifier{keys: testKS, numNodes: n, resolver: resolver}
-		res := v.Verify(msg)
+		res := v.Verify(msg, 0)
 		return res.Stopped && len(res.Chain) == n-p-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rng}); err != nil {
@@ -143,7 +143,7 @@ func TestVerifyNeverPanicsOnGarbageProperty(t *testing.T) {
 			return true // undecodable garbage is rejected upstream
 		}
 		for _, v := range verifiers {
-			res := v.Verify(msg) // must not panic
+			res := v.Verify(msg, 0) // must not panic
 			if len(res.Chain) > len(msg.Marks) {
 				return false
 			}

@@ -77,11 +77,11 @@ func TestEpochAwareResolutionSurvivesReroute(t *testing.T) {
 	r := NewTopologyResolverEpochs(testKS, set)
 	v := &NestedVerifier{keys: testKS, numNodes: base.NumNodes(), resolver: r}
 
-	res := v.VerifyAt(msg, ep.Version)
+	res := v.Verify(msg, ep.Version)
 	if res.Stopped || len(res.Chain) != 2 || res.Chain[0] != 3 || res.Chain[1] != 2 {
 		t.Fatalf("epoch-aware result = %+v, want chain [3 2]", res)
 	}
-	if res := v.VerifyAt(msg, 0); !res.Stopped {
+	if res := v.Verify(msg, 0); !res.Stopped {
 		t.Fatalf("base-epoch resolution of a post-repair packet should stop, got %+v", res)
 	}
 }

@@ -50,7 +50,7 @@ func collideAnonID(victim, impostor packet.NodeID) anonIDFunc {
 func verifyWith(t *testing.T, topo *topology.Network, r Resolver, msg packet.Message) Result {
 	t.Helper()
 	v := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: r}
-	return v.Verify(msg)
+	return v.Verify(msg, 0)
 }
 
 // equivGrid builds the 5x5 grid all collision fixtures run on.
@@ -239,8 +239,8 @@ func TestResolverEquivalenceProperty(t *testing.T) {
 		topoR := NewTopologyResolver(testKS, topo)
 		vExh := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: exh}
 		vTopo := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: topoR}
-		a := vExh.Verify(msg)
-		b := vTopo.Verify(msg)
+		a := vExh.Verify(msg, 0)
+		b := vTopo.Verify(msg, 0)
 		return !a.Stopped && len(a.Chain) == len(msg.Marks) && reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
@@ -286,8 +286,8 @@ func TestResolverEquivalenceUnderForcedCollisionsProperty(t *testing.T) {
 		topoR.anonID = trunc
 		vExh := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: exh}
 		vTopo := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: topoR}
-		a := vExh.Verify(msg)
-		b := vTopo.Verify(msg)
+		a := vExh.Verify(msg, 0)
+		b := vTopo.Verify(msg, 0)
 		if a.Stopped || len(a.Chain) != len(markers) {
 			return false // the exhaustive baseline must accept honest chains
 		}

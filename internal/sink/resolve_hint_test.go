@@ -141,11 +141,11 @@ func TestHintedResolverMatchesExhaustiveProperty(t *testing.T) {
 			s := runRng.Intn(len(srcs))
 			rep := packet.Report{Event: runRng.Uint32(), Location: uint32(s % 2), Seq: uint32(i)}
 			msg := markRoute(runRng, rep, routeOf(topo, srcs[s]), 0.5, anonFn)
-			want := vExh.Verify(msg)
+			want := vExh.Verify(msg, 0)
 			if want.Stopped || len(want.Chain) != len(msg.Marks) {
 				return false // the exhaustive baseline must accept honest chains
 			}
-			if got := vHint.Verify(msg); !reflect.DeepEqual(got, want) {
+			if got := vHint.Verify(msg, 0); !reflect.DeepEqual(got, want) {
 				t.Logf("seed %d packet %d: hinted %+v, exhaustive %+v", seed, i, got, want)
 				return false
 			}
@@ -230,7 +230,7 @@ func TestHintPoisoningCostBounded(t *testing.T) {
 		}
 		rep := packet.Report{Event: uint32(i), Location: 77, Seq: uint32(i)}
 		msg := markRoute(rng, rep, routeOf(topo, src), 0.5, realIDs)
-		got, want := vHint.Verify(msg), vPlain.Verify(msg)
+		got, want := vHint.Verify(msg, 0), vPlain.Verify(msg, 0)
 		if !reflect.DeepEqual(got, want) || want.Stopped {
 			t.Fatalf("packet %d: hinted %+v, unhinted %+v", i, got, want)
 		}

@@ -3,6 +3,12 @@
 // matrix, identity-swap loop detection, and mole localization to a one-hop
 // neighborhood.
 //
+// Every sink — the simulators', the transport server's, the benches' —
+// runs one execution path: verify each packet against the topology epoch
+// it arrived under, then fold the accepted chain into the order matrix.
+// Tracker.Observe(msg, epoch) does both; a caller that keeps a whole
+// batch's Results alive calls Verifier.Verify and Tracker.Fold instead.
+//
 // # Ownership
 //
 // Tracker, the resolvers and the verifiers are single-goroutine objects:
@@ -77,39 +83,26 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Observe verifies one received packet and folds it into the route
+// Observe verifies one received packet against the topology epoch it
+// arrived under (0 for the base topology) and folds it into the route
 // reconstruction. It returns the packet's verification result, whose
-// Chain is valid until the next Observe (the verifier's chain arena is
-// recycled per packet here — callers that need a whole batch's Results
-// alive together call ResetVerifyScratch once per batch, then
-// VerifyAtEpoch and Fold per packet).
-func (t *Tracker) Observe(msg packet.Message) Result {
-	return t.ObserveAt(msg, 0)
-}
-
-// ObserveAt is Observe for a packet that arrived under a known topology
-// epoch: verification resolves marks against that epoch's routing tree.
-// Epoch 0 (the base topology) reproduces Observe exactly.
-func (t *Tracker) ObserveAt(msg packet.Message, epoch topology.EpochVersion) Result {
-	t.ResetVerifyScratch()
-	res := VerifyAtEpoch(t.verifier, msg, epoch)
+// Chain is valid until the next Observe: the verifier's chain arena is
+// recycled per packet here. Callers that need a whole batch's Results
+// alive together call ResetVerifyScratch once per batch, then the
+// verifier's Verify and Fold per packet.
+func (t *Tracker) Observe(msg packet.Message, epoch topology.EpochVersion) Result {
+	t.verifier.ResetVerifyScratch()
+	res := t.verifier.Verify(msg, epoch)
 	t.Fold(res)
 	return res
 }
 
-// ResetVerifyScratch recycles the verifier's chain arena when it has one,
-// invalidating the Results returned since the previous reset.
-func (t *Tracker) ResetVerifyScratch() {
-	if v, ok := t.verifier.(VerifyScratch); ok {
-		v.ResetVerifyScratch()
-	}
-}
+// ResetVerifyScratch recycles the verifier's chain arena, invalidating
+// the Results returned since the previous reset.
+func (t *Tracker) ResetVerifyScratch() { t.verifier.ResetVerifyScratch() }
 
-// Fold records an already-verified result into the route reconstruction.
-// The verification pipeline verifies batches on worker-private verifiers
-// and folds the results here, on the tracker's owning goroutine, in
-// arrival order — which is what keeps the reconstructed order (and every
-// verdict derived from it) byte-identical at any worker count.
+// Fold records an already-verified result into the route reconstruction,
+// in the order the caller verified the packets.
 func (t *Tracker) Fold(res Result) {
 	t.order.AddChain(res.Chain)
 	t.packets++
@@ -180,10 +173,8 @@ func (t *Tracker) suspects(stop packet.NodeID) []packet.NodeID {
 // TraceSinglePacket runs the basic nested-marking traceback of §4.1 on one
 // packet: verify backwards, stop at the last valid MAC.
 func TraceSinglePacket(verifier Verifier, topo *topology.Network, msg packet.Message) Verdict {
-	if v, ok := verifier.(VerifyScratch); ok {
-		v.ResetVerifyScratch()
-	}
-	res := verifier.Verify(msg)
+	verifier.ResetVerifyScratch()
+	res := verifier.Verify(msg, 0)
 	var v Verdict
 	if len(res.Chain) == 0 {
 		return v

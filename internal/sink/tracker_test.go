@@ -40,7 +40,7 @@ func TestTrackerIdentifiesSourceWithPNM(t *testing.T) {
 		for _, id := range fwd {
 			msg = marking.PNM{P: 0.3}.Mark(id, testKS.Key(id), msg, rng)
 		}
-		tracker.Observe(msg)
+		tracker.Observe(msg, 0)
 	}
 	v := tracker.Verdict()
 	if !v.Identified {
@@ -96,7 +96,7 @@ func TestTrackerLoopVerdict(t *testing.T) {
 			}
 			msg = scheme.Mark(id, testKS.Key(id), msg, rng)
 		}
-		tracker.Observe(msg)
+		tracker.Observe(msg, 0)
 	}
 
 	v := tracker.Verdict()
@@ -180,7 +180,7 @@ func TestTrackerWithoutTopologySuspectsStopOnly(t *testing.T) {
 	for _, id := range []packet.NodeID{3, 2, 1} {
 		msg = marking.Nested{}.Mark(id, testKS.Key(id), msg, rng)
 	}
-	tracker.Observe(msg)
+	tracker.Observe(msg, 0)
 	verdict := tracker.Verdict()
 	if len(verdict.Suspects) != 1 || verdict.Suspects[0] != 3 {
 		t.Fatalf("suspects = %v, want [V3]", verdict.Suspects)

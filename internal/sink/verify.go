@@ -24,33 +24,30 @@ type Result struct {
 }
 
 // Verifier turns a received message into the marker chain the sink accepts.
+//
+// A Result's Chain may alias an arena inside the verifier instead of
+// being allocated per packet. ResetVerifyScratch recycles that arena —
+// and invalidates the Chain slices of every Result the verifier returned
+// since the previous reset, so it must only happen at a point where those
+// Results are dead. Tracker.Observe resets before each packet (its Result
+// is valid until the next Observe); a caller that needs a whole batch's
+// Results alive together resets once per batch, then calls Verify and
+// Tracker.Fold per packet.
 type Verifier interface {
 	// Name identifies the verifier.
 	Name() string
 	// Verify checks msg's marks per the deployed scheme's rules, against
-	// the base topology epoch.
-	Verify(msg packet.Message) Result
+	// the topology snapshot named by epoch (a topology.EpochSet version
+	// stamped at packet arrival; 0 is the base topology). Only anonymous
+	// nested marks under a topology-restricted resolver depend on it.
+	Verify(msg packet.Message, epoch topology.EpochVersion) Result
+	// ResetVerifyScratch recycles the verifier's chain arena.
+	ResetVerifyScratch()
 }
 
-// EpochVerifier is implemented by verifiers whose mark resolution depends
-// on the routing tree current when a packet arrived (anonymous nested
-// marks under a topology-restricted resolver). VerifyAt(msg, 0) is
-// exactly Verify(msg).
-type EpochVerifier interface {
-	Verifier
-	// VerifyAt checks msg's marks against the topology snapshot named by
-	// epoch (a topology.EpochSet version stamped at packet arrival).
-	VerifyAt(msg packet.Message, epoch topology.EpochVersion) Result
-}
-
-// VerifyAtEpoch dispatches to VerifyAt when v is epoch-aware and falls
-// back to Verify otherwise — plaintext and face-value verifiers resolve
-// nothing against the topology, so every epoch yields the same result.
+// VerifyAtEpoch is v.Verify(msg, epoch).
 func VerifyAtEpoch(v Verifier, msg packet.Message, epoch topology.EpochVersion) Result {
-	if ev, ok := v.(EpochVerifier); ok {
-		return ev.VerifyAt(msg, epoch)
-	}
-	return v.Verify(msg)
+	return v.Verify(msg, epoch)
 }
 
 // Instrumentable is implemented by sink objects that can bind obs metrics.
@@ -58,18 +55,6 @@ func VerifyAtEpoch(v Verifier, msg packet.Message, epoch topology.EpochVersion) 
 // enters service; the bound counters themselves are goroutine-safe.
 type Instrumentable interface {
 	Instrument(reg *obs.Registry)
-}
-
-// VerifyScratch is implemented by verifiers whose Results alias an
-// internal chain arena instead of allocating per packet. Resetting the
-// scratch recycles the arena — and invalidates the Chain slices of every
-// Result the verifier returned since the previous reset, so it must only
-// happen at a point where those Results are dead. Tracker.Observe resets
-// before each packet (its Result is valid until the next Observe); the
-// batch path — Pipeline — resets once per worker round, keeping a whole
-// round's Results alive together until the next round.
-type VerifyScratch interface {
-	ResetVerifyScratch()
 }
 
 // chainRegion clips the arena region appended since start into a
@@ -121,8 +106,7 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 //
 // pnmlint:single-goroutine — the verifier owns a private schedule cache
 // and a reusable MAC-input buffer; one goroutine owns an instance for its
-// lifetime (see the package doc's Ownership section). The sink pipeline
-// honors this by constructing one verifier chain per worker.
+// lifetime (see the package doc's Ownership section).
 type NestedVerifier struct {
 	keys     *mac.KeyStore
 	numNodes int
@@ -148,7 +132,7 @@ type NestedVerifier struct {
 	// chains is the Result.Chain arena: Verify appends each packet's
 	// accepted ids here and returns a capacity-clipped region, so the
 	// steady-state verify path allocates nothing per packet. See
-	// VerifyScratch for the recycling contract.
+	// Verifier for the recycling contract.
 	chains []packet.NodeID
 
 	// resolveFn is v.resolveProbe bound once (lazily, in Verify) so
@@ -163,10 +147,10 @@ type NestedVerifier struct {
 	rsOK         bool
 	rsCandidates uint64
 	// curEpoch is the arrival epoch of the packet being verified, set by
-	// VerifyAt and handed to the resolver on every probe of that packet.
+	// Verify and handed to the resolver on every probe of that packet.
 	curEpoch topology.EpochVersion
 	// singles counts the current packet's anonymous marks that needed
-	// exactly one candidate MAC — almost all of them — so VerifyAt
+	// exactly one candidate MAC — almost all of them — so Verify
 	// publishes them to macCandidates in one ObserveN instead of one
 	// shared atomic update per mark.
 	singles uint64
@@ -212,29 +196,21 @@ func (v *NestedVerifier) Instrument(reg *obs.Registry) {
 	}
 }
 
-// ResetVerifyScratch implements VerifyScratch: it recycles the chain
-// arena, invalidating every Result returned since the previous reset.
+// ResetVerifyScratch implements Verifier: it recycles the chain arena,
+// invalidating every Result returned since the previous reset.
 func (v *NestedVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
 
-// Verify implements Verifier: it checks msg against the base topology
-// epoch. The Result's Chain aliases the verifier's arena: it stays valid
-// until ResetVerifyScratch.
-// pnmlint:noalloc
-func (v *NestedVerifier) Verify(msg packet.Message) Result {
-	return v.VerifyAt(msg, 0)
-}
-
-// VerifyAt implements EpochVerifier: marks resolve against the routing
-// tree of the packet's arrival epoch, so honest chains survive route
-// churn between injection and verification. The Result's Chain aliases
-// the verifier's arena: it stays valid until ResetVerifyScratch.
+// Verify implements Verifier: marks resolve against the routing tree of
+// the packet's arrival epoch, so honest chains survive route churn
+// between injection and verification. The Result's Chain aliases the
+// verifier's arena: it stays valid until ResetVerifyScratch.
 //
 // The packet is encoded once up front; every MAC check, including each
 // anonymous-ID candidate's, hashes a prefix of that encoding plus a short
 // suffix. The per-mark counters are tallied locally and published once
 // per packet, on either return path.
 // pnmlint:noalloc
-func (v *NestedVerifier) VerifyAt(msg packet.Message, epoch topology.EpochVersion) Result {
+func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion) Result {
 	v.packets.Inc()
 	v.curEpoch = epoch
 	if v.resolver != nil && v.resolveFn == nil {
@@ -285,7 +261,7 @@ func (v *NestedVerifier) publish(start int) {
 //go:noinline
 func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
-// verifyMark checks the mark at position k of msg, which VerifyAt has
+// verifyMark checks the mark at position k of msg, which Verify has
 // encoded into v.enc, and returns the marker's real ID. It recomputes one
 // HMAC per plaintext mark and one per anonymous-resolution probe, so it
 // runs once per mark per received packet — the sink's hottest path.
@@ -355,7 +331,7 @@ type AMSVerifier struct {
 // Name implements Verifier.
 func (v *AMSVerifier) Name() string { return "ams" }
 
-// ResetVerifyScratch implements VerifyScratch; see NestedVerifier.
+// ResetVerifyScratch implements Verifier; see NestedVerifier.
 func (v *AMSVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
 
 // Instrument binds the verifier's metrics into reg, so pnmsim -stats and
@@ -369,10 +345,11 @@ func (v *AMSVerifier) Instrument(reg *obs.Registry) {
 	v.hasher.Instrument(reg)
 }
 
-// Verify implements Verifier. The Result's Chain aliases the verifier's
-// arena: it stays valid until ResetVerifyScratch.
+// Verify implements Verifier. AMS marks carry plaintext IDs, so the
+// epoch is ignored. The Result's Chain aliases the verifier's arena: it
+// stays valid until ResetVerifyScratch.
 // pnmlint:noalloc
-func (v *AMSVerifier) Verify(msg packet.Message) Result {
+func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result {
 	v.packets.Inc()
 	if v.hasher == nil {
 		// One-time hasher construction, kept out of the noalloc loop.
@@ -415,7 +392,7 @@ type PPMVerifier struct {
 // Name implements Verifier.
 func (v *PPMVerifier) Name() string { return "ppm" }
 
-// ResetVerifyScratch implements VerifyScratch; see NestedVerifier.
+// ResetVerifyScratch implements Verifier; see NestedVerifier.
 func (v *PPMVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
 
 // Instrument binds the verifier's metrics into reg. PPM checks no MACs,
@@ -425,10 +402,11 @@ func (v *PPMVerifier) Instrument(reg *obs.Registry) {
 	v.marksVerified = reg.Counter("sink.verify.marks_verified")
 }
 
-// Verify implements Verifier. The Result's Chain aliases the verifier's
-// arena: it stays valid until ResetVerifyScratch.
+// Verify implements Verifier. Face-value marks resolve nothing against
+// the topology, so the epoch is ignored. The Result's Chain aliases the
+// verifier's arena: it stays valid until ResetVerifyScratch.
 // pnmlint:noalloc
-func (v *PPMVerifier) Verify(msg packet.Message) Result {
+func (v *PPMVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result {
 	v.packets.Inc()
 	start := len(v.chains)
 	for _, mk := range msg.Marks {

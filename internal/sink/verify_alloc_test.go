@@ -69,7 +69,7 @@ func TestVerifyMarkZeroAlloc(t *testing.T) {
 			}
 			// Warm up: binds resolveFn, fills the schedule cache, grows
 			// encode buffers, builds the resolver table — and checks the chain.
-			if res := v.Verify(msg); len(res.Chain) != len(msg.Marks) || res.Stopped {
+			if res := v.Verify(msg, 0); len(res.Chain) != len(msg.Marks) || res.Stopped {
 				t.Fatalf("warm-up verify: chain %d/%d marks, stopped=%v",
 					len(res.Chain), len(msg.Marks), res.Stopped)
 			}

@@ -40,7 +40,7 @@ func TestNestedVerifierAcceptsHonestChain(t *testing.T) {
 	msg := forward(marking.Nested{}, path, packet.Message{Report: testReport(1)}, rng)
 
 	v := &NestedVerifier{keys: testKS, numNodes: 5}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if res.Stopped {
 		t.Fatal("honest chain stopped verification")
 	}
@@ -64,7 +64,7 @@ func TestNestedVerifierStopsAtTamperedMark(t *testing.T) {
 	bad := msg.Clone()
 	bad.Marks[0].MAC[0] ^= 1
 	v := &NestedVerifier{keys: testKS, numNodes: 5}
-	res := v.Verify(bad)
+	res := v.Verify(bad, 0)
 	if !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want everything rejected", res)
 	}
@@ -73,7 +73,7 @@ func TestNestedVerifierStopsAtTamperedMark(t *testing.T) {
 	// matches what it covered, so again nothing verifies.
 	removed := msg.Clone()
 	removed.Marks = removed.Marks[1:]
-	res = v.Verify(removed)
+	res = v.Verify(removed, 0)
 	if !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("after removal result = %+v, want everything rejected", res)
 	}
@@ -90,7 +90,7 @@ func TestNestedVerifierAcceptsSuffixAfterMidTamper(t *testing.T) {
 	tampered = forward(marking.Nested{}, []packet.NodeID{2, 1}, tampered, rng)
 
 	v := &NestedVerifier{keys: testKS, numNodes: 5}
-	res := v.Verify(tampered)
+	res := v.Verify(tampered, 0)
 	if !res.Stopped {
 		t.Fatal("expected verification to stop at the garbled mark")
 	}
@@ -102,11 +102,11 @@ func TestNestedVerifierAcceptsSuffixAfterMidTamper(t *testing.T) {
 func TestNestedVerifierRejectsForeignIDs(t *testing.T) {
 	v := &NestedVerifier{keys: testKS, numNodes: 5}
 	msg := packet.Message{Report: testReport(1), Marks: []packet.Mark{{ID: 9}}}
-	if res := v.Verify(msg); len(res.Chain) != 0 || !res.Stopped {
+	if res := v.Verify(msg, 0); len(res.Chain) != 0 || !res.Stopped {
 		t.Fatalf("out-of-range ID accepted: %+v", res)
 	}
 	msg = packet.Message{Report: testReport(1), Marks: []packet.Mark{{ID: packet.SinkID}}}
-	if res := v.Verify(msg); len(res.Chain) != 0 {
+	if res := v.Verify(msg, 0); len(res.Chain) != 0 {
 		t.Fatal("sink ID accepted as a marker")
 	}
 }
@@ -114,7 +114,7 @@ func TestNestedVerifierRejectsForeignIDs(t *testing.T) {
 func TestNestedVerifierRejectsAnonymousMarkWithoutResolver(t *testing.T) {
 	v := &NestedVerifier{keys: testKS, numNodes: 5}
 	msg := packet.Message{Report: testReport(1), Marks: []packet.Mark{{Anonymous: true}}}
-	if res := v.Verify(msg); len(res.Chain) != 0 || !res.Stopped {
+	if res := v.Verify(msg, 0); len(res.Chain) != 0 || !res.Stopped {
 		t.Fatal("anonymous mark accepted under plaintext scheme")
 	}
 }
@@ -127,7 +127,7 @@ func TestPNMVerifyRoundTrip(t *testing.T) {
 
 	resolver := NewExhaustiveResolver(testKS, nodeIDs(6))
 	v := &NestedVerifier{keys: testKS, numNodes: 6, resolver: resolver}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 6 {
 		t.Fatalf("result = %+v, want full anonymous chain", res)
 	}
@@ -148,7 +148,7 @@ func TestPNMVerifyStopsAtForgedAnonymousMark(t *testing.T) {
 
 	resolver := NewExhaustiveResolver(testKS, nodeIDs(4))
 	v := &NestedVerifier{keys: testKS, numNodes: 4, resolver: resolver}
-	res := v.Verify(forged)
+	res := v.Verify(forged, 0)
 	if !res.Stopped {
 		t.Fatal("forged anonymous mark did not stop verification")
 	}
@@ -162,7 +162,7 @@ func TestAMSVerifierAcceptsIndependentMarks(t *testing.T) {
 	msg := forward(marking.AMS{P: 1}, []packet.NodeID{3, 2, 1}, packet.Message{Report: testReport(9)}, rng)
 
 	v := &AMSVerifier{keys: testKS, numNodes: 3}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if len(res.Chain) != 3 {
 		t.Fatalf("chain = %v, want 3 marks", res.Chain)
 	}
@@ -171,7 +171,7 @@ func TestAMSVerifierAcceptsIndependentMarks(t *testing.T) {
 	// verify — the sink is silently misled to V2.
 	cut := msg.Clone()
 	cut.Marks = cut.Marks[1:]
-	res = v.Verify(cut)
+	res = v.Verify(cut, 0)
 	if len(res.Chain) != 2 || res.Chain[0] != 2 {
 		t.Fatalf("chain after removal = %v, want [V2 V1]", res.Chain)
 	}
@@ -182,7 +182,7 @@ func TestAMSVerifierDiscardsInvalidMarksIndividually(t *testing.T) {
 	msg := forward(marking.AMS{P: 1}, []packet.NodeID{3, 2, 1}, packet.Message{Report: testReport(10)}, rng)
 	msg.Marks[1].MAC[0] ^= 1
 	v := &AMSVerifier{keys: testKS, numNodes: 3}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if len(res.Chain) != 2 || res.Chain[0] != 3 || res.Chain[1] != 1 {
 		t.Fatalf("chain = %v, want [V3 V1]", res.Chain)
 	}
@@ -193,7 +193,7 @@ func TestPPMVerifierTrustsEverything(t *testing.T) {
 	msg := packet.Message{Report: testReport(11), Marks: []packet.Mark{
 		{ID: 7}, {ID: 3}, {Anonymous: true}, {ID: 99},
 	}}
-	res := v.Verify(msg)
+	res := v.Verify(msg, 0)
 	if len(res.Chain) != 2 || res.Chain[0] != 7 || res.Chain[1] != 3 {
 		t.Fatalf("chain = %v, want [V7 V3]", res.Chain)
 	}

@@ -10,9 +10,9 @@ import "sync"
 // under, instead of the tree the sink was configured with at start-up.
 //
 // Ownership and determinism rules (DESIGN.md §14): an EpochSet is
-// append-only and internally synchronized — many sink-side readers (one
-// resolver per pipeline worker) share one set with the single writer
-// that applies topology changes. Versions are dense, starting at 0 for
+// append-only and internally synchronized — sink-side readers (the
+// resolvers of every verifier chain built over it) share one set with
+// the single writer that applies topology changes. Versions are dense, starting at 0 for
 // the base topology, so a version is both an identity and an index; a
 // packet stamped with version v always resolves against the same
 // snapshot, on any worker, in any run.

@@ -1,7 +1,7 @@
 // Package transport puts the wire format on real sockets: a length-
 // prefixed, versioned frame around the packet.Message encoding, a TCP
-// (and optional UDP) ingest server feeding the sink verification
-// pipeline, and a client for load generators. This is the trust
+// (and optional UDP) ingest server feeding the sink, and a client for
+// load generators. This is the trust
 // boundary: everything read here is attacker-controlled bytes, so every
 // decode path is bounded (max frame size, max marks) and every rejection
 // is counted, never panicked on.

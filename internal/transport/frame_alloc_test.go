@@ -147,7 +147,7 @@ func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
 		if err := fr.Next(&msg); err != nil {
 			t.Fatalf("warm-up frame %d: %v", i, err)
 		}
-		if res := tracker.Observe(msg); res.Stopped || len(res.Chain) != len(msg.Marks) {
+		if res := tracker.Observe(msg, 0); res.Stopped || len(res.Chain) != len(msg.Marks) {
 			t.Fatalf("warm-up packet %d: chain %d/%d marks, stopped=%v",
 				i, len(res.Chain), len(msg.Marks), res.Stopped)
 		}
@@ -157,7 +157,7 @@ func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
 		if err := fr.Next(&msg); err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		if res := tracker.Observe(msg); res.Stopped {
+		if res := tracker.Observe(msg, 0); res.Stopped {
 			stopped++
 		}
 	}); allocs != 0 {

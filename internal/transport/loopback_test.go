@@ -34,36 +34,33 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	sc := testScenario(t)
 	want := loadgen.FormatVerdict(sc.Verdict(packets))
 
-	for _, workers := range []int{1, 4} {
-		srv, err := Listen("127.0.0.1:0", "", Config{
-			NewVerifier: sc.NewVerifier,
-			Topo:        sc.Topo,
-			Workers:     workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := Dial(srv.Addr().String())
-		if err != nil {
-			srv.Close()
-			t.Fatal(err)
-		}
-		for _, msg := range sc.Stream(packets) {
-			if err := cl.Send(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		got := loadgen.FormatVerdict(srv.Verdict())
+	srv, err := Listen("127.0.0.1:0", "", Config{
+		NewVerifier: sc.NewVerifier,
+		Topo:        sc.Topo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
 		srv.Close()
-		if got != want {
-			t.Fatalf("workers=%d: networked verdict differs\n got: %s\nwant: %s", workers, got, want)
+		t.Fatal(err)
+	}
+	for _, msg := range sc.Stream(packets) {
+		if err := cl.Send(msg); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got := loadgen.FormatVerdict(srv.Verdict())
+	srv.Close()
+	if got != want {
+		t.Fatalf("networked verdict differs\n got: %s\nwant: %s", got, want)
 	}
 
 	// Churn: segment e of the stream is marked along the mole's path in
@@ -72,7 +69,7 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	// advances the server's epoch set, so the server stamps each frame
 	// with the epoch it was marked under. The wider radio range gives
 	// Rewire alternative parents, so the mole's path changes every epoch.
-	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.6, Seed: 3})
+	sc, err = loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +98,7 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	}
 	ref := sink.NewTracker(verifierOver(refSet)(), sc.Topo)
 	for i, msg := range churned {
-		if res := ref.ObserveAt(msg, topology.EpochVersion(i/seg)); res.Stopped {
+		if res := ref.Observe(msg, topology.EpochVersion(i/seg)); res.Stopped {
 			t.Fatalf("reference packet %d (epoch %d) stopped: %+v", i, i/seg, res)
 		}
 	}
@@ -111,7 +108,7 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	stale := sink.NewTracker(verifierOver(refSet)(), sc.Topo)
 	staleStops := 0
 	for _, msg := range churned {
-		if stale.Observe(msg).Stopped {
+		if stale.Observe(msg, 0).Stopped {
 			staleStops++
 		}
 	}
@@ -119,54 +116,51 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 		t.Fatal("churned stream verifies at the base epoch; the epoch case tests nothing")
 	}
 
-	for _, workers := range []int{1, 4} {
-		set := topology.NewEpochSet(sc.Topo)
-		reg := obs.New()
-		srv, err := Listen("127.0.0.1:0", "", Config{
-			NewVerifier: verifierOver(set),
-			Topo:        sc.Topo,
-			Epochs:      set,
-			Workers:     workers,
-			Obs:         reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := Dial(srv.Addr().String())
-		if err != nil {
-			srv.Close()
-			t.Fatal(err)
-		}
-		for e := 0; e < epochs; e++ {
-			if e > 0 {
-				if err := srv.WaitDelivered(e*seg, 10*time.Second); err != nil {
-					t.Fatal(err)
-				}
-				set.Advance(nets[e])
+	set := topology.NewEpochSet(sc.Topo)
+	reg := obs.New()
+	srv, err = Listen("127.0.0.1:0", "", Config{
+		NewVerifier: verifierOver(set),
+		Topo:        sc.Topo,
+		Epochs:      set,
+		Obs:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err = Dial(srv.Addr().String())
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		if e > 0 {
+			if err := srv.WaitDelivered(e*seg, 10*time.Second); err != nil {
+				t.Fatal(err)
 			}
-			for _, msg := range churned[e*seg : (e+1)*seg] {
-				if err := cl.Send(msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := cl.Flush(); err != nil {
+			set.Advance(nets[e])
+		}
+		for _, msg := range churned[e*seg : (e+1)*seg] {
+			if err := cl.Send(msg); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := cl.Close(); err != nil {
+		if err := cl.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		got := loadgen.FormatVerdict(srv.Verdict())
-		srv.Close()
-		if got != want {
-			t.Fatalf("churn workers=%d: networked verdict differs\n got: %s\nwant: %s", workers, got, want)
-		}
-		if stops := reg.Counter("sink.verify.stops").Value(); stops != 0 {
-			t.Fatalf("churn workers=%d: %d honest packets stopped", workers, stops)
-		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got = loadgen.FormatVerdict(srv.Verdict())
+	srv.Close()
+	if got != want {
+		t.Fatalf("churn: networked verdict differs\n got: %s\nwant: %s", got, want)
+	}
+	if stops := reg.Counter("sink.verify.stops").Value(); stops != 0 {
+		t.Fatalf("churn: %d honest packets stopped", stops)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // single-owner hand-off — reader goroutine → ingest queue → sink
 // goroutine → back to the pool after the fold — and this test makes many
 // readers cycle the same pool entries through that hand-off while the
-// fold flattens batches into the reusable fold slice. Under -race, a
+// sink goroutine folds. Under -race, a
 // message released while a reader still writes into it (or a fold still
 // reads from it) trips the detector; without -race the delivered ledger
 // and the verdict still pin that no packet was lost or corrupted.
@@ -23,7 +23,6 @@ func TestPooledMessageReuseRaceFree(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", "", Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
-		Workers:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +75,11 @@ func TestPooledMessageReuseRaceFree(t *testing.T) {
 }
 
 // TestConcurrentVerdictReadsRaceFree pins the Server's mu discipline —
-// the `// pnmlint:guarded-by mu` contract on tracker/pipe/delivered and
+// the `// pnmlint:guarded-by mu` contract on tracker/delivered and
 // Listen building the sink chain before the &Server{} literal publishes
 // it — by hammering every reader from several goroutines while a live
-// client streams and a chaos plan swaps the tracker and pipeline out
-// underneath them. Under -race, any unlocked access to the guarded
+// client streams and a chaos plan swaps the tracker out underneath
+// them. Under -race, any unlocked access to the guarded
 // fields trips the detector; without -race it still exercises the
 // crash/restore path concurrently with verdict reads.
 func TestConcurrentVerdictReadsRaceFree(t *testing.T) {
@@ -89,7 +88,6 @@ func TestConcurrentVerdictReadsRaceFree(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", "", Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
-		Workers:     4,
 		Chaos: &ChaosPlan{Events: []ChaosEvent{
 			{At: 100, Kind: ChaosSinkCrash},
 			{At: 150, Kind: ChaosSinkRestore},

@@ -17,9 +17,9 @@ import (
 
 // Config describes an ingest server.
 type Config struct {
-	// NewVerifier builds one single-goroutine verifier chain. The serial
-	// sink, every pipeline worker and every chaos restore construct their
-	// own instance through it. Required.
+	// NewVerifier builds one single-goroutine verifier chain. The sink
+	// and every chaos restore construct their own instance through it.
+	// Required.
 	NewVerifier func() sink.Verifier
 	// Topo, when non-nil, lets verdicts name one-hop neighborhoods.
 	Topo *topology.Network
@@ -31,13 +31,9 @@ type Config struct {
 	// epoch — byte-identical to the pre-epoch server, which is what the
 	// loopback-equivalence tests pin.
 	Epochs *topology.EpochSet
-	// Workers > 1 verifies batches through a sink.Pipeline of that many
-	// workers; <= 1 keeps the serial sink loop. Verdicts are
-	// byte-identical either way.
-	Workers int
 	// QueueDepth is the ingest queue depth between the socket readers and
-	// the sink goroutine (default 256). It is also the maximum batch one
-	// pipeline pass verifies.
+	// the sink goroutine (default 256). It is also the maximum batch the
+	// sink goroutine drains per wake-up.
 	QueueDepth int
 	// Policy selects what a reader does when the ingest queue is full:
 	// Block applies lossless backpressure (the stall propagates into the
@@ -71,7 +67,7 @@ const (
 	// down; frames keep arriving and are dropped, counted.
 	ChaosSinkCrash ChaosKind = iota + 1
 	// ChaosSinkRestore rebuilds the sink chain from the crash checkpoint
-	// with a fresh verifier (and pipeline, when Workers > 1).
+	// with a fresh verifier.
 	ChaosSinkRestore
 )
 
@@ -223,19 +219,14 @@ type Server struct {
 
 	// mu guards the sink state: the tracker (single-goroutine folds on
 	// the sink goroutine; verdict reads from anywhere synchronize here,
-	// the same discipline netsim.Network uses), the pipeline, the
-	// delivered count and the progress broadcast channel.
+	// the same discipline netsim.Network uses), the delivered count and
+	// the progress broadcast channel.
 	mu          sync.Mutex
-	tracker     *sink.Tracker    // pnmlint:guarded-by mu
-	pipe        *sink.Pipeline   // pnmlint:guarded-by mu
-	down        bool             // pnmlint:guarded-by mu
-	ckpt        []byte           // pnmlint:guarded-by mu
-	delivered   int              // pnmlint:guarded-by mu
-	deliveredCh chan struct{}    // pnmlint:guarded-by mu
-	foldMsgs    []packet.Message // pnmlint:guarded-by mu
-	// foldEpochs mirrors foldMsgs slot for slot with each frame's arrival
-	// epoch when Config.Epochs is set.
-	foldEpochs []topology.EpochVersion // pnmlint:guarded-by mu
+	tracker     *sink.Tracker // pnmlint:guarded-by mu
+	down        bool          // pnmlint:guarded-by mu
+	ckpt        []byte        // pnmlint:guarded-by mu
+	delivered   int           // pnmlint:guarded-by mu
+	deliveredCh chan struct{} // pnmlint:guarded-by mu
 
 	closeOnce sync.Once
 	drainOnce sync.Once
@@ -268,14 +259,10 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 	}
 	// Build the guarded sink state before the Server value exists: once
 	// the &Server{} literal publishes it to the goroutines below, every
-	// touch of tracker/pipe must hold mu.
+	// touch of tracker must hold mu.
 	tracker := sink.NewTracker(cfg.NewVerifier(), cfg.Topo)
 	if cfg.Obs != nil {
 		tracker.Instrument(cfg.Obs)
-	}
-	var pipe *sink.Pipeline
-	if cfg.Workers > 1 {
-		pipe = newPipeline(cfg, tracker)
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -285,7 +272,6 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		stop:        make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
 		tracker:     tracker,
-		pipe:        pipe,
 		deliveredCh: make(chan struct{}),
 	}
 	s.c.bind(cfg.Obs)
@@ -297,27 +283,6 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		go s.udpLoop()
 	}
 	return s, nil
-}
-
-// newPipeline builds a verification pipeline folding into tracker, with
-// instrumented factory-owned verifier chains per worker. It is a free
-// function so Listen can build the pipeline before the Server value —
-// and its lock discipline — exists.
-func newPipeline(cfg Config, tracker *sink.Tracker) *sink.Pipeline {
-	factory := func() sink.Verifier {
-		v := cfg.NewVerifier()
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v
-	}
-	p := sink.NewPipeline(cfg.Workers, factory, tracker)
-	if cfg.Obs != nil {
-		p.Instrument(cfg.Obs)
-	}
-	return p
 }
 
 // getMsg takes a message from the pool; the caller owns it until it
@@ -610,18 +575,11 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one
 // item, greedily drains whatever else has arrived (up to the queue
-// depth), and folds the batch — serially or across the pipeline. Chaos
-// events fire here, at processed-frame milestones, so crash/restore
-// serializes with folding by construction.
+// depth), and folds the batch. Chaos events fire here, at
+// processed-frame milestones, so crash/restore serializes with folding by
+// construction.
 func (s *Server) sinkLoop() {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		if s.pipe != nil {
-			s.pipe.Close()
-		}
-		s.mu.Unlock()
-	}()
 	processed := 0
 	chaos := 0
 	batch := make([]item, 0, s.cfg.QueueDepth)
@@ -670,28 +628,8 @@ func (s *Server) fold(batch []item) {
 		s.c.droppedWhileDown.Add(uint64(len(batch)))
 		return
 	}
-	delivered := len(batch)
-	if s.pipe != nil {
-		// Flatten the pooled-item batch into the reusable message slice
-		// the pipeline Observes. The Message headers are copied; the mark
-		// storage still belongs to the pooled messages, which stay owned
-		// by the sink goroutine until releaseBatch — Observe has returned
-		// by then, so no worker reads a released message.
-		s.foldMsgs = s.foldMsgs[:0]
-		s.foldEpochs = s.foldEpochs[:0]
-		for i := range batch {
-			s.foldMsgs = append(s.foldMsgs, *batch[i].msg)
-			s.foldEpochs = append(s.foldEpochs, batch[i].epoch)
-		}
-		s.pipe.Observe(s.foldMsgs, s.foldEpochs)
-		// The copied headers' Marks alias the pooled messages releaseBatch
-		// is about to recycle; drop them so the reusable slice pins no
-		// mark storage between batches.
-		clear(s.foldMsgs)
-	} else {
-		for i := range batch {
-			s.tracker.ObserveAt(*batch[i].msg, batch[i].epoch)
-		}
+	for i := range batch {
+		s.tracker.Observe(*batch[i].msg, batch[i].epoch)
 	}
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
@@ -704,8 +642,8 @@ func (s *Server) fold(batch []item) {
 	}
 	s.c.batches.Inc()
 	s.c.batchOccupancy.Observe(uint64(len(batch)))
-	s.c.delivered.Add(uint64(delivered))
-	s.delivered += delivered
+	s.c.delivered.Add(uint64(len(batch)))
+	s.delivered += len(batch)
 	close(s.deliveredCh)
 	s.deliveredCh = make(chan struct{})
 }
@@ -720,10 +658,6 @@ func (s *Server) applyChaos(ev ChaosEvent) {
 			return
 		}
 		s.ckpt = s.tracker.Checkpoint()
-		if s.pipe != nil {
-			s.pipe.Close()
-			s.pipe = nil
-		}
 		s.down = true
 		s.c.chaosCrashes.Inc()
 	case ChaosSinkRestore:
@@ -739,9 +673,6 @@ func (s *Server) applyChaos(ev ChaosEvent) {
 		s.tracker = tr
 		if s.cfg.Obs != nil {
 			s.tracker.Instrument(s.cfg.Obs)
-		}
-		if s.cfg.Workers > 1 {
-			s.pipe = newPipeline(s.cfg, s.tracker)
 		}
 		s.down = false
 		s.c.chaosRestores.Inc()

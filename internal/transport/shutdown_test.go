@@ -246,49 +246,3 @@ func TestDroppedOnCloseBalancesLedger(t *testing.T) {
 			frames, delivered, policy, down, onClose)
 	}
 }
-
-// TestFoldReleasesMessageHeaders pins the fold-slice leak fix: with a
-// pipelined sink, fold flattens each batch into a reusable slice of
-// message headers whose Marks alias pooled messages. Once the batch is
-// folded those messages go back to the pool, so every header left in the
-// slice must be zeroed — a stale one pins a released frame's mark storage
-// until the slot is next overwritten, and slots past a smaller batch's
-// length never are.
-func TestFoldReleasesMessageHeaders(t *testing.T) {
-	const packets = 200
-	sc := testScenario(t)
-	srv, err := Listen("127.0.0.1:0", "", Config{NewVerifier: sc.NewVerifier, Topo: sc.Topo, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cl, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range sc.Stream(packets) {
-		if err := cl.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.WaitDelivered(packets, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	folded, stale := cap(srv.foldMsgs), 0
-	for _, m := range srv.foldMsgs[:folded] {
-		if m.Marks != nil {
-			stale++
-		}
-	}
-	srv.mu.Unlock()
-	if folded == 0 {
-		t.Fatal("fold never used its message slice")
-	}
-	if stale > 0 {
-		t.Errorf("%d of %d fold slots still alias released marks", stale, folded)
-	}
-}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestLoopbackSoak is the live-server soak: pnmload-style replay into a
-// pipelined server while a chaos plan crashes the sink and restores it
+// server with a shallow ingest queue while a chaos plan crashes the sink and restores it
 // from its PNM2 checkpoint, twice, mid-stream. The traceback must still
 // converge on the mole — outages cost only the evidence dropped while
 // down, exactly the finding the simulator's fault benchmarks pinned.
@@ -23,7 +23,6 @@ func TestLoopbackSoak(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", "", Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
-		Workers:     4,
 		QueueDepth:  32,
 		Obs:         reg,
 		Chaos: &ChaosPlan{Events: []ChaosEvent{

@@ -121,7 +121,7 @@ func (s *System) TraceInjection(cfg TraceConfig) (Verdict, error) {
 	for i := 0; i < cfg.Packets; i++ {
 		msg := src.Next(env, rng)
 		if out, ok := net.Deliver(cfg.Source, msg, rng); ok {
-			tracker.Observe(out)
+			tracker.Observe(out, 0)
 		}
 	}
 	return tracker.Verdict(), nil
