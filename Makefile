@@ -2,11 +2,7 @@
 
 GO ?= go
 
-# Worker goroutines for the run-parallel experiments; <= 0 selects
-# GOMAXPROCS. Results are byte-identical for every value.
-WORKERS ?= 0
-
-.PHONY: all build test race vet lint bench bench-sink bench-fault bench-churn fuzz-smoke soak ci figures examples clean
+.PHONY: all build test race vet lint bench bench-sink bench-fault bench-churn fuzz-smoke soak ci figures figures-check examples clean
 
 all: build test
 
@@ -86,29 +82,35 @@ soak:
 # over the packages that exercise goroutines.
 ci: build vet lint test
 	$(GO) -C bench test ./...
-	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen
+	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen ./internal/debugserver
 
 # Regenerate every paper figure/table into results/. Run-averaged
-# experiments fan out across $(WORKERS) workers; output is byte-identical
-# for any worker count.
+# experiments fan out across GOMAXPROCS workers (set the GOMAXPROCS
+# environment variable to change it); output is byte-identical for any
+# worker count. fig5 is the 2000-run sweep EXPERIMENTS E2 reports.
 figures:
 	mkdir -p results
 	$(GO) run ./cmd/pnmsim -exp fig4 > results/fig4.csv
-	$(GO) run ./cmd/pnmsim -exp fig5 -workers $(WORKERS) > results/fig5.csv
-	$(GO) run ./cmd/pnmsim -exp fig6 -workers $(WORKERS) > results/fig6.csv
-	$(GO) run ./cmd/pnmsim -exp fig7 -workers $(WORKERS) > results/fig7.csv
-	$(GO) run ./cmd/pnmsim -exp matrix -workers $(WORKERS) > results/matrix.txt
-	$(GO) run ./cmd/pnmsim -exp headline -workers $(WORKERS) > results/headline.txt
-	$(GO) run ./cmd/pnmsim -exp ablate -workers $(WORKERS) > results/ablate.txt
+	$(GO) run ./cmd/pnmsim -exp fig5 -runs 2000 > results/fig5.csv
+	$(GO) run ./cmd/pnmsim -exp fig6 > results/fig6.csv
+	$(GO) run ./cmd/pnmsim -exp fig7 > results/fig7.csv
+	$(GO) run ./cmd/pnmsim -exp matrix > results/matrix.txt
+	$(GO) run ./cmd/pnmsim -exp headline > results/headline.txt
+	$(GO) run ./cmd/pnmsim -exp ablate > results/ablate.txt
 	$(GO) run ./cmd/pnmsim -exp resolve > results/resolve.txt
-	$(GO) run ./cmd/pnmsim -exp filter -workers $(WORKERS) > results/filter.txt
-	$(GO) run ./cmd/pnmsim -exp related -workers $(WORKERS) > results/related.txt
-	$(GO) run ./cmd/pnmsim -exp precision -workers $(WORKERS) > results/precision.txt
-	$(GO) run ./cmd/pnmsim -exp overhead -workers $(WORKERS) > results/overhead.txt
-	$(GO) run ./cmd/pnmsim -exp multisource -workers $(WORKERS) > results/multisource.txt
-	$(GO) run ./cmd/pnmsim -exp background -workers $(WORKERS) > results/background.txt
-	$(GO) run ./cmd/pnmsim -exp dynamics -workers $(WORKERS) > results/dynamics.txt
-	$(GO) run ./cmd/pnmsim -exp molepos -workers $(WORKERS) > results/molepos.txt
+	$(GO) run ./cmd/pnmsim -exp filter > results/filter.txt
+	$(GO) run ./cmd/pnmsim -exp related > results/related.txt
+	$(GO) run ./cmd/pnmsim -exp precision > results/precision.txt
+	$(GO) run ./cmd/pnmsim -exp overhead > results/overhead.txt
+	$(GO) run ./cmd/pnmsim -exp multisource > results/multisource.txt
+	$(GO) run ./cmd/pnmsim -exp background > results/background.txt
+	$(GO) run ./cmd/pnmsim -exp dynamics > results/dynamics.txt
+	$(GO) run ./cmd/pnmsim -exp molepos > results/molepos.txt
+
+# Regenerate results/ and fail if any committed file changed.
+# resolve.txt reports wall-clock timings and is excluded.
+figures-check: figures
+	git diff --exit-code -- results ':(exclude)results/resolve.txt'
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -17,30 +17,22 @@
 // (expvar, under the "pnm" key) on ADDR for the lifetime of the run, and
 // dumps the counters to stderr at the end.
 //
-// -listen ADDR replaces the in-process simulator with a real socket: the
-// same scenario flags regenerate the deployment and key material, but the
-// marked reports arrive as framed TCP traffic (from pnmload) and the run
-// ends once -packets of them are verified. -loss/-quarantine/-chaos only
-// apply to the simulated network and are ignored in this mode.
+// To serve the same scenario over real sockets instead, run pnmserve with
+// the same -nodes/-side/-range/-seed flags and replay traffic with
+// pnmload.
 package main
 
 import (
-	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pnm/internal/analytic"
-	"pnm/internal/loadgen"
+	"pnm/internal/debugserver"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/mole"
@@ -50,7 +42,6 @@ import (
 	"pnm/internal/queue"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
-	"pnm/internal/transport"
 )
 
 func main() {
@@ -58,51 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pnmlive:", err)
 		os.Exit(1)
 	}
-}
-
-// debugReg is the registry the expvar "pnm" variable reads. The variable
-// can only be published once per process, while run may execute several
-// times under test, so the published closure indirects through this
-// pointer.
-var (
-	debugOnce sync.Once
-	debugReg  atomic.Pointer[obs.Registry]
-)
-
-// publishDebug points the expvar "pnm" variable at reg.
-func publishDebug(reg *obs.Registry) {
-	debugReg.Store(reg)
-	debugOnce.Do(func() {
-		expvar.Publish("pnm", expvar.Func(func() any { return debugReg.Load().Map() }))
-	})
-}
-
-// serveDebug publishes reg on addr and returns a shutdown func. The
-// listener is bound eagerly so a bad -debug value fails the run up front,
-// Serve errors surface through the returned func instead of dying
-// silently in the goroutine, and shutdown drains in-flight handlers
-// rather than racing them with a bare Close.
-func serveDebug(addr string, reg *obs.Registry) (func() error, error) {
-	publishDebug(reg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: http.DefaultServeMux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ and /debug/vars\n", ln.Addr())
-	return func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-			return err
-		}
-		return nil
-	}, nil
 }
 
 // printFinalVerdict writes the end-of-run summary. The stop and suspect
@@ -119,35 +65,6 @@ func printFinalVerdict(w io.Writer, v sink.Verdict, moleID packet.NodeID) {
 	}
 }
 
-// runListen is the -listen mode: the same scenario flags regenerate the
-// deployment, but the marked reports arrive over a real socket (pnmload
-// speaks the matching frame format) instead of the in-process simulator.
-func runListen(w io.Writer, addr string, cfg loadgen.Config, policy queue.Policy, packets int, reg *obs.Registry) error {
-	sc, err := loadgen.New(cfg)
-	if err != nil {
-		return err
-	}
-	srv, err := transport.Listen(addr, "", transport.Config{
-		NewVerifier: sc.NewVerifier,
-		Topo:        sc.Topo,
-		Policy:      policy,
-		Obs:         reg,
-	})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(w, "listening on %s\n", srv.Addr())
-	fmt.Fprintf(w, "network: %d nodes, mole %v at %d hops\n",
-		sc.Topo.NumNodes(), sc.Mole, sc.Hops)
-	if err := srv.WaitDelivered(packets, 5*time.Minute); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "delivered %d\n", srv.Delivered())
-	printFinalVerdict(w, srv.Verdict(), sc.Mole)
-	return nil
-}
-
 // run executes the live scenario.
 func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("pnmlive", flag.ContinueOnError)
@@ -162,7 +79,6 @@ func run(args []string, w io.Writer) (err error) {
 		debugAddr  = fs.String("debug", "", "serve pprof and expvar obs counters on this address (e.g. localhost:6060)")
 		chaos      = fs.Bool("chaos", false, "run a seeded fault plan: node crash/restart, link churn, a sink crash+restore — the mole and its first hop are protected so the traceback still converges")
 		queueFlag  = fs.String("queue", "block", "inbox overflow policy: block, drop-newest, drop-oldest")
-		listen     = fs.String("listen", "", "serve framed TCP ingest on this address instead of simulating (see pnmload)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -175,12 +91,12 @@ func run(args []string, w io.Writer) (err error) {
 	// The obs registry is always live; -debug additionally publishes it.
 	reg := obs.New()
 	if *debugAddr != "" {
-		stop, derr := serveDebug(*debugAddr, reg)
+		dbg, derr := debugserver.Start(*debugAddr, reg)
 		if derr != nil {
 			return derr
 		}
 		defer func() {
-			if derr := stop(); derr != nil && err == nil {
+			if derr := dbg.Shutdown(); derr != nil && err == nil {
 				err = derr
 			}
 		}()
@@ -188,12 +104,6 @@ func run(args []string, w io.Writer) (err error) {
 			fmt.Fprintln(os.Stderr, "\nobs counters:")
 			reg.Fprint(os.Stderr)
 		}()
-	}
-
-	if *listen != "" {
-		return runListen(w, *listen, loadgen.Config{
-			Nodes: *nodes, Side: *side, RadioRange: *radioRange, Seed: *seed,
-		}, policy, *packets, reg)
 	}
 
 	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{

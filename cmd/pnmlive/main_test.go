@@ -3,14 +3,10 @@ package main
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"pnm/internal/loadgen"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
-	"pnm/internal/transport"
 )
 
 func TestRunLiveWithQuarantine(t *testing.T) {
@@ -45,6 +41,12 @@ func TestRunLiveErrors(t *testing.T) {
 	if err := run([]string{"-queue", "bogus"}, &buf); err == nil {
 		t.Fatal("want error for unknown queue policy")
 	}
+	if err := run([]string{"-debug", "127.0.0.1:-1"}, &buf); err == nil {
+		t.Fatal("want error for a bad -debug address")
+	}
+	if err := run([]string{"-listen", "127.0.0.1:0"}, &buf); err == nil {
+		t.Fatal("want flag error: socket ingest is pnmserve's job")
+	}
 }
 
 // TestPrintFinalVerdict checks the HasStop gate: without an accepted
@@ -76,78 +78,3 @@ func TestPrintFinalVerdict(t *testing.T) {
 		t.Fatalf("localization line missing:\n%s", out)
 	}
 }
-
-// TestRunListen boots pnmlive in -listen mode on an ephemeral port,
-// replays the matching scenario stream over TCP, and checks the final
-// verdict matches the in-process ground truth.
-func TestRunListen(t *testing.T) {
-	const packets = 150
-	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	out := func() string { mu.Lock(); defer mu.Unlock(); return buf.String() }
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-listen", "127.0.0.1:0",
-			"-nodes", "80", "-side", "5", "-range", "1.4", "-seed", "3",
-			"-packets", "150",
-		}, writerFunc(func(p []byte) (int, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return buf.Write(p)
-		}))
-	}()
-
-	// Wait for the listen banner, then replay the stream at it.
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if s := out(); strings.Contains(s, "listening on ") {
-			rest := s[strings.Index(s, "listening on ")+len("listening on "):]
-			addr = strings.TrimSpace(strings.SplitN(rest, "\n", 2)[0])
-		} else if time.Now().After(deadline) {
-			t.Fatalf("no listen banner; output:\n%s", out())
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	cl, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range sc.Stream(packets) {
-		if err := cl.Send(msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v\noutput:\n%s", err, out())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("run never exited; output:\n%s", out())
-	}
-	v := sc.Verdict(packets)
-	if !v.HasStop {
-		t.Fatal("ground-truth run found no stop node; scenario too small")
-	}
-	var want bytes.Buffer
-	printFinalVerdict(&want, v, sc.Mole)
-	if !strings.Contains(out(), strings.TrimSpace(want.String())) {
-		t.Fatalf("listen-mode verdict differs\nwant:\n%s\noutput:\n%s", want.String(), out())
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -1,8 +1,7 @@
 // Command pnmload is the standalone load generator: it regenerates the
-// seeded scenario traffic a pnmserve (or pnmlive -listen) with the same
-// scenario flags expects — the mole's bogus reports, marked en route by
-// every forwarder on its path — and replays it over TCP or UDP at a
-// target rate.
+// seeded scenario traffic a pnmserve with the same scenario flags expects
+// — the mole's bogus reports, marked en route by every forwarder on its
+// path — and replays it over TCP or UDP at a target rate.
 //
 // Usage:
 //

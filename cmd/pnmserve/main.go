@@ -23,20 +23,15 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"pnm/internal/debugserver"
 	"pnm/internal/loadgen"
 	"pnm/internal/netsim"
 	"pnm/internal/obs"
@@ -51,37 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pnmserve:", err)
 		os.Exit(1)
 	}
-}
-
-// debugReg backs the expvar "pnm" variable; see pnmlive for the pattern
-// (expvar publishes once per process, run may execute repeatedly under
-// test).
-var (
-	debugOnce sync.Once
-	debugReg  atomic.Pointer[obs.Registry]
-)
-
-// serveDebug publishes reg on addr and returns a clean shutdown func.
-func serveDebug(addr string, reg *obs.Registry) (func() error, error) {
-	debugReg.Store(reg)
-	debugOnce.Do(func() {
-		expvar.Publish("pnm", expvar.Func(func() any { return debugReg.Load().Map() }))
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: http.DefaultServeMux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof/ and /debug/vars\n", ln.Addr())
-	return func() error {
-		srv.Close()
-		if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-			return err
-		}
-		return nil
-	}, nil
 }
 
 // chaosFromFaultPlan maps a netsim fault plan onto the transport server:
@@ -156,12 +120,12 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 
 	reg := obs.New()
 	if *debugAddr != "" {
-		stop, derr := serveDebug(*debugAddr, reg)
+		dbg, derr := debugserver.Start(*debugAddr, reg)
 		if derr != nil {
 			return derr
 		}
 		defer func() {
-			if derr := stop(); derr != nil && err == nil {
+			if derr := dbg.Shutdown(); derr != nil && err == nil {
 				err = derr
 			}
 		}()

@@ -144,6 +144,7 @@ func TestServeBadFlags(t *testing.T) {
 		{"-chaos", "-packets", "0"}, // chaos milestones need a packet count
 		{"-nodes", "0"},             // empty scenario
 		{"-workers", "2"},           // no such flag
+		{"-debug", "127.0.0.1:-1"},  // unbindable debug address
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Fatalf("run(%q) accepted", args)

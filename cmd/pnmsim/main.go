@@ -11,11 +11,15 @@
 // a crude ASCII plot instead of CSV. -stats dumps the sink chain's obs counters to stderr
 // after instrumented experiments (resolve).
 //
-// Run-averaged experiments fan their independent runs across -workers
-// goroutines (default GOMAXPROCS). Every run derives its seed purely from
-// the run index, and aggregation happens in run order, so the output is
-// byte-identical for every worker count — -workers only changes how fast
-// the answer arrives.
+// -runs and -seed override an experiment's run count and seed; an
+// experiment rejects any flag it would ignore rather than silently
+// printing its defaults.
+//
+// Run-averaged experiments fan their independent runs across GOMAXPROCS
+// goroutines (set the GOMAXPROCS environment variable to change it).
+// Every run derives its seed purely from the run index, and aggregation
+// happens in run order, so the output is byte-identical for every worker
+// count — GOMAXPROCS only changes how fast the answer arrives.
 package main
 
 import (
@@ -23,7 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"slices"
 
 	"pnm/internal/experiment"
 	"pnm/internal/obs"
@@ -41,14 +45,16 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("pnmsim", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchsink, benchfault, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
-		runs    = fs.Int("runs", 0, "override the run count (0 = experiment default)")
-		seed    = fs.Int64("seed", 0, "override the RNG seed (0 = experiment default)")
-		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for run-parallel experiments (<= 0 = GOMAXPROCS); results are identical for every value")
-		plot    = fs.Bool("plot", false, "render figures as ASCII plots instead of CSV")
-		statsF  = fs.Bool("stats", false, "dump obs counters to stderr after instrumented experiments (resolve)")
+		exp    = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchsink, benchfault, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
+		runs   = fs.Int("runs", 0, "override the run count (0 = experiment default)")
+		seed   = fs.Int64("seed", 0, "override the RNG seed (0 = experiment default)")
+		plot   = fs.Bool("plot", false, "render figures as ASCII plots instead of CSV")
+		statsF = fs.Bool("stats", false, "dump obs counters to stderr after instrumented experiments (resolve)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkFlags(fs, *exp); err != nil {
 		return err
 	}
 	// emitBench prints a bench generator's JSON document.
@@ -71,7 +77,6 @@ func run(args []string, w io.Writer) error {
 	case "fig5":
 		cfg := experiment.DefaultFig5()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		series, err := experiment.Fig5(cfg)
 		if err != nil {
 			return err
@@ -80,7 +85,6 @@ func run(args []string, w io.Writer) error {
 	case "fig6":
 		cfg := experiment.DefaultFig67()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		res, err := experiment.Fig67(cfg)
 		if err != nil {
 			return err
@@ -89,7 +93,6 @@ func run(args []string, w io.Writer) error {
 	case "fig7":
 		cfg := experiment.DefaultFig67()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		res, err := experiment.Fig67(cfg)
 		if err != nil {
 			return err
@@ -100,7 +103,6 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		cfg.Workers = *workers
 		cells, err := experiment.SecurityMatrix(cfg)
 		if err != nil {
 			return err
@@ -110,7 +112,6 @@ func run(args []string, w io.Writer) error {
 	case "headline":
 		cfg := experiment.DefaultHeadline()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.Headline(cfg)
 		if err != nil {
 			return err
@@ -120,7 +121,6 @@ func run(args []string, w io.Writer) error {
 	case "ablate":
 		cfg := experiment.DefaultAblation()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.AblateMarkingProbability(cfg)
 		if err != nil {
 			return err
@@ -183,7 +183,6 @@ func run(args []string, w io.Writer) error {
 		return emitBench(experiment.ChurnBench(cfg))
 	case "filter":
 		cfg := experiment.DefaultFilterCompare()
-		cfg.Workers = *workers
 		rows := experiment.FilterCompare(cfg)
 		fmt.Fprint(w, experiment.RenderFilterCompare(rows, cfg.AttackHours))
 		return nil
@@ -192,7 +191,6 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		cfg.Workers = *workers
 		rows, err := experiment.RelatedComparison(cfg)
 		if err != nil {
 			return err
@@ -202,7 +200,6 @@ func run(args []string, w io.Writer) error {
 	case "precision":
 		cfg := experiment.DefaultPrecision()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.Precision(cfg)
 		if err != nil {
 			return err
@@ -212,7 +209,6 @@ func run(args []string, w io.Writer) error {
 	case "multisource":
 		cfg := experiment.DefaultMultiSource()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.MultiSource(cfg)
 		if err != nil {
 			return err
@@ -224,7 +220,6 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		cfg.Workers = *workers
 		rows, err := experiment.BackgroundTraffic(cfg)
 		if err != nil {
 			return err
@@ -234,7 +229,6 @@ func run(args []string, w io.Writer) error {
 	case "dynamics":
 		cfg := experiment.DefaultDynamics()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.Dynamics(cfg)
 		if err != nil {
 			return err
@@ -244,7 +238,6 @@ func run(args []string, w io.Writer) error {
 	case "molepos":
 		cfg := experiment.DefaultMolePos()
 		applyOverrides(&cfg.Runs, *runs, &cfg.Seed, *seed)
-		cfg.Workers = *workers
 		rows, err := experiment.MolePos(cfg)
 		if err != nil {
 			return err
@@ -256,7 +249,6 @@ func run(args []string, w io.Writer) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		cfg.Workers = *workers
 		rows, err := experiment.Overhead(cfg)
 		if err != nil {
 			return err
@@ -266,6 +258,45 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+}
+
+// experimentFlags lists, per experiment, the optional flags it reads.
+var experimentFlags = map[string][]string{
+	"fig4":        {"plot"},
+	"fig5":        {"runs", "seed", "plot"},
+	"fig6":        {"runs", "seed", "plot"},
+	"fig7":        {"runs", "seed", "plot"},
+	"matrix":      {"seed"},
+	"headline":    {"runs", "seed"},
+	"ablate":      {"runs", "seed"},
+	"resolve":     {"seed", "stats"},
+	"benchsink":   {"seed"},
+	"benchfault":  {"seed"},
+	"benchchurn":  {"seed"},
+	"filter":      {},
+	"related":     {"seed"},
+	"precision":   {"runs", "seed"},
+	"overhead":    {"seed"},
+	"multisource": {"runs", "seed"},
+	"background":  {"seed"},
+	"dynamics":    {"runs", "seed"},
+	"molepos":     {"runs", "seed"},
+}
+
+// checkFlags rejects a flag set on the command line that exp would
+// ignore.
+func checkFlags(fs *flag.FlagSet, exp string) error {
+	reads, ok := experimentFlags[exp]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "exp" && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("experiment %s does not take -%s", exp, f.Name)
+		}
+	})
+	return err
 }
 
 // applyOverrides replaces defaults with flag values when set.

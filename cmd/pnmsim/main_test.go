@@ -81,3 +81,41 @@ func TestRunUnknownExperiment(t *testing.T) {
 		t.Fatal("want flag error")
 	}
 }
+
+// TestRunRejectsIgnoredFlags checks that an experiment refuses a flag it
+// would otherwise drop and print its defaults.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	tests := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-exp", "matrix", "-runs", "1"}, "runs"},
+		{[]string{"-exp", "filter", "-seed", "5", "-runs", "3"}, "runs"},
+		{[]string{"-exp", "filter", "-seed", "5"}, "seed"},
+		{[]string{"-exp", "fig4", "-seed", "2"}, "seed"},
+		{[]string{"-exp", "fig4", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "resolve", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "related", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "background", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "overhead", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "benchsink", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "benchfault", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "benchchurn", "-runs", "2"}, "runs"},
+		{[]string{"-exp", "headline", "-plot"}, "plot"},
+		{[]string{"-exp", "fig5", "-stats"}, "stats"},
+	}
+	for _, tt := range tests {
+		var buf bytes.Buffer
+		err := run(tt.args, &buf)
+		if err == nil {
+			t.Fatalf("%v accepted", tt.args)
+		}
+		exp := tt.args[1]
+		if !strings.Contains(err.Error(), exp) || !strings.Contains(err.Error(), "-"+tt.flag) {
+			t.Fatalf("%v: error %q does not name experiment %s and flag -%s", tt.args, err, exp, tt.flag)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%v printed output before failing:\n%s", tt.args, buf.String())
+		}
+	}
+}

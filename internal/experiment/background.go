@@ -42,8 +42,6 @@ type BackgroundConfig struct {
 	Rounds int
 	// Seed drives everything.
 	Seed int64
-	// Workers bounds the mode-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultBackground returns a mixed-traffic scenario: six background
@@ -67,11 +65,11 @@ func DefaultBackground() BackgroundConfig {
 // The two modes are independent replays of the identical seeded workload
 // (all randomness comes from cfg.Seed, and nothing on the observation side
 // consumes the RNG), so each mode builds its own network, tracker and
-// classifier and the pair fans out across cfg.Workers with byte-identical
-// results to the single shared pass.
+// classifier and the pair fans out across GOMAXPROCS workers with
+// byte-identical results to the single shared pass.
 func BackgroundTraffic(cfg BackgroundConfig) ([]BackgroundRow, error) {
 	modes := []string{"all traffic", "triaged"}
-	return parallel.RunNErr(len(modes), cfg.Workers, func(mi int) (BackgroundRow, error) {
+	return parallel.RunN(len(modes), func(mi int) (BackgroundRow, error) {
 		return backgroundMode(cfg, modes[mi], mi == 1)
 	})
 }

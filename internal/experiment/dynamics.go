@@ -38,8 +38,6 @@ type DynamicsConfig struct {
 	Runs int
 	// Seed drives everything.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultDynamics returns a 150+150-packet scenario.
@@ -60,7 +58,7 @@ func Dynamics(cfg DynamicsConfig) ([]DynamicsRow, error) {
 		identified, localized bool
 		candidates            int
 	}
-	perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) ([]dynMode, error) {
+	perRun, err := parallel.RunN(cfg.Runs, func(run int) ([]dynMode, error) {
 		base, err := topology.NewRandomGeometric(topology.GeometricConfig{
 			Nodes: 120, Side: 7, RadioRange: 1.5, Seed: cfg.Seed + int64(run), SinkAtCorner: true,
 		})

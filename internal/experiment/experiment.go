@@ -56,8 +56,6 @@ type Fig5Config struct {
 	Runs int
 	// Seed drives the runs deterministically.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFig5 returns the paper's parameters with a run count that keeps
@@ -68,15 +66,15 @@ func DefaultFig5() Fig5Config {
 
 // Fig5 simulates PNM and reports the average percentage of forwarding
 // nodes whose marks the sink has collected within the first x packets.
-// Runs are independent and fan out across cfg.Workers; each builds its own
-// runner and derives its seed from the run index alone, and the per-run
-// fractions are summed in run order, so the output is bit-identical for
-// every worker count.
+// Runs are independent and fan out across GOMAXPROCS workers; each builds
+// its own runner and derives its seed from the run index alone, and the
+// per-run fractions are summed in run order, so the output is
+// bit-identical for every worker count.
 func Fig5(cfg Fig5Config) ([]stats.Series, error) {
 	out := make([]stats.Series, 0, len(cfg.PathLens))
 	for _, n := range cfg.PathLens {
 		p := analytic.ProbabilityForMarks(n, cfg.MarksPerPacket)
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) ([]float64, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) ([]float64, error) {
 			r, err := sim.NewChainRunner(sim.ChainConfig{
 				Forwarders: n,
 				Scheme:     marking.PNM{P: p},
@@ -124,8 +122,6 @@ type Fig67Config struct {
 	Runs int
 	// Seed drives the runs deterministically.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFig67 returns the paper's parameters.
@@ -175,7 +171,7 @@ func Fig67(cfg Fig67Config) (Fig67Result, error) {
 	}
 	for _, n := range cfg.PathLens {
 		p := analytic.ProbabilityForMarks(n, cfg.MarksPerPacket)
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (fig67Run, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (fig67Run, error) {
 			r, err := sim.NewChainRunner(sim.ChainConfig{
 				Forwarders: n,
 				Scheme:     marking.PNM{P: p},
@@ -257,8 +253,6 @@ type MatrixConfig struct {
 	Packets int
 	// Seed drives the runs.
 	Seed int64
-	// Workers bounds the cell-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultMatrix returns a configuration matching the paper's qualitative
@@ -269,8 +263,8 @@ func DefaultMatrix() MatrixConfig {
 
 // SecurityMatrix evaluates every scheme under every attack. Cells are
 // independent scenarios (each gets its own runner and the same seed), so
-// they fan out across cfg.Workers with the cell order — and therefore the
-// rendered matrix — unchanged.
+// they fan out across GOMAXPROCS workers with the cell order — and
+// therefore the rendered matrix — unchanged.
 func SecurityMatrix(cfg MatrixConfig) ([]MatrixCell, error) {
 	p := analytic.ProbabilityForMarks(cfg.Forwarders, cfg.MarksPerPacket)
 	schemes := []marking.Scheme{
@@ -281,7 +275,7 @@ func SecurityMatrix(cfg MatrixConfig) ([]MatrixCell, error) {
 		marking.PNM{P: p},
 	}
 	attacks := sim.Attacks()
-	return parallel.RunNErr(len(schemes)*len(attacks), cfg.Workers, func(i int) (MatrixCell, error) {
+	return parallel.RunN(len(schemes)*len(attacks), func(i int) (MatrixCell, error) {
 		s, attack := schemes[i/len(attacks)], attacks[i%len(attacks)]
 		r, err := sim.NewChainRunner(sim.ChainConfig{
 			Forwarders: cfg.Forwarders,

@@ -5,7 +5,6 @@ import (
 
 	"pnm/internal/energy"
 	"pnm/internal/filter"
-	"pnm/internal/parallel"
 	"pnm/internal/stats"
 )
 
@@ -27,8 +26,6 @@ type FilterCompareConfig struct {
 	PayloadBytes int
 	// AttackHours is the exposure window for the filtering-only defense.
 	AttackHours float64
-	// Workers bounds the row-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultFilterCompare returns a 20-hop scenario at Mica2 rates.
@@ -70,13 +67,13 @@ type FilterCompareRow struct {
 
 // FilterCompare computes the table. It is analytic end to end: expected
 // travel and delivery come from the filter model, energy from the Mica2
-// model, and packets-to-catch from the measured SinkPacketsToCatch. Rows
-// are pure functions of one detection probability, so they fan out across
-// cfg.Workers in sweep order.
+// model, and packets-to-catch from the measured SinkPacketsToCatch. Each
+// row is a closed-form function of one detection probability.
 func FilterCompare(cfg FilterCompareConfig) []FilterCompareRow {
-	return parallel.RunN(len(cfg.DetectProbs), cfg.Workers, func(i int) FilterCompareRow {
-		q := cfg.DetectProbs[i]
-		model := energy.Mica2()
+	model := energy.Mica2()
+	injectedWindow := cfg.AttackHours * 3600 * cfg.InjectionRatePPS
+	rows := make([]FilterCompareRow, 0, len(cfg.DetectProbs))
+	for _, q := range cfg.DetectProbs {
 		expHops := filter.ExpectedTravel(cfg.PathLen, q)
 		delivery := filter.SinkDeliveryProb(cfg.PathLen, q)
 		perPacketJ := model.AttackEnergy(1, cfg.PayloadBytes, int(expHops+0.5))
@@ -91,10 +88,10 @@ func FilterCompare(cfg FilterCompareConfig) []FilterCompareRow {
 			row.SecondsToCatch = row.InjectedToCatch / cfg.InjectionRatePPS
 			row.EnergyUntilCaughtJ = row.InjectedToCatch * perPacketJ
 		}
-		injectedWindow := cfg.AttackHours * 3600 * cfg.InjectionRatePPS
 		row.EnergyFilterOnlyJ = injectedWindow * perPacketJ
-		return row
-	})
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // RenderFilterCompare formats the table.

@@ -34,8 +34,6 @@ type HeadlineConfig struct {
 	MaxPackets int
 	// Seed drives the runs.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultHeadline returns the paper's checkpoints.
@@ -71,7 +69,7 @@ func Headline(cfg HeadlineConfig) ([]HeadlineRow, error) {
 	var rows []HeadlineRow
 	for _, n := range cfg.PathLens {
 		p := analytic.ProbabilityForMarks(n, cfg.MarksPerPacket)
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (catchRun, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
 			r, err := sim.NewChainRunner(sim.ChainConfig{
 				Forwarders: n,
 				Scheme:     marking.PNM{P: p},
@@ -156,8 +154,6 @@ type AblationConfig struct {
 	MaxPackets int
 	// Seed drives the runs.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultAblation returns a 20-hop sweep of np in 1..6.
@@ -189,7 +185,7 @@ func AblateMarkingProbability(cfg AblationConfig) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, mpp := range cfg.MarksPerPacketValues {
 		p := analytic.ProbabilityForMarks(cfg.Forwarders, mpp)
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (catchRun, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
 			r, err := sim.NewChainRunner(sim.ChainConfig{
 				Forwarders: cfg.Forwarders,
 				Scheme:     marking.PNM{P: p},

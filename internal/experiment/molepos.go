@@ -26,8 +26,6 @@ type MolePosConfig struct {
 	MaxPackets int
 	// Seed drives the runs.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultMolePos sweeps a 12-hop path.
@@ -62,7 +60,7 @@ func MolePos(cfg MolePosConfig) ([]MolePosRow, error) {
 	}
 	var rows []MolePosRow
 	for _, pos := range cfg.Positions {
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (catchRun, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
 			r, err := sim.NewChainRunner(sim.ChainConfig{
 				Forwarders: cfg.Forwarders,
 				Scheme:     marking.PNM{P: p},

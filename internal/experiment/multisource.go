@@ -47,8 +47,6 @@ type MultiSourceConfig struct {
 	PacketsPerRound int
 	// Seed drives placement and marking.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultMultiSource returns a 9x9-grid sweep of 1..4 moles.
@@ -63,7 +61,8 @@ func DefaultMultiSource() MultiSourceConfig {
 }
 
 // MultiSource runs the sweep. Campaign runs are independent (each builds
-// its own grid, key store and campaign) and fan out across cfg.Workers.
+// its own grid, key store and campaign) and fan out across GOMAXPROCS
+// workers.
 func MultiSource(cfg MultiSourceConfig) ([]MultiSourceRow, error) {
 	// One campaign run's contribution to the aggregates.
 	type multiRun struct {
@@ -76,7 +75,7 @@ func MultiSource(cfg MultiSourceConfig) ([]MultiSourceRow, error) {
 	}
 	var rows []MultiSourceRow
 	for _, count := range cfg.SourceCounts {
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (multiRun, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (multiRun, error) {
 			topo, err := topology.NewGrid(topology.GridConfig{
 				Width: 9, Height: 9, Spacing: 1, RadioRange: 1.1,
 			})

@@ -2,10 +2,18 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pnm/internal/stats"
 )
+
+// atGOMAXPROCS returns render's output with the run engine's worker width
+// set to procs, restoring the previous setting afterwards.
+func atGOMAXPROCS(procs int, render func() string) string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return render()
+}
 
 // renderFig5 flattens Fig5 output to bytes the way cmd/pnmsim emits it, so
 // equality below is exactly the "same CSV in results/" guarantee.
@@ -19,8 +27,8 @@ func renderFig5(t *testing.T, cfg Fig5Config) string {
 }
 
 // TestFig5ParallelSerialEquivalence is the engine's core regression: with
-// the same seed, the Fig5 sweep must be byte-identical at workers=1 and
-// workers=8. Seeds derive from the run index alone and aggregation folds
+// the same seed, the Fig5 sweep must be byte-identical at GOMAXPROCS=1 and
+// GOMAXPROCS=8. Seeds derive from the run index alone and aggregation folds
 // in run order, so worker scheduling must not be observable in the output.
 func TestFig5ParallelSerialEquivalence(t *testing.T) {
 	cfg := DefaultFig5()
@@ -28,13 +36,12 @@ func TestFig5ParallelSerialEquivalence(t *testing.T) {
 	cfg.MaxPackets = 30
 	cfg.Runs = 64
 
-	cfg.Workers = 1
-	serial := renderFig5(t, cfg)
-	cfg.Workers = 8
-	parallel8 := renderFig5(t, cfg)
+	render := func() string { return renderFig5(t, cfg) }
+	serial := atGOMAXPROCS(1, render)
+	parallel8 := atGOMAXPROCS(8, render)
 
 	if serial != parallel8 {
-		t.Fatalf("Fig5 diverged between workers=1 and workers=8:\n--- serial ---\n%s--- workers=8 ---\n%s", serial, parallel8)
+		t.Fatalf("Fig5 diverged between GOMAXPROCS=1 and GOMAXPROCS=8:\n--- serial ---\n%s--- GOMAXPROCS=8 ---\n%s", serial, parallel8)
 	}
 }
 
@@ -47,8 +54,7 @@ func TestFig67ParallelSerialEquivalence(t *testing.T) {
 	cfg.Traffics = []int{100, 200}
 	cfg.Runs = 32
 
-	render := func(workers int) string {
-		cfg.Workers = workers
+	render := func() string {
 		res, err := Fig67(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -56,10 +62,10 @@ func TestFig67ParallelSerialEquivalence(t *testing.T) {
 		return stats.CSV("path length", res.Failures...) + stats.CSV("path length", res.AvgPackets)
 	}
 
-	serial := render(1)
-	parallel8 := render(8)
+	serial := atGOMAXPROCS(1, render)
+	parallel8 := atGOMAXPROCS(8, render)
 	if serial != parallel8 {
-		t.Fatalf("Fig67 diverged between workers=1 and workers=8:\n--- serial ---\n%s--- workers=8 ---\n%s", serial, parallel8)
+		t.Fatalf("Fig67 diverged between GOMAXPROCS=1 and GOMAXPROCS=8:\n--- serial ---\n%s--- GOMAXPROCS=8 ---\n%s", serial, parallel8)
 	}
 }
 
@@ -69,8 +75,7 @@ func TestSecurityMatrixParallelSerialEquivalence(t *testing.T) {
 	cfg := DefaultMatrix()
 	cfg.Packets = 150
 
-	render := func(workers int) string {
-		cfg.Workers = workers
+	render := func() string {
 		cells, err := SecurityMatrix(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -78,13 +83,14 @@ func TestSecurityMatrixParallelSerialEquivalence(t *testing.T) {
 		return RenderMatrix(cells)
 	}
 
-	if serial, parallel8 := render(1), render(8); serial != parallel8 {
-		t.Fatalf("SecurityMatrix diverged between workers=1 and workers=8:\n--- serial ---\n%s--- workers=8 ---\n%s", serial, parallel8)
+	if serial, parallel8 := atGOMAXPROCS(1, render), atGOMAXPROCS(8, render); serial != parallel8 {
+		t.Fatalf("SecurityMatrix diverged between GOMAXPROCS=1 and GOMAXPROCS=8:\n--- serial ---\n%s--- GOMAXPROCS=8 ---\n%s", serial, parallel8)
 	}
 }
 
 // BenchmarkFig5Workers measures the run engine's scaling on the Fig5 sweep
-// (the acceptance check: >= 2x wall clock at 4+ workers over workers=1).
+// (the acceptance check: >= 2x wall clock at 4+ workers over one worker).
+// Each sub-benchmark sets GOMAXPROCS to its worker count.
 // Run with: go test -bench=Fig5Workers -benchtime=1x ./internal/experiment
 func BenchmarkFig5Workers(b *testing.B) {
 	base := DefaultFig5()
@@ -92,10 +98,9 @@ func BenchmarkFig5Workers(b *testing.B) {
 	base.Runs = 256
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := base
-			cfg.Workers = workers
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig5(cfg); err != nil {
+				if _, err := Fig5(base); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,8 +40,6 @@ type PrecisionConfig struct {
 	Packets int
 	// Seed drives placements and marking.
 	Seed int64
-	// Workers bounds the run-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultPrecision returns a modest configuration.
@@ -75,7 +73,7 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 	}
 	var rows []PrecisionRow
 	for _, b := range builders {
-		perRun, err := parallel.RunNErr(cfg.Runs, cfg.Workers, func(run int) (precisionRun, error) {
+		perRun, err := parallel.RunN(cfg.Runs, func(run int) (precisionRun, error) {
 			topo, err := b.build(cfg.Seed + int64(run))
 			if err != nil {
 				return precisionRun{}, err
@@ -186,8 +184,6 @@ type OverheadConfig struct {
 	MarksPerPacket float64
 	// Seed drives marking decisions.
 	Seed int64
-	// Workers bounds the measurement-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultOverhead matches the paper's path lengths.
@@ -218,7 +214,7 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 			units = append(units, unit{n: n, scheme: s})
 		}
 	}
-	rows, err := parallel.RunNErr(len(units), cfg.Workers, func(i int) (OverheadRow, error) {
+	rows, err := parallel.RunN(len(units), func(i int) (OverheadRow, error) {
 		u := units[i]
 		r, err := sim.NewChainRunner(sim.ChainConfig{
 			Forwarders: u.n,

@@ -44,8 +44,6 @@ type RelatedConfig struct {
 	NotifyProb float64
 	// Seed drives the runs.
 	Seed int64
-	// Workers bounds the approach-level parallelism (<= 0: GOMAXPROCS).
-	Workers int
 }
 
 // DefaultRelated returns a 10-hop scenario.
@@ -59,13 +57,13 @@ func DefaultRelated() RelatedConfig {
 // selective dropping (and fails); against logging it lies to queries;
 // against notification it eats upstream notifications. The three
 // approaches are fully independent scenarios — each builds its own
-// (deterministic) chain — so they fan out across cfg.Workers with the row
-// order unchanged.
+// (deterministic) chain — so they fan out across GOMAXPROCS workers with the
+// row order unchanged.
 func RelatedComparison(cfg RelatedConfig) ([]RelatedRow, error) {
 	approaches := []func(RelatedConfig) (RelatedRow, error){
 		relatedPNM, relatedLogging, relatedNotification,
 	}
-	return parallel.RunNErr(len(approaches), cfg.Workers, func(i int) (RelatedRow, error) {
+	return parallel.RunN(len(approaches), func(i int) (RelatedRow, error) {
 		return approaches[i](cfg)
 	})
 }

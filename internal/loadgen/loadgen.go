@@ -3,9 +3,9 @@
 // pnmlive injects in-process, pre-marked by every forwarder on the mole's
 // routing path, exactly as the packets would arrive at the sink. Because
 // the stream is a pure function of the scenario config, a load generator
-// (cmd/pnmload) and a server (cmd/pnmserve, pnmlive -listen) built from
-// the same config agree on every byte — which is what lets the loopback
-// end-to-end test demand a verdict byte-identical to the in-process run.
+// (cmd/pnmload) and a server (cmd/pnmserve) built from the same config
+// agree on every byte — which is what lets the loopback end-to-end test
+// demand a verdict byte-identical to the in-process run.
 package loadgen
 
 import (

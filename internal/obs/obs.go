@@ -252,7 +252,8 @@ func (r *Registry) String() string {
 }
 
 // Map returns the snapshot as a plain map, built from the sorted snapshot
-// — the shape expvar.Func publishes in pnmlive's debug endpoint.
+// — the shape expvar.Func publishes on the commands' -debug endpoint
+// (internal/debugserver).
 func (r *Registry) Map() map[string]any {
 	out := make(map[string]any)
 	for _, m := range r.Snapshot() {

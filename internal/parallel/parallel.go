@@ -1,13 +1,14 @@
 // Package parallel is the deterministic run engine behind the experiment
 // harness: it fans embarrassingly parallel, independently seeded runs
-// across a bounded worker pool and hands the results back indexed by run.
+// across runtime.GOMAXPROCS(0) workers and hands the results back indexed
+// by run.
 //
 // Determinism is the contract. Workers race only over *which* run they
 // claim next; every run derives its randomness purely from its run index
 // (the experiment configs seed each run as cfg.Seed + f(run)), and results
 // land in a slice slot owned by that index. Callers then aggregate in run
 // order, so sums, means and rendered tables are bit-identical whatever the
-// worker count — RunN(n, 1, fn) and RunN(n, 8, fn) produce the same bytes.
+// worker count — GOMAXPROCS=1 and GOMAXPROCS=8 produce the same bytes.
 //
 // The worker function must therefore be self-contained: it builds its own
 // sim.Runner, tracker and rand.Rand, and shares nothing mutable with other
@@ -21,51 +22,29 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a configured worker count: values <= 0 select
-// runtime.GOMAXPROCS(0), and the count never exceeds n (there is no point
-// parking goroutines on an empty queue).
-func Workers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// ForEach invokes fn(i) for every i in [0, n) using the given number of
-// workers (<= 0 selects GOMAXPROCS). It returns once every call has
-// finished. Iteration order across workers is unspecified; determinism
-// comes from fn deriving everything from i. A panic in any fn is re-raised
-// on the caller's goroutine — from the lowest panicking index, so even
-// failures are deterministic.
-func ForEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	workers = Workers(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-
-	panics := make([]any, n)
+// RunN runs fn for every run index in [0, runs) on min(GOMAXPROCS, runs)
+// workers and returns the results ordered by run index. All runs execute
+// regardless of individual failures; if any failed, the error of the
+// lowest failing run index is returned (so the reported error does not
+// depend on worker scheduling) and the results are discarded. A panic in
+// any run is re-raised on the caller's goroutine once every run has
+// finished — from the lowest panicking index, so even failures are
+// deterministic.
+func RunN[T any](runs int, fn func(run int) (T, error)) ([]T, error) {
+	runs = max(runs, 0)
+	out := make([]T, runs)
+	errs := make([]error, runs)
+	panics := make([]any, runs)
 	var panicked atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), runs); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= runs {
 					return
 				}
 				func() {
@@ -75,7 +54,7 @@ func ForEach(n, workers int, fn func(i int)) {
 							panicked.Store(true)
 						}
 					}()
-					fn(i)
+					out[i], errs[i] = fn(i)
 				}()
 			}
 		}()
@@ -88,24 +67,6 @@ func ForEach(n, workers int, fn func(i int)) {
 			}
 		}
 	}
-}
-
-// RunN runs fn for every run index in [0, runs) on the pool and returns
-// the results ordered by run index.
-func RunN[T any](runs, workers int, fn func(run int) T) []T {
-	out := make([]T, max(runs, 0))
-	ForEach(runs, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// RunNErr is RunN for fallible runs. All runs execute regardless of
-// individual failures; if any failed, the error of the lowest failing run
-// index is returned (so the reported error does not depend on worker
-// scheduling) and the results are discarded.
-func RunNErr[T any](runs, workers int, fn func(run int) (T, error)) ([]T, error) {
-	out := make([]T, max(runs, 0))
-	errs := make([]error, max(runs, 0))
-	ForEach(runs, workers, func(i int) { out[i], errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
