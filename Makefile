@@ -53,12 +53,14 @@ bench-sink:
 bench-fault:
 	$(GO) run ./cmd/pnmsim -exp benchfault > BENCH_fault.json
 
-# Regenerate the committed churn benchmark (E23): traceback under
-# topology churn with epoch-versioned resolution. Fully deterministic
-# apart from the two wall-clock columns; mole capture at every churn
-# level, stale-resolver divergence on churned rows, and verdict-hash
-# equality with a full-rebuild reference are all enforced at generation
-# time.
+# Regenerate the committed churn benchmark (E23, and E18's rows at
+# epochs 0 and 1): traceback under topology churn with epoch-versioned
+# resolution, in two rewire modes over 20 seeded fields. Fully
+# deterministic apart from env and the two wall-clock columns, for any
+# GOMAXPROCS. Mole capture and stale-resolver divergence on run 0, and
+# every epoch applied plus verdict-hash equality with a full-rebuild
+# reference on every run, are enforced at generation time;
+# TestCommittedBenchDocsReproduce regenerates the document in go test.
 bench-churn:
 	$(GO) run ./cmd/pnmsim -exp benchchurn > BENCH_churn.json
 
@@ -104,7 +106,6 @@ figures:
 	$(GO) run ./cmd/pnmsim -exp overhead > results/overhead.txt
 	$(GO) run ./cmd/pnmsim -exp multisource > results/multisource.txt
 	$(GO) run ./cmd/pnmsim -exp background > results/background.txt
-	$(GO) run ./cmd/pnmsim -exp dynamics > results/dynamics.txt
 	$(GO) run ./cmd/pnmsim -exp molepos > results/molepos.txt
 
 # Regenerate results/ and fail if any committed file changed.

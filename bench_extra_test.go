@@ -1,6 +1,6 @@
 package pnm
 
-// Benchmarks for the extension tables (E13–E18) and the substrate
+// Benchmarks for the extension tables (E13–E17) and the substrate
 // micro-operations. Each experiment bench uses a reduced configuration and
 // reports its headline quantity, mirroring bench_test.go's pattern.
 

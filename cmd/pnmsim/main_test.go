@@ -74,8 +74,10 @@ func TestRunTables(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-exp", "bogus"}, &buf); err == nil {
-		t.Fatal("want error")
+	for _, exp := range []string{"bogus", "dynamics"} {
+		if err := run([]string{"-exp", exp}, &buf); err == nil {
+			t.Fatalf("-exp %s: want error", exp)
+		}
 	}
 	if err := run([]string{"-nope"}, &buf); err == nil {
 		t.Fatal("want flag error")
@@ -83,7 +85,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestRunRejectsIgnoredFlags checks that an experiment refuses a flag it
-// would otherwise drop and print its defaults.
+// would otherwise drop and print its defaults, including a -runs below 1.
 func TestRunRejectsIgnoredFlags(t *testing.T) {
 	tests := []struct {
 		args []string
@@ -103,6 +105,8 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-exp", "benchchurn", "-runs", "2"}, "runs"},
 		{[]string{"-exp", "headline", "-plot"}, "plot"},
 		{[]string{"-exp", "fig5", "-stats"}, "stats"},
+		{[]string{"-exp", "molepos", "-runs", "-3"}, "runs"},
+		{[]string{"-exp", "fig5", "-runs", "0"}, "runs"},
 	}
 	for _, tt := range tests {
 		var buf bytes.Buffer

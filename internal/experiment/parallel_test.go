@@ -88,6 +88,24 @@ func TestSecurityMatrixParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
+// TestChurnBenchParallelSerialEquivalence pins ChurnBench's run fan-out:
+// the document, with env and the *_ns wall-clock columns zeroed, is the
+// same at GOMAXPROCS=1 and GOMAXPROCS=8.
+func TestChurnBenchParallelSerialEquivalence(t *testing.T) {
+	cfg := DefaultChurnBench()
+	cfg.Nodes = 40
+	cfg.Side = 4
+	cfg.Runs = 6
+	cfg.Batch = 20
+	cfg.MaxPackets = 240
+	cfg.ChurnSweep = []int{0, 3}
+
+	render := func() string { return renderChurnBench(t, cfg) }
+	if serial, parallel8 := atGOMAXPROCS(1, render), atGOMAXPROCS(8, render); serial != parallel8 {
+		t.Fatalf("ChurnBench diverged between GOMAXPROCS=1 and GOMAXPROCS=8:\n--- serial ---\n%s--- GOMAXPROCS=8 ---\n%s", serial, parallel8)
+	}
+}
+
 // BenchmarkFig5Workers measures the run engine's scaling on the Fig5 sweep
 // (the acceptance check: >= 2x wall clock at 4+ workers over one worker).
 // Each sub-benchmark sets GOMAXPROCS to its worker count.
