@@ -170,6 +170,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.Hasher.Schedule",
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",
+		"pnm/internal/mac.Hasher.Publish",
 		"pnm/internal/marking.NestedMACPlainSched",
 		"pnm/internal/marking.NestedMACAnonSched",
 		"pnm/internal/marking.AMSMACSched",
@@ -178,8 +179,13 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.publish",
 		"pnm/internal/sink.TopologyResolver.Resolve",
+		"pnm/internal/sink.TopologyResolver.search",
+		"pnm/internal/sink.TopologyResolver.anonOf",
+		"pnm/internal/sink.TopologyResolver.hintPath",
 		"pnm/internal/sink.TopologyResolver.hint",
 		"pnm/internal/sink.routeTree.build",
+		"pnm/internal/sink.Order.AddChain",
+		"pnm/internal/sink.Order.index",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",

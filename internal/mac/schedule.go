@@ -33,9 +33,10 @@ type marshalingHash interface {
 // stateTemplate is the marshaled state of a SHA-256 digest that has
 // absorbed exactly one 64-byte block: magic, chaining value, an empty
 // block buffer and a length of 64. Every pad-absorbed HMAC state has this
-// shape and differs from it only in the 32 chaining bytes, so a schedule
-// stores just those bytes and restores a state by writing them into a
-// copy of the template.
+// shape and differs from it only in the 32 chaining bytes. A scratch
+// digest is unmarshaled from it once; after that, the schedule writes
+// only whole blocks, so the buffer stays empty and a restore rewrites
+// just the eight state words.
 var stateTemplate = func() []byte {
 	d := sha256.New().(marshalingHash)
 	d.Write(make([]byte, blockSize))
@@ -47,11 +48,12 @@ var stateTemplate = func() []byte {
 }()
 
 // schedCore is the immutable, per-key half of an HMAC-SHA256 key schedule:
-// the SHA-256 chaining values after absorbing key⊕ipad and key⊕opad.
-// Building one pays the two pad compressions; a core is never written
-// afterwards, so KeyStore keeps one per node and every Hasher reads it.
+// the SHA-256 chaining values after absorbing key⊕ipad and key⊕opad, as
+// the digest's state words, so a restore is one 32-byte store. Building
+// one pays the two pad compressions; a core is never written afterwards,
+// so KeyStore keeps one per node and every Hasher reads it.
 type schedCore struct {
-	inner, outer [sha256.Size]byte
+	inner, outer [8]uint32
 }
 
 // newSchedCore absorbs k's HMAC pads — the expensive, once-per-key step.
@@ -70,31 +72,31 @@ func newSchedCore(k Key) *schedCore {
 	return c
 }
 
-// absorbPad hashes one pad block and stores the resulting chaining value
-// in dst. It is also the layout guard, on every core build: the digest's
+// absorbPad hashes one pad block and stores the resulting state words in
+// dst. It is the per-core half of the layout guard: the digest's
 // marshaled state must equal stateTemplate everywhere but the chaining
-// bytes, or restoring from the template would silently compute wrong
-// MACs, and the state words digestWords reads in place must equal those
-// chaining bytes, or every hot-path read would. A Go release that changed
-// either layout would therefore fail every MAC test at once rather than
-// corrupt verdicts.
-func absorbPad(dst *[sha256.Size]byte, pad []byte) {
+// bytes (one block written, nothing buffered, length 64), and the state
+// words digestWords reads in place must equal those chaining bytes. A Go
+// release that changed either layout would therefore fail every MAC test
+// at once rather than corrupt verdicts; newScratch checks the restore
+// itself.
+func absorbPad(dst *[8]uint32, pad []byte) {
 	d := sha256.New().(marshalingHash)
 	d.Write(pad)
 	st, err := d.MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("mac: marshal sha256 state: %v", err))
 	}
-	end := chainOff + len(dst)
+	end := chainOff + sha256.Size
 	if len(st) != len(stateTemplate) ||
 		!bytes.Equal(st[:chainOff], stateTemplate[:chainOff]) ||
 		!bytes.Equal(st[end:], stateTemplate[end:]) {
 		panic("mac: unexpected sha256 marshaled-state layout")
 	}
-	copy(dst[:], st[chainOff:end])
+	*dst = *digestWords(d)
 	var words [sha256.Size]byte
-	putWords(words[:], digestWords(d))
-	if words != *dst {
+	putWords(words[:], dst)
+	if !bytes.Equal(words[:], st[chainOff:end]) {
 		panic("mac: sha256 state words disagree with the marshaled state")
 	}
 }
@@ -116,26 +118,27 @@ func digestWords(d hash.Hash) *[8]uint32 {
 	return (*[8]uint32)(v.UnsafePointer())
 }
 
-// putWords writes the state words w to dst, big-endian.
+// putWords writes the leading len(dst)/4 state words of w to dst,
+// big-endian: all eight for the outer block, fewer when a caller keeps
+// only a truncated hash.
 // pnmlint:noalloc
 func putWords(dst []byte, w *[8]uint32) {
-	for i, x := range w {
-		binary.BigEndian.PutUint32(dst[4*i:], x)
+	for i := range len(dst) / 4 {
+		binary.BigEndian.PutUint32(dst[4*i:], w[i])
 	}
 }
 
 // scratch is the per-goroutine half of a key schedule: one reusable
-// digest, a private copy of stateTemplate to restore it from, and the
-// blocks the two HMAC passes feed it. The inner and outer passes run one
-// after the other, so one digest and one template serve both.
+// digest and the blocks the two HMAC passes feed it. The inner and outer
+// passes run one after the other, so one digest serves both.
 //
 // Every Write hands the digest whole 64-byte blocks, message padding
 // included, so the digest's own buffering and Sum's padding and copies
-// never run: after the last block the digest's state words are the hash.
+// never run: after the last block the digest's state words are the hash,
+// and restoring a pad-absorbed state is a store into those words.
 type scratch struct {
 	h     marshalingHash
-	words *[8]uint32 // h's state words, read in place (digestWords)
-	state []byte     // stateTemplate copy; chaining bytes rewritten per restore
+	words *[8]uint32 // h's state words, read and restored in place (digestWords)
 
 	// tail holds the inner message's last partial block and its padding.
 	tail [2 * blockSize]byte
@@ -146,20 +149,51 @@ type scratch struct {
 	// for the same report rewrites only the two ID bytes.
 	anon    [blockSize]byte
 	anonRep packet.Report
-	// sum is the last HMAC's output.
-	sum [sha256.Size]byte
 }
 
-// newScratch returns fresh scratch: a digest, a template copy, and the
-// outer and AnonID blocks with their padding in place.
+// newScratch returns fresh scratch: a digest unmarshaled from
+// stateTemplate, so its block buffer is empty and its length field reads
+// one block, and the outer and AnonID blocks with their padding in place.
+// It runs the restore half of the layout guard on the digest first.
 func newScratch() *scratch {
 	h := sha256.New().(marshalingHash)
-	sc := &scratch{h: h, words: digestWords(h), state: bytes.Clone(stateTemplate)}
+	sc := &scratch{h: h, words: digestWords(h)}
+	sc.checkRestore()
+	if err := h.UnmarshalBinary(stateTemplate); err != nil {
+		panic(fmt.Sprintf("mac: unmarshal sha256 state: %v", err))
+	}
 	padBlocks(sc.outer[:], sha256.Size, blockSize+sha256.Size)
 	copy(sc.anon[:], anonDomain)
 	sc.anonRep.Encode(sc.anon[:anonReportOff])
 	padBlocks(sc.anon[:], anonMsgLen, blockSize+anonMsgLen)
 	return sc
+}
+
+// checkRestore is the restore half of the layout guard: after the digest
+// has taken an unrelated block, a word-copy restore of the template's
+// chaining value (the state after one zero block) followed by one padded
+// whole block must leave sha256.Sum256(zero block ‖ message) in the state
+// words. A Go release that buffered whole-block writes, kept state outside
+// the words, or moved them would fail it, and with it every MAC test, at
+// once.
+func (sc *scratch) checkRestore() {
+	var chain [8]uint32
+	for i := range chain {
+		chain[i] = binary.BigEndian.Uint32(stateTemplate[chainOff+4*i:])
+	}
+	for i := range blockSize {
+		sc.tail[i] = 0x5c
+	}
+	sc.h.Write(sc.tail[:blockSize])
+	sc.restore(&chain)
+	msg := []byte("pnm/mac restore guard")
+	n := copy(sc.tail[:], msg)
+	sc.h.Write(sc.tail[:padBlocks(sc.tail[:], n, blockSize+n)])
+	var got [sha256.Size]byte
+	putWords(got[:], sc.words)
+	if got != sha256.Sum256(append(make([]byte, blockSize), msg...)) {
+		panic("mac: sha256 digest does not restore by its state words")
+	}
 }
 
 // padBlocks writes SHA-256's padding for a msgLen-byte message into b
@@ -179,11 +213,13 @@ func padBlocks(b []byte, n, msgLen int) int {
 }
 
 // restore resets the digest to the pad-absorbed state with chaining value
-// chain: a 32-byte copy into the template, then UnmarshalBinary.
+// chain: one 32-byte store into its state words. The block buffer is
+// already empty, because every Write since newScratch's UnmarshalBinary
+// was whole blocks; the length field is stale, but only the digest's own
+// Sum reads it, and the schedule never calls that.
 // pnmlint:noalloc
-func (sc *scratch) restore(chain *[sha256.Size]byte) {
-	copy(sc.state[chainOff:], chain[:])
-	_ = sc.h.UnmarshalBinary(sc.state)
+func (sc *scratch) restore(chain *[8]uint32) {
+	*sc.words = *chain
 }
 
 // absorb feeds p to the digest after the n bytes pending in tail: whole
@@ -209,14 +245,12 @@ func (sc *scratch) absorb(n int, p []byte) int {
 
 // outerPass finishes an HMAC whose padded inner message has been written:
 // it writes the inner digest into the outer block and hashes that block
-// under the restored outer state. The result aliases sc.sum.
+// under the restored outer state. The HMAC is then the state words.
 // pnmlint:noalloc
-func (sc *scratch) outerPass(outer *[sha256.Size]byte) []byte {
+func (sc *scratch) outerPass(outer *[8]uint32) {
 	putWords(sc.outer[:sha256.Size], sc.words)
 	sc.restore(outer)
 	sc.h.Write(sc.outer[:])
-	putWords(sc.sum[:], sc.words)
-	return sc.sum[:]
 }
 
 // Schedule is a precomputed HMAC-SHA256 key schedule for one node key.
@@ -321,8 +355,9 @@ func (ks *KeyStore) CoreBuilds() uint64 {
 // interface call, so they must not point at the caller's stack.
 // pnmlint:noalloc
 func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
+	s.hmac(prefix, suffix)
 	var out [packet.MACLen]byte
-	copy(out[:], s.hmac(prefix, suffix))
+	putWords(out[:], s.sc.words)
 	return out
 }
 
@@ -342,23 +377,24 @@ func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDL
 	binary.BigEndian.PutUint16(sc.anon[anonIDOff:], uint16(id))
 	sc.restore(&s.core.inner)
 	sc.h.Write(sc.anon[:])
+	sc.outerPass(&s.core.outer)
 	var out [packet.AnonIDLen]byte
-	copy(out[:], sc.outerPass(&s.core.outer))
+	putWords(out[:], sc.words)
 	return out
 }
 
 // hmac runs the full HMAC over prefix ‖ suffix: restore the inner state,
 // absorb the message in whole blocks, write its padded tail, then run the
-// outer pass. The returned slice aliases the scratch and is valid until
-// the scratch's next call.
+// outer pass. The HMAC is left in the scratch's state words until its
+// next call.
 // pnmlint:noalloc
-func (s Schedule) hmac(prefix, suffix []byte) []byte {
+func (s Schedule) hmac(prefix, suffix []byte) {
 	sc := s.sc
 	sc.restore(&s.core.inner)
 	n := sc.absorb(0, prefix)
 	n = sc.absorb(n, suffix)
 	sc.h.Write(sc.tail[:padBlocks(sc.tail[:], n, blockSize+len(prefix)+len(suffix))])
-	return sc.outerPass(&s.core.outer)
+	sc.outerPass(&s.core.outer)
 }
 
 // Hasher is a goroutine-local table of per-node key schedules over a
@@ -380,6 +416,10 @@ type Hasher struct {
 	// load is cheaper than a map lookup on every probe.
 	cores []*schedCore
 	epoch uint64 // KeyStore schedule epoch the table was filled under
+	// pendingHits counts Schedule's table hits since the last Publish: a
+	// plain field, because a hit is the common case of every probe and
+	// MAC.
+	pendingHits uint64
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	hits       *obs.Counter
@@ -395,6 +435,8 @@ func (ks *KeyStore) Hasher() *Hasher {
 
 // Instrument binds the cache's counters (mac.schedule.hits / .misses /
 // .core_builds) into reg. Call it from the owning goroutine before use.
+// Misses and core builds are counted as they happen; hits reach
+// mac.schedule.hits only when the owner calls Publish.
 func (h *Hasher) Instrument(reg *obs.Registry) {
 	h.hits = reg.Counter("mac.schedule.hits")
 	h.misses = reg.Counter("mac.schedule.misses")
@@ -408,11 +450,22 @@ func (h *Hasher) Instrument(reg *obs.Registry) {
 func (h *Hasher) Schedule(id packet.NodeID) Schedule {
 	if int(id) < len(h.cores) {
 		if c := h.cores[id]; c != nil {
-			h.hits.Inc()
+			h.pendingHits++
 			return Schedule{core: c, sc: h.sc}
 		}
 	}
 	return h.build(id)
+}
+
+// Publish adds the schedule hits tallied since the previous call to
+// mac.schedule.hits: one atomic update per publication boundary (a
+// verifier's packet) instead of one per MAC.
+// pnmlint:noalloc
+func (h *Hasher) Publish() {
+	if h.pendingHits > 0 {
+		h.hits.Add(h.pendingHits)
+		h.pendingHits = 0
+	}
 }
 
 // build is Schedule's miss path: it records the store's shared core for

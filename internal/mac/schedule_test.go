@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"pnm/internal/obs"
@@ -167,17 +169,135 @@ func TestAnonIDReportMemo(t *testing.T) {
 	}
 }
 
+// scratchOp is one call through a Hasher's shared scratch: an AnonID, or
+// a Sum over prefix ‖ suffix bytes drawn from seed, under one of a few
+// keys.
+type scratchOp struct {
+	anon           bool
+	key            int
+	prefix, suffix int
+	seed           int64
+	report         packet.Report
+}
+
+// scratchSeq is a random interleaving of scratch calls for quick.Check.
+type scratchSeq []scratchOp
+
+// edgeLens are the Sum part lengths (0–300) where the whole-block engine
+// changes shape: each block boundary and its neighbours, and the last
+// one-block-padding and first two-block-padding lengths after it.
+var edgeLens = func() []int {
+	var out []int
+	for b := 0; b <= 300; b += blockSize {
+		for _, n := range []int{b - 1, b, b + 1, b + 55, b + 56} {
+			if n >= 0 && n <= 300 {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}()
+
+// Generate implements quick.Generator: up to 48 calls, a third of them
+// AnonIDs, with Sum part lengths drawn half from edgeLens and half
+// uniformly from 0–300.
+func (scratchSeq) Generate(rng *rand.Rand, _ int) reflect.Value {
+	length := func() int {
+		if rng.Intn(2) == 0 {
+			return edgeLens[rng.Intn(len(edgeLens))]
+		}
+		return rng.Intn(301)
+	}
+	seq := make(scratchSeq, 1+rng.Intn(48))
+	for i := range seq {
+		seq[i] = scratchOp{
+			anon:   rng.Intn(3) == 0,
+			key:    rng.Intn(4),
+			prefix: length(),
+			suffix: length(),
+			seed:   rng.Int63(),
+			report: packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()},
+		}
+	}
+	return reflect.ValueOf(seq)
+}
+
+// TestSharedScratchInterleavingMatchesStdlib drives one Hasher's scratch
+// through random interleavings of Sum and AnonID over several keys and
+// reports, and checks every result against crypto/hmac. A restore writes
+// only the digest's state words, so the one way it can go wrong that a
+// per-length test cannot see is state one call leaves behind for the
+// next: a buffered tail, a stale outer state, a stale AnonID block. The
+// test also requires that the sequences covered every edge length as a
+// prefix and as a suffix, and every two-block-padding residue.
+func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
+	ks := NewKeyStore([]byte("interleave"))
+	ids := []packet.NodeID{3, 77, 1024, 2047}
+	h := ks.Hasher()
+	stdlib := func(k Key, parts ...[]byte) []byte {
+		m := hmac.New(sha256.New, k[:])
+		for _, p := range parts {
+			m.Write(p)
+		}
+		return m.Sum(nil)
+	}
+	prefixes, suffixes, twoBlock := map[int]bool{}, map[int]bool{}, map[int]bool{}
+	data := make([]byte, 600)
+	prop := func(seq scratchSeq) bool {
+		for i, op := range seq {
+			id := ids[op.key]
+			k := ks.Key(id)
+			if op.anon {
+				idb := []byte{byte(id >> 8), byte(id)}
+				want := [packet.AnonIDLen]byte(stdlib(k, []byte(anonDomain), op.report.Encode(nil), idb))
+				if got := h.AnonID(id, op.report); got != want {
+					t.Logf("call %d of %d: AnonID(%v) = %x, crypto/hmac = %x", i, len(seq), id, got, want)
+					return false
+				}
+				continue
+			}
+			msg := data[:op.prefix+op.suffix]
+			rand.New(rand.NewSource(op.seed)).Read(msg)
+			prefix, suffix := msg[:op.prefix], msg[op.prefix:]
+			want := [packet.MACLen]byte(stdlib(k, msg))
+			if got := h.Schedule(id).Sum(prefix, suffix); got != want {
+				t.Logf("call %d of %d: Sum(%v, %d|%d bytes) = %x, crypto/hmac = %x", i, len(seq), id, op.prefix, op.suffix, got, want)
+				return false
+			}
+			prefixes[op.prefix], suffixes[op.suffix] = true, true
+			if r := len(msg) % blockSize; r >= blockSize-8 {
+				twoBlock[r] = true
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(23))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range edgeLens {
+		if !prefixes[n] || !suffixes[n] {
+			t.Errorf("edge length %d not covered (prefix %v, suffix %v)", n, prefixes[n], suffixes[n])
+		}
+	}
+	for r := blockSize - 8; r < blockSize; r++ {
+		if !twoBlock[r] {
+			t.Errorf("two-block padding residue %d not covered", r)
+		}
+	}
+}
+
 // TestStateTemplateLayout pins the layout guard's premise on the running
 // Go release: a digest after one 64-byte block marshals to the template
-// with its chaining value at chainOff, and a state restored from a
-// template copy carrying a core's chaining bytes hashes exactly like the
-// digest that absorbed the pad.
+// with its chaining value at chainOff, and a fresh scratch whose state
+// words are overwritten with a core's chaining value hashes exactly like
+// the digest that absorbed the pad.
 func TestStateTemplateLayout(t *testing.T) {
 	pad := make([]byte, blockSize)
 	for i := range pad {
 		pad[i] = byte(i) ^ 0x36
 	}
-	var chain [sha256.Size]byte
+	var chain [8]uint32
 	absorbPad(&chain, pad) // panics on a layout mismatch
 	live := sha256.New()
 	live.Write(pad)
@@ -243,8 +363,8 @@ func TestScheduleZeroAllocs(t *testing.T) {
 }
 
 // TestHasherCachesSchedules verifies the per-goroutine cache hands back
-// the same schedule per node, counts hits and misses, and keeps one
-// scratch for all of its schedules.
+// the same schedule per node, counts misses as they happen and hits once
+// published, and keeps one scratch for all of its schedules.
 func TestHasherCachesSchedules(t *testing.T) {
 	ks := NewKeyStore([]byte("hasher-cache"))
 	h := ks.Hasher()
@@ -258,8 +378,12 @@ func TestHasherCachesSchedules(t *testing.T) {
 	if s8 := h.Schedule(8); s8.sc != s1.sc || s8.core == s1.core {
 		t.Error("schedules of one Hasher must share its scratch and keep per-key cores")
 	}
+	if hits := reg.Counter("mac.schedule.hits").Value(); hits != 0 {
+		t.Errorf("hits = %d before Publish, want 0 (published per call boundary)", hits)
+	}
+	h.Publish()
 	if hits := reg.Counter("mac.schedule.hits").Value(); hits != 1 {
-		t.Errorf("hits = %d, want 1", hits)
+		t.Errorf("hits = %d after Publish, want 1", hits)
 	}
 	if misses := reg.Counter("mac.schedule.misses").Value(); misses != 2 {
 		t.Errorf("misses = %d, want 2", misses)

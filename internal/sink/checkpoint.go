@@ -74,11 +74,11 @@ func RestoreOrder(data []byte) (*Order, error) {
 	for p := 0; p < pairs; p++ {
 		u := packet.NodeID(binary.BigEndian.Uint16(rest[p*4:]))
 		v := packet.NodeID(binary.BigEndian.Uint16(rest[p*4+2:]))
-		ui, ok := o.idx[u]
+		ui, ok := o.lookup(u)
 		if !ok {
 			return nil, fmt.Errorf("sink: checkpoint pair references unknown node %v", u)
 		}
-		vi, ok := o.idx[v]
+		vi, ok := o.lookup(v)
 		if !ok {
 			return nil, fmt.Errorf("sink: checkpoint pair references unknown node %v", v)
 		}

@@ -12,7 +12,13 @@ import (
 // forwarding path, detect identity-swapping loops, and decide when the
 // source is unequivocally identified.
 type Order struct {
-	idx  map[packet.NodeID]int
+	// pos is indexed by NodeID, a sparse set over ids: id is seen iff
+	// ids[pos[id]] == id, and pos[id] is then its dense index, so an
+	// unseen ID needs no sentinel and an index fits the 16 bits of a
+	// NodeID. Chains carry only verified IDs, at most the node count, so
+	// the slice stays as long as the largest ID seen, at 2 bytes per ID,
+	// and a lookup is one indexed load instead of a map probe.
+	pos  []uint16
 	ids  []packet.NodeID
 	desc []bitset // desc[i]: nodes strictly downstream of i (closure)
 	anc  []bitset // anc[i]: nodes strictly upstream of i (closure)
@@ -33,32 +39,55 @@ type Order struct {
 
 // NewOrder returns an empty order matrix.
 func NewOrder() *Order {
-	return &Order{idx: make(map[packet.NodeID]int)}
+	return &Order{}
+}
+
+// lookup returns id's dense index, and false when id is unseen.
+func (o *Order) lookup(id packet.NodeID) (int, bool) {
+	if int(id) < len(o.pos) {
+		if i := int(o.pos[id]); i < len(o.ids) && o.ids[i] == id {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // index returns the dense index for id, registering it on first sight.
+// Registration allocates the node's rows; a seen id costs one load.
+// pnmlint:noalloc
 func (o *Order) index(id packet.NodeID) int {
-	if i, ok := o.idx[id]; ok {
+	if i, ok := o.lookup(id); ok {
 		return i
 	}
+	if int(id) >= len(o.pos) {
+		grown := make([]uint16, (int(id)|63)+1) //pnmlint:allow noalloc grows only until it covers the largest ID seen
+		copy(grown, o.pos)
+		o.pos = grown
+	}
 	i := len(o.ids)
-	o.idx[id] = i
+	o.pos[id] = uint16(i)
 	o.ids = append(o.ids, id)
-	o.desc = append(o.desc, newBitset(len(o.ids)))
-	o.anc = append(o.anc, newBitset(len(o.ids)))
-	o.dir = append(o.dir, newBitset(len(o.ids)))
+	o.desc = append(o.desc, newBitset(len(o.ids))) //pnmlint:allow noalloc one row per newly seen node
+	o.anc = append(o.anc, newBitset(len(o.ids)))   //pnmlint:allow noalloc one row per newly seen node
+	o.dir = append(o.dir, newBitset(len(o.ids)))   //pnmlint:allow noalloc one row per newly seen node
 	return i
 }
 
 // AddChain records one packet's accepted marker identities in forwarding
 // order (most upstream first). Consecutive pairs become direct relations;
 // the closure recovers the rest, exactly as transitivity does in the paper.
+// Each ID is resolved once, in chain order: IDs register in first-sight
+// order, the order Checkpoint writes them in.
+// pnmlint:noalloc
 func (o *Order) AddChain(chain []packet.NodeID) {
-	for _, id := range chain {
-		o.index(id)
+	if len(chain) == 0 {
+		return
 	}
-	for k := 0; k+1 < len(chain); k++ {
-		o.addEdge(o.idx[chain[k]], o.idx[chain[k+1]])
+	u := o.index(chain[0])
+	for _, id := range chain[1:] {
+		v := o.index(id)
+		o.addEdge(u, v)
+		u = v
 	}
 }
 
@@ -131,17 +160,17 @@ func (o *Order) Seen() []packet.NodeID {
 
 // HasSeen reports whether id's mark has been collected.
 func (o *Order) HasSeen(id packet.NodeID) bool {
-	_, ok := o.idx[id]
+	_, ok := o.lookup(id)
 	return ok
 }
 
 // Upstream reports whether a is known (transitively) upstream of b.
 func (o *Order) Upstream(a, b packet.NodeID) bool {
-	i, ok := o.idx[a]
+	i, ok := o.lookup(a)
 	if !ok {
 		return false
 	}
-	j, ok := o.idx[b]
+	j, ok := o.lookup(b)
 	if !ok {
 		return false
 	}
@@ -231,7 +260,8 @@ func (o *Order) Route() ([]packet.NodeID, bool) {
 	route := make([]packet.NodeID, len(o.ids))
 	copy(route, o.ids)
 	sort.Slice(route, func(a, b int) bool {
-		i, j := o.idx[route[a]], o.idx[route[b]]
+		i, _ := o.lookup(route[a])
+		j, _ := o.lookup(route[b])
 		return o.desc[i].has(j)
 	})
 	return route, true

@@ -134,7 +134,7 @@ func TestOrderSeen(t *testing.T) {
 	if got := o.SeenCount(); got != 2 {
 		t.Fatalf("SeenCount = %d, want 2", got)
 	}
-	if !o.HasSeen(4) || o.HasSeen(9) {
+	if !o.HasSeen(4) || o.HasSeen(9) || o.HasSeen(1000) {
 		t.Fatal("HasSeen wrong")
 	}
 	seen := o.Seen()

@@ -52,8 +52,11 @@ type anonIDFunc func(k mac.Key, report packet.Report, id packet.NodeID) [packet.
 
 // scheduleCacher is implemented by resolvers that hash through a key
 // schedule cache their owning verifier may share (see NewVerifier).
+// shareScheduleCache hands the cache over: from then on the verifier
+// publishes its hit count once per packet, and the resolver stops
+// publishing it itself.
 type scheduleCacher interface {
-	scheduleCache() *mac.Hasher
+	shareScheduleCache() *mac.Hasher
 }
 
 // DefaultTableCacheSize is the per-resolver anonymous-ID table cache
@@ -77,6 +80,7 @@ type ExhaustiveResolver struct {
 	keys   *mac.KeyStore
 	nodes  []packet.NodeID
 	hasher *mac.Hasher
+	shared bool       // a verifier shares hasher and publishes it
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
 
 	// cache holds the most recently used tables, most recent first.
@@ -123,8 +127,11 @@ func (r *ExhaustiveResolver) Instrument(reg *obs.Registry) {
 	r.hasher.Instrument(reg)
 }
 
-// scheduleCache implements scheduleCacher.
-func (r *ExhaustiveResolver) scheduleCache() *mac.Hasher { return r.hasher }
+// shareScheduleCache implements scheduleCacher.
+func (r *ExhaustiveResolver) shareScheduleCache() *mac.Hasher {
+	r.shared = true
+	return r.hasher
+}
 
 // Resolve implements Resolver. The prev hint is ignored: the table already
 // narrows candidates to exact anonymous-ID matches. The epoch is ignored
@@ -180,6 +187,9 @@ func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonID
 		}
 		table[a] = append(table[a], id)
 	}
+	if !r.shared {
+		r.hasher.Publish()
+	}
 	return table
 }
 
@@ -231,6 +241,7 @@ type TopologyResolver struct {
 	keys   *mac.KeyStore
 	epochs *topology.EpochSet
 	hasher *mac.Hasher
+	shared bool       // a verifier shares hasher and publishes it
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
 	// cur is the routing tree of the epoch last resolved against and
 	// other the one before it. Sink batches arrive roughly in epoch
@@ -238,13 +249,16 @@ type TopologyResolver struct {
 	// two without rebuilding either. Both start unbuilt (nil net); the
 	// first Resolve builds its epoch's tree.
 	cur, other routeTree
-	// frontier/next are the BFS level buffers and path the hint-path
-	// buffer, reused across Resolve calls so a steady-state resolution
-	// allocates nothing. Safe only because the type is single-goroutine
-	// (see above).
+	// frontier/next are the BFS level buffers, reused across Resolve
+	// calls so a steady-state resolution allocates nothing. Safe only
+	// because the type is single-goroutine (see above).
 	frontier []packet.NodeID
 	next     []packet.NodeID
-	path     []packet.NodeID
+	// path is the memoized hint's tip root path in the current tree,
+	// indexed by depth (path[0] is the sink), valid while memo.rooted
+	// holds: every mark of a packet slices it instead of re-walking the
+	// parents.
+	path []packet.NodeID
 	// hints maps Report.Location to the route learned for it. It holds at
 	// most hintCap (the node count) entries and is cleared when full, so
 	// a flood of distinct Locations costs one table's worth of memory.
@@ -252,7 +266,7 @@ type TopologyResolver struct {
 	hintCap int
 	// memo caches the last hints lookup: every mark of a packet shares
 	// its report's Location, so a packet pays one map lookup, not one per
-	// mark. learn invalidates it.
+	// mark. learn and an epoch switch invalidate it.
 	memo memoHint
 	// stamp[v] == gen marks node v as hashed by the current call's hint
 	// probes, so the BFS never hashes a node twice in one Resolve.
@@ -336,12 +350,14 @@ type pathHint struct {
 }
 
 // memoHint is one memoized hints lookup: the entry for loc and whether
-// the table held one. The zero value is an empty memo.
+// the table held one, and whether the resolver's path buffer holds the
+// hint's root path yet. The zero value is an empty memo.
 type memoHint struct {
-	valid bool
-	found bool
-	loc   uint32
-	hint  pathHint
+	valid  bool
+	found  bool
+	rooted bool
+	loc    uint32
+	hint   pathHint
 }
 
 // NewTopologyResolver returns a resolver that exploits the known topology.
@@ -367,9 +383,11 @@ func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *T
 
 // useEpoch makes epoch v's tree current. The current tree becomes the
 // other one; the tree swapped in is rebuilt for v unless it already holds
-// it. It also sizes the per-node stamp array to cover the epoch's nodes.
+// it. It also sizes the per-node stamp array to cover the epoch's nodes,
+// and drops the hint memo, whose root path was walked in the old tree.
 func (r *TopologyResolver) useEpoch(v topology.EpochVersion) {
 	r.cur, r.other = r.other, r.cur
+	r.memo = memoHint{} // its root path belongs to the old tree
 	if r.cur.net != nil && r.cur.version == v {
 		return
 	}
@@ -391,12 +409,16 @@ func (r *TopologyResolver) Instrument(reg *obs.Registry) {
 	r.hasher.Instrument(reg)
 }
 
-// scheduleCache implements scheduleCacher.
-func (r *TopologyResolver) scheduleCache() *mac.Hasher { return r.hasher }
+// shareScheduleCache implements scheduleCacher.
+func (r *TopologyResolver) shareScheduleCache() *mac.Hasher {
+	r.shared = true
+	return r.hasher
+}
 
 // Resolve implements Resolver. A call is a hint hit when the caller
 // accepts a node on the learned path; every other call falls through to
-// the subtree BFS and counts as a miss.
+// the subtree BFS and counts as a miss. The call's probe, candidate and
+// hint counts are tallied in locals and published once, at its end.
 // pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
 	if epoch != r.cur.version || r.cur.net == nil {
@@ -404,6 +426,24 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		// the first packet after a topology change rebuilds one.
 		r.useEpoch(epoch)
 	}
+	probes, candidates, hit := r.search(report, anon, prev, havePrev, epoch, yield)
+	r.probes.Add(probes)
+	r.candidates.Add(candidates)
+	if hit {
+		r.hintHits.Inc()
+	} else {
+		r.hintMisses.Inc()
+	}
+	if !r.shared {
+		r.hasher.Publish()
+	}
+}
+
+// search is Resolve's body: it probes the learned path and then the
+// subtree BFS, and returns how many nodes it hashed, how many matched
+// anon, and whether the caller accepted a node on the learned path.
+// pnmlint:noalloc
+func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) (probes, candidates uint64, hit bool) {
 	start := prev
 	if !havePrev {
 		// The most downstream mark: search the whole routing tree outward
@@ -414,23 +454,24 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 	// nearest start is the one an honest chain carries next.
 	hinted := false
 	if h, ok := r.hint(report.Location); ok && h.epoch == epoch {
-		if path := r.hintPath(h.tip, start); len(path) > 0 {
+		if path := r.hintPath(start); len(path) > 0 {
 			hinted = true
 			if r.gen++; r.gen == 0 {
 				clear(r.stamp)
 				r.gen = 1
 			}
-			for i := len(path) - 1; i >= 0; i-- {
-				v := path[i]
+			for _, v := range path {
 				r.stamp[v] = r.gen
-				if r.probe(report, anon, v, yield) {
-					r.hintHits.Inc()
-					return
+				probes++
+				if r.anonOf(report, v) == anon {
+					candidates++
+					if yield(v) {
+						return probes, candidates, true
+					}
 				}
 			}
 		}
 	}
-	r.hintMisses.Inc()
 	// BFS through the routing subtree of start, streaming matches in
 	// depth order and skipping (but still expanding) the nodes the hint
 	// probes hashed. The expansion continues past levels whose matches
@@ -448,10 +489,14 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		next = next[:0]
 		for _, v := range frontier {
 			if !hinted || r.stamp[v] != r.gen {
-				if r.probe(report, anon, v, yield) {
-					r.learn(report.Location, pathHint{epoch: epoch, tip: v})
-					done = true
-					break
+				probes++
+				if r.anonOf(report, v) == anon {
+					candidates++
+					if yield(v) {
+						r.learn(report.Location, pathHint{epoch: epoch, tip: v})
+						done = true
+						break
+					}
 				}
 			}
 			next = append(next, r.cur.children(v)...)
@@ -459,46 +504,48 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		frontier, next = next, frontier
 	}
 	r.frontier, r.next = frontier, next
+	return probes, candidates, false
 }
 
-// probe hashes node v's anonymous ID for report and, on a match, offers v
-// to the caller. It reports whether the caller accepted v.
+// anonOf hashes node v's anonymous ID for report.
 // pnmlint:noalloc
-func (r *TopologyResolver) probe(report packet.Report, anon [packet.AnonIDLen]byte, v packet.NodeID, yield func(packet.NodeID) bool) bool {
-	r.probes.Inc()
-	var a [packet.AnonIDLen]byte
+func (r *TopologyResolver) anonOf(report packet.Report, v packet.NodeID) [packet.AnonIDLen]byte {
 	if r.anonID != nil {
-		a = r.anonID(r.keys.Key(v), report, v)
-	} else {
-		a = r.hasher.AnonID(v, report)
+		return r.anonID(r.keys.Key(v), report, v)
 	}
-	if a != anon {
-		return false
-	}
-	r.candidates.Inc()
-	return yield(v)
+	return r.hasher.AnonID(v, report)
 }
 
-// hintPath returns the nodes of tip's root path strictly below start in
-// the current epoch's tree, tip first, or nil when start is not an
-// ancestor of tip. The slice aliases the resolver's path buffer.
+// hintPath returns the nodes of the memoized hint tip's root path
+// strictly below start in the current epoch's tree, shallowest first, or
+// nil when start is not an ancestor of the tip. The root path is walked
+// once per memo, not once per mark; the slice aliases it.
 // pnmlint:noalloc
-func (r *TopologyResolver) hintPath(tip, start packet.NodeID) []packet.NodeID {
+func (r *TopologyResolver) hintPath(start packet.NodeID) []packet.NodeID {
 	net := r.cur.net
-	if !net.HasRoute(tip) || !net.HasRoute(start) {
+	if !r.memo.rooted {
+		r.path = r.path[:0]
+		if tip := r.memo.hint.tip; net.HasRoute(tip) {
+			d := net.Depth(tip)
+			if cap(r.path) < d+1 {
+				r.path = make([]packet.NodeID, d+1) //pnmlint:allow noalloc grows only until it covers the tree's depth
+			}
+			r.path = r.path[:d+1]
+			for v := tip; d >= 0; d-- {
+				r.path[d] = v
+				v = net.Parent(v)
+			}
+		}
+		r.memo.rooted = true
+	}
+	if !net.HasRoute(start) {
 		return nil
 	}
-	path := r.path[:0]
-	v := tip
-	for d := net.Depth(tip); d > net.Depth(start); d-- {
-		path = append(path, v)
-		v = net.Parent(v)
-	}
-	r.path = path
-	if v != start {
+	d := net.Depth(start)
+	if d >= len(r.path) || r.path[d] != start {
 		return nil
 	}
-	return path
+	return r.path[d+1:]
 }
 
 // hint returns loc's learned route, served from the memo when the

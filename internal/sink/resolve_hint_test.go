@@ -360,3 +360,61 @@ func TestTopologyResolverHintedZeroAlloc(t *testing.T) {
 		t.Errorf("hint hits = %d, want every measured call to hit", hits)
 	}
 }
+
+// TestHintPathSlicesMemoizedRootPath pins the memoized root path against
+// the per-mark parent walk it replaced: in two epochs with different
+// trees, for every hint tip and every start node, hintPath returns the
+// tip's path strictly below start, shallowest first, and nothing when
+// start is not an ancestor of the tip. The hint is learned once per tip,
+// so only the epoch switch can make hintPath re-walk the path in the new
+// tree.
+func TestHintPathSlicesMemoizedRootPath(t *testing.T) {
+	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
+		Nodes: 40, Side: 4, RadioRange: 1.4, Seed: 9, SinkAtCorner: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := topology.NewEpochSet(topo)
+	e1 := set.Advance(topo.Rewire(4)).Version
+	walk := func(net *topology.Network, tip, start packet.NodeID) []packet.NodeID {
+		if !net.HasRoute(tip) || !net.HasRoute(start) {
+			return nil
+		}
+		var up []packet.NodeID
+		v := tip
+		for d := net.Depth(tip); d > net.Depth(start); d-- {
+			up = append([]packet.NodeID{v}, up...)
+			v = net.Parent(v)
+		}
+		if v != start || len(up) == 0 {
+			return nil
+		}
+		return up
+	}
+	r := NewTopologyResolverEpochs(testKS, set)
+	differ := false
+	for _, tip := range topo.Nodes() {
+		r.learn(7, pathHint{tip: tip})
+		for _, epoch := range []topology.EpochVersion{0, e1, 0} {
+			r.useEpoch(epoch)
+			if h, ok := r.hint(7); !ok || h.tip != tip {
+				t.Fatalf("hint for tip %v not memoized", tip)
+			}
+			net := set.At(epoch)
+			for _, start := range append([]packet.NodeID{packet.SinkID}, topo.Nodes()...) {
+				got, want := r.hintPath(start), walk(net, tip, start)
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("epoch %d, tip %v, start %v: hintPath %v, parent walk %v", epoch, tip, start, got, want)
+				}
+			}
+			differ = differ || !reflect.DeepEqual(walk(topo, tip, packet.SinkID), walk(set.At(e1), tip, packet.SinkID))
+		}
+	}
+	if !differ {
+		t.Fatal("the rewired epoch changed no root path: the test cannot see a stale one")
+	}
+}

@@ -84,7 +84,8 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 			// The verifier calls its resolver on its own goroutine, so both
 			// can hash through one cache: every node the resolver probes
 			// and the verifier then MAC-checks needs one schedule, not two.
-			v.hasher = sc.scheduleCache()
+			// The verifier publishes the shared cache's hits per packet.
+			v.hasher = sc.shareScheduleCache()
 		}
 		return v, nil
 	case marking.AMS:
@@ -243,8 +244,8 @@ func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion)
 }
 
 // publish adds the current packet's locally tallied counts to the shared
-// metrics: the marks accepted since the chain arena stood at start, and
-// the single-candidate anonymous marks.
+// metrics: the marks accepted since the chain arena stood at start, the
+// single-candidate anonymous marks, and the hasher's schedule hits.
 // pnmlint:noalloc
 func (v *NestedVerifier) publish(start int) {
 	if n := len(v.chains) - start; n > 0 {
@@ -252,6 +253,9 @@ func (v *NestedVerifier) publish(start int) {
 	}
 	if v.singles > 0 {
 		v.macCandidates.ObserveN(1, v.singles)
+	}
+	if v.hasher != nil {
+		v.hasher.Publish()
 	}
 }
 
@@ -367,6 +371,7 @@ func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result
 			v.chains = append(v.chains, mk.ID)
 		}
 	}
+	v.hasher.Publish()
 	return Result{Chain: chainRegion(v.chains, start)}
 }
 
