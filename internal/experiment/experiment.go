@@ -161,70 +161,30 @@ func Fig67(cfg Fig67Config) (Fig67Result, error) {
 	for i, tr := range cfg.Traffics {
 		res.Failures[i] = stats.Series{Name: fmt.Sprintf("%d packets", tr)}
 	}
-
-	// One parallel run returns which budgets succeeded and, when the run
-	// identified within the largest budget, the packets it needed.
-	type fig67Run struct {
-		okAt       []bool
-		needed     float64
-		identified bool
-	}
 	for _, n := range cfg.PathLens {
 		p := analytic.ProbabilityForMarks(n, cfg.MarksPerPacket)
-		perRun, err := parallel.RunN(cfg.Runs, func(run int) (fig67Run, error) {
-			r, err := sim.NewChainRunner(sim.ChainConfig{
+		perRun, err := catchSweep(cfg.Runs, maxTraffic, cfg.Traffics, func(run int) sim.ChainConfig {
+			return sim.ChainConfig{
 				Forwarders: n,
 				Scheme:     marking.PNM{P: p},
 				Attack:     sim.AttackNone,
 				Seed:       cfg.Seed + int64(run)*104729 + int64(n),
-			})
-			if err != nil {
-				return fig67Run{}, err
 			}
-			target := r.ExpectedStop()
-			lastBad := -1
-			okAt := make([]bool, len(cfg.Traffics))
-			for i := 0; i < maxTraffic; i++ {
-				r.Step()
-				v := r.Tracker().Verdict()
-				good := v.Identified && v.Stop == target
-				if !good {
-					lastBad = i
-				}
-				for ti, tr := range cfg.Traffics {
-					if i == tr-1 {
-						okAt[ti] = good
-					}
-				}
-			}
-			// Identified (stably) within the largest budget: packets
-			// needed is one past the last packet after which the
-			// predicate was still false.
-			return fig67Run{
-				okAt:       okAt,
-				needed:     float64(lastBad + 2),
-				identified: lastBad < maxTraffic-1,
-			}, nil
-		})
+		}, identifiesSource)
 		if err != nil {
 			return Fig67Result{}, err
 		}
-		failures := make([]int, len(cfg.Traffics))
-		var needed []float64
-		for _, res := range perRun {
-			for ti := range cfg.Traffics {
-				if !res.okAt[ti] {
-					failures[ti]++
+		for ti := range cfg.Traffics {
+			failures := 0
+			for _, run := range perRun {
+				if !run.okAt[ti] {
+					failures++
 				}
 			}
-			if res.identified {
-				needed = append(needed, res.needed)
-			}
+			res.Failures[ti].Add(float64(n), float64(failures))
 		}
-		for ti := range cfg.Traffics {
-			res.Failures[ti].Add(float64(n), float64(failures[ti]))
-		}
-		res.AvgPackets.Add(float64(n), stats.Mean(needed))
+		avg, _ := meanCatch(perRun)
+		res.AvgPackets.Add(float64(n), avg)
 	}
 	return res, nil
 }

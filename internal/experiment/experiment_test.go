@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"pnm/internal/marking"
 	"pnm/internal/sim"
 )
 
@@ -100,6 +102,46 @@ func TestSecurityMatrixRendering(t *testing.T) {
 	out := RenderMatrix(cells)
 	if !strings.Contains(out, "pnm") || !strings.Contains(out, "MISLED") {
 		t.Fatalf("matrix rendering:\n%s", out)
+	}
+}
+
+// TestCatchSweep pins the packets-to-catch definition with hand-written
+// predicates of the packet count: needed is one past the last packet after
+// which the predicate was false, a predicate that drops back to false
+// resets the catch, okAt reads the predicate at each checkpoint, and
+// meanCatch averages over the caught runs only.
+func TestCatchSweep(t *testing.T) {
+	chain := func(run int) sim.ChainConfig {
+		return sim.ChainConfig{Forwarders: run + 2, Scheme: marking.Nested{}, Attack: sim.AttackNone, Seed: int64(run)}
+	}
+	sweep := func(runs int, checkpoints []int, good func(*sim.Runner) bool) []catchRun {
+		t.Helper()
+		res, err := catchSweep(runs, 10, checkpoints, chain, good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	steady := sweep(1, nil, func(r *sim.Runner) bool { return r.Offered() >= 3 })
+	if want := (catchRun{okAt: []bool{}, needed: 3, caught: true}); !reflect.DeepEqual(steady[0], want) {
+		t.Fatalf("good from packet 3: %+v, want %+v", steady[0], want)
+	}
+	// The same predicate dipping back to false at packet 6 resets the
+	// catch to packet 7.
+	dip := sweep(1, []int{2, 5, 6, 10}, func(r *sim.Runner) bool { return r.Offered() >= 3 && r.Offered() != 6 })
+	if want := (catchRun{okAt: []bool{false, true, false, true}, needed: 7, caught: true}); !reflect.DeepEqual(dip[0], want) {
+		t.Fatalf("dip at packet 6: %+v, want %+v", dip[0], want)
+	}
+	// Run k has k+2 forwarders and turns good at packet 3(k+2): runs 0
+	// and 1 are caught at 6 and 9, run 2 (12) is still false at the end
+	// of the 10-packet budget and drops out of the mean.
+	runs := sweep(3, nil, func(r *sim.Runner) bool { return r.Offered() >= 3*len(r.Forwarders()) })
+	if runs[2].caught {
+		t.Fatalf("run 2 caught within budget: %+v", runs[2])
+	}
+	if avg, caught := meanCatch(runs); avg != 7.5 || caught != 2.0/3 {
+		t.Fatalf("meanCatch = %v, %v; want 7.5, 2/3", avg, caught)
 	}
 }
 

@@ -13,11 +13,70 @@ import (
 	"pnm/internal/stats"
 )
 
-// catchRun is one run's outcome in a packets-to-identify sweep: whether
-// the run identified the source within budget, and at what packet count.
+// catchRun is one run's outcome in a packets-to-catch sweep.
 type catchRun struct {
-	identified bool
-	needed     float64
+	// okAt is the predicate's value right after each checkpoint's packet.
+	okAt []bool
+	// needed is one past the last packet after which the predicate was
+	// false: the packets the sink needed for a verdict that stayed good
+	// through the end of the budget.
+	needed float64
+	// caught reports that the predicate held after the budget's last
+	// packet, i.e. the run caught the mole within budget.
+	caught bool
+}
+
+// catchSweep is the one packets-to-catch definition behind Figures 6–7,
+// the headline claims, the np ablation and the colluder-position sweep.
+// Each of runs independent runs builds the chain scenario(run), steps it
+// maxPackets times and evaluates good after every packet; a packet after
+// which good is false resets the catch. checkpoints are 1-based packet
+// counts at which good is also recorded in okAt. Runs fan out across
+// GOMAXPROCS workers; each derives everything from its run index, so the
+// results are identical for every worker count.
+func catchSweep(runs, maxPackets int, checkpoints []int, scenario func(run int) sim.ChainConfig, good func(*sim.Runner) bool) ([]catchRun, error) {
+	return parallel.RunN(runs, func(run int) (catchRun, error) {
+		r, err := sim.NewChainRunner(scenario(run))
+		if err != nil {
+			return catchRun{}, err
+		}
+		res := catchRun{okAt: make([]bool, len(checkpoints))}
+		lastBad := -1
+		for i := 0; i < maxPackets; i++ {
+			r.Step()
+			ok := good(r)
+			if !ok {
+				lastBad = i
+			}
+			for ci, c := range checkpoints {
+				if i == c-1 {
+					res.okAt[ci] = ok
+				}
+			}
+		}
+		res.needed = float64(lastBad + 2)
+		res.caught = lastBad < maxPackets-1
+		return res, nil
+	})
+}
+
+// meanCatch returns the mean packets-to-catch over the caught runs and the
+// fraction of runs caught.
+func meanCatch(runs []catchRun) (avg, caught float64) {
+	var needed []float64
+	for _, res := range runs {
+		if res.caught {
+			needed = append(needed, res.needed)
+		}
+	}
+	return stats.Mean(needed), float64(len(needed)) / float64(len(runs))
+}
+
+// identifiesSource is the clean-run predicate: the verdict unequivocally
+// names V1, the forwarder adjacent to the source mole.
+func identifiesSource(r *sim.Runner) bool {
+	v := r.Tracker().Verdict()
+	return v.Identified && v.Stop == r.ExpectedStop()
 }
 
 // HeadlineConfig parameterizes the headline-claims experiment (§1/§6/§9):
@@ -69,47 +128,23 @@ func Headline(cfg HeadlineConfig) ([]HeadlineRow, error) {
 	var rows []HeadlineRow
 	for _, n := range cfg.PathLens {
 		p := analytic.ProbabilityForMarks(n, cfg.MarksPerPacket)
-		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
-			r, err := sim.NewChainRunner(sim.ChainConfig{
+		perRun, err := catchSweep(cfg.Runs, cfg.MaxPackets, nil, func(run int) sim.ChainConfig {
+			return sim.ChainConfig{
 				Forwarders: n,
 				Scheme:     marking.PNM{P: p},
 				Attack:     sim.AttackNone,
 				Seed:       cfg.Seed + int64(run)*6151 + int64(n),
-			})
-			if err != nil {
-				return catchRun{}, err
 			}
-			target := r.ExpectedStop()
-			lastBad := -1
-			for i := 0; i < cfg.MaxPackets; i++ {
-				r.Step()
-				v := r.Tracker().Verdict()
-				if !(v.Identified && v.Stop == target) {
-					lastBad = i
-				}
-			}
-			return catchRun{
-				identified: lastBad < cfg.MaxPackets-1,
-				needed:     float64(lastBad + 2),
-			}, nil
-		})
+		}, identifiesSource)
 		if err != nil {
 			return nil, err
 		}
-		var needed []float64
-		identified := 0
-		for _, res := range perRun {
-			if res.identified {
-				identified++
-				needed = append(needed, res.needed)
-			}
-		}
-		avg := stats.Mean(needed)
+		avg, identified := meanCatch(perRun)
 		payload := avgPNMWireSize(n, cfg.MarksPerPacket)
 		rows = append(rows, HeadlineRow{
 			PathLen:      n,
 			AvgPackets:   avg,
-			Identified:   float64(identified) / float64(cfg.Runs),
+			Identified:   identified,
 			Latency:      model.TracebackLatency(int(avg+0.5), payload),
 			PayloadBytes: payload,
 		})
@@ -185,45 +220,22 @@ func AblateMarkingProbability(cfg AblationConfig) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, mpp := range cfg.MarksPerPacketValues {
 		p := analytic.ProbabilityForMarks(cfg.Forwarders, mpp)
-		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
-			r, err := sim.NewChainRunner(sim.ChainConfig{
+		perRun, err := catchSweep(cfg.Runs, cfg.MaxPackets, nil, func(run int) sim.ChainConfig {
+			return sim.ChainConfig{
 				Forwarders: cfg.Forwarders,
 				Scheme:     marking.PNM{P: p},
 				Attack:     sim.AttackNone,
 				Seed:       cfg.Seed + int64(run)*31 + int64(mpp*1000),
-			})
-			if err != nil {
-				return catchRun{}, err
 			}
-			target := r.ExpectedStop()
-			lastBad := -1
-			for i := 0; i < cfg.MaxPackets; i++ {
-				r.Step()
-				v := r.Tracker().Verdict()
-				if !(v.Identified && v.Stop == target) {
-					lastBad = i
-				}
-			}
-			return catchRun{
-				identified: lastBad < cfg.MaxPackets-1,
-				needed:     float64(lastBad + 2),
-			}, nil
-		})
+		}, identifiesSource)
 		if err != nil {
 			return nil, err
 		}
-		var needed []float64
-		identified := 0
-		for _, res := range perRun {
-			if res.identified {
-				identified++
-				needed = append(needed, res.needed)
-			}
-		}
+		avg, identified := meanCatch(perRun)
 		rows = append(rows, AblationRow{
 			MarksPerPacket: mpp,
-			AvgPackets:     stats.Mean(needed),
-			Identified:     float64(identified) / float64(cfg.Runs),
+			AvgPackets:     avg,
+			Identified:     identified,
 			AvgBytes:       float64(avgPNMWireSize(cfg.Forwarders, mpp)),
 		})
 	}

@@ -5,7 +5,6 @@ import (
 
 	"pnm/internal/analytic"
 	"pnm/internal/marking"
-	"pnm/internal/parallel"
 	"pnm/internal/sim"
 	"pnm/internal/stats"
 )
@@ -60,44 +59,23 @@ func MolePos(cfg MolePosConfig) ([]MolePosRow, error) {
 	}
 	var rows []MolePosRow
 	for _, pos := range cfg.Positions {
-		perRun, err := parallel.RunN(cfg.Runs, func(run int) (catchRun, error) {
-			r, err := sim.NewChainRunner(sim.ChainConfig{
+		perRun, err := catchSweep(cfg.Runs, cfg.MaxPackets, nil, func(run int) sim.ChainConfig {
+			return sim.ChainConfig{
 				Forwarders: cfg.Forwarders,
 				Scheme:     marking.PNM{P: p},
 				Attack:     attack,
 				MolePos:    pos,
 				Seed:       cfg.Seed + int64(run)*101 + int64(pos),
-			})
-			if err != nil {
-				return catchRun{}, err
 			}
-			lastBad := -1
-			for i := 0; i < cfg.MaxPackets; i++ {
-				r.Step()
-				if !r.SecurityHolds() {
-					lastBad = i
-				}
-			}
-			return catchRun{
-				identified: lastBad < cfg.MaxPackets-1,
-				needed:     float64(lastBad + 2),
-			}, nil
-		})
+		}, (*sim.Runner).SecurityHolds)
 		if err != nil {
 			return nil, err
 		}
-		var needed []float64
-		localized := 0
-		for _, res := range perRun {
-			if res.identified {
-				localized++
-				needed = append(needed, res.needed)
-			}
-		}
+		avg, localized := meanCatch(perRun)
 		rows = append(rows, MolePosRow{
 			Position:   pos,
-			AvgPackets: stats.Mean(needed),
-			Localized:  float64(localized) / float64(cfg.Runs),
+			AvgPackets: avg,
+			Localized:  localized,
 		})
 	}
 	return rows, nil

@@ -65,8 +65,10 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 		}},
 	}
 	// One parallel run: builds its own topology, keys and tracker, and
-	// reports whether it produced a verdict plus the per-run measurements.
+	// reports the topology's size, whether it produced a verdict, and the
+	// per-run measurements.
 	type precisionRun struct {
+		nodes            int
 		hasVerdict       bool
 		suspects         float64
 		inHood, adjacent bool
@@ -81,7 +83,7 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 			src := topo.DeepestNode()
 			fwd := topo.Forwarders(src)
 			if len(fwd) < 2 {
-				return precisionRun{}, nil
+				return precisionRun{nodes: topo.NumNodes()}, nil
 			}
 			scheme := marking.PNM{P: analytic.ProbabilityForMarks(len(fwd), 3)}
 			keys := mac.NewKeyStore([]byte(fmt.Sprintf("precision-%d", run)))
@@ -106,9 +108,10 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 			}
 			v := tracker.Verdict()
 			if !v.HasStop {
-				return precisionRun{}, nil
+				return precisionRun{nodes: topo.NumNodes()}, nil
 			}
 			return precisionRun{
+				nodes:      topo.NumNodes(),
 				hasVerdict: true,
 				suspects:   float64(len(v.Suspects)),
 				inHood:     v.SuspectsContain(src),
@@ -119,8 +122,9 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 			return nil, err
 		}
 		var suspects []float64
-		inHood, adjacent := 0, 0
+		nodes, inHood, adjacent := 0, 0, 0
 		for _, res := range perRun {
+			nodes = res.nodes
 			if !res.hasVerdict {
 				continue
 			}
@@ -134,15 +138,12 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 		}
 		rows = append(rows, PrecisionRow{
 			Topology:     b.name,
-			Nodes:        0, // filled below per builder
+			Nodes:        nodes,
 			AvgSuspects:  stats.Mean(suspects),
 			MoleInHood:   float64(inHood) / float64(cfg.Runs),
 			StopAdjacent: float64(adjacent) / float64(cfg.Runs),
 		})
 	}
-	rows[0].Nodes = 21
-	rows[1].Nodes = 63
-	rows[2].Nodes = 150
 	return rows, nil
 }
 

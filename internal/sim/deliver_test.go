@@ -112,11 +112,19 @@ func TestRunnerNetMatchesScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := r.Net()
+	if net != r.Net() {
+		t.Fatal("Net is not the runner's own bundle")
+	}
 	if net.Topo != r.Topology() || net.Keys != r.Keys() {
 		t.Fatal("Net does not share the runner's substrate")
 	}
 	if net.Moles[r.MoleID()] == nil {
 		t.Fatal("Net is missing the forwarding mole")
+	}
+	// Step delivers through that same Net, so its Drop policy binds.
+	net.Drop = func(prev, hop packet.NodeID) bool { return true }
+	if _, ok := r.Step(); ok || r.Delivered() != 0 || r.Offered() != 1 {
+		t.Fatalf("Step ignored the Net's drop policy: delivered %d of %d", r.Delivered(), r.Offered())
 	}
 }
 

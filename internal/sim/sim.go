@@ -80,28 +80,20 @@ type ChainConfig struct {
 	MolePos int
 	// Seed drives all randomness (marking decisions, attack choices).
 	Seed int64
-	// TopologyResolver switches the sink to the §7 O(d) ring-expanding
-	// anonymous-ID resolution instead of the exhaustive table.
-	TopologyResolver bool
 	// Master seeds the key store; the default is deterministic.
 	Master []byte
 }
 
 // Runner drives one scenario packet by packet.
 type Runner struct {
-	topo     *topology.Network
-	keys     *mac.KeyStore
-	scheme   marking.Scheme
-	tracker  *sink.Tracker
-	verifier sink.Verifier
-	rng      *rand.Rand
+	net     *Net
+	tracker *sink.Tracker
+	rng     *rand.Rand
 
 	sourceID packet.NodeID
 	moleID   packet.NodeID // 0 when no forwarding mole
 	frameID  packet.NodeID // off-path innocent used by framing attacks
 	source   *mole.Source
-	fmole    *mole.Forwarder
-	env      *mole.Env
 	fwd      []packet.NodeID // forwarding path, most upstream (V1) first
 
 	offered   int
@@ -124,38 +116,23 @@ func NewChainRunner(cfg ChainConfig) (*Runner, error) {
 	if master == nil {
 		master = []byte("pnm/sim/default-master")
 	}
-	keys := mac.NewKeyStore(master)
 
 	sourceID := packet.NodeID(n + 1)
-	frameID := packet.NodeID(n + 3)
 	fwd := topo.Forwarders(sourceID)
 	if len(fwd) != n {
 		return nil, fmt.Errorf("sim: internal error: %d forwarders, want %d", len(fwd), n)
 	}
-
-	var resolver sink.Resolver
-	if cfg.TopologyResolver {
-		resolver = sink.NewTopologyResolver(keys, topo)
-	} else {
-		resolver = sink.NewExhaustiveResolver(keys, topo.Nodes())
-	}
-	verifier, err := sink.NewVerifier(cfg.Scheme, keys, topo.NumNodes(), resolver)
-	if err != nil {
-		return nil, err
-	}
-
 	r := &Runner{
-		topo:     topo,
-		keys:     keys,
-		scheme:   cfg.Scheme,
-		tracker:  sink.NewTracker(verifier, topo),
-		verifier: verifier,
+		net:      &Net{Topo: topo, Keys: mac.NewKeyStore(master), Scheme: cfg.Scheme},
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		sourceID: sourceID,
-		frameID:  frameID,
+		frameID:  packet.NodeID(n + 3),
 		fwd:      fwd,
 	}
 	if err := r.configureAttack(cfg); err != nil {
+		return nil, err
+	}
+	if r.tracker, err = r.net.NewTracker(false); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -167,7 +144,8 @@ func (r *Runner) vx(x int) packet.NodeID {
 	return r.fwd[x-1]
 }
 
-// configureAttack builds the source and forwarding moles for the scenario.
+// configureAttack builds the source and forwarding moles for the scenario
+// and installs them, with their stolen keys, in the runner's Net.
 func (r *Runner) configureAttack(cfg ChainConfig) error {
 	n := len(r.fwd)
 	x := cfg.MolePos
@@ -178,7 +156,8 @@ func (r *Runner) configureAttack(cfg ChainConfig) error {
 		return fmt.Errorf("sim: mole position %d outside path of %d forwarders", x, n)
 	}
 
-	stolen := map[packet.NodeID]mac.Key{r.sourceID: r.keys.Key(r.sourceID)}
+	keys := r.net.Keys
+	stolen := map[packet.NodeID]mac.Key{r.sourceID: keys.Key(r.sourceID)}
 	r.source = &mole.Source{
 		ID:       r.sourceID,
 		Base:     packet.Report{Event: 0xC0FFEE, Location: uint32(r.sourceID), Timestamp: 1},
@@ -258,56 +237,39 @@ func (r *Runner) configureAttack(cfg ChainConfig) error {
 		return fmt.Errorf("sim: unknown attack %q", cfg.Attack)
 	}
 
+	r.net.Moles = make(map[packet.NodeID]*mole.Forwarder, 1)
 	if fm != nil {
 		fm.ID = r.vx(x)
 		r.moleID = fm.ID
-		stolen[fm.ID] = r.keys.Key(fm.ID)
+		stolen[fm.ID] = keys.Key(fm.ID)
 		if cfg.Attack == AttackSwap {
 			fm.SwapPartner = r.sourceID
 			r.source.SwapPartner = fm.ID
 		}
-		r.fmole = fm
+		r.net.Moles[fm.ID] = fm
 	}
-	r.env = &mole.Env{Scheme: r.scheme, StolenKeys: stolen}
+	r.net.Env = &mole.Env{Scheme: r.net.Scheme, StolenKeys: stolen}
 	return nil
 }
 
-// Net returns the underlying network bundle, for callers composing custom
-// delivery pipelines (isolation campaigns, filtering comparisons).
-func (r *Runner) Net() *Net {
-	moles := make(map[packet.NodeID]*mole.Forwarder, 1)
-	if r.fmole != nil {
-		moles[r.fmole.ID] = r.fmole
-	}
-	return &Net{
-		Topo:   r.topo,
-		Keys:   r.keys,
-		Scheme: r.scheme,
-		Moles:  moles,
-		Env:    r.env,
-	}
-}
+// Net returns the network bundle Step delivers through, for callers
+// composing custom delivery pipelines (isolation campaigns, filtering
+// comparisons). It is the runner's own Net: setting its Drop policy
+// changes what later Steps deliver.
+func (r *Runner) Net() *Net { return r.net }
 
-// Step injects one bogus report and forwards it hop by hop to the sink.
-// It returns the sink's verification result and whether the packet was
-// delivered at all (a selectively-dropping mole may discard it).
-// Legitimate stretches use the incremental encoder for O(path) marking.
+// Step injects one bogus report and forwards it hop by hop to the sink
+// through Net.Deliver. It returns the sink's verification result and
+// whether the packet was delivered at all (a selectively-dropping mole
+// may discard it).
 func (r *Runner) Step() (sink.Result, bool) {
 	r.offered++
-	inc := marking.Resume(r.source.Next(r.env, r.rng))
-	for _, id := range r.fwd {
-		if r.fmole != nil && id == r.fmole.ID {
-			out, ok := r.fmole.Process(inc.Message(), r.env, r.rng)
-			if !ok {
-				return sink.Result{}, false
-			}
-			inc = marking.Resume(out)
-			continue
-		}
-		inc.Apply(r.scheme, id, r.keys.Key(id), r.rng)
+	msg, ok := r.net.Deliver(r.sourceID, r.source.Next(r.net.Env, r.rng), r.rng)
+	if !ok {
+		return sink.Result{}, false
 	}
 	r.delivered++
-	return r.tracker.Observe(inc.Message(), 0), true
+	return r.tracker.Observe(msg, 0), true
 }
 
 // Run executes packets steps and returns how many were delivered.
@@ -325,10 +287,10 @@ func (r *Runner) Run(packets int) int {
 func (r *Runner) Tracker() *sink.Tracker { return r.tracker }
 
 // Topology exposes the network.
-func (r *Runner) Topology() *topology.Network { return r.topo }
+func (r *Runner) Topology() *topology.Network { return r.net.Topo }
 
 // Keys exposes the key store shared by nodes and sink.
-func (r *Runner) Keys() *mac.KeyStore { return r.keys }
+func (r *Runner) Keys() *mac.KeyStore { return r.net.Keys }
 
 // Moles returns the compromised node IDs (source first).
 func (r *Runner) Moles() []packet.NodeID {

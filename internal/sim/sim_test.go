@@ -210,26 +210,6 @@ func TestSwapAttackLocalizesMole(t *testing.T) {
 	}
 }
 
-func TestTopologyResolverAgreesWithExhaustive(t *testing.T) {
-	verdictWith := func(topoResolver bool) packet.NodeID {
-		r, err := NewChainRunner(ChainConfig{
-			Forwarders:       8,
-			Scheme:           pnmScheme(8),
-			Attack:           AttackNone,
-			Seed:             9,
-			TopologyResolver: topoResolver,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Run(150)
-		return r.Tracker().Verdict().Stop
-	}
-	if a, b := verdictWith(false), verdictWith(true); a != b {
-		t.Fatalf("resolvers disagree: exhaustive %v vs topology %v", a, b)
-	}
-}
-
 func TestAttacksList(t *testing.T) {
 	if got := len(Attacks()); got != 10 {
 		t.Fatalf("Attacks() has %d entries, want 10", got)

@@ -13,9 +13,12 @@ import (
 )
 
 // The tests in this file pin the tentpole invariant of the sink hot path:
-// the §7 O(d) TopologyResolver must be observationally equivalent to the
-// exhaustive base method, including when truncated anonymous IDs collide.
-// The pre-fix TopologyResolver returned only the first BFS depth level
+// on honest chains, and when truncated anonymous IDs collide, the §7 O(d)
+// TopologyResolver must be observationally equivalent to the exhaustive
+// base method. The equivalence stops there: under identity swapping the
+// TopologyResolver rejects a stolen identity that lies downstream of its
+// hint, which the exhaustive resolver accepts (TestTrackerLoopVerdict and
+// TestTopologyResolverSwapVerdict pin both verdicts). The pre-fix TopologyResolver returned only the first BFS depth level
 // with any anonymous-ID match, so a collision at a shallower depth
 // shadowed the true marker and an honest chain was wrongly reported
 // Stopped — the shallower-than-marker and sibling-subtree fixtures below

@@ -2,6 +2,7 @@ package sink
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pnm/internal/mac"
@@ -64,14 +65,25 @@ func TestTrackerEmptyVerdict(t *testing.T) {
 	}
 }
 
-func TestTrackerLoopVerdict(t *testing.T) {
-	// Identity swapping between source V8 and forwarding mole V5 on an
-	// 8-node chain: the sink must still localize a mole at the loop-line
-	// intersection.
+// swapLoopVerdict runs the identity-swap fixture — source V8 and forwarding
+// mole V5 swapping identities on an 8-node chain, P = 0.5, seed 2, 400
+// packets — through a PNM tracker whose verifier resolves anonymous IDs
+// with the resolver newResolver builds, and returns the final verdict.
+func swapLoopVerdict(t *testing.T, newResolver func(*topology.Network) Resolver) Verdict {
+	t.Helper()
 	rng := rand.New(rand.NewSource(2))
 	const n = 8
 	scheme := marking.PNM{P: 0.5}
-	topo, tracker, fwd := chainEnv(t, n, scheme)
+	topo, err := topology.NewChain(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewVerifier(scheme, testKS, n, newResolver(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker := NewTracker(v, topo)
+	fwd := topo.Forwarders(n)
 
 	env := &mole.Env{
 		Scheme: scheme,
@@ -98,13 +110,22 @@ func TestTrackerLoopVerdict(t *testing.T) {
 		}
 		tracker.Observe(msg, 0)
 	}
+	return tracker.Verdict()
+}
 
-	v := tracker.Verdict()
-	if len(v.Loop) == 0 {
-		t.Fatalf("identity swapping left no loop: %+v", v)
+func TestTrackerLoopVerdict(t *testing.T) {
+	// Under the exhaustive resolver (the chain runner's and pnmtrace's)
+	// every swapped identity verifies, so the order holds the paper's
+	// Figure 2 loop and the sink must still localize a mole at the
+	// loop-line intersection.
+	v := swapLoopVerdict(t, func(topo *topology.Network) Resolver {
+		return NewExhaustiveResolver(testKS, topo.Nodes())
+	})
+	if !reflect.DeepEqual(v.Loop, []packet.NodeID{5, 6, 7, 8}) {
+		t.Fatalf("loop = %v, want [V5 V6 V7 V8] (verdict %+v)", v.Loop, v)
 	}
-	if !v.HasStop {
-		t.Fatal("no stop node despite loop")
+	if !v.HasStop || v.Stop != 4 {
+		t.Fatalf("stop = %v (has %v), want V4", v.Stop, v.HasStop)
 	}
 	// The verdict must localize a mole (V5 or V8) within one hop.
 	if !v.SuspectsContain(5, 8) {
@@ -113,7 +134,26 @@ func TestTrackerLoopVerdict(t *testing.T) {
 	if v.Identified {
 		t.Fatal("loop run must not claim unequivocal identification")
 	}
-	_ = topo
+}
+
+func TestTopologyResolverSwapVerdict(t *testing.T) {
+	// The §7 resolver searches only the routing subtree below the last
+	// verified marker, so it rejects a swapped identity that lies
+	// downstream of its hint: no loop forms, and the verdict identifies
+	// the source mole V8 as its stop. This is where the two resolvers
+	// diverge; both verdicts still localize a mole.
+	v := swapLoopVerdict(t, func(topo *topology.Network) Resolver {
+		return NewTopologyResolver(testKS, topo)
+	})
+	if len(v.Loop) != 0 {
+		t.Fatalf("loop = %v, want none (verdict %+v)", v.Loop, v)
+	}
+	if !v.HasStop || v.Stop != 8 || !v.Identified {
+		t.Fatalf("verdict = %+v, want identified with stop V8", v)
+	}
+	if !v.SuspectsContain(5, 8) {
+		t.Fatalf("suspects %v contain no mole (stop %v)", v.Suspects, v.Stop)
+	}
 }
 
 func TestTraceSinglePacketNested(t *testing.T) {
