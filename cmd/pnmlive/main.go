@@ -7,11 +7,16 @@
 //
 //	pnmlive -nodes 300 -side 10 -range 1.3 -packets 400 -quarantine
 //
-// -chaos schedules a seeded fault plan against the run — node
+// The scenario is loadgen's: the same flags give pnmserve and pnmload the
+// same field, keys and attack stream. Every burst settles before the
+// verdict is read, so a run prints the same bytes every time.
+//
+// -chaos applies a seeded fault plan at burst boundaries — node
 // crash/restart, link churn, and a sink crash restored from a PNM2
-// tracker checkpoint — with the mole and its first hop protected, so the
-// traceback still converges, just later. -queue selects the inbox
-// overflow policy (block, drop-newest, drop-oldest).
+// tracker checkpoint — and prints each event as it fires. The mole and
+// its first hop are protected, so the traceback still converges, just
+// later. -queue selects the inbox overflow policy (block, drop-newest,
+// drop-oldest).
 //
 // -debug ADDR serves net/http/pprof plus the simulator's obs counters
 // (expvar, under the "pnm" key) on ADDR for the lifetime of the run, and
@@ -31,17 +36,14 @@ import (
 	"sync"
 	"time"
 
-	"pnm/internal/analytic"
 	"pnm/internal/debugserver"
-	"pnm/internal/mac"
-	"pnm/internal/marking"
-	"pnm/internal/mole"
+	"pnm/internal/fault"
+	"pnm/internal/loadgen"
 	"pnm/internal/netsim"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/queue"
 	"pnm/internal/sink"
-	"pnm/internal/topology"
 )
 
 func main() {
@@ -106,36 +108,32 @@ func run(args []string, w io.Writer) (err error) {
 		}()
 	}
 
-	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
-		Nodes: *nodes, Side: *side, RadioRange: *radioRange, Seed: *seed, SinkAtCorner: true,
+	sc, err := loadgen.New(loadgen.Config{
+		Nodes: *nodes, Side: *side, RadioRange: *radioRange, Seed: *seed,
 	})
 	if err != nil {
 		return err
 	}
-	keys := mac.NewKeyStore([]byte("pnmlive"))
-	moleID := topo.DeepestNode()
-	hops := topo.Depth(moleID)
-	scheme := marking.PNM{P: analytic.ProbabilityForMarks(hops-1, 3)}
 
-	var plan *netsim.FaultPlan
+	plan := &fault.Plan{}
 	if *chaos {
-		plan = netsim.GenerateFaultPlan(*seed, topo, netsim.FaultPlanConfig{
-			Start: *packets / 8, Step: *packets / 8,
+		// Five event pairs spaced packets/11 apart: the last milestone
+		// lands at or below -packets, so every event fires.
+		plan = fault.Generate(*seed, sc.Topo, fault.PlanConfig{
+			Start: *packets / 11, Step: *packets / 11,
 			NodeChurn: 2, LinkChurn: 2, SinkCrashes: 1,
-			Protect: []packet.NodeID{moleID, topo.Parent(moleID)},
+			Protect: []packet.NodeID{sc.Mole, sc.Topo.Parent(sc.Mole)},
 		})
-		fmt.Fprintf(os.Stderr, "fault plan: %v\n", plan.Events)
 	}
 
 	var mu sync.Mutex
 	blacklist := map[packet.NodeID]bool{}
-	env := &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{moleID: keys.Key(moleID)}}
+	src, env := sc.Source()
 	net, err := netsim.Start(netsim.Config{
-		Topo: topo, Keys: keys, Scheme: scheme, Seed: *seed, Env: env,
+		Topo: sc.Topo, Keys: sc.Keys, Scheme: sc.Scheme, Seed: *seed, Env: env,
 		LossProb:         *loss,
 		TopologyResolver: true,
 		QueuePolicy:      policy,
-		Faults:           plan,
 		Obs:              reg,
 		Blacklisted: func(id packet.NodeID) bool {
 			mu.Lock()
@@ -149,23 +147,25 @@ func run(args []string, w io.Writer) (err error) {
 	defer net.Close()
 
 	fmt.Fprintf(w, "network: %d nodes, avg degree %.1f, mole %v at %d hops\n",
-		topo.NumNodes(), topo.AvgDegree(), moleID, hops)
+		sc.Topo.NumNodes(), sc.Topo.AvgDegree(), sc.Mole, sc.Hops)
 
-	src := &mole.Source{ID: moleID, Base: packet.Report{Event: 0xF00D, Location: uint32(moleID)}, Behavior: mole.MarkNever}
 	rng := rand.New(rand.NewSource(*seed))
 	quarantined := false
+	next := 0
 	for sent := 0; sent < *packets; {
 		burst := 25
 		if sent+burst > *packets {
 			burst = *packets - sent
 		}
 		for i := 0; i < burst; i++ {
-			if err := net.Inject(moleID, src.Next(env, rng)); err != nil {
+			if err := net.Inject(sc.Mole, src.Next(env, rng)); err != nil {
 				return err
 			}
 		}
 		sent += burst
-		time.Sleep(30 * time.Millisecond)
+		if err := net.WaitSettled(30 * time.Second); err != nil {
+			return err
+		}
 		v := net.Verdict()
 		fmt.Fprintf(w, "after %3d injected: delivered %3d, seen %v, identified=%v",
 			sent, net.Delivered(), v.HasStop, v.Identified)
@@ -184,9 +184,13 @@ func run(args []string, w io.Writer) (err error) {
 			quarantined = true
 			fmt.Fprintf(w, ">>> quarantined %v — the attack is cut off\n", v.Suspects)
 		}
+		due := net.ApplyDue(plan, next)
+		for _, ev := range plan.Events[next:due] {
+			fmt.Fprintf(w, ">>> fault %v\n", ev)
+		}
+		next = due
 	}
 
-	time.Sleep(200 * time.Millisecond)
-	printFinalVerdict(w, net.Verdict(), moleID)
+	printFinalVerdict(w, net.Verdict(), sc.Mole)
 	return nil
 }

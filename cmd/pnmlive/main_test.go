@@ -30,6 +30,46 @@ func TestRunLiveWithQuarantine(t *testing.T) {
 	}
 }
 
+// TestRunLiveChaos: every event of the -chaos plan fires inside the
+// traffic — the sink restore included — and the traceback still names
+// the mole's neighborhood.
+func TestRunLiveChaos(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{
+		"-nodes", "80", "-side", "5", "-range", "1.4",
+		"-packets", "400", "-seed", "3", "-chaos",
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"sink-crash", "sink-restore", "the mole is inside the suspected neighborhood"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunLiveReproducible: each burst settles before the verdict is read
+// and before due faults apply, so a lossy, faulted, quarantining run
+// prints the same bytes every time.
+func TestRunLiveReproducible(t *testing.T) {
+	args := []string{
+		"-nodes", "80", "-side", "5", "-range", "1.4", "-packets", "400", "-seed", "3",
+		"-chaos", "-loss", "0.05", "-quarantine",
+	}
+	var a, b bytes.Buffer
+	if err := run(args, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("repeat run diverged:\n%s\n---\n%s", a.String(), b.String())
+	}
+}
+
 func TestRunLiveErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-nodes", "10", "-side", "100", "-range", "1"}, &buf); err == nil {

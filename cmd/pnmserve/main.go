@@ -12,9 +12,9 @@
 // traffic for; the final verdict line is byte-identical to the one the
 // same scenario produces in-process (pnmload -expect prints it).
 //
-// -chaos derives the sink-crash events of a PR 5 fault plan and fires
-// them against the live server: the tracker checkpoints (PNM2), goes
-// down — arrivals are dropped and counted — and restores mid-stream.
+// -chaos generates a seeded fault plan of one sink crash and its restore
+// and fires it against the live server: the tracker checkpoints (PNM2),
+// goes down — arrivals are dropped and counted — and restores mid-stream.
 // -queue selects the ingest overflow policy (block, drop-newest,
 // drop-oldest). -packets 0 serves until SIGINT or SIGTERM, then prints
 // the verdict. -stats dumps the obs registry (transport.*, sink.*) to
@@ -32,8 +32,8 @@ import (
 	"time"
 
 	"pnm/internal/debugserver"
+	"pnm/internal/fault"
 	"pnm/internal/loadgen"
-	"pnm/internal/netsim"
 	"pnm/internal/obs"
 	"pnm/internal/queue"
 	"pnm/internal/transport"
@@ -46,23 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pnmserve:", err)
 		os.Exit(1)
 	}
-}
-
-// chaosFromFaultPlan maps a netsim fault plan onto the transport server:
-// only the sink events exist here (there are no simulated nodes or links
-// in front of a real socket), so node/link events are dropped and the
-// milestones carry over as processed-frame counts.
-func chaosFromFaultPlan(plan *netsim.FaultPlan) *transport.ChaosPlan {
-	out := &transport.ChaosPlan{}
-	for _, ev := range plan.Events {
-		switch ev.Kind {
-		case netsim.FaultSinkCrash:
-			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosSinkCrash})
-		case netsim.FaultSinkRestore:
-			out.Events = append(out.Events, transport.ChaosEvent{At: ev.At, Kind: transport.ChaosSinkRestore})
-		}
-	}
-	return out
 }
 
 // wait blocks until srv has delivered packets reports, or, when packets
@@ -131,15 +114,14 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		}()
 	}
 
-	var plan *transport.ChaosPlan
+	var plan *fault.Plan
 	if *chaos {
 		if *packets <= 0 {
 			return fmt.Errorf("-chaos needs -packets to place its milestones")
 		}
-		full := netsim.GenerateFaultPlan(*seed, sc.Topo, netsim.FaultPlanConfig{
+		plan = fault.Generate(*seed, sc.Topo, fault.PlanConfig{
 			Start: *packets / 8, Step: *packets / 8, SinkCrashes: 1,
 		})
-		plan = chaosFromFaultPlan(full)
 		fmt.Fprintf(os.Stderr, "chaos plan: %v\n", plan.Events)
 	}
 
@@ -150,7 +132,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		Policy:      policy,
 		Limits:      transport.Limits{MaxFrameBytes: *maxFrame, MaxMarks: *maxMarks},
 		Obs:         reg,
-		Chaos:       plan,
+		Faults:      plan,
 	})
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pnm/internal/analytic"
+	"pnm/internal/fault"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/mole"
@@ -95,7 +96,7 @@ type FaultBenchResult struct {
 // faultScenario pairs a name with a plan generator.
 type faultScenario struct {
 	name string
-	plan func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan
+	plan func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan
 }
 
 // faultScenarios is the committed scenario set. Each single-kind plan is
@@ -107,34 +108,34 @@ type faultScenario struct {
 // baseline's deciding evidence lands; recovery cost is then visible in
 // injected_to_catch instead of hiding between two verdict checks.
 func faultScenarios() []faultScenario {
-	churn := func(seedOff int64, node, link, sinkCrash int) func(*topology.Network, []packet.NodeID, FaultBenchConfig) *netsim.FaultPlan {
-		return func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan {
-			return netsim.GenerateFaultPlan(cfg.Seed+seedOff, topo, netsim.FaultPlanConfig{
+	churn := func(seedOff int64, node, link, sinkCrash int) func(*topology.Network, []packet.NodeID, FaultBenchConfig) *fault.Plan {
+		return func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan {
+			return fault.Generate(cfg.Seed+seedOff, topo, fault.PlanConfig{
 				Start: cfg.Batch, Step: 4 * cfg.Batch,
 				NodeChurn: node, LinkChurn: link, SinkCrashes: sinkCrash,
 				Protect: protect,
 			})
 		}
 	}
-	nodePlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan {
+	nodePlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan {
 		return churn(101, cfg.NodeChurn, 0, 0)(topo, protect, cfg)
 	}
-	linkPlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan {
+	linkPlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan {
 		return churn(202, 0, cfg.LinkChurn, 0)(topo, protect, cfg)
 	}
-	sinkPlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan {
+	sinkPlan := func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan {
 		return churn(303, 0, 0, cfg.SinkCrashes)(topo, protect, cfg)
 	}
 	return []faultScenario{
-		{name: "baseline", plan: func(*topology.Network, []packet.NodeID, FaultBenchConfig) *netsim.FaultPlan {
-			return &netsim.FaultPlan{}
+		{name: "baseline", plan: func(*topology.Network, []packet.NodeID, FaultBenchConfig) *fault.Plan {
+			return &fault.Plan{}
 		}},
 		{name: "node-churn", plan: nodePlan},
 		{name: "link-churn", plan: linkPlan},
 		{name: "sink-crash", plan: sinkPlan},
-		{name: "combined", plan: func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *netsim.FaultPlan {
-			merged := &netsim.FaultPlan{}
-			for _, p := range []*netsim.FaultPlan{
+		{name: "combined", plan: func(topo *topology.Network, protect []packet.NodeID, cfg FaultBenchConfig) *fault.Plan {
+			merged := &fault.Plan{}
+			for _, p := range []*fault.Plan{
 				nodePlan(topo, protect, cfg),
 				linkPlan(topo, protect, cfg),
 				sinkPlan(topo, protect, cfg),
@@ -202,7 +203,7 @@ func FaultBench(cfg FaultBenchConfig) (*FaultBenchResult, error) {
 // runFaultScenario drives one scenario: seeded traffic in batches, plan
 // events applied as their milestones are crossed (always at a settled
 // boundary), verdict checked per batch.
-func runFaultScenario(name string, topo *topology.Network, moleID packet.NodeID, scheme marking.Scheme, plan *netsim.FaultPlan, cfg FaultBenchConfig) (FaultBenchRow, error) {
+func runFaultScenario(name string, topo *topology.Network, moleID packet.NodeID, scheme marking.Scheme, plan *fault.Plan, cfg FaultBenchConfig) (FaultBenchRow, error) {
 	keys := mac.NewKeyStore([]byte(fmt.Sprintf("faultbench-%d", cfg.Seed)))
 	env := &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{moleID: keys.Key(moleID)}}
 	src := &mole.Source{ID: moleID, Base: packet.Report{Event: 0xFA}, Behavior: mole.MarkNever}
@@ -231,10 +232,7 @@ func runFaultScenario(name string, topo *topology.Network, moleID packet.NodeID,
 		if err := net.WaitSettled(30 * time.Second); err != nil {
 			return FaultBenchRow{}, err
 		}
-		for next < len(plan.Events) && plan.Events[next].At <= injected {
-			net.ApplyFault(plan.Events[next])
-			next++
-		}
+		next = net.ApplyDue(plan, next)
 		row.Injected = injected
 		if row.InjectedToCatch == 0 {
 			if v := net.Verdict(); v.Identified && v.SuspectsContain(moleID) {

@@ -189,6 +189,7 @@ func Run(prog *Program, analyzers ...Analyzer) []Diagnostic {
 // wallclock analyzer rejects real-time reads inside them.
 var DeterministicPackages = []string{
 	"internal/experiment",
+	"internal/fault",
 	"internal/sim",
 	"internal/sink",
 	"internal/parallel",

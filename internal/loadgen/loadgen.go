@@ -1,8 +1,9 @@
-// Package loadgen generates the seeded scenario traffic the network
-// transport is tested and load-driven with: the same mole.Source stream
-// pnmlive injects in-process, pre-marked by every forwarder on the mole's
-// routing path, exactly as the packets would arrive at the sink. Because
-// the stream is a pure function of the scenario config, a load generator
+// Package loadgen builds the seeded scenario that pnmlive runs in
+// process and that the network transport is tested and load-driven with:
+// a random geometric field, its key store, and the mole's attack stream.
+// Stream pre-marks that stream by every forwarder on the mole's routing
+// path, exactly as the packets would arrive at the sink. Because the
+// stream is a pure function of the scenario config, a load generator
 // (cmd/pnmload) and a server (cmd/pnmserve) built from the same config
 // agree on every byte — which is what lets the loopback end-to-end test
 // demand a verdict byte-identical to the in-process run.
@@ -25,20 +26,20 @@ import (
 // streams are drawn from the same per-node decision sequences.
 const nodeSeedSalt = 0x9E3779B97F4A7C
 
-// Config describes a scenario. It deliberately mirrors pnmlive's flags:
-// the same knobs must regenerate the same network on both ends of a
-// socket.
+// Config describes a scenario. pnmlive, pnmserve and pnmload all set it
+// from the same -nodes/-side/-range/-seed flags, so the same knobs
+// regenerate the same network in process and on both ends of a socket.
 type Config struct {
 	// Nodes, Side, RadioRange, Seed parameterize the random geometric
-	// deployment, exactly as pnmlive's -nodes/-side/-range/-seed do.
+	// deployment.
 	Nodes      int
 	Side       float64
 	RadioRange float64
 	Seed       int64
-	// Master seeds the key store; empty means pnmlive's "pnmlive".
+	// Master seeds the key store; empty means "pnmlive".
 	Master []byte
 	// RedundancyMarks tunes the PNM marking probability toward this many
-	// expected marks per packet; <= 0 means 3, pnmlive's choice.
+	// expected marks per packet; <= 0 means 3.
 	RedundancyMarks float64
 }
 
@@ -108,6 +109,22 @@ func (s *Scenario) NewTracker() *sink.Tracker {
 	return sink.NewTracker(s.NewVerifier(), s.Topo)
 }
 
+// Source returns the scenario's attacker — the mole emitting unmarked
+// bogus reports — and the adversary knowledge it forges them with: the
+// mole's own stolen key. Stream and pnmlive draw their reports from it
+// with an RNG seeded by the scenario seed.
+func (s *Scenario) Source() (*mole.Source, *mole.Env) {
+	env := &mole.Env{
+		Scheme:     s.Scheme,
+		StolenKeys: map[packet.NodeID]mac.Key{s.Mole: s.Keys.Key(s.Mole)},
+	}
+	return &mole.Source{
+		ID:       s.Mole,
+		Base:     packet.Report{Event: 0xF00D, Location: uint32(s.Mole)},
+		Behavior: mole.MarkNever,
+	}, env
+}
+
 // Stream returns the first n packets of the scenario's attack stream as
 // they arrive at the sink: the mole's unmarked bogus reports, marked en
 // route by every forwarder on its routing path under per-node seeded
@@ -115,15 +132,7 @@ func (s *Scenario) NewTracker() *sink.Tracker {
 // twice, or on two Scenarios built from equal configs, yields identical
 // messages.
 func (s *Scenario) Stream(n int) []packet.Message {
-	env := &mole.Env{
-		Scheme:     s.Scheme,
-		StolenKeys: map[packet.NodeID]mac.Key{s.Mole: s.Keys.Key(s.Mole)},
-	}
-	src := &mole.Source{
-		ID:       s.Mole,
-		Base:     packet.Report{Event: 0xF00D, Location: uint32(s.Mole)},
-		Behavior: mole.MarkNever,
-	}
+	src, env := s.Source()
 	srcRng := rand.New(rand.NewSource(s.cfg.Seed))
 	forwarders := s.Topo.Forwarders(s.Mole)
 	rngs := make([]*rand.Rand, len(forwarders))

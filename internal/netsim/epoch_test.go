@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/mole"
@@ -54,7 +55,7 @@ func TestTracebackSurvivesMidChainCrash(t *testing.T) {
 	// The network is settled, so no in-flight packet straddles the epoch
 	// boundary: everything injected from here on is marked under — and
 	// resolved against — the repaired tree.
-	net.ApplyFault(FaultEvent{Kind: FaultNodeCrash, Node: victim})
+	net.ApplyFault(fault.Event{Kind: fault.NodeCrash, Node: victim})
 	inject(40)
 
 	if stops := reg.Counter("sink.verify.stops").Value(); stops != 0 {

@@ -1,22 +1,12 @@
 package netsim
 
-// Fault injection and crash recovery for the live simulator.
+// Fault injection and crash recovery for the live simulator: the
+// mechanics behind the internal/fault vocabulary.
 //
-// A fault plan is a deterministic, seeded schedule of failures: node
-// crashes and restarts, link churn, and sink crashes with restore from a
-// PNM2 tracker checkpoint. Events fire at *progress milestones* — counts
-// of settled packets (delivered plus accounted drops) — not at wall-clock
-// instants, so the same plan against the same traffic produces the same
-// network history regardless of scheduling jitter or machine speed.
-//
-// Two ways to drive a plan:
-//
-//   - Config.Faults hands the plan to a scheduler goroutine (runFaults)
-//     that parks on the progress broadcast and applies each event as its
-//     milestone is crossed. Good for chaos testing and pnmlive.
-//   - ApplyFault applies one event immediately from the caller's
-//     goroutine. Applied at quiescent points (after WaitSettled), this
-//     makes runs exactly reproducible — experiment.FaultBench uses it.
+// A caller applies a plan from its own goroutine: ApplyDue after each
+// WaitSettled fires every event whose milestone has been reached, so the
+// plan lands at quiescent points and the run is exactly reproducible.
+// ApplyFault applies one event immediately.
 //
 // Crash semantics: the node's goroutine exits, its inbox drains to the
 // floor (every frame counted as a fault drop), and the routing view is
@@ -29,178 +19,13 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
 )
-
-// FaultKind identifies one kind of scheduled failure.
-type FaultKind int
-
-// The fault kinds.
-const (
-	// FaultNodeCrash kills a node: goroutine exits, inbox drains to the
-	// floor, routes repair around it.
-	FaultNodeCrash FaultKind = iota + 1
-	// FaultNodeRestart reboots a crashed node with rebuilt (empty) state.
-	FaultNodeRestart
-	// FaultLinkDown cuts the node's link to its current parent; the
-	// subtree re-homes through an alternate neighbor if one exists.
-	FaultLinkDown
-	// FaultLinkUp restores every link previously cut for the node.
-	FaultLinkUp
-	// FaultSinkCrash kills the sink after checkpointing the tracker
-	// (PNM2); arrivals while it is down are dropped.
-	FaultSinkCrash
-	// FaultSinkRestore rebuilds the sink chain from the crash checkpoint.
-	FaultSinkRestore
-)
-
-// String names the kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultNodeCrash:
-		return "node-crash"
-	case FaultNodeRestart:
-		return "node-restart"
-	case FaultLinkDown:
-		return "link-down"
-	case FaultLinkUp:
-		return "link-up"
-	case FaultSinkCrash:
-		return "sink-crash"
-	case FaultSinkRestore:
-		return "sink-restore"
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
-// FaultEvent is one scheduled failure.
-type FaultEvent struct {
-	// At is the progress milestone — settled packets (delivered plus
-	// accounted drops) — at which the event fires.
-	At int
-	// Kind selects the failure.
-	Kind FaultKind
-	// Node is the victim for node and link events; ignored for sink
-	// events.
-	Node packet.NodeID
-}
-
-// String renders the event for logs and benchmark rows.
-func (e FaultEvent) String() string {
-	switch e.Kind {
-	case FaultSinkCrash, FaultSinkRestore:
-		return fmt.Sprintf("@%d %s", e.At, e.Kind)
-	}
-	return fmt.Sprintf("@%d %s n%d", e.At, e.Kind, e.Node)
-}
-
-// FaultPlan is a deterministic schedule of failures.
-type FaultPlan struct {
-	// Events fire in order; At milestones must be non-decreasing.
-	Events []FaultEvent
-	// StallTimeout bounds how long the scheduler waits for progress
-	// before force-firing the next event anyway — without it, a network
-	// stalled *by* a fault (say the sink crashed and everything upstream
-	// blocks) could never reach the milestone that schedules the
-	// recovery. Zero means a 2s default.
-	StallTimeout time.Duration
-}
-
-// defaultStallTimeout is the scheduler's progress-stall fallback.
-const defaultStallTimeout = 2 * time.Second
-
-// FaultPlanConfig parameterizes GenerateFaultPlan.
-type FaultPlanConfig struct {
-	// Start is the first event's milestone; Step spaces the rest.
-	// Defaults: 20 and 20.
-	Start, Step int
-	// NodeChurn schedules this many crash→restart pairs.
-	NodeChurn int
-	// LinkChurn schedules this many link-down→link-up pairs.
-	LinkChurn int
-	// SinkCrashes schedules this many sink crash→restore pairs.
-	SinkCrashes int
-	// Protect lists nodes never crashed or link-cut (e.g. the mole and
-	// its first hop, whose ordering evidence the traceback needs).
-	Protect []packet.NodeID
-	// Candidates is the victim pool; nil means every forwarder in topo.
-	Candidates []packet.NodeID
-}
-
-// GenerateFaultPlan builds a seeded plan: victims are drawn without
-// replacement from the candidate pool (minus protected nodes), and churn
-// pairs interleave crash/down events with their recoveries one Step
-// later. The same seed, topology and config always yield the same plan.
-func GenerateFaultPlan(seed int64, topo *topology.Network, cfg FaultPlanConfig) *FaultPlan {
-	if cfg.Start <= 0 {
-		cfg.Start = 20
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = 20
-	}
-	protected := make(map[packet.NodeID]bool, len(cfg.Protect))
-	for _, id := range cfg.Protect {
-		protected[id] = true
-	}
-	pool := cfg.Candidates
-	if pool == nil {
-		pool = topo.Nodes()
-	}
-	victims := make([]packet.NodeID, 0, len(pool))
-	for _, id := range pool {
-		if id != packet.SinkID && !protected[id] {
-			victims = append(victims, id)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
-
-	plan := &FaultPlan{}
-	at := cfg.Start
-	next := func() packet.NodeID {
-		if len(victims) == 0 {
-			return 0
-		}
-		v := victims[0]
-		victims = victims[1:]
-		return v
-	}
-	for i := 0; i < cfg.NodeChurn; i++ {
-		v := next()
-		if v == 0 {
-			break
-		}
-		plan.Events = append(plan.Events,
-			FaultEvent{At: at, Kind: FaultNodeCrash, Node: v},
-			FaultEvent{At: at + cfg.Step, Kind: FaultNodeRestart, Node: v})
-		at += 2 * cfg.Step
-	}
-	for i := 0; i < cfg.LinkChurn; i++ {
-		v := next()
-		if v == 0 {
-			break
-		}
-		plan.Events = append(plan.Events,
-			FaultEvent{At: at, Kind: FaultLinkDown, Node: v},
-			FaultEvent{At: at + cfg.Step, Kind: FaultLinkUp, Node: v})
-		at += 2 * cfg.Step
-	}
-	for i := 0; i < cfg.SinkCrashes; i++ {
-		plan.Events = append(plan.Events,
-			FaultEvent{At: at, Kind: FaultSinkCrash},
-			FaultEvent{At: at + cfg.Step, Kind: FaultSinkRestore})
-		at += 2 * cfg.Step
-	}
-	sort.SliceStable(plan.Events, func(i, j int) bool { return plan.Events[i].At < plan.Events[j].At })
-	return plan
-}
 
 // faultCounters groups the fault layer's observability bindings. All
 // fields are nil-safe no-ops until bind is called.
@@ -236,25 +61,40 @@ func (f *faultCounters) bind(reg *obs.Registry) {
 	f.sendAborted = reg.Counter("netsim.fault.send_aborted")
 }
 
+// ApplyDue applies, in order, every plan event from index next on whose
+// milestone is at or below the settled count (delivered plus accounted
+// drops), and returns the index of the first event still pending. Called
+// after WaitSettled, it fires each event at the same point of the
+// traffic on every run.
+func (n *Network) ApplyDue(plan *fault.Plan, next int) int {
+	n.mu.Lock()
+	settled := n.delivered + n.dropped
+	n.mu.Unlock()
+	for ; next < len(plan.Events) && plan.Events[next].At <= settled; next++ {
+		n.ApplyFault(plan.Events[next])
+	}
+	return next
+}
+
 // ApplyFault applies one fault event immediately, from the caller's
 // goroutine. Events are idempotent: crashing a dead node, restarting a
 // live one, or restoring a healthy sink are no-ops. Safe from any
 // goroutine; applications serialize.
-func (n *Network) ApplyFault(ev FaultEvent) {
+func (n *Network) ApplyFault(ev fault.Event) {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
 	switch ev.Kind {
-	case FaultNodeCrash:
+	case fault.NodeCrash:
 		n.crashNodeLocked(ev.Node)
-	case FaultNodeRestart:
+	case fault.NodeRestart:
 		n.restartNodeLocked(ev.Node)
-	case FaultLinkDown:
+	case fault.LinkDown:
 		n.linkDownLocked(ev.Node)
-	case FaultLinkUp:
+	case fault.LinkUp:
 		n.linkUpLocked(ev.Node)
-	case FaultSinkCrash:
+	case fault.SinkCrash:
 		n.crashSinkLocked()
-	case FaultSinkRestore:
+	case fault.SinkRestore:
 		n.restoreSinkLocked()
 	}
 }
@@ -460,61 +300,4 @@ func (n *Network) recomputeRoutesLocked() {
 	// the new version and resolve against the repaired tree.
 	n.epochs.Advance(next)
 	n.obsFault.reroutes.Inc()
-}
-
-// runFaults is the async fault scheduler: it waits for each event's
-// progress milestone and applies it. Milestones count settled packets, so
-// against deterministic traffic the plan fires at reproducible points.
-func (n *Network) runFaults(plan *FaultPlan) {
-	defer n.wg.Done()
-	stall := plan.StallTimeout
-	if stall <= 0 {
-		stall = defaultStallTimeout
-	}
-	for _, ev := range plan.Events {
-		if !n.awaitProgress(ev.At, stall) {
-			return
-		}
-		n.ApplyFault(ev)
-	}
-}
-
-// awaitProgress blocks until at least `at` packets have settled, the
-// network stops (returns false), or no progress happens for a full stall
-// window — then it returns true anyway, force-firing the next event: a
-// network stalled by a fault must still reach the event that repairs it.
-func (n *Network) awaitProgress(at int, stall time.Duration) bool {
-	// The fault scheduler's one intentional timer: the stall fallback is
-	// inherently wall-clock — it exists to bound *lack* of simulated
-	// progress, which no progress-driven signal can do.
-	//pnmlint:allow wallclock stall fallback so a fault-stalled network still reaches its recovery event
-	timer := time.NewTimer(stall)
-	defer timer.Stop()
-	last := -1
-	for {
-		n.mu.Lock()
-		settled := n.delivered + n.dropped
-		ch := n.deliveredCh
-		n.mu.Unlock()
-		if settled >= at {
-			return true
-		}
-		if settled != last {
-			last = settled
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(stall)
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return true // stalled: force-fire the event
-		case <-n.stop:
-			return false
-		}
-	}
 }

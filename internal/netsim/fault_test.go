@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pnm/internal/energy"
+	"pnm/internal/fault"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/mole"
@@ -280,7 +281,7 @@ func TestNodeCrashReroutesAndRestartRejoins(t *testing.T) {
 	if got := net.Delivered(); got != 20 {
 		t.Fatalf("pre-crash delivered = %d, want 20", got)
 	}
-	net.ApplyFault(FaultEvent{Kind: FaultNodeCrash, Node: victim})
+	net.ApplyFault(fault.Event{Kind: fault.NodeCrash, Node: victim})
 	if reg.Counter("netsim.fault.node_crashes").Value() != 1 {
 		t.Fatal("crash not counted")
 	}
@@ -295,12 +296,12 @@ func TestNodeCrashReroutesAndRestartRejoins(t *testing.T) {
 	if st := net.NodeStats(victim); st.Forwarded != preCrash {
 		t.Fatalf("dead node forwarded %d > %d while down", st.Forwarded, preCrash)
 	}
-	net.ApplyFault(FaultEvent{Kind: FaultNodeRestart, Node: victim})
+	net.ApplyFault(fault.Event{Kind: fault.NodeRestart, Node: victim})
 	// Restart rebuilds the stack from zero, as a rebooted mote's RAM would.
 	if st := net.NodeStats(victim); st.Forwarded != 0 {
 		t.Fatalf("restarted node kept %d forwarded from its previous life", st.Forwarded)
 	}
-	net.ApplyFault(FaultEvent{Kind: FaultNodeRestart, Node: victim}) // idempotent
+	net.ApplyFault(fault.Event{Kind: fault.NodeRestart, Node: victim}) // idempotent
 	if got := reg.Counter("netsim.fault.node_restarts").Value(); got != 1 {
 		t.Fatalf("node_restarts = %d, want 1 (restart must be idempotent)", got)
 	}
@@ -333,12 +334,12 @@ func TestLinkChurnRehomesSubtree(t *testing.T) {
 		}
 	}
 	inject(0, 10)
-	net.ApplyFault(FaultEvent{Kind: FaultLinkDown, Node: cut})
+	net.ApplyFault(fault.Event{Kind: fault.LinkDown, Node: cut})
 	if reg.Counter("netsim.fault.link_down").Value() != 1 {
 		t.Fatal("link_down not counted")
 	}
 	inject(10, 20)
-	net.ApplyFault(FaultEvent{Kind: FaultLinkUp, Node: cut})
+	net.ApplyFault(fault.Event{Kind: fault.LinkUp, Node: cut})
 	inject(20, 30)
 	if got := net.Delivered(); got != 30 {
 		t.Fatalf("delivered = %d, want 30 across link churn", got)
@@ -354,7 +355,7 @@ func TestLinkChurnRehomesSubtree(t *testing.T) {
 func TestCrashOrphansChainTail(t *testing.T) {
 	reg := obs.New()
 	net, _, _ := startChain(t, 5, Config{Scheme: marking.Nested{}, Seed: 44, Obs: reg})
-	net.ApplyFault(FaultEvent{Kind: FaultNodeCrash, Node: 3})
+	net.ApplyFault(fault.Event{Kind: fault.NodeCrash, Node: 3})
 	const packets = 10
 	for i := 0; i < packets; i++ {
 		if err := net.Inject(5, packet.Message{Report: packet.Report{Seq: uint32(i)}}); err != nil {
@@ -371,7 +372,7 @@ func TestCrashOrphansChainTail(t *testing.T) {
 		t.Fatalf("orphan_dropped = %d, want %d", got, packets)
 	}
 	// Recovery: restart re-attaches the tail.
-	net.ApplyFault(FaultEvent{Kind: FaultNodeRestart, Node: 3})
+	net.ApplyFault(fault.Event{Kind: fault.NodeRestart, Node: 3})
 	for i := 0; i < packets; i++ {
 		if err := net.Inject(5, packet.Message{Report: packet.Report{Seq: uint32(100 + i)}}); err != nil {
 			t.Fatal(err)
@@ -415,13 +416,13 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 	if beforePackets != 150 {
 		t.Fatalf("tracker packets = %d, want 150", beforePackets)
 	}
-	net.ApplyFault(FaultEvent{Kind: FaultSinkCrash})
+	net.ApplyFault(fault.Event{Kind: fault.SinkCrash})
 	// Traffic while the sink is down terminates as accounted drops.
 	inject(10)
 	if got := reg.Counter("netsim.fault.dropped_to_down").Value(); got != 10 {
 		t.Fatalf("dropped_to_down = %d, want 10 while the sink is down", got)
 	}
-	net.ApplyFault(FaultEvent{Kind: FaultSinkRestore})
+	net.ApplyFault(fault.Event{Kind: fault.SinkRestore})
 	if got := net.TrackerPackets(); got != beforePackets {
 		t.Fatalf("restored tracker packets = %d, want %d", got, beforePackets)
 	}
@@ -442,7 +443,7 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 // runPlannedChain drives a fixed traffic schedule with fault-plan events
 // applied at exact settled-packet boundaries — the reproducible way to
 // run a plan — and returns the final verdict and delivered count.
-func runPlannedChain(t *testing.T, plan *FaultPlan) (sink.Verdict, int) {
+func runPlannedChain(t *testing.T, plan *fault.Plan) (sink.Verdict, int) {
 	t.Helper()
 	const n = 11
 	scheme := marking.PNM{P: 3 / float64(n-1)}
@@ -467,10 +468,7 @@ func runPlannedChain(t *testing.T, plan *FaultPlan) (sink.Verdict, int) {
 		if err := net.WaitSettled(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		for next < len(plan.Events) && plan.Events[next].At <= injected {
-			net.ApplyFault(plan.Events[next])
-			next++
-		}
+		next = net.ApplyDue(plan, next)
 	}
 	if err := net.WaitSettled(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -483,11 +481,11 @@ func runPlannedChain(t *testing.T, plan *FaultPlan) (sink.Verdict, int) {
 // repeat run — faults applied at quiescent points keep the simulator
 // reproducible.
 func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
-	plan := &FaultPlan{Events: []FaultEvent{
-		{At: 50, Kind: FaultNodeCrash, Node: 5},
-		{At: 100, Kind: FaultNodeRestart, Node: 5},
-		{At: 150, Kind: FaultSinkCrash},
-		{At: 200, Kind: FaultSinkRestore},
+	plan := &fault.Plan{Events: []fault.Event{
+		{At: 50, Kind: fault.NodeCrash, Node: 5},
+		{At: 100, Kind: fault.NodeRestart, Node: 5},
+		{At: 150, Kind: fault.SinkCrash},
+		{At: 200, Kind: fault.SinkRestore},
 	}}
 	v1, d1 := runPlannedChain(t, plan)
 	v2, d2 := runPlannedChain(t, plan)
@@ -496,39 +494,12 @@ func TestFaultPlanDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestGenerateFaultPlanDeterministic: same seed, same plan; protected
-// nodes are never victims; milestones are non-decreasing.
-func TestGenerateFaultPlanDeterministic(t *testing.T) {
-	topo, err := topology.NewGrid(topology.GridConfig{Width: 4, Height: 4, Spacing: 1, RadioRange: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := FaultPlanConfig{NodeChurn: 3, LinkChurn: 2, SinkCrashes: 1, Protect: []packet.NodeID{15, 14}}
-	a := GenerateFaultPlan(7, topo, cfg)
-	b := GenerateFaultPlan(7, topo, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("plans diverge for the same seed:\n%v\n%v", a.Events, b.Events)
-	}
-	c := GenerateFaultPlan(8, topo, cfg)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical plans")
-	}
-	last := 0
-	for _, ev := range a.Events {
-		if ev.At < last {
-			t.Fatalf("milestones not sorted: %v", a.Events)
-		}
-		last = ev.At
-		if ev.Node == 15 || ev.Node == 14 {
-			t.Fatalf("protected node drawn as victim: %v", ev)
-		}
-	}
-}
-
-// TestChaosUnderFaults hammers Inject/WaitDelivered/Close from many
-// goroutines while an async seeded fault plan fires mid-flight — run
-// with -race in CI. Nothing here asserts exact outcomes; the test exists
-// so the detector can see every lock order and channel handoff at once.
+// TestChaosUnderFaults hammers Inject/WaitDelivered from many goroutines
+// while a second goroutine applies a seeded fault plan through ApplyDue
+// mid-flight — run with -race in CI, so the detector sees every lock
+// order and channel handoff at once. The plan fits inside the traffic,
+// and whatever is still pending when the injectors stop is applied after
+// the network settles, so every event fires exactly once.
 func TestChaosUnderFaults(t *testing.T) {
 	packets := 400
 	if testing.Short() {
@@ -538,11 +509,13 @@ func TestChaosUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := GenerateFaultPlan(51, topo, FaultPlanConfig{
+	// Five event pairs spaced packets/11 apart: the last milestone lands
+	// at or below the packet count.
+	plan := fault.Generate(51, topo, fault.PlanConfig{
 		NodeChurn: 2, LinkChurn: 2, SinkCrashes: 1,
-		Start: packets / 8, Step: packets / 8,
+		Start: packets / 11, Step: packets / 11,
 	})
-	plan.StallTimeout = 100 * time.Millisecond
+	reg := obs.New()
 	keys := mac.NewKeyStore([]byte("netsim-chaos"))
 	net, err := Start(Config{
 		Topo: topo, Keys: keys,
@@ -551,11 +524,30 @@ func TestChaosUnderFaults(t *testing.T) {
 		LossProb:    0.05,
 		QueueLen:    4,
 		QueuePolicy: QueueDropOldest,
-		Faults:      plan,
+		Obs:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer net.Close()
+
+	trafficDone := make(chan struct{})
+	applierDone := make(chan int)
+	go func() {
+		next := 0
+		for {
+			next = net.ApplyDue(plan, next)
+			select {
+			case <-trafficDone:
+				applierDone <- next
+				return
+			default:
+			}
+			// Park on the progress broadcast; the timeout covers a sink
+			// outage, when only drops make progress.
+			_ = net.WaitDelivered(net.Delivered()+1, 5*time.Millisecond)
+		}
+	}()
 	var wg sync.WaitGroup
 	sources := []packet.NodeID{15, 12, 10, 6}
 	for w, src := range sources {
@@ -565,7 +557,8 @@ func TestChaosUnderFaults(t *testing.T) {
 			for i := 0; i < packets/len(sources); i++ {
 				msg := packet.Message{Report: packet.Report{Event: 0xC0, Seq: uint32(w<<16 | i)}}
 				if err := net.Inject(src, msg); err != nil {
-					return // network closed under us: fine
+					t.Error(err)
+					return
 				}
 				if i%16 == 0 {
 					_ = net.WaitDelivered(i, 10*time.Millisecond)
@@ -574,12 +567,26 @@ func TestChaosUnderFaults(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Best-effort settle: a plan that ends with the sink down may leave
-	// frames queued forever; the chaos test only demands liveness.
-	_ = net.WaitSettled(2 * time.Second)
+	close(trafficDone)
+	next := <-applierDone
+	if err := net.WaitSettled(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if next = net.ApplyDue(plan, next); next != len(plan.Events) {
+		t.Fatalf("%d of %d plan events applied after %d packets settled", next, len(plan.Events), packets)
+	}
 	_ = net.Verdict()
-	net.Close()
-	if net.Delivered()+net.Dropped() == 0 {
-		t.Fatal("chaos run made no progress at all")
+	for name, want := range map[string]uint64{
+		"netsim.fault.node_crashes":  2,
+		"netsim.fault.link_down":     2,
+		"netsim.fault.sink_crashes":  1,
+		"netsim.fault.sink_restores": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if net.Delivered()+net.Dropped() != packets {
+		t.Fatalf("delivered %d + dropped %d != injected %d", net.Delivered(), net.Dropped(), packets)
 	}
 }

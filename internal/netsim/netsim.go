@@ -11,7 +11,7 @@
 // queue-overflow policies, and sink crash/restore from a PNM2 tracker
 // checkpoint. Every packet accepted by Inject terminates exactly once —
 // delivered at the sink or dropped with an accounted reason — which is
-// what WaitSettled and the fault scheduler's progress milestones build on.
+// what WaitSettled and the fault plans' progress milestones build on.
 package netsim
 
 import (
@@ -74,11 +74,6 @@ type Config struct {
 	// blocking backpressure (the default) or graceful degradation by
 	// dropping the newest or oldest frame.
 	QueuePolicy QueuePolicy
-	// Faults, when non-nil, hands the plan to a scheduler goroutine that
-	// applies each event as its progress milestone is crossed. For exactly
-	// reproducible experiments, apply events with ApplyFault at quiescent
-	// points (after WaitSettled) instead.
-	Faults *FaultPlan
 
 	// SuppressorCapacity arms per-node duplicate suppression when
 	// positive.
@@ -162,8 +157,8 @@ type Network struct {
 	injected  int
 	dropped   int
 	// deliveredCh is closed and replaced under mu on every delivery or
-	// accounted drop, so WaitDelivered/WaitSettled and the fault scheduler
-	// can block instead of polling.
+	// accounted drop, so WaitDelivered and WaitSettled can block instead of
+	// polling.
 	deliveredCh chan struct{}
 
 	// obs bindings; nil (no-op) unless cfg.Obs was set.
@@ -284,10 +279,6 @@ func Start(cfg Config) (*Network, error) {
 		n.spawnNode(id, n.nodes[id])
 	}
 	n.spawnSink()
-	if cfg.Faults != nil {
-		n.wg.Add(1)
-		go n.runFaults(cfg.Faults)
-	}
 	return n, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/loadgen"
 )
 
@@ -78,7 +79,7 @@ func TestPooledMessageReuseRaceFree(t *testing.T) {
 // the `// pnmlint:guarded-by mu` contract on tracker/delivered and
 // Listen building the sink chain before the &Server{} literal publishes
 // it — by hammering every reader from several goroutines while a live
-// client streams and a chaos plan swaps the tracker out underneath
+// client streams and a fault plan swaps the tracker out underneath
 // them. Under -race, any unlocked access to the guarded
 // fields trips the detector; without -race it still exercises the
 // crash/restore path concurrently with verdict reads.
@@ -88,9 +89,9 @@ func TestConcurrentVerdictReadsRaceFree(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", "", Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
-		Chaos: &ChaosPlan{Events: []ChaosEvent{
-			{At: 100, Kind: ChaosSinkCrash},
-			{At: 150, Kind: ChaosSinkRestore},
+		Faults: &fault.Plan{Events: []fault.Event{
+			{At: 100, Kind: fault.SinkCrash},
+			{At: 150, Kind: fault.SinkRestore},
 		}},
 	})
 	if err != nil {

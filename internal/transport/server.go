@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/queue"
@@ -48,53 +49,13 @@ type Config struct {
 	// Obs, when non-nil, binds the transport.* counters and histograms
 	// plus the whole sink chain's metrics into the registry.
 	Obs *obs.Registry
-	// Chaos, when non-nil, schedules sink crash/restore events against
-	// the live server — the PR 5 fault plans re-aimed at the transport
-	// layer as a soak test. Events fire on the sink goroutine at
-	// processed-frame milestones; frames arriving while the sink is down
-	// are dropped and counted, exactly like the simulator's sink outage.
-	Chaos *ChaosPlan
-}
-
-// ChaosKind identifies one transport-level fault.
-type ChaosKind int
-
-// The transport chaos kinds — the subset of netsim's fault taxonomy that
-// exists on a real server (there are no simulated nodes to crash here;
-// node and link events belong to the network in front of the server).
-const (
-	// ChaosSinkCrash checkpoints the tracker (PNM2) and takes the sink
-	// down; frames keep arriving and are dropped, counted.
-	ChaosSinkCrash ChaosKind = iota + 1
-	// ChaosSinkRestore rebuilds the sink chain from the crash checkpoint
-	// with a fresh verifier.
-	ChaosSinkRestore
-)
-
-// String names the kind.
-func (k ChaosKind) String() string {
-	switch k {
-	case ChaosSinkCrash:
-		return "sink-crash"
-	case ChaosSinkRestore:
-		return "sink-restore"
-	}
-	return fmt.Sprintf("ChaosKind(%d)", int(k))
-}
-
-// ChaosEvent is one scheduled fault.
-type ChaosEvent struct {
-	// At is the processed-frame milestone (frames the sink goroutine has
-	// dequeued, delivered or not) at which the event fires.
-	At int
-	// Kind selects the fault.
-	Kind ChaosKind
-}
-
-// ChaosPlan is a deterministic schedule of transport faults. Events fire
-// in order; At milestones must be non-decreasing.
-type ChaosPlan struct {
-	Events []ChaosEvent
+	// Faults, when non-nil, schedules sink crash/restore events against
+	// the live server. Events fire on the sink goroutine at processed-frame
+	// milestones (frames dequeued, delivered or not); frames arriving
+	// while the sink is down are dropped and counted, exactly like the
+	// simulator's sink outage. Node and link events have no meaning in
+	// front of a socket, and Listen rejects them.
+	Faults *fault.Plan
 }
 
 // item is one ingested message annotated with its enqueue instant, so
@@ -237,6 +198,13 @@ type Server struct {
 func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 	if cfg.NewVerifier == nil {
 		return nil, errors.New("transport: NewVerifier is required")
+	}
+	if cfg.Faults != nil {
+		for _, ev := range cfg.Faults.Events {
+			if ev.Kind != fault.SinkCrash && ev.Kind != fault.SinkRestore {
+				return nil, fmt.Errorf("transport: fault %v: a server has only sink events", ev)
+			}
+		}
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
@@ -575,7 +543,7 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one
 // item, greedily drains whatever else has arrived (up to the queue
-// depth), and folds the batch. Chaos events fire here, at
+// depth), and folds the batch. Fault events fire here, at
 // processed-frame milestones, so crash/restore serializes with folding by
 // construction.
 func (s *Server) sinkLoop() {
@@ -611,9 +579,9 @@ func (s *Server) sinkLoop() {
 			processed += len(batch)
 			s.fold(batch)
 			s.releaseBatch(batch)
-			for s.cfg.Chaos != nil && chaos < len(s.cfg.Chaos.Events) &&
-				processed >= s.cfg.Chaos.Events[chaos].At {
-				s.applyChaos(s.cfg.Chaos.Events[chaos])
+			for s.cfg.Faults != nil && chaos < len(s.cfg.Faults.Events) &&
+				processed >= s.cfg.Faults.Events[chaos].At {
+				s.applyChaos(s.cfg.Faults.Events[chaos])
 				chaos++
 			}
 		}
@@ -648,19 +616,19 @@ func (s *Server) fold(batch []item) {
 	s.deliveredCh = make(chan struct{})
 }
 
-// applyChaos executes one fault on the sink goroutine.
-func (s *Server) applyChaos(ev ChaosEvent) {
+// applyChaos executes one sink event on the sink goroutine.
+func (s *Server) applyChaos(ev fault.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch ev.Kind {
-	case ChaosSinkCrash:
+	case fault.SinkCrash:
 		if s.down {
 			return
 		}
 		s.ckpt = s.tracker.Checkpoint()
 		s.down = true
 		s.c.chaosCrashes.Inc()
-	case ChaosSinkRestore:
+	case fault.SinkRestore:
 		if !s.down {
 			return
 		}

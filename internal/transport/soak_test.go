@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/obs"
 )
 
 // TestLoopbackSoak is the live-server soak: pnmload-style replay into a
-// server with a shallow ingest queue while a chaos plan crashes the sink and restores it
+// server with a shallow ingest queue while a fault plan crashes the sink and restores it
 // from its PNM2 checkpoint, twice, mid-stream. The traceback must still
 // converge on the mole — outages cost only the evidence dropped while
 // down, exactly the finding the simulator's fault benchmarks pinned.
@@ -25,11 +26,11 @@ func TestLoopbackSoak(t *testing.T) {
 		Topo:        sc.Topo,
 		QueueDepth:  32,
 		Obs:         reg,
-		Chaos: &ChaosPlan{Events: []ChaosEvent{
-			{At: packets / 6, Kind: ChaosSinkCrash},
-			{At: packets / 4, Kind: ChaosSinkRestore},
-			{At: packets / 2, Kind: ChaosSinkCrash},
-			{At: packets * 2 / 3, Kind: ChaosSinkRestore},
+		Faults: &fault.Plan{Events: []fault.Event{
+			{At: packets / 6, Kind: fault.SinkCrash},
+			{At: packets / 4, Kind: fault.SinkRestore},
+			{At: packets / 2, Kind: fault.SinkCrash},
+			{At: packets * 2 / 3, Kind: fault.SinkRestore},
 		}},
 	})
 	if err != nil {
@@ -87,4 +88,35 @@ func TestLoopbackSoak(t *testing.T) {
 	if !v.SuspectsContain(sc.Mole) {
 		t.Fatalf("mole %v not in suspects %v after crash/restore soak", sc.Mole, v.Suspects)
 	}
+}
+
+// TestListenRejectsNodeAndLinkFaults: a server has no nodes or links to
+// fail, so a plan naming them is a configuration error, while a
+// sink-only plan is accepted.
+func TestListenRejectsNodeAndLinkFaults(t *testing.T) {
+	sc := testScenario(t)
+	for _, kind := range []fault.Kind{fault.NodeCrash, fault.NodeRestart, fault.LinkDown, fault.LinkUp} {
+		srv, err := Listen("127.0.0.1:0", "", Config{
+			NewVerifier: sc.NewVerifier,
+			Faults: &fault.Plan{Events: []fault.Event{
+				{At: 10, Kind: fault.SinkCrash},
+				{At: 20, Kind: kind, Node: 3},
+			}},
+		})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("Listen accepted a %v event", kind)
+		}
+	}
+	srv, err := Listen("127.0.0.1:0", "", Config{
+		NewVerifier: sc.NewVerifier,
+		Faults: &fault.Plan{Events: []fault.Event{
+			{At: 10, Kind: fault.SinkCrash},
+			{At: 20, Kind: fault.SinkRestore},
+		}},
+	})
+	if err != nil {
+		t.Fatalf("Listen rejected a sink-only plan: %v", err)
+	}
+	srv.Close()
 }

@@ -1,6 +1,9 @@
 package pnm
 
-import "pnm/internal/netsim"
+import (
+	"pnm/internal/fault"
+	"pnm/internal/netsim"
+)
 
 // Live (concurrent) network simulation: one goroutine per node, channels
 // as radio links, optional loss, and a sink folding packets into a tracker
@@ -12,25 +15,25 @@ type (
 	LiveNetwork = netsim.Network
 	// FaultPlan is a deterministic schedule of failures for a live
 	// network: node crash/restart, link churn, sink crash/restore.
-	FaultPlan = netsim.FaultPlan
+	FaultPlan = fault.Plan
 	// FaultEvent is one scheduled failure in a FaultPlan.
-	FaultEvent = netsim.FaultEvent
+	FaultEvent = fault.Event
 	// FaultKind identifies a FaultEvent's failure kind.
-	FaultKind = netsim.FaultKind
+	FaultKind = fault.Kind
 	// FaultPlanConfig parameterizes GenerateFaultPlan.
-	FaultPlanConfig = netsim.FaultPlanConfig
+	FaultPlanConfig = fault.PlanConfig
 	// LiveQueuePolicy selects a live network's inbox overflow behaviour.
 	LiveQueuePolicy = netsim.QueuePolicy
 )
 
 // The fault kinds a FaultPlan can schedule.
 const (
-	FaultNodeCrash   = netsim.FaultNodeCrash
-	FaultNodeRestart = netsim.FaultNodeRestart
-	FaultLinkDown    = netsim.FaultLinkDown
-	FaultLinkUp      = netsim.FaultLinkUp
-	FaultSinkCrash   = netsim.FaultSinkCrash
-	FaultSinkRestore = netsim.FaultSinkRestore
+	FaultNodeCrash   = fault.NodeCrash
+	FaultNodeRestart = fault.NodeRestart
+	FaultLinkDown    = fault.LinkDown
+	FaultLinkUp      = fault.LinkUp
+	FaultSinkCrash   = fault.SinkCrash
+	FaultSinkRestore = fault.SinkRestore
 )
 
 // The inbox overflow policies.
@@ -42,7 +45,7 @@ const (
 
 // GenerateFaultPlan builds a seeded, reproducible fault plan for topo.
 func GenerateFaultPlan(seed int64, topo *Topology, cfg FaultPlanConfig) *FaultPlan {
-	return netsim.GenerateFaultPlan(seed, topo, cfg)
+	return fault.Generate(seed, topo, cfg)
 }
 
 // StartLive spins up a concurrent network simulation.
