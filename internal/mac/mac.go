@@ -35,8 +35,9 @@ func Sum(k Key, data []byte) [packet.MACLen]byte {
 	return out
 }
 
-// anonDomain separates the anonymous-ID hash H'_k from the marking MAC H_k.
-const anonDomain = "pnm/anon-id/v1"
+// anonDomain opens the anonymous-ID message, which is fixed-length and
+// so always one block after the key block.
+const anonDomain = "pnm/anon-id/v2"
 
 // The AnonID message anonDomain ‖ report ‖ id, laid out at fixed offsets.
 const (
@@ -45,22 +46,40 @@ const (
 	anonMsgLen    = anonIDOff + 2
 )
 
+// anonKeyDomain opens the AnonID key block, so no key block is ever
+// HMAC's key⊕ipad or key⊕opad: their last 48 bytes are 0x36 or 0x5c, this
+// block's last 32 are zero.
+const anonKeyDomain = "pnm/anon-key/v1\x00"
+
+// anonKeyBlock writes k's AnonID key block into b[:blockSize]: the
+// 16-byte anonKeyDomain, the 16-byte key, and zeros.
+// pnmlint:noalloc
+func anonKeyBlock(b []byte, k Key) {
+	n := copy(b, anonKeyDomain)
+	n += copy(b[n:], k[:])
+	clear(b[n:blockSize])
+}
+
 // AnonID computes the per-message anonymous ID i' = H'_ki(M | i), where M is
 // the original report. Binding i' to M means the mapping changes with every
 // distinct injected report, so an attacker cannot accumulate a static
 // ID-translation table over time.
+//
+// H' is the first 4 bytes of SHA-256(anonKeyBlock(k) ‖ anonDomain ‖ M ‖ i).
+// The input is always 100 bytes, so after the key block the hash is one
+// compression keyed through its chaining value, which a Schedule caches
+// (DESIGN §9 gives the PRF argument). This is the node-side path: one
+// stack array, no allocation.
+// pnmlint:noalloc
 func AnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	h := hmac.New(sha256.New, k[:])
-	var buf [anonMsgLen]byte
-	copy(buf[:], anonDomain)
-	report.Encode(buf[:anonReportOff])
-	binary.BigEndian.PutUint16(buf[anonIDOff:], uint16(id))
-	h.Write(buf[:])
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	var out [packet.AnonIDLen]byte
-	copy(out[:], sum[:])
-	return out
+	var buf [blockSize + anonMsgLen]byte
+	anonKeyBlock(buf[:], k)
+	msg := buf[blockSize:]
+	copy(msg, anonDomain)
+	report.Encode(msg[:anonReportOff])
+	binary.BigEndian.PutUint16(msg[anonIDOff:], uint16(id))
+	sum := sha256.Sum256(buf[:])
+	return [packet.AnonIDLen]byte(sum[:])
 }
 
 // Equal reports whether two MACs match, in constant time.
@@ -74,35 +93,46 @@ func Equal(a, b [packet.MACLen]byte) bool {
 type KeyStore struct {
 	master [32]byte
 
-	mu   sync.RWMutex
-	keys map[packet.NodeID]Key
+	mu sync.RWMutex
+	// keys caches the keys Key hands out (the node side, tests), indexed
+	// by NodeID and grown in steps of 64 like cores: 17 bytes a node. A
+	// schedule core absorbs a key it derives itself, so a sink-side store
+	// caches no keys at all.
+	keys []keySlot // pnmlint:guarded-by mu
 
-	// cores caches the immutable pad-absorbed halves of the per-node key
-	// schedules (64 bytes each), indexed by NodeID and shared across every
+	// cores caches the immutable key-absorbed halves of the per-node key
+	// schedules (96 bytes each), indexed by NodeID and shared across every
 	// Hasher over this store: N workers warming up on the same node pay
-	// the two pad compressions once, not N times. epoch versions the
-	// cache — InvalidateSchedules bumps it, and Hashers that notice a new
-	// epoch drop their local schedules.
+	// the three key-block compressions once, not N times. epoch versions
+	// the cache — InvalidateSchedules bumps it, and Hashers that notice a
+	// new epoch drop their local schedules.
 	cores      []*schedCore // pnmlint:guarded-by mu
 	epoch      uint64       // pnmlint:guarded-by mu
 	coreBuilds uint64       // pnmlint:guarded-by mu
 }
 
+// keySlot is one node's derived key; ok is false until it is derived.
+type keySlot struct {
+	k  Key
+	ok bool
+}
+
 // NewKeyStore returns a store whose keys are derived from the given master
 // secret. Two stores built from the same secret agree on every key.
 func NewKeyStore(master []byte) *KeyStore {
-	ks := &KeyStore{keys: make(map[packet.NodeID]Key)}
-	ks.master = sha256.Sum256(master)
-	return ks
+	return &KeyStore{master: sha256.Sum256(master)}
 }
 
 // Key returns node id's symmetric key.
 func (ks *KeyStore) Key(id packet.NodeID) Key {
 	ks.mu.RLock()
-	k, ok := ks.keys[id]
+	var slot keySlot
+	if int(id) < len(ks.keys) {
+		slot = ks.keys[id]
+	}
 	ks.mu.RUnlock()
-	if ok {
-		return k
+	if slot.ok {
+		return slot.k
 	}
 
 	// Re-check under the write lock: between RUnlock and Lock another
@@ -111,10 +141,20 @@ func (ks *KeyStore) Key(id packet.NodeID) Key {
 	// redo the two HMAC compressions per miss.
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if k, ok := ks.keys[id]; ok {
-		return k
+	ks.keys = growTo(ks.keys, id)
+	if slot := ks.keys[id]; slot.ok {
+		return slot.k
 	}
 
+	k := ks.derive(id)
+	ks.keys[id] = keySlot{k: k, ok: true}
+	return k
+}
+
+// derive computes node id's key from the master secret, uncached: the
+// truncated HMAC of "key/" ‖ id. ks.master is immutable, so it needs no
+// lock.
+func (ks *KeyStore) derive(id packet.NodeID) Key {
 	h := hmac.New(sha256.New, ks.master[:])
 	var buf [6]byte
 	copy(buf[:4], "key/")
@@ -122,8 +162,5 @@ func (ks *KeyStore) Key(id packet.NodeID) Key {
 	h.Write(buf[:])
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
-	copy(k[:], sum[:KeyLen])
-
-	ks.keys[id] = k
-	return k
+	return Key(sum[:KeyLen])
 }

@@ -116,21 +116,31 @@ func TestKeyStoreUniqueKeysProperty(t *testing.T) {
 	}
 }
 
+// TestKeyStoreConcurrent races key derivation against schedule-core
+// builds on one store: every goroutine reads keys and warms its own
+// Hasher over the same nodes, and each core is still built once.
 func TestKeyStoreConcurrent(t *testing.T) {
 	ks := NewKeyStore([]byte("conc"))
 	want := ks.Key(7)
+	report := packet.Report{Event: 3}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := ks.Hasher()
 			for id := packet.NodeID(0); id < 128; id++ {
 				if id == 7 && ks.Key(id) != want {
 					t.Error("concurrent derivation disagrees")
 				}
-				ks.Key(id)
+				if h.AnonID(id, report) != AnonID(ks.Key(id), report, id) {
+					t.Errorf("node %v: Hasher.AnonID disagrees with the cold path", id)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if got := ks.CoreBuilds(); got != 128 {
+		t.Errorf("CoreBuilds = %d after 16 hashers warmed 128 nodes, want 128", got)
+	}
 }

@@ -32,11 +32,11 @@ type marshalingHash interface {
 
 // stateTemplate is the marshaled state of a SHA-256 digest that has
 // absorbed exactly one 64-byte block: magic, chaining value, an empty
-// block buffer and a length of 64. Every pad-absorbed HMAC state has this
-// shape and differs from it only in the 32 chaining bytes. A scratch
-// digest is unmarshaled from it once; after that, the schedule writes
-// only whole blocks, so the buffer stays empty and a restore rewrites
-// just the eight state words.
+// block buffer and a length of 64. Every key-absorbed state (the HMAC
+// pads, the AnonID key block) has this shape and differs from it only in
+// the 32 chaining bytes. A scratch digest is unmarshaled from it once;
+// after that, the schedule writes only whole blocks, so the buffer stays
+// empty and a restore rewrites just the eight state words.
 var stateTemplate = func() []byte {
 	d := sha256.New().(marshalingHash)
 	d.Write(make([]byte, blockSize))
@@ -47,16 +47,18 @@ var stateTemplate = func() []byte {
 	return st
 }()
 
-// schedCore is the immutable, per-key half of an HMAC-SHA256 key schedule:
-// the SHA-256 chaining values after absorbing key⊕ipad and key⊕opad, as
-// the digest's state words, so a restore is one 32-byte store. Building
-// one pays the two pad compressions; a core is never written afterwards,
-// so KeyStore keeps one per node and every Hasher reads it.
+// schedCore is the immutable, per-key half of a key schedule: the
+// SHA-256 chaining values after absorbing key⊕ipad and key⊕opad (HMAC's
+// inner and outer states) and the AnonID key block, as the digest's
+// state words, so a restore is one 32-byte store. Building one pays the
+// three key-block compressions; a core is never written afterwards, so
+// KeyStore keeps one per node and every Hasher reads it.
 type schedCore struct {
-	inner, outer [8]uint32
+	inner, outer, anon [8]uint32
 }
 
-// newSchedCore absorbs k's HMAC pads — the expensive, once-per-key step.
+// newSchedCore absorbs k's HMAC pads and AnonID key block — the
+// expensive, once-per-key step.
 func newSchedCore(k Key) *schedCore {
 	var pad [blockSize]byte
 	copy(pad[:], k[:])
@@ -69,17 +71,19 @@ func newSchedCore(k Key) *schedCore {
 		pad[i] ^= 0x36 ^ 0x5c // flip ipad to opad
 	}
 	absorbPad(&c.outer, pad[:])
+	anonKeyBlock(pad[:], k)
+	absorbPad(&c.anon, pad[:])
 	return c
 }
 
-// absorbPad hashes one pad block and stores the resulting state words in
-// dst. It is the per-core half of the layout guard: the digest's
-// marshaled state must equal stateTemplate everywhere but the chaining
-// bytes (one block written, nothing buffered, length 64), and the state
-// words digestWords reads in place must equal those chaining bytes. A Go
-// release that changed either layout would therefore fail every MAC test
-// at once rather than corrupt verdicts; newScratch checks the restore
-// itself.
+// absorbPad hashes one key block (an HMAC pad or the AnonID key block)
+// and stores the resulting state words in dst. It is the per-core half
+// of the layout guard: the digest's marshaled state must equal
+// stateTemplate everywhere but the chaining bytes (one block written,
+// nothing buffered, length 64), and the state words digestWords reads in
+// place must equal those chaining bytes. A Go release that changed either
+// layout would therefore fail every MAC test at once rather than corrupt
+// verdicts; newScratch checks the restore itself.
 func absorbPad(dst *[8]uint32, pad []byte) {
 	d := sha256.New().(marshalingHash)
 	d.Write(pad)
@@ -129,8 +133,8 @@ func putWords(dst []byte, w *[8]uint32) {
 }
 
 // scratch is the per-goroutine half of a key schedule: one reusable
-// digest and the blocks the two HMAC passes feed it. The inner and outer
-// passes run one after the other, so one digest serves both.
+// digest and the blocks the two HMAC passes and AnonID feed it. The calls
+// and passes run one after the other, so one digest serves them all.
 //
 // Every Write hands the digest whole 64-byte blocks, message padding
 // included, so the digest's own buffering and Sum's padding and copies
@@ -145,8 +149,9 @@ type scratch struct {
 	// outer is the outer pass's only block: the 32-byte inner digest,
 	// then padding for a 64 + 32 byte message, fixed at construction.
 	outer [blockSize]byte
-	// anon is the padded AnonID inner block for report anonRep; a call
-	// for the same report rewrites only the two ID bytes.
+	// anon is the padded AnonID message block for report anonRep, the
+	// one block after the key block; a call for the same report rewrites
+	// only the two ID bytes.
 	anon    [blockSize]byte
 	anonRep packet.Report
 }
@@ -212,7 +217,7 @@ func padBlocks(b []byte, n, msgLen int) int {
 	return end
 }
 
-// restore resets the digest to the pad-absorbed state with chaining value
+// restore resets the digest to the key-absorbed state with chaining value
 // chain: one 32-byte store into its state words. The block buffer is
 // already empty, because every Write since newScratch's UnmarshalBinary
 // was whole blocks; the length field is stale, but only the digest's own
@@ -253,16 +258,18 @@ func (sc *scratch) outerPass(outer *[8]uint32) {
 	sc.h.Write(sc.outer[:])
 }
 
-// Schedule is a precomputed HMAC-SHA256 key schedule for one node key.
+// Schedule is a precomputed key schedule for one node key: HMAC-SHA256
+// for Sum, and the keyed compression behind AnonID.
 //
 // A fresh hmac.New(sha256.New, key) pays two pad compressions (ipad and
-// opad) and several allocations on every Sum. The sink recomputes MACs for
-// every received mark — §4.2's whole feasibility argument is that it can
-// do so at line rate — so a schedule pairs the key's shared, immutable
-// pad-absorbed chaining values (built once) with its goroutine's scratch
-// digest, which each call restores to those values. Sum and AnonID run
-// zero-alloc and skip both pad compressions; outputs are bit-identical to
-// the package-level Sum and AnonID for the same key.
+// opad) and several allocations on every Sum. The sink recomputes MACs and
+// anonymous IDs for every received mark — §4.2's whole feasibility
+// argument is that it can do so at line rate — so a schedule pairs the
+// key's shared, immutable key-absorbed chaining values (built once) with
+// its goroutine's scratch digest, which each call restores to those
+// values. Sum and AnonID run zero-alloc and skip every key-block
+// compression; outputs are bit-identical to the package-level Sum and
+// AnonID for the same key.
 //
 // A Schedule is a two-pointer value — the key's core and the goroutine's
 // scratch — so handing one out costs no allocation; every schedule a
@@ -278,7 +285,7 @@ type Schedule struct {
 
 // NewSchedule precomputes the key schedule for k, with its own scratch.
 // This is the only allocating step; a sink amortizes it with a Hasher,
-// which shares one scratch across its schedules and the pad-absorbed
+// which shares one scratch across its schedules and the key-absorbed
 // cores across goroutines via the KeyStore.
 func NewSchedule(k Key) Schedule {
 	return Schedule{core: newSchedCore(k), sc: newScratch()}
@@ -299,7 +306,9 @@ func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, uint64, bool) {
 	if c != nil {
 		return c, epoch, false
 	}
-	k := ks.Key(id) // takes ks.mu itself; derive before the write lock
+	// The core absorbs the key, so the key is derived outside the lock
+	// and not cached: a sink-side store holds no copy of it.
+	k := ks.derive(id)
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.cores = growTo(ks.cores, id)
@@ -312,15 +321,15 @@ func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, uint64, bool) {
 	return c, ks.epoch, true
 }
 
-// growTo returns a core table that covers index id: t itself when it
-// already does, else a copy grown to the next multiple of 64 past id. Not
-// doubling keeps a table that sees a few nodes of a large ID space no
-// longer than its largest ID.
-func growTo(t []*schedCore, id packet.NodeID) []*schedCore {
+// growTo returns a NodeID-indexed table that covers index id: t itself
+// when it already does, else a copy grown to the next multiple of 64 past
+// id. Not doubling keeps a table that sees a few nodes of a large ID
+// space no longer than its largest ID.
+func growTo[T any](t []T, id packet.NodeID) []T {
 	if int(id) < len(t) {
 		return t
 	}
-	grown := make([]*schedCore, (int(id)|63)+1)
+	grown := make([]T, (int(id)|63)+1)
 	copy(grown, t)
 	return grown
 }
@@ -363,10 +372,10 @@ func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
 
 // AnonID computes the per-message anonymous ID i' = H'_k(M | i),
 // bit-identical to the package-level AnonID for the schedule's key, with
-// zero allocations. Its 36-byte inner message always fits one padded
-// block, which the scratch keeps for the last report it saw: a probe for
-// the same report patches the two ID bytes, and a new report re-encodes
-// the block.
+// zero allocations: one compression of the padded 36-byte message block
+// from the key block's chaining value. The scratch keeps that block for
+// the last report it saw: a probe for the same report patches the two ID
+// bytes, and a new report re-encodes the block.
 // pnmlint:noalloc
 func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
 	sc := s.sc
@@ -375,9 +384,8 @@ func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDL
 		report.Encode(sc.anon[:anonReportOff])
 	}
 	binary.BigEndian.PutUint16(sc.anon[anonIDOff:], uint16(id))
-	sc.restore(&s.core.inner)
+	sc.restore(&s.core.anon)
 	sc.h.Write(sc.anon[:])
-	sc.outerPass(&s.core.outer)
 	var out [packet.AnonIDLen]byte
 	putWords(out[:], sc.words)
 	return out
@@ -401,7 +409,7 @@ func (s Schedule) hmac(prefix, suffix []byte) {
 // KeyStore. The KeyStore itself is synchronized and shared freely; the
 // Hasher's one scratch is not, so each goroutine that verifies MACs (a
 // sink, each run of a run-parallel experiment) holds its own Hasher. A
-// local miss fetches the node's shared pad-absorbed core from the store
+// local miss fetches the node's shared key-absorbed core from the store
 // (built at most once per node store-wide, however many Hashers share
 // it) and records a pointer to it; Schedule pairs that core with the
 // Hasher's scratch.

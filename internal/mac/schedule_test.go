@@ -4,6 +4,7 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,15 +44,14 @@ func TestScheduleMatchesColdHMAC(t *testing.T) {
 	}
 }
 
-// TestScheduleTwoPartMatchesStdlibHMAC pins the two-part Sum and AnonID
-// against crypto/hmac directly, not against the package's own cold
-// path: for random keys, every message length from 0 to 300 and every
-// split point of it, Sum(prefix, suffix) is the truncated
-// HMAC-SHA256(prefix ‖ suffix), and AnonID the truncated HMAC of
-// anonDomain ‖ report ‖ id. Schedules from a Hasher (shared scratch and
-// store cores) and from NewSchedule (private scratch) are both checked,
-// interleaved across keys so any state one call leaves in the shared
-// scratch would show in the next.
+// TestScheduleTwoPartMatchesStdlibHMAC pins the two-part Sum against
+// crypto/hmac and AnonID against refAnonID, not against the package's
+// own cold path: for random keys, every message length from 0 to 300 and
+// every split point of it, Sum(prefix, suffix) is the truncated
+// HMAC-SHA256(prefix ‖ suffix), and AnonID the reference H'. Schedules
+// from a Hasher (shared scratch and store cores) and from NewSchedule
+// (private scratch) are both checked, interleaved across keys so any
+// state one call leaves in the shared scratch would show in the next.
 func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ks := NewKeyStore([]byte("two-part"))
@@ -81,15 +81,130 @@ func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
 				}
 			}
 			report := packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()}
-			idb := binary.BigEndian.AppendUint16(nil, uint16(id))
-			wantAnon := [packet.AnonIDLen]byte(stdlib(k, []byte(anonDomain), report.Encode(nil), idb))
+			wantAnon := refAnonID(k, report, id)
 			if got := h.AnonID(id, report); got != wantAnon {
-				t.Fatalf("Hasher.AnonID(%v) = %x, crypto/hmac = %x", id, got, wantAnon)
+				t.Fatalf("Hasher.AnonID(%v) = %x, reference = %x", id, got, wantAnon)
 			}
 			if got := own.AnonID(report, id); got != wantAnon {
-				t.Fatalf("NewSchedule(%v).AnonID = %x, crypto/hmac = %x", id, got, wantAnon)
+				t.Fatalf("NewSchedule(%v).AnonID = %x, reference = %x", id, got, wantAnon)
 			}
 		}
+	}
+}
+
+// refK holds FIPS 180-4's SHA-256 round constants (§4.2.2).
+var refK = [64]uint32{
+	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+}
+
+// refIV is SHA-256's initial hash value (FIPS 180-4 §5.3.3).
+var refIV = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
+
+// refCompress is SHA-256's compression of one 64-byte block from chaining
+// value h, written from FIPS 180-4 §6.2.2 and sharing no code with the
+// stdlib digest the schedule drives.
+func refCompress(h [8]uint32, block []byte) [8]uint32 {
+	rotr := func(x uint32, n int) uint32 { return bits.RotateLeft32(x, -n) }
+	var w [64]uint32
+	for t := range 16 {
+		w[t] = binary.BigEndian.Uint32(block[4*t:])
+	}
+	for t := 16; t < 64; t++ {
+		s0 := rotr(w[t-15], 7) ^ rotr(w[t-15], 18) ^ w[t-15]>>3
+		s1 := rotr(w[t-2], 17) ^ rotr(w[t-2], 19) ^ w[t-2]>>10
+		w[t] = s1 + w[t-7] + s0 + w[t-16]
+	}
+	a, b, c, d, e, f, g, hh := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
+	for t := range 64 {
+		t1 := hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e&f ^ ^e&g) + refK[t] + w[t]
+		t2 := (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a&b ^ a&c ^ b&c)
+		hh, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
+	}
+	return [8]uint32{h[0] + a, h[1] + b, h[2] + c, h[3] + d, h[4] + e, h[5] + f, h[6] + g, h[7] + hh}
+}
+
+// refAnonID is the tests' independent H': the first 4 bytes of
+// SHA-256(key block ‖ message block) computed by refCompress, with both
+// blocks and the padding spelled out here rather than taken from the
+// package's constants.
+func refAnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
+	var key, msg [64]byte
+	copy(key[:], "pnm/anon-key/v1\x00")
+	copy(key[16:], k[:])
+	copy(msg[:], "pnm/anon-id/v2")
+	binary.BigEndian.PutUint32(msg[14:], report.Event)
+	binary.BigEndian.PutUint32(msg[18:], report.Location)
+	binary.BigEndian.PutUint64(msg[22:], report.Timestamp)
+	binary.BigEndian.PutUint32(msg[30:], report.Seq)
+	binary.BigEndian.PutUint16(msg[34:], uint16(id))
+	msg[36] = 0x80
+	binary.BigEndian.PutUint64(msg[56:], 100*8) // 100 message bytes, in bits
+	var out [packet.AnonIDLen]byte
+	binary.BigEndian.PutUint32(out[:], refCompress(refCompress(refIV, key[:]), msg[:])[0])
+	return out
+}
+
+// TestRefCompressMatchesSum256 checks the reference against
+// sha256.Sum256 on a one-block message, so a fault in refCompress itself
+// cannot pass for a fault in the code under test.
+func TestRefCompressMatchesSum256(t *testing.T) {
+	var block [64]byte
+	n := copy(block[:], "abc")
+	block[n] = 0x80
+	binary.BigEndian.PutUint64(block[56:], uint64(n)*8)
+	want := sha256.Sum256([]byte("abc"))
+	var got [sha256.Size]byte
+	for i, w := range refCompress(refIV, block[:]) {
+		binary.BigEndian.PutUint32(got[4*i:], w)
+	}
+	if got != want {
+		t.Fatalf("refCompress(\"abc\") = %x, sha256.Sum256 = %x", got, want)
+	}
+}
+
+// TestAnonIDPathsAgree pins the four ways to compute H' to one another
+// for random keys, reports and IDs: the cold mac.AnonID (the node side),
+// a NewSchedule's AnonID, a shared Hasher's AnonID (the sink's probe) and
+// refAnonID.
+func TestAnonIDPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ks := NewKeyStore([]byte("anon-agree"))
+	h := ks.Hasher()
+	for trial := 0; trial < 500; trial++ {
+		var k Key
+		rng.Read(k[:])
+		id := packet.NodeID(rng.Intn(1 << 16))
+		report := packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()}
+		want := refAnonID(k, report, id)
+		if got := AnonID(k, report, id); got != want {
+			t.Fatalf("trial %d: cold AnonID = %x, reference = %x", trial, got, want)
+		}
+		if got := NewSchedule(k).AnonID(report, id); got != want {
+			t.Fatalf("trial %d: Schedule.AnonID = %x, reference = %x", trial, got, want)
+		}
+		// The store derives its own keys, so the Hasher is checked on
+		// the store's key for a node ID drawn from a small range.
+		sid := packet.NodeID(rng.Intn(256))
+		if got, want := h.AnonID(sid, report), refAnonID(ks.Key(sid), report, sid); got != want {
+			t.Fatalf("trial %d: Hasher.AnonID(%v) = %x, reference = %x", trial, sid, got, want)
+		}
+	}
+}
+
+// TestColdAnonIDZeroAlloc pins the node-side H' at zero allocations:
+// one SHA-256 over a stack array.
+func TestColdAnonIDZeroAlloc(t *testing.T) {
+	k := Key{7}
+	report := packet.Report{Event: 3, Location: 4, Timestamp: 5, Seq: 6}
+	if n := testing.AllocsPerRun(200, func() { AnonID(k, report, 9) }); n != 0 {
+		t.Errorf("cold AnonID allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -130,7 +245,7 @@ func TestWholeBlockPaddingMatchesSum256(t *testing.T) {
 // report — even one differing in a single field — must re-encode it, and
 // a return to an earlier report must not reuse a stale block. Every
 // result, through a Hasher (one scratch across keys) and a NewSchedule,
-// is checked against crypto/hmac.
+// is checked against refAnonID.
 func TestAnonIDReportMemo(t *testing.T) {
 	ks := NewKeyStore([]byte("anon-memo"))
 	h := ks.Hasher()
@@ -151,18 +266,13 @@ func TestAnonIDReportMemo(t *testing.T) {
 	own := NewSchedule(ks.Key(5))
 	for i, report := range seq {
 		for _, id := range ids {
-			k := ks.Key(id)
-			m := hmac.New(sha256.New, k[:])
-			m.Write([]byte(anonDomain))
-			m.Write(report.Encode(nil))
-			m.Write([]byte{byte(id >> 8), byte(id)})
-			want := [packet.AnonIDLen]byte(m.Sum(nil))
+			want := refAnonID(ks.Key(id), report, id)
 			if got := h.AnonID(id, report); got != want {
-				t.Fatalf("step %d: Hasher.AnonID(%v, %+v) = %x, crypto/hmac = %x", i, id, report, got, want)
+				t.Fatalf("step %d: Hasher.AnonID(%v, %+v) = %x, reference = %x", i, id, report, got, want)
 			}
 			if id == 5 {
 				if got := own.AnonID(report, id); got != want {
-					t.Fatalf("step %d: NewSchedule.AnonID(%+v) = %x, crypto/hmac = %x", i, report, got, want)
+					t.Fatalf("step %d: NewSchedule.AnonID(%+v) = %x, reference = %x", i, report, got, want)
 				}
 			}
 		}
@@ -224,7 +334,8 @@ func (scratchSeq) Generate(rng *rand.Rand, _ int) reflect.Value {
 
 // TestSharedScratchInterleavingMatchesStdlib drives one Hasher's scratch
 // through random interleavings of Sum and AnonID over several keys and
-// reports, and checks every result against crypto/hmac. A restore writes
+// reports, and checks every Sum against crypto/hmac and every AnonID
+// against refAnonID. A restore writes
 // only the digest's state words, so the one way it can go wrong that a
 // per-length test cannot see is state one call leaves behind for the
 // next: a buffered tail, a stale outer state, a stale AnonID block. The
@@ -248,10 +359,9 @@ func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
 			id := ids[op.key]
 			k := ks.Key(id)
 			if op.anon {
-				idb := []byte{byte(id >> 8), byte(id)}
-				want := [packet.AnonIDLen]byte(stdlib(k, []byte(anonDomain), op.report.Encode(nil), idb))
+				want := refAnonID(k, op.report, id)
 				if got := h.AnonID(id, op.report); got != want {
-					t.Logf("call %d of %d: AnonID(%v) = %x, crypto/hmac = %x", i, len(seq), id, got, want)
+					t.Logf("call %d of %d: AnonID(%v) = %x, reference = %x", i, len(seq), id, got, want)
 					return false
 				}
 				continue
@@ -291,23 +401,37 @@ func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
 // Go release: a digest after one 64-byte block marshals to the template
 // with its chaining value at chainOff, and a fresh scratch whose state
 // words are overwritten with a core's chaining value hashes exactly like
-// the digest that absorbed the pad.
+// the digest that absorbed the key block — an HMAC pad or the AnonID key
+// block — and each of a core's three values is the one its block gives.
 func TestStateTemplateLayout(t *testing.T) {
-	pad := make([]byte, blockSize)
-	for i := range pad {
-		pad[i] = byte(i) ^ 0x36
+	k := Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	var ipad, anon [blockSize]byte
+	copy(ipad[:], k[:])
+	for i := range ipad {
+		ipad[i] ^= 0x36
 	}
-	var chain [8]uint32
-	absorbPad(&chain, pad) // panics on a layout mismatch
-	live := sha256.New()
-	live.Write(pad)
-	sc := newScratch()
-	sc.restore(&chain)
-	msg := []byte("after the pad block")
-	live.Write(msg)
-	sc.h.Write(msg)
-	if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
-		t.Fatalf("restored state hashes to %x, live digest to %x", got, want)
+	anonKeyBlock(anon[:], k)
+	core := newSchedCore(k)
+	for _, c := range []struct {
+		name  string
+		block []byte
+		core  *[8]uint32
+	}{{"ipad", ipad[:], &core.inner}, {"anon key", anon[:], &core.anon}} {
+		var chain [8]uint32
+		absorbPad(&chain, c.block) // panics on a layout mismatch
+		if chain != *c.core {
+			t.Fatalf("%s: core holds %x, absorbPad gives %x", c.name, *c.core, chain)
+		}
+		live := sha256.New()
+		live.Write(c.block)
+		sc := newScratch()
+		sc.restore(&chain)
+		msg := []byte("after the key block")
+		live.Write(msg)
+		sc.h.Write(msg)
+		if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
+			t.Fatalf("%s: restored state hashes to %x, live digest to %x", c.name, got, want)
+		}
 	}
 }
 
@@ -401,15 +525,16 @@ func TestHasherCachesSchedules(t *testing.T) {
 }
 
 // TestHashersShareStoreCores pins the per-key/per-goroutine split: two
-// Hashers over one store read the same 64-byte core per node (built once,
-// counted by CoreBuilds) through their own scratch, a Hasher keeps one
-// pointer per node and hands out two-pointer Schedules, and
-// InvalidateSchedules makes both rebuild on their next miss.
+// Hashers over one store read the same 96-byte core per node (built once,
+// counted by CoreBuilds, without caching the node's key) through their
+// own scratch, a Hasher keeps one pointer per node and hands out
+// two-pointer Schedules, and InvalidateSchedules makes both rebuild on
+// their next miss.
 func TestHashersShareStoreCores(t *testing.T) {
 	ks := NewKeyStore([]byte("shared-cores"))
 	a, b := ks.Hasher(), ks.Hasher()
-	if n := unsafe.Sizeof(schedCore{}); n != 2*sha256.Size {
-		t.Errorf("schedCore is %d bytes, want %d (two chaining values)", n, 2*sha256.Size)
+	if n := unsafe.Sizeof(schedCore{}); n != 3*sha256.Size {
+		t.Errorf("schedCore is %d bytes, want %d (three chaining values)", n, 3*sha256.Size)
 	}
 	ptr := unsafe.Sizeof(uintptr(0))
 	if n := unsafe.Sizeof(a.cores[0]); n != ptr {
@@ -429,6 +554,9 @@ func TestHashersShareStoreCores(t *testing.T) {
 	}
 	if got := ks.CoreBuilds(); got != 5 {
 		t.Fatalf("CoreBuilds = %d after two hashers warmed 5 nodes, want 5", got)
+	}
+	if len(ks.keys) != 0 {
+		t.Errorf("store caches %d key slots after building cores, want 0 (a core absorbs its key)", len(ks.keys))
 	}
 	old := a.Schedule(3).core
 	ks.InvalidateSchedules()

@@ -45,9 +45,9 @@ func ResolveAll(r Resolver, report packet.Report, anon [packet.AnonIDLen]byte, p
 // anonIDFunc computes a node's anonymous ID for a report. It is a seam:
 // in production it is nil and the resolvers derive IDs through their
 // cached per-node key schedules (bit-identical to mac.AnonID, without the
-// per-call HMAC setup); tests substitute a colliding function to
-// manufacture truncated-ID collisions at chosen nodes without searching
-// for real HMAC collisions.
+// per-call key-block compression); tests substitute a colliding function
+// to manufacture truncated-ID collisions at chosen nodes without
+// searching for real hash collisions.
 type anonIDFunc func(k mac.Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte
 
 // scheduleCacher is implemented by resolvers that hash through a key
@@ -172,9 +172,10 @@ func (r *ExhaustiveResolver) lookup(report packet.Report) map[[packet.AnonIDLen]
 
 // buildTable computes the full anonymous-ID table for one report — the
 // operation whose feasibility §4.2 argues from hash throughput. It is
-// O(n) HMACs per report, so it runs on the cached key schedules: after
-// the first build has populated the hasher, each entry costs two SHA-256
-// state restores and no allocation beyond the table itself.
+// O(n) anonymous-ID hashes per report, so it runs on the cached key
+// schedules: after the first build has populated the hasher, each entry
+// costs one state restore and one SHA-256 compression, and no allocation
+// beyond the table itself.
 func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonIDLen]byte][]packet.NodeID {
 	r.tableBuilds.Inc()
 	table := make(map[[packet.AnonIDLen]byte][]packet.NodeID, len(r.nodes))

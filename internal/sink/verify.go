@@ -267,8 +267,9 @@ func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
 // verifyMark checks the mark at position k of msg, which Verify has
 // encoded into v.enc, and returns the marker's real ID. It recomputes one
-// HMAC per plaintext mark and one per anonymous-resolution probe, so it
-// runs once per mark per received packet — the sink's hottest path.
+// HMAC per plaintext mark; an anonymous mark costs one AnonID compression
+// per resolution probe and one HMAC per candidate. It runs once per mark
+// per received packet — the sink's hottest path.
 // pnmlint:noalloc
 func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeID, havePrev bool) (packet.NodeID, bool) {
 	mk := msg.Marks[k]
