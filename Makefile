@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-sink bench-fault bench-churn fuzz-smoke soak ci figures figures-check examples clean
+.PHONY: all build test race vet lint bench bench-ab bench-sink bench-fault bench-churn fuzz-smoke soak ci figures figures-check examples clean
 
 all: build test
 
@@ -35,6 +35,17 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# A/B run of the repository benchmark (scripts/bench-ab.sh): bench/ built
+# at AB_BASE and in the working tree, AB_PAIRS pairs of AB_SECONDS-second
+# runs on AB_WORKLOAD, one seed a pair, printing per-pair metrics,
+# medians, the base's interquartile range and the working tree's wins.
+AB_BASE ?= HEAD
+AB_WORKLOAD ?= dense-300
+AB_PAIRS ?= 5
+AB_SECONDS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh --base $(AB_BASE) --workload $(AB_WORKLOAD) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS)
 
 # Regenerate the committed sink-cost document: the MAC engine
 # micro-benchmark, the three resolvers on the interleaved stream, and the

@@ -135,7 +135,10 @@ func withoutWallClock(t *testing.T, doc string) string {
 // TestCommittedBenchDocsReproduce reruns each committed deterministic
 // bench document's own config and requires the same document, apart from
 // env and the *_ns wall-clock columns. For BENCH_churn.json this is the
-// reproduction check of every E18 and E23 figure.
+// reproduction check of every E18 and E23 figure. BENCH_sink.json is
+// mostly timings, so only its deterministic part must reproduce: the
+// config and each row's stream, resolver, packet count, verdict hash and
+// counters — the check that a MAC or resolver change moved no verdict.
 func TestCommittedBenchDocsReproduce(t *testing.T) {
 	docs := []struct {
 		file  string
@@ -156,6 +159,23 @@ func TestCommittedBenchDocsReproduce(t *testing.T) {
 			return FaultBench(doc.Config)
 		}},
 	}
+	t.Run("BENCH_sink.json", func(t *testing.T) {
+		raw, err := os.ReadFile("../../BENCH_sink.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc SinkBenchResult
+		if err := decodeStrict(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		res, err := SinkBench(doc.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sinkVerdicts(t, res), sinkVerdicts(t, &doc); got != want {
+			t.Fatalf("BENCH_sink.json verdicts do not reproduce from its config;\ncommitted:\n%s\nregenerated:\n%s", want, got)
+		}
+	})
 	for _, d := range docs {
 		t.Run(d.file, func(t *testing.T) {
 			raw, err := os.ReadFile("../../" + d.file)
@@ -175,6 +195,41 @@ func TestCommittedBenchDocsReproduce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sinkVerdicts renders a sink bench document's deterministic part as
+// JSON: the config, and per row the stream, resolver, packet count,
+// verdict hash and counters. Both sides go through one JSON round trip,
+// so a live run's counters compare equal to decoded ones.
+func sinkVerdicts(t *testing.T, doc *SinkBenchResult) string {
+	t.Helper()
+	type row struct {
+		Stream      string `json:"stream"`
+		Resolver    string `json:"resolver"`
+		Packets     int    `json:"packets"`
+		VerdictHash string `json:"verdict_hash"`
+		Counters    any    `json:"counters"`
+	}
+	out := struct {
+		Config SinkBenchConfig `json:"config"`
+		Rows   []row           `json:"rows"`
+	}{Config: doc.Config}
+	for _, r := range doc.Rows {
+		counters, err := json.Marshal(r.Counters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c any
+		if err := json.Unmarshal(counters, &c); err != nil {
+			t.Fatal(err)
+		}
+		out.Rows = append(out.Rows, row{r.Stream, r.Resolver, r.Packets, r.VerdictHash, c})
+	}
+	b, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // decodeStrict decodes a committed document, rejecting fields the

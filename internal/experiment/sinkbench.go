@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -88,8 +89,9 @@ func DefaultSinkBench() SinkBenchConfig {
 }
 
 // MacBenchResult is the per-call MAC engine micro-benchmark: cold
-// (per-call HMAC pad absorption, as node-side marking does it) against
-// the sink's precomputed key schedule.
+// (per-call key-block compression, as node-side marking does it) against
+// the sink's precomputed key schedule. Each ns column is the fastest of
+// macRounds loops of Iters calls.
 type MacBenchResult struct {
 	Iters int `json:"iters"`
 	// Sum rows measure the 80-byte nested-MAC input shape.
@@ -216,7 +218,10 @@ func checkSinkRows(rows []SinkBenchRow) error {
 	return nil
 }
 
-// macBench times the per-call HMAC path against the precomputed schedule
+// macRounds is how many timed loops macBench runs per operation.
+const macRounds = 5
+
+// macBench times the cold one-shot path against the precomputed schedule
 // on both MAC shapes the sink computes.
 func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 	const id = packet.NodeID(7)
@@ -228,14 +233,22 @@ func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 	}
 	report := packet.Report{Event: 0xBEEF, Location: 3, Seq: 9}
 
+	// timeOp reports the fastest of macRounds timed loops of iters calls.
+	// One loop lasts well under a millisecond, so a preemption or a GC
+	// cycle on the shared host can double it; the fastest loop is the
+	// one that ran undisturbed.
 	timeOp := func(op func()) float64 {
-		//pnmlint:allow wallclock micro-benchmark reports real per-op latency
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			op()
+		best := math.Inf(1)
+		for range macRounds {
+			//pnmlint:allow wallclock micro-benchmark reports real per-op latency
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				op()
+			}
+			//pnmlint:allow wallclock micro-benchmark reports real per-op latency
+			best = min(best, float64(time.Since(start).Nanoseconds())/float64(iters))
 		}
-		//pnmlint:allow wallclock micro-benchmark reports real per-op latency
-		return float64(time.Since(start).Nanoseconds()) / float64(iters)
+		return best
 	}
 	r := MacBenchResult{
 		Iters:           iters,

@@ -33,7 +33,7 @@ func count(row SinkBenchRow, name string) uint64 {
 // probes instead of building tables, every row on a stream verifies
 // identically (and the generator rejects one that does not), the keyed
 // path is allocation-free, the schedule paths are allocation-free
-// and faster than cold HMAC, and the document is reproducible and
+// and faster than the cold path, and the document is reproducible and
 // round-trips.
 func TestSinkBenchSmall(t *testing.T) {
 	cfg := testSinkBenchConfig()

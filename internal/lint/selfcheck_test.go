@@ -162,12 +162,11 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 	for _, want := range []string{
 		"pnm/internal/mac.AnonID",
 		"pnm/internal/mac.anonKeyBlock",
+		"pnm/internal/mac.macKeyBlock",
 		"pnm/internal/mac.Schedule.Sum",
 		"pnm/internal/mac.Schedule.AnonID",
-		"pnm/internal/mac.Schedule.hmac",
 		"pnm/internal/mac.scratch.restore",
 		"pnm/internal/mac.scratch.absorb",
-		"pnm/internal/mac.scratch.outerPass",
 		"pnm/internal/mac.padBlocks",
 		"pnm/internal/mac.putWords",
 		"pnm/internal/mac.Hasher.Schedule",

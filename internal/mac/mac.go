@@ -24,15 +24,49 @@ const KeyLen = 16
 // Key is a node's symmetric key, shared only with the sink.
 type Key [KeyLen]byte
 
-// Sum computes the truncated keyed MAC H_k(data) carried in marks.
+// macKeyDomain opens the marking-MAC key block. It differs from
+// anonKeyDomain, so H and H' under one node key start from different
+// chaining values.
+const macKeyDomain = "pnm/mac-key/v1\x00\x00"
+
+// macKeyBlock writes k's marking-MAC key block into b[:blockSize]: the
+// 16-byte macKeyDomain, the 16-byte key, and 32 zeros.
+// pnmlint:noalloc
+func macKeyBlock(b []byte, k Key) {
+	n := copy(b, macKeyDomain)
+	n += copy(b[n:], k[:])
+	clear(b[n:blockSize])
+}
+
+// macLenLen is the length word that follows the key block: the message
+// length as a big-endian uint32. It makes the set of inputs prefix-free,
+// which is what the cascade argument needs (DESIGN §9).
+const macLenLen = 4
+
+// coldStack is the longest MAC message the cold Sum hashes from a stack
+// array; a longer one costs one allocation. Every mark chain the
+// experiments build fits.
+const coldStack = 448
+
+// Sum computes the truncated keyed MAC H_k(data) carried in marks: the
+// first 8 bytes of SHA-256(macKeyBlock(k) ‖ be32(len data) ‖ data). After
+// the key block the hash is SHA-256's compression cascaded from a
+// key-dependent chaining value, which a Schedule caches; the length word
+// keeps one message from being a prefix of another, so the cascade is a
+// PRF and length extension has nothing to extend (DESIGN §9). This is
+// the node-side path: one SHA-256 over a stack array, or one allocation
+// for a message longer than coldStack.
 func Sum(k Key, data []byte) [packet.MACLen]byte {
-	h := hmac.New(sha256.New, k[:])
-	h.Write(data)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	var out [packet.MACLen]byte
-	copy(out[:], sum[:])
-	return out
+	var stack [blockSize + macLenLen + coldStack]byte
+	buf := stack[:]
+	if n := blockSize + macLenLen + len(data); n > len(stack) {
+		buf = make([]byte, n)
+	}
+	macKeyBlock(buf, k)
+	binary.BigEndian.PutUint32(buf[blockSize:], uint32(len(data)))
+	n := blockSize + macLenLen + copy(buf[blockSize+macLenLen:], data)
+	sum := sha256.Sum256(buf[:n])
+	return [packet.MACLen]byte(sum[:])
 }
 
 // anonDomain opens the anonymous-ID message, which is fixed-length and
@@ -46,9 +80,8 @@ const (
 	anonMsgLen    = anonIDOff + 2
 )
 
-// anonKeyDomain opens the AnonID key block, so no key block is ever
-// HMAC's key⊕ipad or key⊕opad: their last 48 bytes are 0x36 or 0x5c, this
-// block's last 32 are zero.
+// anonKeyDomain opens the AnonID key block; it differs from macKeyDomain
+// in its domain string, so the two key blocks of one key never coincide.
 const anonKeyDomain = "pnm/anon-key/v1\x00"
 
 // anonKeyBlock writes k's AnonID key block into b[:blockSize]: the
@@ -101,9 +134,9 @@ type KeyStore struct {
 	keys []keySlot // pnmlint:guarded-by mu
 
 	// cores caches the immutable key-absorbed halves of the per-node key
-	// schedules (96 bytes each), indexed by NodeID and shared across every
+	// schedules (64 bytes each), indexed by NodeID and shared across every
 	// Hasher over this store: N workers warming up on the same node pay
-	// the three key-block compressions once, not N times. epoch versions
+	// the two key-block compressions once, not N times. epoch versions
 	// the cache — InvalidateSchedules bumps it, and Hashers that notice a
 	// new epoch drop their local schedules.
 	cores      []*schedCore // pnmlint:guarded-by mu

@@ -13,11 +13,11 @@ import (
 	"pnm/internal/packet"
 )
 
-// blockSize is SHA-256's compression block size, the HMAC pad length.
+// blockSize is SHA-256's compression block size, the key-block length.
 const blockSize = 64
 
 // chainOff is where a marshaled SHA-256 state keeps the 32-byte chaining
-// value: right after the 4-byte format magic. absorbPad checks every
+// value: right after the 4-byte format magic. absorbKeyBlock checks every
 // state it reads against this layout.
 const chainOff = 4
 
@@ -32,8 +32,8 @@ type marshalingHash interface {
 
 // stateTemplate is the marshaled state of a SHA-256 digest that has
 // absorbed exactly one 64-byte block: magic, chaining value, an empty
-// block buffer and a length of 64. Every key-absorbed state (the HMAC
-// pads, the AnonID key block) has this shape and differs from it only in
+// block buffer and a length of 64. Every key-absorbed state (the MAC
+// and AnonID key blocks) has this shape and differs from it only in
 // the 32 chaining bytes. A scratch digest is unmarshaled from it once;
 // after that, the schedule writes only whole blocks, so the buffer stays
 // empty and a restore rewrites just the eight state words.
@@ -48,45 +48,38 @@ var stateTemplate = func() []byte {
 }()
 
 // schedCore is the immutable, per-key half of a key schedule: the
-// SHA-256 chaining values after absorbing key⊕ipad and key⊕opad (HMAC's
-// inner and outer states) and the AnonID key block, as the digest's
-// state words, so a restore is one 32-byte store. Building one pays the
-// three key-block compressions; a core is never written afterwards, so
-// KeyStore keeps one per node and every Hasher reads it.
+// SHA-256 chaining values after absorbing the marking-MAC key block and
+// the AnonID key block, as the digest's state words, so a restore is one
+// 32-byte store. Building one pays the two key-block compressions; a
+// core is never written afterwards, so KeyStore keeps one per node and
+// every Hasher reads it.
 type schedCore struct {
-	inner, outer, anon [8]uint32
+	mac, anon [8]uint32
 }
 
-// newSchedCore absorbs k's HMAC pads and AnonID key block — the
-// expensive, once-per-key step.
+// newSchedCore absorbs k's MAC and AnonID key blocks — the expensive,
+// once-per-key step.
 func newSchedCore(k Key) *schedCore {
-	var pad [blockSize]byte
-	copy(pad[:], k[:])
-	for i := range pad {
-		pad[i] ^= 0x36
-	}
+	var block [blockSize]byte
 	c := new(schedCore)
-	absorbPad(&c.inner, pad[:])
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c // flip ipad to opad
-	}
-	absorbPad(&c.outer, pad[:])
-	anonKeyBlock(pad[:], k)
-	absorbPad(&c.anon, pad[:])
+	macKeyBlock(block[:], k)
+	absorbKeyBlock(&c.mac, block[:])
+	anonKeyBlock(block[:], k)
+	absorbKeyBlock(&c.anon, block[:])
 	return c
 }
 
-// absorbPad hashes one key block (an HMAC pad or the AnonID key block)
-// and stores the resulting state words in dst. It is the per-core half
-// of the layout guard: the digest's marshaled state must equal
+// absorbKeyBlock hashes one key block (the MAC or the AnonID key block)
+// and stores the resulting state words in dst. It is the per-core half of
+// the layout guard: the digest's marshaled state must equal
 // stateTemplate everywhere but the chaining bytes (one block written,
 // nothing buffered, length 64), and the state words digestWords reads in
 // place must equal those chaining bytes. A Go release that changed either
 // layout would therefore fail every MAC test at once rather than corrupt
 // verdicts; newScratch checks the restore itself.
-func absorbPad(dst *[8]uint32, pad []byte) {
+func absorbKeyBlock(dst *[8]uint32, block []byte) {
 	d := sha256.New().(marshalingHash)
-	d.Write(pad)
+	d.Write(block)
 	st, err := d.MarshalBinary()
 	if err != nil {
 		panic(fmt.Sprintf("mac: marshal sha256 state: %v", err))
@@ -111,7 +104,8 @@ func absorbPad(dst *[8]uint32, pad []byte) {
 // allocate: always, and under -race respectively (an instrumented build
 // does not elide the make that AppendBinary appends). So the schedule
 // reads them in place. d must point to a struct whose first field is
-// [8]uint32, and absorbPad checks the words against the marshaled state.
+// [8]uint32, and absorbKeyBlock checks the words against the marshaled
+// state.
 func digestWords(d hash.Hash) *[8]uint32 {
 	v := reflect.ValueOf(d)
 	t := v.Type()
@@ -123,8 +117,8 @@ func digestWords(d hash.Hash) *[8]uint32 {
 }
 
 // putWords writes the leading len(dst)/4 state words of w to dst,
-// big-endian: all eight for the outer block, fewer when a caller keeps
-// only a truncated hash.
+// big-endian: all eight for a full hash, fewer when a caller keeps only
+// a truncated one.
 // pnmlint:noalloc
 func putWords(dst []byte, w *[8]uint32) {
 	for i := range len(dst) / 4 {
@@ -133,22 +127,19 @@ func putWords(dst []byte, w *[8]uint32) {
 }
 
 // scratch is the per-goroutine half of a key schedule: one reusable
-// digest and the blocks the two HMAC passes and AnonID feed it. The calls
-// and passes run one after the other, so one digest serves them all.
+// digest and the blocks Sum and AnonID feed it. The calls run one after
+// the other, so one digest serves them all.
 //
 // Every Write hands the digest whole 64-byte blocks, message padding
 // included, so the digest's own buffering and Sum's padding and copies
 // never run: after the last block the digest's state words are the hash,
-// and restoring a pad-absorbed state is a store into those words.
+// and restoring a key-absorbed state is a store into those words.
 type scratch struct {
 	h     marshalingHash
 	words *[8]uint32 // h's state words, read and restored in place (digestWords)
 
-	// tail holds the inner message's last partial block and its padding.
+	// tail holds the MAC message's last partial block and its padding.
 	tail [2 * blockSize]byte
-	// outer is the outer pass's only block: the 32-byte inner digest,
-	// then padding for a 64 + 32 byte message, fixed at construction.
-	outer [blockSize]byte
 	// anon is the padded AnonID message block for report anonRep, the
 	// one block after the key block; a call for the same report rewrites
 	// only the two ID bytes.
@@ -158,7 +149,7 @@ type scratch struct {
 
 // newScratch returns fresh scratch: a digest unmarshaled from
 // stateTemplate, so its block buffer is empty and its length field reads
-// one block, and the outer and AnonID blocks with their padding in place.
+// one block, and the AnonID block with its padding in place.
 // It runs the restore half of the layout guard on the digest first.
 func newScratch() *scratch {
 	h := sha256.New().(marshalingHash)
@@ -167,7 +158,6 @@ func newScratch() *scratch {
 	if err := h.UnmarshalBinary(stateTemplate); err != nil {
 		panic(fmt.Sprintf("mac: unmarshal sha256 state: %v", err))
 	}
-	padBlocks(sc.outer[:], sha256.Size, blockSize+sha256.Size)
 	copy(sc.anon[:], anonDomain)
 	sc.anonRep.Encode(sc.anon[:anonReportOff])
 	padBlocks(sc.anon[:], anonMsgLen, blockSize+anonMsgLen)
@@ -248,26 +238,15 @@ func (sc *scratch) absorb(n int, p []byte) int {
 	return copy(sc.tail[:], p)
 }
 
-// outerPass finishes an HMAC whose padded inner message has been written:
-// it writes the inner digest into the outer block and hashes that block
-// under the restored outer state. The HMAC is then the state words.
-// pnmlint:noalloc
-func (sc *scratch) outerPass(outer *[8]uint32) {
-	putWords(sc.outer[:sha256.Size], sc.words)
-	sc.restore(outer)
-	sc.h.Write(sc.outer[:])
-}
-
-// Schedule is a precomputed key schedule for one node key: HMAC-SHA256
-// for Sum, and the keyed compression behind AnonID.
+// Schedule is a precomputed key schedule for one node key: the keyed
+// SHA-256 cascades behind Sum and AnonID.
 //
-// A fresh hmac.New(sha256.New, key) pays two pad compressions (ipad and
-// opad) and several allocations on every Sum. The sink recomputes MACs and
-// anonymous IDs for every received mark — §4.2's whole feasibility
-// argument is that it can do so at line rate — so a schedule pairs the
-// key's shared, immutable key-absorbed chaining values (built once) with
-// its goroutine's scratch digest, which each call restores to those
-// values. Sum and AnonID run zero-alloc and skip every key-block
+// Hashing from scratch pays the key block's compression on every call.
+// The sink recomputes MACs and anonymous IDs for every received mark —
+// §4.2's whole feasibility argument is that it can do so at line rate —
+// so a schedule pairs the key's shared, immutable key-absorbed chaining
+// values (built once) with its goroutine's scratch digest, which each
+// call restores to those values. Sum and AnonID run zero-alloc and skip every key-block
 // compression; outputs are bit-identical to the package-level Sum and
 // AnonID for the same key.
 //
@@ -348,8 +327,9 @@ func (ks *KeyStore) InvalidateSchedules() {
 }
 
 // CoreBuilds reports how many schedule cores the store has built — the
-// store-wide pad-compression count the sharing exists to minimize (at
-// most one per distinct node per epoch, however many workers warm up).
+// store-wide key-block compression count the sharing exists to minimize
+// (at most one per distinct node per epoch, however many workers warm
+// up).
 func (ks *KeyStore) CoreBuilds() uint64 {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
@@ -358,13 +338,21 @@ func (ks *KeyStore) CoreBuilds() uint64 {
 
 // Sum computes the truncated marking MAC H_k(prefix ‖ suffix),
 // bit-identical to the package-level Sum over the concatenation, with
-// zero allocations. Taking the input in two parts lets the sink MAC a
-// slice of one per-packet encoding followed by a short per-candidate
-// suffix without copying either. Both slices reach the digest through an
-// interface call, so they must not point at the caller's stack.
+// zero allocations: restore the key block's chaining value, write the
+// length word, absorb the message in whole blocks, then its padded tail.
+// Taking the input in two parts lets the sink MAC a slice of one
+// per-packet encoding followed by a short per-candidate suffix without
+// copying either. Both slices reach the digest through an interface
+// call, so they must not point at the caller's stack.
 // pnmlint:noalloc
 func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
-	s.hmac(prefix, suffix)
+	sc := s.sc
+	msgLen := len(prefix) + len(suffix)
+	sc.restore(&s.core.mac)
+	binary.BigEndian.PutUint32(sc.tail[:macLenLen], uint32(msgLen))
+	n := sc.absorb(macLenLen, prefix)
+	n = sc.absorb(n, suffix)
+	sc.h.Write(sc.tail[:padBlocks(sc.tail[:], n, blockSize+macLenLen+msgLen)])
 	var out [packet.MACLen]byte
 	putWords(out[:], s.sc.words)
 	return out
@@ -389,20 +377,6 @@ func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDL
 	var out [packet.AnonIDLen]byte
 	putWords(out[:], sc.words)
 	return out
-}
-
-// hmac runs the full HMAC over prefix ‖ suffix: restore the inner state,
-// absorb the message in whole blocks, write its padded tail, then run the
-// outer pass. The HMAC is left in the scratch's state words until its
-// next call.
-// pnmlint:noalloc
-func (s Schedule) hmac(prefix, suffix []byte) {
-	sc := s.sc
-	sc.restore(&s.core.inner)
-	n := sc.absorb(0, prefix)
-	n = sc.absorb(n, suffix)
-	sc.h.Write(sc.tail[:padBlocks(sc.tail[:], n, blockSize+len(prefix)+len(suffix))])
-	sc.outerPass(&s.core.outer)
 }
 
 // Hasher is a goroutine-local table of per-node key schedules over a

@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
@@ -15,10 +14,10 @@ import (
 	"pnm/internal/packet"
 )
 
-// TestScheduleMatchesColdHMAC pins the engine's correctness contract: a
+// TestScheduleMatchesCold pins the engine's correctness contract: a
 // cached schedule's Sum and AnonID are bit-identical to the package-level
-// (fresh-hmac.New) functions for every key, message length and node ID.
-func TestScheduleMatchesColdHMAC(t *testing.T) {
+// (one-shot SHA-256) functions for every key, message length and node ID.
+func TestScheduleMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ks := NewKeyStore([]byte("schedule-equiv"))
 	for trial := 0; trial < 64; trial++ {
@@ -44,25 +43,18 @@ func TestScheduleMatchesColdHMAC(t *testing.T) {
 	}
 }
 
-// TestScheduleTwoPartMatchesStdlibHMAC pins the two-part Sum against
-// crypto/hmac and AnonID against refAnonID, not against the package's
-// own cold path: for random keys, every message length from 0 to 300 and
-// every split point of it, Sum(prefix, suffix) is the truncated
-// HMAC-SHA256(prefix ‖ suffix), and AnonID the reference H'. Schedules
-// from a Hasher (shared scratch and store cores) and from NewSchedule
-// (private scratch) are both checked, interleaved across keys so any
-// state one call leaves in the shared scratch would show in the next.
-func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
+// TestScheduleTwoPartMatchesReference pins every MAC path against refMAC
+// and AnonID against refAnonID, not against the package's own cold path:
+// for random keys and every message length from 0 to 300, the cold Sum
+// and Hasher.Sum are the reference H, and so is Sum(prefix, suffix) at
+// every split point; AnonID is the reference H'. Schedules from a Hasher
+// (shared scratch and store cores) and from NewSchedule (private scratch)
+// are both checked, interleaved across keys so any state one call leaves
+// in the shared scratch would show in the next.
+func TestScheduleTwoPartMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ks := NewKeyStore([]byte("two-part"))
 	h := ks.Hasher()
-	stdlib := func(k Key, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, k[:])
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
 	data := make([]byte, 300)
 	for trial := 0; trial < 4; trial++ {
 		ids := []packet.NodeID{packet.NodeID(1 + rng.Intn(500)), packet.NodeID(1 + rng.Intn(500))}
@@ -70,14 +62,20 @@ func TestScheduleTwoPartMatchesStdlibHMAC(t *testing.T) {
 			rng.Read(data[:n])
 			id := ids[n%2]
 			k := ks.Key(id)
-			want := [packet.MACLen]byte(stdlib(k, data[:n]))
+			want := refMAC(k, data[:n])
+			if got := Sum(k, data[:n]); got != want {
+				t.Fatalf("cold Sum(%v, %d bytes) = %x, reference = %x", id, n, got, want)
+			}
+			if got := h.Sum(id, data[:n]); got != want {
+				t.Fatalf("Hasher.Sum(%v, %d bytes) = %x, reference = %x", id, n, got, want)
+			}
 			own := NewSchedule(k)
 			for split := 0; split <= n; split++ {
 				if got := h.Schedule(id).Sum(data[:split], data[split:n]); got != want {
-					t.Fatalf("Hasher schedule %v: Sum(%d|%d bytes) = %x, crypto/hmac = %x", id, split, n-split, got, want)
+					t.Fatalf("Hasher schedule %v: Sum(%d|%d bytes) = %x, reference = %x", id, split, n-split, got, want)
 				}
 				if got := own.Sum(data[:split], data[split:n]); got != want {
-					t.Fatalf("NewSchedule %v: Sum(%d|%d bytes) = %x, crypto/hmac = %x", id, split, n-split, got, want)
+					t.Fatalf("NewSchedule %v: Sum(%d|%d bytes) = %x, reference = %x", id, split, n-split, got, want)
 				}
 			}
 			report := packet.Report{Event: rng.Uint32(), Location: rng.Uint32(), Timestamp: rng.Uint64(), Seq: rng.Uint32()}
@@ -151,6 +149,105 @@ func refAnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]
 	return out
 }
 
+// refPad is SHA-256's padding for an n-byte input: 0x80, zeros up to 56
+// mod 64, then the input's bit length.
+func refPad(n int) []byte {
+	p := []byte{0x80}
+	for (n+len(p))%64 != 56 {
+		p = append(p, 0)
+	}
+	return binary.BigEndian.AppendUint64(p, uint64(n)*8)
+}
+
+// refContinue hashes msg by refCompress from chaining value h, which has
+// already absorbed done bytes (a multiple of 64), padding msg for a
+// done+len(msg)-byte input, and returns the full 32-byte final state.
+func refContinue(h [8]uint32, done int, msg []byte) [8]uint32 {
+	m := append(msg[:len(msg):len(msg)], refPad(done+len(msg))...)
+	for off := 0; off < len(m); off += 64 {
+		h = refCompress(h, m[off:off+64])
+	}
+	return h
+}
+
+// refMACKey is the marking-MAC key block, spelled out: the 16-byte
+// domain string, the key, and 32 zeros.
+func refMACKey(k Key) [64]byte {
+	var key [64]byte
+	copy(key[:], "pnm/mac-key/v1\x00\x00")
+	copy(key[16:], k[:])
+	return key
+}
+
+// refTrunc is the first 8 bytes of a hash state, big-endian.
+func refTrunc(h [8]uint32) [packet.MACLen]byte {
+	var out [packet.MACLen]byte
+	binary.BigEndian.PutUint32(out[:], h[0])
+	binary.BigEndian.PutUint32(out[4:], h[1])
+	return out
+}
+
+// refMACInput is the bytes H hashes for message m under k: the key
+// block, the 4-byte big-endian length of m, then m.
+func refMACInput(k Key, m []byte) []byte {
+	key := refMACKey(k)
+	in := binary.BigEndian.AppendUint32(key[:], uint32(len(m)))
+	return append(in, m...)
+}
+
+// refMAC is the tests' independent H: the first 8 bytes of
+// SHA-256(key block ‖ be32(len m) ‖ m), computed by refCompress.
+func refMAC(k Key, m []byte) [packet.MACLen]byte {
+	return refTrunc(refContinue(refIV, 0, refMACInput(k, m)))
+}
+
+// TestMarkMACLengthExtension shows what the length word is for. An
+// attacker holding a MAC's full 32-byte state — more than the 8 bytes a
+// mark carries — can keep hashing from it over glue ‖ X, where glue is
+// SHA-256's padding of the keyed input. Against SHA-256(key block ‖ m),
+// the construction without the length word, that forges the MAC of
+// m ‖ glue ‖ X without the key. Against H the forged input's length word
+// differs from the one the state absorbed, so the same forgery fails on
+// the cold Sum and on a Schedule. Message lengths cover one- and
+// two-block glue.
+func TestMarkMACLengthExtension(t *testing.T) {
+	k := Key{0xa5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	x := []byte("|a mark the attacker appends")
+	for _, n := range []int{0, 20, 46, 51, 52, 60, 64, 163} {
+		m := make([]byte, n)
+		for i := range m {
+			m[i] = byte(i * 7)
+		}
+		// extend forges from the full state of SHA-256(in): it returns
+		// the forged message m ‖ glue ‖ x and its truncated hash.
+		extend := func(in []byte) ([]byte, [packet.MACLen]byte) {
+			state := refContinue(refIV, 0, in)
+			glue := refPad(len(in))
+			ext := append(append(append([]byte{}, m...), glue...), x...)
+			return ext, refTrunc(refContinue(state, len(in)+len(glue), x))
+		}
+
+		key := refMACKey(k)
+		ext, forged := extend(append(key[:], m...))
+		noLen := sha256.Sum256(append(key[:], ext...))
+		if forged != [packet.MACLen]byte(noLen[:]) {
+			t.Fatalf("len %d: control forgery failed against the no-length-word variant", n)
+		}
+
+		in := refMACInput(k, m)
+		if got, want := Sum(k, m), refTrunc(refContinue(refIV, 0, in)); got != want {
+			t.Fatalf("len %d: Sum = %x, but the attacker's state truncates to %x", n, got, want)
+		}
+		ext, forged = extend(in)
+		if got := Sum(k, ext); got == forged {
+			t.Fatalf("len %d: length extension forged the cold Sum of m ‖ glue ‖ X", n)
+		}
+		if got := NewSchedule(k).Sum(ext[:n], ext[n:]); got == forged {
+			t.Fatalf("len %d: length extension forged Schedule.Sum of m ‖ glue ‖ X", n)
+		}
+	}
+}
+
 // TestRefCompressMatchesSum256 checks the reference against
 // sha256.Sum256 on a one-block message, so a fault in refCompress itself
 // cannot pass for a fault in the code under test.
@@ -194,6 +291,22 @@ func TestAnonIDPathsAgree(t *testing.T) {
 		sid := packet.NodeID(rng.Intn(256))
 		if got, want := h.AnonID(sid, report), refAnonID(ks.Key(sid), report, sid); got != want {
 			t.Fatalf("trial %d: Hasher.AnonID(%v) = %x, reference = %x", trial, sid, got, want)
+		}
+	}
+}
+
+// TestColdSumAllocs pins the node-side H at zero allocations for a
+// message that fits coldStack, as every mark chain the experiments build
+// does, and at one beyond it.
+func TestColdSumAllocs(t *testing.T) {
+	k := Key{7}
+	data := make([]byte, coldStack+1)
+	for _, c := range []struct {
+		n    int
+		want float64
+	}{{0, 0}, {167, 0}, {coldStack, 0}, {coldStack + 1, 1}} {
+		if n := testing.AllocsPerRun(200, func() { Sum(k, data[:c.n]) }); n != c.want {
+			t.Errorf("cold Sum of %d bytes allocates %.1f/op, want %.0f", c.n, n, c.want)
 		}
 	}
 }
@@ -294,11 +407,12 @@ type scratchOp struct {
 type scratchSeq []scratchOp
 
 // edgeLens are the Sum part lengths (0–300) where the whole-block engine
-// changes shape: each block boundary and its neighbours, and the last
-// one-block-padding and first two-block-padding lengths after it.
+// changes shape: each block boundary of the keyed input (which the length
+// word shifts by 4) and its neighbours, and the last one-block-padding
+// and first two-block-padding lengths after it.
 var edgeLens = func() []int {
 	var out []int
-	for b := 0; b <= 300; b += blockSize {
+	for b := -macLenLen; b <= 300; b += blockSize {
 		for _, n := range []int{b - 1, b, b + 1, b + 55, b + 56} {
 			if n >= 0 && n <= 300 {
 				out = append(out, n)
@@ -332,26 +446,19 @@ func (scratchSeq) Generate(rng *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(seq)
 }
 
-// TestSharedScratchInterleavingMatchesStdlib drives one Hasher's scratch
-// through random interleavings of Sum and AnonID over several keys and
-// reports, and checks every Sum against crypto/hmac and every AnonID
-// against refAnonID. A restore writes
-// only the digest's state words, so the one way it can go wrong that a
-// per-length test cannot see is state one call leaves behind for the
-// next: a buffered tail, a stale outer state, a stale AnonID block. The
-// test also requires that the sequences covered every edge length as a
-// prefix and as a suffix, and every two-block-padding residue.
-func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
+// TestSharedScratchInterleavingMatchesReference drives one Hasher's
+// scratch through random interleavings of Sum and AnonID over several
+// keys and reports, and checks every Sum against refMAC and every AnonID
+// against refAnonID. A restore writes only the digest's state words, so
+// the one way it can go wrong that a per-length test cannot see is state
+// one call leaves behind for the next: a buffered tail, a stale length
+// word, a stale AnonID block. The test also requires that the sequences
+// covered every edge length as a prefix and as a suffix, and every
+// two-block-padding residue of the keyed input.
+func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
 	ks := NewKeyStore([]byte("interleave"))
 	ids := []packet.NodeID{3, 77, 1024, 2047}
 	h := ks.Hasher()
-	stdlib := func(k Key, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, k[:])
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
 	prefixes, suffixes, twoBlock := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	data := make([]byte, 600)
 	prop := func(seq scratchSeq) bool {
@@ -369,13 +476,13 @@ func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
 			msg := data[:op.prefix+op.suffix]
 			rand.New(rand.NewSource(op.seed)).Read(msg)
 			prefix, suffix := msg[:op.prefix], msg[op.prefix:]
-			want := [packet.MACLen]byte(stdlib(k, msg))
+			want := refMAC(k, msg)
 			if got := h.Schedule(id).Sum(prefix, suffix); got != want {
-				t.Logf("call %d of %d: Sum(%v, %d|%d bytes) = %x, crypto/hmac = %x", i, len(seq), id, op.prefix, op.suffix, got, want)
+				t.Logf("call %d of %d: Sum(%v, %d|%d bytes) = %x, reference = %x", i, len(seq), id, op.prefix, op.suffix, got, want)
 				return false
 			}
 			prefixes[op.prefix], suffixes[op.suffix] = true, true
-			if r := len(msg) % blockSize; r >= blockSize-8 {
+			if r := (macLenLen + len(msg)) % blockSize; r >= blockSize-8 {
 				twoBlock[r] = true
 			}
 		}
@@ -401,26 +508,23 @@ func TestSharedScratchInterleavingMatchesStdlib(t *testing.T) {
 // Go release: a digest after one 64-byte block marshals to the template
 // with its chaining value at chainOff, and a fresh scratch whose state
 // words are overwritten with a core's chaining value hashes exactly like
-// the digest that absorbed the key block — an HMAC pad or the AnonID key
-// block — and each of a core's three values is the one its block gives.
+// the digest that absorbed the key block — the MAC or the AnonID key
+// block — and each of a core's two values is the one its block gives.
 func TestStateTemplateLayout(t *testing.T) {
 	k := Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	var ipad, anon [blockSize]byte
-	copy(ipad[:], k[:])
-	for i := range ipad {
-		ipad[i] ^= 0x36
-	}
+	macKey := refMACKey(k)
+	var anon [blockSize]byte
 	anonKeyBlock(anon[:], k)
 	core := newSchedCore(k)
 	for _, c := range []struct {
 		name  string
 		block []byte
 		core  *[8]uint32
-	}{{"ipad", ipad[:], &core.inner}, {"anon key", anon[:], &core.anon}} {
+	}{{"mac key", macKey[:], &core.mac}, {"anon key", anon[:], &core.anon}} {
 		var chain [8]uint32
-		absorbPad(&chain, c.block) // panics on a layout mismatch
+		absorbKeyBlock(&chain, c.block) // panics on a layout mismatch
 		if chain != *c.core {
-			t.Fatalf("%s: core holds %x, absorbPad gives %x", c.name, *c.core, chain)
+			t.Fatalf("%s: core holds %x, absorbKeyBlock gives %x", c.name, *c.core, chain)
 		}
 		live := sha256.New()
 		live.Write(c.block)
@@ -525,7 +629,7 @@ func TestHasherCachesSchedules(t *testing.T) {
 }
 
 // TestHashersShareStoreCores pins the per-key/per-goroutine split: two
-// Hashers over one store read the same 96-byte core per node (built once,
+// Hashers over one store read the same 64-byte core per node (built once,
 // counted by CoreBuilds, without caching the node's key) through their
 // own scratch, a Hasher keeps one pointer per node and hands out
 // two-pointer Schedules, and InvalidateSchedules makes both rebuild on
@@ -533,8 +637,8 @@ func TestHasherCachesSchedules(t *testing.T) {
 func TestHashersShareStoreCores(t *testing.T) {
 	ks := NewKeyStore([]byte("shared-cores"))
 	a, b := ks.Hasher(), ks.Hasher()
-	if n := unsafe.Sizeof(schedCore{}); n != 3*sha256.Size {
-		t.Errorf("schedCore is %d bytes, want %d (three chaining values)", n, 3*sha256.Size)
+	if n := unsafe.Sizeof(schedCore{}); n != 2*sha256.Size {
+		t.Errorf("schedCore is %d bytes, want %d (two chaining values)", n, 2*sha256.Size)
 	}
 	ptr := unsafe.Sizeof(uintptr(0))
 	if n := unsafe.Sizeof(a.cores[0]); n != ptr {
@@ -577,8 +681,8 @@ func TestHashersShareStoreCores(t *testing.T) {
 // marks' worth of bytes.
 var benchData = make([]byte, 80)
 
-// BenchmarkSumCold measures the pre-engine hot path: a fresh HMAC object
-// per call, two pad compressions and several allocations each time.
+// BenchmarkSumCold measures the node-side path: one SHA-256 over the key
+// block, the length word and the message, key-block compression included.
 func BenchmarkSumCold(b *testing.B) {
 	ks := NewKeyStore([]byte("bench"))
 	k := ks.Key(1)
@@ -598,7 +702,7 @@ func BenchmarkSumSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkAnonIDCold measures the fresh-HMAC anonymous-ID derivation —
+// BenchmarkAnonIDCold measures the one-shot anonymous-ID derivation —
 // the per-node unit of ExhaustiveResolver.buildTable's O(n) loop.
 func BenchmarkAnonIDCold(b *testing.B) {
 	ks := NewKeyStore([]byte("bench"))

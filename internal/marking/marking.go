@@ -73,7 +73,7 @@ func AMSMAC(key mac.Key, report packet.Report, id packet.NodeID) [packet.MACLen]
 // The *Sched variants below compute the same MACs on a cached key schedule
 // with a caller-owned encode buffer: the sink verifies one MAC per
 // received mark (and O(n) per resolver table build), so its hot path must
-// skip both the per-call HMAC pad compressions and the per-call encode
+// skip both the per-call key-block compression and the per-call encode
 // allocation. Each encodes the message part and the appended ID into buf
 // and MACs them as prefix and suffix through mac.Schedule.Sum — the same
 // two-part call the sink's verifier makes over its once-per-packet

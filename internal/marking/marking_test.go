@@ -183,7 +183,7 @@ func TestWireOverheadPerScheme(t *testing.T) {
 
 // TestSchedVariantsMatchCold pins that the schedule-backed MAC
 // constructions the sink hot path uses are bit-identical to the cold
-// (fresh-HMAC) node-side ones, and that the shared encode buffer carries
+// (one-shot SHA-256) node-side ones, and that the shared encode buffer carries
 // no state between calls.
 func TestSchedVariantsMatchCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -1,6 +1,9 @@
 package sink
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"pnm/internal/mac"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
@@ -86,6 +89,8 @@ type ExhaustiveResolver struct {
 	// cache holds the most recently used tables, most recent first.
 	cache    []tableEntry
 	cacheCap int
+	// sortBuf is buildTable's radix-sort buffer, reused across builds.
+	sortBuf []uint64
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	tableBuilds *obs.Counter
@@ -94,10 +99,14 @@ type ExhaustiveResolver struct {
 	candidates  *obs.Counter
 }
 
-// tableEntry is one cached per-report anonymous-ID table.
+// tableEntry is one cached per-report anonymous-ID table. Each entry of
+// table packs a node's anonymous ID (big-endian, high 32 bits) over the
+// node's index in the resolver's node list (low 32 bits), sorted: one
+// allocation per table, a binary search per lookup, and colliding IDs
+// come out in node order.
 type tableEntry struct {
 	report packet.Report
-	table  map[[packet.AnonIDLen]byte][]packet.NodeID
+	table  []uint64
 }
 
 // NewExhaustiveResolver returns a resolver over the given node universe
@@ -138,9 +147,12 @@ func (r *ExhaustiveResolver) shareScheduleCache() *mac.Hasher {
 // too — the exhaustive method hashes the whole node universe, which no
 // amount of route churn changes, so it is epoch-proof by construction.
 func (r *ExhaustiveResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, _ packet.NodeID, _ bool, _ topology.EpochVersion, yield func(packet.NodeID) bool) {
-	for _, id := range r.lookup(report)[anon] {
+	table := r.lookup(report)
+	a := anonKey(anon)
+	i, _ := slices.BinarySearch(table, a<<32)
+	for ; i < len(table) && table[i]>>32 == a; i++ {
 		r.candidates.Inc()
-		if yield(id) {
+		if yield(r.nodes[uint32(table[i])]) {
 			return
 		}
 	}
@@ -148,7 +160,7 @@ func (r *ExhaustiveResolver) Resolve(report packet.Report, anon [packet.AnonIDLe
 
 // lookup returns the table for report, serving it from the LRU cache or
 // building and inserting it.
-func (r *ExhaustiveResolver) lookup(report packet.Report) map[[packet.AnonIDLen]byte][]packet.NodeID {
+func (r *ExhaustiveResolver) lookup(report packet.Report) []uint64 {
 	for i := range r.cache {
 		if r.cache[i].report == report {
 			r.cacheHits.Inc()
@@ -174,24 +186,63 @@ func (r *ExhaustiveResolver) lookup(report packet.Report) map[[packet.AnonIDLen]
 // operation whose feasibility §4.2 argues from hash throughput. It is
 // O(n) anonymous-ID hashes per report, so it runs on the cached key
 // schedules: after the first build has populated the hasher, each entry
-// costs one state restore and one SHA-256 compression, and no allocation
-// beyond the table itself.
-func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonIDLen]byte][]packet.NodeID {
+// costs one state restore and one SHA-256 compression, and the table is
+// one slice, radix-sorted once.
+func (r *ExhaustiveResolver) buildTable(report packet.Report) []uint64 {
 	r.tableBuilds.Inc()
-	table := make(map[[packet.AnonIDLen]byte][]packet.NodeID, len(r.nodes))
-	for _, id := range r.nodes {
+	table := make([]uint64, len(r.nodes))
+	for i, id := range r.nodes {
 		var a [packet.AnonIDLen]byte
 		if r.anonID != nil {
 			a = r.anonID(r.keys.Key(id), report, id)
 		} else {
 			a = r.hasher.AnonID(id, report)
 		}
-		table[a] = append(table[a], id)
+		table[i] = anonKey(a)<<32 | uint64(i)
 	}
+	if len(r.sortBuf) < len(table) {
+		r.sortBuf = make([]uint64, len(table))
+	}
+	sortByAnon(table, r.sortBuf[:len(table)])
 	if !r.shared {
 		r.hasher.Publish()
 	}
 	return table
+}
+
+// sortByAnon sorts table by each entry's high 32 bits, the anonymous ID,
+// through buf (of the same length): a stable LSD radix sort, one byte a
+// pass, with all four byte histograms counted in one sweep. Entries are
+// built in node order, so stability keeps colliding IDs in node order,
+// and the four passes leave the result in table.
+func sortByAnon(table, buf []uint64) {
+	var start [4][257]int
+	for _, e := range table {
+		start[0][int(byte(e>>32))+1]++
+		start[1][int(byte(e>>40))+1]++
+		start[2][int(byte(e>>48))+1]++
+		start[3][int(byte(e>>56))+1]++
+	}
+	for d := range start {
+		pos := &start[d]
+		for b := 1; b < len(pos); b++ {
+			pos[b] += pos[b-1]
+		}
+		shift := 32 + 8*d
+		for _, e := range table {
+			b := byte(e >> shift)
+			buf[pos[b]] = e
+			pos[b]++
+		}
+		table, buf = buf, table
+	}
+}
+
+// anonKey is an anonymous ID as a table sort key. The [4]byte conversion
+// stops compiling if the wire's ID length ever changes.
+func anonKey(a [packet.AnonIDLen]byte) uint64 {
+	b := [4]byte(a)
+	return uint64(binary.BigEndian.Uint32(b[:]))
 }
 
 // TopologyResolver implements the §7 optimization: the sink knows the

@@ -113,7 +113,7 @@ type NestedVerifier struct {
 	numNodes int
 	resolver Resolver // nil for plaintext-ID nested schemes
 
-	// hasher caches per-node HMAC key schedules. It is lazily built so
+	// hasher caches per-node MAC key schedules. It is lazily built so
 	// tests can construct verifiers literally; NewVerifier hands a PNM
 	// verifier its resolver's hasher instead.
 	hasher *mac.Hasher
@@ -267,9 +267,9 @@ func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
 // verifyMark checks the mark at position k of msg, which Verify has
 // encoded into v.enc, and returns the marker's real ID. It recomputes one
-// HMAC per plaintext mark; an anonymous mark costs one AnonID compression
-// per resolution probe and one HMAC per candidate. It runs once per mark
-// per received packet — the sink's hottest path.
+// keyed-SHA-256 MAC per plaintext mark; an anonymous mark costs one
+// AnonID compression per resolution probe and one MAC per candidate. It
+// runs once per mark per received packet — the sink's hottest path.
 // pnmlint:noalloc
 func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeID, havePrev bool) (packet.NodeID, bool) {
 	mk := msg.Marks[k]

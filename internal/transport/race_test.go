@@ -7,6 +7,9 @@ import (
 
 	"pnm/internal/fault"
 	"pnm/internal/loadgen"
+	"pnm/internal/packet"
+	"pnm/internal/sink"
+	"pnm/internal/topology"
 )
 
 // TestPooledMessageReuseRaceFree hammers the Server's message pool from
@@ -145,5 +148,76 @@ func TestConcurrentVerdictReadsRaceFree(t *testing.T) {
 	}
 	if !v.SuspectsContain(sc.Mole) {
 		t.Errorf("mole %v not in suspects %v after concurrent reads", sc.Mole, v.Suspects)
+	}
+}
+
+// blockingVerifier wraps a verifier chain and parks its second Verify
+// until release closes, announcing on entered that it has parked.
+type blockingVerifier struct {
+	sink.Verifier
+	calls    int
+	entered  chan struct{}
+	released chan struct{}
+}
+
+func (b *blockingVerifier) Verify(msg packet.Message, epoch topology.EpochVersion) sink.Result {
+	if b.calls++; b.calls == 2 {
+		close(b.entered)
+		<-b.released
+	}
+	return b.Verifier.Verify(msg, epoch)
+}
+
+// TestVerdictReadDuringVerify pins that a verdict read never waits behind
+// verification: while the sink goroutine is parked inside Verify, both
+// Verdict and Delivered return. Once Verify resumes, every frame folds.
+func TestVerdictReadDuringVerify(t *testing.T) {
+	sc := testScenario(t)
+	bv := &blockingVerifier{entered: make(chan struct{}), released: make(chan struct{})}
+	srv, err := Listen("127.0.0.1:0", "", Config{
+		NewVerifier: func() sink.Verifier {
+			bv.Verifier = sc.NewVerifier()
+			return bv
+		},
+		Topo: sc.Topo,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(bv.released) })
+	defer release()
+
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := sc.Stream(3)
+	for _, msg := range stream {
+		if err := cl.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-bv.entered
+
+	read := make(chan int)
+	go func() {
+		srv.Verdict()
+		read <- srv.Delivered()
+	}()
+	select {
+	case got := <-read:
+		if got == len(stream) {
+			t.Errorf("Delivered = %d while a frame is still in Verify", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Verdict blocked behind a Verify in progress")
+	}
+	release()
+	if err := srv.WaitDelivered(len(stream), 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

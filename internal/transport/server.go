@@ -181,13 +181,19 @@ type Server struct {
 	// mu guards the sink state: the tracker (single-goroutine folds on
 	// the sink goroutine; verdict reads from anywhere synchronize here,
 	// the same discipline netsim.Network uses), the delivered count and
-	// the progress broadcast channel.
+	// the progress broadcast channel. Verification runs outside it (see
+	// fold), so a verdict read waits for at most one fold.
 	mu          sync.Mutex
 	tracker     *sink.Tracker // pnmlint:guarded-by mu
 	down        bool          // pnmlint:guarded-by mu
 	ckpt        []byte        // pnmlint:guarded-by mu
 	delivered   int           // pnmlint:guarded-by mu
 	deliveredCh chan struct{} // pnmlint:guarded-by mu
+
+	// verifier is the chain the tracker was built on. Only the sink
+	// goroutine touches it: fold verifies with it outside mu, and a
+	// chaos restore swaps in the one it hands RestoreTracker.
+	verifier sink.Verifier
 
 	closeOnce sync.Once
 	drainOnce sync.Once
@@ -228,7 +234,8 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 	// Build the guarded sink state before the Server value exists: once
 	// the &Server{} literal publishes it to the goroutines below, every
 	// touch of tracker must hold mu.
-	tracker := sink.NewTracker(cfg.NewVerifier(), cfg.Topo)
+	verifier := cfg.NewVerifier()
+	tracker := sink.NewTracker(verifier, cfg.Topo)
 	if cfg.Obs != nil {
 		tracker.Instrument(cfg.Obs)
 	}
@@ -241,6 +248,7 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		tracker:     tracker,
 		deliveredCh: make(chan struct{}),
+		verifier:    verifier,
 	}
 	s.c.bind(cfg.Obs)
 	s.wg.Add(2)
@@ -589,15 +597,26 @@ func (s *Server) sinkLoop() {
 }
 
 // fold verifies and folds one batch, or drops it while the sink is down.
+// Each frame is verified outside mu, on the sink goroutine's own
+// verifier, and only its fold takes the lock: a Verdict or Delivered read
+// waits behind one fold, never behind a batch of MAC checks. The arena
+// holds one packet's chain at a time, as Tracker.Observe's does. The
+// delivered count and the progress broadcast are published once per
+// batch, after every frame in it is folded.
 func (s *Server) fold(batch []item) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.down {
+	down := s.down
+	s.mu.Unlock()
+	if down {
 		s.c.droppedWhileDown.Add(uint64(len(batch)))
 		return
 	}
 	for i := range batch {
-		s.tracker.Observe(*batch[i].msg, batch[i].epoch)
+		s.verifier.ResetVerifyScratch()
+		res := s.verifier.Verify(*batch[i].msg, batch[i].epoch)
+		s.mu.Lock()
+		s.tracker.Fold(res)
+		s.mu.Unlock()
 	}
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
@@ -611,9 +630,11 @@ func (s *Server) fold(batch []item) {
 	s.c.batches.Inc()
 	s.c.batchOccupancy.Observe(uint64(len(batch)))
 	s.c.delivered.Add(uint64(len(batch)))
+	s.mu.Lock()
 	s.delivered += len(batch)
 	close(s.deliveredCh)
 	s.deliveredCh = make(chan struct{})
+	s.mu.Unlock()
 }
 
 // applyChaos executes one sink event on the sink goroutine.
@@ -632,13 +653,14 @@ func (s *Server) applyChaos(ev fault.Event) {
 		if !s.down {
 			return
 		}
-		tr, err := sink.RestoreTracker(s.ckpt, s.cfg.NewVerifier(), s.cfg.Topo)
+		v := s.cfg.NewVerifier()
+		tr, err := sink.RestoreTracker(s.ckpt, v, s.cfg.Topo)
 		if err != nil {
 			// A checkpoint we wrote ourselves must restore; treat failure
 			// as an unrecoverable bug, not a runtime condition.
 			panic(fmt.Sprintf("transport: chaos restore: %v", err))
 		}
-		s.tracker = tr
+		s.tracker, s.verifier = tr, v
 		if s.cfg.Obs != nil {
 			s.tracker.Instrument(s.cfg.Obs)
 		}
