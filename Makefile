@@ -48,7 +48,7 @@ bench-ab:
 	bash scripts/bench-ab.sh --base $(AB_BASE) --workload $(AB_WORKLOAD) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS)
 
 # Regenerate the committed sink-cost document: the MAC engine
-# micro-benchmark, the three resolvers on the interleaved stream, and the
+# micro-benchmark, the two resolvers on the interleaved stream, and the
 # topology resolver on the keyed stream, with allocation columns and
 # every sink counter per row. Verdict hashes and
 # verdict-visible counters are deterministic and checked within each
@@ -90,10 +90,10 @@ fuzz-smoke:
 soak:
 	$(GO) test -race -run 'TestLoopbackSoak' -count 1 ./internal/transport
 
-# What CI runs: build, vet, lint, the full test suite, the bench
-# module's tests (pnm/bench sits outside ./...), and the race detector
-# over the packages that exercise goroutines.
-ci: build vet lint test
+# What CI runs: build, vet, lint, the full test suite, the examples, the
+# bench module's tests (pnm/bench sits outside ./...), and the race
+# detector over the packages that exercise goroutines.
+ci: build vet lint test examples
 	$(GO) -C bench test ./...
 	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen ./internal/debugserver
 

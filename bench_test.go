@@ -221,11 +221,11 @@ func BenchmarkAnonTableBuild(b *testing.B) {
 	}
 }
 
-// benchInterleaved verifies an interleaved multi-source stream — consecutive
-// packets carry different reports — under an exhaustive resolver with the
-// given table-cache capacity. Capacity 1 reproduces the old single-report
-// cache; the default LRU capacity covers the live report working set.
-func benchInterleaved(b *testing.B, capacity int) {
+// BenchmarkVerifyInterleaved verifies an interleaved multi-source stream —
+// consecutive packets carry different reports — under the exhaustive
+// resolver, which keeps one table and so rebuilds the O(n) anonymous-ID
+// table on every packet.
+func BenchmarkVerifyInterleaved(b *testing.B) {
 	topo, keys, scheme, _ := benchNet(b, 1024)
 	const sources = 8
 	rng := rand.New(rand.NewSource(11))
@@ -239,7 +239,7 @@ func benchInterleaved(b *testing.B, capacity int) {
 		msgs[i] = msg
 	}
 	v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(),
-		sink.NewExhaustiveResolverCache(keys, topo.Nodes(), capacity))
+		sink.NewExhaustiveResolver(keys, topo.Nodes()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,19 +248,6 @@ func benchInterleaved(b *testing.B, capacity int) {
 		// Round-robin across sources: every packet switches reports.
 		v.Verify(msgs[i%len(msgs)], 0)
 	}
-}
-
-// BenchmarkVerifyInterleavedSingleEntry measures the pre-LRU behavior: a
-// capacity-1 table cache rebuilds the O(n) anonymous-ID table on every
-// packet of an interleaved multi-source stream.
-func BenchmarkVerifyInterleavedSingleEntry(b *testing.B) {
-	benchInterleaved(b, 1)
-}
-
-// BenchmarkVerifyInterleavedLRU measures the same stream with the default
-// LRU capacity, which holds every live report's table.
-func BenchmarkVerifyInterleavedLRU(b *testing.B) {
-	benchInterleaved(b, sink.DefaultTableCacheSize)
 }
 
 // BenchmarkSinkVerifyPNM measures full packet verification with the

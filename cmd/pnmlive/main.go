@@ -131,10 +131,9 @@ func run(args []string, w io.Writer) (err error) {
 	src, env := sc.Source()
 	net, err := netsim.Start(netsim.Config{
 		Topo: sc.Topo, Keys: sc.Keys, Scheme: sc.Scheme, Seed: *seed, Env: env,
-		LossProb:         *loss,
-		TopologyResolver: true,
-		QueuePolicy:      policy,
-		Obs:              reg,
+		LossProb:    *loss,
+		QueuePolicy: policy,
+		Obs:         reg,
 		Blacklisted: func(id packet.NodeID) bool {
 			mu.Lock()
 			defer mu.Unlock()

@@ -21,6 +21,26 @@ func TestRunCleanScenario(t *testing.T) {
 	}
 }
 
+// TestRunSwapIdentifiesSource: the sink resolves through the topology
+// resolver, which rejects the swapped identity, so the identity-swap
+// scenario forms no loop and identifies the source mole directly.
+func TestRunSwapIdentifiesSource(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-scheme", "pnm", "-attack", "swap", "-n", "10", "-packets", "200", "-seed", "1"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"unequivocally identified: true", "one-hop precision: HELD"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "identity-swap loop detected") {
+		t.Fatalf("swap scenario formed a loop:\n%s", out)
+	}
+}
+
 func TestRunVerbose(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-scheme", "nested", "-attack", "remove", "-n", "8", "-packets", "3", "-seed", "2", "-v"}, &buf)

@@ -43,7 +43,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sys.UseTopologyResolver = true // O(d) ring search instead of hashing all 1000 nodes
 
 	env := &pnm.AdversaryEnv{Scheme: scheme, StolenKeys: map[pnm.NodeID]pnm.Key{mole: keys.Key(mole)}}
 	live, err := sys.StartLiveSystem(nil, env, 1)

@@ -101,7 +101,7 @@ func backgroundMode(cfg BackgroundConfig, mode string, triage bool) (BackgroundR
 	}
 	srcMole := &mole.Source{ID: moleID, Base: packet.Report{Event: 0xBAD, Location: uint32(moleID)}, Behavior: mole.MarkNever}
 
-	tracker, err := net.NewTracker(false)
+	tracker, err := net.NewTracker()
 	if err != nil {
 		return BackgroundRow{}, err
 	}

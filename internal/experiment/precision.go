@@ -94,7 +94,7 @@ func Precision(cfg PrecisionConfig) ([]PrecisionRow, error) {
 				Moles:  map[packet.NodeID]*mole.Forwarder{},
 				Env:    &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{src: keys.Key(src)}},
 			}
-			tracker, err := net.NewTracker(false)
+			tracker, err := net.NewTracker()
 			if err != nil {
 				return precisionRun{}, err
 			}

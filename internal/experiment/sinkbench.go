@@ -35,11 +35,11 @@ type SinkBenchConfig struct {
 	MacIters int `json:"mac_iters"`
 }
 
-// InterleavedConfig shapes the regime the exhaustive resolver's LRU table
-// cache exists for: several sources report concurrently, each report is
+// InterleavedConfig shapes a stream the paper's base method resolves at
+// its worst: several sources report concurrently, each report is
 // retransmitted several times, and deliveries interleave at the sink, so
-// consecutive packets almost always carry different reports and a
-// single-entry cache rebuilds the anonymous-ID table on nearly every
+// consecutive packets almost always carry different reports and the
+// exhaustive resolver's single kept table is rebuilt on nearly every
 // packet.
 type InterleavedConfig struct {
 	// Nodes is the network size.
@@ -52,8 +52,6 @@ type InterleavedConfig struct {
 	Repeats int `json:"repeats"`
 	// Seed drives topology and marking.
 	Seed int64 `json:"seed"`
-	// CacheCapacity is the exhaustive-lru row's table-cache capacity.
-	CacheCapacity int `json:"cache_capacity"`
 	// BatchLen is how many packets the row runner feeds per observe call.
 	BatchLen int `json:"batch_len"`
 }
@@ -74,14 +72,11 @@ type KeyedConfig struct {
 	Seed int64 `json:"seed"`
 }
 
-// DefaultSinkBench is the committed configuration. The interleaved
-// stream's LRU covers the live report working set (Sources distinct
-// reports at a time) while the single-entry baseline thrashes.
+// DefaultSinkBench is the committed configuration.
 func DefaultSinkBench() SinkBenchConfig {
 	return SinkBenchConfig{
 		Interleaved: InterleavedConfig{
-			Nodes: 1024, Sources: 8, Reports: 4, Repeats: 8, Seed: 9,
-			CacheCapacity: sink.DefaultTableCacheSize, BatchLen: 64,
+			Nodes: 1024, Sources: 8, Reports: 4, Repeats: 8, Seed: 9, BatchLen: 64,
 		},
 		Keyed:    KeyedConfig{Nodes: 2048, Hosts: 64, Sources: 100_000, BatchLen: 1024, Seed: 17},
 		MacIters: 4096,
@@ -117,7 +112,7 @@ type MacBenchResult struct {
 type SinkBenchRow struct {
 	// Stream is "interleaved" or "keyed".
 	Stream string `json:"stream"`
-	// Resolver is exhaustive-single, exhaustive-lru or topology.
+	// Resolver is exhaustive-single or topology.
 	Resolver string `json:"resolver"`
 	// Packets is the stream length the sink folded.
 	Packets int `json:"packets"`
@@ -133,8 +128,8 @@ type SinkBenchRow struct {
 	// the final verdict, from an untimed full pass.
 	VerdictHash string `json:"verdict_hash"`
 	// Counters is every metric the sink chain exported during that pass
-	// (obs.Registry.Map): resolver probes, table builds and cache hits,
-	// schedule hits, marks verified, stops and the rest.
+	// (obs.Registry.Map): resolver probes, table builds, schedule hits,
+	// marks verified, stops and the rest.
 	Counters map[string]any `json:"counters"`
 }
 
@@ -177,7 +172,6 @@ func SinkBench(cfg SinkBenchConfig) (*SinkBenchResult, error) {
 		resolver string
 	}{
 		{il, "exhaustive-single"},
-		{il, "exhaustive-lru"},
 		{il, "topology"},
 		{keyed, "topology"},
 	}
@@ -277,7 +271,6 @@ type benchStream struct {
 	topo     *topology.Network
 	keys     *mac.KeyStore
 	scheme   marking.PNM
-	cacheCap int
 	packets  int
 	batchLen int
 	src      packetSource
@@ -341,9 +334,8 @@ func newInterleavedStream(cfg InterleavedConfig) (*benchStream, error) {
 	}
 
 	// Round-robin across sources: within one repeat sweep every source
-	// delivers once, so consecutive packets carry different reports and a
-	// capacity-1 table cache misses on each one, while any cache holding
-	// the cfg.Sources live reports hits after the first sweep.
+	// delivers once, so consecutive packets carry different reports and
+	// the exhaustive resolver rebuilds its table on each one.
 	var stream []packet.Message
 	for r := 0; r < cfg.Reports; r++ {
 		for rep := 0; rep < cfg.Repeats; rep++ {
@@ -352,7 +344,7 @@ func newInterleavedStream(cfg InterleavedConfig) (*benchStream, error) {
 			}
 		}
 	}
-	return &benchStream{name: "interleaved", topo: topo, keys: keys, scheme: scheme, cacheCap: cfg.CacheCapacity,
+	return &benchStream{name: "interleaved", topo: topo, keys: keys, scheme: scheme,
 		packets: len(stream), batchLen: cfg.BatchLen, src: &replay{msgs: stream}}, nil
 }
 
@@ -455,9 +447,7 @@ func (st *benchStream) newSink(resolver string, reg *obs.Registry) *benchSink {
 	var r sink.Resolver
 	switch resolver {
 	case "exhaustive-single":
-		r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), 1)
-	case "exhaustive-lru":
-		r = sink.NewExhaustiveResolverCache(st.keys, st.topo.Nodes(), st.cacheCap)
+		r = sink.NewExhaustiveResolver(st.keys, st.topo.Nodes())
 	default:
 		r = sink.NewTopologyResolver(st.keys, st.topo)
 	}

@@ -5,15 +5,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"pnm/internal/sink"
 )
 
 func testSinkBenchConfig() SinkBenchConfig {
 	return SinkBenchConfig{
 		Interleaved: InterleavedConfig{
-			Nodes: 128, Sources: 4, Reports: 3, Repeats: 4, Seed: 9,
-			CacheCapacity: sink.DefaultTableCacheSize, BatchLen: 8,
+			Nodes: 128, Sources: 4, Reports: 3, Repeats: 4, Seed: 9, BatchLen: 8,
 		},
 		Keyed:    KeyedConfig{Nodes: 96, Hosts: 8, Sources: 600, BatchLen: 64, Seed: 17},
 		MacIters: 256,
@@ -28,9 +25,9 @@ func count(row SinkBenchRow, name string) uint64 {
 }
 
 // TestSinkBenchSmall runs the committed benchmark at a reduced size and
-// checks its structural guarantees: the LRU removes the single-entry
-// cache's per-retransmission table rebuilds, the topology resolver
-// probes instead of building tables, every row on a stream verifies
+// checks its structural guarantees: the exhaustive resolver rebuilds its
+// table on every retransmission, the topology resolver probes instead of
+// building tables, every row on a stream verifies
 // identically (and the generator rejects one that does not), the keyed
 // path is allocation-free, the schedule paths are allocation-free
 // and faster than the cold path, and the document is reproducible and
@@ -41,7 +38,7 @@ func TestSinkBenchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 + 1; len(res.Rows) != want {
+	if want := 2 + 1; len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	if res.Env.GOMAXPROCS != runtime.GOMAXPROCS(0) || res.Env.NumCPU != runtime.NumCPU() || !res.Env.Benchmem {
@@ -62,30 +59,27 @@ func TestSinkBenchSmall(t *testing.T) {
 			t.Fatalf("%s %s: timing or alloc columns off: %+v", row.Stream, row.Resolver, row)
 		}
 	}
-	single, lru, topo := rows["exhaustive-single"], rows["exhaustive-lru"], rows["topology"]
-	keyed := res.Rows[3]
+	single, topo := rows["exhaustive-single"], rows["topology"]
+	keyed := res.Rows[2]
 	if keyed.Stream != "keyed" {
-		t.Fatalf("row 3 is on the %s stream, want keyed", keyed.Stream)
+		t.Fatalf("row 2 is on the %s stream, want keyed", keyed.Stream)
 	}
 
-	// The LRU holds every live report, so it builds each marked report's
-	// table once; the interleaved stream defeats the single-entry cache,
-	// which rebuilds on every retransmission. (Packets PNM left unmarked
-	// never consult the resolver, so the unit is marked reports.)
-	lruBuilds := count(lru, "sink.resolver.table_builds")
-	if lruBuilds == 0 || lruBuilds > uint64(cfg.Interleaved.Sources*cfg.Interleaved.Reports) {
-		t.Fatalf("lru table builds = %d, want one per distinct marked report (<= %d)",
-			lruBuilds, cfg.Interleaved.Sources*cfg.Interleaved.Reports)
+	// The interleaved stream switches reports on every packet, so the
+	// exhaustive resolver's one kept table is rebuilt for every marked
+	// packet. (Packets PNM left unmarked never consult the resolver.)
+	il, err := newInterleavedStream(cfg.Interleaved)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := count(single, "sink.resolver.table_builds"), lruBuilds*uint64(cfg.Interleaved.Repeats); got != want {
-		t.Fatalf("single-entry table builds = %d, want %d (every retransmission rebuilds)", got, want)
+	var marked uint64
+	for _, msg := range il.src.(*replay).msgs {
+		if len(msg.Marks) > 0 {
+			marked++
+		}
 	}
-	hitRate := func(row SinkBenchRow) float64 {
-		hits, misses := count(row, "sink.resolver.cache_hits"), count(row, "sink.resolver.cache_misses")
-		return float64(hits) / float64(hits+misses)
-	}
-	if hitRate(lru) <= hitRate(single) {
-		t.Fatalf("lru hit rate %.3f not above single-entry %.3f", hitRate(lru), hitRate(single))
+	if got := count(single, "sink.resolver.table_builds"); marked == 0 || got != marked {
+		t.Fatalf("exhaustive table builds = %d, want %d (every retransmission rebuilds)", got, marked)
 	}
 	if count(topo, "sink.resolver.probes") == 0 || count(topo, "sink.resolver.table_builds") != 0 {
 		t.Fatalf("topology row: probes %d, table builds %d; want probes and no tables",

@@ -67,8 +67,6 @@ type Campaign struct {
 	Sources []*mole.Source
 	// Manager is the quarantine state, shared with Net.Drop.
 	Manager *Manager
-	// TopologyResolver selects the O(d) anonymous-ID search.
-	TopologyResolver bool
 
 	rng *rand.Rand
 }
@@ -117,7 +115,7 @@ func (c *Campaign) pathOpen(src packet.NodeID) bool {
 // whatever reaches the sink, and quarantines the verdict's neighborhood.
 // It returns the round's verdict.
 func (c *Campaign) Round(packets int) (sink.Verdict, error) {
-	tracker, err := c.Net.NewTracker(c.TopologyResolver)
+	tracker, err := c.Net.NewTracker()
 	if err != nil {
 		return sink.Verdict{}, err
 	}

@@ -25,10 +25,9 @@ func TestTracebackSurvivesMidChainCrash(t *testing.T) {
 	reg := obs.New()
 	scheme := marking.PNM{P: 1}
 	net, topo, keys := startGrid(t, Config{
-		Scheme:           scheme,
-		Seed:             61,
-		Obs:              reg,
-		TopologyResolver: true,
+		Scheme: scheme,
+		Seed:   61,
+		Obs:    reg,
 	})
 
 	mole15 := packet.NodeID(15) // far corner: deepest chain in the grid

@@ -66,8 +66,6 @@ type Config struct {
 	LossProb float64
 	// Seed derives each node's private RNG.
 	Seed int64
-	// TopologyResolver selects the O(d) anonymous-ID search at the sink.
-	TopologyResolver bool
 	// QueueLen is the per-node inbox depth (default 64).
 	QueueLen int
 	// QueuePolicy selects the overflow behaviour of full inboxes: lossless
@@ -206,12 +204,7 @@ func Start(cfg Config) (*Network, error) {
 	// builds its own verifier chain through this factory; only the
 	// KeyStore, the epoch set and obs counters are shared.
 	newVerifier := func() (sink.Verifier, error) {
-		var r sink.Resolver
-		if cfg.TopologyResolver {
-			r = sink.NewTopologyResolverEpochs(cfg.Keys, epochs)
-		} else {
-			r = sink.NewExhaustiveResolver(cfg.Keys, cfg.Topo.Nodes())
-		}
+		r := sink.NewTopologyResolverEpochs(cfg.Keys, epochs)
 		v, err := sink.NewVerifier(cfg.Scheme, cfg.Keys, cfg.Topo.NumNodes(), r)
 		if err != nil {
 			return nil, err

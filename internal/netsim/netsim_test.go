@@ -169,7 +169,7 @@ func TestGeometricNetworkLive(t *testing.T) {
 	}
 	p := 3 / float64(hops)
 	scheme := marking.PNM{P: p}
-	net, err := Start(Config{Topo: topo, Keys: keys, Scheme: scheme, Seed: 9, TopologyResolver: true})
+	net, err := Start(Config{Topo: topo, Keys: keys, Scheme: scheme, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,14 +61,9 @@ func (n *Net) Deliver(src packet.NodeID, msg packet.Message, rng *rand.Rand) (pa
 }
 
 // NewTracker builds a sink tracker for this network, choosing the verifier
-// from the scheme. topoResolver selects the §7 O(d) anonymous-ID search.
-func (n *Net) NewTracker(topoResolver bool) (*sink.Tracker, error) {
-	var resolver sink.Resolver
-	if topoResolver {
-		resolver = sink.NewTopologyResolver(n.Keys, n.Topo)
-	} else {
-		resolver = sink.NewExhaustiveResolver(n.Keys, n.Topo.Nodes())
-	}
+// from the scheme. Anonymous IDs resolve through the §7 topology search.
+func (n *Net) NewTracker() (*sink.Tracker, error) {
+	resolver := sink.NewTopologyResolver(n.Keys, n.Topo)
 	verifier, err := sink.NewVerifier(n.Scheme, n.Keys, n.Topo.NumNodes(), resolver)
 	if err != nil {
 		return nil, err

@@ -85,22 +85,20 @@ func TestDeliverDropPolicyDoesNotBindMoles(t *testing.T) {
 
 func TestNetNewTracker(t *testing.T) {
 	net := buildNet(t, 6, marking.PNM{P: 0.5})
-	for _, topoResolver := range []bool{false, true} {
-		tracker, err := net.NewTracker(topoResolver)
-		if err != nil {
-			t.Fatal(err)
+	tracker, err := net.NewTracker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100; i++ {
+		msg, ok := net.Deliver(6, packet.Message{Report: packet.Report{Seq: uint32(i)}}, rng)
+		if ok {
+			tracker.Observe(msg, 0)
 		}
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 100; i++ {
-			msg, ok := net.Deliver(6, packet.Message{Report: packet.Report{Seq: uint32(i)}}, rng)
-			if ok {
-				tracker.Observe(msg, 0)
-			}
-		}
-		v := tracker.Verdict()
-		if !v.HasStop || v.Stop != 5 {
-			t.Fatalf("topoResolver=%v: verdict = %+v, want stop V5", topoResolver, v)
-		}
+	}
+	v := tracker.Verdict()
+	if !v.HasStop || v.Stop != 5 {
+		t.Fatalf("verdict = %+v, want stop V5", v)
 	}
 }
 
@@ -141,7 +139,7 @@ func TestTrackerCandidatesMultiSource(t *testing.T) {
 		Moles: map[packet.NodeID]*mole.Forwarder{},
 		Env:   &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{}},
 	}
-	tracker, err := net.NewTracker(false)
+	tracker, err := net.NewTracker()
 	if err != nil {
 		t.Fatal(err)
 	}

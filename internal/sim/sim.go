@@ -132,7 +132,7 @@ func NewChainRunner(cfg ChainConfig) (*Runner, error) {
 	if err := r.configureAttack(cfg); err != nil {
 		return nil, err
 	}
-	if r.tracker, err = r.net.NewTracker(false); err != nil {
+	if r.tracker, err = r.net.NewTracker(); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -201,9 +201,16 @@ func TestSwapAttackLocalizesMole(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Run(600)
+	// The topology resolver rejects the swapped mark (its claimed marker
+	// is not upstream of the next verified node), so the chain stops at
+	// the source with no loop. The base method's Figure 2 loop is pinned
+	// by TestTrackerLoopVerdict.
 	v := r.Tracker().Verdict()
-	if len(v.Loop) == 0 {
-		t.Fatalf("identity swapping produced no loop: %+v", v)
+	if len(v.Loop) != 0 {
+		t.Fatalf("identity swapping formed a loop under the topology resolver: %+v", v)
+	}
+	if !v.HasStop || !v.Identified || v.Stop != r.SourceID() {
+		t.Fatalf("verdict = %+v, want identified stop at the source %v", v, r.SourceID())
 	}
 	if !r.SecurityHolds() {
 		t.Fatalf("swap attack evaded localization: %+v", v)

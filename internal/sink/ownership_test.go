@@ -23,7 +23,7 @@ import (
 // synchronized — exactly how internal/parallel fans experiment runs out.
 // Under -race this test proves that discipline is race-free; it is the
 // misuse boundary's negative space (sharing one tracker or one
-// ExhaustiveResolver, whose per-report table cache is unsynchronized,
+// ExhaustiveResolver, whose kept table is unsynchronized,
 // between the two goroutines here would trip the detector).
 func TestTrackerPerGoroutineOwnership(t *testing.T) {
 	scheme := marking.PNM{P: 0.3}

@@ -62,22 +62,14 @@ type scheduleCacher interface {
 	shareScheduleCache() *mac.Hasher
 }
 
-// DefaultTableCacheSize is the per-resolver anonymous-ID table cache
-// capacity. Interleaved traffic from several sources (each source's
-// retransmissions sharing a report) revisits a small working set of
-// reports; a handful of cached tables turns the per-packet O(n) rebuild
-// into a lookup.
-const DefaultTableCacheSize = 16
-
 // ExhaustiveResolver implements the paper's base method: for each distinct
 // report, compute the anonymous ID of every node in the network and build a
-// lookup table. Tables are cached in a small deterministic LRU keyed by
-// report: the sink verifies a packet's marks back to front against one
-// report, and interleaved multi-source traffic cycles through a few live
-// reports at a time, so a short cache eliminates per-packet rebuilds.
+// lookup table. The resolver keeps the table of the last report it saw:
+// the sink verifies a packet's marks back to front against one report, so
+// a packet costs at most one build.
 //
-// pnmlint:single-goroutine — the per-report table cache is unsynchronized;
-// one goroutine owns an instance for its lifetime (see the package doc's
+// pnmlint:single-goroutine — the kept table is unsynchronized; one
+// goroutine owns an instance for its lifetime (see the package doc's
 // Ownership section). The ownership analyzer enforces this.
 type ExhaustiveResolver struct {
 	keys   *mac.KeyStore
@@ -86,52 +78,31 @@ type ExhaustiveResolver struct {
 	shared bool       // a verifier shares hasher and publishes it
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
 
-	// cache holds the most recently used tables, most recent first.
-	cache    []tableEntry
-	cacheCap int
+	// report and table are the last report's anonymous-ID table; table
+	// is nil until the first build. Each entry packs a node's anonymous
+	// ID (big-endian, high 32 bits) over the node's index in nodes (low
+	// 32 bits), sorted: one allocation per table, a binary search per
+	// lookup, and colliding IDs come out in node order.
+	report packet.Report
+	table  []uint64
 	// sortBuf is buildTable's radix-sort buffer, reused across builds.
 	sortBuf []uint64
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	tableBuilds *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
 	candidates  *obs.Counter
 }
 
-// tableEntry is one cached per-report anonymous-ID table. Each entry of
-// table packs a node's anonymous ID (big-endian, high 32 bits) over the
-// node's index in the resolver's node list (low 32 bits), sorted: one
-// allocation per table, a binary search per lookup, and colliding IDs
-// come out in node order.
-type tableEntry struct {
-	report packet.Report
-	table  []uint64
-}
-
-// NewExhaustiveResolver returns a resolver over the given node universe
-// with the default table cache size.
+// NewExhaustiveResolver returns a resolver over the given node universe.
 func NewExhaustiveResolver(keys *mac.KeyStore, nodes []packet.NodeID) *ExhaustiveResolver {
-	return NewExhaustiveResolverCache(keys, nodes, DefaultTableCacheSize)
-}
-
-// NewExhaustiveResolverCache returns a resolver with an explicit table
-// cache capacity. Capacity 1 reproduces the pre-LRU single-report cache —
-// the interleaved-multisource benchmark uses it as its baseline.
-func NewExhaustiveResolverCache(keys *mac.KeyStore, nodes []packet.NodeID, capacity int) *ExhaustiveResolver {
-	if capacity < 1 {
-		capacity = 1
-	}
 	ns := make([]packet.NodeID, len(nodes))
 	copy(ns, nodes)
-	return &ExhaustiveResolver{keys: keys, nodes: ns, hasher: keys.Hasher(), cacheCap: capacity}
+	return &ExhaustiveResolver{keys: keys, nodes: ns, hasher: keys.Hasher()}
 }
 
 // Instrument binds the resolver's counters into reg.
 func (r *ExhaustiveResolver) Instrument(reg *obs.Registry) {
 	r.tableBuilds = reg.Counter("sink.resolver.table_builds")
-	r.cacheHits = reg.Counter("sink.resolver.cache_hits")
-	r.cacheMisses = reg.Counter("sink.resolver.cache_misses")
 	r.candidates = reg.Counter("sink.resolver.candidates")
 	r.hasher.Instrument(reg)
 }
@@ -158,28 +129,13 @@ func (r *ExhaustiveResolver) Resolve(report packet.Report, anon [packet.AnonIDLe
 	}
 }
 
-// lookup returns the table for report, serving it from the LRU cache or
-// building and inserting it.
+// lookup returns the table for report, building it unless report is the
+// last report seen.
 func (r *ExhaustiveResolver) lookup(report packet.Report) []uint64 {
-	for i := range r.cache {
-		if r.cache[i].report == report {
-			r.cacheHits.Inc()
-			if i > 0 { // move to front
-				e := r.cache[i]
-				copy(r.cache[1:i+1], r.cache[:i])
-				r.cache[0] = e
-			}
-			return r.cache[0].table
-		}
+	if r.table == nil || r.report != report {
+		r.report, r.table = report, r.buildTable(report)
 	}
-	r.cacheMisses.Inc()
-	table := r.buildTable(report)
-	if len(r.cache) < r.cacheCap {
-		r.cache = append(r.cache, tableEntry{})
-	}
-	copy(r.cache[1:], r.cache[:len(r.cache)-1])
-	r.cache[0] = tableEntry{report: report, table: table}
-	return table
+	return r.table
 }
 
 // buildTable computes the full anonymous-ID table for one report — the

@@ -13,7 +13,7 @@
 //
 // Tracker, the resolvers and the verifiers are single-goroutine objects:
 // they carry unsynchronized mutable state (the order matrix, and
-// ExhaustiveResolver's per-report anonymous-ID table cache), so one
+// ExhaustiveResolver's last-report anonymous-ID table), so one
 // goroutine must own an instance for its lifetime. They must never be
 // shared across goroutines — not even a resolver between two trackers.
 // Concurrent experiments get their parallelism run-level instead: each run

@@ -114,8 +114,8 @@ func swapLoopVerdict(t *testing.T, newResolver func(*topology.Network) Resolver)
 }
 
 func TestTrackerLoopVerdict(t *testing.T) {
-	// Under the exhaustive resolver (the chain runner's and pnmtrace's)
-	// every swapped identity verifies, so the order holds the paper's
+	// Under the exhaustive resolver (the paper's base method) every
+	// swapped identity verifies, so the order holds the paper's
 	// Figure 2 loop and the sink must still localize a mole at the
 	// loop-line intersection.
 	v := swapLoopVerdict(t, func(topo *topology.Network) Resolver {

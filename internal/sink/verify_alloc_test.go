@@ -30,7 +30,7 @@ func markedMessage(t *testing.T, scheme marking.Scheme, n int) packet.Message {
 // TestVerifyMarkZeroAlloc pins the // pnmlint:noalloc contract on the
 // sink's per-mark kernel dynamically, complementing the static
 // escape-analysis gate: after one warm-up packet has populated the key
-// schedules, the resolver table cache and the reusable encode buffer,
+// schedules, the resolver's table and the reusable encode buffer,
 // re-verifying a mark — plaintext or anonymous — allocates nothing. The
 // anonymous path is the one the closure-hoist fixed: the resolver probe
 // callback is a method value bound once per verifier, not a closure built

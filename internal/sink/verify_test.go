@@ -6,7 +6,6 @@ import (
 
 	"pnm/internal/mac"
 	"pnm/internal/marking"
-	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/topology"
 )
@@ -275,43 +274,6 @@ func TestExhaustiveResolverCachesPerReport(t *testing.T) {
 	}
 	if got := ResolveAll(r, rep2, anon, 0, false, 0); contains(got, 5) && anon != anon2 {
 		t.Fatal("old anonymous ID resolved under the new report")
-	}
-}
-
-// TestExhaustiveResolverLRUEviction pins the cache's deterministic LRU
-// semantics: hits keep a table alive, misses past capacity evict the least
-// recently used table, and eviction only costs a rebuild (never wrong
-// answers).
-func TestExhaustiveResolverLRUEviction(t *testing.T) {
-	reg := obs.New()
-	r := NewExhaustiveResolverCache(testKS, nodeIDs(16), 2)
-	r.Instrument(reg)
-	builds := reg.Counter("sink.resolver.table_builds")
-	hits := reg.Counter("sink.resolver.cache_hits")
-
-	resolve := func(seq uint32) {
-		rep := testReport(seq)
-		anon := mac.AnonID(testKS.Key(3), rep, 3)
-		if got := ResolveAll(r, rep, anon, 0, false, 0); !contains(got, 3) {
-			t.Fatalf("resolver missed node 3 under report %d", seq)
-		}
-	}
-
-	resolve(40) // build A
-	resolve(41) // build B
-	resolve(40) // hit A
-	resolve(41) // hit B
-	if b, h := builds.Value(), hits.Value(); b != 2 || h != 2 {
-		t.Fatalf("builds=%d hits=%d, want 2/2", b, h)
-	}
-	resolve(42) // build C, evicts A (LRU: A older than B)
-	resolve(41) // hit B (still cached)
-	if b, h := builds.Value(), hits.Value(); b != 3 || h != 3 {
-		t.Fatalf("builds=%d hits=%d, want 3/3", b, h)
-	}
-	resolve(40) // rebuild A (was evicted), evicts C
-	if b := builds.Value(); b != 4 {
-		t.Fatalf("builds=%d, want 4 after eviction", b)
 	}
 }
 

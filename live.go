@@ -55,12 +55,11 @@ func StartLive(cfg LiveConfig) (*LiveNetwork, error) { return netsim.Start(cfg) 
 // colluding forwarders.
 func (s *System) StartLiveSystem(moles map[NodeID]*ForwarderMole, env *AdversaryEnv, seed int64) (*LiveNetwork, error) {
 	return netsim.Start(netsim.Config{
-		Topo:             s.topo,
-		Keys:             s.keys,
-		Scheme:           s.scheme,
-		Moles:            moles,
-		Env:              env,
-		Seed:             seed,
-		TopologyResolver: s.UseTopologyResolver,
+		Topo:   s.topo,
+		Keys:   s.keys,
+		Scheme: s.scheme,
+		Moles:  moles,
+		Env:    env,
+		Seed:   seed,
 	})
 }

@@ -20,10 +20,6 @@ type System struct {
 	topo   *Topology
 	keys   *KeyStore
 	scheme Scheme
-
-	// UseTopologyResolver switches the sink to the O(d) anonymous-ID
-	// search of the paper's §7 (requires the sink to know the topology).
-	UseTopologyResolver bool
 }
 
 // NewSystem validates and assembles a system.
@@ -43,15 +39,10 @@ func (s *System) Keys() *KeyStore { return s.keys }
 // Scheme returns the deployed marking scheme.
 func (s *System) Scheme() Scheme { return s.scheme }
 
-// NewSink builds a verifier and tracker for this system.
+// NewSink builds a verifier and tracker for this system. Anonymous IDs
+// resolve through the O(d) topology search of the paper's §7.
 func (s *System) NewSink() (*Tracker, error) {
-	var r Resolver
-	if s.UseTopologyResolver {
-		r = NewTopologyResolver(s.keys, s.topo)
-	} else {
-		r = NewExhaustiveResolver(s.keys, s.topo.Nodes())
-	}
-	v, err := NewVerifier(s.scheme, s.keys, s.topo.NumNodes(), r)
+	v, err := NewVerifier(s.scheme, s.keys, s.topo.NumNodes(), NewTopologyResolver(s.keys, s.topo))
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +99,7 @@ func (s *System) TraceInjection(cfg TraceConfig) (Verdict, error) {
 	env := &mole.Env{Scheme: s.scheme, StolenKeys: stolen}
 	net := s.net(moles, env)
 
-	tracker, err := net.NewTracker(s.UseTopologyResolver)
+	tracker, err := net.NewTracker()
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -146,9 +137,7 @@ func (s *System) NewCampaign(sources []*SourceMole, moles map[NodeID]*ForwarderM
 		stolen[id] = s.keys.Key(id)
 	}
 	env := &mole.Env{Scheme: s.scheme, StolenKeys: stolen}
-	c := isolation.NewCampaign(s.net(moles, env), sources, seed)
-	c.TopologyResolver = s.UseTopologyResolver
-	return c
+	return isolation.NewCampaign(s.net(moles, env), sources, seed)
 }
 
 // Energy/timing model and en-route filtering, re-exported for the
