@@ -129,7 +129,10 @@ func geometricOfSize(n int, seed int64) (*topology.Network, error) {
 // timeVerify measures mean steady-state verification time per packet.
 // A first, untimed pass pays the once-per-sink costs (key derivation,
 // schedule-core builds, the routing-tree build) and is the pass reg
-// counts; the timed second pass runs with the counters unbound.
+// counts. With the counters unbound it then times macRounds passes
+// and reports the fastest: one pass lasts well under a millisecond at
+// small sizes, so one host preemption can double it, and the fastest
+// pass is the one that ran undisturbed (the rule macBench uses).
 func timeVerify(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, r sink.Resolver, msgs []packet.Message, reg *obs.Registry) (time.Duration, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -148,13 +151,18 @@ func timeVerify(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Networ
 	if ins != nil && reg != nil {
 		ins.Instrument(nil)
 	}
-	//pnmlint:allow wallclock E7/E8 report real verification latency per packet
-	start := time.Now()
-	for _, m := range msgs {
-		v.Verify(m, 0)
+	best := time.Duration(math.MaxInt64)
+	for range macRounds {
+		v.ResetVerifyScratch()
+		//pnmlint:allow wallclock E7/E8 report real verification latency per packet
+		start := time.Now()
+		for _, m := range msgs {
+			v.Verify(m, 0)
+		}
+		//pnmlint:allow wallclock E7/E8 report real verification latency per packet
+		best = min(best, time.Since(start))
 	}
-	//pnmlint:allow wallclock E7/E8 report real verification latency per packet
-	return time.Since(start) / time.Duration(len(msgs)), nil
+	return best / time.Duration(len(msgs)), nil
 }
 
 // RenderResolve formats the comparison.

@@ -212,7 +212,8 @@ func checkSinkRows(rows []SinkBenchRow) error {
 	return nil
 }
 
-// macRounds is how many timed loops macBench runs per operation.
+// macRounds is how many timed loops macBench runs per operation, and
+// timeVerify (E8) per resolver.
 const macRounds = 5
 
 // macBench times the cold one-shot path against the precomputed schedule

@@ -92,43 +92,33 @@ func TestSingleGoroutineMarkersPresent(t *testing.T) {
 }
 
 // TestServerGuardedFieldsPresent pins transport.Server's lock discipline
-// as machine-readable annotations: the sink state under mu, the
-// connection set under connMu. Removing an annotation (or renaming a
+// as machine-readable annotations: the sink state under sink.Host's mu,
+// the connection set under connMu. Removing an annotation (or renaming a
 // field out from under it) fails here before a race can regress quietly.
 func TestServerGuardedFieldsPresent(t *testing.T) {
-	prog, err := Load("../..", "./internal/transport")
-	if err != nil {
-		t.Fatalf("load transport: %v", err)
-	}
-	guarded, diags := guardedFields(prog)
-	for _, d := range diags {
-		t.Errorf("bad guarded-by annotation: %s", d)
-	}
-	byName := make(map[string]string, len(guarded))
-	for v, g := range guarded {
-		byName[g.owner+"."+v.Name()] = g.mutex
-	}
-	for field, mutex := range map[string]string{
-		"Server.tracker":     "mu",
-		"Server.down":        "mu",
-		"Server.ckpt":        "mu",
-		"Server.delivered":   "mu",
-		"Server.deliveredCh": "mu",
-		"Server.conns":       "connMu",
-	} {
-		if got := byName[field]; got != mutex {
-			t.Errorf("%s: guarded-by %q, want %q (annotation missing or moved)", field, got, mutex)
-		}
-	}
+	checkGuarded(t, []string{"./internal/transport", "./internal/sink"}, map[string]string{
+		"Server.conns": "connMu",
+	})
 }
 
-// TestNetworkGuardedFieldsPresent pins the live simulator's sink lock
-// discipline: the tracker the sink goroutine folds into, and that
-// verdict reads and crash/restore swap, lives under mu.
+// TestNetworkGuardedFieldsPresent pins the live simulator's lock
+// discipline: the sink state under sink.Host's mu, the settledness
+// ledger beside it under Network.mu.
 func TestNetworkGuardedFieldsPresent(t *testing.T) {
-	prog, err := Load("../..", "./internal/netsim")
+	checkGuarded(t, []string{"./internal/netsim", "./internal/sink"}, map[string]string{
+		"Network.injected": "mu",
+		"Network.dropped":  "mu",
+	})
+}
+
+// checkGuarded loads pkgs and requires every field in want, and every
+// field of the sink host both live hosts fold through, to carry its
+// guarded-by annotation.
+func checkGuarded(t *testing.T, pkgs []string, want map[string]string) {
+	t.Helper()
+	prog, err := Load("../..", pkgs...)
 	if err != nil {
-		t.Fatalf("load netsim: %v", err)
+		t.Fatalf("load %v: %v", pkgs, err)
 	}
 	guarded, diags := guardedFields(prog)
 	for _, d := range diags {
@@ -138,9 +128,10 @@ func TestNetworkGuardedFieldsPresent(t *testing.T) {
 	for v, g := range guarded {
 		byName[g.owner+"."+v.Name()] = g.mutex
 	}
-	for field, mutex := range map[string]string{
-		"Network.tracker": "mu",
-	} {
+	for _, field := range []string{"tracker", "ckpt", "delivered", "progress"} {
+		want["Host."+field] = "mu"
+	}
+	for field, mutex := range want {
 		if got := byName[field]; got != mutex {
 			t.Errorf("%s: guarded-by %q, want %q (annotation missing or moved)", field, got, mutex)
 		}
@@ -173,7 +164,6 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",
 		"pnm/internal/mac.Hasher.Publish",
-		"pnm/internal/marking.NestedMACPlainSched",
 		"pnm/internal/marking.NestedMACAnonSched",
 		"pnm/internal/marking.AMSMACSched",
 		"pnm/internal/sink.NestedVerifier.verifyMark",

@@ -136,11 +136,9 @@ type KeyStore struct {
 	// cores caches the immutable key-absorbed halves of the per-node key
 	// schedules (64 bytes each), indexed by NodeID and shared across every
 	// Hasher over this store: N workers warming up on the same node pay
-	// the two key-block compressions once, not N times. epoch versions
-	// the cache — InvalidateSchedules bumps it, and Hashers that notice a
-	// new epoch drop their local schedules.
+	// the two key-block compressions once, not N times. A core never
+	// changes once built, so the cache is never invalidated.
 	cores      []*schedCore // pnmlint:guarded-by mu
-	epoch      uint64       // pnmlint:guarded-by mu
 	coreBuilds uint64       // pnmlint:guarded-by mu
 }
 

@@ -271,19 +271,17 @@ func NewSchedule(k Key) Schedule {
 }
 
 // scheduleCore returns the store-wide shared core for id's key, building
-// and caching it on first use, along with the store's current schedule
-// epoch and whether this call built the core (for the caller's miss
-// accounting).
-func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, uint64, bool) {
+// and caching it on first use, and whether this call built the core (for
+// the caller's miss accounting).
+func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, bool) {
 	ks.mu.RLock()
 	var c *schedCore
 	if int(id) < len(ks.cores) {
 		c = ks.cores[id]
 	}
-	epoch := ks.epoch
 	ks.mu.RUnlock()
 	if c != nil {
-		return c, epoch, false
+		return c, false
 	}
 	// The core absorbs the key, so the key is derived outside the lock
 	// and not cached: a sink-side store holds no copy of it.
@@ -292,12 +290,12 @@ func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, uint64, bool) {
 	defer ks.mu.Unlock()
 	ks.cores = growTo(ks.cores, id)
 	if c := ks.cores[id]; c != nil {
-		return c, ks.epoch, false
+		return c, false
 	}
 	c = newSchedCore(k)
 	ks.cores[id] = c
 	ks.coreBuilds++
-	return c, ks.epoch, true
+	return c, true
 }
 
 // growTo returns a NodeID-indexed table that covers index id: t itself
@@ -313,23 +311,9 @@ func growTo[T any](t []T, id packet.NodeID) []T {
 	return grown
 }
 
-// InvalidateSchedules drops every cached schedule core and bumps the
-// schedule epoch, so each Hasher discards its local schedules the next
-// time it misses — the hook a future key-rotation path needs. Hashers
-// that never miss again keep serving their cached (now stale) schedules;
-// rotation must therefore pair this with retiring the old verifier
-// chains, which is how the sink already rebuilds after crash/restore.
-func (ks *KeyStore) InvalidateSchedules() {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	clear(ks.cores)
-	ks.epoch++
-}
-
 // CoreBuilds reports how many schedule cores the store has built — the
 // store-wide key-block compression count the sharing exists to minimize
-// (at most one per distinct node per epoch, however many workers warm
-// up).
+// (at most one per distinct node, however many workers warm up).
 func (ks *KeyStore) CoreBuilds() uint64 {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
@@ -397,7 +381,6 @@ type Hasher struct {
 	// demand to the largest ID seen: node IDs are dense, and an indexed
 	// load is cheaper than a map lookup on every probe.
 	cores []*schedCore
-	epoch uint64 // KeyStore schedule epoch the table was filled under
 	// pendingHits counts Schedule's table hits since the last Publish: a
 	// plain field, because a hit is the common case of every probe and
 	// MAC.
@@ -451,20 +434,12 @@ func (h *Hasher) Publish() {
 }
 
 // build is Schedule's miss path: it records the store's shared core for
-// id, growing the table to cover id. A store epoch bump
-// (InvalidateSchedules) is noticed here and drops the local table
-// wholesale.
+// id, growing the table to cover id.
 func (h *Hasher) build(id packet.NodeID) Schedule {
 	h.misses.Inc()
-	core, epoch, built := h.ks.scheduleCore(id)
+	core, built := h.ks.scheduleCore(id)
 	if built {
 		h.coreBuilds.Inc()
-	}
-	if epoch != h.epoch {
-		// The store invalidated its schedules since this table was
-		// filled: every local entry may be a stale core.
-		clear(h.cores)
-		h.epoch = epoch
 	}
 	h.cores = growTo(h.cores, id)
 	h.cores[id] = core

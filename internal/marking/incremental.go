@@ -9,12 +9,16 @@ import (
 )
 
 // Incremental marks a message hop by hop while maintaining the encoded
-// prefix, so each nested MAC costs one hash over an already-built buffer
-// instead of re-encoding the whole upstream message. Semantically
-// identical to calling a Scheme's Mark at every hop — the equivalence is
-// property-tested — but O(n) instead of O(n²) bytes hashed per path. This
-// matters on the sink side too: a Mica2-class forwarder only ever appends
-// to the packet it received, which is exactly what this models.
+// prefix, so each nested MAC hashes an already-built buffer instead of a
+// clone of the whole upstream message re-encoded at every hop.
+// Semantically identical to calling a Scheme's Mark at every hop — the
+// equivalence is property-tested. Each MAC still covers the whole
+// received prefix, so a path of n hops hashes O(n²) bytes either way;
+// what Incremental saves is the per-hop clone and re-encode
+// (BenchmarkIncrementalVsNaive at 30 hops on a 2-vCPU Xeon: 24–27 µs and
+// 11 allocs/op, against 117–138 µs and 182 allocs/op for per-hop Mark).
+// A Mica2-class forwarder only ever appends to the packet it received,
+// which is exactly what this models.
 type Incremental struct {
 	msg packet.Message
 	buf []byte

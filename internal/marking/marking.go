@@ -81,16 +81,6 @@ func AMSMAC(key mac.Key, report packet.Report, id packet.NodeID) [packet.MACLen]
 // caller to reuse. Outputs are bit-identical to the cold functions above,
 // which remain the one-shot node-side path.
 
-// NestedMACPlainSched is NestedMACPlain on node id's cached schedule.
-// pnmlint:noalloc
-func NestedMACPlainSched(s mac.Schedule, buf []byte, msg packet.Message, k int, id packet.NodeID) ([packet.MACLen]byte, []byte) {
-	buf = msg.EncodePrefix(buf[:0], k)
-	n := len(buf)
-	ib := idBytes(id)
-	buf = append(buf, ib[:]...)
-	return s.Sum(buf[:n], buf[n:]), buf
-}
-
 // NestedMACAnonSched is NestedMACAnon on the marker's cached schedule.
 // pnmlint:noalloc
 func NestedMACAnonSched(s mac.Schedule, buf []byte, msg packet.Message, k int, anon [packet.AnonIDLen]byte) ([packet.MACLen]byte, []byte) {

@@ -197,10 +197,6 @@ func TestSchedVariantsMatchCold(t *testing.T) {
 		for _, id := range []packet.NodeID{1, 9} {
 			s := mac.NewSchedule(testKS.Key(id))
 			var got [packet.MACLen]byte
-			got, buf = NestedMACPlainSched(s, buf, msg, k, id)
-			if want := NestedMACPlain(testKS.Key(id), msg, k, id); got != want {
-				t.Fatalf("NestedMACPlainSched(k=%d, id=%v) = %x, want %x", k, id, got, want)
-			}
 			anon := mac.AnonID(testKS.Key(id), msg.Report, id)
 			got, buf = NestedMACAnonSched(s, buf, msg, k, anon)
 			if want := NestedMACAnon(testKS.Key(id), msg, k, anon); got != want {

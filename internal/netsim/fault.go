@@ -13,17 +13,16 @@ package netsim
 // recomputed so the dead node's subtree re-homes around it (or orphans,
 // if no alternate path exists). Restart rebuilds the stack from zero —
 // a rebooted mote's RAM — and respawns the goroutine with an
-// incarnation-salted RNG. Sink crash checkpoints the tracker first;
-// restore rebuilds the sink chain from that checkpoint, so neither the
-// order matrix nor the packet count is lost.
+// incarnation-salted RNG. Sink crash and restore are the sink host's
+// (sink.Host): crash checkpoints the tracker, restore rebuilds the sink
+// chain from that checkpoint, so neither the order matrix nor the packet
+// count is lost. The sink goroutine lives on through the outage and
+// drops what it dequeues.
 
 import (
-	"fmt"
-
 	"pnm/internal/fault"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
-	"pnm/internal/sink"
 	"pnm/internal/topology"
 )
 
@@ -40,7 +39,7 @@ type faultCounters struct {
 
 	// Terminal drop reasons introduced by the fault layer.
 	inboxDropped  *obs.Counter // drained from a crashed node's inbox
-	sinkDropped   *obs.Counter // drained from the sink queue at sink crash
+	sinkDropped   *obs.Counter // dequeued by the sink while it was down
 	droppedToDown *obs.Counter // next hop (or sink) was down at send time
 	orphanDropped *obs.Counter // no route to the sink at send time
 	sendAborted   *obs.Counter // sender crashed while blocked on a full queue
@@ -67,9 +66,7 @@ func (f *faultCounters) bind(reg *obs.Registry) {
 // after WaitSettled, it fires each event at the same point of the
 // traffic on every run.
 func (n *Network) ApplyDue(plan *fault.Plan, next int) int {
-	n.mu.Lock()
-	settled := n.delivered + n.dropped
-	n.mu.Unlock()
+	settled, _ := n.ledger()
 	for ; next < len(plan.Events) && plan.Events[next].At <= settled; next++ {
 		n.ApplyFault(plan.Events[next])
 	}
@@ -93,9 +90,13 @@ func (n *Network) ApplyFault(ev fault.Event) {
 	case fault.LinkUp:
 		n.linkUpLocked(ev.Node)
 	case fault.SinkCrash:
-		n.crashSinkLocked()
+		if n.sink.Crash() {
+			n.obsFault.sinkCrashes.Inc()
+		}
 	case fault.SinkRestore:
-		n.restoreSinkLocked()
+		if n.sink.Restore() {
+			n.obsFault.sinkRestores.Inc()
+		}
 	}
 }
 
@@ -202,67 +203,6 @@ func normLink(a, b packet.NodeID) [2]packet.NodeID {
 		a, b = b, a
 	}
 	return [2]packet.NodeID{a, b}
-}
-
-// crashSinkLocked kills the sink after checkpointing the tracker; queued
-// and in-flight deliveries die. Callers hold faultMu.
-func (n *Network) crashSinkLocked() {
-	n.stateMu.RLock()
-	down := n.sinkDown
-	n.stateMu.RUnlock()
-	if down {
-		return
-	}
-	close(n.sinkKill)
-	<-n.sinkDone
-	n.mu.Lock()
-	n.sinkCkpt = n.tracker.Checkpoint()
-	n.mu.Unlock()
-	// Mark it down before draining so new arrivals drop at the sender.
-	n.stateMu.Lock()
-	n.sinkDown = true
-	n.stateMu.Unlock()
-	for {
-		select {
-		case <-n.sinkCh:
-			n.noteDrop(n.obsFault.sinkDropped)
-		default:
-			n.obsFault.sinkCrashes.Inc()
-			return
-		}
-	}
-}
-
-// restoreSinkLocked rebuilds the sink chain — tracker from the PNM2 crash
-// checkpoint, fresh verifier — and respawns the sink goroutine. Neither
-// the order matrix nor the packet count is lost across the crash.
-// Callers hold faultMu.
-func (n *Network) restoreSinkLocked() {
-	n.stateMu.RLock()
-	down := n.sinkDown
-	n.stateMu.RUnlock()
-	if !down {
-		return
-	}
-	tracker, err := sink.RestoreTracker(n.sinkCkpt, n.newVerifier(), n.cfg.Topo)
-	if err != nil {
-		// The checkpoint is our own bytes; failing to read it back is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("netsim: sink restore: %v", err))
-	}
-	if n.cfg.Obs != nil {
-		// Counters are registry-backed, so the restored tracker continues
-		// the lifetime sink.tracker.* series rather than rewinding it.
-		tracker.Instrument(n.cfg.Obs)
-	}
-	n.mu.Lock()
-	n.tracker = tracker
-	n.mu.Unlock()
-	n.stateMu.Lock()
-	n.sinkDown = false
-	n.stateMu.Unlock()
-	n.spawnSink()
-	n.obsFault.sinkRestores.Inc()
 }
 
 // recomputeRoutesLocked rebuilds the routing view for the current fault

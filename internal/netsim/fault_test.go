@@ -409,13 +409,21 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// folded checks the delivered count and the tracker's lifetime fold
+	// counter, which a restore must continue rather than rewind.
+	folded := func(want int) {
+		t.Helper()
+		if got := net.Delivered(); got != want {
+			t.Fatalf("delivered = %d, want %d", got, want)
+		}
+		if got := reg.Counter("sink.tracker.packets").Value(); got != uint64(want) {
+			t.Fatalf("sink.tracker.packets = %d, want %d", got, want)
+		}
+	}
 
 	inject(150)
 	before := net.Verdict()
-	beforePackets := net.TrackerPackets()
-	if beforePackets != 150 {
-		t.Fatalf("tracker packets = %d, want 150", beforePackets)
-	}
+	folded(150)
 	net.ApplyFault(fault.Event{Kind: fault.SinkCrash})
 	// Traffic while the sink is down terminates as accounted drops.
 	inject(10)
@@ -423,9 +431,7 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 		t.Fatalf("dropped_to_down = %d, want 10 while the sink is down", got)
 	}
 	net.ApplyFault(fault.Event{Kind: fault.SinkRestore})
-	if got := net.TrackerPackets(); got != beforePackets {
-		t.Fatalf("restored tracker packets = %d, want %d", got, beforePackets)
-	}
+	folded(150)
 	if got := net.Verdict(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("restored verdict %+v != pre-crash %+v", got, before)
 	}
@@ -435,9 +441,7 @@ func TestSinkCrashRestorePreservesTracebackState(t *testing.T) {
 	if !v.Identified || v.Stop != n-1 || !v.SuspectsContain(n) {
 		t.Fatalf("post-restore verdict = %+v, want identified at V%d", v, n-1)
 	}
-	if got := net.TrackerPackets(); got != 300 {
-		t.Fatalf("tracker packets = %d, want 300", got)
-	}
+	folded(300)
 }
 
 // runPlannedChain drives a fixed traffic schedule with fault-plan events

@@ -111,10 +111,11 @@ type Network struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
-	// newVerifier builds one verifier chain (resolver + scheme verifier).
-	// The sink and every sink restore build their own instance through
-	// it — verifiers are single-goroutine.
-	newVerifier func() sink.Verifier
+	// sink is the tracker, verifier chain, crash checkpoint, delivered
+	// count and progress broadcast the sink goroutine folds through, the
+	// same host transport.Server runs its sink on. Verdict reads, the
+	// waits and sink crash/restore synchronize inside it.
+	sink *sink.Host
 
 	// injectRng draws the loss decision for injected packets' first radio
 	// hop. Node goroutines own private RNGs; injection can come from any
@@ -128,7 +129,6 @@ type Network struct {
 	stateMu  sync.RWMutex
 	nodes    map[packet.NodeID]*node.Node
 	nodeDown map[packet.NodeID]bool
-	sinkDown bool
 	routes   *topology.Network
 
 	// epochs is the append-only topology history shared with every
@@ -139,25 +139,19 @@ type Network struct {
 
 	// faultMu serializes fault application (fault.go) and guards the
 	// bookkeeping only faults touch: kill/done channels, incarnation
-	// counts, downed links, and the sink checkpoint.
+	// counts and downed links.
 	faultMu     sync.Mutex
 	nodeKill    map[packet.NodeID]chan struct{}
 	nodeDone    map[packet.NodeID]chan struct{}
 	incarnation map[packet.NodeID]int64
 	linksDown   map[packet.NodeID][][2]packet.NodeID
-	sinkKill    chan struct{}
-	sinkDone    chan struct{}
-	sinkCkpt    []byte
 
-	mu        sync.Mutex
-	tracker   *sink.Tracker // pnmlint:guarded-by mu
-	delivered int
-	injected  int
-	dropped   int
-	// deliveredCh is closed and replaced under mu on every delivery or
-	// accounted drop, so WaitDelivered and WaitSettled can block instead of
-	// polling.
-	deliveredCh chan struct{}
+	// mu guards the settledness ledger beside the sink's delivered
+	// count. Every accounted drop is followed by a sink.Publish, so
+	// WaitSettled parks on the sink's progress broadcast.
+	mu       sync.Mutex
+	injected int // pnmlint:guarded-by mu
+	dropped  int // pnmlint:guarded-by mu
 
 	// obs bindings; nil (no-op) unless cfg.Obs was set.
 	obsDelivered        *obs.Counter
@@ -202,40 +196,27 @@ func Start(cfg Config) (*Network, error) {
 	epochs := topology.NewEpochSet(cfg.Topo)
 	// Every sink incarnation — the first and each post-crash restore —
 	// builds its own verifier chain through this factory; only the
-	// KeyStore, the epoch set and obs counters are shared.
+	// KeyStore, the epoch set and obs counters are shared. Only the scheme
+	// can make it fail, so the check here covers every later call.
 	newVerifier := func() (sink.Verifier, error) {
 		r := sink.NewTopologyResolverEpochs(cfg.Keys, epochs)
-		v, err := sink.NewVerifier(cfg.Scheme, cfg.Keys, cfg.Topo.NumNodes(), r)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v, nil
+		return sink.NewVerifier(cfg.Scheme, cfg.Keys, cfg.Topo.NumNodes(), r)
 	}
-	verifier, err := newVerifier()
-	if err != nil {
+	if _, err := newVerifier(); err != nil {
 		return nil, err
-	}
-	// Build the guarded tracker before the Network value exists: once the
-	// &Network{} literal publishes it to the goroutines below, every touch
-	// of it must hold mu.
-	tracker := sink.NewTracker(verifier, cfg.Topo)
-	if cfg.Obs != nil {
-		tracker.Instrument(cfg.Obs)
 	}
 
 	n := &Network{
-		cfg:         cfg,
-		nodes:       make(map[packet.NodeID]*node.Node, cfg.Topo.NumNodes()),
-		inbox:       make(map[packet.NodeID]chan transmission, cfg.Topo.NumNodes()),
-		sinkCh:      make(chan transmission, cfg.QueueLen),
-		stop:        make(chan struct{}),
-		injectRng:   rand.New(rand.NewSource(cfg.Seed ^ injectSeedSalt)),
-		deliveredCh: make(chan struct{}),
+		cfg:       cfg,
+		nodes:     make(map[packet.NodeID]*node.Node, cfg.Topo.NumNodes()),
+		inbox:     make(map[packet.NodeID]chan transmission, cfg.Topo.NumNodes()),
+		sinkCh:    make(chan transmission, cfg.QueueLen),
+		stop:      make(chan struct{}),
+		injectRng: rand.New(rand.NewSource(cfg.Seed ^ injectSeedSalt)),
+		sink: sink.NewHost(func() sink.Verifier {
+			v, _ := newVerifier()
+			return v
+		}, cfg.Topo, cfg.Obs),
 		routes:      cfg.Topo,
 		epochs:      epochs,
 		nodeDown:    make(map[packet.NodeID]bool),
@@ -243,16 +224,6 @@ func Start(cfg Config) (*Network, error) {
 		nodeDone:    make(map[packet.NodeID]chan struct{}),
 		incarnation: make(map[packet.NodeID]int64),
 		linksDown:   make(map[packet.NodeID][][2]packet.NodeID),
-		tracker:     tracker,
-	}
-	// The construction above already validated the verifier chain, so the
-	// factory's error path is unreachable from here on.
-	n.newVerifier = func() sink.Verifier {
-		v, err := newVerifier()
-		if err != nil {
-			panic(fmt.Sprintf("netsim: verifier factory: %v", err))
-		}
-		return v
 	}
 	if cfg.Obs != nil {
 		n.obsDelivered = cfg.Obs.Counter("netsim.delivered")
@@ -271,7 +242,8 @@ func Start(cfg Config) (*Network, error) {
 	for _, id := range cfg.Topo.Nodes() {
 		n.spawnNode(id, n.nodes[id])
 	}
-	n.spawnSink()
+	n.wg.Add(1)
+	go n.runSink()
 	return n, nil
 }
 
@@ -304,17 +276,6 @@ func (n *Network) spawnNode(id packet.NodeID, stack *node.Node) {
 	go n.runNode(id, stack, inc, kill, done)
 }
 
-// spawnSink starts one incarnation of the sink goroutine. Callers hold
-// faultMu (or are Start).
-func (n *Network) spawnSink() {
-	kill := make(chan struct{})
-	done := make(chan struct{})
-	n.sinkKill = kill
-	n.sinkDone = done
-	n.wg.Add(1)
-	go n.runSink(kill, done)
-}
-
 // runNode is one forwarder's event loop: receive, run the stack, pass on.
 // kill ends this incarnation only (crash); stop ends the network.
 func (n *Network) runNode(id packet.NodeID, stack *node.Node, inc int64, kill, done chan struct{}) {
@@ -343,39 +304,29 @@ func (n *Network) runNode(id packet.NodeID, stack *node.Node, inc int64, kill, d
 	}
 }
 
-// runSink folds delivered packets into the tracker. kill ends this
-// incarnation only (sink crash); stop ends the network.
-func (n *Network) runSink(kill, done chan struct{}) {
+// runSink folds delivered packets through the sink host for the life of
+// the network. While the host is down (a sink crash) it still dequeues,
+// and every frame it dequeues dies with the crashed sink.
+func (n *Network) runSink() {
 	defer n.wg.Done()
-	defer close(done)
 	for {
 		select {
 		case <-n.stop:
 			return
-		case <-kill:
-			return
 		case tx := <-n.sinkCh:
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor.
-			if n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from) {
+			switch {
+			case n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from):
+				// The sink also refuses traffic handed over by a
+				// quarantined neighbor.
 				n.noteDrop(n.obsBlacklistRefused)
-				continue
+			case !n.sink.Fold(tx.msg, tx.epoch):
+				n.noteDrop(n.obsFault.sinkDropped)
+			default:
+				n.obsDelivered.Inc()
+				n.sink.Publish(1)
 			}
-			n.mu.Lock()
-			n.tracker.Observe(tx.msg, tx.epoch)
-			n.delivered++
-			n.obsDelivered.Inc()
-			n.broadcastLocked()
-			n.mu.Unlock()
 		}
 	}
-}
-
-// broadcastLocked wakes every goroutine parked on the progress channel.
-// Callers hold mu.
-func (n *Network) broadcastLocked() {
-	close(n.deliveredCh)
-	n.deliveredCh = make(chan struct{})
 }
 
 // noteDrop accounts one terminal packet drop: the reason counter, the
@@ -384,8 +335,8 @@ func (n *Network) noteDrop(c *obs.Counter) {
 	c.Inc()
 	n.mu.Lock()
 	n.dropped++
-	n.broadcastLocked()
 	n.mu.Unlock()
+	n.sink.Publish(0)
 }
 
 // routeOf returns id's current next hop toward the sink, honoring route
@@ -402,11 +353,11 @@ func (n *Network) routeOf(id packet.NodeID) (packet.NodeID, bool) {
 // hopDown reports whether the receiver of a transmission to hop is dead —
 // a crashed node, or the sink while it is down.
 func (n *Network) hopDown(hop packet.NodeID) bool {
+	if hop == packet.SinkID {
+		return n.sink.Down()
+	}
 	n.stateMu.RLock()
 	defer n.stateMu.RUnlock()
-	if hop == packet.SinkID {
-		return n.sinkDown
-	}
 	return n.nodeDown[hop]
 }
 
@@ -507,10 +458,8 @@ func (n *Network) deliver(tx transmission, hop packet.NodeID, abort <-chan struc
 // stack exactly as forwarders are charged in node.Handle. It is safe from
 // any goroutine.
 func (n *Network) Inject(src packet.NodeID, msg packet.Message) error {
-	select {
-	case <-n.stop:
+	if n.closed() {
 		return errClosed
-	default:
 	}
 	n.mu.Lock()
 	n.injected++
@@ -542,11 +491,7 @@ func (n *Network) Inject(src packet.NodeID, msg packet.Message) error {
 }
 
 // Delivered returns how many packets the sink has processed.
-func (n *Network) Delivered() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.delivered
-}
+func (n *Network) Delivered() int { return n.sink.Delivered() }
 
 // Dropped returns how many injected packets terminated without reaching
 // the sink: radio loss, queue-policy drops, fault drops, stack drops
@@ -557,21 +502,16 @@ func (n *Network) Dropped() int {
 	return n.dropped
 }
 
-// TrackerPackets returns how many packets the sink's tracker has folded.
-// It matches Delivered, across sink crashes too: the PNM2 checkpoint
-// carries the count through crash and restore.
-func (n *Network) TrackerPackets() int {
+// ledger returns the settled count — packets delivered or dropped with
+// an accounted reason — and the accepted injections.
+func (n *Network) ledger() (settled, injected int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.tracker.Packets()
+	return n.sink.Delivered() + n.dropped, n.injected
 }
 
 // Verdict returns the sink's current traceback conclusion.
-func (n *Network) Verdict() sink.Verdict {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.tracker.Verdict()
-}
+func (n *Network) Verdict() sink.Verdict { return n.sink.Verdict() }
 
 // NodeStats returns a node's forwarding counters. Call after Close for a
 // consistent snapshot, or accept approximate live values. A restarted
@@ -587,29 +527,20 @@ func (n *Network) NodeStats(id packet.NodeID) node.Stats {
 }
 
 // WaitDelivered blocks until the sink has processed at least want packets
-// or the timeout elapses. It parks on the progress channel the sink
-// goroutine broadcasts on, so waiting consumes no CPU; the only
-// wall-clock dependence is the timeout itself.
+// or the timeout elapses. It parks on the sink's progress broadcast, so
+// waiting consumes no CPU; the only wall-clock dependence is the timeout
+// itself.
 func (n *Network) WaitDelivered(want int, timeout time.Duration) error {
 	//pnmlint:allow wallclock real timeout while live goroutines deliver
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for {
-		n.mu.Lock()
-		got := n.delivered
-		ch := n.deliveredCh
-		n.mu.Unlock()
-		if got >= want {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return fmt.Errorf("netsim: delivered %d of %d before timeout", n.Delivered(), want)
-		case <-n.stop:
-			return fmt.Errorf("netsim: network closed after %d of %d deliveries", n.Delivered(), want)
-		}
+	if n.sink.Await(func(got int) bool { return got >= want }, timer.C, n.stop) {
+		return nil
 	}
+	if n.closed() {
+		return fmt.Errorf("netsim: network closed after %d of %d deliveries", n.Delivered(), want)
+	}
+	return fmt.Errorf("netsim: delivered %d of %d before timeout", n.Delivered(), want)
 }
 
 // WaitSettled blocks until every packet injected so far has terminated —
@@ -621,22 +552,27 @@ func (n *Network) WaitSettled(timeout time.Duration) error {
 	//pnmlint:allow wallclock real timeout while live goroutines settle
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for {
+	if n.sink.Await(func(delivered int) bool {
 		n.mu.Lock()
-		injected := n.injected
-		settled := n.delivered + n.dropped
-		ch := n.deliveredCh
-		n.mu.Unlock()
-		if settled >= injected {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return fmt.Errorf("netsim: %d of %d packets settled before timeout", settled, injected)
-		case <-n.stop:
-			return fmt.Errorf("netsim: network closed with %d of %d packets settled", settled, injected)
-		}
+		defer n.mu.Unlock()
+		return delivered+n.dropped >= n.injected
+	}, timer.C, n.stop) {
+		return nil
+	}
+	settled, injected := n.ledger()
+	if n.closed() {
+		return fmt.Errorf("netsim: network closed with %d of %d packets settled", settled, injected)
+	}
+	return fmt.Errorf("netsim: %d of %d packets settled before timeout", settled, injected)
+}
+
+// closed reports whether Close has begun.
+func (n *Network) closed() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -37,8 +37,9 @@ type Net struct {
 // marking at every legitimate hop and applying mole behaviour at
 // compromised hops. It returns the message as received by the sink and
 // whether it arrived at all. Legitimate stretches of the path use the
-// incremental encoder, so nested marking costs O(path) instead of
-// O(path²) bytes hashed.
+// incremental encoder, which appends each mark to one encoded prefix
+// instead of cloning and re-encoding the message at every hop; each
+// nested MAC still hashes the whole prefix, O(path²) bytes per path.
 func (n *Net) Deliver(src packet.NodeID, msg packet.Message, rng *rand.Rand) (packet.Message, bool) {
 	prev := src
 	inc := marking.Resume(msg)

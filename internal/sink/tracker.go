@@ -6,8 +6,10 @@
 // Every sink — the simulators', the transport server's, the benches' —
 // runs one execution path: verify each packet against the topology epoch
 // it arrived under, then fold the accepted chain into the order matrix.
-// Tracker.Observe(msg, epoch) does both; a caller that keeps a whole
-// batch's Results alive calls Verifier.Verify and Tracker.Fold instead.
+// Tracker.Observe(msg, epoch) does both, and so does Host.Fold for the
+// live hosts, with only the fold under its lock; a caller that keeps a
+// whole batch's Results alive calls Verifier.Verify and Tracker.Fold
+// instead.
 //
 // # Ownership
 //
@@ -19,6 +21,13 @@
 // Concurrent experiments get their parallelism run-level instead: each run
 // constructs its own tracker chain (see internal/parallel), which is also
 // what a real deployment does — one sink, one tracker, one goroutine.
+//
+// Host is the one synchronized type. It is how the live hosts (the
+// concurrent simulator and the transport server) share a sink between
+// the goroutine that folds and the goroutines that read verdicts, wait
+// for progress, or crash and restore the sink: the tracker sits behind
+// the host's mutex, and the verifier chain belongs to the folding
+// goroutine, which a Restore hands a fresh chain.
 package sink
 
 import (

@@ -178,22 +178,11 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // pnmlint:guarded-by connMu
 
-	// mu guards the sink state: the tracker (single-goroutine folds on
-	// the sink goroutine; verdict reads from anywhere synchronize here,
-	// the same discipline netsim.Network uses), the delivered count and
-	// the progress broadcast channel. Verification runs outside it (see
-	// fold), so a verdict read waits for at most one fold.
-	mu          sync.Mutex
-	tracker     *sink.Tracker // pnmlint:guarded-by mu
-	down        bool          // pnmlint:guarded-by mu
-	ckpt        []byte        // pnmlint:guarded-by mu
-	delivered   int           // pnmlint:guarded-by mu
-	deliveredCh chan struct{} // pnmlint:guarded-by mu
-
-	// verifier is the chain the tracker was built on. Only the sink
-	// goroutine touches it: fold verifies with it outside mu, and a
-	// chaos restore swaps in the one it hands RestoreTracker.
-	verifier sink.Verifier
+	// sink is the tracker, verifier chain, crash checkpoint and progress
+	// broadcast the sink goroutine folds through, the same host
+	// netsim.Network runs its sink on. Verdict and delivered reads
+	// synchronize inside it, from any goroutine.
+	sink *sink.Host
 
 	closeOnce sync.Once
 	drainOnce sync.Once
@@ -231,24 +220,14 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	// Build the guarded sink state before the Server value exists: once
-	// the &Server{} literal publishes it to the goroutines below, every
-	// touch of tracker must hold mu.
-	verifier := cfg.NewVerifier()
-	tracker := sink.NewTracker(verifier, cfg.Topo)
-	if cfg.Obs != nil {
-		tracker.Instrument(cfg.Obs)
-	}
 	s := &Server{
-		cfg:         cfg,
-		ln:          ln,
-		udp:         udp,
-		ingest:      make(chan item, cfg.QueueDepth),
-		stop:        make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
-		tracker:     tracker,
-		deliveredCh: make(chan struct{}),
-		verifier:    verifier,
+		cfg:    cfg,
+		ln:     ln,
+		udp:    udp,
+		ingest: make(chan item, cfg.QueueDepth),
+		stop:   make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
+		sink:   sink.NewHost(cfg.NewVerifier, cfg.Topo, cfg.Obs),
 	}
 	s.c.bind(cfg.Obs)
 	s.wg.Add(2)
@@ -302,37 +281,19 @@ func (s *Server) UDPAddr() net.Addr {
 	return s.udp.LocalAddr()
 }
 
-// acceptLoop admits TCP connections up to MaxConns. Accept errors while
-// the server is live are counted; temporary ones (EMFILE and friends)
-// back off exponentially instead of spinning hot, and a permanently dead
-// listener — closed under us, or failing non-temporarily — ends the loop
-// rather than burning a core retrying a socket that will never recover.
+// acceptLoop admits TCP connections up to MaxConns. Accept errors go
+// through retry: counted, backed off when temporary, and the end of the
+// loop when the listener is permanently dead.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	delay := time.Millisecond
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			s.c.acceptErrors.Inc()
-			if errors.Is(err, net.ErrClosed) {
-				return // listener gone for good
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Temporary() {
-				if !s.pause(delay) {
-					return
-				}
-				if delay *= 2; delay > time.Second {
-					delay = time.Second
-				}
+			if s.retry(err, s.c.acceptErrors, &delay) {
 				continue
 			}
-			return // non-temporary, non-close failure: the listener is lost
+			return
 		}
 		delay = time.Millisecond
 		if !s.admit(conn) {
@@ -346,14 +307,27 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// pause sleeps for d or until the server stops, reporting whether it is
-// still running — the accept/read loops' backoff primitive.
-func (s *Server) pause(d time.Duration) bool {
+// retry handles one failed accept or datagram read for its loop: it
+// counts err in errs and reports whether the loop should try again. A
+// stopping server, a closed socket and a non-temporary error end the
+// loop, since the socket will never recover. A temporary error (EMFILE
+// and friends) backs off for *delay, then doubles it up to 1 s, rather
+// than spinning hot.
+func (s *Server) retry(err error, errs *obs.Counter, delay *time.Duration) bool {
+	if s.stopping() {
+		return false
+	}
+	errs.Inc()
+	var ne net.Error
+	if errors.Is(err, net.ErrClosed) || !errors.As(err, &ne) || !ne.Temporary() {
+		return false
+	}
 	//pnmlint:allow wallclock socket-error backoff, never reaches verdicts
-	t := time.NewTimer(d)
+	t := time.NewTimer(*delay)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		*delay = min(*delay*2, time.Second)
 		return true
 	case <-s.stop:
 		return false
@@ -430,9 +404,8 @@ func (s *Server) readLoop(conn net.Conn) {
 }
 
 // udpLoop decodes datagrams — one frame each — into the ingest queue.
-// Every rejection is per-datagram and counted. Read errors follow the
-// same discipline as acceptLoop: counted, backed off when temporary,
-// loop exit when the socket is permanently gone.
+// Every rejection is per-datagram and counted; read errors go through
+// retry, as acceptLoop's do.
 func (s *Server) udpLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, s.cfg.Limits.MaxFrameBytes+FrameHeaderLen)
@@ -446,23 +419,7 @@ func (s *Server) udpLoop() {
 	for {
 		n, _, err := s.udp.ReadFrom(buf)
 		if err != nil {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			s.c.udpReadErrors.Inc()
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Temporary() {
-				if !s.pause(delay) {
-					return
-				}
-				if delay *= 2; delay > time.Second {
-					delay = time.Second
-				}
+			if s.retry(err, s.c.udpReadErrors, &delay) {
 				continue
 			}
 			return
@@ -596,27 +553,24 @@ func (s *Server) sinkLoop() {
 	}
 }
 
-// fold verifies and folds one batch, or drops it while the sink is down.
-// Each frame is verified outside mu, on the sink goroutine's own
-// verifier, and only its fold takes the lock: a Verdict or Delivered read
-// waits behind one fold, never behind a batch of MAC checks. The arena
-// holds one packet's chain at a time, as Tracker.Observe's does. The
+// fold runs one batch through the sink host, which verifies each frame
+// outside its lock and takes the lock once to fold it: a Verdict or
+// Delivered read waits behind one fold, never behind a batch of MAC
+// checks. While the sink is down the host drops every frame. The
 // delivered count and the progress broadcast are published once per
 // batch, after every frame in it is folded.
 func (s *Server) fold(batch []item) {
-	s.mu.Lock()
-	down := s.down
-	s.mu.Unlock()
-	if down {
-		s.c.droppedWhileDown.Add(uint64(len(batch)))
-		return
-	}
+	folded := 0
 	for i := range batch {
-		s.verifier.ResetVerifyScratch()
-		res := s.verifier.Verify(*batch[i].msg, batch[i].epoch)
-		s.mu.Lock()
-		s.tracker.Fold(res)
-		s.mu.Unlock()
+		if s.sink.Fold(*batch[i].msg, batch[i].epoch) {
+			folded++
+		}
+	}
+	if folded < len(batch) {
+		s.c.droppedWhileDown.Add(uint64(len(batch) - folded))
+	}
+	if folded == 0 {
+		return
 	}
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
@@ -629,59 +583,29 @@ func (s *Server) fold(batch []item) {
 	}
 	s.c.batches.Inc()
 	s.c.batchOccupancy.Observe(uint64(len(batch)))
-	s.c.delivered.Add(uint64(len(batch)))
-	s.mu.Lock()
-	s.delivered += len(batch)
-	close(s.deliveredCh)
-	s.deliveredCh = make(chan struct{})
-	s.mu.Unlock()
+	s.c.delivered.Add(uint64(folded))
+	s.sink.Publish(folded)
 }
 
 // applyChaos executes one sink event on the sink goroutine.
 func (s *Server) applyChaos(ev fault.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch ev.Kind {
 	case fault.SinkCrash:
-		if s.down {
-			return
+		if s.sink.Crash() {
+			s.c.chaosCrashes.Inc()
 		}
-		s.ckpt = s.tracker.Checkpoint()
-		s.down = true
-		s.c.chaosCrashes.Inc()
 	case fault.SinkRestore:
-		if !s.down {
-			return
+		if s.sink.Restore() {
+			s.c.chaosRestores.Inc()
 		}
-		v := s.cfg.NewVerifier()
-		tr, err := sink.RestoreTracker(s.ckpt, v, s.cfg.Topo)
-		if err != nil {
-			// A checkpoint we wrote ourselves must restore; treat failure
-			// as an unrecoverable bug, not a runtime condition.
-			panic(fmt.Sprintf("transport: chaos restore: %v", err))
-		}
-		s.tracker, s.verifier = tr, v
-		if s.cfg.Obs != nil {
-			s.tracker.Instrument(s.cfg.Obs)
-		}
-		s.down = false
-		s.c.chaosRestores.Inc()
 	}
 }
 
 // Delivered returns how many messages have been folded into the tracker.
-func (s *Server) Delivered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delivered
-}
+func (s *Server) Delivered() int { return s.sink.Delivered() }
 
 // Verdict returns the sink's current traceback conclusion.
-func (s *Server) Verdict() sink.Verdict {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracker.Verdict()
-}
+func (s *Server) Verdict() sink.Verdict { return s.sink.Verdict() }
 
 // WaitDelivered blocks until at least want messages have been folded or
 // the timeout elapses, parking on the sink's progress broadcast.
@@ -689,22 +613,13 @@ func (s *Server) WaitDelivered(want int, timeout time.Duration) error {
 	//pnmlint:allow wallclock real timeout while live goroutines deliver
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for {
-		s.mu.Lock()
-		got := s.delivered
-		ch := s.deliveredCh
-		s.mu.Unlock()
-		if got >= want {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return fmt.Errorf("transport: delivered %d of %d before timeout", s.Delivered(), want)
-		case <-s.stop:
-			return fmt.Errorf("transport: server closed after %d of %d deliveries", s.Delivered(), want)
-		}
+	if s.sink.Await(func(got int) bool { return got >= want }, timer.C, s.stop) {
+		return nil
 	}
+	if s.stopping() {
+		return fmt.Errorf("transport: server closed after %d of %d deliveries", s.Delivered(), want)
+	}
+	return fmt.Errorf("transport: delivered %d of %d before timeout", s.Delivered(), want)
 }
 
 // Close stops the listeners and every goroutine, then waits for them.

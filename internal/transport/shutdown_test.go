@@ -8,6 +8,7 @@ import (
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/queue"
+	"pnm/internal/sink"
 )
 
 // TestAcceptLoopExitsOnClosedListener pins the accept-loop bugfix: a
@@ -172,31 +173,34 @@ func TestDropOldestEnqueueReturnsAfterStop(t *testing.T) {
 //
 //	frames = delivered + policy drops + dropped while down + dropped on close
 //
-// The sink goroutine is wedged by holding mu (fold blocks on it), which
-// pins the interleaving: frame 1 is dequeued and folding, frame 2 sits
-// in the depth-1 queue, frame 3 is parked in a Block-policy enqueue.
+// The sink goroutine is wedged by a verifier parked in its first Verify,
+// which pins the interleaving: frame 1 is dequeued and folding, frame 2
+// sits in the depth-1 queue, frame 3 is parked in a Block-policy enqueue.
 // Close must deliver exactly 1 and account the other 2 as close drops.
 func TestDroppedOnCloseBalancesLedger(t *testing.T) {
 	sc := testScenario(t)
 	reg := obs.New()
+	// calls starts at 1, so the first Verify is the one that parks.
+	bv := &blockingVerifier{calls: 1, entered: make(chan struct{}), released: make(chan struct{})}
 	srv, err := Listen("127.0.0.1:0", "", Config{
-		NewVerifier: sc.NewVerifier,
-		Topo:        sc.Topo,
-		QueueDepth:  1,
-		Policy:      queue.Block,
-		Obs:         reg,
+		NewVerifier: func() sink.Verifier {
+			bv.Verifier = sc.NewVerifier()
+			return bv
+		},
+		Topo:       sc.Topo,
+		QueueDepth: 1,
+		Policy:     queue.Block,
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wedge the sink before anything arrives: the first fold blocks here.
-	srv.mu.Lock()
+	release := sync.OnceFunc(func() { close(bv.released) })
+	defer srv.Close()
+	defer release()
 
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
-		srv.mu.Unlock()
-		srv.Close()
 		t.Fatal(err)
 	}
 	for _, msg := range sc.Stream(3) {
@@ -208,27 +212,27 @@ func TestDroppedOnCloseBalancesLedger(t *testing.T) {
 
 	// frames counts before enqueue, and the read loop is sequential: once
 	// frame 3 is counted, frame 2's enqueue has returned (so frame 1 was
-	// dequeued and is folding against the held lock) and frame 3 is
+	// dequeued and is folding against the parked verifier) and frame 3 is
 	// blocked in enqueue against the full queue.
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.Counter("transport.frames").Value() < 3 {
 		if time.Now().After(deadline) {
-			srv.mu.Unlock()
 			t.Fatalf("only %d of 3 frames read", reg.Counter("transport.frames").Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Close stop while still holding mu, so the sink goroutine's first
-	// act after the in-flight fold completes is the shutdown check — it
-	// must leave frame 2 for the close-time drain, not fold it.
+	// Close stop while the verifier is still parked, so the sink
+	// goroutine's first act after the in-flight fold completes is the
+	// shutdown check — it must leave frame 2 for the close-time drain,
+	// not fold it.
 	closed := make(chan struct{})
 	go func() {
 		srv.Close()
 		close(closed)
 	}()
 	<-srv.stop
-	srv.mu.Unlock()
+	release()
 	<-closed
 
 	frames := reg.Counter("transport.frames").Value()
