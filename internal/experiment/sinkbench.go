@@ -434,17 +434,9 @@ func (g *keyedGen) next(n int) []packet.Message {
 	return batch
 }
 
-// benchSink is one sink configuration under the row runner: a tracker
-// over an instrumented verifier chain.
-type benchSink struct {
-	tracker *sink.Tracker
-	v       sink.Verifier
-	results []sink.Result
-}
-
-// newSink builds a sink over st with the named resolver, its whole chain
-// instrumented into reg.
-func (st *benchStream) newSink(resolver string, reg *obs.Registry) *benchSink {
+// newSink builds the row runner's sink over st: a tracker over a verifier
+// chain with the named resolver, the whole chain instrumented into reg.
+func (st *benchStream) newSink(resolver string, reg *obs.Registry) *sink.Tracker {
 	var r sink.Resolver
 	switch resolver {
 	case "exhaustive-single":
@@ -458,23 +450,18 @@ func (st *benchStream) newSink(resolver string, reg *obs.Registry) *benchSink {
 	}
 	tracker := sink.NewTracker(v, st.topo)
 	tracker.Instrument(reg) // binds the verifier and resolver too
-	return &benchSink{tracker: tracker, v: v, results: make([]sink.Result, 0, st.batchLen)}
+	return tracker
 }
 
-// observe verifies and folds a batch and returns its Results, valid
-// until the next call. It resets the chain arena once per batch, then
-// verifies and folds per packet: the caller reads the whole batch's
-// Results together, which a per-packet Tracker.Observe would recycle
-// under it.
-func (b *benchSink) observe(batch []packet.Message) []sink.Result {
-	b.results = b.results[:0]
-	b.tracker.ResetVerifyScratch()
+// observe verifies and folds a batch, streaming each packet's Result
+// into digest (when non-nil) before the next Verify recycles its Chain.
+func observe(tracker *sink.Tracker, batch []packet.Message, digest hash.Hash) {
 	for _, m := range batch {
-		res := b.v.Verify(m, 0)
-		b.tracker.Fold(res)
-		b.results = append(b.results, res)
+		res := tracker.Observe(m, 0)
+		if digest != nil {
+			fmt.Fprintf(digest, "%v|%v;", res.Stopped, res.Chain)
+		}
 	}
-	return b.results
 }
 
 // runSinkRow measures one row. Pass 1 folds the full stream untimed,
@@ -489,17 +476,17 @@ func runSinkRow(st *benchStream, resolver string) (SinkBenchRow, error) {
 	st.src.reset()
 	for fed := 0; fed < st.packets; {
 		batch := st.src.next(min(st.batchLen, st.packets-fed))
-		hashResults(digest, s.observe(batch))
+		observe(s, batch, digest)
 		fed += len(batch)
 	}
-	if got := s.tracker.Packets(); got != st.packets {
+	if got := s.Packets(); got != st.packets {
 		return SinkBenchRow{}, fmt.Errorf("experiment: %s %s folded %d of %d packets",
 			st.name, resolver, got, st.packets)
 	}
 	row := SinkBenchRow{
 		Stream: st.name, Resolver: resolver,
 		Packets:     st.packets,
-		VerdictHash: finishHash(digest, s.tracker.Verdict()),
+		VerdictHash: finishHash(digest, s.Verdict()),
 		Counters:    reg.Map(),
 	}
 
@@ -512,13 +499,13 @@ func runSinkRow(st *benchStream, resolver string) (SinkBenchRow, error) {
 	var mallocs, bytes uint64
 	var m0, m1 runtime.MemStats
 	measured := 0
-	s.observe(st.src.next(st.batchLen))
+	observe(s, st.src.next(st.batchLen), nil)
 	for fed := st.batchLen; fed < st.packets; {
 		batch := st.src.next(min(st.batchLen, st.packets-fed))
 		runtime.ReadMemStats(&m0)
 		//pnmlint:allow wallclock macro-benchmark reports real fold latency
 		start := time.Now()
-		s.observe(batch)
+		observe(s, batch, nil)
 		//pnmlint:allow wallclock macro-benchmark reports real fold latency
 		spent += time.Since(start)
 		runtime.ReadMemStats(&m1)
@@ -531,14 +518,6 @@ func runSinkRow(st *benchStream, resolver string) (SinkBenchRow, error) {
 	row.BytesPerPacket = float64(bytes) / float64(measured)
 	row.AllocsPerPacket = float64(mallocs) / float64(measured)
 	return row, nil
-}
-
-// hashResults streams a batch of Results into a row digest, in stream
-// order.
-func hashResults(h hash.Hash, results []sink.Result) {
-	for _, res := range results {
-		fmt.Fprintf(h, "%v|%v;", res.Stopped, res.Chain)
-	}
 }
 
 // finishHash closes a row digest with the final verdict.

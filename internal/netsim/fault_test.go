@@ -16,6 +16,7 @@ import (
 	"pnm/internal/node"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
+	"pnm/internal/queue"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
 )
@@ -113,7 +114,7 @@ func TestQueuePolicyDropNewest(t *testing.T) {
 		Scheme:      marking.Nested{},
 		Seed:        22,
 		QueueLen:    1,
-		QueuePolicy: QueueDropNewest,
+		QueuePolicy: queue.DropNewest,
 		Blacklisted: blacklisted,
 		Obs:         reg,
 	})
@@ -150,7 +151,7 @@ func TestQueuePolicyDropOldest(t *testing.T) {
 		Scheme:      marking.Nested{},
 		Seed:        23,
 		QueueLen:    1,
-		QueuePolicy: QueueDropOldest,
+		QueuePolicy: queue.DropOldest,
 		Blacklisted: blacklisted,
 		Obs:         reg,
 	})
@@ -527,7 +528,7 @@ func TestChaosUnderFaults(t *testing.T) {
 		Seed:        52,
 		LossProb:    0.05,
 		QueueLen:    4,
-		QueuePolicy: QueueDropOldest,
+		QueuePolicy: queue.DropOldest,
 		Obs:         reg,
 	})
 	if err != nil {

@@ -33,23 +33,6 @@ import (
 	"pnm/internal/topology"
 )
 
-// QueuePolicy selects what a transmission does when the receiver's inbox
-// is full. It is the shared queue.Policy vocabulary, so simulator configs
-// and the live transport server (internal/transport) speak the same
-// backpressure language.
-type QueuePolicy = queue.Policy
-
-// The queue-overflow policies, re-exported under their historical names.
-const (
-	// QueueBlock counts the stall, then blocks until the receiver drains —
-	// lossless backpressure, the historical behavior.
-	QueueBlock = queue.Block
-	// QueueDropNewest discards the arriving frame (tail drop).
-	QueueDropNewest = queue.DropNewest
-	// QueueDropOldest evicts the oldest queued frame to admit the new one.
-	QueueDropOldest = queue.DropOldest
-)
-
 // Config describes a live network.
 type Config struct {
 	// Topo is the routing substrate.
@@ -71,7 +54,7 @@ type Config struct {
 	// QueuePolicy selects the overflow behaviour of full inboxes: lossless
 	// blocking backpressure (the default) or graceful degradation by
 	// dropping the newest or oldest frame.
-	QueuePolicy QueuePolicy
+	QueuePolicy queue.Policy
 
 	// SuppressorCapacity arms per-node duplicate suppression when
 	// positive.
@@ -370,8 +353,9 @@ const (
 	// droppedAccounted: a policy or fault discarded the frame and the drop
 	// was counted.
 	droppedAccounted
-	// abortedStop: the network stopped while a blocking enqueue waited;
-	// the frame is unaccounted because nothing will settle anymore.
+	// abortedStop: the network stopped while a blocking or evicting
+	// enqueue waited; the frame is unaccounted because nothing will settle
+	// anymore.
 	abortedStop
 )
 
@@ -392,9 +376,9 @@ func (n *Network) send(from packet.NodeID, msg packet.Message, rng *rand.Rand, a
 }
 
 // deliver enqueues tx on hop's inbox (or the sink channel), applying the
-// receiver-down check and the configured queue-overflow policy. The inject
-// path and the forwarding path share this, so their backpressure
-// accounting is identical by construction.
+// receiver-down check and, through queue.Offer, the configured
+// queue-overflow policy. The inject path and the forwarding path share
+// this, so their backpressure accounting is identical by construction.
 func (n *Network) deliver(tx transmission, hop packet.NodeID, abort <-chan struct{}) deliverResult {
 	if n.hopDown(hop) {
 		n.noteDrop(n.obsFault.droppedToDown)
@@ -410,45 +394,22 @@ func (n *Network) deliver(tx transmission, hop packet.NodeID, abort <-chan struc
 	} else {
 		ch = n.inbox[hop]
 	}
-	select {
-	case ch <- tx:
+	switch queue.Offer(ch, tx, n.cfg.QueuePolicy, n.stop, abort, n.obsQueueFullBlocks.Inc, n.evict) {
+	case queue.Admitted:
 		return queued
-	default:
-	}
-	switch n.cfg.QueuePolicy {
-	case QueueDropNewest:
+	case queue.Refused:
 		n.noteDrop(n.obsQueueDropNewest)
 		return droppedAccounted
-	case QueueDropOldest:
-		for {
-			select {
-			case <-ch:
-				n.noteDrop(n.obsQueueDropOldest)
-			default:
-				// The receiver drained it first; either way there is room
-				// now — unless another sender raced in, then evict again.
-			}
-			select {
-			case ch <- tx:
-				return queued
-			default:
-			}
-		}
-	default: // QueueBlock
-		// Receiver's queue is full: count the stall, then block.
-		n.obsQueueFullBlocks.Inc()
-		select {
-		case ch <- tx:
-			return queued
-		case <-n.stop:
-			return abortedStop
-		case <-abort:
-			// The sender crashed mid-transmit; the frame dies with it.
-			n.noteDrop(n.obsFault.sendAborted)
-			return droppedAccounted
-		}
+	case queue.Aborted:
+		// The sender crashed mid-transmit; the frame dies with it.
+		n.noteDrop(n.obsFault.sendAborted)
+		return droppedAccounted
 	}
+	return abortedStop
 }
+
+// evict accounts a frame DropOldest pushed out of a full inbox.
+func (n *Network) evict(transmission) { n.noteDrop(n.obsQueueDropOldest) }
 
 // Inject transmits msg from src toward the sink. The source's own radio
 // hop is as lossy as any other link: the loss decision draws from a

@@ -69,7 +69,6 @@ func (h *Host) Fold(msg packet.Message, epoch topology.EpochVersion) bool {
 	if tr == nil {
 		return false
 	}
-	tr.verifier.ResetVerifyScratch()
 	res := tr.verifier.Verify(msg, epoch)
 	h.mu.Lock()
 	folded := h.live.Load() == tr

@@ -95,20 +95,17 @@ func (t *Tracker) Instrument(reg *obs.Registry) {
 // Observe verifies one received packet against the topology epoch it
 // arrived under (0 for the base topology) and folds it into the route
 // reconstruction. It returns the packet's verification result, whose
-// Chain is valid until the next Observe: the verifier's chain arena is
-// recycled per packet here. Callers that need a whole batch's Results
-// alive together call ResetVerifyScratch once per batch, then the
-// verifier's Verify and Fold per packet.
+// Chain is valid until the next Verify on the tracker's verifier.
 func (t *Tracker) Observe(msg packet.Message, epoch topology.EpochVersion) Result {
-	t.verifier.ResetVerifyScratch()
 	res := t.verifier.Verify(msg, epoch)
 	t.Fold(res)
 	return res
 }
 
-// ResetVerifyScratch recycles the verifier's chain arena, invalidating
-// the Results returned since the previous reset.
-func (t *Tracker) ResetVerifyScratch() { t.verifier.ResetVerifyScratch() }
+// ResetVerifyScratch does nothing: every Verify recycles the verifier's
+// chain arena itself. It stays only for the bench module's replay, which
+// still calls it before each Verify.
+func (t *Tracker) ResetVerifyScratch() {}
 
 // Fold records an already-verified result into the route reconstruction,
 // in the order the caller verified the packets.
@@ -182,7 +179,6 @@ func (t *Tracker) suspects(stop packet.NodeID) []packet.NodeID {
 // TraceSinglePacket runs the basic nested-marking traceback of §4.1 on one
 // packet: verify backwards, stop at the last valid MAC.
 func TraceSinglePacket(verifier Verifier, topo *topology.Network, msg packet.Message) Verdict {
-	verifier.ResetVerifyScratch()
 	res := verifier.Verify(msg, 0)
 	var v Verdict
 	if len(res.Chain) == 0 {

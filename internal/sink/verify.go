@@ -26,13 +26,9 @@ type Result struct {
 // Verifier turns a received message into the marker chain the sink accepts.
 //
 // A Result's Chain may alias an arena inside the verifier instead of
-// being allocated per packet. ResetVerifyScratch recycles that arena —
-// and invalidates the Chain slices of every Result the verifier returned
-// since the previous reset, so it must only happen at a point where those
-// Results are dead. Tracker.Observe resets before each packet (its Result
-// is valid until the next Observe); a caller that needs a whole batch's
-// Results alive together resets once per batch, then calls Verify and
-// Tracker.Fold per packet.
+// being allocated per packet. Verify recycles that arena on entry, so a
+// Result's Chain is valid until the next Verify on the same verifier; a
+// caller that needs a Result longer copies its Chain.
 type Verifier interface {
 	// Name identifies the verifier.
 	Name() string
@@ -41,8 +37,6 @@ type Verifier interface {
 	// stamped at packet arrival; 0 is the base topology). Only anonymous
 	// nested marks under a topology-restricted resolver depend on it.
 	Verify(msg packet.Message, epoch topology.EpochVersion) Result
-	// ResetVerifyScratch recycles the verifier's chain arena.
-	ResetVerifyScratch()
 }
 
 // VerifyAtEpoch is v.Verify(msg, epoch).
@@ -57,16 +51,15 @@ type Instrumentable interface {
 	Instrument(reg *obs.Registry)
 }
 
-// chainRegion clips the arena region appended since start into a
-// standalone-looking slice: the capacity stops at the region's end, so a
-// caller append cannot write into the arena, and later arena appends
-// land beyond it. An empty region yields nil, matching what chain-
-// collecting code built before the arena existed.
-func chainRegion(arena []packet.NodeID, start int) []packet.NodeID {
-	if start == len(arena) {
+// chainOf clips the chain arena into a standalone-looking slice: the
+// capacity stops at the arena's end, so a caller append cannot write into
+// the arena. An empty arena yields nil, matching what chain-collecting
+// code built before the arena existed.
+func chainOf(arena []packet.NodeID) []packet.NodeID {
+	if len(arena) == 0 {
 		return nil
 	}
-	return arena[start:len(arena):len(arena)]
+	return arena[:len(arena):len(arena)]
 }
 
 // NewVerifier returns the verifier matching a marking scheme. numNodes
@@ -130,8 +123,8 @@ type NestedVerifier struct {
 	off    []int
 	suffix [packet.AnonIDLen]byte
 
-	// chains is the Result.Chain arena: Verify appends each packet's
-	// accepted ids here and returns a capacity-clipped region, so the
+	// chains is the Result.Chain arena: Verify recycles it, appends the
+	// packet's accepted ids and returns it capacity-clipped, so the
 	// steady-state verify path allocates nothing per packet. See
 	// Verifier for the recycling contract.
 	chains []packet.NodeID
@@ -197,14 +190,10 @@ func (v *NestedVerifier) Instrument(reg *obs.Registry) {
 	}
 }
 
-// ResetVerifyScratch implements Verifier: it recycles the chain arena,
-// invalidating every Result returned since the previous reset.
-func (v *NestedVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
-
 // Verify implements Verifier: marks resolve against the routing tree of
 // the packet's arrival epoch, so honest chains survive route churn
 // between injection and verification. The Result's Chain aliases the
-// verifier's arena: it stays valid until ResetVerifyScratch.
+// verifier's arena: it stays valid until the next Verify.
 //
 // The packet is encoded once up front; every MAC check, including each
 // anonymous-ID candidate's, hashes a prefix of that encoding plus a short
@@ -226,29 +215,29 @@ func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion)
 		v.enc = mk.Encode(v.enc)
 	}
 	v.singles = 0
-	start := len(v.chains)
+	v.chains = v.chains[:0]
 	prev := packet.SinkID
 	havePrev := false
 	for k := len(msg.Marks) - 1; k >= 0; k-- {
 		id, ok := v.verifyMark(msg, k, prev, havePrev)
 		if !ok {
 			v.stops.Inc()
-			v.publish(start)
-			return Result{Chain: reverse(chainRegion(v.chains, start)), Stopped: true}
+			v.publish()
+			return Result{Chain: reverse(chainOf(v.chains)), Stopped: true}
 		}
 		v.chains = append(v.chains, id)
 		prev, havePrev = id, true
 	}
-	v.publish(start)
-	return Result{Chain: reverse(chainRegion(v.chains, start))}
+	v.publish()
+	return Result{Chain: reverse(chainOf(v.chains))}
 }
 
 // publish adds the current packet's locally tallied counts to the shared
-// metrics: the marks accepted since the chain arena stood at start, the
-// single-candidate anonymous marks, and the hasher's schedule hits.
+// metrics: the marks accepted into the chain arena, the single-candidate
+// anonymous marks, and the hasher's schedule hits.
 // pnmlint:noalloc
-func (v *NestedVerifier) publish(start int) {
-	if n := len(v.chains) - start; n > 0 {
+func (v *NestedVerifier) publish() {
+	if n := len(v.chains); n > 0 {
 		v.marksVerified.Add(uint64(n))
 	}
 	if v.singles > 0 {
@@ -336,9 +325,6 @@ type AMSVerifier struct {
 // Name implements Verifier.
 func (v *AMSVerifier) Name() string { return "ams" }
 
-// ResetVerifyScratch implements Verifier; see NestedVerifier.
-func (v *AMSVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
-
 // Instrument binds the verifier's metrics into reg, so pnmsim -stats and
 // the netsim registry cover the AMS baseline like the nested schemes.
 func (v *AMSVerifier) Instrument(reg *obs.Registry) {
@@ -352,7 +338,7 @@ func (v *AMSVerifier) Instrument(reg *obs.Registry) {
 
 // Verify implements Verifier. AMS marks carry plaintext IDs, so the
 // epoch is ignored. The Result's Chain aliases the verifier's arena: it
-// stays valid until ResetVerifyScratch.
+// stays valid until the next Verify.
 // pnmlint:noalloc
 func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result {
 	v.packets.Inc()
@@ -360,7 +346,7 @@ func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result
 		// One-time hasher construction, kept out of the noalloc loop.
 		v.ensureHasher()
 	}
-	start := len(v.chains)
+	v.chains = v.chains[:0]
 	for _, mk := range msg.Marks {
 		if mk.Anonymous || mk.ID == packet.SinkID || int(mk.ID) > v.numNodes {
 			continue
@@ -373,7 +359,7 @@ func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result
 		}
 	}
 	v.hasher.Publish()
-	return Result{Chain: chainRegion(v.chains, start)}
+	return Result{Chain: chainOf(v.chains)}
 }
 
 // ensureHasher lazily builds the per-verifier hasher, hoisted out of
@@ -398,9 +384,6 @@ type PPMVerifier struct {
 // Name implements Verifier.
 func (v *PPMVerifier) Name() string { return "ppm" }
 
-// ResetVerifyScratch implements Verifier; see NestedVerifier.
-func (v *PPMVerifier) ResetVerifyScratch() { v.chains = v.chains[:0] }
-
 // Instrument binds the verifier's metrics into reg. PPM checks no MACs,
 // so marks_verified counts marks accepted at face value.
 func (v *PPMVerifier) Instrument(reg *obs.Registry) {
@@ -410,11 +393,11 @@ func (v *PPMVerifier) Instrument(reg *obs.Registry) {
 
 // Verify implements Verifier. Face-value marks resolve nothing against
 // the topology, so the epoch is ignored. The Result's Chain aliases the
-// verifier's arena: it stays valid until ResetVerifyScratch.
+// verifier's arena: it stays valid until the next Verify.
 // pnmlint:noalloc
 func (v *PPMVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result {
 	v.packets.Inc()
-	start := len(v.chains)
+	v.chains = v.chains[:0]
 	for _, mk := range msg.Marks {
 		if mk.Anonymous || mk.ID == packet.SinkID || int(mk.ID) > v.numNodes {
 			continue
@@ -422,7 +405,7 @@ func (v *PPMVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result
 		v.marksVerified.Inc()
 		v.chains = append(v.chains, mk.ID)
 	}
-	return Result{Chain: chainRegion(v.chains, start)}
+	return Result{Chain: chainOf(v.chains)}
 }
 
 // reverse flips a chain collected back-to-front into forwarding order.

@@ -439,11 +439,11 @@ func (s *Server) udpLoop() {
 	}
 }
 
-// enqueue applies the configured overflow policy to a full ingest queue.
-// It returns false only when the server is stopping. Ownership: a true
-// return means the queue took msg (or, under DropNewest, enqueue already
-// released it); a false return means enqueue released it. Either way the
-// caller must not touch msg again.
+// enqueue hands msg to the ingest queue through queue.Offer under the
+// configured overflow policy. It returns false only when the server is
+// stopping. Ownership: a true return means the queue took msg (or, under
+// DropNewest, enqueue already released it); a false return means enqueue
+// released it. Either way the caller must not touch msg again.
 func (s *Server) enqueue(msg *packet.Message) bool {
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	it := item{msg: msg, at: time.Now().UnixNano()}
@@ -452,58 +452,23 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 		// twin of netsim's arrival stamp.
 		it.epoch = s.cfg.Epochs.Current().Version
 	}
-	select {
-	case s.ingest <- it:
-		return true
-	default:
-	}
-	switch s.cfg.Policy {
-	case queue.DropNewest:
+	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, s.c.queueFullBlocks.Inc, s.evict) {
+	case queue.Refused:
 		s.c.queueDropNewest.Inc()
 		s.putMsg(msg)
-		return true
-	case queue.DropOldest:
-		for {
-			// Shutdown wins over eviction: a stopped sink never drains the
-			// queue, so without this exit racing readers spin unboundedly
-			// against each other here during Close. The undelivered frame
-			// joins the close-time drop ledger.
-			select {
-			case <-s.stop:
-				s.c.droppedOnClose.Inc()
-				s.putMsg(msg)
-				return false
-			default:
-			}
-			select {
-			case old := <-s.ingest:
-				s.c.queueDropOldest.Inc()
-				s.putMsg(old.msg)
-			default:
-				// The sink drained it first; either way there is room now —
-				// unless another reader raced in, then evict again.
-			}
-			select {
-			case s.ingest <- it:
-				return true
-			case <-s.stop:
-				s.c.droppedOnClose.Inc()
-				s.putMsg(msg)
-				return false
-			default:
-			}
-		}
-	default: // queue.Block
-		s.c.queueFullBlocks.Inc()
-		select {
-		case s.ingest <- it:
-			return true
-		case <-s.stop:
-			s.c.droppedOnClose.Inc()
-			s.putMsg(msg)
-			return false
-		}
+	case queue.Stopped:
+		// The undelivered frame joins the close-time drop ledger.
+		s.c.droppedOnClose.Inc()
+		s.putMsg(msg)
+		return false
 	}
+	return true
+}
+
+// evict releases a frame DropOldest pushed out of the ingest queue.
+func (s *Server) evict(old item) {
+	s.c.queueDropOldest.Inc()
+	s.putMsg(old.msg)
 }
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one

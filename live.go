@@ -3,6 +3,7 @@ package pnm
 import (
 	"pnm/internal/fault"
 	"pnm/internal/netsim"
+	"pnm/internal/queue"
 )
 
 // Live (concurrent) network simulation: one goroutine per node, channels
@@ -23,7 +24,7 @@ type (
 	// FaultPlanConfig parameterizes GenerateFaultPlan.
 	FaultPlanConfig = fault.PlanConfig
 	// LiveQueuePolicy selects a live network's inbox overflow behaviour.
-	LiveQueuePolicy = netsim.QueuePolicy
+	LiveQueuePolicy = queue.Policy
 )
 
 // The fault kinds a FaultPlan can schedule.
@@ -38,9 +39,9 @@ const (
 
 // The inbox overflow policies.
 const (
-	LiveQueueBlock      = netsim.QueueBlock
-	LiveQueueDropNewest = netsim.QueueDropNewest
-	LiveQueueDropOldest = netsim.QueueDropOldest
+	LiveQueueBlock      = queue.Block
+	LiveQueueDropNewest = queue.DropNewest
+	LiveQueueDropOldest = queue.DropOldest
 )
 
 // GenerateFaultPlan builds a seeded, reproducible fault plan for topo.
