@@ -102,6 +102,11 @@ type MacBenchResult struct {
 	ColdAnonAllocs  float64 `json:"cold_anon_allocs_per_op"`
 	SchedAnonAllocs float64 `json:"sched_anon_allocs_per_op"`
 	AnonSpeedup     float64 `json:"anon_speedup"`
+	// ColdSchedule rows measure one cold Hasher.Schedule miss per op —
+	// a key derivation and a core build, a sink's start-up unit — over
+	// fresh stores of Iters nodes.
+	ColdScheduleNs     float64 `json:"cold_schedule_ns_per_op"`
+	ColdScheduleAllocs float64 `json:"cold_schedule_allocs_per_op"`
 }
 
 // SinkBenchRow is one sink configuration's measurement over one stream.
@@ -217,7 +222,7 @@ func checkSinkRows(rows []SinkBenchRow) error {
 const macRounds = 5
 
 // macBench times the cold one-shot path against the precomputed schedule
-// on both MAC shapes the sink computes.
+// on both MAC shapes the sink computes, and a schedule's cold miss.
 func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 	const id = packet.NodeID(7)
 	k := keys.Key(id)
@@ -245,16 +250,30 @@ func macBench(keys *mac.KeyStore, iters int) MacBenchResult {
 		}
 		return best
 	}
+	// coldMiss is one cold Hasher.Schedule: every iters calls it starts
+	// over on a fresh store, so each call misses in the Hasher and in the
+	// store alike.
+	var cold *mac.Hasher
+	next := 0
+	coldMiss := func() {
+		if next%iters == 0 {
+			cold = mac.NewKeyStore([]byte("sinkbench cold")).Hasher()
+		}
+		cold.Schedule(packet.NodeID(next % iters))
+		next++
+	}
 	r := MacBenchResult{
-		Iters:           iters,
-		ColdSumNs:       timeOp(func() { mac.Sum(k, data) }),
-		SchedSumNs:      timeOp(func() { sched.Sum(data, nil) }),
-		ColdSumAllocs:   testing.AllocsPerRun(iters, func() { mac.Sum(k, data) }),
-		SchedSumAllocs:  testing.AllocsPerRun(iters, func() { sched.Sum(data, nil) }),
-		ColdAnonNs:      timeOp(func() { mac.AnonID(k, report, id) }),
-		SchedAnonNs:     timeOp(func() { sched.AnonID(report, id) }),
-		ColdAnonAllocs:  testing.AllocsPerRun(iters, func() { mac.AnonID(k, report, id) }),
-		SchedAnonAllocs: testing.AllocsPerRun(iters, func() { sched.AnonID(report, id) }),
+		Iters:              iters,
+		ColdSumNs:          timeOp(func() { mac.Sum(k, data) }),
+		SchedSumNs:         timeOp(func() { sched.Sum(data, nil) }),
+		ColdSumAllocs:      testing.AllocsPerRun(iters, func() { mac.Sum(k, data) }),
+		SchedSumAllocs:     testing.AllocsPerRun(iters, func() { sched.Sum(data, nil) }),
+		ColdAnonNs:         timeOp(func() { mac.AnonID(k, report, id) }),
+		SchedAnonNs:        timeOp(func() { sched.AnonID(report, id) }),
+		ColdAnonAllocs:     testing.AllocsPerRun(iters, func() { mac.AnonID(k, report, id) }),
+		SchedAnonAllocs:    testing.AllocsPerRun(iters, func() { sched.AnonID(report, id) }),
+		ColdScheduleNs:     timeOp(coldMiss),
+		ColdScheduleAllocs: testing.AllocsPerRun(iters, coldMiss),
 	}
 	if r.SchedSumNs > 0 {
 		r.SumSpeedup = r.ColdSumNs / r.SchedSumNs

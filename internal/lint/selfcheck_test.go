@@ -164,6 +164,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",
 		"pnm/internal/mac.Hasher.Publish",
+		"pnm/internal/mac.KeyStore.derive",
 		"pnm/internal/marking.NestedMACAnonSched",
 		"pnm/internal/marking.AMSMACSched",
 		"pnm/internal/sink.NestedVerifier.verifyMark",

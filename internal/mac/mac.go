@@ -9,7 +9,6 @@
 package mac
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -123,10 +122,21 @@ func Equal(a, b [packet.MACLen]byte) bool {
 // KeyStore derives and caches the per-node keys the sink maintains in its
 // lookup table. It is safe for concurrent use (the netsim sink and nodes
 // share one store).
+//
+// Node id's key is the first KeyLen bytes of HMAC-SHA256 under the
+// SHA-256 of the master secret, over "key/" ‖ be16(id). The store keeps
+// HMAC's two pad states instead of the master (RFC 2104 §4), so a
+// derivation is two compressions on a caller's scratch.
 type KeyStore struct {
-	master [32]byte
+	// ipad and opad are the SHA-256 chaining values after the master
+	// key's ipad and opad blocks, set by NewKeyStore and never written
+	// again, so derive reads them without the lock.
+	ipad, opad [8]uint32
 
 	mu sync.RWMutex
+	// sc is the scratch Key derives on, made on Key's first miss: a
+	// sink-side store derives on its Hashers' scratch and never makes one.
+	sc *scratch // pnmlint:guarded-by mu
 	// keys caches the keys Key hands out (the node side, tests), indexed
 	// by NodeID and grown in steps of 64 like cores: 17 bytes a node. A
 	// schedule core absorbs a key it derives itself, so a sink-side store
@@ -136,8 +146,9 @@ type KeyStore struct {
 	// cores caches the immutable key-absorbed halves of the per-node key
 	// schedules (64 bytes each), indexed by NodeID and shared across every
 	// Hasher over this store: N workers warming up on the same node pay
-	// the two key-block compressions once, not N times. A core never
-	// changes once built, so the cache is never invalidated.
+	// the key derivation and the two key-block compressions once, not N
+	// times. A core never changes once built, so the cache is never
+	// invalidated.
 	cores      []*schedCore // pnmlint:guarded-by mu
 	coreBuilds uint64       // pnmlint:guarded-by mu
 }
@@ -151,7 +162,22 @@ type keySlot struct {
 // NewKeyStore returns a store whose keys are derived from the given master
 // secret. Two stores built from the same secret agree on every key.
 func NewKeyStore(master []byte) *KeyStore {
-	return &KeyStore{master: sha256.Sum256(master)}
+	ks := new(KeyStore)
+	sc := newScratch()
+	key := sha256.Sum256(master)
+	block := sc.tail[:blockSize]
+	for _, pad := range []struct {
+		chain *[8]uint32
+		b     byte
+	}{{&ks.ipad, 0x36}, {&ks.opad, 0x5c}} {
+		for i := range block {
+			block[i] = pad.b
+		}
+		subtle.XORBytes(block, block, key[:])
+		sc.absorbKeyBlock(pad.chain, block)
+	}
+	clear(block)
+	return ks
 }
 
 // Key returns node id's symmetric key.
@@ -169,7 +195,7 @@ func (ks *KeyStore) Key(id packet.NodeID) Key {
 	// Re-check under the write lock: between RUnlock and Lock another
 	// goroutine may have derived this key, and with run-parallel
 	// experiments hammering a shared store, every worker would otherwise
-	// redo the two HMAC compressions per miss.
+	// redo the derivation's two compressions per miss.
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.keys = growTo(ks.keys, id)
@@ -177,21 +203,33 @@ func (ks *KeyStore) Key(id packet.NodeID) Key {
 		return slot.k
 	}
 
-	k := ks.derive(id)
+	if ks.sc == nil {
+		ks.sc = newScratch()
+	}
+	k := ks.derive(ks.sc, id)
 	ks.keys[id] = keySlot{k: k, ok: true}
 	return k
 }
 
-// derive computes node id's key from the master secret, uncached: the
-// truncated HMAC of "key/" ‖ id. ks.master is immutable, so it needs no
-// lock.
-func (ks *KeyStore) derive(id packet.NodeID) Key {
-	h := hmac.New(sha256.New, ks.master[:])
-	var buf [6]byte
-	copy(buf[:4], "key/")
-	binary.BigEndian.PutUint16(buf[4:], uint16(id))
-	h.Write(buf[:])
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return Key(sum[:KeyLen])
+// derive computes node id's key on sc, uncached: HMAC-SHA256 resumed from
+// the pad states, bit-identical to crypto/hmac. It costs two
+// compressions: the inner block "key/" ‖ be16(id) with its padding from
+// ipad, then the outer block, the 32-byte inner digest with its padding,
+// from opad. The pad states are immutable, so it needs no lock; sc is the
+// caller's.
+// pnmlint:noalloc
+func (ks *KeyStore) derive(sc *scratch, id packet.NodeID) Key {
+	block := sc.tail[:blockSize]
+	n := copy(block, "key/")
+	binary.BigEndian.PutUint16(block[n:], uint16(id))
+	padBlocks(block, n+2, blockSize+n+2)
+	sc.restore(&ks.ipad)
+	sc.h.Write(block)
+	putWords(block[:sha256.Size], sc.words)
+	padBlocks(block, sha256.Size, blockSize+sha256.Size)
+	sc.restore(&ks.opad)
+	sc.h.Write(block)
+	var k Key
+	putWords(k[:], sc.words)
+	return k
 }

@@ -1,6 +1,11 @@
 package mac
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,5 +147,43 @@ func TestKeyStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := ks.CoreBuilds(); got != 128 {
 		t.Errorf("CoreBuilds = %d after 16 hashers warmed 128 nodes, want 128", got)
+	}
+}
+
+// hmacKey is the node key by the definition KeyStore documents, through
+// crypto/hmac: the first KeyLen bytes of HMAC-SHA256 under SHA-256 of
+// the master, over "key/" ‖ be16(id).
+func hmacKey(master []byte, id packet.NodeID) Key {
+	mk := sha256.Sum256(master)
+	h := hmac.New(sha256.New, mk[:])
+	h.Write(binary.BigEndian.AppendUint16([]byte("key/"), uint16(id)))
+	return Key(h.Sum(nil)[:KeyLen])
+}
+
+// TestDeriveMatchesHMAC pins the pad-state derivation to crypto/hmac for
+// every node ID under three masters, on both paths that derive: Key (the
+// node side, on the store's scratch) and derive on a Hasher's scratch
+// (the schedule path). The Hasher's core for each ID must be the
+// reference compression of that key's two key blocks, and its scratch
+// is reused across every build, so state one derivation leaves behind
+// would show in the next. IDs run downwards, so each NodeID-indexed
+// table grows once.
+func TestDeriveMatchesHMAC(t *testing.T) {
+	for _, master := range [][]byte{nil, []byte("master"), bytes.Repeat([]byte{0xa7}, 100)} {
+		ks := NewKeyStore(master)
+		h := ks.Hasher()
+		for id := math.MaxUint16; id >= 0; id-- {
+			nid := packet.NodeID(id)
+			want := hmacKey(master, nid)
+			if got := ks.Key(nid); got != want {
+				t.Fatalf("master %q: Key(%d) = %x, HMAC = %x", master, id, got, want)
+			}
+			if got := ks.derive(h.sc, nid); got != want {
+				t.Fatalf("master %q: derive(%d) on a Hasher's scratch = %x, HMAC = %x", master, id, got, want)
+			}
+			if got, want := *h.Schedule(nid).core, refCore(want); got != want {
+				t.Fatalf("master %q: node %d core = %x, reference = %x", master, id, got, want)
+			}
+		}
 	}
 }

@@ -30,13 +30,21 @@ type marshalingHash interface {
 	encoding.BinaryUnmarshaler
 }
 
+// stateAppender is encoding.BinaryAppender, spelled out because go.mod
+// admits toolchains older than Go 1.24, whose SHA-256 digest lacks it.
+// Appending into a buffer of the right size allocates nothing.
+type stateAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
 // stateTemplate is the marshaled state of a SHA-256 digest that has
 // absorbed exactly one 64-byte block: magic, chaining value, an empty
 // block buffer and a length of 64. Every key-absorbed state (the MAC
-// and AnonID key blocks) has this shape and differs from it only in
-// the 32 chaining bytes. A scratch digest is unmarshaled from it once;
-// after that, the schedule writes only whole blocks, so the buffer stays
-// empty and a restore rewrites just the eight state words.
+// and AnonID key blocks, HMAC's pad blocks) has this shape and differs
+// from it only in the 32 chaining bytes. A scratch digest is unmarshaled
+// from it once; after that, the schedule writes only whole blocks, so
+// the buffer stays empty and a restore rewrites just the eight state
+// words.
 var stateTemplate = func() []byte {
 	d := sha256.New().(marshalingHash)
 	d.Write(make([]byte, blockSize))
@@ -57,30 +65,36 @@ type schedCore struct {
 	mac, anon [8]uint32
 }
 
-// newSchedCore absorbs k's MAC and AnonID key blocks — the expensive,
-// once-per-key step.
-func newSchedCore(k Key) *schedCore {
-	var block [blockSize]byte
-	c := new(schedCore)
-	macKeyBlock(block[:], k)
-	absorbKeyBlock(&c.mac, block[:])
-	anonKeyBlock(block[:], k)
-	absorbKeyBlock(&c.anon, block[:])
-	return c
+// buildCore absorbs k's MAC and AnonID key blocks into c — the
+// once-per-key step — on the scratch's digest, with the key blocks laid
+// out in its tail. It then clears the tail, so the scratch keeps nothing
+// of k: the state words and the marshal buffer end on c's AnonID
+// chaining value, which is not the key.
+func (sc *scratch) buildCore(c *schedCore, k Key) {
+	block := sc.tail[:blockSize]
+	macKeyBlock(block, k)
+	sc.absorbKeyBlock(&c.mac, block)
+	anonKeyBlock(block, k)
+	sc.absorbKeyBlock(&c.anon, block)
+	clear(block)
 }
 
-// absorbKeyBlock hashes one key block (the MAC or the AnonID key block)
-// and stores the resulting state words in dst. It is the per-core half of
-// the layout guard: the digest's marshaled state must equal
+// absorbKeyBlock hashes one 64-byte block from SHA-256's initial value on
+// the scratch digest and stores the resulting state words in dst: a core's
+// MAC or AnonID key block, or one of HMAC's pad blocks. It is the
+// per-core half of the layout guard, run on the reused digest: the
+// digest's marshaled state (marshalState) must equal
 // stateTemplate everywhere but the chaining bytes (one block written,
 // nothing buffered, length 64), and the state words digestWords reads in
 // place must equal those chaining bytes. A Go release that changed either
 // layout would therefore fail every MAC test at once rather than corrupt
-// verdicts; newScratch checks the restore itself.
-func absorbKeyBlock(dst *[8]uint32, block []byte) {
-	d := sha256.New().(marshalingHash)
-	d.Write(block)
-	st, err := d.MarshalBinary()
+// verdicts; newScratch checks the restore itself. Reset leaves the
+// digest as UnmarshalBinary(stateTemplate) would once the block is in:
+// nothing buffered, so restores keep working afterwards.
+func (sc *scratch) absorbKeyBlock(dst *[8]uint32, block []byte) {
+	sc.h.Reset()
+	sc.h.Write(block)
+	st, err := sc.marshalState()
 	if err != nil {
 		panic(fmt.Sprintf("mac: marshal sha256 state: %v", err))
 	}
@@ -90,12 +104,22 @@ func absorbKeyBlock(dst *[8]uint32, block []byte) {
 		!bytes.Equal(st[end:], stateTemplate[end:]) {
 		panic("mac: unexpected sha256 marshaled-state layout")
 	}
-	*dst = *digestWords(d)
+	*dst = *sc.words
 	var words [sha256.Size]byte
 	putWords(words[:], dst)
 	if !bytes.Equal(words[:], st[chainOff:end]) {
 		panic("mac: sha256 state words disagree with the marshaled state")
 	}
+}
+
+// marshalState returns the digest's marshaled state, appended into the
+// scratch's buffer where the digest has AppendBinary (Go 1.24 and later),
+// else from MarshalBinary, which allocates.
+func (sc *scratch) marshalState() ([]byte, error) {
+	if a, ok := sc.h.(stateAppender); ok {
+		return a.AppendBinary(sc.state[:0])
+	}
+	return sc.h.MarshalBinary()
 }
 
 // digestWords returns a pointer to d's eight live SHA-256 state words.
@@ -137,8 +161,12 @@ func putWords(dst []byte, w *[8]uint32) {
 type scratch struct {
 	h     marshalingHash
 	words *[8]uint32 // h's state words, read and restored in place (digestWords)
+	// state is the marshal buffer absorbKeyBlock appends h's state into,
+	// sized for stateTemplate.
+	state []byte
 
-	// tail holds the MAC message's last partial block and its padding.
+	// tail holds the MAC message's last partial block and its padding,
+	// and the blocks a key derivation or a core build compresses.
 	tail [2 * blockSize]byte
 	// anon is the padded AnonID message block for report anonRep, the
 	// one block after the key block; a call for the same report rewrites
@@ -149,11 +177,12 @@ type scratch struct {
 
 // newScratch returns fresh scratch: a digest unmarshaled from
 // stateTemplate, so its block buffer is empty and its length field reads
-// one block, and the AnonID block with its padding in place.
-// It runs the restore half of the layout guard on the digest first.
+// one block, a marshal buffer, and the AnonID block with its padding in
+// place. It runs the restore half of the layout guard on the digest
+// first.
 func newScratch() *scratch {
 	h := sha256.New().(marshalingHash)
-	sc := &scratch{h: h, words: digestWords(h)}
+	sc := &scratch{h: h, words: digestWords(h), state: make([]byte, 0, len(stateTemplate))}
 	sc.checkRestore()
 	if err := h.UnmarshalBinary(stateTemplate); err != nil {
 		panic(fmt.Sprintf("mac: unmarshal sha256 state: %v", err))
@@ -262,18 +291,22 @@ type Schedule struct {
 	sc   *scratch
 }
 
-// NewSchedule precomputes the key schedule for k, with its own scratch.
-// This is the only allocating step; a sink amortizes it with a Hasher,
-// which shares one scratch across its schedules and the key-absorbed
-// cores across goroutines via the KeyStore.
+// NewSchedule precomputes the key schedule for k, absorbing it on the
+// schedule's own fresh scratch. This is the only allocating step; a sink
+// amortizes it with a Hasher, which shares one scratch across its
+// schedules and the key-absorbed cores across goroutines via the
+// KeyStore.
 func NewSchedule(k Key) Schedule {
-	return Schedule{core: newSchedCore(k), sc: newScratch()}
+	s := Schedule{core: new(schedCore), sc: newScratch()}
+	s.sc.buildCore(s.core, k)
+	return s
 }
 
 // scheduleCore returns the store-wide shared core for id's key, building
 // and caching it on first use, and whether this call built the core (for
-// the caller's miss accounting).
-func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, bool) {
+// the caller's miss accounting). A build derives the key and absorbs it
+// on sc, the caller's scratch.
+func (ks *KeyStore) scheduleCore(id packet.NodeID, sc *scratch) (*schedCore, bool) {
 	ks.mu.RLock()
 	var c *schedCore
 	if int(id) < len(ks.cores) {
@@ -283,16 +316,16 @@ func (ks *KeyStore) scheduleCore(id packet.NodeID) (*schedCore, bool) {
 	if c != nil {
 		return c, false
 	}
-	// The core absorbs the key, so the key is derived outside the lock
-	// and not cached: a sink-side store holds no copy of it.
-	k := ks.derive(id)
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.cores = growTo(ks.cores, id)
 	if c := ks.cores[id]; c != nil {
 		return c, false
 	}
-	c = newSchedCore(k)
+	// The core absorbs the key, so the key is not cached, and buildCore
+	// clears it from sc: a sink-side store holds no copy of it.
+	c = new(schedCore)
+	sc.buildCore(c, ks.derive(sc, id))
 	ks.cores[id] = c
 	ks.coreBuilds++
 	return c, true
@@ -437,7 +470,7 @@ func (h *Hasher) Publish() {
 // id, growing the table to cover id.
 func (h *Hasher) build(id packet.NodeID) Schedule {
 	h.misses.Inc()
-	core, built := h.ks.scheduleCore(id)
+	core, built := h.ks.scheduleCore(id, h.sc)
 	if built {
 		h.coreBuilds.Inc()
 	}

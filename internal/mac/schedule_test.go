@@ -1,11 +1,13 @@
 package mac
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -133,9 +135,8 @@ func refCompress(h [8]uint32, block []byte) [8]uint32 {
 // blocks and the padding spelled out here rather than taken from the
 // package's constants.
 func refAnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	var key, msg [64]byte
-	copy(key[:], "pnm/anon-key/v1\x00")
-	copy(key[16:], k[:])
+	var msg [64]byte
+	key := refAnonKey(k)
 	copy(msg[:], "pnm/anon-id/v2")
 	binary.BigEndian.PutUint32(msg[14:], report.Event)
 	binary.BigEndian.PutUint32(msg[18:], report.Location)
@@ -147,6 +148,22 @@ func refAnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]
 	var out [packet.AnonIDLen]byte
 	binary.BigEndian.PutUint32(out[:], refCompress(refCompress(refIV, key[:]), msg[:])[0])
 	return out
+}
+
+// refAnonKey is the AnonID key block, spelled out: the 16-byte domain
+// string, the key, and 32 zeros.
+func refAnonKey(k Key) [64]byte {
+	var key [64]byte
+	copy(key[:], "pnm/anon-key/v1\x00")
+	copy(key[16:], k[:])
+	return key
+}
+
+// refCore is the schedule core for k by the reference compression: the
+// chaining values after the MAC and the AnonID key blocks.
+func refCore(k Key) schedCore {
+	mk, ak := refMACKey(k), refAnonKey(k)
+	return schedCore{mac: refCompress(refIV, mk[:]), anon: refCompress(refIV, ak[:])}
 }
 
 // refPad is SHA-256's padding for an n-byte input: 0x80, zeros up to 56
@@ -515,14 +532,14 @@ func TestStateTemplateLayout(t *testing.T) {
 	macKey := refMACKey(k)
 	var anon [blockSize]byte
 	anonKeyBlock(anon[:], k)
-	core := newSchedCore(k)
+	core := NewSchedule(k).core
 	for _, c := range []struct {
 		name  string
 		block []byte
 		core  *[8]uint32
 	}{{"mac key", macKey[:], &core.mac}, {"anon key", anon[:], &core.anon}} {
 		var chain [8]uint32
-		absorbKeyBlock(&chain, c.block) // panics on a layout mismatch
+		newScratch().absorbKeyBlock(&chain, c.block) // panics on a layout mismatch
 		if chain != *c.core {
 			t.Fatalf("%s: core holds %x, absorbKeyBlock gives %x", c.name, *c.core, chain)
 		}
@@ -754,3 +771,119 @@ func BenchmarkSumSplitKeyed2k(b *testing.B) { benchSumSplit(b, 46) }
 // report and 11 13-byte anonymous marks, then the candidate's anonymous
 // ID.
 func BenchmarkSumSplitDense300(b *testing.B) { benchSumSplit(b, 163) }
+
+// BenchmarkScheduleCold2k measures a sink's cold start on keyed-2k's
+// 2,048-node field: a fresh store and Hasher, then Hasher.Schedule over
+// 2,048 node IDs that all miss, so each call derives its node's key and
+// builds its core. One op is the whole warm-up.
+func BenchmarkScheduleCold2k(b *testing.B) {
+	const nodes = 2048
+	master := []byte("bench")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := NewKeyStore(master).Hasher()
+		for id := packet.NodeID(0); id < nodes; id++ {
+			h.Schedule(id)
+		}
+	}
+}
+
+// TestHashersColdMissConcurrent races two Hashers on one store through
+// the same 2,048 cold IDs, each on its own goroutine: every build
+// derives and absorbs on its Hasher's scratch under the store's lock.
+// Both must hand out the cores a single-goroutine store builds, the
+// store must build each core once, and schedules from either must MAC
+// like the single-goroutine one's.
+func TestHashersColdMissConcurrent(t *testing.T) {
+	const nodes = 2048
+	master := []byte("cold-race")
+	ks := NewKeyStore(master)
+	hs := [2]*Hasher{ks.Hasher(), ks.Hasher()}
+	var wg sync.WaitGroup
+	for _, h := range hs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := packet.NodeID(0); id < nodes; id++ {
+				h.Schedule(id)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ks.CoreBuilds(); got != nodes {
+		t.Errorf("CoreBuilds = %d after two hashers missed %d IDs, want %d", got, nodes, nodes)
+	}
+	ref := NewKeyStore(master).Hasher()
+	data := []byte("cold miss")
+	report := packet.Report{Event: 4, Seq: 1}
+	for id := packet.NodeID(0); id < nodes; id++ {
+		want := ref.Schedule(id)
+		for i, h := range hs {
+			got := h.Schedule(id)
+			if *got.core != *want.core {
+				t.Fatalf("hasher %d node %v: core %x, single-goroutine store %x", i, id, *got.core, *want.core)
+			}
+			if got.Sum(data, nil) != want.Sum(data, nil) || got.AnonID(report, id) != want.AnonID(report, id) {
+				t.Fatalf("hasher %d node %v: schedule disagrees with the single-goroutine store's", i, id)
+			}
+		}
+		if hs[0].Schedule(id).core != hs[1].Schedule(id).core {
+			t.Fatalf("node %v: hashers hold different cores", id)
+		}
+	}
+}
+
+// TestColdScheduleAllocs pins the cold path's allocations: derive makes
+// none, and a cold Hasher.Schedule makes its core plus, once every 64
+// IDs, a step of the store's and the Hasher's tables — at most 1.1 per
+// fresh ID over 2,048. The layout guard marshals the digest's state
+// twice per core, which allocates under -race (an instrumented build
+// does not elide the make AppendBinary appends) and before Go 1.24 (no
+// AppendBinary), so the per-ID bound holds only outside those.
+func TestColdScheduleAllocs(t *testing.T) {
+	ks := NewKeyStore([]byte("cold-allocs"))
+	h := ks.Hasher()
+	if n := testing.AllocsPerRun(200, func() { ks.derive(h.sc, 9) }); n != 0 {
+		t.Errorf("derive allocates %.1f/op, want 0", n)
+	}
+	if _, ok := h.sc.h.(stateAppender); raceEnabled || !ok {
+		t.Skip("marshaling the digest's state allocates under -race or before Go 1.24")
+	}
+	// AllocsPerRun makes one warm-up call before the 2,048 it counts, so
+	// every counted call is a fresh ID.
+	next := packet.NodeID(0)
+	if n := testing.AllocsPerRun(2048, func() { h.Schedule(next); next++ }); n > 1.1 {
+		t.Errorf("cold Hasher.Schedule allocates %.3f per fresh ID, want at most 1.1", n)
+	}
+}
+
+// TestBuildCoreLeavesNoKey pins DESIGN §9's "a sink-side store holds no
+// keys" on the scratch a build runs on: after a Hasher's cold Schedule
+// and after NewSchedule, neither the key nor HMAC's inner digest, from
+// which the store's opad state gives the key, appears in the scratch's
+// buffers or in the digest's memory.
+func TestBuildCoreLeavesNoKey(t *testing.T) {
+	const id = 41
+	master := []byte("no-key-left")
+	k := NewKeyStore(master).Key(id)
+	mk := sha256.Sum256(master)
+	ipad := bytes.Repeat([]byte{0x36}, blockSize)
+	for i, b := range mk {
+		ipad[i] ^= b
+	}
+	inner := sha256.Sum256(append(ipad, "key/\x00\x29"...))
+	h := NewKeyStore(master).Hasher()
+	h.Schedule(id)
+	for _, c := range []struct {
+		name string
+		sc   *scratch
+	}{{"Hasher", h.sc}, {"NewSchedule", NewSchedule(k).sc}} {
+		d := reflect.ValueOf(c.sc.h)
+		digest := unsafe.Slice((*byte)(d.UnsafePointer()), d.Type().Elem().Size())
+		for _, mem := range [][]byte{c.sc.tail[:], c.sc.anon[:], c.sc.state[:cap(c.sc.state)], digest} {
+			if bytes.Contains(mem, k[:]) || bytes.Contains(mem, inner[:KeyLen]) {
+				t.Errorf("%s scratch keeps the key or the inner digest after a build", c.name)
+			}
+		}
+	}
+}
