@@ -166,13 +166,13 @@ func hmacKey(master []byte, id packet.NodeID) Key {
 // (the schedule path). The Hasher's core for each ID must be the
 // reference compression of that key's two key blocks, and its scratch
 // is reused across every build, so state one derivation leaves behind
-// would show in the next. IDs run downwards, so each NodeID-indexed
-// table grows once.
+// would show in the next. IDs run upwards, the order a warm-up meets
+// them in, so each NodeID-indexed table grows geometrically.
 func TestDeriveMatchesHMAC(t *testing.T) {
 	for _, master := range [][]byte{nil, []byte("master"), bytes.Repeat([]byte{0xa7}, 100)} {
 		ks := NewKeyStore(master)
 		h := ks.Hasher()
-		for id := math.MaxUint16; id >= 0; id-- {
+		for id := 0; id <= math.MaxUint16; id++ {
 			nid := packet.NodeID(id)
 			want := hmacKey(master, nid)
 			if got := ks.Key(nid); got != want {

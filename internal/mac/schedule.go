@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"math"
 	"reflect"
 
 	"pnm/internal/obs"
@@ -332,14 +333,18 @@ func (ks *KeyStore) scheduleCore(id packet.NodeID, sc *scratch) (*schedCore, boo
 }
 
 // growTo returns a NodeID-indexed table that covers index id: t itself
-// when it already does, else a copy grown to the next multiple of 64 past
-// id. Not doubling keeps a table that sees a few nodes of a large ID
-// space no longer than its largest ID.
+// when it already does, else a copy grown geometrically, by a quarter of
+// its length or to cover id, whichever is longer, rounded up to a
+// multiple of 64 and capped at the NodeID space. A warm-up over N
+// ascending IDs then grows each table O(log N) times and copies O(N)
+// entries, and a table stays within a quarter (and 64 entries) of its
+// largest ID, well under twice it.
 func growTo[T any](t []T, id packet.NodeID) []T {
 	if int(id) < len(t) {
 		return t
 	}
-	grown := make([]T, (int(id)|63)+1)
+	n := max(len(t)+len(t)/4, int(id)+1)
+	grown := make([]T, min(((n-1)|63)+1, math.MaxUint16+1))
 	copy(grown, t)
 	return grown
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -834,8 +835,8 @@ func TestHashersColdMissConcurrent(t *testing.T) {
 }
 
 // TestColdScheduleAllocs pins the cold path's allocations: derive makes
-// none, and a cold Hasher.Schedule makes its core plus, once every 64
-// IDs, a step of the store's and the Hasher's tables — at most 1.1 per
+// none, and a cold Hasher.Schedule makes its core plus, at each doubling,
+// a grown copy of the store's and the Hasher's tables — at most 1.1 per
 // fresh ID over 2,048. The layout guard marshals the digest's state
 // twice per core, which allocates under -race (an instrumented build
 // does not elide the make AppendBinary appends) and before Go 1.24 (no
@@ -854,6 +855,36 @@ func TestColdScheduleAllocs(t *testing.T) {
 	next := packet.NodeID(0)
 	if n := testing.AllocsPerRun(2048, func() { h.Schedule(next); next++ }); n > 1.1 {
 		t.Errorf("cold Hasher.Schedule allocates %.3f per fresh ID, want at most 1.1", n)
+	}
+}
+
+// TestWarmupTablesGrowLogarithmically pins growTo's geometric growth: a
+// warm-up over every NodeID in ascending order reallocates each
+// NodeID-indexed table (the store's keys and cores, the Hasher's cores)
+// at most 2·log2(N) times (28 for N = 65,536), where growing 64 entries
+// at a time would copy the table 1,024 times.
+func TestWarmupTablesGrowLogarithmically(t *testing.T) {
+	const n = math.MaxUint16 + 1
+	ks := NewKeyStore([]byte("warm-up"))
+	h := ks.Hasher()
+	var lens, grows [3]int
+	for id := 0; id < n; id++ {
+		ks.Key(packet.NodeID(id))
+		h.Schedule(packet.NodeID(id))
+		for i, l := range [3]int{len(ks.keys), len(ks.cores), len(h.cores)} {
+			if l != lens[i] {
+				lens[i] = l
+				grows[i]++
+			}
+		}
+	}
+	for i, name := range [3]string{"store keys", "store cores", "Hasher cores"} {
+		if lens[i] != n {
+			t.Errorf("%s table holds %d entries after the warm-up, want %d", name, lens[i], n)
+		}
+		if bound := 2 * (bits.Len(n) - 1); grows[i] > bound {
+			t.Errorf("%s table grew %d times over %d ascending IDs, want at most %d", name, grows[i], n, bound)
+		}
 	}
 }
 

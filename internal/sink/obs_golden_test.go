@@ -71,14 +71,16 @@ func dumpRegistry(reg *obs.Registry) string {
 // over a topology resolver, recorded before the verifier batched its
 // per-mark counter updates. Every counter, cache
 // counters included, must keep its value: the batching changes when
-// counts are published, never what they count.
+// counts are published, never what they count. The probe, hint and
+// schedule-hit counts follow the resolver's search order, so a change
+// to that order, and only one, re-records them.
 const goldenTrackerDump = `mac.schedule.core_builds counter 150
-mac.schedule.hits counter 7657
+mac.schedule.hits counter 7480
 mac.schedule.misses counter 150
 sink.resolver.candidates counter 205
-sink.resolver.hint_hits counter 168
-sink.resolver.hint_misses counter 58
-sink.resolver.probes counter 7602
+sink.resolver.hint_hits counter 179
+sink.resolver.hint_misses counter 47
+sink.resolver.probes counter 7425
 sink.resolver.tree_builds counter 1
 sink.tracker.chains_folded counter 118
 sink.tracker.packets counter 216

@@ -229,12 +229,17 @@ func anonKey(a [packet.AnonIDLen]byte) uint64 {
 // Path hints order the search, never narrow it. A source keeps reporting
 // the same Location and, within an epoch, its packets keep following the
 // same route, so the resolver remembers per Location the most upstream
-// marker its BFS accepted (the tip). A later Resolve first probes the
-// tip's root path strictly below the search start, in depth order, and
-// only then runs the subtree BFS, which skips the nodes already hashed.
-// The candidate set is still the whole subtree, so collisions and
-// agreement with the exhaustive resolver are unaffected; Location is a
-// cache key only, never evidence.
+// marker its BFS accepted (the tip). Until it has learned a tip in the
+// packet's epoch, the Location itself is the seed tip when it names a
+// routed node of that epoch's tree: an honest source claims its own ID,
+// so a cold sink, the first packet of an epoch and a restored chain
+// resolve along the source's own path. Resolve first probes the tip's
+// root path strictly below the search start, in depth order, and only
+// then runs the subtree BFS, which skips the nodes already hashed. The
+// candidate set is still the whole subtree, so collisions and agreement
+// with the exhaustive resolver are unaffected; Location orders the
+// search only, never counts as evidence, and a spoofed one costs a call
+// at most one path more than the plain BFS.
 //
 // The resolver holds at most two routing trees, however many epochs the
 // set accumulates: the current epoch's and the last other one's. A new
@@ -251,6 +256,9 @@ type TopologyResolver struct {
 	hasher *mac.Hasher
 	shared bool       // a verifier shares hasher and publishes it
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
+	// unhinted is a test seam: set, every call runs the plain subtree
+	// BFS, the reference the hints' cost bounds are measured against.
+	unhinted bool
 	// cur is the routing tree of the epoch last resolved against and
 	// other the one before it. Sink batches arrive roughly in epoch
 	// order, so a batch straddling an epoch boundary flips between the
@@ -272,9 +280,9 @@ type TopologyResolver struct {
 	// a flood of distinct Locations costs one table's worth of memory.
 	hints   map[uint32]pathHint
 	hintCap int
-	// memo caches the last hints lookup: every mark of a packet shares
-	// its report's Location, so a packet pays one map lookup, not one per
-	// mark. learn and an epoch switch invalidate it.
+	// memo caches the last hint lookup, learned or seeded: every mark of
+	// a packet shares its report's Location, so a packet pays one map
+	// lookup, not one per mark. learn and an epoch switch invalidate it.
 	memo memoHint
 	// stamp[v] == gen marks node v as hashed by the current call's hint
 	// probes, so the BFS never hashes a node twice in one Resolve.
@@ -357,8 +365,8 @@ type pathHint struct {
 	tip   packet.NodeID
 }
 
-// memoHint is one memoized hints lookup: the entry for loc and whether
-// the table held one, and whether the resolver's path buffer holds the
+// memoHint is one memoized hint lookup: loc's learned or seeded hint and
+// whether it has one, and whether the resolver's path buffer holds the
 // hint's root path yet. The zero value is an empty memo.
 type memoHint struct {
 	valid  bool
@@ -424,9 +432,10 @@ func (r *TopologyResolver) shareScheduleCache() *mac.Hasher {
 }
 
 // Resolve implements Resolver. A call is a hint hit when the caller
-// accepts a node on the learned path; every other call falls through to
-// the subtree BFS and counts as a miss. The call's probe, candidate and
-// hint counts are tallied in locals and published once, at its end.
+// accepts a node on the hinted path, learned or seeded; every other call
+// falls through to the subtree BFS and counts as a miss. The call's
+// probe, candidate and hint counts are tallied in locals and published
+// once, at its end.
 // pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
 	if epoch != r.cur.version || r.cur.net == nil {
@@ -447,9 +456,9 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 	}
 }
 
-// search is Resolve's body: it probes the learned path and then the
+// search is Resolve's body: it probes the hinted path and then the
 // subtree BFS, and returns how many nodes it hashed, how many matched
-// anon, and whether the caller accepted a node on the learned path.
+// anon, and whether the caller accepted a node on the hinted path.
 // pnmlint:noalloc
 func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) (probes, candidates uint64, hit bool) {
 	start := prev
@@ -458,10 +467,10 @@ func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]b
 		// from the sink; the marker usually sits within ~1/p hops.
 		start = packet.SinkID
 	}
-	// Probe the learned path first, shallowest node first: the marker
+	// Probe the hinted path first, shallowest node first: the marker
 	// nearest start is the one an honest chain carries next.
 	hinted := false
-	if h, ok := r.hint(report.Location); ok && h.epoch == epoch {
+	if _, ok := r.hint(report.Location); ok && !r.unhinted {
 		if path := r.hintPath(start); len(path) > 0 {
 			hinted = true
 			if r.gen++; r.gen == 0 {
@@ -556,12 +565,19 @@ func (r *TopologyResolver) hintPath(start packet.NodeID) []packet.NodeID {
 	return r.path[d+1:]
 }
 
-// hint returns loc's learned route, served from the memo when the
-// previous lookup was for the same Location.
+// hint returns loc's route in the current tree's epoch, served from the
+// memo when the previous lookup was for the same Location: the route
+// learned for loc in that epoch, else the seed, the root path of the
+// node loc names when it is routed in the tree, else none.
 // pnmlint:noalloc
 func (r *TopologyResolver) hint(loc uint32) (pathHint, bool) {
 	if !r.memo.valid || r.memo.loc != loc {
+		epoch, net := r.cur.version, r.cur.net
 		h, ok := r.hints[loc]
+		if !ok || h.epoch != epoch {
+			h = pathHint{epoch: epoch, tip: packet.NodeID(loc)}
+			ok = loc >= 1 && loc <= uint32(net.NumNodes()) && net.HasRoute(h.tip)
+		}
 		r.memo = memoHint{valid: true, found: ok, loc: loc, hint: h}
 	}
 	return r.memo.hint, r.memo.found
