@@ -95,7 +95,7 @@ soak:
 # detector over the packages that exercise goroutines.
 ci: build vet lint test examples
 	$(GO) -C bench test ./...
-	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen ./internal/debugserver ./internal/queue
+	$(GO) test -race ./internal/netsim ./internal/mac ./internal/experiment ./internal/parallel ./internal/sink ./internal/obs ./internal/transport ./internal/loadgen ./internal/debugserver ./internal/queue ./internal/topology
 
 # Regenerate every paper figure/table into results/. Run-averaged
 # experiments fan out across GOMAXPROCS workers (set the GOMAXPROCS

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestEpochSetVersionsAreDense(t *testing.T) {
 	base, err := NewChain(4)
@@ -54,5 +57,54 @@ func TestEpochSetAdvanceSameNetworkStillAdvances(t *testing.T) {
 	ep := set.Advance(base)
 	if ep.Version != 1 || set.Len() != 2 {
 		t.Fatalf("re-advancing the base net: version %d, len %d; want 1, 2", ep.Version, set.Len())
+	}
+}
+
+// TestEpochSetConcurrentAdvanceAndRead runs the pattern netsim's route
+// repair runs against the resolvers: one goroutine advances the set while
+// others call At, Current and Len. Every reader must see a dense prefix:
+// Current is never older than a Len read before it, and At(v) for any v
+// below that Len is the snapshot advanced as version v.
+func TestEpochSetConcurrentAdvanceAndRead(t *testing.T) {
+	const advances, readers = 300, 3
+	nets := make([]*Network, advances+1)
+	var err error
+	if nets[0], err = NewChain(6); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= advances; i++ {
+		nets[i] = nets[i-1].Rewire(int64(i))
+	}
+	set := NewEpochSet(nets[0])
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				n := set.Len()
+				cur := set.Current()
+				if int(cur.Version) < n-1 || int(cur.Version) > advances || cur.Net != nets[cur.Version] {
+					t.Errorf("Current = version %d after Len %d, or the wrong snapshot", cur.Version, n)
+					return
+				}
+				if v := EpochVersion(k % n); set.At(v) != nets[v] {
+					t.Errorf("At(%d) with Len %d returned the wrong snapshot", v, n)
+					return
+				}
+				if n == advances+1 {
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= advances; i++ {
+		if ep := set.Advance(nets[i]); ep.Version != EpochVersion(i) || ep.Net != nets[i] {
+			t.Errorf("Advance %d returned version %d", i, ep.Version)
+		}
+	}
+	wg.Wait()
+	if set.Len() != advances+1 {
+		t.Fatalf("Len = %d after %d advances", set.Len(), advances)
 	}
 }

@@ -80,21 +80,62 @@ func randomField(rng *rand.Rand) ([]Point, float64) {
 	}
 }
 
+// radioGraph builds the radio graph of pos alone, connected or not, as a
+// Network without a routing tree, after checking the CSR invariants: one
+// offset per node plus one, starting at 0, never decreasing, and ending
+// at the length of the ID array.
+func radioGraph(t *testing.T, pos []Point, r float64) *Network {
+	t.Helper()
+	off, nbrs, err := radioNeighbors(pos, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(off) != len(pos)+1 || off[0] != 0 || int(off[len(pos)]) != len(nbrs) {
+		t.Fatalf("%d nodes: %d offsets from %d to %d over %d IDs",
+			len(pos), len(off), off[0], off[len(off)-1], len(nbrs))
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			t.Fatalf("offsets decrease at node %d: %d then %d", i-1, off[i-1], off[i])
+		}
+	}
+	return &Network{pos: pos, nbrOff: off, nbrs: nbrs}
+}
+
 // TestRadioNeighborsMatchBruteForce checks the grid neighbor search
 // against the all-pairs oracle on random fields: identical sorted
-// neighbor lists, and fromPositions succeeds exactly when the oracle's
-// BFS reaches every node, with identical parents and depths.
+// neighbor lists, sorted, through Neighbors, Degree, AreNeighbors (both
+// ways round, so the lists are symmetric) and AvgDegree, and fromPositions
+// succeeds exactly when the oracle's BFS reaches every node, with
+// identical parents and depths.
 func TestRadioNeighborsMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		pos, r := randomField(rand.New(rand.NewSource(seed)))
 		wantNbrs, wantParent, wantDepth, connected := bruteFromPositions(pos, r)
-		got := radioNeighbors(pos, r)
+		g := radioGraph(t, pos, r)
+		total := 0
 		for i := range pos {
-			if !slices.Equal(got[i], wantNbrs[i]) {
-				t.Logf("seed %d, %d nodes, r=%g: node %d neighbors %v, want %v",
-					seed, len(pos), r, i, got[i], wantNbrs[i])
+			id := packet.NodeID(i)
+			got := g.Neighbors(id)
+			if !slices.IsSorted(got) || !slices.Equal(got, wantNbrs[i]) || g.Degree(id) != len(wantNbrs[i]) {
+				t.Logf("seed %d, %d nodes, r=%g: node %d neighbors %v (degree %d), want %v",
+					seed, len(pos), r, i, got, g.Degree(id), wantNbrs[i])
 				return false
 			}
+			for j := range pos {
+				want := slices.Contains(wantNbrs[i], packet.NodeID(j))
+				if g.AreNeighbors(id, packet.NodeID(j)) != want || g.AreNeighbors(packet.NodeID(j), id) != want {
+					t.Logf("seed %d: AreNeighbors(%d, %d) both ways, want %v", seed, i, j, want)
+					return false
+				}
+			}
+			if i > 0 {
+				total += len(wantNbrs[i])
+			}
+		}
+		if want := float64(total) / float64(len(pos)-1); g.AvgDegree() != want {
+			t.Logf("seed %d: AvgDegree %g, want %g", seed, g.AvgDegree(), want)
+			return false
 		}
 		nw, err := fromPositions(pos, r)
 		if (err == nil) != connected {
@@ -104,9 +145,15 @@ func TestRadioNeighborsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		if !slices.Equal(nw.parent, wantParent) || !slices.Equal(nw.depth, wantDepth) {
+		if !slices.Equal(nw.parent, wantParent) {
 			t.Logf("seed %d: routing tree differs from the oracle's", seed)
 			return false
+		}
+		for i := range pos {
+			if nw.Depth(packet.NodeID(i)) != wantDepth[i] {
+				t.Logf("seed %d: node %d depth %d, want %d", seed, i, nw.Depth(packet.NodeID(i)), wantDepth[i])
+				return false
+			}
 		}
 		return true
 	}
@@ -122,10 +169,10 @@ func TestRadioNeighborsDegenerateRanges(t *testing.T) {
 	pos := []Point{{0, 0}, {1, 1}, {1, 1}, {5, 0}}
 	for _, r := range []float64{0, math.NaN(), math.Inf(1), -1} {
 		want, _, _, _ := bruteFromPositions(pos, r)
-		got := radioNeighbors(pos, r)
+		g := radioGraph(t, pos, r)
 		for i := range pos {
-			if !slices.Equal(got[i], want[i]) {
-				t.Errorf("r=%g: node %d neighbors %v, want %v", r, i, got[i], want[i])
+			if got := g.Neighbors(packet.NodeID(i)); !slices.Equal(got, want[i]) {
+				t.Errorf("r=%g: node %d neighbors %v, want %v", r, i, got, want[i])
 			}
 		}
 	}
@@ -147,10 +194,10 @@ func TestRadioNeighborsBoundaryPairs(t *testing.T) {
 			y := float64(j/cols) * 1.2 * r
 			pos = append(pos, Point{X: x, Y: y}, Point{X: x + r, Y: y})
 		}
-		got := radioNeighbors(pos, r)
+		g := radioGraph(t, pos, r)
 		for a := 1; a < len(pos); a += 2 {
 			b := packet.NodeID(a + 1)
-			if want := dist(pos[a], pos[b]) <= r; slices.Contains(got[a], b) != want {
+			if want := dist(pos[a], pos[b]) <= r; g.AreNeighbors(packet.NodeID(a), b) != want {
 				t.Fatalf("r=%g: nodes %d at %v and %v at %v: linked=%v, want %v",
 					r, a, pos[a], b, pos[b], !want, want)
 			}
@@ -158,8 +205,12 @@ func TestRadioNeighborsBoundaryPairs(t *testing.T) {
 	}
 }
 
-// neighborsSink keeps the benchmarked calls from being optimized away.
-var neighborsSink [][]packet.NodeID
+// neighborsSink and bruteSink keep the benchmarked calls from being
+// optimized away.
+var (
+	neighborsSink []packet.NodeID
+	bruteSink     [][]packet.NodeID
+)
 
 // BenchmarkRadioNeighbors times the neighbor search on a 2,048-node
 // field at the connectivity threshold (the repository benchmark's
@@ -174,12 +225,12 @@ func BenchmarkRadioNeighbors(b *testing.B) {
 	}
 	b.Run("grid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			neighborsSink = radioNeighbors(pos, 1)
+			_, neighborsSink, _ = radioNeighbors(pos, 1)
 		}
 	})
 	b.Run("allpairs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			neighborsSink, _, _, _ = bruteFromPositions(pos, 1)
+			bruteSink, _, _, _ = bruteFromPositions(pos, 1)
 		}
 	})
 }

@@ -30,39 +30,34 @@ func dist(a, b Point) float64 {
 
 // Network is an immutable sensor field with a routing tree rooted at the
 // sink (node 0). Node IDs run 1..NumNodes().
+//
+// The radio graph is stored in compressed-sparse-row form: node i's
+// ascending neighbor list is nbrs[nbrOff[i]:nbrOff[i+1]], every list back
+// to back in one array. Networks derived by Rewire and Reroute share the
+// receiver's positions and radio graph and own only their routing tree.
 type Network struct {
-	pos       []Point // indexed by NodeID; pos[0] is the sink
-	neighbors [][]packet.NodeID
-	parent    []packet.NodeID
-	depth     []int
+	pos    []Point // indexed by NodeID; pos[0] is the sink
+	nbrOff []int32 // NumNodes()+2 offsets into nbrs
+	nbrs   []packet.NodeID
+	parent []packet.NodeID
+	depth  []int32 // hop distance to the sink; -1 means no route
 }
 
 // NewChain builds a linear network of n forwarding nodes plus the sink:
 // node 1 is adjacent to the sink and node n is the deepest. A source placed
 // at node n forwards over the n-1 nodes below it; use NewChain(n+1) and
-// source n+1 for a "path of n forwarding nodes" in the paper's sense.
+// source n+1 for a "path of n forwarding nodes" in the paper's sense. The
+// nodes sit one unit apart on a line with radio range 1, so each hears
+// only the nodes next to it.
 func NewChain(n int) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology: chain needs at least 1 node, got %d", n)
 	}
-	nw := &Network{
-		pos:       make([]Point, n+1),
-		neighbors: make([][]packet.NodeID, n+1),
-		parent:    make([]packet.NodeID, n+1),
-		depth:     make([]int, n+1),
+	pos := make([]Point, n+1)
+	for i := range pos {
+		pos[i] = Point{X: float64(i)}
 	}
-	for i := 0; i <= n; i++ {
-		nw.pos[i] = Point{X: float64(i)}
-		nw.depth[i] = i
-		if i >= 1 {
-			nw.parent[i] = packet.NodeID(i - 1)
-			nw.neighbors[i] = append(nw.neighbors[i], packet.NodeID(i-1))
-		}
-		if i < n {
-			nw.neighbors[i] = append(nw.neighbors[i], packet.NodeID(i+1))
-		}
-	}
-	return nw, nil
+	return fromPositions(pos, 1)
 }
 
 // GridConfig parameterizes NewGrid.
@@ -153,34 +148,20 @@ func NewRandomGeometric(cfg GeometricConfig) (*Network, error) {
 		cfg.Nodes, cfg.Side, cfg.RadioRange, attempts)
 }
 
-// fromPositions builds the neighbor graph and BFS routing tree. It fails if
-// any node is unreachable from the sink.
+// fromPositions builds the radio graph and the BFS routing tree. It fails
+// if any node is unreachable from the sink, or if the field has more
+// nodes than NodeIDs.
 func fromPositions(pos []Point, radioRange float64) (*Network, error) {
-	n := len(pos) - 1
-	nw := &Network{
-		pos:       pos,
-		neighbors: radioNeighbors(pos, radioRange),
-		parent:    make([]packet.NodeID, n+1),
-		depth:     make([]int, n+1),
+	if len(pos)-1 > math.MaxUint16 {
+		return nil, fmt.Errorf("topology: %d nodes exceed the %d node IDs", len(pos)-1, math.MaxUint16)
 	}
-	// BFS from the sink; parents point one hop closer to the sink.
-	for i := range nw.depth {
-		nw.depth[i] = -1
+	off, nbrs, err := radioNeighbors(pos, radioRange)
+	if err != nil {
+		return nil, err
 	}
-	nw.depth[0] = 0
-	queue := []packet.NodeID{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range nw.neighbors[u] {
-			if nw.depth[v] == -1 {
-				nw.depth[v] = nw.depth[u] + 1
-				nw.parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	for i := 1; i <= n; i++ {
+	nw := &Network{pos: pos, nbrOff: off, nbrs: nbrs}
+	nw.parent, nw.depth = nw.route(nil, nil)
+	for i := 1; i < len(pos); i++ {
 		if nw.depth[i] == -1 {
 			return nil, fmt.Errorf("topology: node %d unreachable from sink", i)
 		}
@@ -188,12 +169,33 @@ func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 	return nw, nil
 }
 
+// maxLinks bounds a field's radio links so that every CSR offset, twice
+// the link count at most, fits in an int32.
+const maxLinks = math.MaxInt32 / 2
+
+// linkBounds lets the squared distance decide dist(p, q) <= r, the test
+// every radio link is defined by, away from the boundary: a pair with
+// d² < lo is surely in range and one with d² > hi surely is not, as the
+// bounds sit a relative 1e-9 either side of r², far beyond the rounding
+// of d², r² or dist. Only pairs in the thin shell between them, and NaN
+// squares, pay for dist. A range that is not positive or whose square is
+// not comfortably normal (NaN, tiny, overflowing) gets lo = -1 and
+// hi = +Inf, which send every pair to dist.
+func linkBounds(r float64) (lo, hi float64) {
+	if r2 := r * r; r > 0 && r2 >= 1e-250 && r2 <= 1e250 {
+		return r2 * (1 - 1e-9), r2 * (1 + 1e-9)
+	}
+	return -1, math.Inf(1)
+}
+
 // radioNeighbors returns every node's radio neighbors — the nodes within
 // radioRange of it, by the same dist <= radioRange test as a check of
-// every pair — as ascending lists sharing one backing array. The sink is
-// a radio neighbor like any other: verdict neighborhoods may include it
-// (a suspected neighborhood adjacent to the sink still identifies the
-// stop node itself).
+// every pair — in compressed-sparse-row form: node i's ascending list is
+// nbrs[off[i]:off[i+1]], and off has len(pos)+1 entries. The sink is a
+// radio neighbor like any other: verdict neighborhoods may include it (a
+// suspected neighborhood adjacent to the sink still identifies the stop
+// node itself). It fails only when the links would overflow the int32
+// offsets.
 //
 // Nodes are bucketed into a grid of square cells at least radioRange
 // wide, so an in-range pair always sits in the same or adjacent cells and
@@ -201,7 +203,7 @@ func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 // cells are widened a hair past radioRange to absorb rounding in the
 // cell arithmetic, and further when the field is much wider than the
 // range, which caps the grid at about 4× the node count.
-func radioNeighbors(pos []Point, radioRange float64) [][]packet.NodeID {
+func radioNeighbors(pos []Point, radioRange float64) (off []int32, nbrs []packet.NodeID, err error) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, p := range pos {
@@ -223,56 +225,134 @@ func radioNeighbors(pos []Point, radioRange float64) [][]packet.NodeID {
 
 	// Counting sort of the nodes by cell, as routeTree.build sorts nodes
 	// by parent: cell c ends up holding byCell[start[c]:start[c+1]], in
-	// ascending ID order.
-	cellOf := make([]int, len(pos))
-	start := make([]int, nx*ny+1)
+	// ascending ID order, with cellPts holding their positions in the
+	// same order so the scan below reads memory front to back.
+	cellOf := make([]int32, len(pos))
+	start := make([]int32, nx*ny+1)
 	for i, p := range pos {
-		cellOf[i] = coord(p.Y, minY, ny)*nx + coord(p.X, minX, nx)
+		cellOf[i] = int32(coord(p.Y, minY, ny)*nx + coord(p.X, minX, nx))
 		start[cellOf[i]]++
 	}
 	for c := 1; c < len(start); c++ {
 		start[c] += start[c-1]
 	}
 	byCell := make([]packet.NodeID, len(pos))
+	cellPts := make([]Point, len(pos))
 	for i := len(pos) - 1; i >= 0; i-- {
 		start[cellOf[i]]--
 		byCell[start[cellOf[i]]] = packet.NodeID(i)
+		cellPts[start[cellOf[i]]] = pos[i]
 	}
 
-	// Each in-range pair once, lower ID first.
-	var edges [][2]packet.NodeID
-	degree := make([]int, len(pos))
+	// Each in-range pair once, from its lower end: node i's upper run —
+	// its neighbors above i, kept ascending by insertion — goes into up,
+	// and once i is scanned cellOf[i], no longer needed, records where the
+	// run ends. off[i] counts i's degree. up is pre-sized for a uniform
+	// field, n²πr²/2 pairs over the bounding box.
+	est := len(pos)
+	if area := (maxX - minX) * (maxY - minY); area > 0 {
+		n := float64(len(pos))
+		if e := n * n * math.Pi * radioRange * radioRange / (2 * area); e < n*n/2 {
+			est += int(e)
+		}
+	}
+	lo, hi := linkBounds(radioRange)
+	off = make([]int32, len(pos)+1)
+	up := make([]packet.NodeID, 0, est)
 	for i, p := range pos {
-		cx, cy := cellOf[i]%nx, cellOf[i]/nx
+		cx, cy := int(cellOf[i])%nx, int(cellOf[i])/nx
+		run := len(up)
 		for y := max(cy-1, 0); y <= min(cy+1, ny-1); y++ {
 			for x := max(cx-1, 0); x <= min(cx+1, nx-1); x++ {
 				c := y*nx + x
-				for _, j := range byCell[start[c]:start[c+1]] {
-					if int(j) > i && dist(p, pos[j]) <= radioRange {
-						edges = append(edges, [2]packet.NodeID{packet.NodeID(i), j})
-						degree[i]++
-						degree[j]++
+				for k := start[c]; k < start[c+1]; k++ {
+					j := byCell[k]
+					if int(j) <= i {
+						continue
 					}
+					q := cellPts[k]
+					dx, dy := p.X-q.X, p.Y-q.Y
+					if d2 := dx*dx + dy*dy; !(d2 < lo) && (d2 > hi || !(dist(p, q) <= radioRange)) {
+						continue
+					}
+					up = append(up, j)
+					for m := len(up) - 1; m > run && up[m-1] > j; m-- {
+						up[m], up[m-1] = up[m-1], j
+					}
+					off[j]++
 				}
 			}
 		}
+		if len(up) > maxLinks {
+			return nil, nil, fmt.Errorf("topology: more than %d radio links", maxLinks)
+		}
+		off[i] += int32(len(up) - run)
+		cellOf[i] = int32(len(up))
 	}
 
-	neighbors := make([][]packet.NodeID, len(pos))
-	all := make([]packet.NodeID, 2*len(edges))
-	off := 0
-	for i, d := range degree {
-		neighbors[i] = all[off : off : off+d]
-		off += d
+	// Prefix sums turn each degree into the end of its node's list. The
+	// lists then fill from their ends, highest node first: node i's upper
+	// run goes in whole, and i joins the lower part of every node in the
+	// run. Lower neighbors so arrive in descending order at descending
+	// slots, which leaves every list ascending, and each cursor off[i]
+	// stops at the start of i's list.
+	for i := 1; i < len(pos); i++ {
+		off[i] += off[i-1]
 	}
-	for _, e := range edges {
-		neighbors[e[0]] = append(neighbors[e[0]], e[1])
-		neighbors[e[1]] = append(neighbors[e[1]], e[0])
+	off[len(pos)] = off[len(pos)-1]
+	nbrs = make([]packet.NodeID, off[len(pos)])
+	for i := len(pos) - 1; i >= 0; i-- {
+		var runStart int32
+		if i > 0 {
+			runStart = cellOf[i-1]
+		}
+		run := up[runStart:cellOf[i]]
+		off[i] -= int32(len(run))
+		copy(nbrs[off[i]:], run)
+		for _, j := range run {
+			off[j]--
+			nbrs[off[j]] = packet.NodeID(i)
+		}
 	}
-	for _, ns := range neighbors {
-		slices.Sort(ns)
+	return off, nbrs, nil
+}
+
+// adj returns id's ascending radio neighbors, aliasing the shared graph.
+func (nw *Network) adj(id packet.NodeID) []packet.NodeID {
+	return nw.nbrs[nw.nbrOff[id]:nw.nbrOff[int(id)+1]]
+}
+
+// route runs the sink-rooted BFS over the radio graph, visiting each
+// sorted neighbor list in order and skipping nodes for which nodeDown
+// reports true and edges for which linkDown does (either may be nil; the
+// sink is never down). Parents point one hop closer to the sink; a node
+// the search never reaches keeps depth -1 and parent 0.
+func (nw *Network) route(nodeDown func(packet.NodeID) bool, linkDown func(a, b packet.NodeID) bool) ([]packet.NodeID, []int32) {
+	parent := make([]packet.NodeID, len(nw.pos))
+	depth := make([]int32, len(nw.pos))
+	for i := range depth {
+		depth[i] = -1
 	}
-	return neighbors
+	depth[0] = 0
+	queue := make([]packet.NodeID, 1, len(nw.pos))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range nw.adj(u) {
+			if depth[v] != -1 {
+				continue
+			}
+			if nodeDown != nil && v != packet.SinkID && nodeDown(v) {
+				continue
+			}
+			if linkDown != nil && linkDown(u, v) {
+				continue
+			}
+			depth[v] = depth[u] + 1
+			parent[v] = u
+			queue = append(queue, v)
+		}
+	}
+	return parent, depth
 }
 
 // Rewire returns a new Network over the same nodes and radio graph whose
@@ -283,30 +363,50 @@ func radioNeighbors(pos []Point, radioRange float64) [][]packet.NodeID {
 // in pinned keep their current parent.
 func (nw *Network) Rewire(seed int64, pinned ...packet.NodeID) *Network {
 	rng := rand.New(rand.NewSource(seed))
-	keep := make(map[packet.NodeID]bool, len(pinned))
-	for _, id := range pinned {
-		keep[id] = true
-	}
 	out := &Network{
-		pos:       nw.pos,
-		neighbors: nw.neighbors,
-		parent:    make([]packet.NodeID, len(nw.parent)),
-		depth:     nw.depth,
+		pos:    nw.pos,
+		nbrOff: nw.nbrOff,
+		nbrs:   nw.nbrs,
+		parent: make([]packet.NodeID, len(nw.parent)),
+		depth:  nw.depth,
 	}
-	copy(out.parent, nw.parent)
-	for i := 1; i < len(nw.parent); i++ {
+	// A pinned node is marked by parenting it to itself, which no node
+	// of a routing tree is; the loop below keeps its parent and moves on.
+	for _, id := range pinned {
+		if id != packet.SinkID && int(id) < len(out.parent) {
+			out.parent[id] = id
+		}
+	}
+	for i := 1; i < len(out.parent); i++ {
 		id := packet.NodeID(i)
-		if keep[id] {
+		pin := out.parent[i] == id
+		out.parent[i] = nw.parent[i]
+		if pin {
 			continue
 		}
-		var candidates []packet.NodeID
-		for _, nb := range nw.neighbors[i] {
-			if nw.depth[nb] == nw.depth[i]-1 {
-				candidates = append(candidates, nb)
+		// Count the candidates, draw one, and walk to it: the same draw
+		// as indexing a list of them, without building the list.
+		want := nw.depth[i] - 1
+		ns := nw.adj(id)
+		count := 0
+		for _, nb := range ns {
+			if nw.depth[nb] == want {
+				count++
 			}
 		}
-		if len(candidates) > 0 {
-			out.parent[i] = candidates[rng.Intn(len(candidates))]
+		if count == 0 {
+			continue
+		}
+		k := rng.Intn(count)
+		for _, nb := range ns {
+			if nw.depth[nb] != want {
+				continue
+			}
+			if k == 0 {
+				out.parent[i] = nb
+				break
+			}
+			k--
 		}
 	}
 	return out
@@ -326,35 +426,8 @@ func (nw *Network) Rewire(seed int64, pinned ...packet.NodeID) *Network {
 // the sorted neighbor lists in order, so the repaired tree is a pure
 // function of the fault predicates.
 func (nw *Network) Reroute(nodeDown func(packet.NodeID) bool, linkDown func(a, b packet.NodeID) bool) *Network {
-	out := &Network{
-		pos:       nw.pos,
-		neighbors: nw.neighbors,
-		parent:    make([]packet.NodeID, len(nw.parent)),
-		depth:     make([]int, len(nw.depth)),
-	}
-	for i := range out.depth {
-		out.depth[i] = -1
-	}
-	out.depth[0] = 0
-	queue := []packet.NodeID{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range nw.neighbors[u] {
-			if out.depth[v] != -1 {
-				continue
-			}
-			if nodeDown != nil && v != packet.SinkID && nodeDown(v) {
-				continue
-			}
-			if linkDown != nil && linkDown(u, v) {
-				continue
-			}
-			out.depth[v] = out.depth[u] + 1
-			out.parent[v] = u
-			queue = append(queue, v)
-		}
-	}
+	out := &Network{pos: nw.pos, nbrOff: nw.nbrOff, nbrs: nw.nbrs}
+	out.parent, out.depth = nw.route(nodeDown, linkDown)
 	return out
 }
 
@@ -382,27 +455,25 @@ func (nw *Network) Position(id packet.NodeID) Point { return nw.pos[id] }
 func (nw *Network) Parent(id packet.NodeID) packet.NodeID { return nw.parent[id] }
 
 // Depth returns a node's hop distance from the sink.
-func (nw *Network) Depth(id packet.NodeID) int { return nw.depth[id] }
+func (nw *Network) Depth(id packet.NodeID) int { return int(nw.depth[id]) }
 
 // Neighbors returns a node's radio neighbors (possibly including the sink),
 // sorted, as a fresh slice.
 func (nw *Network) Neighbors(id packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, len(nw.neighbors[id]))
-	copy(out, nw.neighbors[id])
-	return out
+	return slices.Clone(nw.adj(id))
 }
 
 // Degree returns the number of radio neighbors of id, the "d" in the
 // paper's O(d) anonymous-ID search optimization.
-func (nw *Network) Degree(id packet.NodeID) int { return len(nw.neighbors[id]) }
+func (nw *Network) Degree(id packet.NodeID) int { return len(nw.adj(id)) }
 
 // Neighborhood returns the one-hop neighborhood of id including id itself —
 // the set a traceback verdict localizes a mole to.
 func (nw *Network) Neighborhood(id packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, 0, len(nw.neighbors[id])+1)
+	ns := nw.adj(id)
+	out := make([]packet.NodeID, 0, len(ns)+1)
 	out = append(out, id)
-	out = append(out, nw.neighbors[id]...)
-	return out
+	return append(out, ns...)
 }
 
 // Forwarders returns the chain of forwarding nodes between src (exclusive)
@@ -435,13 +506,11 @@ func (nw *Network) DeepestNode() packet.NodeID {
 
 // MaxDepth returns the depth of the deepest node.
 func (nw *Network) MaxDepth() int {
-	max := 0
-	for i := 1; i <= nw.NumNodes(); i++ {
-		if nw.depth[i] > max {
-			max = nw.depth[i]
-		}
+	var deepest int32
+	for _, d := range nw.depth[1:] {
+		deepest = max(deepest, d)
 	}
-	return max
+	return int(deepest)
 }
 
 // AvgDegree returns the mean sensor-node degree.
@@ -449,19 +518,12 @@ func (nw *Network) AvgDegree() float64 {
 	if nw.NumNodes() == 0 {
 		return 0
 	}
-	total := 0
-	for i := 1; i <= nw.NumNodes(); i++ {
-		total += len(nw.neighbors[i])
-	}
+	total := nw.nbrOff[len(nw.nbrOff)-1] - nw.nbrOff[1]
 	return float64(total) / float64(nw.NumNodes())
 }
 
 // AreNeighbors reports whether a and b are within radio range.
 func (nw *Network) AreNeighbors(a, b packet.NodeID) bool {
-	for _, v := range nw.neighbors[a] {
-		if v == b {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(nw.adj(a), b)
+	return ok
 }

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,5 +406,124 @@ func TestRerouteDeterministic(t *testing.T) {
 		if a.Parent(id) != b.Parent(id) || a.Depth(id) != b.Depth(id) {
 			t.Fatalf("Reroute not deterministic at node %v", id)
 		}
+	}
+}
+
+// keyed2kField is the repository benchmark's keyed-2k field: 2,048 nodes
+// at the connectivity threshold, topology seed 17, sink at the corner.
+func keyed2kField(t *testing.T) *Network {
+	t.Helper()
+	const nodes = 2048
+	nw, err := NewRandomGeometric(GeometricConfig{
+		Nodes: nodes, Side: math.Sqrt(nodes * math.Pi / (math.Log(nodes) + 5)), RadioRange: 1,
+		Seed: 17, SinkAtCorner: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// TestNetworkFootprint pins the flat layout on the keyed-2k field: every
+// field of a Network is one slice of scalars (no per-node slice), and
+// each is allocated to exactly its CSR size — n+1 positions, parents and
+// depths, n+2 offsets, and one ID per link end.
+func TestNetworkFootprint(t *testing.T) {
+	nw := keyed2kField(t)
+	typ := reflect.TypeOf(*nw)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice || f.Type.Elem().Kind() == reflect.Slice {
+			t.Errorf("Network.%s is %v, want a flat slice", f.Name, f.Type)
+		}
+	}
+	n := nw.NumNodes()
+	links := int(nw.nbrOff[n+1])
+	bytes := 0
+	for _, c := range []struct {
+		name      string
+		len, cap  int
+		want      int
+		elemBytes int
+	}{
+		{"pos", len(nw.pos), cap(nw.pos), n + 1, 16},
+		{"nbrOff", len(nw.nbrOff), cap(nw.nbrOff), n + 2, 4},
+		{"nbrs", len(nw.nbrs), cap(nw.nbrs), links, 2},
+		{"parent", len(nw.parent), cap(nw.parent), n + 1, 2},
+		{"depth", len(nw.depth), cap(nw.depth), n + 1, 4},
+	} {
+		if c.len != c.want || c.cap != c.want {
+			t.Errorf("%s: len %d cap %d, want %d", c.name, c.len, c.cap, c.want)
+		}
+		bytes += c.cap * c.elemBytes
+	}
+	degrees := 0
+	for i := 0; i <= n; i++ {
+		degrees += nw.Degree(packet.NodeID(i))
+	}
+	if degrees != links {
+		t.Errorf("degrees sum to %d, offsets end at %d", degrees, links)
+	}
+	t.Logf("%d nodes, %d link ends: %d bytes", n, links, bytes)
+}
+
+// TestDerivedNetworksShareRadioGraph checks that Rewire and Reroute reuse
+// the receiver's positions and CSR arrays: Rewire owns only its parents
+// (depths are unchanged), Reroute only its parents and depths. Rewire
+// makes no per-node allocation: on churn-120's field and on keyed-2k's,
+// a call allocates the Network, its parents and the RNG source, and no
+// more.
+func TestDerivedNetworksShareRadioGraph(t *testing.T) {
+	churn, err := NewRandomGeometric(GeometricConfig{Nodes: 120, Side: 7, RadioRange: 1.5, Seed: 31, SinkAtCorner: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []*Network{churn, keyed2kField(t)} {
+		rewired := base.Rewire(5)
+		rerouted := base.Reroute(func(id packet.NodeID) bool { return id == base.DeepestNode() }, nil)
+		for _, c := range []struct {
+			name   string
+			shared bool
+			same   bool
+		}{
+			{"Rewire pos", true, &rewired.pos[0] == &base.pos[0]},
+			{"Rewire nbrOff", true, &rewired.nbrOff[0] == &base.nbrOff[0]},
+			{"Rewire nbrs", true, &rewired.nbrs[0] == &base.nbrs[0]},
+			{"Rewire depth", true, &rewired.depth[0] == &base.depth[0]},
+			{"Rewire parent", false, &rewired.parent[0] == &base.parent[0]},
+			{"Reroute pos", true, &rerouted.pos[0] == &base.pos[0]},
+			{"Reroute nbrOff", true, &rerouted.nbrOff[0] == &base.nbrOff[0]},
+			{"Reroute nbrs", true, &rerouted.nbrs[0] == &base.nbrs[0]},
+			{"Reroute depth", false, &rerouted.depth[0] == &base.depth[0]},
+			{"Reroute parent", false, &rerouted.parent[0] == &base.parent[0]},
+		} {
+			if c.same != c.shared {
+				t.Errorf("%d nodes: %s shared = %v, want %v", base.NumNodes(), c.name, c.same, c.shared)
+			}
+		}
+		// IDs outside 1..n pin nothing.
+		if !slices.Equal(base.Rewire(5, 0, packet.NodeID(base.NumNodes()+1)).parent, rewired.parent) {
+			t.Errorf("%d nodes: out-of-range pins changed the rewired tree", base.NumNodes())
+		}
+		if allocs := testing.AllocsPerRun(20, func() { base.Rewire(5, base.DeepestNode()) }); allocs > 3 {
+			t.Errorf("%d nodes: Rewire allocates %g times a call, want at most 3", base.NumNodes(), allocs)
+		}
+	}
+}
+
+// TestFieldTooLargeForNodeIDs checks that a field with more sensor nodes
+// than 16-bit NodeIDs is refused rather than built with wrapped IDs, and
+// that the largest one that fits is built whole.
+func TestFieldTooLargeForNodeIDs(t *testing.T) {
+	if _, err := NewChain(math.MaxUint16 + 1); err == nil || !strings.Contains(err.Error(), "node IDs") {
+		t.Fatalf("NewChain(%d): err = %v, want the node-ID limit", math.MaxUint16+1, err)
+	}
+	nw, err := NewChain(math.MaxUint16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := packet.NodeID(math.MaxUint16)
+	if nw.Depth(last) != math.MaxUint16 || !slices.Equal(nw.Neighbors(last), []packet.NodeID{last - 1}) {
+		t.Fatalf("deepest node: depth %d, neighbors %v", nw.Depth(last), nw.Neighbors(last))
 	}
 }
