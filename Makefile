@@ -84,11 +84,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 
-# Live-server soak: pnmload-style replay into the ingest server over real
-# sockets while a chaos plan crashes and restores the sink from
-# its PNM2 checkpoint, all under the race detector.
+# Live-server soaks under the race detector: pnmload-style replay into
+# the ingest server over real sockets while a chaos plan crashes and
+# restores the sink from its PNM2 checkpoint, and a random-waypoint field
+# advanced through 10,000 epochs while frames stream, with the epoch
+# history, the heap and the ingest ledger checked at the end.
 soak:
-	$(GO) test -race -run 'TestLoopbackSoak' -count 1 ./internal/transport
+	$(GO) test -race -run 'TestLoopbackSoak|TestMobilitySoak' -count 1 ./internal/transport
 
 # What CI runs: build, vet, lint, the full test suite, the examples, the
 # bench module's tests (pnm/bench sits outside ./...), and the race

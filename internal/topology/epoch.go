@@ -1,6 +1,10 @@
 package topology
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Epoch versioning: a dynamic network is a sequence of immutable routing
 // snapshots. Every route repair (Reroute), parent reshuffle (Rewire) or
@@ -10,12 +14,16 @@ import "sync"
 // under, instead of the tree the sink was configured with at start-up.
 //
 // Ownership and determinism rules (DESIGN.md §14): an EpochSet is
-// append-only and internally synchronized — sink-side readers (the
-// resolvers of every verifier chain built over it) share one set with
-// the single writer that applies topology changes. Versions are dense, starting at 0 for
-// the base topology, so a version is both an identity and an index; a
+// internally synchronized — sink-side readers (the resolvers of every
+// verifier chain built over it) share one set with the single writer
+// that applies topology changes. Versions are dense and only advance,
+// starting at 0 for the base topology, so a version is an identity: a
 // packet stamped with version v always resolves against the same
-// snapshot, on any worker, in any run.
+// snapshot, on any worker, in any run, for as long as the set holds v.
+//
+// The set holds every version unless a host pins: the first Stamp makes
+// the set keep only the epochs some stamp still pins, plus the current
+// one, and release the rest (see Stamp and Done).
 
 // EpochVersion identifies one topology snapshot. Version 0 is the base
 // topology a network started with; every change increments it by one.
@@ -27,32 +35,64 @@ type Epoch struct {
 	Net     *Network
 }
 
-// EpochSet is the append-only sequence of topology epochs a dynamic
-// network has lived through. The zero value is unusable; construct with
-// NewEpochSet. Methods are safe for concurrent use: the writer side
-// (Advance) is expected to be serialized by the caller's own fault or
-// mobility machinery, while readers (At, Current) may run on any
+// EpochSet is the sequence of topology epochs a dynamic network has
+// lived through. The zero value is unusable; construct with NewEpochSet.
+// Methods are safe for concurrent use: the writer side (Advance) is
+// expected to be serialized by the caller's own fault or mobility
+// machinery, while readers (At, Current, Stamp, Done) may run on any
 // goroutine.
+//
+// A set nobody stamps is append-only: it answers At for every version
+// it has advanced through, at one pointer per epoch. A host that must
+// keep its state bounded instead stamps each item it will later resolve
+// (Stamp pins the current epoch) and hands the pin back when the item
+// leaves (Done). From the first Stamp on, the set retains only the
+// window from the oldest pinned epoch to the current one: whenever the
+// oldest epochs before the current one hold no pins, it releases them.
+// The pin is holder-agnostic — today a queued frame holds it
+// (transport.Server); an evidence stamp that outlives its frame can keep
+// the frame's pin instead of handing it back, and return it through Done
+// when the evidence retires.
 type EpochSet struct {
-	mu     sync.RWMutex
-	epochs []Epoch // pnmlint:guarded-by mu
+	mu sync.RWMutex
+	// low is the version of nets[0]; every version below it is released.
+	low EpochVersion // pnmlint:guarded-by mu
+	// nets are the retained snapshots: nets[i] is version low+i, and the
+	// last one is the current epoch.
+	nets []*Network // pnmlint:guarded-by mu
+	// pins[i] counts the stamps on version low+i not yet handed back. It
+	// is nil until the first Stamp, so an unpinned set keeps no per-epoch
+	// pin state. Under the read lock its elements change only atomically;
+	// its length changes only under the write lock.
+	pins []int32 // pnmlint:guarded-by mu
+
+	unpinned   atomic.Uint64 // stamps handed back through Done
+	staleReads atomic.Uint64 // At calls for a released version
 }
 
 // NewEpochSet returns a set whose epoch 0 is the given base topology.
 func NewEpochSet(base *Network) *EpochSet {
-	return &EpochSet{epochs: []Epoch{{Version: 0, Net: base}}}
+	return &EpochSet{nets: []*Network{base}}
 }
 
 // Advance appends net as the next epoch and returns it. Calling Advance
 // with the same *Network as the current epoch still creates a new epoch:
 // a route repair that happens to restore the original tree is still a
 // topology change, and packets forwarded before and after it carry
-// different versions.
+// different versions. On a pinning set the epoch it supersedes is
+// released at once if no stamp pins it or anything older.
 func (s *EpochSet) Advance(net *Network) Epoch {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	ep := Epoch{Version: EpochVersion(len(s.epochs)), Net: net}
-	s.epochs = append(s.epochs, ep)
+	s.nets = append(s.nets, net)
+	pinning := s.pins != nil
+	if pinning {
+		s.pins = append(s.pins, 0)
+	}
+	ep := Epoch{Version: s.low + EpochVersion(len(s.nets)-1), Net: net}
+	s.mu.Unlock()
+	if pinning {
+		s.release()
+	}
 	return ep
 }
 
@@ -60,25 +100,159 @@ func (s *EpochSet) Advance(net *Network) Epoch {
 func (s *EpochSet) Current() Epoch {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.epochs[len(s.epochs)-1]
+	last := len(s.nets) - 1
+	return Epoch{Version: s.low + EpochVersion(last), Net: s.nets[last]}
 }
 
-// At returns the snapshot for version v. Versions are dense, so this is
-// an index lookup; a version from the future (possible only through a
-// corrupted stamp) clamps to the current epoch rather than failing, so
-// resolution degrades to the newest tree instead of crashing the sink.
+// At returns the snapshot for version v. A version from the future
+// (possible only through a corrupted stamp) clamps to the current epoch
+// rather than failing, so resolution degrades to the newest tree instead
+// of crashing the sink. A released version — below the low-water mark,
+// which only a stamp read after its Done can name — clamps to the oldest
+// retained epoch and is counted (EpochStats.StaleReads). Either clamp can
+// only lose evidence: a wrong tree hides the true marker from the search,
+// while the MAC under the candidate's key still decides every identity,
+// so no relation is ever added.
 func (s *EpochSet) At(v EpochVersion) *Network {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if int(v) >= len(s.epochs) {
-		return s.epochs[len(s.epochs)-1].Net
+	switch {
+	case v < s.low:
+		s.staleReads.Add(1)
+		return s.nets[0]
+	case v-s.low >= EpochVersion(len(s.nets)):
+		return s.nets[len(s.nets)-1]
 	}
-	return s.epochs[v].Net
+	return s.nets[v-s.low]
 }
 
-// Len returns how many epochs the set holds (the base counts as one).
+// Len returns how many epochs the set has advanced through, the base
+// counting as one, whether or not they are still retained.
 func (s *EpochSet) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.epochs)
+	return int(s.low) + len(s.nets)
+}
+
+// Stamp pins the current epoch and returns its version: the set retains
+// that epoch until a matching Done. The first Stamp turns the set into a
+// pinning one and releases every older epoch, since no stamp pins them.
+// Once the set pins, a Stamp takes the read lock once and allocates
+// nothing.
+// pnmlint:noalloc
+func (s *EpochSet) Stamp() EpochVersion {
+	s.mu.RLock()
+	if s.pins != nil {
+		last := len(s.nets) - 1
+		atomic.AddInt32(&s.pins[last], 1)
+		v := s.low + EpochVersion(last)
+		s.mu.RUnlock()
+		return v
+	}
+	s.mu.RUnlock()
+	return s.firstStamp()
+}
+
+// firstStamp is Stamp on a set that does not pin yet: it makes the pin
+// counters, pins the current epoch and releases the older ones, which no
+// stamp can pin any more.
+func (s *EpochSet) firstStamp() EpochVersion {
+	s.mu.Lock()
+	if s.pins == nil {
+		s.pins = make([]int32, len(s.nets))
+	}
+	last := len(s.nets) - 1
+	s.pins[last]++
+	v := s.low + EpochVersion(last)
+	s.mu.Unlock()
+	s.release()
+	return v
+}
+
+// Done hands back n stamps of version v, each taken by Stamp. When the
+// oldest retained epoch loses its last pin and is not the current one,
+// it is released, together with every newer epoch before the current one
+// that holds no pins. Handing back more stamps than were taken is a
+// programming error and panics, as a negative sync.WaitGroup counter
+// does: the set could otherwise release an epoch a live stamp names.
+func (s *EpochSet) Done(v EpochVersion, n int) {
+	if n <= 0 {
+		return
+	}
+	s.mu.RLock()
+	if s.pins == nil || v < s.low || v-s.low >= EpochVersion(len(s.pins)) {
+		s.mu.RUnlock()
+		panic(fmt.Sprintf("topology: Done(%d, %d) on an epoch no stamp pins", v, n))
+	}
+	i := int(v - s.low)
+	left := atomic.AddInt32(&s.pins[i], -int32(n))
+	oldest := i == 0 && len(s.nets) > 1
+	s.mu.RUnlock()
+	if left < 0 {
+		panic(fmt.Sprintf("topology: epoch %d handed back %d more stamps than it had", v, -left))
+	}
+	s.unpinned.Add(uint64(n))
+	if left == 0 && oldest {
+		s.release()
+	}
+}
+
+// release drops the oldest epochs before the current one that hold no
+// pins. It compacts the window in place, so a set whose window stays
+// within its high-water size advances and releases without allocating;
+// a window that has shrunk far below its arrays (the first Stamp on a
+// long history, or the end of a backlog) moves to fresh ones instead, so
+// the arrays stay proportional to the window.
+func (s *EpochSet) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := 0
+	for k < len(s.nets)-1 && s.pins[k] == 0 {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	n := len(s.nets) - k
+	if cap(s.nets) > 2*n+8 {
+		s.nets = append([]*Network(nil), s.nets[k:]...)
+		s.pins = append([]int32(nil), s.pins[k:]...)
+	} else {
+		copy(s.nets, s.nets[k:])
+		clear(s.nets[n:])
+		s.nets = s.nets[:n]
+		copy(s.pins, s.pins[k:])
+		s.pins = s.pins[:n]
+	}
+	s.low += EpochVersion(k)
+}
+
+// EpochStats is an EpochSet's bookkeeping at one instant.
+type EpochStats struct {
+	// Advanced is Len: the epochs ever held, the base counting as one.
+	Advanced int
+	// Retained is how many epochs the set still holds; always 1 or more.
+	Retained int
+	// Pinned counts the stamps not yet handed back; Unpinned the stamps
+	// Done has handed back.
+	Pinned   int
+	Unpinned uint64
+	// StaleReads counts At calls for a released version.
+	StaleReads uint64
+}
+
+// Stats returns the set's bookkeeping.
+func (s *EpochSet) Stats() EpochStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st := EpochStats{
+		Advanced:   int(s.low) + len(s.nets),
+		Retained:   len(s.nets),
+		Unpinned:   s.unpinned.Load(),
+		StaleReads: s.staleReads.Load(),
+	}
+	for i := range s.pins {
+		st.Pinned += int(atomic.LoadInt32(&s.pins[i]))
+	}
+	return st
 }

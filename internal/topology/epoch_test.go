@@ -34,6 +34,10 @@ func TestEpochSetVersionsAreDense(t *testing.T) {
 	if got := set.Current(); got.Version != 3 || got.Net != nets[3] {
 		t.Fatalf("Current = version %d, want 3", got.Version)
 	}
+	// Nobody stamped, so the set keeps every epoch it advanced through.
+	if st := set.Stats(); st != (EpochStats{Advanced: 4, Retained: 4}) {
+		t.Fatalf("Stats = %+v, want 4 advanced and retained, nothing pinned", st)
+	}
 }
 
 func TestEpochSetAtClampsUnknownVersions(t *testing.T) {
@@ -106,5 +110,171 @@ func TestEpochSetConcurrentAdvanceAndRead(t *testing.T) {
 	wg.Wait()
 	if set.Len() != advances+1 {
 		t.Fatalf("Len = %d after %d advances", set.Len(), advances)
+	}
+}
+
+// chainEpochs returns a 6-node chain and n Rewire snapshots of it, the
+// base first.
+func chainEpochs(t *testing.T, n int) []*Network {
+	t.Helper()
+	base, err := NewChain(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*Network{base}
+	for i := 1; i < n; i++ {
+		nets = append(nets, base.Rewire(int64(i)))
+	}
+	return nets
+}
+
+// TestEpochSetPinsBoundHistory walks the pin contract: the first Stamp
+// releases the unpinned history, a pinned epoch survives later advances,
+// the oldest epochs go once their pins are back, a released version reads
+// as the oldest retained one and is counted, and Len still counts every
+// epoch.
+func TestEpochSetPinsBoundHistory(t *testing.T) {
+	nets := chainEpochs(t, 8)
+	set := NewEpochSet(nets[0])
+	set.Advance(nets[1])
+	set.Advance(nets[2])
+	if v := set.Stamp(); v != 2 {
+		t.Fatalf("first Stamp = %d, want 2", v)
+	}
+	if st := set.Stats(); st.Retained != 1 || st.Pinned != 1 || st.Advanced != 3 {
+		t.Fatalf("after the first Stamp: %+v, want 1 retained, 1 pinned, 3 advanced", st)
+	}
+	set.Advance(nets[3])          // 2 pinned, 3 current
+	set.Advance(nets[4])          // 3 idle between a pin and the current epoch
+	if v := set.Stamp(); v != 4 { // a second pin, on the current epoch
+		t.Fatalf("Stamp = %d, want 4", v)
+	}
+	set.Advance(nets[5])
+	if st := set.Stats(); st.Retained != 4 || st.Pinned != 2 {
+		t.Fatalf("with epochs 2 and 4 pinned: %+v, want 4 retained (2..5), 2 pinned", st)
+	}
+	for v := 2; v <= 5; v++ {
+		if set.At(EpochVersion(v)) != nets[v] {
+			t.Fatalf("At(%d) returned the wrong snapshot while retained", v)
+		}
+	}
+	set.Done(4, 1) // 4 is not the oldest: nothing goes
+	if st := set.Stats(); st.Retained != 4 {
+		t.Fatalf("after Done(4): %d retained, want 4", st.Retained)
+	}
+	set.Done(2, 1) // 2, 3 and 4 go; 5 is current
+	st := set.Stats()
+	if st != (EpochStats{Advanced: 6, Retained: 1, Unpinned: 2}) {
+		t.Fatalf("after Done(2): %+v, want only the current epoch left", st)
+	}
+	if set.Len() != 6 || set.Current().Version != 5 || set.Current().Net != nets[5] {
+		t.Fatalf("Len %d, Current %d: the bookkeeping lost an epoch", set.Len(), set.Current().Version)
+	}
+	if set.At(1) != nets[5] || set.At(99) != nets[5] {
+		t.Fatal("a released or future version must read as a retained epoch")
+	}
+	if got := set.Stats().StaleReads; got != 1 {
+		t.Fatalf("StaleReads = %d, want 1 (the future read is not stale)", got)
+	}
+	// A pinning set keeps pinning: the next epoch goes as soon as it is
+	// superseded with no pin on it.
+	set.Advance(nets[6])
+	if st := set.Stats(); st.Retained != 1 || st.Advanced != 7 {
+		t.Fatalf("after an unpinned advance: %+v, want 1 retained of 7", st)
+	}
+}
+
+// TestEpochSetDoneTooOftenPanics: handing back a stamp twice, or one
+// never taken, is a programming error.
+func TestEpochSetDoneTooOftenPanics(t *testing.T) {
+	nets := chainEpochs(t, 3)
+	for name, misuse := range map[string]func(*EpochSet){
+		"never stamped": func(s *EpochSet) { s.Done(0, 1) },
+		"twice":         func(s *EpochSet) { s.Done(s.Stamp(), 2) },
+		"released": func(s *EpochSet) {
+			v := s.Stamp()
+			s.Advance(nets[1])
+			s.Done(v, 1)
+			s.Done(v, 1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			misuse(NewEpochSet(nets[0]))
+		})
+	}
+}
+
+// TestEpochStampZeroAlloc pins a pinning set's steady state: stamping,
+// advancing and handing the stamp back, with the window inside its
+// high-water size, allocate nothing.
+func TestEpochStampZeroAlloc(t *testing.T) {
+	nets := chainEpochs(t, 2)
+	set := NewEpochSet(nets[0])
+	step := func() {
+		v := set.Stamp()
+		set.Advance(nets[1])
+		set.Done(v, 1)
+	}
+	step() // warm: the first Stamp makes the pins, the window grows to 2
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("stamp + advance + unpin allocated %.1f times per call", allocs)
+	}
+	if st := set.Stats(); st.Retained != 1 || st.Pinned != 0 {
+		t.Fatalf("after the steady state: %+v, want 1 retained, 0 pinned", st)
+	}
+}
+
+// TestEpochSetConcurrentPins runs a pinning host's pattern: readers stamp,
+// resolve the stamped version and hand it back while one writer advances.
+// No stamped version may ever read as released, and at rest the set holds
+// no pins and only its current epoch.
+func TestEpochSetConcurrentPins(t *testing.T) {
+	const advances, readers, stamps = 300, 3, 2000
+	nets := chainEpochs(t, advances+1)
+	set := NewEpochSet(nets[0])
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < stamps; k++ {
+				v := set.Stamp()
+				if set.At(v) != nets[v] {
+					t.Errorf("stamped version %d read the wrong snapshot", v)
+				}
+				set.Done(v, 1)
+			}
+		}()
+	}
+	for i := 1; i <= advances; i++ {
+		set.Advance(nets[i])
+	}
+	wg.Wait()
+	want := EpochStats{Advanced: advances + 1, Retained: 1, Unpinned: readers * stamps}
+	if st := set.Stats(); st != want {
+		t.Fatalf("at rest: %+v, want %+v", st, want)
+	}
+}
+
+// TestEpochSetWindowShrinksItsArrays: a window far smaller than its
+// arrays moves to fresh ones, so a set that starts pinning after a long
+// unpinned history, or drains a backlog, does not keep the old arrays.
+func TestEpochSetWindowShrinksItsArrays(t *testing.T) {
+	nets := chainEpochs(t, 2)
+	set := NewEpochSet(nets[0])
+	for i := 0; i < 1000; i++ {
+		set.Advance(nets[1])
+	}
+	set.Done(set.Stamp(), 1)
+	set.mu.RLock()
+	nc, pc := cap(set.nets), cap(set.pins)
+	set.mu.RUnlock()
+	if st := set.Stats(); st.Retained != 1 || nc > 10 || pc > 10 {
+		t.Fatalf("after the first Stamp on 1001 epochs: %d retained, capacities %d and %d", st.Retained, nc, pc)
 	}
 }

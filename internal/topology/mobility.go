@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -88,8 +89,11 @@ func NewWaypoint(cfg WaypointConfig) (*Waypoint, error) {
 			w.pos[i] = Point{X: w.rng.Float64() * cfg.Side, Y: w.rng.Float64() * cfg.Side}
 		}
 		nw, err := w.snapshot()
-		if err != nil {
+		if errors.Is(err, errUnreachable) {
 			continue
+		}
+		if err != nil {
+			return nil, err // a limit no redraw can lift
 		}
 		w.cur = nw
 		for i := 1; i <= cfg.Nodes; i++ {
@@ -115,8 +119,11 @@ func (w *Waypoint) Step() (*Network, error) {
 			w.moveNode(i)
 		}
 		nw, err := w.snapshot()
-		if err != nil {
+		if errors.Is(err, errUnreachable) {
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		w.cur = nw
 		return nw, nil

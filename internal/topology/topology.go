@@ -10,6 +10,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,17 +141,23 @@ func NewRandomGeometric(cfg GeometricConfig) (*Network, error) {
 			pos[i] = Point{X: rng.Float64() * cfg.Side, Y: rng.Float64() * cfg.Side}
 		}
 		nw, err := fromPositions(pos, cfg.RadioRange)
-		if err == nil {
-			return nw, nil
+		if !errors.Is(err, errUnreachable) {
+			return nw, err // connected, or a limit no redraw can lift
 		}
 	}
 	return nil, fmt.Errorf("topology: no connected placement for %d nodes, side %g, range %g after %d attempts",
 		cfg.Nodes, cfg.Side, cfg.RadioRange, attempts)
 }
 
+// errUnreachable marks the one fromPositions failure a fresh placement
+// can cure: a node with no route to the sink. The retry loops redraw on
+// it and on nothing else.
+var errUnreachable = errors.New("unreachable from sink")
+
 // fromPositions builds the radio graph and the BFS routing tree. It fails
-// if any node is unreachable from the sink, or if the field has more
-// nodes than NodeIDs.
+// if any node is unreachable from the sink (wrapping errUnreachable), if
+// the field has more nodes than NodeIDs, or if its links overflow the
+// CSR offsets.
 func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 	if len(pos)-1 > math.MaxUint16 {
 		return nil, fmt.Errorf("topology: %d nodes exceed the %d node IDs", len(pos)-1, math.MaxUint16)
@@ -163,7 +170,7 @@ func fromPositions(pos []Point, radioRange float64) (*Network, error) {
 	nw.parent, nw.depth = nw.route(nil, nil)
 	for i := 1; i < len(pos); i++ {
 		if nw.depth[i] == -1 {
-			return nil, fmt.Errorf("topology: node %d unreachable from sink", i)
+			return nil, fmt.Errorf("topology: node %d %w", i, errUnreachable)
 		}
 	}
 	return nw, nil

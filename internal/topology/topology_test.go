@@ -527,3 +527,24 @@ func TestFieldTooLargeForNodeIDs(t *testing.T) {
 		t.Fatalf("deepest node: depth %d, neighbors %v", nw.Depth(last), nw.Neighbors(last))
 	}
 }
+
+// TestPlacementRetriesOnlyDisconnection: the random constructors redraw a
+// placement only when it is disconnected. A field too large for the
+// NodeIDs fails on the first draw with the node-ID limit, as NewChain's
+// does, instead of drawing every attempt and blaming connectivity.
+func TestPlacementRetriesOnlyDisconnection(t *testing.T) {
+	const nodes = 70000
+	_, err := NewRandomGeometric(GeometricConfig{Nodes: nodes, Side: 10, RadioRange: 1, Seed: 1, MaxAttempts: 3})
+	if err == nil || !strings.Contains(err.Error(), "node IDs") {
+		t.Fatalf("NewRandomGeometric(%d nodes): err = %v, want the node-ID limit", nodes, err)
+	}
+	_, err = NewWaypoint(WaypointConfig{Nodes: nodes, Side: 10, RadioRange: 1, Seed: 1, MaxAttempts: 3})
+	if err == nil || !strings.Contains(err.Error(), "node IDs") {
+		t.Fatalf("NewWaypoint(%d nodes): err = %v, want the node-ID limit", nodes, err)
+	}
+	// A disconnected draw still retries until the attempts run out.
+	_, err = NewRandomGeometric(GeometricConfig{Nodes: 20, Side: 100, RadioRange: 1, Seed: 1, MaxAttempts: 3})
+	if err == nil || !strings.Contains(err.Error(), "no connected placement") {
+		t.Fatalf("sparse field: err = %v, want no connected placement", err)
+	}
+}

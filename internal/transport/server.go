@@ -28,9 +28,15 @@ type Config struct {
 	// in front of the server: each ingested frame is stamped with the
 	// epoch current at enqueue and verified against that epoch's routing
 	// tree (the verifiers built by NewVerifier must share this set for
-	// the stamp to mean anything). nil keeps every frame on the base
-	// epoch — byte-identical to the pre-epoch server, which is what the
-	// loopback-equivalence tests pin.
+	// the stamp to mean anything). The stamp pins its epoch
+	// (EpochSet.Stamp) until the frame leaves the server — folded,
+	// dropped by a queue policy or an outage, or dropped on Close — so
+	// the set retains only the epochs queued frames still carry, plus the
+	// current one: its history stays bounded however long the server
+	// runs, and an epoch a reader of the set needs after the server
+	// released it reads as the oldest retained one. nil keeps every frame
+	// on the base epoch — byte-identical to the pre-epoch server, which
+	// is what the loopback-equivalence tests pin.
 	Epochs *topology.EpochSet
 	// QueueDepth is the ingest queue depth between the socket readers and
 	// the sink goroutine (default 256). It is also the maximum batch the
@@ -65,7 +71,9 @@ type item struct {
 	msg *packet.Message
 	at  int64 // UnixNano at enqueue
 	// epoch is the topology epoch current at enqueue (always 0 without
-	// Config.Epochs); verification resolves the frame against it.
+	// Config.Epochs); verification resolves the frame against it. With
+	// Config.Epochs the item holds a pin on it, handed back exactly once
+	// by whichever path the frame leaves through (unpinBatch or drop).
 	epoch topology.EpochVersion
 }
 
@@ -270,6 +278,36 @@ func (s *Server) releaseBatch(batch []item) {
 	}
 }
 
+// unpinBatch hands back a verified batch's epoch pins (a no-op without
+// Config.Epochs), one Done per run of equal stamps: a batch inside one
+// epoch costs one call. Every frame's pin goes back exactly once, here
+// or in drop. Evidence that must outlive its frame (a relation
+// stamped with the epoch it was seen in) would keep its frame's pin here
+// instead of handing it back, and return it when the evidence retires.
+func (s *Server) unpinBatch(batch []item) {
+	if s.cfg.Epochs == nil {
+		return
+	}
+	run := 0
+	for i := range batch {
+		run++
+		if i+1 == len(batch) || batch[i+1].epoch != batch[i].epoch {
+			s.cfg.Epochs.Done(batch[i].epoch, run)
+			run = 0
+		}
+	}
+}
+
+// drop releases a frame that leaves the server unverified, a queue
+// policy's or Close's: its message goes back to the pool and its epoch
+// pin back to the set.
+func (s *Server) drop(it item) {
+	if s.cfg.Epochs != nil {
+		s.cfg.Epochs.Done(it.epoch, 1)
+	}
+	s.putMsg(it.msg)
+}
+
 // Addr returns the TCP listen address.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
@@ -448,18 +486,20 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	it := item{msg: msg, at: time.Now().UnixNano()}
 	if s.cfg.Epochs != nil {
-		// Stamp the topology epoch current at enqueue — the transport
-		// twin of netsim's arrival stamp.
-		it.epoch = s.cfg.Epochs.Current().Version
+		// Stamp and pin the topology epoch current at enqueue — the
+		// transport twin of netsim's arrival stamp.
+		it.epoch = s.cfg.Epochs.Stamp()
 	}
+	// Each drop path hands the frame back before counting it, so a
+	// reader that sees the ledger balance sees every pin returned.
 	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, s.c.queueFullBlocks.Inc, s.evict) {
 	case queue.Refused:
+		s.drop(it)
 		s.c.queueDropNewest.Inc()
-		s.putMsg(msg)
 	case queue.Stopped:
 		// The undelivered frame joins the close-time drop ledger.
+		s.drop(it)
 		s.c.droppedOnClose.Inc()
-		s.putMsg(msg)
 		return false
 	}
 	return true
@@ -467,8 +507,8 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 
 // evict releases a frame DropOldest pushed out of the ingest queue.
 func (s *Server) evict(old item) {
+	s.drop(old)
 	s.c.queueDropOldest.Inc()
-	s.putMsg(old.msg)
 }
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one
@@ -521,9 +561,10 @@ func (s *Server) sinkLoop() {
 // fold runs one batch through the sink host, which verifies each frame
 // outside its lock and takes the lock once to fold it: a Verdict or
 // Delivered read waits behind one fold, never behind a batch of MAC
-// checks. While the sink is down the host drops every frame. The
-// delivered count and the progress broadcast are published once per
-// batch, after every frame in it is folded.
+// checks. While the sink is down the host drops every frame. Once the
+// batch is verified its epoch pins are handed back; then the delivered
+// count and the progress broadcast are published, once per batch, so a
+// waiter that sees a frame delivered sees its pin returned.
 func (s *Server) fold(batch []item) {
 	folded := 0
 	for i := range batch {
@@ -531,6 +572,7 @@ func (s *Server) fold(batch []item) {
 			folded++
 		}
 	}
+	s.unpinBatch(batch)
 	if folded < len(batch) {
 		s.c.droppedWhileDown.Add(uint64(len(batch) - folded))
 	}
@@ -593,6 +635,8 @@ func (s *Server) WaitDelivered(want int, timeout time.Duration) error {
 // — and counted (transport.ingest.dropped_on_close), so the ledger
 // invariant holds exactly at rest: every ingested frame is delivered, a
 // policy drop, dropped while the sink was down, or dropped on close.
+// Every one of them has handed its epoch pin back, so a Config.Epochs
+// set holds no pins after Close and retains only its current epoch.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -614,7 +658,7 @@ func (s *Server) Close() {
 			select {
 			case it := <-s.ingest:
 				undelivered++
-				s.putMsg(it.msg)
+				s.drop(it)
 			default:
 				break drain
 			}
