@@ -77,12 +77,15 @@ bench-churn:
 
 # Short coverage-guided fuzzing over the trust boundary: the hardened
 # packet decoder and the frame reader that feeds it untrusted socket
-# bytes. Each harness runs FUZZTIME on top of its committed seed corpus.
+# bytes, plus the MAC engine's anonymous-ID paths against the test
+# reference. Each harness runs FUZZTIME on top of its committed seed
+# corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzAnonIDPathsAgree$$' -fuzztime $(FUZZTIME) ./internal/mac
 
 # Live-server soaks under the race detector: pnmload-style replay into
 # the ingest server over real sockets while a chaos plan crashes and

@@ -84,7 +84,7 @@ func DefaultSinkBench() SinkBenchConfig {
 }
 
 // MacBenchResult is the per-call MAC engine micro-benchmark: cold
-// (per-call key-block compression, as node-side marking does it) against
+// (per-call key compression, as node-side marking does it) against
 // the sink's precomputed key schedule. Each ns column is the fastest of
 // macRounds loops of Iters calls.
 type MacBenchResult struct {

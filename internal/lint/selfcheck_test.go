@@ -152,7 +152,9 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 	funcs := noallocFuncs(prog)
 	for _, want := range []string{
 		"pnm/internal/mac.AnonID",
-		"pnm/internal/mac.anonKeyBlock",
+		"pnm/internal/mac.anonSubkey",
+		"pnm/internal/mac.anonWords",
+		"pnm/internal/mac.anonHash",
 		"pnm/internal/mac.macKeyBlock",
 		"pnm/internal/mac.Schedule.Sum",
 		"pnm/internal/mac.Schedule.AnonID",
@@ -173,6 +175,8 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.publish",
 		"pnm/internal/sink.TopologyResolver.Resolve",
 		"pnm/internal/sink.TopologyResolver.search",
+		"pnm/internal/sink.TopologyResolver.publish",
+		"pnm/internal/sink.ExhaustiveResolver.publish",
 		"pnm/internal/sink.TopologyResolver.anonOf",
 		"pnm/internal/sink.TopologyResolver.hintPath",
 		"pnm/internal/sink.TopologyResolver.hint",

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"pnm/internal/packet"
@@ -24,8 +25,8 @@ const KeyLen = 16
 type Key [KeyLen]byte
 
 // macKeyDomain opens the marking-MAC key block. It differs from
-// anonKeyDomain, so H and H' under one node key start from different
-// chaining values.
+// anonSubkeyDomain, so H's chaining value and the subkey of H' under one
+// node key hash different inputs.
 const macKeyDomain = "pnm/mac-key/v1\x00\x00"
 
 // macKeyBlock writes k's marking-MAC key block into b[:blockSize]: the
@@ -68,28 +69,87 @@ func Sum(k Key, data []byte) [packet.MACLen]byte {
 	return [packet.MACLen]byte(sum[:])
 }
 
-// anonDomain opens the anonymous-ID message, which is fixed-length and
-// so always one block after the key block.
-const anonDomain = "pnm/anon-id/v2"
+// anonSubkeyDomain opens the input K_a is hashed from. It differs from
+// macKeyDomain, and the 32-byte input is shorter than a key block, so K_a
+// and the MAC key block's chaining value never hash the same bytes.
+const anonSubkeyDomain = "pnm/anon-key/v2\x00"
 
-// The AnonID message anonDomain ‖ report ‖ id, laid out at fixed offsets.
-const (
-	anonReportOff = len(anonDomain)
-	anonIDOff     = anonReportOff + packet.ReportLen
-	anonMsgLen    = anonIDOff + 2
-)
-
-// anonKeyDomain opens the AnonID key block; it differs from macKeyDomain
-// in its domain string, so the two key blocks of one key never coincide.
-const anonKeyDomain = "pnm/anon-key/v1\x00"
-
-// anonKeyBlock writes k's AnonID key block into b[:blockSize]: the
-// 16-byte anonKeyDomain, the 16-byte key, and zeros.
+// anonSubkey derives k's anonymous-ID subkey K_a, the first 16 bytes of
+// SHA-256(anonSubkeyDomain ‖ k), as SipHash's key words
+// k0 = LE64(K_a[0:8]) and k1 = LE64(K_a[8:16]): one compression over a
+// stack array.
 // pnmlint:noalloc
-func anonKeyBlock(b []byte, k Key) {
-	n := copy(b, anonKeyDomain)
-	n += copy(b[n:], k[:])
-	clear(b[n:blockSize])
+func anonSubkey(k Key) [2]uint64 {
+	var in [len(anonSubkeyDomain) + KeyLen]byte
+	n := copy(in[:], anonSubkeyDomain)
+	copy(in[n:], k[:])
+	sum := sha256.Sum256(in[:])
+	return [2]uint64{binary.LittleEndian.Uint64(sum[:8]), binary.LittleEndian.Uint64(sum[8:16])}
+}
+
+// anonMsgLen is the length of the message H' hashes, report ‖ be16(id).
+const anonMsgLen = packet.ReportLen + 2
+
+// anonWords returns the message H' hashes for report, with the ID left
+// zero, as SipHash-2-4's three little-endian message words: the report's
+// first 16 bytes, then its last 4, the ID's two byte slots, a zero byte
+// and the message length, SipHash's final-word layout. anonHash ORs the
+// ID in.
+// pnmlint:noalloc
+func anonWords(report packet.Report) [3]uint64 {
+	var b [24]byte
+	report.Encode(b[:0])
+	b[len(b)-1] = anonMsgLen
+	return [3]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:16]), binary.LittleEndian.Uint64(b[16:])}
+}
+
+// anonHash is H' from K_a's key words and anonWords' message words:
+// SipHash-2-4 (Aumasson and Bernstein, 2012) over the three words, with
+// be16(id) ORed into message bytes 20 and 21 — two rounds per word, then
+// four after v2 ^= 0xff — truncated to the first 4 bytes of its
+// little-endian output.
+// pnmlint:noalloc
+func anonHash(key *[2]uint64, m *[3]uint64, id packet.NodeID) [packet.AnonIDLen]byte {
+	m0, m1, m2 := m[0], m[1], m[2]|uint64(id>>8)<<32|uint64(id&0xff)<<40
+	v0 := key[0] ^ 0x736f6d6570736575
+	v1 := key[1] ^ 0x646f72616e646f6d
+	v2 := key[0] ^ 0x6c7967656e657261
+	v3 := key[1] ^ 0x7465646279746573
+	v3 ^= m0
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0 ^= m0
+	v3 ^= m1
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0 ^= m1
+	v3 ^= m2
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0 ^= m2
+	v2 ^= 0xff
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	var out [packet.AnonIDLen]byte
+	binary.LittleEndian.PutUint32(out[:], uint32(v0^v1^v2^v3))
+	return out
+}
+
+// sipRound is SipHash's add-rotate-xor round.
+func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	v0 += v1
+	v1 = bits.RotateLeft64(v1, 13) ^ v0
+	v0 = bits.RotateLeft64(v0, 32)
+	v2 += v3
+	v3 = bits.RotateLeft64(v3, 16) ^ v2
+	v0 += v3
+	v3 = bits.RotateLeft64(v3, 21) ^ v0
+	v2 += v1
+	v1 = bits.RotateLeft64(v1, 17) ^ v2
+	v2 = bits.RotateLeft64(v2, 32)
+	return v0, v1, v2, v3
 }
 
 // AnonID computes the per-message anonymous ID i' = H'_ki(M | i), where M is
@@ -97,21 +157,15 @@ func anonKeyBlock(b []byte, k Key) {
 // distinct injected report, so an attacker cannot accumulate a static
 // ID-translation table over time.
 //
-// H' is the first 4 bytes of SHA-256(anonKeyBlock(k) ‖ anonDomain ‖ M ‖ i).
-// The input is always 100 bytes, so after the key block the hash is one
-// compression keyed through its chaining value, which a Schedule caches
-// (DESIGN §9 gives the PRF argument). This is the node-side path: one
-// stack array, no allocation.
+// H' is the first 4 bytes of SipHash-2-4's little-endian output under
+// k's subkey K_a (anonSubkey) over the 22 bytes M ‖ be16(i): a PRF built
+// for short inputs, which a Schedule runs from a cached K_a (DESIGN §9
+// gives the argument). This is the node-side path: the subkey's one
+// SHA-256 compression, then SipHash, over stack arrays.
 // pnmlint:noalloc
 func AnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	var buf [blockSize + anonMsgLen]byte
-	anonKeyBlock(buf[:], k)
-	msg := buf[blockSize:]
-	copy(msg, anonDomain)
-	report.Encode(msg[:anonReportOff])
-	binary.BigEndian.PutUint16(msg[anonIDOff:], uint16(id))
-	sum := sha256.Sum256(buf[:])
-	return [packet.AnonIDLen]byte(sum[:])
+	key, m := anonSubkey(k), anonWords(report)
+	return anonHash(&key, &m, id)
 }
 
 // Equal reports whether two MACs match, in constant time.
@@ -144,10 +198,10 @@ type KeyStore struct {
 	keys []keySlot // pnmlint:guarded-by mu
 
 	// cores caches the immutable key-absorbed halves of the per-node key
-	// schedules (64 bytes each), indexed by NodeID and shared across every
+	// schedules (48 bytes each), indexed by NodeID and shared across every
 	// Hasher over this store: N workers warming up on the same node pay
-	// the key derivation and the two key-block compressions once, not N
-	// times. A core never changes once built, so the cache is never
+	// the key derivation, the key-block compression and the subkey's once,
+	// not N times. A core never changes once built, so the cache is never
 	// invalidated.
 	cores      []*schedCore // pnmlint:guarded-by mu
 	coreBuilds uint64       // pnmlint:guarded-by mu

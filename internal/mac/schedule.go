@@ -41,7 +41,7 @@ type stateAppender interface {
 // stateTemplate is the marshaled state of a SHA-256 digest that has
 // absorbed exactly one 64-byte block: magic, chaining value, an empty
 // block buffer and a length of 64. Every key-absorbed state (the MAC
-// and AnonID key blocks, HMAC's pad blocks) has this shape and differs
+// key block, HMAC's pad blocks) has this shape and differs
 // from it only in the 32 chaining bytes. A scratch digest is unmarshaled
 // from it once; after that, the schedule writes only whole blocks, so
 // the buffer stays empty and a restore rewrites just the eight state
@@ -57,32 +57,32 @@ var stateTemplate = func() []byte {
 }()
 
 // schedCore is the immutable, per-key half of a key schedule: the
-// SHA-256 chaining values after absorbing the marking-MAC key block and
-// the AnonID key block, as the digest's state words, so a restore is one
-// 32-byte store. Building one pays the two key-block compressions; a
-// core is never written afterwards, so KeyStore keeps one per node and
-// every Hasher reads it.
+// SHA-256 chaining value after absorbing the marking-MAC key block, as
+// the digest's state words so a restore is one 32-byte store, and the
+// AnonID subkey K_a as SipHash's two key words. Building one pays two
+// compressions, the key block's and K_a's; a core is never written
+// afterwards, so KeyStore keeps one per node and every Hasher reads it.
 type schedCore struct {
-	mac, anon [8]uint32
+	mac  [8]uint32
+	anon [2]uint64
 }
 
-// buildCore absorbs k's MAC and AnonID key blocks into c — the
-// once-per-key step — on the scratch's digest, with the key blocks laid
-// out in its tail. It then clears the tail, so the scratch keeps nothing
-// of k: the state words and the marshal buffer end on c's AnonID
+// buildCore absorbs k's MAC key block into c on the scratch's digest,
+// with the block laid out in its tail, and derives k's AnonID subkey —
+// the once-per-key step. It then clears the tail, so the scratch keeps
+// nothing of k: the state words and the marshal buffer end on c's MAC
 // chaining value, which is not the key.
 func (sc *scratch) buildCore(c *schedCore, k Key) {
 	block := sc.tail[:blockSize]
 	macKeyBlock(block, k)
 	sc.absorbKeyBlock(&c.mac, block)
-	anonKeyBlock(block, k)
-	sc.absorbKeyBlock(&c.anon, block)
 	clear(block)
+	c.anon = anonSubkey(k)
 }
 
 // absorbKeyBlock hashes one 64-byte block from SHA-256's initial value on
 // the scratch digest and stores the resulting state words in dst: a core's
-// MAC or AnonID key block, or one of HMAC's pad blocks. It is the
+// MAC key block, or one of HMAC's pad blocks. It is the
 // per-core half of the layout guard, run on the reused digest: the
 // digest's marshaled state (marshalState) must equal
 // stateTemplate everywhere but the chaining bytes (one block written,
@@ -152,8 +152,8 @@ func putWords(dst []byte, w *[8]uint32) {
 }
 
 // scratch is the per-goroutine half of a key schedule: one reusable
-// digest and the blocks Sum and AnonID feed it. The calls run one after
-// the other, so one digest serves them all.
+// digest and the blocks Sum feeds it, and AnonID's message words. The
+// calls run one after the other, so one scratch serves them all.
 //
 // Every Write hands the digest whole 64-byte blocks, message padding
 // included, so the digest's own buffering and Sum's padding and copies
@@ -169,17 +169,16 @@ type scratch struct {
 	// tail holds the MAC message's last partial block and its padding,
 	// and the blocks a key derivation or a core build compresses.
 	tail [2 * blockSize]byte
-	// anon is the padded AnonID message block for report anonRep, the
-	// one block after the key block; a call for the same report rewrites
-	// only the two ID bytes.
-	anon    [blockSize]byte
+	// anonMsg is anonWords(anonRep), the AnonID message words of the last
+	// report seen: a call for the same report only ORs in the ID.
+	anonMsg [3]uint64
 	anonRep packet.Report
 }
 
 // newScratch returns fresh scratch: a digest unmarshaled from
 // stateTemplate, so its block buffer is empty and its length field reads
-// one block, a marshal buffer, and the AnonID block with its padding in
-// place. It runs the restore half of the layout guard on the digest
+// one block, a marshal buffer, and the zero report's AnonID message
+// words. It runs the restore half of the layout guard on the digest
 // first.
 func newScratch() *scratch {
 	h := sha256.New().(marshalingHash)
@@ -188,9 +187,7 @@ func newScratch() *scratch {
 	if err := h.UnmarshalBinary(stateTemplate); err != nil {
 		panic(fmt.Sprintf("mac: unmarshal sha256 state: %v", err))
 	}
-	copy(sc.anon[:], anonDomain)
-	sc.anonRep.Encode(sc.anon[:anonReportOff])
-	padBlocks(sc.anon[:], anonMsgLen, blockSize+anonMsgLen)
+	sc.anonMsg = anonWords(sc.anonRep)
 	return sc
 }
 
@@ -269,16 +266,16 @@ func (sc *scratch) absorb(n int, p []byte) int {
 }
 
 // Schedule is a precomputed key schedule for one node key: the keyed
-// SHA-256 cascades behind Sum and AnonID.
+// SHA-256 cascade behind Sum and the SipHash subkey behind AnonID.
 //
-// Hashing from scratch pays the key block's compression on every call.
-// The sink recomputes MACs and anonymous IDs for every received mark —
-// §4.2's whole feasibility argument is that it can do so at line rate —
-// so a schedule pairs the key's shared, immutable key-absorbed chaining
-// values (built once) with its goroutine's scratch digest, which each
-// call restores to those values. Sum and AnonID run zero-alloc and skip every key-block
-// compression; outputs are bit-identical to the package-level Sum and
-// AnonID for the same key.
+// Hashing from scratch pays a key compression on every call: the key
+// block's for Sum, the subkey's for AnonID. The sink recomputes MACs and
+// anonymous IDs for every received mark — §4.2's whole feasibility
+// argument is that it can do so at line rate — so a schedule pairs the
+// key's shared, immutable core (built once) with its goroutine's scratch
+// digest, which each Sum restores to the core's chaining value. Sum and
+// AnonID run zero-alloc and skip every key compression; outputs are
+// bit-identical to the package-level Sum and AnonID for the same key.
 //
 // A Schedule is a two-pointer value — the key's core and the goroutine's
 // scratch — so handing one out costs no allocation; every schedule a
@@ -350,8 +347,8 @@ func growTo[T any](t []T, id packet.NodeID) []T {
 }
 
 // CoreBuilds reports how many schedule cores the store has built — the
-// store-wide key-block compression count the sharing exists to minimize
-// (at most one per distinct node, however many workers warm up).
+// store-wide count of per-key compressions the sharing exists to minimize
+// (at most one build per distinct node, however many workers warm up).
 func (ks *KeyStore) CoreBuilds() uint64 {
 	ks.mu.RLock()
 	defer ks.mu.RUnlock()
@@ -382,23 +379,17 @@ func (s Schedule) Sum(prefix, suffix []byte) [packet.MACLen]byte {
 
 // AnonID computes the per-message anonymous ID i' = H'_k(M | i),
 // bit-identical to the package-level AnonID for the schedule's key, with
-// zero allocations: one compression of the padded 36-byte message block
-// from the key block's chaining value. The scratch keeps that block for
-// the last report it saw: a probe for the same report patches the two ID
-// bytes, and a new report re-encodes the block.
+// zero allocations: one SipHash-2-4 over three message words under the
+// core's subkey. The scratch keeps the words of the last report it saw:
+// a probe for the same report only ORs in the ID, and a new report
+// re-encodes them.
 // pnmlint:noalloc
 func (s Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
 	sc := s.sc
 	if report != sc.anonRep {
-		sc.anonRep = report
-		report.Encode(sc.anon[:anonReportOff])
+		sc.anonRep, sc.anonMsg = report, anonWords(report)
 	}
-	binary.BigEndian.PutUint16(sc.anon[anonIDOff:], uint16(id))
-	sc.restore(&s.core.anon)
-	sc.h.Write(sc.anon[:])
-	var out [packet.AnonIDLen]byte
-	putWords(out[:], sc.words)
-	return out
+	return anonHash(&s.core.anon, &sc.anonMsg, id)
 }
 
 // Hasher is a goroutine-local table of per-node key schedules over a

@@ -19,7 +19,7 @@ import (
 
 // TestScheduleMatchesCold pins the engine's correctness contract: a
 // cached schedule's Sum and AnonID are bit-identical to the package-level
-// (one-shot SHA-256) functions for every key, message length and node ID.
+// (one-shot) functions for every key, message length and node ID.
 func TestScheduleMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ks := NewKeyStore([]byte("schedule-equiv"))
@@ -131,40 +131,107 @@ func refCompress(h [8]uint32, block []byte) [8]uint32 {
 	return [8]uint32{h[0] + a, h[1] + b, h[2] + c, h[3] + d, h[4] + e, h[5] + f, h[6] + g, h[7] + hh}
 }
 
+// refSipHash is SipHash-2-4 (Aumasson and Bernstein, 2012) over a
+// message of any length, written byte by byte from the paper and sharing
+// no code with the package's three-word kernel: the message is padded
+// with zeros to one byte short of a multiple of 8 and closed by its
+// length mod 256, each 8 bytes are a little-endian word absorbed with two
+// rounds, and four rounds after v2 ^= 0xff finish.
+func refSipHash(key [16]byte, msg []byte) uint64 {
+	le := func(b []byte) uint64 {
+		var w uint64
+		for i := 7; i >= 0; i-- {
+			w = w<<8 | uint64(b[i])
+		}
+		return w
+	}
+	k0, k1 := le(key[:8]), le(key[8:])
+	v := [4]uint64{k0 ^ 0x736f6d6570736575, k1 ^ 0x646f72616e646f6d, k0 ^ 0x6c7967656e657261, k1 ^ 0x7465646279746573}
+	round := func() {
+		v[0] += v[1]
+		v[1] = bits.RotateLeft64(v[1], 13)
+		v[1] ^= v[0]
+		v[0] = bits.RotateLeft64(v[0], 32)
+		v[2] += v[3]
+		v[3] = bits.RotateLeft64(v[3], 16)
+		v[3] ^= v[2]
+		v[0] += v[3]
+		v[3] = bits.RotateLeft64(v[3], 21)
+		v[3] ^= v[0]
+		v[2] += v[1]
+		v[1] = bits.RotateLeft64(v[1], 17)
+		v[1] ^= v[2]
+		v[2] = bits.RotateLeft64(v[2], 32)
+	}
+	b := append(append([]byte{}, msg...), make([]byte, 7-len(msg)%8)...)
+	b = append(b, byte(len(msg)))
+	for off := 0; off < len(b); off += 8 {
+		m := le(b[off:])
+		v[3] ^= m
+		round()
+		round()
+		v[0] ^= m
+	}
+	v[2] ^= 0xff
+	for range 4 {
+		round()
+	}
+	return v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+// refAnonKey is the AnonID subkey K_a, spelled out: the first 16 bytes of
+// SHA-256 over the 16-byte domain string and the key.
+func refAnonKey(k Key) [16]byte {
+	sum := sha256.Sum256(append([]byte("pnm/anon-key/v2\x00"), k[:]...))
+	return [16]byte(sum[:16])
+}
+
 // refAnonID is the tests' independent H': the first 4 bytes of
-// SHA-256(key block ‖ message block) computed by refCompress, with both
-// blocks and the padding spelled out here rather than taken from the
-// package's constants.
+// refSipHash's little-endian output under refAnonKey(k) over the 22-byte
+// message report ‖ be16(id), with the report's encoding spelled out here
+// rather than taken from packet.Report.Encode.
 func refAnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	var msg [64]byte
-	key := refAnonKey(k)
-	copy(msg[:], "pnm/anon-id/v2")
-	binary.BigEndian.PutUint32(msg[14:], report.Event)
-	binary.BigEndian.PutUint32(msg[18:], report.Location)
-	binary.BigEndian.PutUint64(msg[22:], report.Timestamp)
-	binary.BigEndian.PutUint32(msg[30:], report.Seq)
-	binary.BigEndian.PutUint16(msg[34:], uint16(id))
-	msg[36] = 0x80
-	binary.BigEndian.PutUint64(msg[56:], 100*8) // 100 message bytes, in bits
-	var out [packet.AnonIDLen]byte
-	binary.BigEndian.PutUint32(out[:], refCompress(refCompress(refIV, key[:]), msg[:])[0])
-	return out
+	var msg [22]byte
+	binary.BigEndian.PutUint32(msg[0:], report.Event)
+	binary.BigEndian.PutUint32(msg[4:], report.Location)
+	binary.BigEndian.PutUint64(msg[8:], report.Timestamp)
+	binary.BigEndian.PutUint32(msg[16:], report.Seq)
+	binary.BigEndian.PutUint16(msg[20:], uint16(id))
+	h := refSipHash(refAnonKey(k), msg[:])
+	return [packet.AnonIDLen]byte{byte(h), byte(h >> 8), byte(h >> 16), byte(h >> 24)}
 }
 
-// refAnonKey is the AnonID key block, spelled out: the 16-byte domain
-// string, the key, and 32 zeros.
-func refAnonKey(k Key) [64]byte {
-	var key [64]byte
-	copy(key[:], "pnm/anon-key/v1\x00")
-	copy(key[16:], k[:])
-	return key
+// TestRefSipHashVectors pins refSipHash to the published SipHash-2-4
+// test vectors (the reference implementation's vectors.h) under the key
+// 00 01 … 0f: the empty message and the 15-byte message 00 … 0e, whose
+// final word carries seven message bytes.
+func TestRefSipHashVectors(t *testing.T) {
+	var key [16]byte
+	msg := make([]byte, 15)
+	for i := range key {
+		key[i] = byte(i)
+	}
+	for i := range msg {
+		msg[i] = byte(i)
+	}
+	for _, c := range []struct {
+		n    int
+		want uint64
+	}{{0, 0x726fdb47dd0e0e31}, {15, 0xa129ca6149be45e5}} {
+		if got := refSipHash(key, msg[:c.n]); got != c.want {
+			t.Errorf("SipHash-2-4 of %d bytes = %#016x, published vector %#016x", c.n, got, c.want)
+		}
+	}
 }
 
-// refCore is the schedule core for k by the reference compression: the
-// chaining values after the MAC and the AnonID key blocks.
+// refCore is the schedule core for k by the references: the chaining
+// value after the MAC key block, and K_a as SipHash's two key words.
 func refCore(k Key) schedCore {
 	mk, ak := refMACKey(k), refAnonKey(k)
-	return schedCore{mac: refCompress(refIV, mk[:]), anon: refCompress(refIV, ak[:])}
+	return schedCore{
+		mac:  refCompress(refIV, mk[:]),
+		anon: [2]uint64{binary.LittleEndian.Uint64(ak[:8]), binary.LittleEndian.Uint64(ak[8:])},
+	}
 }
 
 // refPad is SHA-256's padding for an n-byte input: 0x80, zeros up to 56
@@ -313,6 +380,45 @@ func TestAnonIDPathsAgree(t *testing.T) {
 	}
 }
 
+// FuzzAnonIDPathsAgree pins every way to compute H' to the reference for
+// a fuzzed key, report and ID: the cold AnonID, a NewSchedule's AnonID,
+// and a Hasher's over a store whose master is the key bytes, on a report
+// memo miss (the Hasher last saw another report), a hit, and a hit just
+// after a probe for another ID.
+func FuzzAnonIDPathsAgree(f *testing.F) {
+	f.Add([]byte{}, uint32(0), uint32(0), uint64(0), uint32(0), uint16(0))
+	f.Add([]byte("0123456789abcdef"), uint32(7), uint32(1024), uint64(1)<<40, uint32(3), uint16(2047))
+	f.Add(bytes.Repeat([]byte{0xff}, 20), uint32(math.MaxUint32), uint32(1), uint64(math.MaxUint64), uint32(9), uint16(math.MaxUint16))
+	f.Fuzz(func(t *testing.T, key []byte, event, location uint32, timestamp uint64, seq uint32, id uint16) {
+		var k Key
+		copy(k[:], key)
+		report := packet.Report{Event: event, Location: location, Timestamp: timestamp, Seq: seq}
+		nid := packet.NodeID(id)
+		want := refAnonID(k, report, nid)
+		if got := AnonID(k, report, nid); got != want {
+			t.Fatalf("cold AnonID = %x, reference = %x", got, want)
+		}
+		if got := NewSchedule(k).AnonID(report, nid); got != want {
+			t.Fatalf("Schedule.AnonID = %x, reference = %x", got, want)
+		}
+		ks := NewKeyStore(key)
+		h := ks.Hasher()
+		other := report
+		other.Seq++
+		h.AnonID(nid, other)
+		want = refAnonID(ks.Key(nid), report, nid)
+		for _, step := range []string{"memo miss", "memo hit"} {
+			if got := h.AnonID(nid, report); got != want {
+				t.Fatalf("Hasher.AnonID on a %s = %x, reference = %x", step, got, want)
+			}
+		}
+		h.AnonID(nid^1, report)
+		if got := h.AnonID(nid, report); got != want {
+			t.Fatalf("Hasher.AnonID after another ID's probe = %x, reference = %x", got, want)
+		}
+	})
+}
+
 // TestColdSumAllocs pins the node-side H at zero allocations for a
 // message that fits coldStack, as every mark chain the experiments build
 // does, and at one beyond it.
@@ -330,7 +436,7 @@ func TestColdSumAllocs(t *testing.T) {
 }
 
 // TestColdAnonIDZeroAlloc pins the node-side H' at zero allocations:
-// one SHA-256 over a stack array.
+// the subkey's SHA-256 and SipHash over stack arrays.
 func TestColdAnonIDZeroAlloc(t *testing.T) {
 	k := Key{7}
 	report := packet.Report{Event: 3, Location: 4, Timestamp: 5, Seq: 6}
@@ -371,10 +477,10 @@ func TestWholeBlockPaddingMatchesSum256(t *testing.T) {
 	}
 }
 
-// TestAnonIDReportMemo pins the AnonID block memo: the scratch keeps the
-// encoded block of the last report it saw, so a call for a different
-// report — even one differing in a single field — must re-encode it, and
-// a return to an earlier report must not reuse a stale block. Every
+// TestAnonIDReportMemo pins the AnonID message memo: the scratch keeps
+// the message words of the last report it saw, so a call for a different
+// report — even one differing in a single field — must re-encode them,
+// and a return to an earlier report must not reuse stale words. Every
 // result, through a Hasher (one scratch across keys) and a NewSchedule,
 // is checked against refAnonID.
 func TestAnonIDReportMemo(t *testing.T) {
@@ -470,7 +576,7 @@ func (scratchSeq) Generate(rng *rand.Rand, _ int) reflect.Value {
 // against refAnonID. A restore writes only the digest's state words, so
 // the one way it can go wrong that a per-length test cannot see is state
 // one call leaves behind for the next: a buffered tail, a stale length
-// word, a stale AnonID block. The test also requires that the sequences
+// word, stale AnonID message words. The test also requires that the sequences
 // covered every edge length as a prefix and as a suffix, and every
 // two-block-padding residue of the keyed input.
 func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
@@ -525,35 +631,26 @@ func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
 // TestStateTemplateLayout pins the layout guard's premise on the running
 // Go release: a digest after one 64-byte block marshals to the template
 // with its chaining value at chainOff, and a fresh scratch whose state
-// words are overwritten with a core's chaining value hashes exactly like
-// the digest that absorbed the key block — the MAC or the AnonID key
-// block — and each of a core's two values is the one its block gives.
+// words are overwritten with a core's MAC chaining value hashes exactly
+// like the digest that absorbed the MAC key block, whose value it is.
 func TestStateTemplateLayout(t *testing.T) {
 	k := Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	macKey := refMACKey(k)
-	var anon [blockSize]byte
-	anonKeyBlock(anon[:], k)
 	core := NewSchedule(k).core
-	for _, c := range []struct {
-		name  string
-		block []byte
-		core  *[8]uint32
-	}{{"mac key", macKey[:], &core.mac}, {"anon key", anon[:], &core.anon}} {
-		var chain [8]uint32
-		newScratch().absorbKeyBlock(&chain, c.block) // panics on a layout mismatch
-		if chain != *c.core {
-			t.Fatalf("%s: core holds %x, absorbKeyBlock gives %x", c.name, *c.core, chain)
-		}
-		live := sha256.New()
-		live.Write(c.block)
-		sc := newScratch()
-		sc.restore(&chain)
-		msg := []byte("after the key block")
-		live.Write(msg)
-		sc.h.Write(msg)
-		if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
-			t.Fatalf("%s: restored state hashes to %x, live digest to %x", c.name, got, want)
-		}
+	var chain [8]uint32
+	newScratch().absorbKeyBlock(&chain, macKey[:]) // panics on a layout mismatch
+	if chain != core.mac {
+		t.Fatalf("core holds %x, absorbKeyBlock gives %x", core.mac, chain)
+	}
+	live := sha256.New()
+	live.Write(macKey[:])
+	sc := newScratch()
+	sc.restore(&chain)
+	msg := []byte("after the key block")
+	live.Write(msg)
+	sc.h.Write(msg)
+	if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
+		t.Fatalf("restored state hashes to %x, live digest to %x", got, want)
 	}
 }
 
@@ -647,15 +744,15 @@ func TestHasherCachesSchedules(t *testing.T) {
 }
 
 // TestHashersShareStoreCores pins the per-key/per-goroutine split: two
-// Hashers over one store read the same 64-byte core per node (built once,
+// Hashers over one store read the same 48-byte core per node (built once,
 // counted by CoreBuilds, without caching the node's key) through their
 // own scratch, a Hasher keeps one pointer per node and hands out
 // two-pointer Schedules.
 func TestHashersShareStoreCores(t *testing.T) {
 	ks := NewKeyStore([]byte("shared-cores"))
 	a, b := ks.Hasher(), ks.Hasher()
-	if n := unsafe.Sizeof(schedCore{}); n != 2*sha256.Size {
-		t.Errorf("schedCore is %d bytes, want %d (two chaining values)", n, 2*sha256.Size)
+	if n := unsafe.Sizeof(schedCore{}); n != sha256.Size+16 {
+		t.Errorf("schedCore is %d bytes, want %d (a chaining value and a SipHash key)", n, sha256.Size+16)
 	}
 	ptr := unsafe.Sizeof(uintptr(0))
 	if n := unsafe.Sizeof(a.cores[0]); n != ptr {
@@ -890,9 +987,10 @@ func TestWarmupTablesGrowLogarithmically(t *testing.T) {
 
 // TestBuildCoreLeavesNoKey pins DESIGN §9's "a sink-side store holds no
 // keys" on the scratch a build runs on: after a Hasher's cold Schedule
-// and after NewSchedule, neither the key nor HMAC's inner digest, from
-// which the store's opad state gives the key, appears in the scratch's
-// buffers or in the digest's memory.
+// and after NewSchedule, neither the key (and so neither the input K_a
+// is hashed from, which contains it) nor HMAC's inner digest, from which
+// the store's opad state gives the key, appears in the scratch's buffers
+// or in the digest's memory.
 func TestBuildCoreLeavesNoKey(t *testing.T) {
 	const id = 41
 	master := []byte("no-key-left")
@@ -911,7 +1009,7 @@ func TestBuildCoreLeavesNoKey(t *testing.T) {
 	}{{"Hasher", h.sc}, {"NewSchedule", NewSchedule(k).sc}} {
 		d := reflect.ValueOf(c.sc.h)
 		digest := unsafe.Slice((*byte)(d.UnsafePointer()), d.Type().Elem().Size())
-		for _, mem := range [][]byte{c.sc.tail[:], c.sc.anon[:], c.sc.state[:cap(c.sc.state)], digest} {
+		for _, mem := range [][]byte{c.sc.tail[:], c.sc.state[:cap(c.sc.state)], digest} {
 			if bytes.Contains(mem, k[:]) || bytes.Contains(mem, inner[:KeyLen]) {
 				t.Errorf("%s scratch keeps the key or the inner digest after a build", c.name)
 			}

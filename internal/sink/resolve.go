@@ -48,18 +48,20 @@ func ResolveAll(r Resolver, report packet.Report, anon [packet.AnonIDLen]byte, p
 // anonIDFunc computes a node's anonymous ID for a report. It is a seam:
 // in production it is nil and the resolvers derive IDs through their
 // cached per-node key schedules (bit-identical to mac.AnonID, without the
-// per-call key-block compression); tests substitute a colliding function
+// per-call subkey compression); tests substitute a colliding function
 // to manufacture truncated-ID collisions at chosen nodes without
 // searching for real hash collisions.
 type anonIDFunc func(k mac.Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte
 
 // scheduleCacher is implemented by resolvers that hash through a key
 // schedule cache their owning verifier may share (see NewVerifier).
-// shareScheduleCache hands the cache over: from then on the verifier
-// publishes its hit count once per packet, and the resolver stops
-// publishing it itself.
+// shareScheduleCache hands the cache over: from then on the resolver
+// tallies its own counts in plain fields too, and the verifier publishes
+// both once per packet, the cache's hits and, through publish, the
+// resolver's tallies. A resolver on its own publishes per call.
 type scheduleCacher interface {
 	shareScheduleCache() *mac.Hasher
+	publish()
 }
 
 // ExhaustiveResolver implements the paper's base method: for each distinct
@@ -77,6 +79,9 @@ type ExhaustiveResolver struct {
 	hasher *mac.Hasher
 	shared bool       // a verifier shares hasher and publishes it
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
+	// pendingCandidates counts the candidates yielded since the last
+	// publish.
+	pendingCandidates uint64
 
 	// report and table are the last report's anonymous-ID table; table
 	// is nil until the first build. Each entry packs a node's anonymous
@@ -113,6 +118,16 @@ func (r *ExhaustiveResolver) shareScheduleCache() *mac.Hasher {
 	return r.hasher
 }
 
+// publish implements scheduleCacher: it adds the candidates tallied
+// since the last call to sink.resolver.candidates.
+// pnmlint:noalloc
+func (r *ExhaustiveResolver) publish() {
+	if r.pendingCandidates > 0 {
+		r.candidates.Add(r.pendingCandidates)
+		r.pendingCandidates = 0
+	}
+}
+
 // Resolve implements Resolver. The prev hint is ignored: the table already
 // narrows candidates to exact anonymous-ID matches. The epoch is ignored
 // too — the exhaustive method hashes the whole node universe, which no
@@ -122,10 +137,13 @@ func (r *ExhaustiveResolver) Resolve(report packet.Report, anon [packet.AnonIDLe
 	a := anonKey(anon)
 	i, _ := slices.BinarySearch(table, a<<32)
 	for ; i < len(table) && table[i]>>32 == a; i++ {
-		r.candidates.Inc()
+		r.pendingCandidates++
 		if yield(r.nodes[uint32(table[i])]) {
-			return
+			break
 		}
+	}
+	if !r.shared {
+		r.publish()
 	}
 }
 
@@ -142,8 +160,8 @@ func (r *ExhaustiveResolver) lookup(report packet.Report) []uint64 {
 // operation whose feasibility §4.2 argues from hash throughput. It is
 // O(n) anonymous-ID hashes per report, so it runs on the cached key
 // schedules: after the first build has populated the hasher, each entry
-// costs one state restore and one SHA-256 compression, and the table is
-// one slice, radix-sorted once.
+// costs one SipHash-2-4 call, and the table is one slice, radix-sorted
+// once.
 func (r *ExhaustiveResolver) buildTable(report packet.Report) []uint64 {
 	r.tableBuilds.Inc()
 	table := make([]uint64, len(r.nodes))
@@ -288,6 +306,8 @@ type TopologyResolver struct {
 	// probes, so the BFS never hashes a node twice in one Resolve.
 	stamp []uint16
 	gen   uint16
+	// pending tallies the counts of the calls since the last publish.
+	pending resolveTally
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	probes     *obs.Counter
@@ -295,6 +315,12 @@ type TopologyResolver struct {
 	hintHits   *obs.Counter
 	hintMisses *obs.Counter
 	treeBuilds *obs.Counter
+}
+
+// resolveTally is the TopologyResolver's per-call counts, summed in plain
+// fields until publish adds them to the shared counters.
+type resolveTally struct {
+	probes, candidates, hintHits, hintMisses uint64
 }
 
 // routeTree is one epoch's routing snapshot and its downlink adjacency in
@@ -434,11 +460,24 @@ func (r *TopologyResolver) shareScheduleCache() *mac.Hasher {
 	return r.hasher
 }
 
+// publish implements scheduleCacher: it adds the probe, candidate and
+// hint counts tallied since the last call to the shared counters.
+// pnmlint:noalloc
+func (r *TopologyResolver) publish() {
+	p := r.pending
+	r.pending = resolveTally{}
+	r.probes.Add(p.probes)
+	r.candidates.Add(p.candidates)
+	r.hintHits.Add(p.hintHits)
+	r.hintMisses.Add(p.hintMisses)
+}
+
 // Resolve implements Resolver. A call is a hint hit when the caller
 // accepts a node on the hinted path, learned or seeded; every other call
 // falls through to the subtree BFS and counts as a miss. The call's
-// probe, candidate and hint counts are tallied in locals and published
-// once, at its end.
+// probe, candidate and hint counts are tallied in plain fields and
+// published at its end, or, while a verifier shares the resolver, once
+// per packet by the verifier.
 // pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
 	if epoch != r.cur.version || r.cur.net == nil {
@@ -447,14 +486,15 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		r.useEpoch(epoch)
 	}
 	probes, candidates, hit := r.search(report, anon, prev, havePrev, epoch, yield)
-	r.probes.Add(probes)
-	r.candidates.Add(candidates)
+	r.pending.probes += probes
+	r.pending.candidates += candidates
 	if hit {
-		r.hintHits.Inc()
+		r.pending.hintHits++
 	} else {
-		r.hintMisses.Inc()
+		r.pending.hintMisses++
 	}
 	if !r.shared {
+		r.publish()
 		r.hasher.Publish()
 	}
 }

@@ -77,8 +77,10 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 			// The verifier calls its resolver on its own goroutine, so both
 			// can hash through one cache: every node the resolver probes
 			// and the verifier then MAC-checks needs one schedule, not two.
-			// The verifier publishes the shared cache's hits per packet.
+			// The verifier publishes the shared cache's hits and the
+			// resolver's counts per packet.
 			v.hasher = sc.shareScheduleCache()
+			v.sharer = sc
 		}
 		return v, nil
 	case marking.AMS:
@@ -110,6 +112,9 @@ type NestedVerifier struct {
 	// tests can construct verifiers literally; NewVerifier hands a PNM
 	// verifier its resolver's hasher instead.
 	hasher *mac.Hasher
+	// sharer is resolver when it shares hasher (NewVerifier): publish
+	// flushes its tallied counts with the hasher's.
+	sharer scheduleCacher
 
 	// enc holds the packet being verified encoded once — report, then
 	// every mark — and off[k] is where mark k's encoding starts, so
@@ -234,9 +239,13 @@ func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion)
 
 // publish adds the current packet's locally tallied counts to the shared
 // metrics: the marks accepted into the chain arena, the single-candidate
-// anonymous marks, and the hasher's schedule hits.
+// anonymous marks, the hasher's schedule hits and, when it shares the
+// hasher, the resolver's probe, candidate and hint counts.
 // pnmlint:noalloc
 func (v *NestedVerifier) publish() {
+	if v.sharer != nil {
+		v.sharer.publish()
+	}
 	if n := len(v.chains); n > 0 {
 		v.marksVerified.Add(uint64(n))
 	}
@@ -257,8 +266,9 @@ func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 // verifyMark checks the mark at position k of msg, which Verify has
 // encoded into v.enc, and returns the marker's real ID. It recomputes one
 // keyed-SHA-256 MAC per plaintext mark; an anonymous mark costs one
-// AnonID compression per resolution probe and one MAC per candidate. It
-// runs once per mark per received packet — the sink's hottest path.
+// AnonID (a SipHash-2-4 call) per resolution probe and one MAC per
+// candidate. It runs once per mark per received packet — the sink's
+// hottest path.
 // pnmlint:noalloc
 func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeID, havePrev bool) (packet.NodeID, bool) {
 	mk := msg.Marks[k]
