@@ -24,67 +24,142 @@ const KeyLen = 16
 // Key is a node's symmetric key, shared only with the sink.
 type Key [KeyLen]byte
 
-// macKeyDomain opens the marking-MAC key block. It differs from
-// anonSubkeyDomain, so H's chaining value and the subkey of H' under one
-// node key hash different inputs.
-const macKeyDomain = "pnm/mac-key/v1\x00\x00"
+// Subkeys. H and H' each run under their own subkey of the node key k:
+// the first 16 bytes of SHA-256(domain ‖ k), with a 16-byte domain string
+// per hash. The domains differ, so for every key K_m and K_a hash
+// different inputs and are unrelated pseudorandom keys (DESIGN §9).
+const (
+	// macSubkeyDomain opens the input of K_m, the marking MAC's subkey.
+	macSubkeyDomain = "pnm/mac-key/v2\x00\x00"
+	// anonSubkeyDomain opens the input of K_a, the anonymous-ID subkey.
+	anonSubkeyDomain = "pnm/anon-key/v2\x00"
+)
 
-// macKeyBlock writes k's marking-MAC key block into b[:blockSize]: the
-// 16-byte macKeyDomain, the 16-byte key, and 32 zeros.
+// subkey derives k's subkey under domain, a 16-byte string, as SipHash's
+// key words k0 = LE64(d[0:8]) and k1 = LE64(d[8:16]) of
+// d = SHA-256(domain ‖ k): one compression over a stack array.
 // pnmlint:noalloc
-func macKeyBlock(b []byte, k Key) {
-	n := copy(b, macKeyDomain)
-	n += copy(b[n:], k[:])
-	clear(b[n:blockSize])
-}
-
-// macLenLen is the length word that follows the key block: the message
-// length as a big-endian uint32. It makes the set of inputs prefix-free,
-// which is what the cascade argument needs (DESIGN §9).
-const macLenLen = 4
-
-// coldStack is the longest MAC message the cold Sum hashes from a stack
-// array; a longer one costs one allocation. Every mark chain the
-// experiments build fits.
-const coldStack = 448
-
-// Sum computes the truncated keyed MAC H_k(data) carried in marks: the
-// first 8 bytes of SHA-256(macKeyBlock(k) ‖ be32(len data) ‖ data). After
-// the key block the hash is SHA-256's compression cascaded from a
-// key-dependent chaining value, which a Schedule caches; the length word
-// keeps one message from being a prefix of another, so the cascade is a
-// PRF and length extension has nothing to extend (DESIGN §9). This is
-// the node-side path: one SHA-256 over a stack array, or one allocation
-// for a message longer than coldStack.
-func Sum(k Key, data []byte) [packet.MACLen]byte {
-	var stack [blockSize + macLenLen + coldStack]byte
-	buf := stack[:]
-	if n := blockSize + macLenLen + len(data); n > len(stack) {
-		buf = make([]byte, n)
-	}
-	macKeyBlock(buf, k)
-	binary.BigEndian.PutUint32(buf[blockSize:], uint32(len(data)))
-	n := blockSize + macLenLen + copy(buf[blockSize+macLenLen:], data)
-	sum := sha256.Sum256(buf[:n])
-	return [packet.MACLen]byte(sum[:])
-}
-
-// anonSubkeyDomain opens the input K_a is hashed from. It differs from
-// macKeyDomain, and the 32-byte input is shorter than a key block, so K_a
-// and the MAC key block's chaining value never hash the same bytes.
-const anonSubkeyDomain = "pnm/anon-key/v2\x00"
-
-// anonSubkey derives k's anonymous-ID subkey K_a, the first 16 bytes of
-// SHA-256(anonSubkeyDomain ‖ k), as SipHash's key words
-// k0 = LE64(K_a[0:8]) and k1 = LE64(K_a[8:16]): one compression over a
-// stack array.
-// pnmlint:noalloc
-func anonSubkey(k Key) [2]uint64 {
-	var in [len(anonSubkeyDomain) + KeyLen]byte
-	n := copy(in[:], anonSubkeyDomain)
+func subkey(domain string, k Key) [2]uint64 {
+	var in [2 * KeyLen]byte
+	n := copy(in[:], domain)
 	copy(in[n:], k[:])
-	sum := sha256.Sum256(in[:])
-	return [2]uint64{binary.LittleEndian.Uint64(sum[:8]), binary.LittleEndian.Uint64(sum[8:16])}
+	d := sha256.Sum256(in[:])
+	return [2]uint64{binary.LittleEndian.Uint64(d[:8]), binary.LittleEndian.Uint64(d[8:16])}
+}
+
+// Sum computes the truncated keyed MAC H_k(data) carried in marks:
+// SipHash-2-4's 64-bit output over data, little-endian, under k's subkey
+// K_m. SipHash is a PRF built for short inputs, and its last word carries
+// the message length, so its padding is injective and a tag says nothing
+// about any other message, extensions of data included (DESIGN §9). This
+// is the node-side path: K_m's one compression, then SipHash straight
+// from data, with no allocation at any length.
+// pnmlint:noalloc
+func Sum(k Key, data []byte) [packet.MACLen]byte {
+	key := subkey(macSubkeyDomain, k)
+	return macTag(sipSum(&key, data, nil))
+}
+
+// macTag lays SipHash's 64-bit output out as a mark's MAC, little-endian.
+// pnmlint:noalloc
+func macTag(h uint64) [packet.MACLen]byte {
+	var out [packet.MACLen]byte
+	binary.LittleEndian.PutUint64(out[:], h)
+	return out
+}
+
+// sipSum is SipHash-2-4 (Aumasson and Bernstein, 2012) under key over
+// prefix ‖ suffix. It reads the whole words of each slice in place and
+// copies neither: the prefix's last partial word carries over and is
+// completed from the suffix, and the final word holds the bytes left and,
+// in its top byte, the message length mod 256.
+// pnmlint:noalloc
+func sipSum(key *[2]uint64, prefix, suffix []byte) uint64 {
+	n := len(prefix) + len(suffix)
+	v0, v1, v2, v3 := sipInit(key)
+	v0, v1, v2, v3 = sipWords(v0, v1, v2, v3, prefix)
+	w, fill := loadLE(prefix[len(prefix)&^7:]), len(prefix)&7
+	if fill > 0 {
+		k := min(8-fill, len(suffix))
+		w |= loadLE(suffix[:k]) << (8 * fill)
+		fill += k
+		suffix = suffix[k:]
+		if fill == 8 {
+			v0, v1, v2, v3 = sipWord(v0, v1, v2, v3, w)
+			w, fill = 0, 0
+		}
+	}
+	// A partial word still pending here emptied the suffix, so at most
+	// one of w and the suffix's last partial word holds bytes.
+	v0, v1, v2, v3 = sipWords(v0, v1, v2, v3, suffix)
+	w |= loadLE(suffix[len(suffix)&^7:]) << (8 * fill)
+	v0, v1, v2, v3 = sipWord(v0, v1, v2, v3, w|uint64(n)<<56)
+	return sipFinal(v0, v1, v2, v3)
+}
+
+// loadLE returns b, shorter than 8 bytes, as the low bytes of a
+// little-endian word.
+// pnmlint:noalloc
+func loadLE(b []byte) uint64 {
+	var w uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(b[i])
+	}
+	return w
+}
+
+// sipInit is SipHash's initial state under the key words key.
+func sipInit(key *[2]uint64) (uint64, uint64, uint64, uint64) {
+	return key[0] ^ 0x736f6d6570736575, key[1] ^ 0x646f72616e646f6d,
+		key[0] ^ 0x6c7967656e657261, key[1] ^ 0x7465646279746573
+}
+
+// sipWords absorbs p's whole little-endian words, two rounds each, and
+// ignores a trailing partial word.
+// pnmlint:noalloc
+func sipWords(v0, v1, v2, v3 uint64, p []byte) (uint64, uint64, uint64, uint64) {
+	for ; len(p) >= 8; p = p[8:] {
+		m := binary.LittleEndian.Uint64(p)
+		v3 ^= m
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+		v0 ^= m
+	}
+	return v0, v1, v2, v3
+}
+
+// sipWord absorbs the one message word m: v3 ^= m, two rounds, v0 ^= m.
+func sipWord(v0, v1, v2, v3, m uint64) (uint64, uint64, uint64, uint64) {
+	v3 ^= m
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	return v0 ^ m, v1, v2, v3
+}
+
+// sipFinal is SipHash-2-4's finalization: v2 ^= 0xff, four rounds, and
+// the XOR of the four state words.
+func sipFinal(v0, v1, v2, v3 uint64) uint64 {
+	v2 ^= 0xff
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	return v0 ^ v1 ^ v2 ^ v3
+}
+
+// sipRound is SipHash's add-rotate-xor round.
+func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	v0 += v1
+	v1 = bits.RotateLeft64(v1, 13) ^ v0
+	v0 = bits.RotateLeft64(v0, 32)
+	v2 += v3
+	v3 = bits.RotateLeft64(v3, 16) ^ v2
+	v0 += v3
+	v3 = bits.RotateLeft64(v3, 21) ^ v0
+	v2 += v1
+	v1 = bits.RotateLeft64(v1, 17) ^ v2
+	v2 = bits.RotateLeft64(v2, 32)
+	return v0, v1, v2, v3
 }
 
 // anonMsgLen is the length of the message H' hashes, report ‖ be16(id).
@@ -104,17 +179,14 @@ func anonWords(report packet.Report) [3]uint64 {
 }
 
 // anonHash is H' from K_a's key words and anonWords' message words:
-// SipHash-2-4 (Aumasson and Bernstein, 2012) over the three words, with
-// be16(id) ORed into message bytes 20 and 21 — two rounds per word, then
-// four after v2 ^= 0xff — truncated to the first 4 bytes of its
-// little-endian output.
+// SipHash-2-4 over the three words, with be16(id) ORed into message bytes
+// 20 and 21, truncated to the first 4 bytes of its little-endian output.
+// It is a resolver probe, the sink's most frequent call, so every round
+// is written out and inlined.
 // pnmlint:noalloc
 func anonHash(key *[2]uint64, m *[3]uint64, id packet.NodeID) [packet.AnonIDLen]byte {
 	m0, m1, m2 := m[0], m[1], m[2]|uint64(id>>8)<<32|uint64(id&0xff)<<40
-	v0 := key[0] ^ 0x736f6d6570736575
-	v1 := key[1] ^ 0x646f72616e646f6d
-	v2 := key[0] ^ 0x6c7967656e657261
-	v3 := key[1] ^ 0x7465646279746573
+	v0, v1, v2, v3 := sipInit(key)
 	v3 ^= m0
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
 	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
@@ -137,34 +209,19 @@ func anonHash(key *[2]uint64, m *[3]uint64, id packet.NodeID) [packet.AnonIDLen]
 	return out
 }
 
-// sipRound is SipHash's add-rotate-xor round.
-func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
-	v0 += v1
-	v1 = bits.RotateLeft64(v1, 13) ^ v0
-	v0 = bits.RotateLeft64(v0, 32)
-	v2 += v3
-	v3 = bits.RotateLeft64(v3, 16) ^ v2
-	v0 += v3
-	v3 = bits.RotateLeft64(v3, 21) ^ v0
-	v2 += v1
-	v1 = bits.RotateLeft64(v1, 17) ^ v2
-	v2 = bits.RotateLeft64(v2, 32)
-	return v0, v1, v2, v3
-}
-
 // AnonID computes the per-message anonymous ID i' = H'_ki(M | i), where M is
 // the original report. Binding i' to M means the mapping changes with every
 // distinct injected report, so an attacker cannot accumulate a static
 // ID-translation table over time.
 //
 // H' is the first 4 bytes of SipHash-2-4's little-endian output under
-// k's subkey K_a (anonSubkey) over the 22 bytes M ‖ be16(i): a PRF built
-// for short inputs, which a Schedule runs from a cached K_a (DESIGN §9
-// gives the argument). This is the node-side path: the subkey's one
-// SHA-256 compression, then SipHash, over stack arrays.
+// k's subkey K_a over the 22 bytes M ‖ be16(i): a PRF built for short
+// inputs, which a Schedule runs from a cached K_a (DESIGN §9 gives the
+// argument). This is the node-side path: the subkey's one SHA-256
+// compression, then SipHash, over stack arrays.
 // pnmlint:noalloc
 func AnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	key, m := anonSubkey(k), anonWords(report)
+	key, m := subkey(anonSubkeyDomain, k), anonWords(report)
 	return anonHash(&key, &m, id)
 }
 
@@ -173,36 +230,35 @@ func Equal(a, b [packet.MACLen]byte) bool {
 	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
 }
 
+// blockSize is SHA-256's block size, the length of HMAC's key blocks.
+const blockSize = 64
+
 // KeyStore derives and caches the per-node keys the sink maintains in its
 // lookup table. It is safe for concurrent use (the netsim sink and nodes
 // share one store).
 //
 // Node id's key is the first KeyLen bytes of HMAC-SHA256 under the
 // SHA-256 of the master secret, over "key/" ‖ be16(id). The store keeps
-// HMAC's two pad states instead of the master (RFC 2104 §4), so a
-// derivation is two compressions on a caller's scratch.
+// HMAC's two key blocks instead of the master, so a derivation is two
+// sha256.Sum256 calls over stack arrays.
 type KeyStore struct {
-	// ipad and opad are the SHA-256 chaining values after the master
-	// key's ipad and opad blocks, set by NewKeyStore and never written
-	// again, so derive reads them without the lock.
-	ipad, opad [8]uint32
+	// ipad and opad are HMAC's key blocks, SHA-256(master) XOR the ipad
+	// and opad bytes, set by NewKeyStore and never written again, so
+	// derive reads them without the lock.
+	ipad, opad [blockSize]byte
 
 	mu sync.RWMutex
-	// sc is the scratch Key derives on, made on Key's first miss: a
-	// sink-side store derives on its Hashers' scratch and never makes one.
-	sc *scratch // pnmlint:guarded-by mu
 	// keys caches the keys Key hands out (the node side, tests), indexed
-	// by NodeID and grown in steps of 64 like cores: 17 bytes a node. A
-	// schedule core absorbs a key it derives itself, so a sink-side store
-	// caches no keys at all.
+	// by NodeID and grown like cores: 17 bytes a node. A schedule core
+	// takes its subkeys from a key it derives itself, so a sink-side
+	// store caches no keys at all.
 	keys []keySlot // pnmlint:guarded-by mu
 
-	// cores caches the immutable key-absorbed halves of the per-node key
-	// schedules (48 bytes each), indexed by NodeID and shared across every
-	// Hasher over this store: N workers warming up on the same node pay
-	// the key derivation, the key-block compression and the subkey's once,
-	// not N times. A core never changes once built, so the cache is never
-	// invalidated.
+	// cores caches the immutable per-node halves of the key schedules
+	// (32 bytes each), indexed by NodeID and shared across every Hasher
+	// over this store: N workers warming up on the same node pay the key
+	// derivation and the two subkeys once, not N times. A core never
+	// changes once built, so the cache is never invalidated.
 	cores      []*schedCore // pnmlint:guarded-by mu
 	coreBuilds uint64       // pnmlint:guarded-by mu
 }
@@ -217,20 +273,12 @@ type keySlot struct {
 // secret. Two stores built from the same secret agree on every key.
 func NewKeyStore(master []byte) *KeyStore {
 	ks := new(KeyStore)
-	sc := newScratch()
 	key := sha256.Sum256(master)
-	block := sc.tail[:blockSize]
-	for _, pad := range []struct {
-		chain *[8]uint32
-		b     byte
-	}{{&ks.ipad, 0x36}, {&ks.opad, 0x5c}} {
-		for i := range block {
-			block[i] = pad.b
-		}
-		subtle.XORBytes(block, block, key[:])
-		sc.absorbKeyBlock(pad.chain, block)
+	for i := range blockSize {
+		ks.ipad[i], ks.opad[i] = 0x36, 0x5c
 	}
-	clear(block)
+	subtle.XORBytes(ks.ipad[:], ks.ipad[:], key[:])
+	subtle.XORBytes(ks.opad[:], ks.opad[:], key[:])
 	return ks
 }
 
@@ -249,41 +297,32 @@ func (ks *KeyStore) Key(id packet.NodeID) Key {
 	// Re-check under the write lock: between RUnlock and Lock another
 	// goroutine may have derived this key, and with run-parallel
 	// experiments hammering a shared store, every worker would otherwise
-	// redo the derivation's two compressions per miss.
+	// redo the derivation per miss.
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	ks.keys = growTo(ks.keys, id)
 	if slot := ks.keys[id]; slot.ok {
 		return slot.k
 	}
-
-	if ks.sc == nil {
-		ks.sc = newScratch()
-	}
-	k := ks.derive(ks.sc, id)
+	k := ks.derive(id)
 	ks.keys[id] = keySlot{k: k, ok: true}
 	return k
 }
 
-// derive computes node id's key on sc, uncached: HMAC-SHA256 resumed from
-// the pad states, bit-identical to crypto/hmac. It costs two
-// compressions: the inner block "key/" ‖ be16(id) with its padding from
-// ipad, then the outer block, the 32-byte inner digest with its padding,
-// from opad. The pad states are immutable, so it needs no lock; sc is the
-// caller's.
+// derive computes node id's key, uncached: HMAC-SHA256 as two
+// sha256.Sum256 calls over stack arrays, the inner over the ipad block ‖
+// "key/" ‖ be16(id), the outer over the opad block ‖ the inner digest.
+// The key blocks are immutable, so it needs no lock.
 // pnmlint:noalloc
-func (ks *KeyStore) derive(sc *scratch, id packet.NodeID) Key {
-	block := sc.tail[:blockSize]
-	n := copy(block, "key/")
-	binary.BigEndian.PutUint16(block[n:], uint16(id))
-	padBlocks(block, n+2, blockSize+n+2)
-	sc.restore(&ks.ipad)
-	sc.h.Write(block)
-	putWords(block[:sha256.Size], sc.words)
-	padBlocks(block, sha256.Size, blockSize+sha256.Size)
-	sc.restore(&ks.opad)
-	sc.h.Write(block)
-	var k Key
-	putWords(k[:], sc.words)
-	return k
+func (ks *KeyStore) derive(id packet.NodeID) Key {
+	var in [blockSize + 6]byte
+	copy(in[:], ks.ipad[:])
+	n := blockSize + copy(in[blockSize:], "key/")
+	binary.BigEndian.PutUint16(in[n:], uint16(id))
+	inner := sha256.Sum256(in[:])
+	var out [blockSize + sha256.Size]byte
+	copy(out[:], ks.opad[:])
+	copy(out[blockSize:], inner[:])
+	d := sha256.Sum256(out[:])
+	return Key(d[:KeyLen])
 }

@@ -160,14 +160,12 @@ func hmacKey(master []byte, id packet.NodeID) Key {
 	return Key(h.Sum(nil)[:KeyLen])
 }
 
-// TestDeriveMatchesHMAC pins the pad-state derivation to crypto/hmac for
+// TestDeriveMatchesHMAC pins the key-block derivation to crypto/hmac for
 // every node ID under three masters, on both paths that derive: Key (the
-// node side, on the store's scratch) and derive on a Hasher's scratch
-// (the schedule path). The Hasher's core for each ID must be the
-// reference compression of that key's two key blocks, and its scratch
-// is reused across every build, so state one derivation leaves behind
-// would show in the next. IDs run upwards, the order a warm-up meets
-// them in, so each NodeID-indexed table grows geometrically.
+// node side, cached) and derive (the schedule path). The Hasher's core
+// for each ID must be the reference subkeys of that key. IDs run
+// upwards, the order a warm-up meets them in, so each NodeID-indexed
+// table grows geometrically.
 func TestDeriveMatchesHMAC(t *testing.T) {
 	for _, master := range [][]byte{nil, []byte("master"), bytes.Repeat([]byte{0xa7}, 100)} {
 		ks := NewKeyStore(master)
@@ -178,8 +176,8 @@ func TestDeriveMatchesHMAC(t *testing.T) {
 			if got := ks.Key(nid); got != want {
 				t.Fatalf("master %q: Key(%d) = %x, HMAC = %x", master, id, got, want)
 			}
-			if got := ks.derive(h.sc, nid); got != want {
-				t.Fatalf("master %q: derive(%d) on a Hasher's scratch = %x, HMAC = %x", master, id, got, want)
+			if got := ks.derive(nid); got != want {
+				t.Fatalf("master %q: derive(%d) = %x, HMAC = %x", master, id, got, want)
 			}
 			if got, want := *h.Schedule(nid).core, refCore(want); got != want {
 				t.Fatalf("master %q: node %d core = %x, reference = %x", master, id, got, want)

@@ -93,44 +93,6 @@ func TestScheduleTwoPartMatchesReference(t *testing.T) {
 	}
 }
 
-// refK holds FIPS 180-4's SHA-256 round constants (§4.2.2).
-var refK = [64]uint32{
-	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-}
-
-// refIV is SHA-256's initial hash value (FIPS 180-4 §5.3.3).
-var refIV = [8]uint32{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
-
-// refCompress is SHA-256's compression of one 64-byte block from chaining
-// value h, written from FIPS 180-4 §6.2.2 and sharing no code with the
-// stdlib digest the schedule drives.
-func refCompress(h [8]uint32, block []byte) [8]uint32 {
-	rotr := func(x uint32, n int) uint32 { return bits.RotateLeft32(x, -n) }
-	var w [64]uint32
-	for t := range 16 {
-		w[t] = binary.BigEndian.Uint32(block[4*t:])
-	}
-	for t := 16; t < 64; t++ {
-		s0 := rotr(w[t-15], 7) ^ rotr(w[t-15], 18) ^ w[t-15]>>3
-		s1 := rotr(w[t-2], 17) ^ rotr(w[t-2], 19) ^ w[t-2]>>10
-		w[t] = s1 + w[t-7] + s0 + w[t-16]
-	}
-	a, b, c, d, e, f, g, hh := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
-	for t := range 64 {
-		t1 := hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e&f ^ ^e&g) + refK[t] + w[t]
-		t2 := (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a&b ^ a&c ^ b&c)
-		hh, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
-	}
-	return [8]uint32{h[0] + a, h[1] + b, h[2] + c, h[3] + d, h[4] + e, h[5] + f, h[6] + g, h[7] + hh}
-}
-
 // refSipHash is SipHash-2-4 (Aumasson and Bernstein, 2012) over a
 // message of any length, written byte by byte from the paper and sharing
 // no code with the package's three-word kernel: the message is padded
@@ -138,6 +100,13 @@ func refCompress(h [8]uint32, block []byte) [8]uint32 {
 // length mod 256, each 8 bytes are a little-endian word absorbed with two
 // rounds, and four rounds after v2 ^= 0xff finish.
 func refSipHash(key [16]byte, msg []byte) uint64 {
+	return refSipHashLenByte(key, msg, byte(len(msg)))
+}
+
+// refSipHashLenByte is refSipHash with lenByte in the final word's top
+// byte in place of the message length: the tests' control for what the
+// length byte is for.
+func refSipHashLenByte(key [16]byte, msg []byte, lenByte byte) uint64 {
 	le := func(b []byte) uint64 {
 		var w uint64
 		for i := 7; i >= 0; i-- {
@@ -164,7 +133,7 @@ func refSipHash(key [16]byte, msg []byte) uint64 {
 		v[2] = bits.RotateLeft64(v[2], 32)
 	}
 	b := append(append([]byte{}, msg...), make([]byte, 7-len(msg)%8)...)
-	b = append(b, byte(len(msg)))
+	b = append(b, lenByte)
 	for off := 0; off < len(b); off += 8 {
 		m := le(b[off:])
 		v[3] ^= m
@@ -224,130 +193,78 @@ func TestRefSipHashVectors(t *testing.T) {
 	}
 }
 
-// refCore is the schedule core for k by the references: the chaining
-// value after the MAC key block, and K_a as SipHash's two key words.
+// refCore is the schedule core for k by the references: K_m and K_a as
+// SipHash's two key words each.
 func refCore(k Key) schedCore {
-	mk, ak := refMACKey(k), refAnonKey(k)
-	return schedCore{
-		mac:  refCompress(refIV, mk[:]),
-		anon: [2]uint64{binary.LittleEndian.Uint64(ak[:8]), binary.LittleEndian.Uint64(ak[8:])},
+	words := func(key [16]byte) [2]uint64 {
+		return [2]uint64{binary.LittleEndian.Uint64(key[:8]), binary.LittleEndian.Uint64(key[8:])}
 	}
+	return schedCore{mac: words(refMACKey(k)), anon: words(refAnonKey(k))}
 }
 
-// refPad is SHA-256's padding for an n-byte input: 0x80, zeros up to 56
-// mod 64, then the input's bit length.
-func refPad(n int) []byte {
-	p := []byte{0x80}
-	for (n+len(p))%64 != 56 {
-		p = append(p, 0)
-	}
-	return binary.BigEndian.AppendUint64(p, uint64(n)*8)
+// refMACKey is the marking-MAC subkey K_m, spelled out: the first 16
+// bytes of SHA-256 over the 16-byte domain string and the key.
+func refMACKey(k Key) [16]byte {
+	sum := sha256.Sum256(append([]byte("pnm/mac-key/v2\x00\x00"), k[:]...))
+	return [16]byte(sum[:16])
 }
 
-// refContinue hashes msg by refCompress from chaining value h, which has
-// already absorbed done bytes (a multiple of 64), padding msg for a
-// done+len(msg)-byte input, and returns the full 32-byte final state.
-func refContinue(h [8]uint32, done int, msg []byte) [8]uint32 {
-	m := append(msg[:len(msg):len(msg)], refPad(done+len(msg))...)
-	for off := 0; off < len(m); off += 64 {
-		h = refCompress(h, m[off:off+64])
-	}
-	return h
+// refMAC is the tests' independent H: refSipHash's little-endian output
+// under refMACKey(k) over m.
+func refMAC(k Key, m []byte) [packet.MACLen]byte {
+	return refTag(refSipHash(refMACKey(k), m))
 }
 
-// refMACKey is the marking-MAC key block, spelled out: the 16-byte
-// domain string, the key, and 32 zeros.
-func refMACKey(k Key) [64]byte {
-	var key [64]byte
-	copy(key[:], "pnm/mac-key/v1\x00\x00")
-	copy(key[16:], k[:])
-	return key
-}
-
-// refTrunc is the first 8 bytes of a hash state, big-endian.
-func refTrunc(h [8]uint32) [packet.MACLen]byte {
+// refTag lays a 64-bit SipHash output out little-endian.
+func refTag(h uint64) [packet.MACLen]byte {
 	var out [packet.MACLen]byte
-	binary.BigEndian.PutUint32(out[:], h[0])
-	binary.BigEndian.PutUint32(out[4:], h[1])
+	for i := range out {
+		out[i] = byte(h >> (8 * i))
+	}
 	return out
 }
 
-// refMACInput is the bytes H hashes for message m under k: the key
-// block, the 4-byte big-endian length of m, then m.
-func refMACInput(k Key, m []byte) []byte {
-	key := refMACKey(k)
-	in := binary.BigEndian.AppendUint32(key[:], uint32(len(m)))
-	return append(in, m...)
-}
-
-// refMAC is the tests' independent H: the first 8 bytes of
-// SHA-256(key block ‖ be32(len m) ‖ m), computed by refCompress.
-func refMAC(k Key, m []byte) [packet.MACLen]byte {
-	return refTrunc(refContinue(refIV, 0, refMACInput(k, m)))
-}
-
-// TestMarkMACLengthExtension shows what the length word is for. An
-// attacker holding a MAC's full 32-byte state — more than the 8 bytes a
-// mark carries — can keep hashing from it over glue ‖ X, where glue is
-// SHA-256's padding of the keyed input. Against SHA-256(key block ‖ m),
-// the construction without the length word, that forges the MAC of
-// m ‖ glue ‖ X without the key. Against H the forged input's length word
-// differs from the one the state absorbed, so the same forgery fails on
-// the cold Sum and on a Schedule. Message lengths cover one- and
-// two-block glue.
+// TestMarkMACLengthExtension is the forgery check for H's padding. A
+// mark's tag must not verify any other message, and the extensions an
+// attacker can build without the key are the messages whose padded words
+// start like m's: m ‖ 0x00, m padded with zeros to its final word's
+// length byte, and that glue followed by a further mark X. Against the
+// control variant whose final word carries no length byte, m ‖ 0x00
+// verifies under m's tag whenever the zero lands in m's own final word;
+// against H none of the extensions verifies, on the cold Sum or on a
+// Schedule at any split.
 func TestMarkMACLengthExtension(t *testing.T) {
 	k := Key{0xa5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	km := refMACKey(k)
 	x := []byte("|a mark the attacker appends")
-	for _, n := range []int{0, 20, 46, 51, 52, 60, 64, 163} {
+	s := NewSchedule(k)
+	for _, n := range []int{0, 1, 6, 7, 8, 20, 46, 50, 163, 167, 255, 256} {
 		m := make([]byte, n)
 		for i := range m {
 			m[i] = byte(i * 7)
 		}
-		// extend forges from the full state of SHA-256(in): it returns
-		// the forged message m ‖ glue ‖ x and its truncated hash.
-		extend := func(in []byte) ([]byte, [packet.MACLen]byte) {
-			state := refContinue(refIV, 0, in)
-			glue := refPad(len(in))
-			ext := append(append(append([]byte{}, m...), glue...), x...)
-			return ext, refTrunc(refContinue(state, len(in)+len(glue), x))
+		if n%8 != 7 && refSipHashLenByte(km, m, 0) != refSipHashLenByte(km, append(m, 0), 0) {
+			t.Fatalf("len %d: control forgery of m ‖ 0x00 failed against the variant without the length byte", n)
 		}
-
-		key := refMACKey(k)
-		ext, forged := extend(append(key[:], m...))
-		noLen := sha256.Sum256(append(key[:], ext...))
-		if forged != [packet.MACLen]byte(noLen[:]) {
-			t.Fatalf("len %d: control forgery failed against the no-length-word variant", n)
+		tag := Sum(k, m)
+		if want := refMAC(k, m); tag != want {
+			t.Fatalf("len %d: Sum = %x, reference = %x", n, tag, want)
 		}
-
-		in := refMACInput(k, m)
-		if got, want := Sum(k, m), refTrunc(refContinue(refIV, 0, in)); got != want {
-			t.Fatalf("len %d: Sum = %x, but the attacker's state truncates to %x", n, got, want)
+		glue := append(make([]byte, 7-n%8), byte(n))
+		for _, ext := range [][]byte{
+			append(append([]byte{}, m...), 0),
+			append(append([]byte{}, m...), glue...),
+			append(append(append([]byte{}, m...), glue...), x...),
+		} {
+			if Sum(k, ext) == tag {
+				t.Fatalf("len %d: the cold Sum of a %d-byte extension verifies under m's tag", n, len(ext))
+			}
+			for split := 0; split <= len(ext); split++ {
+				if s.Sum(ext[:split], ext[split:]) == tag {
+					t.Fatalf("len %d: Schedule.Sum(%d|%d) of an extension verifies under m's tag", n, split, len(ext)-split)
+				}
+			}
 		}
-		ext, forged = extend(in)
-		if got := Sum(k, ext); got == forged {
-			t.Fatalf("len %d: length extension forged the cold Sum of m ‖ glue ‖ X", n)
-		}
-		if got := NewSchedule(k).Sum(ext[:n], ext[n:]); got == forged {
-			t.Fatalf("len %d: length extension forged Schedule.Sum of m ‖ glue ‖ X", n)
-		}
-	}
-}
-
-// TestRefCompressMatchesSum256 checks the reference against
-// sha256.Sum256 on a one-block message, so a fault in refCompress itself
-// cannot pass for a fault in the code under test.
-func TestRefCompressMatchesSum256(t *testing.T) {
-	var block [64]byte
-	n := copy(block[:], "abc")
-	block[n] = 0x80
-	binary.BigEndian.PutUint64(block[56:], uint64(n)*8)
-	want := sha256.Sum256([]byte("abc"))
-	var got [sha256.Size]byte
-	for i, w := range refCompress(refIV, block[:]) {
-		binary.BigEndian.PutUint32(got[4*i:], w)
-	}
-	if got != want {
-		t.Fatalf("refCompress(\"abc\") = %x, sha256.Sum256 = %x", got, want)
 	}
 }
 
@@ -419,18 +336,54 @@ func FuzzAnonIDPathsAgree(f *testing.F) {
 	})
 }
 
-// TestColdSumAllocs pins the node-side H at zero allocations for a
-// message that fits coldStack, as every mark chain the experiments build
-// does, and at one beyond it.
+// FuzzSumPathsAgree pins every way to compute H to the reference for a
+// fuzzed key and message of up to 512 bytes: the cold Sum, a
+// NewSchedule's Sum and a Hasher's Sum over a store whose master is the
+// key bytes, both schedules at every prefix/suffix split, each against
+// refSipHash under refMACKey.
+func FuzzSumPathsAgree(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint16(0))
+	f.Add([]byte("0123456789abcdef"), []byte("a 20-byte report...."), uint16(7))
+	f.Add(bytes.Repeat([]byte{0xff}, 20), bytes.Repeat([]byte{0x5a}, 167), uint16(math.MaxUint16))
+	f.Add([]byte{1}, bytes.Repeat([]byte{3}, 512), uint16(300))
+	f.Fuzz(func(t *testing.T, key, msg []byte, id uint16) {
+		if len(msg) > 512 {
+			msg = msg[:512]
+		}
+		var k Key
+		copy(k[:], key)
+		want := refMAC(k, msg)
+		if got := Sum(k, msg); got != want {
+			t.Fatalf("cold Sum(%d bytes) = %x, reference = %x", len(msg), got, want)
+		}
+		ks := NewKeyStore(key)
+		nid := packet.NodeID(id)
+		h := ks.Hasher()
+		wantH := refMAC(ks.Key(nid), msg)
+		if got := h.Sum(nid, msg); got != wantH {
+			t.Fatalf("Hasher.Sum(%d bytes) = %x, reference = %x", len(msg), got, wantH)
+		}
+		own := NewSchedule(k)
+		for split := 0; split <= len(msg); split++ {
+			if got := own.Sum(msg[:split], msg[split:]); got != want {
+				t.Fatalf("NewSchedule: Sum(%d|%d bytes) = %x, reference = %x", split, len(msg)-split, got, want)
+			}
+			if got := h.Schedule(nid).Sum(msg[:split], msg[split:]); got != wantH {
+				t.Fatalf("Hasher schedule: Sum(%d|%d bytes) = %x, reference = %x", split, len(msg)-split, got, wantH)
+			}
+		}
+	})
+}
+
+// TestColdSumAllocs pins the node-side H at zero allocations at every
+// length: the subkey's SHA-256 runs over a stack array, and SipHash reads
+// the message in place.
 func TestColdSumAllocs(t *testing.T) {
 	k := Key{7}
-	data := make([]byte, coldStack+1)
-	for _, c := range []struct {
-		n    int
-		want float64
-	}{{0, 0}, {167, 0}, {coldStack, 0}, {coldStack + 1, 1}} {
-		if n := testing.AllocsPerRun(200, func() { Sum(k, data[:c.n]) }); n != c.want {
-			t.Errorf("cold Sum of %d bytes allocates %.1f/op, want %.0f", c.n, n, c.want)
+	data := make([]byte, 1024)
+	for _, n := range []int{0, 167, 448, 449, 1024} {
+		if allocs := testing.AllocsPerRun(200, func() { Sum(k, data[:n]) }); allocs != 0 {
+			t.Errorf("cold Sum of %d bytes allocates %.1f/op, want 0", n, allocs)
 		}
 	}
 }
@@ -442,38 +395,6 @@ func TestColdAnonIDZeroAlloc(t *testing.T) {
 	report := packet.Report{Event: 3, Location: 4, Timestamp: 5, Seq: 6}
 	if n := testing.AllocsPerRun(200, func() { AnonID(k, report, 9) }); n != 0 {
 		t.Errorf("cold AnonID allocates %.1f/op, want 0", n)
-	}
-}
-
-// TestWholeBlockPaddingMatchesSum256 pins the premise of the whole-block
-// engine on the running Go release: a fresh digest fed a message's whole
-// blocks and then the padded tail padBlocks builds holds exactly
-// sha256.Sum256 of the message, both in the state words the hot path
-// reads in place and at chainOff of its marshaled state. Lengths 0–200
-// cover one- and two-block padding (len % 64 below and from 56) and
-// multi-block messages.
-func TestWholeBlockPaddingMatchesSum256(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	sc := newScratch()
-	m := make([]byte, 200)
-	for n := 0; n <= len(m); n++ {
-		rng.Read(m[:n])
-		sc.h.Reset()
-		pending := sc.absorb(0, m[:n])
-		sc.h.Write(sc.tail[:padBlocks(sc.tail[:], pending, n)])
-		want := sha256.Sum256(m[:n])
-		var words [sha256.Size]byte
-		putWords(words[:], sc.words)
-		if words != want {
-			t.Fatalf("len %d: state words %x, sha256.Sum256 %x", n, words, want)
-		}
-		st, err := sc.h.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := [sha256.Size]byte(st[chainOff:]); got != want {
-			t.Fatalf("len %d: chaining value at chainOff %x, sha256.Sum256 %x", n, got, want)
-		}
 	}
 }
 
@@ -530,21 +451,11 @@ type scratchOp struct {
 // scratchSeq is a random interleaving of scratch calls for quick.Check.
 type scratchSeq []scratchOp
 
-// edgeLens are the Sum part lengths (0–300) where the whole-block engine
-// changes shape: each block boundary of the keyed input (which the length
-// word shifts by 4) and its neighbours, and the last one-block-padding
-// and first two-block-padding lengths after it.
-var edgeLens = func() []int {
-	var out []int
-	for b := -macLenLen; b <= 300; b += blockSize {
-		for _, n := range []int{b - 1, b, b + 1, b + 55, b + 56} {
-			if n >= 0 && n <= 300 {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}()
+// edgeLens are the Sum part lengths (0–300) where the two-part SipHash
+// changes shape: 0–16, every way a suffix can fall short of, fill or run
+// past the prefix's partial word, and the lengths either side of 256,
+// where the final word's length byte wraps.
+var edgeLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 255, 256, 257}
 
 // Generate implements quick.Generator: up to 48 calls, a third of them
 // AnonIDs, with Sum part lengths drawn half from edgeLens and half
@@ -573,17 +484,17 @@ func (scratchSeq) Generate(rng *rand.Rand, _ int) reflect.Value {
 // TestSharedScratchInterleavingMatchesReference drives one Hasher's
 // scratch through random interleavings of Sum and AnonID over several
 // keys and reports, and checks every Sum against refMAC and every AnonID
-// against refAnonID. A restore writes only the digest's state words, so
-// the one way it can go wrong that a per-length test cannot see is state
-// one call leaves behind for the next: a buffered tail, a stale length
-// word, stale AnonID message words. The test also requires that the sequences
-// covered every edge length as a prefix and as a suffix, and every
-// two-block-padding residue of the keyed input.
+// against refAnonID. The one way a shared scratch can go wrong that a
+// per-length test cannot see is state one call leaves behind for the
+// next, such as stale AnonID message words. The test also requires that
+// the sequences covered every edge length as a prefix and as a suffix,
+// and every carry shape: each prefix residue mod 8 with each suffix
+// length from 0 to 8 or more.
 func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
 	ks := NewKeyStore([]byte("interleave"))
 	ids := []packet.NodeID{3, 77, 1024, 2047}
 	h := ks.Hasher()
-	prefixes, suffixes, twoBlock := map[int]bool{}, map[int]bool{}, map[int]bool{}
+	prefixes, suffixes, carries := map[int]bool{}, map[int]bool{}, map[[2]int]bool{}
 	data := make([]byte, 600)
 	prop := func(seq scratchSeq) bool {
 		for i, op := range seq {
@@ -606,9 +517,7 @@ func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
 				return false
 			}
 			prefixes[op.prefix], suffixes[op.suffix] = true, true
-			if r := (macLenLen + len(msg)) % blockSize; r >= blockSize-8 {
-				twoBlock[r] = true
-			}
+			carries[[2]int{op.prefix % 8, min(op.suffix, 8)}] = true
 		}
 		return true
 	}
@@ -621,36 +530,12 @@ func TestSharedScratchInterleavingMatchesReference(t *testing.T) {
 			t.Errorf("edge length %d not covered (prefix %v, suffix %v)", n, prefixes[n], suffixes[n])
 		}
 	}
-	for r := blockSize - 8; r < blockSize; r++ {
-		if !twoBlock[r] {
-			t.Errorf("two-block padding residue %d not covered", r)
+	for r := range 8 {
+		for n := range 9 {
+			if !carries[[2]int{r, n}] {
+				t.Errorf("carry shape (prefix %% 8 = %d, suffix %d) not covered", r, n)
+			}
 		}
-	}
-}
-
-// TestStateTemplateLayout pins the layout guard's premise on the running
-// Go release: a digest after one 64-byte block marshals to the template
-// with its chaining value at chainOff, and a fresh scratch whose state
-// words are overwritten with a core's MAC chaining value hashes exactly
-// like the digest that absorbed the MAC key block, whose value it is.
-func TestStateTemplateLayout(t *testing.T) {
-	k := Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	macKey := refMACKey(k)
-	core := NewSchedule(k).core
-	var chain [8]uint32
-	newScratch().absorbKeyBlock(&chain, macKey[:]) // panics on a layout mismatch
-	if chain != core.mac {
-		t.Fatalf("core holds %x, absorbKeyBlock gives %x", core.mac, chain)
-	}
-	live := sha256.New()
-	live.Write(macKey[:])
-	sc := newScratch()
-	sc.restore(&chain)
-	msg := []byte("after the key block")
-	live.Write(msg)
-	sc.h.Write(msg)
-	if got, want := sc.h.Sum(nil), live.Sum(nil); string(got) != string(want) {
-		t.Fatalf("restored state hashes to %x, live digest to %x", got, want)
 	}
 }
 
@@ -692,9 +577,9 @@ func TestScheduleZeroAllocs(t *testing.T) {
 	}{
 		{"Schedule.Sum", func() { s.Sum(data, nil) }},
 		{"Schedule.Sum (split)", func() { s.Sum(data[:90], data[90:96]) }},
-		{"Schedule.Sum (prefix over 128 bytes)", func() { s.Sum(data[:150], data[150:154]) }},
-		{"Schedule.Sum (suffix across a block)", func() { s.Sum(data[:60], data[60:80]) }},
-		{"Schedule.Sum (two-block padding)", func() { s.Sum(data[:56], data[56:60]) }},
+		{"Schedule.Sum (dense-300 shape)", func() { s.Sum(data[:163], data[163:167]) }},
+		{"Schedule.Sum (suffix across a word)", func() { s.Sum(data[:61], data[61:80]) }},
+		{"Schedule.Sum (word-aligned prefix)", func() { s.Sum(data[:56], data[56:60]) }},
 		{"Schedule.AnonID", func() { s.AnonID(report, 1) }},
 		{"Hasher Sum (split)", func() { h.Schedule(2).Sum(data[:90], data[90:96]) }},
 		{"Hasher.AnonID", func() { h.AnonID(2, report) }},
@@ -744,15 +629,15 @@ func TestHasherCachesSchedules(t *testing.T) {
 }
 
 // TestHashersShareStoreCores pins the per-key/per-goroutine split: two
-// Hashers over one store read the same 48-byte core per node (built once,
+// Hashers over one store read the same 32-byte core per node (built once,
 // counted by CoreBuilds, without caching the node's key) through their
 // own scratch, a Hasher keeps one pointer per node and hands out
 // two-pointer Schedules.
 func TestHashersShareStoreCores(t *testing.T) {
 	ks := NewKeyStore([]byte("shared-cores"))
 	a, b := ks.Hasher(), ks.Hasher()
-	if n := unsafe.Sizeof(schedCore{}); n != sha256.Size+16 {
-		t.Errorf("schedCore is %d bytes, want %d (a chaining value and a SipHash key)", n, sha256.Size+16)
+	if n := unsafe.Sizeof(schedCore{}); n != 32 {
+		t.Errorf("schedCore is %d bytes, want 32 (two SipHash keys)", n)
 	}
 	ptr := unsafe.Sizeof(uintptr(0))
 	if n := unsafe.Sizeof(a.cores[0]); n != ptr {
@@ -782,8 +667,8 @@ func TestHashersShareStoreCores(t *testing.T) {
 // marks' worth of bytes.
 var benchData = make([]byte, 80)
 
-// BenchmarkSumCold measures the node-side path: one SHA-256 over the key
-// block, the length word and the message, key-block compression included.
+// BenchmarkSumCold measures the node-side path: K_m's SHA-256
+// compression, then SipHash over the message.
 func BenchmarkSumCold(b *testing.B) {
 	ks := NewKeyStore([]byte("bench"))
 	k := ks.Key(1)
@@ -934,18 +819,12 @@ func TestHashersColdMissConcurrent(t *testing.T) {
 // TestColdScheduleAllocs pins the cold path's allocations: derive makes
 // none, and a cold Hasher.Schedule makes its core plus, at each doubling,
 // a grown copy of the store's and the Hasher's tables — at most 1.1 per
-// fresh ID over 2,048. The layout guard marshals the digest's state
-// twice per core, which allocates under -race (an instrumented build
-// does not elide the make AppendBinary appends) and before Go 1.24 (no
-// AppendBinary), so the per-ID bound holds only outside those.
+// fresh ID over 2,048, in every build.
 func TestColdScheduleAllocs(t *testing.T) {
 	ks := NewKeyStore([]byte("cold-allocs"))
 	h := ks.Hasher()
-	if n := testing.AllocsPerRun(200, func() { ks.derive(h.sc, 9) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { ks.derive(9) }); n != 0 {
 		t.Errorf("derive allocates %.1f/op, want 0", n)
-	}
-	if _, ok := h.sc.h.(stateAppender); raceEnabled || !ok {
-		t.Skip("marshaling the digest's state allocates under -race or before Go 1.24")
 	}
 	// AllocsPerRun makes one warm-up call before the 2,048 it counts, so
 	// every counted call is a fresh ID.
@@ -986,11 +865,10 @@ func TestWarmupTablesGrowLogarithmically(t *testing.T) {
 }
 
 // TestBuildCoreLeavesNoKey pins DESIGN §9's "a sink-side store holds no
-// keys" on the scratch a build runs on: after a Hasher's cold Schedule
-// and after NewSchedule, neither the key (and so neither the input K_a
-// is hashed from, which contains it) nor HMAC's inner digest, from which
-// the store's opad state gives the key, appears in the scratch's buffers
-// or in the digest's memory.
+// keys": after a Hasher's cold Schedule and after NewSchedule, neither
+// the key nor HMAC's inner digest, from which the store's opad block
+// gives the key, appears in the core or the scratch, and the store has
+// cached no key slot.
 func TestBuildCoreLeavesNoKey(t *testing.T) {
 	const id = 41
 	master := []byte("no-key-left")
@@ -1001,18 +879,21 @@ func TestBuildCoreLeavesNoKey(t *testing.T) {
 		ipad[i] ^= b
 	}
 	inner := sha256.Sum256(append(ipad, "key/\x00\x29"...))
-	h := NewKeyStore(master).Hasher()
-	h.Schedule(id)
+	ks := NewKeyStore(master)
+	h := ks.Hasher()
 	for _, c := range []struct {
 		name string
-		sc   *scratch
-	}{{"Hasher", h.sc}, {"NewSchedule", NewSchedule(k).sc}} {
-		d := reflect.ValueOf(c.sc.h)
-		digest := unsafe.Slice((*byte)(d.UnsafePointer()), d.Type().Elem().Size())
-		for _, mem := range [][]byte{c.sc.tail[:], c.sc.state[:cap(c.sc.state)], digest} {
+		s    Schedule
+	}{{"Hasher", h.Schedule(id)}, {"NewSchedule", NewSchedule(k)}} {
+		core := unsafe.Slice((*byte)(unsafe.Pointer(c.s.core)), unsafe.Sizeof(*c.s.core))
+		sc := unsafe.Slice((*byte)(unsafe.Pointer(c.s.sc)), unsafe.Sizeof(*c.s.sc))
+		for _, mem := range [][]byte{core, sc} {
 			if bytes.Contains(mem, k[:]) || bytes.Contains(mem, inner[:KeyLen]) {
-				t.Errorf("%s scratch keeps the key or the inner digest after a build", c.name)
+				t.Errorf("%s schedule keeps the key or the inner digest after a build", c.name)
 			}
 		}
+	}
+	if len(ks.keys) != 0 {
+		t.Errorf("store caches %d key slots after a core build, want 0", len(ks.keys))
 	}
 }

@@ -121,7 +121,7 @@ type NestedVerifier struct {
 	// enc[:off[k]] is exactly the prefix M_{i-1} mark k's MAC covers.
 	// suffix carries the bytes MACed after that prefix (the candidate's
 	// plaintext ID or the mark's anonymous ID); it lives on the verifier
-	// because a stack array handed to the digest would escape. Together
+	// because resolveProbe, the resolver's probe callback, reads it. Together
 	// with hasher they make every MAC check allocation-free and
 	// re-encoding-free.
 	enc    []byte
@@ -265,7 +265,7 @@ func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
 // verifyMark checks the mark at position k of msg, which Verify has
 // encoded into v.enc, and returns the marker's real ID. It recomputes one
-// keyed-SHA-256 MAC per plaintext mark; an anonymous mark costs one
+// SipHash-2-4 MAC per plaintext mark; an anonymous mark costs one
 // AnonID (a SipHash-2-4 call) per resolution probe and one MAC per
 // candidate. It runs once per mark per received packet — the sink's
 // hottest path.

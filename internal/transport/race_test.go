@@ -7,6 +7,7 @@ import (
 
 	"pnm/internal/fault"
 	"pnm/internal/loadgen"
+	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
@@ -219,5 +220,95 @@ func TestVerdictReadDuringVerify(t *testing.T) {
 	release()
 	if err := srv.WaitDelivered(len(stream), 10*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOutageDropsExactlyItsWindow pins exact fault milestones: a plan
+// that crashes the sink at processed frame 100 and restores it at 150
+// drops exactly frames 100..149, even when one drained batch spans the
+// crash. The sink parks verifying frame 0, alone in its batch, until the
+// client's other frames fill the ingest queue, so the next batch is a
+// full queue of 256 frames that crosses frame 100. The final verdict must
+// equal an in-process fold of frames [0, 100) ∪ [150, 400) of the same
+// stream.
+func TestOutageDropsExactlyItsWindow(t *testing.T) {
+	const packets, crash, restore = 400, 100, 150
+	sc := testScenario(t)
+	bv := &blockingVerifier{calls: 1, entered: make(chan struct{}), released: make(chan struct{})}
+	reg := obs.New()
+	srv, err := Listen("127.0.0.1:0", "", Config{
+		NewVerifier: func() sink.Verifier {
+			bv.Verifier = sc.NewVerifier()
+			return bv
+		},
+		Topo:       sc.Topo,
+		Obs:        reg,
+		QueueDepth: 256,
+		Faults: &fault.Plan{Events: []fault.Event{
+			{At: crash, Kind: fault.SinkCrash},
+			{At: restore, Kind: fault.SinkRestore},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := sync.OnceFunc(func() { close(bv.released) })
+	defer release()
+
+	stream := sc.Stream(packets)
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Send(stream[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-bv.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sink did not start verifying frame 0 within 10 s")
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for _, msg := range stream[1:] {
+			if err := cl.Send(msg); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- cl.Close()
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(srv.ingest) < cap(srv.ingest); {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingest queue holds %d of %d frames after 10 s", len(srv.ingest), cap(srv.ingest))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitDelivered(packets-(restore-crash), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("transport.chaos.dropped_while_down").Value(); got != restore-crash {
+		t.Errorf("dropped_while_down = %d, want %d", got, restore-crash)
+	}
+	if got := srv.Delivered(); got != packets-(restore-crash) {
+		t.Errorf("Delivered = %d, want %d", got, packets-(restore-crash))
+	}
+
+	tr := sc.NewTracker()
+	for i, msg := range stream {
+		if i < crash || i >= restore {
+			tr.Observe(msg, 0)
+		}
+	}
+	if got, want := loadgen.FormatVerdict(srv.Verdict()), loadgen.FormatVerdict(tr.Verdict()); got != want {
+		t.Errorf("verdict after the outage:\n got %s\nwant %s", got, want)
 	}
 }

@@ -56,11 +56,13 @@ type Config struct {
 	// plus the whole sink chain's metrics into the registry.
 	Obs *obs.Registry
 	// Faults, when non-nil, schedules sink crash/restore events against
-	// the live server. Events fire on the sink goroutine at processed-frame
-	// milestones (frames dequeued, delivered or not); frames arriving
-	// while the sink is down are dropped and counted, exactly like the
-	// simulator's sink outage. Node and link events have no meaning in
-	// front of a socket, and Listen rejects them.
+	// the live server. Events fire on the sink goroutine at exact
+	// processed-frame milestones: an event at At fires once exactly At
+	// frames were dequeued, delivered or not (before the first frame when
+	// At ≤ 0). Frames dequeued while the sink is down are dropped and
+	// counted, exactly like the simulator's sink outage, so an outage
+	// drops restore.At − crash.At frames. Node and link events have no
+	// meaning in front of a socket, and Listen rejects them.
 	Faults *fault.Plan
 }
 
@@ -513,13 +515,27 @@ func (s *Server) evict(old item) {
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one
 // item, greedily drains whatever else has arrived (up to the queue
-// depth), and folds the batch. Fault events fire here, at
-// processed-frame milestones, so crash/restore serializes with folding by
-// construction.
+// depth), and folds the batch. Fault events fire here, at exact
+// processed-frame milestones: a batch that crosses one is split there,
+// so crash/restore serializes with folding by construction and an outage
+// drops exactly the frames between its two events.
 func (s *Server) sinkLoop() {
 	defer s.wg.Done()
+	var events []fault.Event
+	if s.cfg.Faults != nil {
+		events = s.cfg.Faults.Events
+	}
 	processed := 0
 	chaos := 0
+	// fire applies every event due at processed, so that afterwards the
+	// next event's milestone lies ahead.
+	fire := func() {
+		for chaos < len(events) && processed >= events[chaos].At {
+			s.applyChaos(events[chaos])
+			chaos++
+		}
+	}
+	fire()
 	batch := make([]item, 0, s.cfg.QueueDepth)
 	for {
 		// Shutdown has priority over further folding: once stop closes,
@@ -546,14 +562,17 @@ func (s *Server) sinkLoop() {
 					break drain
 				}
 			}
-			processed += len(batch)
-			s.fold(batch)
-			s.releaseBatch(batch)
-			for s.cfg.Faults != nil && chaos < len(s.cfg.Faults.Events) &&
-				processed >= s.cfg.Faults.Events[chaos].At {
-				s.applyChaos(s.cfg.Faults.Events[chaos])
-				chaos++
+			for rest := batch; len(rest) > 0; {
+				n := len(rest)
+				if chaos < len(events) {
+					n = min(n, events[chaos].At-processed)
+				}
+				s.fold(rest[:n])
+				processed += n
+				rest = rest[n:]
+				fire()
 			}
+			s.releaseBatch(batch)
 		}
 	}
 }
