@@ -77,9 +77,10 @@ bench-churn:
 
 # Short coverage-guided fuzzing over the trust boundary: the hardened
 # packet decoder and the frame reader that feeds it untrusted socket
-# bytes, plus the MAC engine's marking-MAC and anonymous-ID paths against
-# the test reference. Each harness runs FUZZTIME on top of its committed
-# seed corpus.
+# bytes, the MAC engine's marking-MAC and anonymous-ID paths against
+# the test reference, and the connection readers' path prober, whose
+# matches must never change a verified chain. Each harness runs
+# FUZZTIME on top of its committed seed corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/packet
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzAnonIDPathsAgree$$' -fuzztime $(FUZZTIME) ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSumPathsAgree$$' -fuzztime $(FUZZTIME) ./internal/mac
+	$(GO) test -run '^$$' -fuzz '^FuzzProbeMatchesVerify$$' -fuzztime $(FUZZTIME) ./internal/sink
 
 # Live-server soaks under the race detector: pnmload-style replay into
 # the ingest server over real sockets while a chaos plan crashes and

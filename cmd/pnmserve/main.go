@@ -15,6 +15,8 @@
 // -chaos generates a seeded fault plan of one sink crash and its restore
 // and fires it against the live server: the tracker checkpoints (PNM2),
 // goes down — arrivals are dropped and counted — and restores mid-stream.
+// -packets counts processed reports, delivered or dropped by the outage,
+// so a run fed exactly -packets reports ends with a verdict.
 // -queue selects the ingest overflow policy (block, drop-newest,
 // drop-oldest). -packets 0 serves until SIGINT or SIGTERM, then prints
 // the verdict. -stats dumps the obs registry (transport.*, sink.*) to
@@ -48,8 +50,9 @@ func main() {
 	}
 }
 
-// wait blocks until srv has delivered packets reports, or, when packets
-// is 0, until ctx is cancelled. A cancellation or the timeout cuts a
+// wait blocks until srv has processed packets reports — delivered, or
+// dropped while a -chaos outage had the sink down — or, when packets is
+// 0, until ctx is cancelled. A cancellation or the timeout cuts a
 // positive wait short with an error.
 func wait(ctx context.Context, srv *transport.Server, packets int, timeout time.Duration) error {
 	if packets <= 0 {
@@ -57,16 +60,16 @@ func wait(ctx context.Context, srv *transport.Server, packets int, timeout time.
 		return nil
 	}
 	done := make(chan error, 1)
-	go func() { done <- srv.WaitDelivered(packets, timeout) }()
+	go func() { done <- srv.WaitProcessed(packets, timeout) }()
 	select {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		return fmt.Errorf("interrupted after %d of %d deliveries", srv.Delivered(), packets)
+		return fmt.Errorf("interrupted after %d of %d processed reports", srv.Processed(), packets)
 	}
 }
 
-// run executes the server until it has delivered -packets reports or,
+// run executes the server until it has processed -packets reports or,
 // with -packets 0, until ctx is cancelled.
 func run(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("pnmserve", flag.ContinueOnError)
@@ -77,7 +80,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		side       = fs.Float64("side", 10, "scenario: deployment square side")
 		radioRange = fs.Float64("range", 1.3, "scenario: radio range")
 		seed       = fs.Int64("seed", 1, "scenario: RNG seed")
-		packets    = fs.Int("packets", 400, "exit after this many ingested reports (0 = until killed)")
+		packets    = fs.Int("packets", 400, "exit after this many reports are processed, delivered or dropped by a -chaos outage (0 = until killed)")
 		queueFlag  = fs.String("queue", "block", "ingest overflow policy: block, drop-newest, drop-oldest")
 		depth      = fs.Int("queue-depth", 256, "ingest queue depth")
 		maxFrame   = fs.Int("max-frame", transport.DefaultMaxFrameBytes, "max frame payload bytes accepted from a peer")

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pnm/internal/fault"
 	"pnm/internal/loadgen"
 	"pnm/internal/sink"
 	"pnm/internal/transport"
@@ -97,6 +99,76 @@ func TestServeLoopback(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "delivered 150") {
 		t.Fatalf("delivered count missing; output:\n%s", out.String())
+	}
+}
+
+// TestServeChaosExactPackets feeds -chaos exactly -packets reports. The
+// plan's outage drops the reports between its crash and restore
+// milestones, so the server delivers fewer than -packets; it must still
+// finish once every report is processed and print the verdict of the
+// reports outside the outage.
+func TestServeChaosExactPackets(t *testing.T) {
+	const packets = 400
+	args := []string{
+		"-listen", "127.0.0.1:0",
+		"-nodes", "80", "-side", "5", "-range", "1.4", "-seed", "3",
+		"-packets", "400", "-chaos", "-timeout", "20s",
+	}
+	sc, err := loadgen.New(loadgen.Config{Nodes: 80, Side: 5, RadioRange: 1.4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same plan run generates: one crash and its restore.
+	plan := fault.Generate(3, sc.Topo, fault.PlanConfig{Start: packets / 8, Step: packets / 8, SinkCrashes: 1})
+	var crash, restore int
+	for _, ev := range plan.Events {
+		switch ev.Kind {
+		case fault.SinkCrash:
+			crash = ev.At
+		case fault.SinkRestore:
+			restore = ev.At
+		}
+	}
+	if crash <= 0 || restore <= crash || restore >= packets {
+		t.Fatalf("plan %v has no outage inside the stream", plan.Events)
+	}
+	stream := sc.Stream(packets)
+	ref := sc.NewTracker()
+	for i, msg := range stream {
+		if i < crash || i >= restore {
+			ref.Observe(msg, 0)
+		}
+	}
+	want := loadgen.FormatVerdict(ref.Verdict())
+
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- run(context.Background(), args, out) }()
+	cl, err := transport.Dial(listenAddr(t, out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range stream {
+		if err := cl.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run never exited; output:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("verdict line missing\nwant: %s\noutput:\n%s", want, out.String())
+	}
+	if d := fmt.Sprintf("delivered %d\n", packets-(restore-crash)); !strings.Contains(out.String(), d) {
+		t.Fatalf("output lacks %q:\n%s", d, out.String())
 	}
 }
 

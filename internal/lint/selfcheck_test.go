@@ -79,6 +79,7 @@ func TestSingleGoroutineMarkersPresent(t *testing.T) {
 		"pnm/internal/sink.Tracker",
 		"pnm/internal/sink.ExhaustiveResolver",
 		"pnm/internal/sink.TopologyResolver",
+		"pnm/internal/sink.PathProber",
 	} {
 		if !names[want] {
 			var have []string
@@ -173,6 +174,13 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.publish",
+		"pnm/internal/sink.NestedVerifier.verify",
+		"pnm/internal/sink.NestedVerifier.acceptMatch",
+		"pnm/internal/sink.strictlyBelow",
+		"pnm/internal/sink.PathProber.Probe",
+		"pnm/internal/sink.PathProber.pathOf",
+		"pnm/internal/sink.seedTip",
+		"pnm/internal/sink.rootPath",
 		"pnm/internal/sink.TopologyResolver.Resolve",
 		"pnm/internal/sink.TopologyResolver.search",
 		"pnm/internal/sink.TopologyResolver.publish",

@@ -302,7 +302,7 @@ func (n *Network) runSink() {
 				// The sink also refuses traffic handed over by a
 				// quarantined neighbor.
 				n.noteDrop(n.obsBlacklistRefused)
-			case !n.sink.Fold(tx.msg, tx.epoch):
+			case !n.sink.Fold(tx.msg, tx.epoch, nil):
 				n.noteDrop(n.obsFault.sinkDropped)
 			default:
 				n.obsDelivered.Inc()

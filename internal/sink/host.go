@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pnm/internal/mac"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/topology"
@@ -25,6 +26,12 @@ type Host struct {
 	newVerifier func() Verifier
 	topo        *topology.Network
 	reg         *obs.Registry
+	// keys and epochs are the first chain's key store and epoch set,
+	// which NewProber hands every reader's PathProber; epochs is nil
+	// unless that chain is a NestedVerifier over a TopologyResolver. Both
+	// are set before the host is shared and never written again.
+	keys   *mac.KeyStore
+	epochs *topology.EpochSet
 
 	// live is the serving tracker, nil while the host is down. Fold
 	// loads it without the lock and verifies on the tracker's verifier,
@@ -54,22 +61,43 @@ func NewHost(newVerifier func() Verifier, topo *topology.Network, reg *obs.Regis
 		tr.Instrument(reg)
 	}
 	h := &Host{newVerifier: newVerifier, topo: topo, reg: reg, tracker: tr}
+	if nv, ok := tr.verifier.(*NestedVerifier); ok && nv.epochs != nil {
+		h.keys, h.epochs = nv.keys, nv.epochs
+	}
 	h.live.Store(tr)
 	return h
 }
 
+// NewProber returns a PathProber for one reader goroutine, over the
+// host's verifier chain's key store and epoch set with a Hasher of its
+// own, counting into the host's registry. It returns nil when the chain
+// has no routing tree to match against. Any goroutine may call it.
+func (h *Host) NewProber() *PathProber {
+	if h.epochs == nil {
+		return nil
+	}
+	return newPathProber(h.keys, h.epochs, h.reg)
+}
+
 // Fold verifies one frame against the topology epoch it arrived under
-// and folds it into the tracker. It reports false, and folds nothing,
-// while the host is down or if the sink crashed during the
-// verification. Verification runs outside mu, so a Verdict read waits
-// behind one fold at most; the fold is Fold's one lock acquisition.
-// Only the folding goroutine calls Fold.
-func (h *Host) Fold(msg packet.Message, epoch topology.EpochVersion) bool {
+// and folds it into the tracker. m, when non-nil, carries a reader's
+// PathProber matches for the frame, which the verifier checks before
+// searching. It reports false, and folds nothing, while the host is
+// down or if the sink crashed during the verification. Verification
+// runs outside mu, so a Verdict read waits behind one fold at most; the
+// fold is Fold's one lock acquisition. Only the folding goroutine calls
+// Fold.
+func (h *Host) Fold(msg packet.Message, epoch topology.EpochVersion, m *Matches) bool {
 	tr := h.live.Load()
 	if tr == nil {
 		return false
 	}
-	res := tr.verifier.Verify(msg, epoch)
+	var res Result
+	if nv, ok := tr.verifier.(*NestedVerifier); ok && m != nil {
+		res = nv.verify(msg, epoch, m)
+	} else {
+		res = tr.verifier.Verify(msg, epoch)
+	}
 	h.mu.Lock()
 	folded := h.live.Load() == tr
 	if folded {

@@ -45,7 +45,7 @@ func TestHostCrashRestore(t *testing.T) {
 	reg := obs.New()
 	h, msg, builds := hostEnv(t, n, reg)
 	for i := 0; i < before; i++ {
-		if !h.Fold(msg, 0) {
+		if !h.Fold(msg, 0, nil) {
 			t.Fatalf("Fold %d dropped on a live host", i)
 		}
 	}
@@ -68,7 +68,7 @@ func TestHostCrashRestore(t *testing.T) {
 	if !h.Down() {
 		t.Error("Down = false after Crash")
 	}
-	if h.Fold(msg, 0) {
+	if h.Fold(msg, 0, nil) {
 		t.Error("Fold folded while the host was down")
 	}
 	if got := h.Verdict(); !reflect.DeepEqual(got, verdict) {
@@ -98,7 +98,7 @@ func TestHostCrashRestore(t *testing.T) {
 		t.Errorf("Delivered = %d across the outage, want %d", got, before)
 	}
 
-	if !h.Fold(msg, 0) {
+	if !h.Fold(msg, 0, nil) {
 		t.Fatal("Fold dropped after Restore")
 	}
 	if got := restored.Packets(); got != before+1 {
@@ -158,7 +158,7 @@ func TestHostRestoreFromAnotherGoroutine(t *testing.T) {
 		defer folder.Done()
 		defer close(done)
 		for folded < frames {
-			if h.Fold(msg, 0) {
+			if h.Fold(msg, 0, nil) {
 				folded++
 				h.Publish(1)
 			}
@@ -191,12 +191,12 @@ func TestHostRestoreFromAnotherGoroutine(t *testing.T) {
 func TestHostFoldPublishZeroAlloc(t *testing.T) {
 	h, msg, _ := hostEnv(t, 9, obs.New())
 	for i := 0; i < 8; i++ {
-		h.Fold(msg, 0)
+		h.Fold(msg, 0, nil)
 		h.Publish(1)
 	}
 	dropped := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		if !h.Fold(msg, 0) {
+		if !h.Fold(msg, 0, nil) {
 			dropped++
 		}
 		h.Publish(1)

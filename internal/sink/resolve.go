@@ -584,18 +584,7 @@ func (r *TopologyResolver) anonOf(report packet.Report, v packet.NodeID) [packet
 func (r *TopologyResolver) hintPath(start packet.NodeID) []packet.NodeID {
 	net := r.cur.net
 	if !r.memo.rooted {
-		r.path = r.path[:0]
-		if tip := r.memo.hint.tip; net.HasRoute(tip) {
-			d := net.Depth(tip)
-			if cap(r.path) < d+1 {
-				r.path = make([]packet.NodeID, d+1) //pnmlint:allow noalloc grows only until it covers the tree's depth
-			}
-			r.path = r.path[:d+1]
-			for v := tip; d >= 0; d-- {
-				r.path[d] = v
-				v = net.Parent(v)
-			}
-		}
+		r.path = rootPath(net, r.memo.hint.tip, r.path) //pnmlint:allow noalloc rootPath grows the buffer only until it covers the tree's depth
 		r.memo.rooted = true
 	}
 	if !net.HasRoute(start) {
@@ -618,12 +607,42 @@ func (r *TopologyResolver) hint(loc uint32) (pathHint, bool) {
 		epoch, net := r.cur.version, r.cur.net
 		h, ok := r.hints[loc]
 		if !ok || h.epoch != epoch {
-			h = pathHint{epoch: epoch, tip: packet.NodeID(loc)}
-			ok = loc >= 1 && loc <= uint32(net.NumNodes()) && net.HasRoute(h.tip)
+			h.epoch = epoch
+			h.tip, ok = seedTip(net, loc)
 		}
 		r.memo = memoHint{valid: true, found: ok, loc: loc, hint: h}
 	}
 	return r.memo.hint, r.memo.found
+}
+
+// seedTip returns the node loc names and whether it is routed in net:
+// the seed of the resolver's path hints and of the reader's PathProber,
+// which both walk its root path. An out-of-range or orphaned Location
+// seeds nothing.
+// pnmlint:noalloc
+func seedTip(net *topology.Network, loc uint32) (packet.NodeID, bool) {
+	tip := packet.NodeID(loc)
+	return tip, loc >= 1 && loc <= uint32(net.NumNodes()) && net.HasRoute(tip)
+}
+
+// rootPath returns tip's root path in net, indexed by depth (path[0] is
+// the sink, path[len-1] is tip), in buf's storage; an unrouted tip has an
+// empty path. buf grows only until it covers the tree's depth.
+// pnmlint:noalloc
+func rootPath(net *topology.Network, tip packet.NodeID, buf []packet.NodeID) []packet.NodeID {
+	if !net.HasRoute(tip) {
+		return buf[:0]
+	}
+	d := net.Depth(tip)
+	if cap(buf) < d+1 {
+		buf = make([]packet.NodeID, d+1) //pnmlint:allow noalloc grows only until it covers the tree's depth
+	}
+	buf = buf[:d+1]
+	for v := tip; d >= 0; d-- {
+		buf[d] = v
+		v = net.Parent(v)
+	}
+	return buf
 }
 
 // learn records h as loc's route, clearing the table first when a new

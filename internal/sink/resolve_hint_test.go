@@ -557,7 +557,7 @@ func TestSeededHintsColdStart(t *testing.T) {
 			rep := packet.Report{Event: seq, Location: uint32(src), Seq: seq}
 			msg, tip := honestPacket(t, rng, rep, routeOf(net, src), 0.5)
 			p0, m0 := probes.Value(), misses.Value()
-			if !h.Fold(msg, epoch) {
+			if !h.Fold(msg, epoch, nil) {
 				t.Fatalf("%s: source %v's packet dropped", phase, src)
 			}
 			if got := misses.Value() - m0; got != 0 {

@@ -9,7 +9,15 @@
 // Tracker.Observe(msg, epoch) does both, and so does Host.Fold for the
 // live hosts, with only the fold under its lock; a caller that keeps a
 // whole batch's Results alive calls Verifier.Verify and Tracker.Fold
-// instead.
+// instead. The one optional input is a frame's Matches: the transport
+// server's connection readers each own a PathProber that matches a
+// frame's anonymous marks against its Location's root path before
+// queueing it, and Host.Fold hands the matches to the NestedVerifier,
+// which accepts a matched node only inside the resolver's candidate set
+// and only if its MAC verifies, and resolves every other mark as before.
+// Matches order the sink's work and never count as evidence, so a
+// verdict is the same with or without them; in-process callers pass
+// none.
 //
 // # Ownership
 //
@@ -20,7 +28,10 @@
 // shared across goroutines — not even a resolver between two trackers.
 // Concurrent experiments get their parallelism run-level instead: each run
 // constructs its own tracker chain (see internal/parallel), which is also
-// what a real deployment does — one sink, one tracker, one goroutine.
+// what a real deployment does — one sink, one tracker, one goroutine. A
+// PathProber is single-goroutine too: each transport reader owns one, and
+// only the Matches it fills cross to the folding goroutine, with the
+// frame they belong to.
 //
 // Host is the one synchronized type. It is how the live hosts (the
 // concurrent simulator and the transport server) share a sink between

@@ -73,6 +73,11 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 			return nil, fmt.Errorf("sink: PNM verification needs a resolver")
 		}
 		v := &NestedVerifier{keys: keys, numNodes: numNodes, resolver: resolver}
+		if tr, ok := resolver.(*TopologyResolver); ok {
+			// Reader matches (Matches) are checked against the routing
+			// tree the resolver searches.
+			v.epochs = tr.epochs
+		}
 		if sc, ok := resolver.(scheduleCacher); ok {
 			// The verifier calls its resolver on its own goroutine, so both
 			// can hash through one cache: every node the resolver probes
@@ -148,6 +153,15 @@ type NestedVerifier struct {
 	// curEpoch is the arrival epoch of the packet being verified, set by
 	// Verify and handed to the resolver on every probe of that packet.
 	curEpoch topology.EpochVersion
+	// epochs is the TopologyResolver's epoch set, nil under any other
+	// resolver: the verifier takes reader matches only when it has it.
+	// matches are the current packet's reader matches (nil without), and
+	// matchNet is the tree of matchEpoch their membership checks walk,
+	// fetched once per epoch change.
+	epochs     *topology.EpochSet
+	matches    []packet.NodeID
+	matchEpoch topology.EpochVersion
+	matchNet   *topology.Network
 	// singles counts the current packet's anonymous marks that needed
 	// exactly one candidate MAC — almost all of them — so Verify
 	// publishes them to macCandidates in one ObserveN instead of one
@@ -206,8 +220,20 @@ func (v *NestedVerifier) Instrument(reg *obs.Registry) {
 // per packet, on either return path.
 // pnmlint:noalloc
 func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion) Result {
+	return v.verify(msg, epoch, nil)
+}
+
+// verify is Verify with a reader's matches for msg (nil for none): each
+// anonymous mark whose match acceptMatch takes skips the resolver, and
+// every other mark resolves exactly as in Verify.
+// pnmlint:noalloc
+func (v *NestedVerifier) verify(msg packet.Message, epoch topology.EpochVersion, m *Matches) Result {
 	v.packets.Inc()
 	v.curEpoch = epoch
+	v.matches = nil
+	if m != nil && v.epochs != nil {
+		v.matches = m.ids
+	}
 	if v.resolver != nil && v.resolveFn == nil {
 		// One-time method-value allocation, kept out of the noalloc
 		// kernels below.
@@ -276,6 +302,10 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 		if v.resolver == nil {
 			return 0, false // anonymous mark under a plaintext scheme: invalid
 		}
+		if j := len(msg.Marks) - 1 - k; j < len(v.matches) && v.acceptMatch(v.matches[j], k, prev, havePrev, mk) {
+			v.singles++
+			return v.matches[j], true
+		}
 		v.rsMAC, v.rsPrefix = mk.MAC, v.off[k]
 		v.rsFound, v.rsOK, v.rsCandidates = 0, false, 0
 		v.suffix = mk.AnonID
@@ -295,6 +325,44 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 		return 0, false
 	}
 	return mk.ID, true
+}
+
+// acceptMatch reports whether id, a reader's match for the anonymous
+// mark mk at position k, is the marker: id must lie strictly inside the
+// routing subtree of prev (of the sink for the last mark) in the
+// packet's arrival epoch — the candidate set the resolver would search —
+// and mk's MAC must verify under id's key. Membership is a parent walk
+// in the epoch's tree, so a matched mark builds no resolver tree.
+// pnmlint:noalloc
+func (v *NestedVerifier) acceptMatch(id packet.NodeID, k int, prev packet.NodeID, havePrev bool, mk packet.Mark) bool {
+	if v.matchNet == nil || v.matchEpoch != v.curEpoch {
+		v.matchEpoch, v.matchNet = v.curEpoch, v.epochs.At(v.curEpoch)
+	}
+	if !havePrev {
+		prev = packet.SinkID
+	}
+	if !strictlyBelow(v.matchNet, id, prev) {
+		return false
+	}
+	return mac.Equal(mk.MAC, v.schedule(id).Sum(v.enc[:v.off[k]], mk.AnonID[:]))
+}
+
+// strictlyBelow reports whether node v lies strictly inside a's routing
+// subtree in net: both routed, v deeper than a, and a on v's root path.
+// pnmlint:noalloc
+func strictlyBelow(net *topology.Network, v, a packet.NodeID) bool {
+	n := net.NumNodes()
+	if v == packet.SinkID || int(v) > n || int(a) > n || !net.HasRoute(v) || !net.HasRoute(a) {
+		return false
+	}
+	d, da := net.Depth(v), net.Depth(a)
+	if d <= da {
+		return false
+	}
+	for ; d > da; d-- {
+		v = net.Parent(v)
+	}
+	return v == a
 }
 
 // resolveProbe is the resolver callback for anonymous marks: it recomputes

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pnm/internal/mac"
 	"pnm/internal/marking"
+	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
@@ -124,8 +126,76 @@ func TestFrameReaderPayloadRetention(t *testing.T) {
 // the dynamic counterpart of the zero-copy ownership design (DESIGN.md):
 // after the schedule caches, the chain arena, the resolver's BFS buffers
 // and the order matrix have converged, a packet crosses the entire sink
-// path without touching the heap.
+// path without touching the heap. The matched case runs the server's
+// split: a reader's PathProber matches the frame, then Host.Fold checks
+// the matches and resolves the rest.
 func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
+	t.Run("observe", testVerifyPathZeroAlloc)
+	t.Run("matched", testMatchedPathZeroAlloc)
+}
+
+// testMatchedPathZeroAlloc pins decode, probe, matched verify, fold and
+// publish at zero allocations per frame once warm. The frames name node
+// 7 as their Location on a 9-node chain, so the reader matches the seven
+// marks below it and the sink's resolver finds the eighth.
+func testMatchedPathZeroAlloc(t *testing.T) {
+	const n, warmup, runs = 9, 32, 200
+	keys := mac.NewKeyStore([]byte("frame-alloc-pin"))
+	stream := markedStream(t, keys, n, warmup+runs+1)
+	topo, err := topology.NewChain(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	h := sink.NewHost(func() sink.Verifier {
+		v, err := sink.NewVerifier(marking.PNM{P: 1}, keys, topo.NumNodes(), sink.NewTopologyResolver(keys, topo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}, topo, reg)
+	prober := h.NewProber()
+	if prober == nil {
+		t.Fatal("a PNM chain over a topology resolver has no prober")
+	}
+	fr := NewFrameReader(bytes.NewReader(stream), Limits{})
+	var f frame
+	step := func() bool {
+		if err := fr.Next(&f.msg); err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		prober.Probe(&f.msg, 0, &f.matches)
+		ok := h.Fold(f.msg, 0, &f.matches)
+		h.Publish(1)
+		return ok
+	}
+	for i := 0; i < warmup; i++ {
+		step()
+	}
+	dropped := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if !step() {
+			dropped++
+		}
+	}); allocs != 0 {
+		t.Errorf("decode+probe+matched verify+fold allocates %.2f times per packet, want 0", allocs)
+	}
+	if dropped > 0 {
+		t.Errorf("a live host dropped %d frames", dropped)
+	}
+	frames := uint64(warmup + runs + 1)
+	if got := reg.Counter("transport.prober.marks_matched").Value(); got != 7*frames {
+		t.Errorf("reader matched %d marks over %d frames, want 7 a frame", got, frames)
+	}
+	if got, want := reg.Counter("sink.verify.marks_verified").Value(), 8*frames; got != want {
+		t.Errorf("sink verified %d marks, want %d", got, want)
+	}
+	if v := h.Verdict(); !v.HasStop || !v.Identified {
+		t.Errorf("verdict after pinned run: %+v", v)
+	}
+}
+
+func testVerifyPathZeroAlloc(t *testing.T) {
 	const n, warmup, runs = 9, 32, 200
 	keys := mac.NewKeyStore([]byte("frame-alloc-pin"))
 	stream := markedStream(t, keys, n, warmup+runs+1)
@@ -168,5 +238,14 @@ func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
 	}
 	if v := tracker.Verdict(); !v.HasStop || !v.Identified {
 		t.Errorf("verdict after pinned run: %+v", v)
+	}
+}
+
+// TestQueueItemSize pins the ingest queue's element at 24 bytes: the
+// reader's matches ride in the pooled frame the item points to, not in
+// the item the queue copies per frame.
+func TestQueueItemSize(t *testing.T) {
+	if got := unsafe.Sizeof(item{}); got != 24 {
+		t.Fatalf("queue item is %d bytes, want 24", got)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,6 +163,130 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	if stops := reg.Counter("sink.verify.stops").Value(); stops != 0 {
 		t.Fatalf("churn: %d honest packets stopped", stops)
 	}
+
+	// Hostile Locations: the readers probe each frame's Location, which
+	// no node vouches for. Frames name another routed node, a forwarder
+	// on the route, a node orphaned in the frames' epoch and an
+	// out-of-range ID, and one batch carries a mark that matches on the
+	// path but whose MAC is corrupted. The verdict and the verifier's
+	// counts must equal the in-process fold's, which takes no matches.
+	sc = testScenario(t)
+	route := sc.Topo.Forwarders(sc.Mole)
+	onRoute := map[packet.NodeID]bool{sc.Mole: true}
+	for _, id := range route {
+		onRoute[id] = true
+	}
+	var down, other packet.NodeID
+	for _, id := range sc.Topo.Nodes() {
+		if onRoute[id] {
+			continue
+		}
+		orphaned := sc.Topo.Reroute(func(v packet.NodeID) bool { return v == id }, nil)
+		if down == 0 && !orphaned.HasRoute(id) && slices.Equal(orphaned.Forwarders(sc.Mole), route) {
+			down = id
+		} else if other == 0 {
+			other = id
+		}
+	}
+	if down == 0 || other == 0 || len(route) < 3 {
+		t.Fatalf("scenario offers no orphan (%v) or off-route node (%v) beside a %d-hop route", down, other, len(route))
+	}
+	orphaned := sc.Topo.Reroute(func(v packet.NodeID) bool { return v == down }, nil)
+	var hostile []packet.Message
+	for _, c := range []struct {
+		loc     uint32
+		corrupt bool
+	}{
+		{uint32(sc.Mole), false},
+		{uint32(other), false},
+		{uint32(route[len(route)/2]), false},
+		{uint32(down), false},
+		{uint32(sc.Topo.NumNodes() + 5), false},
+		{uint32(sc.Mole), true},
+	} {
+		hostile = append(hostile, locatedStream(sc, orphaned, c.loc, c.corrupt, 25)...)
+	}
+	refSet = topology.NewEpochSet(sc.Topo)
+	refSet.Advance(orphaned)
+	refReg := obs.New()
+	ref = sink.NewTracker(verifierOver(refSet)(), sc.Topo)
+	ref.Instrument(refReg)
+	for _, msg := range hostile {
+		ref.Observe(msg, 1)
+	}
+	want = loadgen.FormatVerdict(ref.Verdict())
+	set = topology.NewEpochSet(sc.Topo)
+	set.Advance(orphaned)
+	reg = obs.New()
+	srv, err = Listen("127.0.0.1:0", "", Config{
+		NewVerifier: verifierOver(set),
+		Topo:        sc.Topo,
+		Epochs:      set,
+		Obs:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err = Dial(srv.Addr().String())
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	for _, msg := range hostile {
+		if err := cl.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WaitDelivered(len(hostile), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	got = loadgen.FormatVerdict(srv.Verdict())
+	srv.Close()
+	if got != want {
+		t.Fatalf("hostile Locations: networked verdict differs\n got: %s\nwant: %s", got, want)
+	}
+	for _, name := range []string{"sink.verify.marks_verified", "sink.verify.stops"} {
+		if g, w := reg.Counter(name).Value(), refReg.Counter(name).Value(); g != w {
+			t.Errorf("hostile Locations: %s = %d, in-process %d", name, g, w)
+		}
+	}
+	if reg.Counter("sink.verify.stops").Value() == 0 {
+		t.Error("hostile Locations: no frame stopped; the corrupted MACs test nothing")
+	}
+	if reg.Counter("transport.prober.marks_matched").Value() == 0 || reg.Counter("transport.prober.marks_unmatched").Value() == 0 {
+		t.Errorf("hostile Locations: readers matched %d and left %d marks; want both",
+			reg.Counter("transport.prober.marks_matched").Value(), reg.Counter("transport.prober.marks_unmatched").Value())
+	}
+}
+
+// locatedStream marks n packets of the scenario's mole along its route in
+// net, each report claiming Location loc. With corrupt set, the mark
+// newest after the route's middle hop gets a flipped MAC before the
+// downstream hops mark over it, so those still verify.
+func locatedStream(sc *loadgen.Scenario, net *topology.Network, loc uint32, corrupt bool, n int) []packet.Message {
+	env := &mole.Env{Scheme: sc.Scheme, StolenKeys: map[packet.NodeID]mac.Key{sc.Mole: sc.Keys.Key(sc.Mole)}}
+	src := &mole.Source{
+		ID:       sc.Mole,
+		Base:     packet.Report{Event: 0xBAD, Location: loc},
+		Behavior: mole.MarkNever,
+	}
+	rng := rand.New(rand.NewSource(int64(loc)))
+	route := net.Forwarders(sc.Mole)
+	out := make([]packet.Message, 0, n)
+	for i := 0; i < n; i++ {
+		msg := src.Next(env, rng)
+		for h, hop := range route {
+			msg = sc.Scheme.Mark(hop, sc.Keys.Key(hop), msg, rng)
+			if corrupt && h == len(route)/2 && len(msg.Marks) > 0 {
+				msg.Marks[len(msg.Marks)-1].MAC[0] ^= 0x5A
+			}
+		}
+		out = append(out, msg)
+	}
+	return out
 }
 
 // churnedStream marks len(nets)*seg packets of the scenario's mole

@@ -21,13 +21,18 @@ import (
 // sink goroutine folds. Under -race, a
 // message released while a reader still writes into it (or a fold still
 // reads from it) trips the detector; without -race the delivered ledger
-// and the verdict still pin that no packet was lost or corrupted.
+// and the verdict still pin that no packet was lost or corrupted. Each
+// reader probes its frames on its own PathProber while it owns them: on
+// this honest stream the readers must match every mark the sink folds,
+// so the sink's own resolver never hashes an anonymous ID.
 func TestPooledMessageReuseRaceFree(t *testing.T) {
 	const clients, packets = 6, 150
 	sc := testScenario(t)
+	reg := obs.New()
 	srv, err := Listen("127.0.0.1:0", "", Config{
 		NewVerifier: sc.NewVerifier,
 		Topo:        sc.Topo,
+		Obs:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +81,20 @@ func TestPooledMessageReuseRaceFree(t *testing.T) {
 	want := loadgen.FormatVerdict(sc.Verdict(packets))
 	if got := loadgen.FormatVerdict(srv.Verdict()); got != want {
 		t.Fatalf("verdict after pooled-ingest hammer differs\n got: %s\nwant: %s", got, want)
+	}
+	verified := reg.Counter("sink.verify.marks_verified").Value()
+	matched := reg.Counter("transport.prober.marks_matched").Value()
+	if verified == 0 || matched != verified {
+		t.Errorf("readers matched %d marks, the sink verified %d: want every folded mark matched", matched, verified)
+	}
+	if n := reg.Counter("transport.prober.marks_unmatched").Value(); n != 0 {
+		t.Errorf("readers left %d honest marks unmatched", n)
+	}
+	if n := reg.Counter("transport.prober.probes").Value(); n < matched {
+		t.Errorf("readers hashed %d anonymous IDs for %d matches", n, matched)
+	}
+	if n := reg.Counter("sink.resolver.probes").Value(); n != 0 {
+		t.Errorf("the sink's resolver hashed %d anonymous IDs on an honest, fully matched stream", n)
 	}
 }
 

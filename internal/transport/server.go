@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pnm/internal/fault"
@@ -66,12 +67,20 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// item is one ingested message annotated with its enqueue instant, so
-// the sink goroutine can histogram queue-to-fold latency. The message is
-// pooled: see Server.msgs for the ownership rule.
+// frame is the pooled object a queue item points to: one decoded
+// message and its reader's path matches (empty when the server's chain
+// has no topology resolver to match against).
+type frame struct {
+	msg     packet.Message
+	matches sink.Matches
+}
+
+// item is one ingested frame annotated with its enqueue instant, so the
+// sink goroutine can histogram queue-to-fold latency. The frame is
+// pooled: see Server.frames for the ownership rule.
 type item struct {
-	msg *packet.Message
-	at  int64 // UnixNano at enqueue
+	f  *frame
+	at int64 // UnixNano at enqueue
 	// epoch is the topology epoch current at enqueue (always 0 without
 	// Config.Epochs); verification resolves the frame against it. With
 	// Config.Epochs the item holds a pin on it, handed back exactly once
@@ -170,18 +179,24 @@ type Server struct {
 	wg     sync.WaitGroup
 	c      counters
 
-	// msgs pools the *packet.Message values flowing reader → queue →
-	// sink, so steady-state ingest recycles mark storage instead of
+	// frames pools the *frame values flowing reader → queue → sink, so
+	// steady-state ingest recycles mark and match storage instead of
 	// allocating per frame. Ownership rule (see DESIGN.md §13): exactly
-	// one goroutine owns a pooled message at any instant. A reader owns
-	// what it got from the pool until enqueue returns; a true return
-	// transfers ownership to the queue (or, under DropNewest, the message
-	// was already released), false means enqueue released it. The sink
-	// goroutine owns everything it dequeues and releases the whole batch
-	// after fold returns — the verifiers copy what they keep, so nothing
-	// downstream aliases a released message. Close releases what it
-	// drains. The pool itself is concurrency-safe; the messages are not.
-	msgs sync.Pool
+	// one goroutine owns a pooled frame at any instant. A reader owns
+	// what it got from the pool until enqueue returns — it decodes the
+	// message and its prober fills the matches while it does; a true
+	// return transfers ownership to the queue (or, under DropNewest, the
+	// frame was already released), false means enqueue released it. The
+	// sink goroutine owns everything it dequeues and releases the whole
+	// batch after fold returns — the verifiers copy what they keep, so
+	// nothing downstream aliases a released frame. Close releases what
+	// it drains. The pool itself is concurrency-safe; the frames are not.
+	frames sync.Pool
+
+	// downDrops counts the frames dropped while the sink was down. The
+	// sink goroutine adds to it before each Publish, so a processed-count
+	// waiter (WaitProcessed) sees every drop.
+	downDrops atomic.Int64
 
 	// connMu guards the live connection set, so Close can unblock
 	// readers, and the MaxConns bound.
@@ -250,33 +265,34 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// getMsg takes a message from the pool; the caller owns it until it
-// hands it to enqueue or releases it with putMsg.
-func (s *Server) getMsg() *packet.Message {
-	if m, ok := s.msgs.Get().(*packet.Message); ok {
-		return m
+// getFrame takes a frame from the pool; the caller owns it until it
+// hands it to enqueue or releases it with putFrame.
+func (s *Server) getFrame() *frame {
+	if f, ok := s.frames.Get().(*frame); ok {
+		return f
 	}
-	return new(packet.Message)
+	return new(frame)
 }
 
-// putMsg releases a message back to the pool (nil is a no-op). The mark
-// storage is kept — its capacity is what steady-state ingest reuses —
-// and is bounded by Limits.MaxMarks, so a pooled message can never pin
-// more than one hostile frame's worth of marks.
-func (s *Server) putMsg(m *packet.Message) {
-	if m == nil {
+// putFrame releases a frame back to the pool (nil is a no-op). The mark
+// and match storage is kept — its capacity is what steady-state ingest
+// reuses — and is bounded by Limits.MaxMarks, so a pooled frame can
+// never pin more than one hostile frame's worth of marks. The next
+// probe overwrites the matches.
+func (s *Server) putFrame(f *frame) {
+	if f == nil {
 		return
 	}
-	m.Marks = m.Marks[:0]
-	s.msgs.Put(m)
+	f.msg.Marks = f.msg.Marks[:0]
+	s.frames.Put(f)
 }
 
-// releaseBatch returns every message in a folded (or dropped) batch to
+// releaseBatch returns every frame in a folded (or dropped) batch to
 // the pool — the sink goroutine's half of the ownership hand-off.
 func (s *Server) releaseBatch(batch []item) {
 	for i := range batch {
-		s.putMsg(batch[i].msg)
-		batch[i].msg = nil
+		s.putFrame(batch[i].f)
+		batch[i].f = nil
 	}
 }
 
@@ -301,13 +317,13 @@ func (s *Server) unpinBatch(batch []item) {
 }
 
 // drop releases a frame that leaves the server unverified, a queue
-// policy's or Close's: its message goes back to the pool and its epoch
-// pin back to the set.
+// policy's or Close's: it goes back to the pool and its epoch pin back
+// to the set.
 func (s *Server) drop(it item) {
 	if s.cfg.Epochs != nil {
 		s.cfg.Epochs.Done(it.epoch, 1)
 	}
-	s.putMsg(it.msg)
+	s.putFrame(it.f)
 }
 
 // Addr returns the TCP listen address.
@@ -401,7 +417,8 @@ func (s *Server) admit(conn net.Conn) bool {
 	return true
 }
 
-// readLoop decodes one connection's frame stream into the ingest queue.
+// readLoop decodes one connection's frame stream into the ingest queue,
+// probing each frame's anonymous marks on its own PathProber.
 // Recoverable (payload) errors are counted and the stream continues; a
 // framing error is counted and kills the connection — the byte stream
 // can no longer be trusted.
@@ -414,14 +431,15 @@ func (s *Server) readLoop(conn net.Conn) {
 		conn.Close()
 	}()
 	fr := NewFrameReader(conn, s.cfg.Limits)
-	msg := s.getMsg()
+	prober := s.sink.NewProber()
+	f := s.getFrame()
 	defer func() {
-		if msg != nil {
-			s.putMsg(msg)
+		if f != nil {
+			s.putFrame(f)
 		}
 	}()
 	for {
-		if err := fr.Next(msg); err != nil {
+		if err := fr.Next(&f.msg); err != nil {
 			if err == io.EOF || errors.Is(err, net.ErrClosed) || s.stopping() {
 				// The peer hung up, or Close shut the connection under the
 				// read: a clean exit, not a malformed frame.
@@ -429,30 +447,32 @@ func (s *Server) readLoop(conn net.Conn) {
 			}
 			s.c.countDecodeErr(err)
 			if Recoverable(err) {
-				continue // msg holds no marks; reuse it for the next frame
+				continue // f holds no marks; reuse it for the next frame
 			}
 			return
 		}
 		s.c.frames.Inc()
-		s.c.bytes.Add(uint64(FrameHeaderLen + msg.WireSize()))
-		if !s.enqueue(msg) {
-			msg = nil // enqueue released it
-			return    // server stopping
+		s.c.bytes.Add(uint64(FrameHeaderLen + f.msg.WireSize()))
+		if !s.enqueue(f, prober) {
+			f = nil // enqueue released it
+			return  // server stopping
 		}
-		msg = s.getMsg()
+		f = s.getFrame()
 	}
 }
 
-// udpLoop decodes datagrams — one frame each — into the ingest queue.
-// Every rejection is per-datagram and counted; read errors go through
-// retry, as acceptLoop's do.
+// udpLoop decodes datagrams — one frame each — into the ingest queue,
+// probing each on its own PathProber as readLoop does. Every rejection
+// is per-datagram and counted; read errors go through retry, as
+// acceptLoop's do.
 func (s *Server) udpLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, s.cfg.Limits.MaxFrameBytes+FrameHeaderLen)
-	msg := s.getMsg()
+	prober := s.sink.NewProber()
+	f := s.getFrame()
 	defer func() {
-		if msg != nil {
-			s.putMsg(msg)
+		if f != nil {
+			s.putFrame(f)
 		}
 	}()
 	delay := time.Millisecond
@@ -467,30 +487,35 @@ func (s *Server) udpLoop() {
 		delay = time.Millisecond
 		s.c.udpDatagrams.Inc()
 		s.c.udpBytes.Add(uint64(n))
-		if err := DecodeDatagramInto(msg, buf[:n], s.cfg.Limits); err != nil {
+		if err := DecodeDatagramInto(&f.msg, buf[:n], s.cfg.Limits); err != nil {
 			s.c.countDecodeErr(err)
-			continue // msg holds no marks; reuse it for the next datagram
+			continue // f holds no marks; reuse it for the next datagram
 		}
-		if !s.enqueue(msg) {
-			msg = nil // enqueue released it
+		if !s.enqueue(f, prober) {
+			f = nil // enqueue released it
 			return
 		}
-		msg = s.getMsg()
+		f = s.getFrame()
 	}
 }
 
-// enqueue hands msg to the ingest queue through queue.Offer under the
-// configured overflow policy. It returns false only when the server is
-// stopping. Ownership: a true return means the queue took msg (or, under
-// DropNewest, enqueue already released it); a false return means enqueue
-// released it. Either way the caller must not touch msg again.
-func (s *Server) enqueue(msg *packet.Message) bool {
+// enqueue stamps f, has prober (when non-nil) match its anonymous marks
+// in the stamped epoch's tree, and hands it to the ingest queue through
+// queue.Offer under the configured overflow policy. It returns false
+// only when the server is stopping. Ownership: a true return means the
+// queue took f (or, under DropNewest, enqueue already released it); a
+// false return means enqueue released it. Either way the caller must
+// not touch f again.
+func (s *Server) enqueue(f *frame, prober *sink.PathProber) bool {
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
-	it := item{msg: msg, at: time.Now().UnixNano()}
+	it := item{f: f, at: time.Now().UnixNano()}
 	if s.cfg.Epochs != nil {
 		// Stamp and pin the topology epoch current at enqueue — the
 		// transport twin of netsim's arrival stamp.
 		it.epoch = s.cfg.Epochs.Stamp()
+	}
+	if prober != nil {
+		prober.Probe(&f.msg, it.epoch, &f.matches)
 	}
 	// Each drop path hands the frame back before counting it, so a
 	// reader that sees the ledger balance sees every pin returned.
@@ -578,24 +603,28 @@ func (s *Server) sinkLoop() {
 }
 
 // fold runs one batch through the sink host, which verifies each frame
-// outside its lock and takes the lock once to fold it: a Verdict or
-// Delivered read waits behind one fold, never behind a batch of MAC
-// checks. While the sink is down the host drops every frame. Once the
-// batch is verified its epoch pins are handed back; then the delivered
-// count and the progress broadcast are published, once per batch, so a
-// waiter that sees a frame delivered sees its pin returned.
+// with its reader's matches outside its lock and takes the lock once to
+// fold it: a Verdict or Delivered read waits behind one fold, never
+// behind a batch of MAC checks. While the sink is down the host drops
+// every frame. Once the batch is verified its epoch pins are handed
+// back; then the delivered count and the progress broadcast are
+// published, once per batch, so a waiter that sees a frame delivered
+// sees its pin returned. A batch the outage dropped whole still wakes
+// the waiters, for WaitProcessed.
 func (s *Server) fold(batch []item) {
 	folded := 0
 	for i := range batch {
-		if s.sink.Fold(*batch[i].msg, batch[i].epoch) {
+		if s.sink.Fold(batch[i].f.msg, batch[i].epoch, &batch[i].f.matches) {
 			folded++
 		}
 	}
 	s.unpinBatch(batch)
-	if folded < len(batch) {
-		s.c.droppedWhileDown.Add(uint64(len(batch) - folded))
+	if dropped := len(batch) - folded; dropped > 0 {
+		s.c.droppedWhileDown.Add(uint64(dropped))
+		s.downDrops.Add(int64(dropped))
 	}
 	if folded == 0 {
+		s.sink.Publish(0)
 		return
 	}
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
@@ -633,19 +662,41 @@ func (s *Server) Delivered() int { return s.sink.Delivered() }
 // Verdict returns the sink's current traceback conclusion.
 func (s *Server) Verdict() sink.Verdict { return s.sink.Verdict() }
 
+// Processed returns how many dequeued frames the sink goroutine has
+// finished with: folded, or dropped while the sink was down.
+func (s *Server) Processed() int { return s.Delivered() + int(s.downDrops.Load()) }
+
+// WaitProcessed blocks until at least want frames have been processed
+// (see Processed) or the timeout elapses. Unlike WaitDelivered it
+// returns under a fault plan whose outage drops frames: an outage drops
+// restore.At − crash.At of them, which no delivered count makes up.
+func (s *Server) WaitProcessed(want int, timeout time.Duration) error {
+	return s.await(want, timeout, "processed frames", func(delivered int) int {
+		return delivered + int(s.downDrops.Load())
+	})
+}
+
 // WaitDelivered blocks until at least want messages have been folded or
-// the timeout elapses, parking on the sink's progress broadcast.
+// the timeout elapses.
 func (s *Server) WaitDelivered(want int, timeout time.Duration) error {
+	return s.await(want, timeout, "deliveries", func(delivered int) int { return delivered })
+}
+
+// await parks on the sink's progress broadcast until count, given the
+// delivered count, reaches want, or the timeout elapses or the server
+// closes; what names the count in the error.
+func (s *Server) await(want int, timeout time.Duration, what string, count func(delivered int) int) error {
 	//pnmlint:allow wallclock real timeout while live goroutines deliver
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	if s.sink.Await(func(got int) bool { return got >= want }, timer.C, s.stop) {
+	if s.sink.Await(func(got int) bool { return count(got) >= want }, timer.C, s.stop) {
 		return nil
 	}
+	got := count(s.Delivered())
 	if s.stopping() {
-		return fmt.Errorf("transport: server closed after %d of %d deliveries", s.Delivered(), want)
+		return fmt.Errorf("transport: server closed after %d of %d %s", got, want, what)
 	}
-	return fmt.Errorf("transport: delivered %d of %d before timeout", s.Delivered(), want)
+	return fmt.Errorf("transport: %d of %d %s before timeout", got, want, what)
 }
 
 // Close stops the listeners and every goroutine, then waits for them.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pnm/internal/obs"
-	"pnm/internal/packet"
 	"pnm/internal/queue"
 	"pnm/internal/sink"
 )
@@ -146,7 +145,7 @@ func TestDropOldestEnqueueReturnsAfterStop(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for s.enqueue(&packet.Message{}) {
+			for s.enqueue(new(frame), nil) {
 			}
 		}()
 	}

@@ -63,16 +63,8 @@ func TestLoopbackSoak(t *testing.T) {
 
 	// Everything the sink processed is either folded or dropped-while-
 	// down; wait until that accounting covers the whole stream.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		processed := uint64(srv.Delivered()) + reg.Counter("transport.chaos.dropped_while_down").Value()
-		if processed >= uint64(packets) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d frames processed before timeout\nregistry:\n%s", processed, packets, reg)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := srv.WaitProcessed(packets, 30*time.Second); err != nil {
+		t.Fatalf("%v\nregistry:\n%s", err, reg)
 	}
 
 	if got := reg.Counter("transport.chaos.sink_crashes").Value(); got != 2 {
