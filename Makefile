@@ -94,9 +94,11 @@ fuzz-smoke:
 # the ingest server over real sockets while a chaos plan crashes and
 # restores the sink from its PNM2 checkpoint, and a random-waypoint field
 # advanced through 10,000 epochs while frames stream, with the epoch
-# history, the heap and the ingest ledger checked at the end.
+# history, the heap and the ingest ledger checked at the end; and the
+# simulator streaming through 1,000 route repairs with evicting queues,
+# its epoch history checked bounded once it settles.
 soak:
-	$(GO) test -race -run 'TestLoopbackSoak|TestMobilitySoak' -count 1 ./internal/transport
+	$(GO) test -race -run 'TestLoopbackSoak|TestMobilitySoak|TestEpochHistoryBoundedUnderRouteChurn' -count 1 ./internal/transport ./internal/netsim
 
 # What CI runs: build, vet, lint, the full test suite, the examples, the
 # bench module's tests (pnm/bench sits outside ./...), and the race

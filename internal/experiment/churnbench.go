@@ -10,7 +10,7 @@ package experiment
 // marked under — and the sink resolves them against — the epoch current
 // at their arrival. Every row runs on Runs independently seeded fields:
 // run 0 supplies the single-field columns, and the *_runs columns count
-// over all of them. Three claims are measured and enforced at generation
+// over all of them. Four claims are measured and enforced at generation
 // time:
 //
 //  1. Correctness: on run 0 the epoch-aware sink catches the mole at
@@ -29,6 +29,9 @@ package experiment
 //     verdict with the same hash as the incremental tracker — replaying
 //     the log against the same epochs is just a slower spelling of the
 //     same state.
+//  4. Bounded history: every packet's epoch stamp goes back at the end
+//     of the row, leaving the set with no pin and no read of a released
+//     epoch.
 
 import (
 	"fmt"
@@ -321,9 +324,12 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 			for _, hop := range nets[cur].Forwarders(moleID) {
 				msg = scheme.Mark(hop, keys.Key(hop), msg, rng)
 			}
+			// The stamp pins the arrival epoch to the row's end: the stale
+			// tracker reads epoch 0 and the rebuild every logged epoch.
+			at := set.Stamp()
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			t0 := time.Now()
-			res := tracker.Observe(msg, cur)
+			res := tracker.Observe(msg, at)
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			row.IncrementalNs += time.Since(t0).Nanoseconds()
 			sres := stale.Observe(msg, 0)
@@ -333,8 +339,8 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 					row.StaleStops++
 				}
 			}
-			rebuild.Observe(msg, cur)
-			chainLog = append(chainLog, logEntry{msg: msg, at: cur})
+			rebuild.Observe(msg, at)
+			chainLog = append(chainLog, logEntry{msg: msg, at: at})
 		}
 		if row.PacketsToCatch == 0 && tracker.Verdict().SuspectsContain(moleID) {
 			row.PacketsToCatch = injected
@@ -375,6 +381,12 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 	row.FinalPrecise = v.SuspectsContain(moleID)
 	if got := verdictDigest(rebuild.Verdict()); got != row.VerdictHash {
 		return ChurnBenchRow{}, 0, fmt.Errorf("full-rebuild verdict hash %s, incremental %s", got, row.VerdictHash)
+	}
+	for _, e := range chainLog {
+		set.Done(e.at, 1)
+	}
+	if st := set.Stats(); st.Pinned != 0 || st.StaleReads != 0 {
+		return ChurnBenchRow{}, 0, fmt.Errorf("epoch set after the hand-back: %+v, want no pin and no stale read", st)
 	}
 	row.ChainsFolded = reg.Counter("sink.tracker.chains_folded").Value()
 	return row, len(tracker.Candidates()), nil

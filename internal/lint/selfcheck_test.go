@@ -141,12 +141,12 @@ func checkGuarded(t *testing.T, pkgs []string, want map[string]string) {
 
 // TestNoallocHotPathsAnnotated pins the zero-alloc kernel set: the MAC
 // schedule, the node-side AnonID, the marking encode paths, the sink
-// verify kernels and the wire decode path all carry // pnmlint:noalloc,
-// so the escape-analysis gate actually covers the functions the
-// AllocsPerRun benchmarks measure.
+// verify kernels, the wire decode path and the epoch pins all carry
+// // pnmlint:noalloc, so the escape-analysis gate actually covers the
+// functions the AllocsPerRun benchmarks measure.
 func TestNoallocHotPathsAnnotated(t *testing.T) {
 	prog, err := Load("../..", "./internal/mac", "./internal/marking", "./internal/sink",
-		"./internal/packet", "./internal/transport")
+		"./internal/packet", "./internal/transport", "./internal/topology")
 	if err != nil {
 		t.Fatalf("load packages: %v", err)
 	}
@@ -198,6 +198,8 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/transport.FrameReader.Next",
 		"pnm/internal/transport.FrameReader.decodeAfterHeader",
 		"pnm/internal/transport.DecodeDatagramInto",
+		"pnm/internal/topology.EpochSet.Stamp",
+		"pnm/internal/topology.EpochSet.Done",
 	} {
 		if _, ok := funcs[want]; !ok {
 			t.Errorf("%s lacks the // pnmlint:noalloc annotation", want)

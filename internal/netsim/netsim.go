@@ -114,10 +114,10 @@ type Network struct {
 	nodeDown map[packet.NodeID]bool
 	routes   *topology.Network
 
-	// epochs is the append-only topology history shared with every
-	// topology resolver; internally synchronized, so it needs no lock
-	// here. Route repairs append under faultMu; packets read Current at
-	// sink arrival.
+	// epochs is the topology history shared with every topology
+	// resolver; internally synchronized, so it needs no lock here. Route
+	// repairs advance it under faultMu; a frame pins its epoch from the
+	// sink hop until it leaves.
 	epochs *topology.EpochSet
 
 	// faultMu serializes fault application (fault.go) and guards the
@@ -171,8 +171,8 @@ func Start(cfg Config) (*Network, error) {
 	if cfg.Env == nil {
 		cfg.Env = &mole.Env{Scheme: cfg.Scheme, StolenKeys: map[packet.NodeID]mac.Key{}}
 	}
-	// epochs is the append-only topology history: epoch 0 is the base
-	// tree, every route repair appends the repaired snapshot
+	// epochs is the topology history: epoch 0 is the base tree, every
+	// route repair advances to the repaired snapshot
 	// (recomputeRoutesLocked). Packets are stamped with the epoch current
 	// at sink arrival and topology-restricted resolvers walk that epoch's
 	// tree — the stale-resolver fix.
@@ -297,12 +297,17 @@ func (n *Network) runSink() {
 		case <-n.stop:
 			return
 		case tx := <-n.sinkCh:
+			// The sink also refuses traffic handed over by a quarantined
+			// neighbor.
+			refused := n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from)
+			folded := !refused && n.sink.Fold(tx.msg, tx.epoch, nil)
+			// The frame has left: its pin goes back before the outcome is
+			// published, so a settled network holds no pin.
+			n.epochs.Done(tx.epoch, 1)
 			switch {
-			case n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from):
-				// The sink also refuses traffic handed over by a
-				// quarantined neighbor.
+			case refused:
 				n.noteDrop(n.obsBlacklistRefused)
-			case !n.sink.Fold(tx.msg, tx.epoch, nil):
+			case !folded:
 				n.noteDrop(n.obsFault.sinkDropped)
 			default:
 				n.obsDelivered.Inc()
@@ -384,17 +389,20 @@ func (n *Network) deliver(tx transmission, hop packet.NodeID, abort <-chan struc
 		n.noteDrop(n.obsFault.droppedToDown)
 		return droppedAccounted
 	}
-	var ch chan transmission
+	ch, evict := n.inbox[hop], n.evict
 	if hop == packet.SinkID {
 		// Stamp the topology epoch current at sink arrival: resolution
 		// must replay the routing tree the packet was forwarded under,
-		// and this hop is where "arrival" happens.
-		tx.epoch = n.epochs.Current().Version
-		ch = n.sinkCh
-	} else {
-		ch = n.inbox[hop]
+		// and this hop is where "arrival" happens. The stamp pins the
+		// epoch until the frame leaves, here if it is not admitted.
+		tx.epoch = n.epochs.Stamp()
+		ch, evict = n.sinkCh, n.evictFromSink
 	}
-	switch queue.Offer(ch, tx, n.cfg.QueuePolicy, n.stop, abort, n.obsQueueFullBlocks.Inc, n.evict) {
+	out := queue.Offer(ch, tx, n.cfg.QueuePolicy, n.stop, abort, n.obsQueueFullBlocks.Inc, evict)
+	if out != queue.Admitted && hop == packet.SinkID {
+		n.epochs.Done(tx.epoch, 1)
+	}
+	switch out {
 	case queue.Admitted:
 		return queued
 	case queue.Refused:
@@ -410,6 +418,13 @@ func (n *Network) deliver(tx transmission, hop packet.NodeID, abort <-chan struc
 
 // evict accounts a frame DropOldest pushed out of a full inbox.
 func (n *Network) evict(transmission) { n.noteDrop(n.obsQueueDropOldest) }
+
+// evictFromSink is evict for the sink channel, whose frames carry an
+// epoch pin: it hands the pin back before accounting the drop.
+func (n *Network) evictFromSink(tx transmission) {
+	n.epochs.Done(tx.epoch, 1)
+	n.evict(tx)
+}
 
 // Inject transmits msg from src toward the sink. The source's own radio
 // hop is as lossy as any other link: the loss decision draws from a

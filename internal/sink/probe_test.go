@@ -117,8 +117,7 @@ func TestProberWalksStampedEpoch(t *testing.T) {
 	if rewired == nil {
 		t.Fatal("no rewire moves the source's route")
 	}
-	set := topology.NewEpochSet(topo)
-	set.Advance(rewired)
+	set := pinnedEpochs(t, topo, rewired)
 	prober := newPathProber(testKS, set, nil)
 	plain := pnmVerifier(t, 1, set)
 	matched := pnmVerifier(t, 1, set)
@@ -267,10 +266,7 @@ func FuzzProbeMatchesVerify(f *testing.F) {
 		for e := int(in.next() % 4); e > 0; e-- {
 			nets = append(nets, nets[len(nets)-1].Rewire(int64(in.next())))
 		}
-		set := topology.NewEpochSet(topo)
-		for _, nw := range nets[1:] {
-			set.Advance(nw)
-		}
+		set := pinnedEpochs(t, topo, nets[1:]...)
 		p := []float64{1, 0.5, 0.25}[in.next()%3]
 		scheme := marking.PNM{P: p}
 		nodes := topo.Nodes()

@@ -412,11 +412,12 @@ func NewTopologyResolver(keys *mac.KeyStore, topo *topology.Network) *TopologyRe
 
 // NewTopologyResolverEpochs returns a resolver over a dynamic topology:
 // each Resolve walks the snapshot named by the packet's arrival epoch.
-// The set may keep growing (the fault machinery appends on every route
-// repair) while resolvers read it from their own goroutines. The hint
-// table is sized from the current epoch, not the base: a chaos Restore
-// builds its resolver over a pinning set (transport.Server) whose epoch 0
-// may long be released.
+// The set may advance (the fault machinery opens an epoch on every
+// route repair) while resolvers read it from their own goroutines; the
+// host that stamps a packet's epoch pins it until the packet is
+// verified. The hint table is sized from the current epoch, not the
+// base: a chaos Restore builds its resolver over a set whose epoch 0 may
+// long be released.
 func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *TopologyResolver {
 	return &TopologyResolver{
 		keys:    keys,

@@ -72,8 +72,8 @@ func TestStaleResolverAfterRerouteWronglyStops(t *testing.T) {
 // not the resolver construction, is what decides.
 func TestEpochAwareResolutionSurvivesReroute(t *testing.T) {
 	base, repaired, msg := epochChurnFixture(t)
-	set := topology.NewEpochSet(base)
-	ep := set.Advance(repaired)
+	set := pinnedEpochs(t, base, repaired)
+	ep := set.Current()
 	r := NewTopologyResolverEpochs(testKS, set)
 	v := &NestedVerifier{keys: testKS, numNodes: base.NumNodes(), resolver: r}
 

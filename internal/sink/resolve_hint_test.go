@@ -316,8 +316,8 @@ func TestHintNotFollowedAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := topology.NewEpochSet(topo)
-	e1 := set.Advance(topo).Version
+	set := pinnedEpochs(t, topo, topo)
+	e1 := set.Current().Version
 
 	var order []packet.NodeID
 	recording := func(k mac.Key, rep packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
@@ -470,8 +470,8 @@ func TestHintPathSlicesMemoizedRootPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := topology.NewEpochSet(topo)
-	e1 := set.Advance(topo.Rewire(4)).Version
+	set := pinnedEpochs(t, topo, topo.Rewire(4))
+	e1 := set.Current().Version
 	walk := func(net *topology.Network, tip, start packet.NodeID) []packet.NodeID {
 		if !net.HasRoute(tip) || !net.HasRoute(start) {
 			return nil
@@ -527,8 +527,8 @@ func TestSeededHintsColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := topology.NewEpochSet(topo)
-	e1 := set.Advance(topo.Rewire(6)).Version
+	set := pinnedEpochs(t, topo, topo.Rewire(6))
+	e1 := set.Current().Version
 	reg := obs.New()
 	h := NewHost(func() Verifier {
 		v, err := NewVerifier(marking.PNM{P: 0.5}, testKS, topo.NumNodes(), NewTopologyResolverEpochs(testKS, set))
@@ -598,8 +598,8 @@ func TestTopologyResolverSeededZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := topology.NewEpochSet(topo)
-	epochs := []topology.EpochVersion{0, set.Advance(topo.Rewire(4)).Version, set.Advance(topo.Rewire(5)).Version}
+	set := pinnedEpochs(t, topo, topo.Rewire(4), topo.Rewire(5))
+	epochs := []topology.EpochVersion{0, 1, 2}
 	r := NewTopologyResolverEpochs(testKS, set)
 	reg := obs.New()
 	r.Instrument(reg)

@@ -32,9 +32,9 @@ func churnedEpochs(t *testing.T, seed int64, epochs int) *topology.EpochSet {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	set := topology.NewEpochSet(base)
-	net := base
+	nets := []*topology.Network{base}
 	for e := 1; e < epochs; e++ {
+		net := nets[e-1]
 		if e%2 == 1 {
 			net = net.Rewire(rng.Int63())
 		} else {
@@ -42,20 +42,40 @@ func churnedEpochs(t *testing.T, seed int64, epochs int) *topology.EpochSet {
 			b := packet.NodeID(1 + rng.Intn(base.NumNodes()))
 			net = base.Reroute(func(id packet.NodeID) bool { return id == a || id == b }, nil)
 		}
-		set.Advance(net)
+		nets = append(nets, net)
 	}
-	return set
+	return pinnedEpochs(t, base, nets[1:]...)
 }
 
 // rewiredEpochs returns a set of epochs Rewire snapshots of topo, the
-// base included.
-func rewiredEpochs(topo *topology.Network, epochs int) *topology.EpochSet {
-	set := topology.NewEpochSet(topo)
-	net := topo
+// base included, every one pinned.
+func rewiredEpochs(t *testing.T, topo *topology.Network, epochs int) *topology.EpochSet {
+	t.Helper()
+	nets := []*topology.Network{topo}
 	for e := 1; e < epochs; e++ {
-		net = net.Rewire(int64(e) * 131)
+		nets = append(nets, nets[e-1].Rewire(int64(e)*131))
+	}
+	return pinnedEpochs(t, topo, nets[1:]...)
+}
+
+// pinnedEpochs returns a set over base advanced through nets, each epoch
+// stamped before the set advances past it, so every epoch stays retained
+// and At(v) reads the snapshot the test built. An old epoch nobody pins
+// would clamp to a newer one and a test of epoch trees would pass
+// without walking them, so a cleanup fails the test on any read of a
+// released epoch.
+func pinnedEpochs(t testing.TB, base *topology.Network, nets ...*topology.Network) *topology.EpochSet {
+	t.Helper()
+	set := topology.NewEpochSet(base)
+	for _, net := range nets {
+		set.Stamp()
 		set.Advance(net)
 	}
+	t.Cleanup(func() {
+		if n := set.Stats().StaleReads; n != 0 {
+			t.Errorf("%d reads of a released epoch: the fixture lost a pin", n)
+		}
+	})
 	return set
 }
 
@@ -84,7 +104,7 @@ func TestTopologyResolverTreeBuildsCounter(t *testing.T) {
 	}
 
 	const epochs = 6
-	set := rewiredEpochs(topo, epochs)
+	set := rewiredEpochs(t, topo, epochs)
 	r, builds = instrumented(set)
 	for e := topology.EpochVersion(0); e < epochs; e++ {
 		for i := 0; i < 3; i++ {
@@ -170,7 +190,7 @@ func TestTopologyResolverEpochSwitchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewTopologyResolverEpochs(testKS, rewiredEpochs(topo, 3))
+	r := NewTopologyResolverEpochs(testKS, rewiredEpochs(t, topo, 3))
 	reg := obs.New()
 	r.Instrument(reg)
 	deep := topo.DeepestNode()
@@ -207,7 +227,7 @@ func TestTopologyResolverStateFlatAcrossEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const epochs = 2000
-	set := rewiredEpochs(topo, epochs)
+	set := rewiredEpochs(t, topo, epochs)
 	deep := topo.DeepestNode()
 	rep := testReport(900)
 	anon := realAnonID(deep, rep)

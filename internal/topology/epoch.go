@@ -20,10 +20,6 @@ import (
 // starting at 0 for the base topology, so a version is an identity: a
 // packet stamped with version v always resolves against the same
 // snapshot, on any worker, in any run, for as long as the set holds v.
-//
-// The set holds every version unless a host pins: the first Stamp makes
-// the set keep only the epochs some stamp still pins, plus the current
-// one, and release the rest (see Stamp and Done).
 
 // EpochVersion identifies one topology snapshot. Version 0 is the base
 // topology a network started with; every change increments it by one.
@@ -42,17 +38,16 @@ type Epoch struct {
 // machinery, while readers (At, Current, Stamp, Done) may run on any
 // goroutine.
 //
-// A set nobody stamps is append-only: it answers At for every version
-// it has advanced through, at one pointer per epoch. A host that must
-// keep its state bounded instead stamps each item it will later resolve
-// (Stamp pins the current epoch) and hands the pin back when the item
-// leaves (Done). From the first Stamp on, the set retains only the
-// window from the oldest pinned epoch to the current one: whenever the
-// oldest epochs before the current one hold no pins, it releases them.
-// The pin is holder-agnostic — today a queued frame holds it
-// (transport.Server); an evidence stamp that outlives its frame can keep
-// the frame's pin instead of handing it back, and return it through Done
-// when the evidence retires.
+// The set retains exactly the window from the oldest pinned epoch to the
+// current one, and only the current epoch when nothing is pinned. A host
+// that will resolve an item at an older epoch stamps it on arrival (Stamp
+// pins the current epoch) and hands the pin back when the item leaves
+// (Done); whenever the oldest epochs before the current one hold no pins,
+// the set releases them. The pin is holder-agnostic: a queued frame holds
+// it (transport.Server, netsim), as does a logged packet (ChurnBench); an
+// evidence stamp that outlives its frame can keep the frame's pin instead
+// of handing it back, and return it through Done when the evidence
+// retires.
 type EpochSet struct {
 	mu sync.RWMutex
 	// low is the version of nets[0]; every version below it is released.
@@ -60,10 +55,9 @@ type EpochSet struct {
 	// nets are the retained snapshots: nets[i] is version low+i, and the
 	// last one is the current epoch.
 	nets []*Network // pnmlint:guarded-by mu
-	// pins[i] counts the stamps on version low+i not yet handed back. It
-	// is nil until the first Stamp, so an unpinned set keeps no per-epoch
-	// pin state. Under the read lock its elements change only atomically;
-	// its length changes only under the write lock.
+	// pins[i] counts the stamps on version low+i not yet handed back.
+	// Under the read lock its elements change only atomically; its length
+	// changes only under the write lock.
 	pins []int32 // pnmlint:guarded-by mu
 
 	unpinned   atomic.Uint64 // stamps handed back through Done
@@ -72,27 +66,22 @@ type EpochSet struct {
 
 // NewEpochSet returns a set whose epoch 0 is the given base topology.
 func NewEpochSet(base *Network) *EpochSet {
-	return &EpochSet{nets: []*Network{base}}
+	return &EpochSet{nets: []*Network{base}, pins: []int32{0}}
 }
 
 // Advance appends net as the next epoch and returns it. Calling Advance
 // with the same *Network as the current epoch still creates a new epoch:
 // a route repair that happens to restore the original tree is still a
 // topology change, and packets forwarded before and after it carry
-// different versions. On a pinning set the epoch it supersedes is
-// released at once if no stamp pins it or anything older.
+// different versions. The epoch it supersedes is released at once if no
+// stamp pins it or anything older.
 func (s *EpochSet) Advance(net *Network) Epoch {
 	s.mu.Lock()
 	s.nets = append(s.nets, net)
-	pinning := s.pins != nil
-	if pinning {
-		s.pins = append(s.pins, 0)
-	}
+	s.pins = append(s.pins, 0)
 	ep := Epoch{Version: s.low + EpochVersion(len(s.nets)-1), Net: net}
 	s.mu.Unlock()
-	if pinning {
-		s.release()
-	}
+	s.release()
 	return ep
 }
 
@@ -108,11 +97,11 @@ func (s *EpochSet) Current() Epoch {
 // (possible only through a corrupted stamp) clamps to the current epoch
 // rather than failing, so resolution degrades to the newest tree instead
 // of crashing the sink. A released version — below the low-water mark,
-// which only a stamp read after its Done can name — clamps to the oldest
-// retained epoch and is counted (EpochStats.StaleReads). Either clamp can
-// only lose evidence: a wrong tree hides the true marker from the search,
-// while the MAC under the candidate's key still decides every identity,
-// so no relation is ever added.
+// which only a read that holds no stamp on it can name — clamps to the
+// oldest retained epoch and is counted (EpochStats.StaleReads). Either
+// clamp can only lose evidence: a wrong tree hides the true marker from
+// the search, while the MAC under the candidate's key still decides every
+// identity, so no relation is ever added.
 func (s *EpochSet) At(v EpochVersion) *Network {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -135,38 +124,15 @@ func (s *EpochSet) Len() int {
 }
 
 // Stamp pins the current epoch and returns its version: the set retains
-// that epoch until a matching Done. The first Stamp turns the set into a
-// pinning one and releases every older epoch, since no stamp pins them.
-// Once the set pins, a Stamp takes the read lock once and allocates
-// nothing.
+// that epoch until a matching Done. It takes the read lock once and
+// allocates nothing.
 // pnmlint:noalloc
 func (s *EpochSet) Stamp() EpochVersion {
 	s.mu.RLock()
-	if s.pins != nil {
-		last := len(s.nets) - 1
-		atomic.AddInt32(&s.pins[last], 1)
-		v := s.low + EpochVersion(last)
-		s.mu.RUnlock()
-		return v
-	}
-	s.mu.RUnlock()
-	return s.firstStamp()
-}
-
-// firstStamp is Stamp on a set that does not pin yet: it makes the pin
-// counters, pins the current epoch and releases the older ones, which no
-// stamp can pin any more.
-func (s *EpochSet) firstStamp() EpochVersion {
-	s.mu.Lock()
-	if s.pins == nil {
-		s.pins = make([]int32, len(s.nets))
-	}
+	defer s.mu.RUnlock()
 	last := len(s.nets) - 1
-	s.pins[last]++
-	v := s.low + EpochVersion(last)
-	s.mu.Unlock()
-	s.release()
-	return v
+	atomic.AddInt32(&s.pins[last], 1)
+	return s.low + EpochVersion(last)
 }
 
 // Done hands back n stamps of version v, each taken by Stamp. When the
@@ -175,21 +141,22 @@ func (s *EpochSet) firstStamp() EpochVersion {
 // that holds no pins. Handing back more stamps than were taken is a
 // programming error and panics, as a negative sync.WaitGroup counter
 // does: the set could otherwise release an epoch a live stamp names.
+// pnmlint:noalloc
 func (s *EpochSet) Done(v EpochVersion, n int) {
 	if n <= 0 {
 		return
 	}
 	s.mu.RLock()
-	if s.pins == nil || v < s.low || v-s.low >= EpochVersion(len(s.pins)) {
+	if v < s.low || v-s.low >= EpochVersion(len(s.pins)) {
 		s.mu.RUnlock()
-		panic(fmt.Sprintf("topology: Done(%d, %d) on an epoch no stamp pins", v, n))
+		panic(fmt.Sprintf("topology: Done(%d, %d) on an epoch no stamp pins", v, n)) //pnmlint:allow noalloc the message of a programming-error panic
 	}
 	i := int(v - s.low)
 	left := atomic.AddInt32(&s.pins[i], -int32(n))
 	oldest := i == 0 && len(s.nets) > 1
 	s.mu.RUnlock()
 	if left < 0 {
-		panic(fmt.Sprintf("topology: epoch %d handed back %d more stamps than it had", v, -left))
+		panic(fmt.Sprintf("topology: epoch %d handed back %d more stamps than it had", v, -left)) //pnmlint:allow noalloc the message of a programming-error panic
 	}
 	s.unpinned.Add(uint64(n))
 	if left == 0 && oldest {
@@ -200,9 +167,9 @@ func (s *EpochSet) Done(v EpochVersion, n int) {
 // release drops the oldest epochs before the current one that hold no
 // pins. It compacts the window in place, so a set whose window stays
 // within its high-water size advances and releases without allocating;
-// a window that has shrunk far below its arrays (the first Stamp on a
-// long history, or the end of a backlog) moves to fresh ones instead, so
-// the arrays stay proportional to the window.
+// a window that has shrunk far below its arrays (the end of a backlog)
+// moves to fresh ones instead, so the arrays stay proportional to the
+// window.
 func (s *EpochSet) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

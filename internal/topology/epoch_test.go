@@ -1,10 +1,17 @@
 package topology
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
+// TestEpochSetVersionsAreDense advances a set through three epochs,
+// stamping each before advancing past it: versions are dense from 0, every
+// pinned epoch reads back as the snapshot advanced as that version, and
+// the set retains exactly the window from the oldest pin to the current
+// epoch.
 func TestEpochSetVersionsAreDense(t *testing.T) {
 	base, err := NewChain(4)
 	if err != nil {
@@ -19,6 +26,9 @@ func TestEpochSetVersionsAreDense(t *testing.T) {
 	}
 	nets := []*Network{base}
 	for i := 1; i <= 3; i++ {
+		if v := set.Stamp(); int(v) != i-1 {
+			t.Fatalf("Stamp before advance %d = %d", i, v)
+		}
 		next := base.Rewire(int64(i))
 		ep := set.Advance(next)
 		if int(ep.Version) != i {
@@ -34,9 +44,8 @@ func TestEpochSetVersionsAreDense(t *testing.T) {
 	if got := set.Current(); got.Version != 3 || got.Net != nets[3] {
 		t.Fatalf("Current = version %d, want 3", got.Version)
 	}
-	// Nobody stamped, so the set keeps every epoch it advanced through.
-	if st := set.Stats(); st != (EpochStats{Advanced: 4, Retained: 4}) {
-		t.Fatalf("Stats = %+v, want 4 advanced and retained, nothing pinned", st)
+	if st := set.Stats(); st != (EpochStats{Advanced: 4, Retained: 4, Pinned: 3}) {
+		t.Fatalf("Stats = %+v, want 4 advanced and retained, 3 pinned", st)
 	}
 }
 
@@ -64,55 +73,6 @@ func TestEpochSetAdvanceSameNetworkStillAdvances(t *testing.T) {
 	}
 }
 
-// TestEpochSetConcurrentAdvanceAndRead runs the pattern netsim's route
-// repair runs against the resolvers: one goroutine advances the set while
-// others call At, Current and Len. Every reader must see a dense prefix:
-// Current is never older than a Len read before it, and At(v) for any v
-// below that Len is the snapshot advanced as version v.
-func TestEpochSetConcurrentAdvanceAndRead(t *testing.T) {
-	const advances, readers = 300, 3
-	nets := make([]*Network, advances+1)
-	var err error
-	if nets[0], err = NewChain(6); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= advances; i++ {
-		nets[i] = nets[i-1].Rewire(int64(i))
-	}
-	set := NewEpochSet(nets[0])
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; ; k++ {
-				n := set.Len()
-				cur := set.Current()
-				if int(cur.Version) < n-1 || int(cur.Version) > advances || cur.Net != nets[cur.Version] {
-					t.Errorf("Current = version %d after Len %d, or the wrong snapshot", cur.Version, n)
-					return
-				}
-				if v := EpochVersion(k % n); set.At(v) != nets[v] {
-					t.Errorf("At(%d) with Len %d returned the wrong snapshot", v, n)
-					return
-				}
-				if n == advances+1 {
-					return
-				}
-			}
-		}()
-	}
-	for i := 1; i <= advances; i++ {
-		if ep := set.Advance(nets[i]); ep.Version != EpochVersion(i) || ep.Net != nets[i] {
-			t.Errorf("Advance %d returned version %d", i, ep.Version)
-		}
-	}
-	wg.Wait()
-	if set.Len() != advances+1 {
-		t.Fatalf("Len = %d after %d advances", set.Len(), advances)
-	}
-}
-
 // chainEpochs returns a 6-node chain and n Rewire snapshots of it, the
 // base first.
 func chainEpochs(t *testing.T, n int) []*Network {
@@ -128,21 +88,21 @@ func chainEpochs(t *testing.T, n int) []*Network {
 	return nets
 }
 
-// TestEpochSetPinsBoundHistory walks the pin contract: the first Stamp
-// releases the unpinned history, a pinned epoch survives later advances,
-// the oldest epochs go once their pins are back, a released version reads
-// as the oldest retained one and is counted, and Len still counts every
-// epoch.
+// TestEpochSetPinsBoundHistory walks the retention rule: an epoch nobody
+// pins goes as soon as it is superseded, a pinned epoch survives later
+// advances, the oldest epochs go once their pins are back, a released
+// version reads as the oldest retained one and is counted, and Len still
+// counts every epoch.
 func TestEpochSetPinsBoundHistory(t *testing.T) {
 	nets := chainEpochs(t, 8)
 	set := NewEpochSet(nets[0])
 	set.Advance(nets[1])
 	set.Advance(nets[2])
-	if v := set.Stamp(); v != 2 {
-		t.Fatalf("first Stamp = %d, want 2", v)
+	if st := set.Stats(); st != (EpochStats{Advanced: 3, Retained: 1}) {
+		t.Fatalf("after two unpinned advances: %+v, want only the current epoch of 3", st)
 	}
-	if st := set.Stats(); st.Retained != 1 || st.Pinned != 1 || st.Advanced != 3 {
-		t.Fatalf("after the first Stamp: %+v, want 1 retained, 1 pinned, 3 advanced", st)
+	if v := set.Stamp(); v != 2 {
+		t.Fatalf("Stamp = %d, want 2", v)
 	}
 	set.Advance(nets[3])          // 2 pinned, 3 current
 	set.Advance(nets[4])          // 3 idle between a pin and the current epoch
@@ -176,8 +136,6 @@ func TestEpochSetPinsBoundHistory(t *testing.T) {
 	if got := set.Stats().StaleReads; got != 1 {
 		t.Fatalf("StaleReads = %d, want 1 (the future read is not stale)", got)
 	}
-	// A pinning set keeps pinning: the next epoch goes as soon as it is
-	// superseded with no pin on it.
 	set.Advance(nets[6])
 	if st := set.Stats(); st.Retained != 1 || st.Advanced != 7 {
 		t.Fatalf("after an unpinned advance: %+v, want 1 retained of 7", st)
@@ -209,7 +167,7 @@ func TestEpochSetDoneTooOftenPanics(t *testing.T) {
 	}
 }
 
-// TestEpochStampZeroAlloc pins a pinning set's steady state: stamping,
+// TestEpochStampZeroAlloc pins a set's steady state: stamping,
 // advancing and handing the stamp back, with the window inside its
 // high-water size, allocate nothing.
 func TestEpochStampZeroAlloc(t *testing.T) {
@@ -220,7 +178,7 @@ func TestEpochStampZeroAlloc(t *testing.T) {
 		set.Advance(nets[1])
 		set.Done(v, 1)
 	}
-	step() // warm: the first Stamp makes the pins, the window grows to 2
+	step() // warm: the window grows to 2
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
 		t.Fatalf("stamp + advance + unpin allocated %.1f times per call", allocs)
 	}
@@ -231,8 +189,10 @@ func TestEpochStampZeroAlloc(t *testing.T) {
 
 // TestEpochSetConcurrentPins runs a pinning host's pattern: readers stamp,
 // resolve the stamped version and hand it back while one writer advances.
-// No stamped version may ever read as released, and at rest the set holds
-// no pins and only its current epoch.
+// Every reader sees a dense prefix: Current is never older than a Len read
+// before it, a stamp never names an epoch older than that either, and no
+// stamped version ever reads as released. At rest the set holds no pins
+// and only its current epoch.
 func TestEpochSetConcurrentPins(t *testing.T) {
 	const advances, readers, stamps = 300, 3, 2000
 	nets := chainEpochs(t, advances+1)
@@ -243,16 +203,24 @@ func TestEpochSetConcurrentPins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < stamps; k++ {
+				n := set.Len()
+				cur := set.Current()
+				if int(cur.Version) < n-1 || int(cur.Version) > advances || cur.Net != nets[cur.Version] {
+					t.Errorf("Current = version %d after Len %d, or the wrong snapshot", cur.Version, n)
+					return
+				}
 				v := set.Stamp()
-				if set.At(v) != nets[v] {
-					t.Errorf("stamped version %d read the wrong snapshot", v)
+				if int(v) < n-1 || set.At(v) != nets[v] {
+					t.Errorf("stamped version %d after Len %d read the wrong snapshot", v, n)
 				}
 				set.Done(v, 1)
 			}
 		}()
 	}
 	for i := 1; i <= advances; i++ {
-		set.Advance(nets[i])
+		if ep := set.Advance(nets[i]); ep.Version != EpochVersion(i) || ep.Net != nets[i] {
+			t.Errorf("Advance %d returned version %d", i, ep.Version)
+		}
 	}
 	wg.Wait()
 	want := EpochStats{Advanced: advances + 1, Retained: 1, Unpinned: readers * stamps}
@@ -261,20 +229,96 @@ func TestEpochSetConcurrentPins(t *testing.T) {
 	}
 }
 
-// TestEpochSetWindowShrinksItsArrays: a window far smaller than its
-// arrays moves to fresh ones, so a set that starts pinning after a long
-// unpinned history, or drains a backlog, does not keep the old arrays.
+// TestEpochSetWindowShrinksItsArrays drains a backlog: 1,000 epochs each
+// pinned before the set advances past it, then every pin handed back. The
+// window left is far smaller than its arrays, so it moves to fresh ones
+// rather than keeping the backlog's.
 func TestEpochSetWindowShrinksItsArrays(t *testing.T) {
+	const backlog = 1000
 	nets := chainEpochs(t, 2)
 	set := NewEpochSet(nets[0])
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < backlog; i++ {
+		set.Stamp()
 		set.Advance(nets[1])
 	}
-	set.Done(set.Stamp(), 1)
+	if st := set.Stats(); st.Retained != backlog+1 || st.Pinned != backlog {
+		t.Fatalf("with the backlog pinned: %+v, want %d retained, %d pinned", st, backlog+1, backlog)
+	}
+	for v := 0; v < backlog; v++ {
+		set.Done(EpochVersion(v), 1)
+	}
 	set.mu.RLock()
 	nc, pc := cap(set.nets), cap(set.pins)
 	set.mu.RUnlock()
-	if st := set.Stats(); st.Retained != 1 || nc > 10 || pc > 10 {
-		t.Fatalf("after the first Stamp on 1001 epochs: %d retained, capacities %d and %d", st.Retained, nc, pc)
+	if st := set.Stats(); st.Retained != 1 || st.Pinned != 0 || nc > 10 || pc > 10 {
+		t.Fatalf("after the drain: %+v, capacities %d and %d", st, nc, pc)
+	}
+}
+
+// TestEpochSetRetentionProperty drives random Stamp, Advance and Done
+// sequences against a model that counts the pins on each version. After
+// every operation the set must retain exactly the window from the oldest
+// pinned version to the current one (only the current one when nothing
+// is pinned), every pinned version must read back as the snapshot
+// advanced as that version, and no read may fall on a released epoch.
+func TestEpochSetRetentionProperty(t *testing.T) {
+	nets := chainEpochs(t, 8)
+	f := func(ops []byte) bool {
+		set := NewEpochSet(nets[0])
+		pins := map[EpochVersion]int{}
+		var cur EpochVersion
+		snap := []*Network{nets[0]} // snap[v] is the snapshot advanced as version v
+		for i, op := range ops {
+			switch op % 3 {
+			case 0:
+				if v := set.Stamp(); v != cur {
+					t.Logf("op %d: Stamp = %d, want %d", i, v, cur)
+					return false
+				}
+				pins[cur]++
+			case 1:
+				net := nets[int(op/3)%len(nets)]
+				if ep := set.Advance(net); ep.Version != cur+1 {
+					t.Logf("op %d: Advance = %d, want %d", i, ep.Version, cur+1)
+					return false
+				}
+				cur++
+				snap = append(snap, net)
+			case 2:
+				// Hand back one pin, the (op/3)-th pinned version in order.
+				var held []EpochVersion
+				for v := EpochVersion(0); v <= cur; v++ {
+					if pins[v] > 0 {
+						held = append(held, v)
+					}
+				}
+				if len(held) == 0 {
+					continue
+				}
+				v := held[int(op/3)%len(held)]
+				set.Done(v, 1)
+				if pins[v]--; pins[v] == 0 {
+					delete(pins, v)
+				}
+			}
+			oldest, pinned := cur, 0
+			for v, n := range pins {
+				oldest = min(oldest, v)
+				pinned += n
+				if set.At(v) != snap[v] {
+					t.Logf("op %d: pinned version %d read the wrong snapshot", i, v)
+					return false
+				}
+			}
+			st := set.Stats()
+			if st.Retained != int(cur-oldest)+1 || st.Pinned != pinned || st.StaleReads != 0 || st.Advanced != int(cur)+1 {
+				t.Logf("op %d: %+v, want %d retained, %d pinned, %d advanced", i, st, cur-oldest+1, pinned, cur+1)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(22))}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -92,9 +92,12 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	}
 
 	// In-process reference: a serial tracker over the full epoch history,
-	// each packet observed at the epoch it was marked under.
+	// each packet observed at the epoch it was marked under. The reference
+	// and stale trackers read every epoch back, so each is pinned before
+	// the set advances past it.
 	refSet := topology.NewEpochSet(sc.Topo)
 	for _, net := range nets[1:] {
+		refSet.Stamp()
 		refSet.Advance(net)
 	}
 	ref := sink.NewTracker(verifierOver(refSet)(), sc.Topo)
@@ -115,6 +118,9 @@ func TestLoopbackVerdictByteIdentical(t *testing.T) {
 	}
 	if staleStops == 0 {
 		t.Fatal("churned stream verifies at the base epoch; the epoch case tests nothing")
+	}
+	if n := refSet.Stats().StaleReads; n != 0 {
+		t.Fatalf("the reference read a released epoch %d times", n)
 	}
 
 	set := topology.NewEpochSet(sc.Topo)

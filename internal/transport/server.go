@@ -37,7 +37,8 @@ type Config struct {
 	// runs, and an epoch a reader of the set needs after the server
 	// released it reads as the oldest retained one. nil keeps every frame
 	// on the base epoch — byte-identical to the pre-epoch server, which
-	// is what the loopback-equivalence tests pin.
+	// is what the loopback-equivalence tests pin; the verifier chain's
+	// set must then not advance, as nothing pins epoch 0.
 	Epochs *topology.EpochSet
 	// QueueDepth is the ingest queue depth between the socket readers and
 	// the sink goroutine (default 256). It is also the maximum batch the
