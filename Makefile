@@ -67,20 +67,21 @@ bench-fault:
 # Regenerate the committed churn benchmark (E23, and E18's rows at
 # epochs 0 and 1): traceback under topology churn with epoch-versioned
 # resolution, in two rewire modes over 20 seeded fields. Fully
-# deterministic apart from env and the two wall-clock columns, for any
+# deterministic apart from env and the wall-clock column, for any
 # GOMAXPROCS. Mole capture and stale-resolver divergence on run 0, and
-# every epoch applied plus verdict-hash equality with a full-rebuild
-# reference on every run, are enforced at generation time;
-# TestCommittedBenchDocsReproduce regenerates the document in go test.
+# every epoch applied and the epoch pin handed back on every run, are
+# enforced at generation time; TestCommittedBenchDocsReproduce
+# regenerates the document in go test.
 bench-churn:
 	$(GO) run ./cmd/pnmsim -exp benchchurn > BENCH_churn.json
 
 # Short coverage-guided fuzzing over the trust boundary: the hardened
 # packet decoder and the frame reader that feeds it untrusted socket
 # bytes, the MAC engine's marking-MAC and anonymous-ID paths against
-# the test reference, and the connection readers' path prober, whose
-# matches must never change a verified chain. Each harness runs
-# FUZZTIME on top of its committed seed corpus.
+# the test reference, and the whole sink against its plain reference
+# (FuzzSinkMatchesReference: every packet's chain and the verdict after
+# it, with and without reader matches, over both resolvers). Each
+# harness runs FUZZTIME on top of its committed seed corpus.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/packet
@@ -88,7 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzAnonIDPathsAgree$$' -fuzztime $(FUZZTIME) ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzSumPathsAgree$$' -fuzztime $(FUZZTIME) ./internal/mac
-	$(GO) test -run '^$$' -fuzz '^FuzzProbeMatchesVerify$$' -fuzztime $(FUZZTIME) ./internal/sink
+	$(GO) test -run '^$$' -fuzz '^FuzzSinkMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/sink
 
 # Live-server soaks under the race detector: pnmload-style replay into
 # the ingest server over real sockets while a chaos plan crashes and

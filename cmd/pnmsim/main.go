@@ -161,10 +161,9 @@ var experiments = map[string]spec{
 	"benchchurn": {[]string{"seed"}, func(o options, w io.Writer) error {
 		// Traceback under topology churn with epoch-versioned resolution
 		// (E23, and E18's rewire modes): packets-to-catch and
-		// reconstruction cost per mode and churn level, stale-resolver
-		// divergence counts, per-run catch/identify/precision counts, and
-		// a full-rebuild reference whose verdict-hash equality with the
-		// incremental tracker is enforced at generation time.
+		// reconstruction cost per mode and churn level (with the pre-fix
+		// rebuild cost counted, not run), stale-resolver divergence
+		// counts, and per-run catch/identify/precision counts.
 		cfg := experiment.DefaultChurnBench()
 		o.overrideSeed(&cfg.Seed)
 		return emitBench(w)(experiment.ChurnBench(cfg))

@@ -10,8 +10,8 @@ package experiment
 // marked under — and the sink resolves them against — the epoch current
 // at their arrival. Every row runs on Runs independently seeded fields:
 // run 0 supplies the single-field columns, and the *_runs columns count
-// over all of them. Four claims are measured and enforced at generation
-// time:
+// over all of them. Claims 1, 2 and 4 are measured and enforced at
+// generation time:
 //
 //  1. Correctness: on run 0 the epoch-aware sink catches the mole at
 //     every churn level (rows error out otherwise), while a resolver
@@ -23,15 +23,16 @@ package experiment
 //     once, so its reconstruction work (chains_folded) is independent of
 //     the churn level — sublinear in topology changes. The pre-fix cost
 //     model, rebuilding the tracker at every topology change and
-//     replaying the chain log (rebuild_chains_replayed), grows with the
-//     product of churn and traffic instead.
-//  3. Equivalence: on every run the full-rebuild reference reaches a
-//     verdict with the same hash as the incremental tracker — replaying
-//     the log against the same epochs is just a slower spelling of the
-//     same state.
-//  4. Bounded history: every packet's epoch stamp goes back at the end
-//     of the row, leaving the set with no pin and no read of a released
-//     epoch.
+//     replaying every chain so far (rebuild_chains_replayed, counted
+//     rather than run), grows with the product of churn and traffic
+//     instead.
+//  3. Equivalence: the incremental tracker's verdict is the one a plain
+//     reference sink reaches from the same packets. That is a property
+//     of the sink, so it is held by the sink package's differential fuzz
+//     target (FuzzSinkMatchesReference) rather than re-checked here.
+//  4. Bounded history: the stale tracker's one pin on epoch 0 goes back
+//     at the end of the row, leaving the set with no pin and no read of
+//     a released epoch.
 
 import (
 	"fmt"
@@ -107,22 +108,21 @@ type ChurnBenchRow struct {
 	// ChainsFolded is the incremental tracker's total reconstruction
 	// work: each chain folds exactly once, independent of churn.
 	ChainsFolded uint64 `json:"chains_folded"`
-	// RebuildChainsReplayed is the pre-fix cost model: the reference
-	// tracker is rebuilt at every epoch advance and replays the whole
-	// chain log collected so far.
+	// RebuildChainsReplayed is the pre-fix cost model: a sink that
+	// rebuilds its tracker at every epoch advance replays every chain
+	// collected so far, so each advance adds the packets injected by
+	// then.
 	RebuildChainsReplayed int `json:"rebuild_chains_replayed"`
 	// StaleDivergence counts packets whose resolution against the pinned
 	// start-up tree differs from the epoch-aware one; StaleStops is how
 	// many of those the stale resolver wrongly reported stopped.
 	StaleDivergence int `json:"stale_divergence"`
 	StaleStops      int `json:"stale_stops"`
-	// IncrementalNs and RebuildNs are the wall-clock cost of the
-	// incremental observe path vs the reference's rebuild replays.
+	// IncrementalNs is the wall-clock cost of the incremental observe
+	// path.
 	IncrementalNs int64 `json:"incremental_ns"`
-	RebuildNs     int64 `json:"rebuild_ns"`
-	// Stop and Identified summarize the final verdict; VerdictHash is
-	// equal between the incremental tracker and the full-rebuild
-	// reference by construction (enforced, not just recorded).
+	// Stop and Identified summarize the final verdict; VerdictHash
+	// digests it.
 	Stop        packet.NodeID `json:"stop"`
 	Identified  bool          `json:"identified"`
 	VerdictHash string        `json:"verdict_hash"`
@@ -183,8 +183,7 @@ type churnField struct {
 // ChurnBench runs the sweep on cfg.Runs fields, fanned out through
 // parallel.RunN. Run 0 must catch the mole on every row and diverge under
 // its stale resolver on every churned row; every run must apply every
-// epoch and hash-match its full-rebuild reference — violations are
-// errors, not rows.
+// epoch and hand its pin back — violations are errors, not rows.
 func ChurnBench(cfg ChurnBenchConfig) (*ChurnBenchResult, error) {
 	if cfg.Runs < 1 {
 		return nil, fmt.Errorf("churnbench: runs = %d, want at least 1", cfg.Runs)
@@ -201,7 +200,7 @@ func ChurnBench(cfg ChurnBenchConfig) (*ChurnBenchResult, error) {
 	res := &ChurnBenchResult{
 		Env:    CaptureBenchEnv(false),
 		Config: cfg, Mole: first.mole, Depth: first.depth,
-		Note: "epoch advances at settled batch boundaries; rewires preserve hop distances; verdict-hash equality between the incremental tracker and a full-rebuild reference is enforced at generation time on every run",
+		Note: "epoch advances at settled batch boundaries; rewires preserve hop distances; rebuild_chains_replayed is the pre-fix cost model, counted, not replayed",
 	}
 	for i, pt := range points {
 		row := first.rows[i]
@@ -293,10 +292,6 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 	if err != nil {
 		return ChurnBenchRow{}, 0, err
 	}
-	rebuild, err := newTracker(nil) // rebuilt-and-replayed reference
-	if err != nil {
-		return ChurnBenchRow{}, 0, err
-	}
 
 	// boundary(i) is the injected count at which advance i (1-based)
 	// becomes due; the epochs are spread evenly across the run.
@@ -312,11 +307,10 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 	rng := rand.New(rand.NewSource(seed * 977))
 
 	row := ChurnBenchRow{Mode: pt.mode, Epochs: epochs}
-	type logEntry struct {
-		msg packet.Message
-		at  topology.EpochVersion
-	}
-	var chainLog []logEntry
+	// Only the stale tracker reads a superseded epoch, and only epoch 0:
+	// one pin holds it to the row's end. The epoch-aware tracker reads
+	// cur, the set's current epoch.
+	pin := set.Stamp()
 	cur := topology.EpochVersion(0)
 	for injected := 0; injected < cfg.MaxPackets; {
 		for end := injected + cfg.Batch; injected < end && injected < cfg.MaxPackets; injected++ {
@@ -324,23 +318,18 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 			for _, hop := range nets[cur].Forwarders(moleID) {
 				msg = scheme.Mark(hop, keys.Key(hop), msg, rng)
 			}
-			// The stamp pins the arrival epoch to the row's end: the stale
-			// tracker reads epoch 0 and the rebuild every logged epoch.
-			at := set.Stamp()
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			t0 := time.Now()
-			res := tracker.Observe(msg, at)
+			res := tracker.Observe(msg, cur)
 			//pnmlint:allow wallclock macro-benchmark reports real observe latency
 			row.IncrementalNs += time.Since(t0).Nanoseconds()
-			sres := stale.Observe(msg, 0)
+			sres := stale.Observe(msg, pin)
 			if res.Stopped != sres.Stopped || !reflect.DeepEqual(res.Chain, sres.Chain) {
 				row.StaleDivergence++
 				if sres.Stopped {
 					row.StaleStops++
 				}
 			}
-			rebuild.Observe(msg, at)
-			chainLog = append(chainLog, logEntry{msg: msg, at: at})
 		}
 		if row.PacketsToCatch == 0 && tracker.Verdict().SuspectsContain(moleID) {
 			row.PacketsToCatch = injected
@@ -351,20 +340,8 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 			nets = append(nets, next)
 			cur++
 			// The pre-fix world tears its tracker down on every topology
-			// change and replays the chain log to recover its state.
-			rb, err := newTracker(nil)
-			if err != nil {
-				return ChurnBenchRow{}, 0, err
-			}
-			//pnmlint:allow wallclock macro-benchmark reports real rebuild latency
-			t0 := time.Now()
-			for _, e := range chainLog {
-				rb.Observe(e.msg, e.at)
-			}
-			//pnmlint:allow wallclock macro-benchmark reports real rebuild latency
-			row.RebuildNs += time.Since(t0).Nanoseconds()
-			row.RebuildChainsReplayed += len(chainLog)
-			rebuild = rb
+			// change and replays every chain so far to recover its state.
+			row.RebuildChainsReplayed += injected
 		}
 		row.Injected = injected
 	}
@@ -379,12 +356,7 @@ func runChurnPoint(cfg ChurnBenchConfig, seed int64, base *topology.Network, mol
 	row.Identified = v.Identified
 	row.VerdictHash = verdictDigest(v)
 	row.FinalPrecise = v.SuspectsContain(moleID)
-	if got := verdictDigest(rebuild.Verdict()); got != row.VerdictHash {
-		return ChurnBenchRow{}, 0, fmt.Errorf("full-rebuild verdict hash %s, incremental %s", got, row.VerdictHash)
-	}
-	for _, e := range chainLog {
-		set.Done(e.at, 1)
-	}
+	set.Done(pin, 1)
 	if st := set.Stats(); st.Pinned != 0 || st.StaleReads != 0 {
 		return ChurnBenchRow{}, 0, fmt.Errorf("epoch set after the hand-back: %+v, want no pin and no stale read", st)
 	}

@@ -10,11 +10,11 @@ import (
 
 // TestChurnBenchSmall runs a scaled-down churn sweep end to end. The
 // load-bearing invariants — mole caught at every churn level, stale
-// divergence strictly positive on churned rows, verdict-hash equality
-// with the full-rebuild reference — are enforced inside ChurnBench, so a
-// nil error IS those assertions. The test adds the cross-row claims: the
-// incremental tracker's work is identical at every churn level while the
-// rebuild reference's grows with churn.
+// divergence strictly positive on churned rows, the epoch pin handed
+// back — are enforced inside ChurnBench, so a nil error IS those
+// assertions. The test adds the cross-row claims: the incremental
+// tracker's work is identical at every churn level while the pre-fix
+// cost model's replay count grows with churn.
 func TestChurnBenchSmall(t *testing.T) {
 	cfg := DefaultChurnBench()
 	cfg.Nodes = 50

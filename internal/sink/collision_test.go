@@ -39,7 +39,7 @@ func TestAnonCollisionDisambiguatedByMAC(t *testing.T) {
 	// The stub claims nodes 9, 7 and 5 all match the anonymous ID; only
 	// node 5's key verifies the MAC.
 	resolver := &stubResolver{candidates: []packet.NodeID{9, 7, 5}}
-	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
+	v := nestedVerifier(t, 10, resolver)
 	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 1 || res.Chain[0] != 5 {
 		t.Fatalf("result = %+v, want chain [V5]", res)
@@ -58,7 +58,7 @@ func TestAnonCollisionAllWrongRejects(t *testing.T) {
 	msg = scheme.Mark(5, testKS.Key(5), msg, rng)
 
 	resolver := &stubResolver{candidates: []packet.NodeID{9, 7}}
-	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
+	v := nestedVerifier(t, 10, resolver)
 	res := v.Verify(msg, 0)
 	if !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want rejection", res)
@@ -68,7 +68,7 @@ func TestAnonCollisionAllWrongRejects(t *testing.T) {
 // TestAnonEmptyResolution: an anonymous ID matching nobody stops the walk.
 func TestAnonEmptyResolution(t *testing.T) {
 	resolver := &stubResolver{}
-	v := &NestedVerifier{keys: testKS, numNodes: 10, resolver: resolver}
+	v := nestedVerifier(t, 10, resolver)
 	msg := packet.Message{Report: testReport(92), Marks: []packet.Mark{{Anonymous: true}}}
 	if res := v.Verify(msg, 0); !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want rejection", res)
@@ -87,7 +87,7 @@ func TestDuplicateMarksFromOneNode(t *testing.T) {
 	msg = scheme.Mark(5, testKS.Key(5), msg, rng) // same node again
 	msg = scheme.Mark(4, testKS.Key(4), msg, rng)
 
-	v := &NestedVerifier{keys: testKS, numNodes: 10}
+	v := nestedVerifier(t, 10, nil)
 	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 3 {
 		t.Fatalf("result = %+v, want all three marks", res)

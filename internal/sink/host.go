@@ -61,8 +61,10 @@ func NewHost(newVerifier func() Verifier, topo *topology.Network, reg *obs.Regis
 		tr.Instrument(reg)
 	}
 	h := &Host{newVerifier: newVerifier, topo: topo, reg: reg, tracker: tr}
-	if nv, ok := tr.verifier.(*NestedVerifier); ok && nv.epochs != nil {
-		h.keys, h.epochs = nv.keys, nv.epochs
+	if nv, ok := tr.verifier.(*NestedVerifier); ok {
+		if r, ok := nv.resolver.(*TopologyResolver); ok {
+			h.keys, h.epochs = r.keys, r.epochs
+		}
 	}
 	h.live.Store(tr)
 	return h

@@ -1,9 +1,7 @@
 package sink
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pnm/internal/packet"
 )
@@ -154,64 +152,6 @@ func TestOrderSingletonChainAddsNodeWithoutRelations(t *testing.T) {
 	}
 	if !o.TotallyOrdered() {
 		t.Fatal("one node is trivially totally ordered")
-	}
-}
-
-func TestOrderClosureMatchesBruteForceProperty(t *testing.T) {
-	// Compare the incremental closure against a brute-force Floyd-Warshall
-	// over random chain sets.
-	rng := rand.New(rand.NewSource(9))
-	f := func() bool {
-		const n = 10
-		o := NewOrder()
-		direct := make([][]bool, n+1)
-		for i := range direct {
-			direct[i] = make([]bool, n+1)
-		}
-		for c := 0; c < 6; c++ {
-			ln := 1 + rng.Intn(4)
-			chain := make([]packet.NodeID, ln)
-			for i := range chain {
-				chain[i] = packet.NodeID(1 + rng.Intn(n))
-			}
-			o.AddChain(chain)
-			for i := 0; i+1 < ln; i++ {
-				if chain[i] != chain[i+1] {
-					direct[chain[i]][chain[i+1]] = true
-				}
-			}
-		}
-		// Brute-force closure.
-		reach := make([][]bool, n+1)
-		for i := range reach {
-			reach[i] = make([]bool, n+1)
-			copy(reach[i], direct[i])
-		}
-		for k := 1; k <= n; k++ {
-			for i := 1; i <= n; i++ {
-				for j := 1; j <= n; j++ {
-					if reach[i][k] && reach[k][j] {
-						reach[i][j] = true
-					}
-				}
-			}
-		}
-		for i := 1; i <= n; i++ {
-			for j := 1; j <= n; j++ {
-				if i == j {
-					continue
-				}
-				want := reach[i][j]
-				got := o.Upstream(packet.NodeID(i), packet.NodeID(j))
-				if got != want {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"pnm/internal/mac"
 	"pnm/internal/marking"
-	"pnm/internal/mole"
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/topology"
@@ -32,13 +31,9 @@ func probeField(t testing.TB, seed int64, radio float64) (*topology.Network, pac
 }
 
 // pnmVerifier returns a PNM verifier over a TopologyResolver on set.
-func pnmVerifier(t testing.TB, p float64, set *topology.EpochSet) *NestedVerifier {
+func pnmVerifier(t testing.TB, set *topology.EpochSet) *NestedVerifier {
 	t.Helper()
-	v, err := NewVerifier(marking.PNM{P: p}, testKS, set.Current().Net.NumNodes(), NewTopologyResolverEpochs(testKS, set))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v.(*NestedVerifier)
+	return nestedVerifier(t, set.Current().Net.NumNodes(), NewTopologyResolverEpochs(testKS, set))
 }
 
 // markAlong marks msg at every forwarder of src in topo under PNM with
@@ -66,8 +61,8 @@ func TestProberMatchesHonestChain(t *testing.T) {
 	set := topology.NewEpochSet(topo)
 	reg := obs.New()
 	prober := newPathProber(testKS, set, reg)
-	plain := pnmVerifier(t, 0.5, set)
-	matched := pnmVerifier(t, 0.5, set)
+	plain := pnmVerifier(t, set)
+	matched := pnmVerifier(t, set)
 	matched.Instrument(reg)
 	rng := rand.New(rand.NewSource(9))
 	pathLen := uint64(topo.Depth(src))
@@ -119,8 +114,8 @@ func TestProberWalksStampedEpoch(t *testing.T) {
 	}
 	set := pinnedEpochs(t, topo, rewired)
 	prober := newPathProber(testKS, set, nil)
-	plain := pnmVerifier(t, 1, set)
-	matched := pnmVerifier(t, 1, set)
+	plain := pnmVerifier(t, set)
+	matched := pnmVerifier(t, set)
 	rng := rand.New(rand.NewSource(4))
 	stale := 0
 	var m Matches
@@ -169,12 +164,12 @@ func TestMatchOutsideSubtreeFallsBack(t *testing.T) {
 	msg := packet.Message{Report: rep}
 	msg = appendAnonMark(msg, testKS.Key(a), mac.AnonID(testKS.Key(a), rep, a))
 	msg = appendAnonMark(msg, testKS.Key(b), mac.AnonID(testKS.Key(b), rep, b))
-	want := pnmVerifier(t, 1, set).Verify(msg, 0)
+	want := pnmVerifier(t, set).Verify(msg, 0)
 	if !want.Stopped || !slices.Equal(want.Chain, []packet.NodeID{b}) {
 		t.Fatalf("without matches: %+v, want the chain [%v] stopped", want, b)
 	}
 	m := Matches{ids: []packet.NodeID{b, a}}
-	if got := pnmVerifier(t, 1, set).verify(msg, 0, &m); !sameResult(got, Result{Chain: []packet.NodeID{b}, Stopped: true}) {
+	if got := pnmVerifier(t, set).verify(msg, 0, &m); !sameResult(got, Result{Chain: []packet.NodeID{b}, Stopped: true}) {
 		t.Fatalf("with a match outside the subtree: %+v, want the chain [%v] stopped", got, b)
 	}
 }
@@ -206,128 +201,12 @@ func TestMatchedMarkNeedsMAC(t *testing.T) {
 	if len(m.ids) != len(msg.Marks) {
 		t.Fatalf("matched %d of %d marks; the corrupted mark's AnonID still matches", len(m.ids), len(msg.Marks))
 	}
-	want := pnmVerifier(t, 1, set).Verify(msg, 0)
+	want := pnmVerifier(t, set).Verify(msg, 0)
 	wantChain := slices.Clone(want.Chain)
 	if !want.Stopped || len(wantChain) != len(msg.Marks)-1-k {
 		t.Fatalf("without matches: %+v, want a stop at mark %d", want, k)
 	}
-	if got := pnmVerifier(t, 1, set).verify(msg, 0, &m); !sameResult(got, Result{Chain: wantChain, Stopped: true}) {
+	if got := pnmVerifier(t, set).verify(msg, 0, &m); !sameResult(got, Result{Chain: wantChain, Stopped: true}) {
 		t.Fatalf("with matches %+v, without %+v", got, want)
 	}
-}
-
-// fuzzInput hands out a fuzz input's bytes, then zeros.
-type fuzzInput []byte
-
-func (in *fuzzInput) next() byte {
-	if len(*in) == 0 {
-		return 0
-	}
-	b := (*in)[0]
-	*in = (*in)[1:]
-	return b
-}
-
-// fuzzTampers are the forwarding mole's strategies a fuzz input picks
-// from.
-var fuzzTampers = [][]mole.Tamper{
-	nil,
-	{mole.RemoveFirst{N: 1}},
-	{mole.RemoveAll{}},
-	{mole.Reorder{Reverse: true}},
-	{mole.Reorder{}},
-	{mole.Alter{First: 1}},
-	{mole.InsertFake{N: 2}},
-	{mole.RemoveFirst{N: 2}, mole.InsertFake{N: 1}},
-}
-
-// FuzzProbeMatchesVerify decodes its input into a field of at most 60
-// nodes, a Rewire schedule of up to four epochs, a source with its
-// Location (honest, another node's, out of range or zero), a forwarding
-// mole's tamper strategy and marking conduct, and a packet sequence,
-// each packet marked in one epoch and stamped with another and some
-// replayed. Every packet must verify to the same chain with the reader's
-// matches as without them, each verifier keeping its own resolver state
-// across the sequence.
-func FuzzProbeMatchesVerify(f *testing.F) {
-	f.Add([]byte{52, 3, 1, 0, 0, 9, 7, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{40, 7, 3, 2, 11, 23, 2, 5, 1, 6, 9, 12, 0x05, 0x0A, 0x81, 0x42, 0x06, 0xC3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzInput(data)
-		n := 8 + int(in.next())%53
-		seed := int64(in.next())
-		topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
-			Nodes: n, Side: 4, RadioRange: 1.2 + float64(in.next()%8)/10, Seed: seed, SinkAtCorner: true,
-		})
-		if err != nil {
-			return
-		}
-		nets := []*topology.Network{topo}
-		for e := int(in.next() % 4); e > 0; e-- {
-			nets = append(nets, nets[len(nets)-1].Rewire(int64(in.next())))
-		}
-		set := pinnedEpochs(t, topo, nets[1:]...)
-		p := []float64{1, 0.5, 0.25}[in.next()%3]
-		scheme := marking.PNM{P: p}
-		nodes := topo.Nodes()
-		src := nodes[int(in.next())%len(nodes)]
-		moleID := nodes[int(in.next())%len(nodes)]
-		partner := nodes[int(in.next())%len(nodes)]
-		var loc uint32
-		switch b := in.next(); b % 4 {
-		case 0:
-			loc = uint32(src)
-		case 1:
-			loc = uint32(nodes[int(b>>2)%len(nodes)])
-		case 2:
-			loc = uint32(n + 1 + int(b>>2))
-		}
-		env := &mole.Env{Scheme: scheme, StolenKeys: map[packet.NodeID]mac.Key{
-			src: testKS.Key(src), moleID: testKS.Key(moleID), partner: testKS.Key(partner),
-		}}
-		conduct := in.next()
-		source := &mole.Source{
-			ID: src, Base: packet.Report{Event: 0xF00D, Location: loc},
-			Behavior: []mole.MarkBehavior{mole.MarkNever, mole.MarkHonest}[conduct%2], FakeMarks: int(conduct>>1) % 2,
-		}
-		fw := &mole.Forwarder{
-			ID: moleID, SwapPartner: partner, Tampers: fuzzTampers[int(conduct>>2)%len(fuzzTampers)],
-			Behavior: []mole.MarkBehavior{mole.MarkHonest, mole.MarkNever, mole.MarkSwap}[int(conduct>>5)%3],
-		}
-		rng := rand.New(rand.NewSource(seed))
-		plain := pnmVerifier(t, p, set)
-		matched := pnmVerifier(t, p, set)
-		prober := newPathProber(testKS, set, nil)
-		var replays mole.Replayer
-		var m Matches
-	packets:
-		for i, count := 0, 1+int(in.next()%12); i < count; i++ {
-			b := in.next()
-			marked, stamped := int(b&3)%len(nets), topology.EpochVersion(int(b>>2&3)%len(nets))
-			msg := source.Next(env, rng)
-			for _, hop := range nets[marked].Forwarders(src) {
-				if hop != moleID {
-					msg = scheme.Mark(hop, testKS.Key(hop), msg, rng)
-					continue
-				}
-				var ok bool
-				if msg, ok = fw.Process(msg, env, rng); !ok {
-					continue packets
-				}
-			}
-			if b&0x40 != 0 {
-				replays.Capture(msg)
-			}
-			if b&0x80 != 0 {
-				msg, _ = replays.Next()
-			}
-			want := plain.Verify(msg, stamped)
-			want.Chain = slices.Clone(want.Chain)
-			prober.Probe(&msg, stamped, &m)
-			if got := matched.verify(msg, stamped, &m); !sameResult(got, want) {
-				t.Fatalf("packet %d (marked in epoch %d, stamped %d, Location %d, matches %v): with matches %+v, without %+v",
-					i, marked, stamped, loc, m.ids, got, want)
-			}
-		}
-	})
 }

@@ -70,7 +70,7 @@ func TestNestedCorruptionNeverYieldsUpstreamMarksProperty(t *testing.T) {
 				msg.Marks[p].MAC[int(bit)%packet.MACLen] ^= 1 << (bit % 8)
 			}
 		}
-		v := &NestedVerifier{keys: testKS, numNodes: n}
+		v := nestedVerifier(t, n, nil)
 		res := v.Verify(msg, 0)
 		if !res.Stopped {
 			return false // corruption must always be detected
@@ -115,7 +115,7 @@ func TestPNMCorruptionDetectedProperty(t *testing.T) {
 				}
 			}
 		}
-		v := &NestedVerifier{keys: testKS, numNodes: n, resolver: resolver}
+		v := nestedVerifier(t, n, resolver)
 		res := v.Verify(msg, 0)
 		return res.Stopped && len(res.Chain) == n-p-1
 	}

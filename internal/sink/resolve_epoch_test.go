@@ -75,7 +75,7 @@ func TestEpochAwareResolutionSurvivesReroute(t *testing.T) {
 	set := pinnedEpochs(t, base, repaired)
 	ep := set.Current()
 	r := NewTopologyResolverEpochs(testKS, set)
-	v := &NestedVerifier{keys: testKS, numNodes: base.NumNodes(), resolver: r}
+	v := nestedVerifier(t, base.NumNodes(), r)
 
 	res := v.Verify(msg, ep.Version)
 	if res.Stopped || len(res.Chain) != 2 || res.Chain[0] != 3 || res.Chain[1] != 2 {

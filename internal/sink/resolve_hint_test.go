@@ -157,8 +157,8 @@ func TestHintedResolverMatchesExhaustiveProperty(t *testing.T) {
 		plainReg := obs.New()
 		plain.Instrument(plainReg)
 		hintProbes, plainProbes := reg.Counter("sink.resolver.probes"), plainReg.Counter("sink.resolver.probes")
-		vExh := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: exh}
-		vHint := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: hinted}
+		vExh := nestedVerifier(t, topo.NumNodes(), exh)
+		vHint := nestedVerifier(t, topo.NumNodes(), hinted)
 
 		for i := 0; i < 24; i++ {
 			s := runRng.Intn(len(srcs))
@@ -178,6 +178,7 @@ func TestHintedResolverMatchesExhaustiveProperty(t *testing.T) {
 				anon := msg.Marks[k].AnonID
 				h0, p0 := hintProbes.Value(), plainProbes.Value()
 				a := ResolveAll(hinted, rep, anon, prev, havePrev, 0)
+				hinted.publish() // vHint shares hinted, so its calls tally until published
 				b := ResolveAll(plain, rep, anon, prev, havePrev, 0)
 				if !sameMembers(a, b) {
 					t.Logf("seed %d packet %d mark %d: hinted candidates %v, BFS %v", seed, i, k, a, b)
@@ -242,8 +243,8 @@ func TestHintPoisoningCostBounded(t *testing.T) {
 	hinted := newProbeLog(hintedR, hintedR)
 	plainR := newPlainBFS(topo)
 	plain := newProbeLog(plainR, plainR)
-	vHint := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: hinted}
-	vPlain := &NestedVerifier{keys: testKS, numNodes: topo.NumNodes(), resolver: plain}
+	vHint := nestedVerifier(t, topo.NumNodes(), hinted)
+	vPlain := nestedVerifier(t, topo.NumNodes(), plain)
 
 	rng := rand.New(rand.NewSource(9))
 	// send verifies one packet from src claiming loc on both resolvers

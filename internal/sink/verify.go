@@ -67,12 +67,12 @@ func chainOf(arena []packet.NodeID) []packet.NodeID {
 func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Resolver) (Verifier, error) {
 	switch s.(type) {
 	case marking.Nested, marking.NaiveProbNested:
-		return &NestedVerifier{keys: keys, numNodes: numNodes}, nil
+		return &NestedVerifier{numNodes: numNodes, hasher: keys.Hasher()}, nil
 	case marking.PNM:
 		if resolver == nil {
 			return nil, fmt.Errorf("sink: PNM verification needs a resolver")
 		}
-		v := &NestedVerifier{keys: keys, numNodes: numNodes, resolver: resolver}
+		v := &NestedVerifier{numNodes: numNodes, resolver: resolver}
 		if tr, ok := resolver.(*TopologyResolver); ok {
 			// Reader matches (Matches) are checked against the routing
 			// tree the resolver searches.
@@ -86,10 +86,12 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 			// resolver's counts per packet.
 			v.hasher = sc.shareScheduleCache()
 			v.sharer = sc
+		} else {
+			v.hasher = keys.Hasher()
 		}
 		return v, nil
 	case marking.AMS:
-		return &AMSVerifier{keys: keys, numNodes: numNodes}, nil
+		return &AMSVerifier{numNodes: numNodes, hasher: keys.Hasher()}, nil
 	case marking.PPM:
 		return &PPMVerifier{numNodes: numNodes}, nil
 	case marking.None:
@@ -109,13 +111,11 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 // and a reusable MAC-input buffer; one goroutine owns an instance for its
 // lifetime (see the package doc's Ownership section).
 type NestedVerifier struct {
-	keys     *mac.KeyStore
 	numNodes int
 	resolver Resolver // nil for plaintext-ID nested schemes
 
-	// hasher caches per-node MAC key schedules. It is lazily built so
-	// tests can construct verifiers literally; NewVerifier hands a PNM
-	// verifier its resolver's hasher instead.
+	// hasher caches per-node MAC key schedules: the verifier's own, or
+	// the resolver's when the resolver shares its cache (NewVerifier).
 	hasher *mac.Hasher
 	// sharer is resolver when it shares hasher (NewVerifier): publish
 	// flushes its tallied counts with the hasher's.
@@ -175,21 +175,6 @@ type NestedVerifier struct {
 	macCandidates *obs.Histogram
 }
 
-// schedule returns node id's cached key schedule from the verifier's
-// private hasher, creating the hasher on first use.
-func (v *NestedVerifier) schedule(id packet.NodeID) mac.Schedule {
-	if v.hasher == nil {
-		v.ensureHasher()
-	}
-	return v.hasher.Schedule(id)
-}
-
-// ensureHasher lazily builds the per-verifier hasher, hoisted out of the
-// noalloc kernels that inline schedule.
-//
-//go:noinline
-func (v *NestedVerifier) ensureHasher() { v.hasher = v.keys.Hasher() }
-
 // Name implements Verifier.
 func (v *NestedVerifier) Name() string { return "nested" }
 
@@ -200,9 +185,6 @@ func (v *NestedVerifier) Instrument(reg *obs.Registry) {
 	v.marksVerified = reg.Counter("sink.verify.marks_verified")
 	v.stops = reg.Counter("sink.verify.stops")
 	v.macCandidates = reg.Histogram("sink.verify.mac_candidates_per_mark")
-	if v.hasher == nil {
-		v.hasher = v.keys.Hasher()
-	}
 	v.hasher.Instrument(reg)
 	if in, ok := v.resolver.(Instrumentable); ok {
 		in.Instrument(reg)
@@ -278,9 +260,7 @@ func (v *NestedVerifier) publish() {
 	if v.singles > 0 {
 		v.macCandidates.ObserveN(1, v.singles)
 	}
-	if v.hasher != nil {
-		v.hasher.Publish()
-	}
+	v.hasher.Publish()
 }
 
 // bindResolveFn allocates the one-time resolver callback method value,
@@ -321,7 +301,7 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 		return 0, false
 	}
 	v.suffix[0], v.suffix[1] = byte(mk.ID>>8), byte(mk.ID)
-	if !mac.Equal(mk.MAC, v.schedule(mk.ID).Sum(v.enc[:v.off[k]], v.suffix[:2])) {
+	if !mac.Equal(mk.MAC, v.hasher.Schedule(mk.ID).Sum(v.enc[:v.off[k]], v.suffix[:2])) {
 		return 0, false
 	}
 	return mk.ID, true
@@ -344,7 +324,7 @@ func (v *NestedVerifier) acceptMatch(id packet.NodeID, k int, prev packet.NodeID
 	if !strictlyBelow(v.matchNet, id, prev) {
 		return false
 	}
-	return mac.Equal(mk.MAC, v.schedule(id).Sum(v.enc[:v.off[k]], mk.AnonID[:]))
+	return mac.Equal(mk.MAC, v.hasher.Schedule(id).Sum(v.enc[:v.off[k]], mk.AnonID[:]))
 }
 
 // strictlyBelow reports whether node v lies strictly inside a's routing
@@ -372,7 +352,7 @@ func strictlyBelow(net *topology.Network, v, a packet.NodeID) bool {
 // pnmlint:noalloc
 func (v *NestedVerifier) resolveProbe(id packet.NodeID) bool {
 	v.rsCandidates++
-	if mac.Equal(v.rsMAC, v.schedule(id).Sum(v.enc[:v.rsPrefix], v.suffix[:])) {
+	if mac.Equal(v.rsMAC, v.hasher.Schedule(id).Sum(v.enc[:v.rsPrefix], v.suffix[:])) {
 		v.rsFound, v.rsOK = id, true
 		return true
 	}
@@ -387,7 +367,6 @@ func (v *NestedVerifier) resolveProbe(id packet.NodeID) bool {
 // pnmlint:single-goroutine — owns a private schedule cache and encode
 // buffer, like NestedVerifier.
 type AMSVerifier struct {
-	keys     *mac.KeyStore
 	numNodes int
 
 	// hasher, encBuf and chains: see NestedVerifier.
@@ -408,9 +387,6 @@ func (v *AMSVerifier) Name() string { return "ams" }
 func (v *AMSVerifier) Instrument(reg *obs.Registry) {
 	v.packets = reg.Counter("sink.verify.packets")
 	v.marksVerified = reg.Counter("sink.verify.marks_verified")
-	if v.hasher == nil {
-		v.hasher = v.keys.Hasher()
-	}
 	v.hasher.Instrument(reg)
 }
 
@@ -420,10 +396,6 @@ func (v *AMSVerifier) Instrument(reg *obs.Registry) {
 // pnmlint:noalloc
 func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result {
 	v.packets.Inc()
-	if v.hasher == nil {
-		// One-time hasher construction, kept out of the noalloc loop.
-		v.ensureHasher()
-	}
 	v.chains = v.chains[:0]
 	for _, mk := range msg.Marks {
 		if mk.Anonymous || mk.ID == packet.SinkID || int(mk.ID) > v.numNodes {
@@ -439,12 +411,6 @@ func (v *AMSVerifier) Verify(msg packet.Message, _ topology.EpochVersion) Result
 	v.hasher.Publish()
 	return Result{Chain: chainOf(v.chains)}
 }
-
-// ensureHasher lazily builds the per-verifier hasher, hoisted out of
-// Verify's noalloc body.
-//
-//go:noinline
-func (v *AMSVerifier) ensureHasher() { v.hasher = v.keys.Hasher() }
 
 // PPMVerifier accepts plaintext marks at face value — the Internet
 // schemes' trust assumption, kept as the weakest baseline.

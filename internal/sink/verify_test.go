@@ -25,6 +25,31 @@ func forward(s marking.Scheme, path []packet.NodeID, msg packet.Message, rng *ra
 	return msg
 }
 
+// nestedVerifier returns NewVerifier's nested-MAC verifier over numNodes
+// IDs: plaintext marks without a resolver, PNM's anonymous marks with r.
+func nestedVerifier(t testing.TB, numNodes int, r Resolver) *NestedVerifier {
+	t.Helper()
+	var s marking.Scheme = marking.Nested{}
+	if r != nil {
+		s = marking.PNM{P: 1}
+	}
+	v, err := NewVerifier(s, testKS, numNodes, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.(*NestedVerifier)
+}
+
+// amsVerifier returns NewVerifier's AMS verifier over numNodes IDs.
+func amsVerifier(t testing.TB, numNodes int) *AMSVerifier {
+	t.Helper()
+	v, err := NewVerifier(marking.AMS{P: 1}, testKS, numNodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.(*AMSVerifier)
+}
+
 func nodeIDs(n int) []packet.NodeID {
 	out := make([]packet.NodeID, n)
 	for i := range out {
@@ -38,7 +63,7 @@ func TestNestedVerifierAcceptsHonestChain(t *testing.T) {
 	path := []packet.NodeID{5, 4, 3, 2, 1}
 	msg := forward(marking.Nested{}, path, packet.Message{Report: testReport(1)}, rng)
 
-	v := &NestedVerifier{keys: testKS, numNodes: 5}
+	v := nestedVerifier(t, 5, nil)
 	res := v.Verify(msg, 0)
 	if res.Stopped {
 		t.Fatal("honest chain stopped verification")
@@ -62,7 +87,7 @@ func TestNestedVerifierStopsAtTamperedMark(t *testing.T) {
 	// each covers the tampered bytes: verification accepts nothing.
 	bad := msg.Clone()
 	bad.Marks[0].MAC[0] ^= 1
-	v := &NestedVerifier{keys: testKS, numNodes: 5}
+	v := nestedVerifier(t, 5, nil)
 	res := v.Verify(bad, 0)
 	if !res.Stopped || len(res.Chain) != 0 {
 		t.Fatalf("result = %+v, want everything rejected", res)
@@ -88,7 +113,7 @@ func TestNestedVerifierAcceptsSuffixAfterMidTamper(t *testing.T) {
 	tampered.Marks[0].MAC[3] ^= 0x55 // mole garbles V5's mark
 	tampered = forward(marking.Nested{}, []packet.NodeID{2, 1}, tampered, rng)
 
-	v := &NestedVerifier{keys: testKS, numNodes: 5}
+	v := nestedVerifier(t, 5, nil)
 	res := v.Verify(tampered, 0)
 	if !res.Stopped {
 		t.Fatal("expected verification to stop at the garbled mark")
@@ -99,7 +124,7 @@ func TestNestedVerifierAcceptsSuffixAfterMidTamper(t *testing.T) {
 }
 
 func TestNestedVerifierRejectsForeignIDs(t *testing.T) {
-	v := &NestedVerifier{keys: testKS, numNodes: 5}
+	v := nestedVerifier(t, 5, nil)
 	msg := packet.Message{Report: testReport(1), Marks: []packet.Mark{{ID: 9}}}
 	if res := v.Verify(msg, 0); len(res.Chain) != 0 || !res.Stopped {
 		t.Fatalf("out-of-range ID accepted: %+v", res)
@@ -111,7 +136,7 @@ func TestNestedVerifierRejectsForeignIDs(t *testing.T) {
 }
 
 func TestNestedVerifierRejectsAnonymousMarkWithoutResolver(t *testing.T) {
-	v := &NestedVerifier{keys: testKS, numNodes: 5}
+	v := nestedVerifier(t, 5, nil)
 	msg := packet.Message{Report: testReport(1), Marks: []packet.Mark{{Anonymous: true}}}
 	if res := v.Verify(msg, 0); len(res.Chain) != 0 || !res.Stopped {
 		t.Fatal("anonymous mark accepted under plaintext scheme")
@@ -125,7 +150,7 @@ func TestPNMVerifyRoundTrip(t *testing.T) {
 	msg := forward(scheme, path, packet.Message{Report: testReport(7)}, rng)
 
 	resolver := NewExhaustiveResolver(testKS, nodeIDs(6))
-	v := &NestedVerifier{keys: testKS, numNodes: 6, resolver: resolver}
+	v := nestedVerifier(t, 6, resolver)
 	res := v.Verify(msg, 0)
 	if res.Stopped || len(res.Chain) != 6 {
 		t.Fatalf("result = %+v, want full anonymous chain", res)
@@ -146,7 +171,7 @@ func TestPNMVerifyStopsAtForgedAnonymousMark(t *testing.T) {
 	forged = forward(scheme, []packet.NodeID{2, 1}, forged, rng)
 
 	resolver := NewExhaustiveResolver(testKS, nodeIDs(4))
-	v := &NestedVerifier{keys: testKS, numNodes: 4, resolver: resolver}
+	v := nestedVerifier(t, 4, resolver)
 	res := v.Verify(forged, 0)
 	if !res.Stopped {
 		t.Fatal("forged anonymous mark did not stop verification")
@@ -160,7 +185,7 @@ func TestAMSVerifierAcceptsIndependentMarks(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	msg := forward(marking.AMS{P: 1}, []packet.NodeID{3, 2, 1}, packet.Message{Report: testReport(9)}, rng)
 
-	v := &AMSVerifier{keys: testKS, numNodes: 3}
+	v := amsVerifier(t, 3)
 	res := v.Verify(msg, 0)
 	if len(res.Chain) != 3 {
 		t.Fatalf("chain = %v, want 3 marks", res.Chain)
@@ -180,7 +205,7 @@ func TestAMSVerifierDiscardsInvalidMarksIndividually(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	msg := forward(marking.AMS{P: 1}, []packet.NodeID{3, 2, 1}, packet.Message{Report: testReport(10)}, rng)
 	msg.Marks[1].MAC[0] ^= 1
-	v := &AMSVerifier{keys: testKS, numNodes: 3}
+	v := amsVerifier(t, 3)
 	res := v.Verify(msg, 0)
 	if len(res.Chain) != 2 || res.Chain[0] != 3 || res.Chain[1] != 1 {
 		t.Fatalf("chain = %v, want [V3 V1]", res.Chain)
