@@ -331,7 +331,7 @@ func benchMark(b *testing.B, scheme marking.Scheme) {
 // from a 300-node field. steady folds the chain into an order that has
 // already seen it, the per-packet cost on a stable route; growth folds
 // it into a fresh order, timing ID registration, row allocation and the
-// closure built from nothing.
+// first direct relations.
 func BenchmarkOrderAddChain(b *testing.B) {
 	chain := make([]packet.NodeID, 12)
 	for i, id := range rand.New(rand.NewSource(9)).Perm(300)[:len(chain)] {

@@ -191,7 +191,6 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.routeTree.build",
 		"pnm/internal/sink.Order.AddChain",
 		"pnm/internal/sink.Order.index",
-		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",
 		"pnm/internal/packet.DecodeLimit.DecodeInto",

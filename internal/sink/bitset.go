@@ -1,9 +1,12 @@
 package sink
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// bitset is a small dynamically-sized bit vector used by the upstream-order
-// matrix's transitive closure.
+// bitset is a small dynamically-sized bit vector: a row of the
+// upstream-order matrix, or a set of its nodes.
 type bitset []uint64
 
 // newBitset returns a bitset able to hold n bits.
@@ -42,12 +45,22 @@ func (b bitset) has(i int) bool {
 	return b[w]&(1<<(uint(i)%64)) != 0
 }
 
-// or merges other into b.
-func (b *bitset) or(other bitset) {
+// reset returns b emptied and sized for n bits, reusing its words.
+func (b bitset) reset(n int) bitset {
+	b = slices.Grow(b[:0], (n+63)/64)[:(n+63)/64]
+	clear(b)
+	return b
+}
+
+// or merges other into b and reports whether b grew.
+func (b *bitset) or(other bitset) bool {
 	b.grow(len(other) * 64)
+	dst, grew := (*b)[:len(other)], uint64(0)
 	for i, w := range other {
-		(*b)[i] |= w
+		grew |= w &^ dst[i]
+		dst[i] |= w
 	}
+	return grew != 0
 }
 
 // count returns the number of set bits.
@@ -57,31 +70,6 @@ func (b bitset) count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// any reports whether any bit is set.
-func (b bitset) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// appendBits appends every set bit index to dst in ascending order and
-// returns the grown slice. It is the closure-free twin of forEach for
-// noalloc hot paths: a func literal capturing the destination would be
-// flagged by escape analysis, a plain append is not.
-func (b bitset) appendBits(dst []int) []int {
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			dst = append(dst, wi*64+i)
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // forEach calls fn for every set bit index.

@@ -10,41 +10,31 @@ import (
 
 // Checkpointing: the sink can persist its route-reconstruction state and
 // resume traceback after a restart without re-observing past packets. The
-// format stores the collected identities and the direct relations implied
-// by the transitive closure (the closure itself is rebuilt on load, which
-// keeps the format independent of the in-memory representation).
+// format stores the collected identities and the direct relations, which
+// is all an Order keeps.
 
 // checkpointMagic guards against feeding arbitrary bytes to Restore.
 var checkpointMagic = [4]byte{'P', 'N', 'M', '1'}
 
 // Checkpoint serializes the order matrix.
 func (o *Order) Checkpoint() []byte {
-	buf := append([]byte(nil), checkpointMagic[:]...)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(o.ids)))
-	buf = append(buf, tmp[:]...)
+	buf := binary.BigEndian.AppendUint32(checkpointMagic[:], uint32(len(o.ids)))
 	for _, id := range o.ids {
-		var idb [2]byte
-		binary.BigEndian.PutUint16(idb[:], uint16(id))
-		buf = append(buf, idb[:]...)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(id))
 	}
-	// Count and emit the direct relations (restoring re-adds them as
-	// edges, which regenerates an identical closure — it is a pure
-	// function of the generating set). Earlier checkpoints emitted the
-	// full closure here; those blobs restore identically, just larger,
-	// since closure pairs also generate the closure.
+	// Count and emit the direct relations. Earlier checkpoints emitted
+	// every closure pair here; those blobs restore to the same verdict,
+	// just larger, since closure pairs generate the same closure, and a
+	// node has a direct in-relation in one iff it has an ancestor.
 	pairs := 0
 	for i := range o.ids {
 		pairs += o.dir[i].count()
 	}
-	binary.BigEndian.PutUint32(tmp[:], uint32(pairs))
-	buf = append(buf, tmp[:]...)
-	for i := range o.ids {
-		o.dir[i].forEach(func(j int) {
-			var pair [4]byte
-			binary.BigEndian.PutUint16(pair[:2], uint16(o.ids[i]))
-			binary.BigEndian.PutUint16(pair[2:], uint16(o.ids[j]))
-			buf = append(buf, pair[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(pairs))
+	for i, row := range o.dir {
+		row.forEach(func(j int) {
+			buf = binary.BigEndian.AppendUint16(buf, uint16(o.ids[i]))
+			buf = binary.BigEndian.AppendUint16(buf, uint16(o.ids[j]))
 		})
 	}
 	return buf
@@ -74,15 +64,14 @@ func RestoreOrder(data []byte) (*Order, error) {
 	for p := 0; p < pairs; p++ {
 		u := packet.NodeID(binary.BigEndian.Uint16(rest[p*4:]))
 		v := packet.NodeID(binary.BigEndian.Uint16(rest[p*4+2:]))
-		ui, ok := o.lookup(u)
-		if !ok {
-			return nil, fmt.Errorf("sink: checkpoint pair references unknown node %v", u)
+		ui, uok := o.lookup(u)
+		vi, vok := o.lookup(v)
+		if !uok || !vok {
+			return nil, fmt.Errorf("sink: checkpoint pair %v->%v references an unknown node", u, v)
 		}
-		vi, ok := o.lookup(v)
-		if !ok {
-			return nil, fmt.Errorf("sink: checkpoint pair references unknown node %v", v)
+		if ui != vi {
+			o.dir[ui].set(vi)
 		}
-		o.addEdge(ui, vi)
 	}
 	return o, nil
 }
@@ -98,10 +87,7 @@ var trackerMagic = [4]byte{'P', 'N', 'M', '2'}
 // block. The verifier and topology are configuration, not state, and are
 // supplied again on restore.
 func (t *Tracker) Checkpoint() []byte {
-	buf := append([]byte(nil), trackerMagic[:]...)
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(t.packets))
-	buf = append(buf, tmp[:]...)
+	buf := binary.BigEndian.AppendUint64(trackerMagic[:], uint64(t.packets))
 	return append(buf, t.order.Checkpoint()...)
 }
 

@@ -1,16 +1,22 @@
 package sink
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"pnm/internal/packet"
 )
 
-// Order is the paper's relative-order matrix M: it accumulates "Vi is
-// upstream of Vj" relations observed across packets and maintains their
-// transitive closure incrementally, so the sink can reconstruct the
-// forwarding path, detect identity-swapping loops, and decide when the
-// source is unequivocally identified.
+// Order is the paper's relative-order matrix M: it accumulates the "Vi is
+// directly upstream of Vj" relations observed across packets, from which
+// the sink reconstructs the forwarding path, detects identity-swapping
+// loops, and decides when the source is unequivocally identified. It
+// keeps only the observed relations. The closure is a pure function of
+// them, so every reachability query searches them on demand, and the two
+// facts a verdict reads on every call — the minimal nodes and whether a
+// loop exists — are derived from them and cached until a new node or
+// relation arrives: the incremental-order view of *On Algebraic Traceback
+// in Dynamic Networks*.
 type Order struct {
 	// pos is indexed by NodeID, a sparse set over ids: id is seen iff
 	// ids[pos[id]] == id, and pos[id] is then its dense index, so an
@@ -18,24 +24,29 @@ type Order struct {
 	// NodeID. Chains carry only verified IDs, at most the node count, so
 	// the slice stays as long as the largest ID seen, at 2 bytes per ID,
 	// and a lookup is one indexed load instead of a map probe.
-	pos  []uint16
-	ids  []packet.NodeID
-	desc []bitset // desc[i]: nodes strictly downstream of i (closure)
-	anc  []bitset // anc[i]: nodes strictly upstream of i (closure)
+	pos []uint16
+	ids []packet.NodeID
 	// dir[i] holds the directly observed relations (consecutive chain
-	// pairs), a subset of desc[i]. The closure is a pure function of the
-	// direct relation set, so Checkpoint replays dir instead of
-	// the O(n²) closure — the incremental-order lever from *On Algebraic
-	// Traceback in Dynamic Networks*.
+	// pairs) out of node i. The diagonal stays clear.
 	dir []bitset
-	// cyc marks the nodes currently on some mutual-reachability loop.
-	// It is maintained at edge insertion, so HasCycle/Loops no longer
-	// rescan all n² reachability pairs per verdict read.
-	cyc bitset
-	// ups/downs are addEdge's scratch lists, reused across calls so a
-	// steady-state insertion allocates nothing.
-	ups, downs []int
+
+	// minimals (sorted) and loop are derived from dir by refresh. stale
+	// marks them out of date: index and AddChain set it when a node or a
+	// relation is new.
+	minimals []packet.NodeID
+	loop     bool
+	stale    bool
+
+	// visited, onPath, path and post are search's scratch, reused so a
+	// warm recompute allocates nothing.
+	visited, onPath bitset
+	path            []searchFrame
+	post            []int
 }
+
+// searchFrame is one node on search's path and the row word its child
+// scan resumes at.
+type searchFrame struct{ node, word int }
 
 // NewOrder returns an empty order matrix.
 func NewOrder() *Order {
@@ -53,7 +64,7 @@ func (o *Order) lookup(id packet.NodeID) (int, bool) {
 }
 
 // index returns the dense index for id, registering it on first sight.
-// Registration allocates the node's rows; a seen id costs one load.
+// Registration allocates the node's row; a seen id costs one load.
 // pnmlint:noalloc
 func (o *Order) index(id packet.NodeID) int {
 	if i, ok := o.lookup(id); ok {
@@ -67,17 +78,16 @@ func (o *Order) index(id packet.NodeID) int {
 	i := len(o.ids)
 	o.pos[id] = uint16(i)
 	o.ids = append(o.ids, id)
-	o.desc = append(o.desc, newBitset(len(o.ids))) //pnmlint:allow noalloc one row per newly seen node
-	o.anc = append(o.anc, newBitset(len(o.ids)))   //pnmlint:allow noalloc one row per newly seen node
-	o.dir = append(o.dir, newBitset(len(o.ids)))   //pnmlint:allow noalloc one row per newly seen node
+	o.dir = append(o.dir, newBitset(len(o.ids))) //pnmlint:allow noalloc one row per newly seen node
+	o.stale = true
 	return i
 }
 
 // AddChain records one packet's accepted marker identities in forwarding
 // order (most upstream first). Consecutive pairs become direct relations;
-// the closure recovers the rest, exactly as transitivity does in the paper.
-// Each ID is resolved once, in chain order: IDs register in first-sight
-// order, the order Checkpoint writes them in.
+// transitivity recovers the rest, exactly as in the paper. Each ID is
+// resolved once, in chain order: IDs register in first-sight order, the
+// order Checkpoint writes them in.
 // pnmlint:noalloc
 func (o *Order) AddChain(chain []packet.NodeID) {
 	if len(chain) == 0 {
@@ -86,64 +96,104 @@ func (o *Order) AddChain(chain []packet.NodeID) {
 	u := o.index(chain[0])
 	for _, id := range chain[1:] {
 		v := o.index(id)
-		o.addEdge(u, v)
+		if u != v && !o.dir[u].has(v) {
+			o.dir[u].set(v)
+			o.stale = true
+		}
 		u = v
 	}
 }
 
-// addEdge inserts u -> v and updates the closure: every ancestor of u
-// (plus u) now reaches every descendant of v (plus v). The expansion is
-// one bitset OR per affected row instead of the old ancestor×descendant
-// bit-by-bit double loop: rows that already reach v are complete by the
-// closure invariant and are skipped, the rest absorb desc[v] wholesale.
-// The diagonal stays clear (self-loops are implicit; cycles show as
-// mutual reachability), and the scratch lists are reused across calls.
-//
-// pnmlint:noalloc
-func (o *Order) addEdge(u, v int) {
-	if u == v {
+// refresh recomputes the minimals and the loop flag from dir when a node
+// or relation arrived since the last read. A minimal is a node with no
+// direct in-relation, which is exactly a node with no ancestor: one OR of
+// every row.
+func (o *Order) refresh() {
+	if !o.stale {
 		return
 	}
-	// Record the direct relation before the redundancy check: dir must
-	// generate the closure even when u -> v arrives after being implied
-	// transitively, or a Checkpoint replay would lose it.
-	o.dir[u].set(v)
-	if o.desc[u].has(v) {
-		return
+	o.stale = false
+	hasIn := o.visited.reset(len(o.ids)) // search reuses these words
+	for _, row := range o.dir {
+		hasIn.or(row)
 	}
-	ups := o.anc[u].appendBits(o.ups[:0])
-	ups = append(ups, u)
-	downs := o.desc[v].appendBits(o.downs[:0])
-	downs = append(downs, v)
+	o.minimals = o.minimals[:0]
+	for i, id := range o.ids {
+		if !hasIn.has(i) {
+			o.minimals = append(o.minimals, id)
+		}
+	}
+	slices.Sort(o.minimals)
+	o.loop = o.search(0, len(o.ids))
+}
 
-	// The edge closes a loop iff v already reached u. The nodes that
-	// become mutually reachable are exactly those on a path through the
-	// new edge: (anc*(u) ∪ {u}) ∩ (desc*(v) ∪ {v}), evaluated before the
-	// closure is mutated.
-	if o.desc[v].has(u) {
-		for _, a := range ups {
-			if a == v || o.desc[v].has(a) {
-				o.cyc.set(a)
+// search runs a depth-first search over dir from each unvisited node of
+// [lo, hi) in turn, and reports whether it met a loop; o.visited holds
+// every node it reached. Every step is word-parallel over a row: entering
+// node i, dir[i] & onPath is a back relation, and only unvisited children
+// are pushed, so it costs seen × words however many relations there are.
+// It leaves the nodes in o.post in postorder, where a node comes after
+// every node it reaches outside its own loop.
+func (o *Order) search(lo, hi int) bool {
+	n := len(o.ids)
+	visited, onPath := o.visited.reset(n), o.onPath.reset(n)
+	path, post := o.path[:0], o.post[:0]
+	loop := false
+	for root := lo; root < hi; root++ {
+		if visited.has(root) {
+			continue
+		}
+		visited.set(root)
+		onPath.set(root)
+		path = append(path, searchFrame{node: root})
+		for len(path) > 0 {
+			f := &path[len(path)-1]
+			row, child := o.dir[f.node], -1
+			for ; f.word < len(row); f.word++ {
+				if m := row[f.word] &^ visited[f.word]; m != 0 {
+					child = f.word*64 + bits.TrailingZeros64(m)
+					break
+				}
 			}
+			if child < 0 {
+				onPath.clear(f.node)
+				post = append(post, f.node)
+				path = path[:len(path)-1]
+				continue
+			}
+			visited.set(child)
+			onPath.set(child)
+			for w, x := range o.dir[child] {
+				loop = loop || x&onPath[w] != 0
+			}
+			path = append(path, searchFrame{node: child})
 		}
 	}
-	for _, a := range ups {
-		if o.desc[a].has(v) {
-			continue
-		}
-		o.desc[a].or(o.desc[v])
-		o.desc[a].set(v)
-		o.desc[a].clear(a)
+	o.visited, o.onPath, o.path, o.post = visited, onPath, path, post
+	return loop
+}
+
+// closure returns, for every node, the nodes it reaches over one or more
+// relations, itself only when it is on a loop. Each row starts as dir's and
+// absorbs its children's rows in search's postorder, so a loop-free order
+// is complete after one pass over the relations; around a loop the passes
+// repeat until no row grows.
+func (o *Order) closure() []bitset {
+	o.search(0, len(o.ids))
+	rows := make([]bitset, len(o.ids))
+	for i, row := range o.dir {
+		rows[i] = newBitset(len(o.ids))
+		copy(rows[i], row)
 	}
-	for _, b := range downs {
-		if o.anc[b].has(u) {
-			continue
+	for grew := true; grew; {
+		grew = false
+		for _, i := range o.post {
+			o.dir[i].forEach(func(c int) {
+				grew = rows[i].or(rows[c]) || grew
+			})
 		}
-		o.anc[b].or(o.anc[u])
-		o.anc[b].set(u)
-		o.anc[b].clear(b)
 	}
-	o.ups, o.downs = ups, downs
+	return rows
 }
 
 // SeenCount returns how many distinct marker identities were collected —
@@ -152,54 +202,37 @@ func (o *Order) SeenCount() int { return len(o.ids) }
 
 // Seen returns the collected identities, sorted.
 func (o *Order) Seen() []packet.NodeID {
-	out := make([]packet.NodeID, len(o.ids))
-	copy(out, o.ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(o.ids)
+	slices.Sort(out)
 	return out
-}
-
-// HasSeen reports whether id's mark has been collected.
-func (o *Order) HasSeen(id packet.NodeID) bool {
-	_, ok := o.lookup(id)
-	return ok
 }
 
 // Upstream reports whether a is known (transitively) upstream of b.
 func (o *Order) Upstream(a, b packet.NodeID) bool {
-	i, ok := o.lookup(a)
-	if !ok {
+	i, iok := o.lookup(a)
+	j, jok := o.lookup(b)
+	if !iok || !jok || i == j {
 		return false
 	}
-	j, ok := o.lookup(b)
-	if !ok {
-		return false
-	}
-	return o.desc[i].has(j)
+	o.search(i, i+1)
+	return o.visited.has(j)
 }
 
 // Minimals returns the nodes with no known upstream — the candidate source
 // set. Loop members reach each other, so a loop never contributes minimals.
 func (o *Order) Minimals() []packet.NodeID {
-	var out []packet.NodeID
-	for i, id := range o.ids {
-		if o.anc[i].count() == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	o.refresh()
+	return append([]packet.NodeID(nil), o.minimals...)
 }
 
 // TotallyOrdered reports whether every pair of collected nodes is
 // comparable, i.e. the reconstructed route is a single chain with no
 // ambiguity left.
 func (o *Order) TotallyOrdered() bool {
-	n := len(o.ids)
-	// In a strict total order the comparability count sums to n(n-1)/2
-	// distinct ordered pairs. Cycles double-count pairs, so check pairwise.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !o.desc[i].has(j) && !o.desc[j].has(i) {
+	reach := o.closure()
+	for i := range reach {
+		for j := i + 1; j < len(reach); j++ {
+			if !reach[i].has(j) && !reach[j].has(i) {
 				return false
 			}
 		}
@@ -208,44 +241,37 @@ func (o *Order) TotallyOrdered() bool {
 }
 
 // HasCycle reports whether any mutual reachability exists — the signature
-// of the identity-swapping attack. The loop membership set is maintained
-// at edge insertion, so this is an O(n/64) word scan instead of a rescan
-// of all n² reachability pairs.
+// of the identity-swapping attack.
 func (o *Order) HasCycle() bool {
-	return o.cyc.any()
+	o.refresh()
+	return o.loop
 }
 
 // Loops returns the sets of mutually-reachable nodes (each a loop created
-// by identity swapping), sorted by their smallest member. Only the
-// incrementally maintained loop members are grouped; the loop-free common
-// case returns nil without touching the closure at all.
+// by identity swapping), sorted by their smallest member. The loop-free
+// common case returns nil off the cached loop flag, without a search.
 func (o *Order) Loops() [][]packet.NodeID {
-	if !o.cyc.any() {
+	if !o.HasCycle() {
 		return nil
 	}
-	visited := make([]bool, len(o.ids))
+	reach := o.closure()
+	grouped := newBitset(len(o.ids))
 	var loops [][]packet.NodeID
-	for i := 0; i < len(o.ids); i++ {
-		if !o.cyc.has(i) || visited[i] {
+	for i := range o.ids {
+		if grouped.has(i) || !reach[i].has(i) {
 			continue
 		}
 		var members []packet.NodeID
-		o.desc[i].forEach(func(j int) {
-			if o.desc[j].has(i) && !visited[j] {
-				visited[j] = true
+		reach[i].forEach(func(j int) {
+			if reach[j].has(i) {
+				grouped.set(j)
 				members = append(members, o.ids[j])
 			}
 		})
-		if len(members) > 0 {
-			if !visited[i] {
-				visited[i] = true
-				members = append(members, o.ids[i])
-			}
-			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			loops = append(loops, members)
-		}
+		slices.Sort(members)
+		loops = append(loops, members)
 	}
-	sort.Slice(loops, func(a, b int) bool { return loops[a][0] < loops[b][0] })
+	slices.SortFunc(loops, func(a, b []packet.NodeID) int { return int(a[0]) - int(b[0]) })
 	return loops
 }
 
@@ -257,13 +283,12 @@ func (o *Order) Route() ([]packet.NodeID, bool) {
 	if o.HasCycle() || !o.TotallyOrdered() {
 		return nil, false
 	}
+	// Loop-free and total, the nodes reach n-1, n-2, …, 0 others: a
+	// node's count is its place from the route's end.
 	route := make([]packet.NodeID, len(o.ids))
-	copy(route, o.ids)
-	sort.Slice(route, func(a, b int) bool {
-		i, _ := o.lookup(route[a])
-		j, _ := o.lookup(route[b])
-		return o.desc[i].has(j)
-	})
+	for i, row := range o.closure() {
+		route[len(route)-1-row.count()] = o.ids[i]
+	}
 	return route, true
 }
 
@@ -277,32 +302,31 @@ func (o *Order) Route() ([]packet.NodeID, bool) {
 // other verdict input — is a pure function of the accumulated reachability
 // relation.
 func (o *Order) MostUpstreamAfterLoop(loop []packet.NodeID) (packet.NodeID, bool) {
-	inLoop := make(map[packet.NodeID]bool, len(loop))
+	reach := o.closure()
+	inLoop, below := newBitset(len(o.ids)), newBitset(len(o.ids))
 	for _, id := range loop {
-		inLoop[id] = true
-	}
-	best := packet.NodeID(0)
-	bestOutside := -1
-	for i, id := range o.ids {
-		if inLoop[id] {
-			continue
+		if i, ok := o.lookup(id); ok {
+			inLoop.set(i)
+			below.or(reach[i])
 		}
-		touchesLoop := false
+	}
+	best, bestOutside := -1, 0
+	below.forEach(func(b int) {
+		if inLoop.has(b) {
+			return
+		}
 		outside := 0
-		o.anc[i].forEach(func(j int) {
-			if inLoop[o.ids[j]] {
-				touchesLoop = true
-			} else {
+		for a, row := range reach {
+			if a != b && !inLoop.has(a) && row.has(b) {
 				outside++
 			}
-		})
-		if !touchesLoop {
-			continue
 		}
-		if bestOutside == -1 || outside < bestOutside ||
-			(outside == bestOutside && id < best) {
-			best, bestOutside = id, outside
+		if best == -1 || outside < bestOutside || outside == bestOutside && o.ids[b] < o.ids[best] {
+			best, bestOutside = b, outside
 		}
+	})
+	if best == -1 {
+		return 0, false
 	}
-	return best, bestOutside != -1
+	return o.ids[best], true
 }

@@ -132,12 +132,10 @@ func TestOrderSeen(t *testing.T) {
 	if got := o.SeenCount(); got != 2 {
 		t.Fatalf("SeenCount = %d, want 2", got)
 	}
-	if !o.HasSeen(4) || o.HasSeen(9) || o.HasSeen(1000) {
-		t.Fatal("HasSeen wrong")
-	}
+	o.AddChain([]packet.NodeID{1000})
 	seen := o.Seen()
-	if len(seen) != 2 || seen[0] != 2 || seen[1] != 4 {
-		t.Fatalf("Seen = %v", seen)
+	if len(seen) != 3 || seen[0] != 2 || seen[1] != 4 || seen[2] != 1000 {
+		t.Fatalf("Seen = %v, want [V2 V4 V1000]", seen)
 	}
 }
 
