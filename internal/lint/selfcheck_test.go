@@ -140,8 +140,9 @@ func checkGuarded(t *testing.T, pkgs []string, want map[string]string) {
 }
 
 // TestNoallocHotPathsAnnotated pins the zero-alloc kernel set: the MAC
-// schedule, the node-side AnonID, the marking encode paths, the sink
-// verify kernels, the wire decode path and the epoch pins all carry
+// schedule, the node-side AnonID, the path scan, the marking encode
+// paths, the sink verify kernels, the wire decode path, the reader's
+// tallies and the epoch pins all carry
 // // pnmlint:noalloc, so the escape-analysis gate actually covers the
 // functions the AllocsPerRun benchmarks measure.
 func TestNoallocHotPathsAnnotated(t *testing.T) {
@@ -161,6 +162,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.loadLE",
 		"pnm/internal/mac.anonWords",
 		"pnm/internal/mac.anonHash",
+		"pnm/internal/mac.Equal",
 		"pnm/internal/mac.Schedule.Sum",
 		"pnm/internal/mac.Schedule.AnonID",
 		"pnm/internal/mac.Hasher.Schedule",
@@ -175,9 +177,11 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.publish",
 		"pnm/internal/sink.NestedVerifier.verify",
+		"pnm/internal/sink.NestedVerifier.layout",
 		"pnm/internal/sink.NestedVerifier.acceptMatch",
 		"pnm/internal/sink.strictlyBelow",
 		"pnm/internal/sink.PathProber.Probe",
+		"pnm/internal/sink.PathProber.Publish",
 		"pnm/internal/sink.PathProber.pathOf",
 		"pnm/internal/sink.seedTip",
 		"pnm/internal/sink.rootPath",
@@ -195,7 +199,10 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.PPMVerifier.Verify",
 		"pnm/internal/packet.DecodeLimit.DecodeInto",
 		"pnm/internal/transport.FrameReader.Next",
-		"pnm/internal/transport.FrameReader.decodeAfterHeader",
+		"pnm/internal/transport.FrameReader.readInto",
+		"pnm/internal/transport.frame.read",
+		"pnm/internal/transport.frame.decodeDatagram",
+		"pnm/internal/transport.reader.publish",
 		"pnm/internal/transport.DecodeDatagramInto",
 		"pnm/internal/topology.EpochSet.Stamp",
 		"pnm/internal/topology.EpochSet.Done",

@@ -169,13 +169,16 @@ const anonMsgLen = packet.ReportLen + 2
 // zero, as SipHash-2-4's three little-endian message words: the report's
 // first 16 bytes, then its last 4, the ID's two byte slots, a zero byte
 // and the message length, SipHash's final-word layout. anonHash ORs the
-// ID in.
+// ID in. The report's big-endian fields land in little-endian words
+// byte-reversed, so each word is built from them directly rather than
+// from an encoded copy.
 // pnmlint:noalloc
 func anonWords(report packet.Report) [3]uint64 {
-	var b [24]byte
-	report.Encode(b[:0])
-	b[len(b)-1] = anonMsgLen
-	return [3]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:16]), binary.LittleEndian.Uint64(b[16:])}
+	return [3]uint64{
+		uint64(bits.ReverseBytes32(report.Event)) | uint64(bits.ReverseBytes32(report.Location))<<32,
+		bits.ReverseBytes64(report.Timestamp),
+		uint64(bits.ReverseBytes32(report.Seq)) | anonMsgLen<<56,
+	}
 }
 
 // anonHash is H' from K_a's key words and anonWords' message words:
@@ -225,9 +228,13 @@ func AnonID(k Key, report packet.Report, id packet.NodeID) [packet.AnonIDLen]byt
 	return anonHash(&key, &m, id)
 }
 
-// Equal reports whether two MACs match, in constant time.
+// Equal reports whether two MACs match, in constant time: the tags are
+// compared as one XORed word, folded to 32 bits for
+// subtle.ConstantTimeEq.
+// pnmlint:noalloc
 func Equal(a, b [packet.MACLen]byte) bool {
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
+	x := binary.LittleEndian.Uint64(a[:]) ^ binary.LittleEndian.Uint64(b[:])
+	return subtle.ConstantTimeEq(int32(uint32(x)|uint32(x>>32)), 0) == 1
 }
 
 // blockSize is SHA-256's block size, the length of HMAC's key blocks.

@@ -42,10 +42,16 @@ func TestEqual(t *testing.T) {
 	if !Equal(a, a) {
 		t.Fatal("Equal(a, a) = false")
 	}
-	b := a
-	b[0] ^= 1
-	if Equal(a, b) {
-		t.Fatal("Equal on distinct MACs = true")
+	// A difference in any bit of either 32-bit half must show: Equal
+	// folds the XORed word to 32 bits before its constant-time compare.
+	for i := range a {
+		for bit := 0; bit < 8; bit++ {
+			b := a
+			b[i] ^= 1 << bit
+			if Equal(a, b) {
+				t.Fatalf("Equal on MACs differing in byte %d bit %d = true", i, bit)
+			}
+		}
 	}
 }
 

@@ -30,11 +30,15 @@ type Order struct {
 	// pairs) out of node i. The diagonal stays clear.
 	dir []bitset
 
-	// minimals (sorted) and loop are derived from dir by refresh. stale
-	// marks them out of date: index and AddChain set it when a node or a
-	// relation is new.
+	// minimals (sorted), loop, loops and the first loop's stop are
+	// derived from dir by refresh. stale marks them out of date: index
+	// and AddChain set it when a node or a relation is new. loops and
+	// stop are built only while a loop exists, from one closure.
 	minimals []packet.NodeID
 	loop     bool
+	loops    [][]packet.NodeID
+	stop     packet.NodeID
+	stopOK   bool
 	stale    bool
 
 	// visited, onPath, path and post are search's scratch, reused so a
@@ -107,7 +111,9 @@ func (o *Order) AddChain(chain []packet.NodeID) {
 // refresh recomputes the minimals and the loop flag from dir when a node
 // or relation arrived since the last read. A minimal is a node with no
 // direct in-relation, which is exactly a node with no ancestor: one OR of
-// every row.
+// every row. While a loop exists it also builds the closure once and
+// derives the loops and the first loop's stop from it, so a verdict read
+// with nothing new does no closure work.
 func (o *Order) refresh() {
 	if !o.stale {
 		return
@@ -125,6 +131,12 @@ func (o *Order) refresh() {
 	}
 	slices.Sort(o.minimals)
 	o.loop = o.search(0, len(o.ids))
+	o.loops, o.stop, o.stopOK = nil, 0, false
+	if o.loop {
+		reach := o.closure()
+		o.loops = o.loopsOf(reach)
+		o.stop, o.stopOK = o.afterLoop(reach, o.loops[0])
+	}
 }
 
 // search runs a depth-first search over dir from each unvisited node of
@@ -251,10 +263,31 @@ func (o *Order) HasCycle() bool {
 // by identity swapping), sorted by their smallest member. The loop-free
 // common case returns nil off the cached loop flag, without a search.
 func (o *Order) Loops() [][]packet.NodeID {
-	if !o.HasCycle() {
+	o.refresh()
+	if len(o.loops) == 0 {
 		return nil
 	}
-	reach := o.closure()
+	loops := make([][]packet.NodeID, len(o.loops))
+	for i, l := range o.loops {
+		loops[i] = slices.Clone(l)
+	}
+	return loops
+}
+
+// firstLoop returns the loop Loops lists first and its stop, as
+// MostUpstreamAfterLoop gives it, off the cached derivation; loop is nil
+// when the order has none. The caller must not modify loop.
+func (o *Order) firstLoop() (loop []packet.NodeID, stop packet.NodeID, ok bool) {
+	o.refresh()
+	if len(o.loops) == 0 {
+		return nil, 0, false
+	}
+	return o.loops[0], o.stop, o.stopOK
+}
+
+// loopsOf groups the nodes on a loop in reach, a closure, into their
+// mutually reachable sets, each sorted, sorted by smallest member.
+func (o *Order) loopsOf(reach []bitset) [][]packet.NodeID {
 	grouped := newBitset(len(o.ids))
 	var loops [][]packet.NodeID
 	for i := range o.ids {
@@ -302,7 +335,11 @@ func (o *Order) Route() ([]packet.NodeID, bool) {
 // other verdict input — is a pure function of the accumulated reachability
 // relation.
 func (o *Order) MostUpstreamAfterLoop(loop []packet.NodeID) (packet.NodeID, bool) {
-	reach := o.closure()
+	return o.afterLoop(o.closure(), loop)
+}
+
+// afterLoop is MostUpstreamAfterLoop over reach, the order's closure.
+func (o *Order) afterLoop(reach []bitset, loop []packet.NodeID) (packet.NodeID, bool) {
 	inLoop, below := newBitset(len(o.ids)), newBitset(len(o.ids))
 	for _, id := range loop {
 		if i, ok := o.lookup(id); ok {

@@ -1,6 +1,8 @@
 package sink
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pnm/internal/packet"
@@ -169,5 +171,83 @@ func TestOrderRoute(t *testing.T) {
 	o.AddChain([]packet.NodeID{1, 5})
 	if _, ok := o.Route(); ok {
 		t.Fatal("looped order should not yield a route")
+	}
+}
+
+// loopOrderTracker builds the order shape of a long identity-swap
+// attack: 513 nodes, 10,901 distinct relations drawn at random along one
+// hidden total order, plus a 47-node loop through nodes spread over it.
+func loopOrderTracker(tb testing.TB) *Tracker {
+	tb.Helper()
+	const nodes, relations, loopLen = 513, 10901, 47
+	rng := rand.New(rand.NewSource(41))
+	rank := rng.Perm(nodes) // node i+1 sits at rank[i] on the hidden line
+	tr := NewTracker(nil, nil)
+	type rel struct{ a, b int }
+	seen := make(map[rel]bool)
+	add := func(a, b int) {
+		if a != b && !seen[rel{a, b}] {
+			seen[rel{a, b}] = true
+			tr.Fold(Result{Chain: []packet.NodeID{packet.NodeID(a + 1), packet.NodeID(b + 1)}})
+		}
+	}
+	loop := rng.Perm(nodes)[:loopLen]
+	for i, a := range loop {
+		add(a, loop[(i+1)%loopLen])
+	}
+	for len(seen) < relations {
+		a, b := rng.Intn(nodes), rng.Intn(nodes)
+		if rank[a] < rank[b] {
+			add(a, b)
+		}
+	}
+	if n := tr.Order().SeenCount(); n != nodes {
+		tb.Fatalf("order saw %d nodes, want %d", n, nodes)
+	}
+	if loops := tr.Order().Loops(); len(loops) == 0 || len(loops[0]) < loopLen {
+		tb.Fatalf("order's loops %v lack the %d-node loop", loops, loopLen)
+	}
+	return tr
+}
+
+// BenchmarkVerdictLoop measures a verdict read on loopOrderTracker's
+// order: warm, with nothing new since the last read (a poller's steady
+// state), and after new evidence marks the derived facts stale.
+func BenchmarkVerdictLoop(b *testing.B) {
+	tr := loopOrderTracker(b)
+	b.Run("warm", func(b *testing.B) {
+		tr.Verdict()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.Verdict()
+		}
+	})
+	b.Run("stale", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr.order.stale = true
+			tr.Verdict()
+		}
+	})
+}
+
+// TestVerdictLoopReadsCached checks that Verdict's loop branch reads the
+// loop and its stop as Loops and MostUpstreamAfterLoop compute them, and
+// that a caller changing the returned loop cannot change the next read.
+func TestVerdictLoopReadsCached(t *testing.T) {
+	tr := loopOrderTracker(t)
+	loops := tr.Order().Loops()
+	stop, ok := tr.Order().MostUpstreamAfterLoop(loops[0])
+	if !ok {
+		stop = loops[0][0]
+	}
+	v := tr.Verdict()
+	if !slices.Equal(v.Loop, loops[0]) || !v.HasStop || v.Stop != stop {
+		t.Fatalf("verdict loop %v stop %v, want loop %v stop %v", v.Loop, v.Stop, loops[0], stop)
+	}
+	v.Loop[0]++
+	loops[0][0]++
+	if again := tr.Verdict(); !slices.Equal(again.Loop, tr.Order().Loops()[0]) || again.Loop[0] == v.Loop[0] {
+		t.Fatalf("a caller's change to a returned loop reached the cache: %v", again.Loop)
 	}
 }

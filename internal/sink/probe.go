@@ -7,16 +7,26 @@ import (
 	"pnm/internal/topology"
 )
 
-// Matches carries a PathProber's matches for one frame's anonymous marks
-// to the verifier that folds the frame: ids[j] is the path node whose
-// anonymous ID equals the j-th mark from the end. Only a PathProber
-// fills one, and the zero value holds none. A match is never evidence:
-// the verifier accepts a matched node only inside the candidate set the
-// resolver would search and only if the mark's MAC verifies under its
-// key, and runs the resolver's search for every mark it does not accept.
+// Matches carries what a connection reader found for one frame to the
+// verifier that folds it: a PathProber's matches for the frame's
+// anonymous marks, and the bytes the frame's message was decoded from.
+// ids[j] is the path node whose anonymous ID equals the j-th mark from
+// the end; only a PathProber fills them, and the zero value holds none.
+// A match is never evidence: the verifier accepts a matched node only
+// inside the candidate set the resolver would search and only if the
+// mark's MAC verifies under its key, and runs the resolver's search for
+// every mark it does not accept.
 type Matches struct {
-	ids []packet.NodeID
+	ids  []packet.NodeID
+	wire []byte
 }
+
+// SetWire records b as the bytes the frame's message was decoded from,
+// so the verifier MACs them instead of re-encoding the message; nil
+// clears it. The caller must not change b until the frame's verify
+// returns. Bytes whose length is not the message's encoded length are
+// ignored.
+func (m *Matches) SetWire(b []byte) { m.wire = b }
 
 // PathProber is the reader-side half of anonymous-ID resolution: it
 // matches a frame's anonymous marks against the root path of the node
@@ -51,6 +61,9 @@ type PathProber struct {
 	loc    uint32
 	rooted bool
 
+	// pending tallies Probe's counts since the last Publish.
+	pending struct{ probes, matched, unmatched uint64 }
+
 	// obs bindings; nil (no-op) unless instrumented.
 	probes    *obs.Counter
 	matched   *obs.Counter
@@ -75,8 +88,9 @@ func newPathProber(keys *mac.KeyStore, epochs *topology.EpochSet, reg *obs.Regis
 }
 
 // Probe fills m with msg's path matches in the tree of epoch, the
-// frame's arrival stamp, and publishes the frame's counts: the AnonIDs
-// hashed, the marks matched and the marks left to the sink's search.
+// frame's arrival stamp, and tallies the frame's counts for Publish: the
+// AnonIDs hashed, the marks matched and the marks left to the sink's
+// search.
 // pnmlint:noalloc
 func (p *PathProber) Probe(msg *packet.Message, epoch topology.EpochVersion, m *Matches) {
 	m.ids = m.ids[:0]
@@ -99,15 +113,27 @@ func (p *PathProber) Probe(msg *packet.Message, epoch topology.EpochVersion, m *
 		m.ids = append(m.ids, path[j])
 		j++
 	}
-	if probes > 0 {
-		p.probes.Add(probes)
+	p.pending.probes += probes
+	p.pending.matched += uint64(len(m.ids))
+	p.pending.unmatched += uint64(len(msg.Marks) - len(m.ids))
+}
+
+// Publish adds the counts Probe tallied since the last call to
+// transport.prober.*: a reader publishes at the points where it may
+// wait, so the shared counters take a few updates per socket read
+// instead of three per frame.
+// pnmlint:noalloc
+func (p *PathProber) Publish() {
+	if p.pending.probes > 0 {
+		p.probes.Add(p.pending.probes)
 	}
-	if n := len(m.ids); n > 0 {
-		p.matched.Add(uint64(n))
+	if p.pending.matched > 0 {
+		p.matched.Add(p.pending.matched)
 	}
-	if n := len(msg.Marks) - len(m.ids); n > 0 {
-		p.unmatched.Add(uint64(n))
+	if p.pending.unmatched > 0 {
+		p.unmatched.Add(p.pending.unmatched)
 	}
+	p.pending.probes, p.pending.matched, p.pending.unmatched = 0, 0, 0
 }
 
 // pathOf returns loc's root path in epoch's tree, empty when loc names

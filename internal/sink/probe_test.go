@@ -67,10 +67,13 @@ func TestProberMatchesHonestChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pathLen := uint64(topo.Depth(src))
 	var m Matches
+	marks := uint64(0)
 	for seq := uint32(1); seq <= 50; seq++ {
 		msg := markAlong(topo, src, 0.5, packet.Message{Report: packet.Report{Event: 7, Location: uint32(src), Seq: seq}}, rng)
+		marks += uint64(len(msg.Marks))
 		before := reg.Counter("transport.prober.probes").Value()
 		prober.Probe(&msg, 0, &m)
+		prober.Publish()
 		if probes := reg.Counter("transport.prober.probes").Value() - before; probes > pathLen {
 			t.Fatalf("packet %d: %d probes on a %d-node path", seq, probes, pathLen)
 		}
@@ -79,6 +82,8 @@ func TestProberMatchesHonestChain(t *testing.T) {
 		}
 		want := plain.Verify(msg, 0)
 		wantChain := slices.Clone(want.Chain)
+		// The matched verify MACs the bytes the message would arrive as.
+		m.SetWire(msg.Encode(nil))
 		got := matched.verify(msg, 0, &m)
 		if want.Stopped || !sameResult(Result{Chain: wantChain}, got) {
 			t.Fatalf("packet %d: with matches %+v, without %+v", seq, got, want)
@@ -94,6 +99,9 @@ func TestProberMatchesHonestChain(t *testing.T) {
 	}
 	if n := reg.Counter("transport.prober.marks_unmatched").Value(); n != 0 {
 		t.Errorf("%d honest marks left unmatched", n)
+	}
+	if n := reg.Counter("transport.prober.marks_matched").Value(); n != marks {
+		t.Errorf("published %d matched marks, want all %d", n, marks)
 	}
 }
 

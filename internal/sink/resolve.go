@@ -462,10 +462,15 @@ func (r *TopologyResolver) shareScheduleCache() *mac.Hasher {
 }
 
 // publish implements scheduleCacher: it adds the probe, candidate and
-// hint counts tallied since the last call to the shared counters.
+// hint counts tallied since the last call to the shared counters. A
+// packet whose marks all verified as reader matches never called the
+// resolver, so its tally is zero and publish touches no shared counter.
 // pnmlint:noalloc
 func (r *TopologyResolver) publish() {
 	p := r.pending
+	if p == (resolveTally{}) {
+		return
+	}
 	r.pending = resolveTally{}
 	r.probes.Add(p.probes)
 	r.candidates.Add(p.candidates)

@@ -15,9 +15,11 @@
 // queueing it, and Host.Fold hands the matches to the NestedVerifier,
 // which accepts a matched node only inside the resolver's candidate set
 // and only if its MAC verifies, and resolves every other mark as before.
-// Matches order the sink's work and never count as evidence, so a
-// verdict is the same with or without them; in-process callers pass
-// none.
+// Matches also carry the bytes the frame was decoded from, which the
+// verifier MACs in place of re-encoding the message; the wire format is
+// canonical, so they are the same bytes. Matches order the sink's work
+// and never count as evidence, so a verdict is the same with or without
+// them; in-process callers pass none.
 //
 // # Ownership
 //
@@ -45,6 +47,7 @@ import (
 	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/topology"
+	"slices"
 )
 
 // Verdict is the sink's current traceback conclusion.
@@ -141,17 +144,15 @@ func (t *Tracker) Verdict() Verdict {
 	if t.order.SeenCount() == 0 {
 		return v
 	}
-	if loops := t.order.Loops(); len(loops) > 0 {
+	if loop, stop, ok := t.order.firstLoop(); loop != nil {
 		// Identity swapping: trace to where the loop meets the line.
-		v.Loop = loops[0]
-		if stop, ok := t.order.MostUpstreamAfterLoop(loops[0]); ok {
-			v.HasStop = true
-			v.Stop = stop
-		} else {
+		v.Loop = slices.Clone(loop)
+		v.HasStop = true
+		v.Stop = stop
+		if !ok {
 			// Everything collected is inside the loop; any member pins
 			// the colluders' neighborhood. Use the loop's first member.
-			v.HasStop = true
-			v.Stop = loops[0][0]
+			v.Stop = loop[0]
 		}
 		v.Suspects = t.suspects(v.Stop)
 		return v

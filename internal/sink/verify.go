@@ -121,14 +121,17 @@ type NestedVerifier struct {
 	// flushes its tallied counts with the hasher's.
 	sharer scheduleCacher
 
-	// enc holds the packet being verified encoded once — report, then
+	// wire is the packet being verified as encoded bytes — report, then
 	// every mark — and off[k] is where mark k's encoding starts, so
-	// enc[:off[k]] is exactly the prefix M_{i-1} mark k's MAC covers.
-	// suffix carries the bytes MACed after that prefix (the candidate's
-	// plaintext ID or the mark's anonymous ID); it lives on the verifier
-	// because resolveProbe, the resolver's probe callback, reads it. Together
-	// with hasher they make every MAC check allocation-free and
-	// re-encoding-free.
+	// wire[:off[k]] is exactly the prefix M_{i-1} mark k's MAC covers.
+	// wire is the bytes the packet was received as when the caller has
+	// them (Matches.SetWire), else the packet encoded once into enc;
+	// between verifies it is enc. suffix carries the bytes MACed after
+	// that prefix (the candidate's plaintext ID or the mark's anonymous
+	// ID); it lives on the verifier because resolveProbe, the resolver's
+	// probe callback, reads it. Together with hasher they make every MAC
+	// check allocation-free and re-encoding-free.
+	wire   []byte
 	enc    []byte
 	off    []int
 	suffix [packet.AnonIDLen]byte
@@ -205,28 +208,29 @@ func (v *NestedVerifier) Verify(msg packet.Message, epoch topology.EpochVersion)
 	return v.verify(msg, epoch, nil)
 }
 
-// verify is Verify with a reader's matches for msg (nil for none): each
-// anonymous mark whose match acceptMatch takes skips the resolver, and
-// every other mark resolves exactly as in Verify.
+// verify is the one nested-MAC core. m, when non-nil, carries what a
+// reader found for msg: each anonymous mark whose match acceptMatch
+// takes skips the resolver, every other mark resolves exactly as in
+// Verify, and the bytes msg was received as, when m has them, are the
+// bytes the MACs cover in place of msg's re-encoding.
 // pnmlint:noalloc
 func (v *NestedVerifier) verify(msg packet.Message, epoch topology.EpochVersion, m *Matches) Result {
 	v.packets.Inc()
 	v.curEpoch = epoch
 	v.matches = nil
-	if m != nil && v.epochs != nil {
-		v.matches = m.ids
+	var wire []byte
+	if m != nil {
+		wire = m.wire
+		if v.epochs != nil {
+			v.matches = m.ids
+		}
 	}
 	if v.resolver != nil && v.resolveFn == nil {
 		// One-time method-value allocation, kept out of the noalloc
 		// kernels below.
 		v.bindResolveFn()
 	}
-	v.enc = msg.Report.Encode(v.enc[:0])
-	v.off = v.off[:0]
-	for _, mk := range msg.Marks {
-		v.off = append(v.off, len(v.enc))
-		v.enc = mk.Encode(v.enc)
-	}
+	v.layout(msg, wire)
 	v.singles = 0
 	v.chains = v.chains[:0]
 	prev := packet.SinkID
@@ -245,12 +249,37 @@ func (v *NestedVerifier) verify(msg packet.Message, epoch topology.EpochVersion,
 	return Result{Chain: reverse(chainOf(v.chains))}
 }
 
+// layout sets off[k] to where mark k's encoding starts, from the marks'
+// encoded lengths, and points v.wire at msg's encoding: wire itself when
+// its length is the encoding's, else msg encoded into v.enc. The wire
+// format is canonical — every payload the decoder accepts re-encodes to
+// itself (FuzzDecode) — so the bytes a message was decoded from are its
+// encoding, and MACing them is MACing the re-encoding.
+// pnmlint:noalloc
+func (v *NestedVerifier) layout(msg packet.Message, wire []byte) {
+	v.off = v.off[:0]
+	n := packet.ReportLen
+	for _, mk := range msg.Marks {
+		v.off = append(v.off, n)
+		n += mk.EncodedLen()
+	}
+	if len(wire) != n {
+		v.enc = msg.Encode(v.enc[:0])
+		wire = v.enc
+	}
+	v.wire = wire
+}
+
 // publish adds the current packet's locally tallied counts to the shared
 // metrics: the marks accepted into the chain arena, the single-candidate
 // anonymous marks, the hasher's schedule hits and, when it shares the
-// hasher, the resolver's probe, candidate and hint counts.
+// hasher, the resolver's probe, candidate and hint counts. It ends the
+// packet's verify, so it also points wire back at the verifier's own
+// buffer: nothing on the verifier aliases a frame's received bytes once
+// the frame goes back to its pool.
 // pnmlint:noalloc
 func (v *NestedVerifier) publish() {
+	v.wire = v.enc
 	if v.sharer != nil {
 		v.sharer.publish()
 	}
@@ -269,8 +298,8 @@ func (v *NestedVerifier) publish() {
 //go:noinline
 func (v *NestedVerifier) bindResolveFn() { v.resolveFn = v.resolveProbe }
 
-// verifyMark checks the mark at position k of msg, which Verify has
-// encoded into v.enc, and returns the marker's real ID. It recomputes one
+// verifyMark checks the mark at position k of msg, whose encoding verify
+// has laid out in v.wire, and returns the marker's real ID. It recomputes one
 // SipHash-2-4 MAC per plaintext mark; an anonymous mark costs one
 // AnonID (a SipHash-2-4 call) per resolution probe and one MAC per
 // candidate. It runs once per mark per received packet — the sink's
@@ -301,7 +330,7 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 		return 0, false
 	}
 	v.suffix[0], v.suffix[1] = byte(mk.ID>>8), byte(mk.ID)
-	if !mac.Equal(mk.MAC, v.hasher.Schedule(mk.ID).Sum(v.enc[:v.off[k]], v.suffix[:2])) {
+	if !mac.Equal(mk.MAC, v.hasher.Schedule(mk.ID).Sum(v.wire[:v.off[k]], v.suffix[:2])) {
 		return 0, false
 	}
 	return mk.ID, true
@@ -324,7 +353,7 @@ func (v *NestedVerifier) acceptMatch(id packet.NodeID, k int, prev packet.NodeID
 	if !strictlyBelow(v.matchNet, id, prev) {
 		return false
 	}
-	return mac.Equal(mk.MAC, v.hasher.Schedule(id).Sum(v.enc[:v.off[k]], mk.AnonID[:]))
+	return mac.Equal(mk.MAC, v.hasher.Schedule(id).Sum(v.wire[:v.off[k]], mk.AnonID[:]))
 }
 
 // strictlyBelow reports whether node v lies strictly inside a's routing
@@ -352,7 +381,7 @@ func strictlyBelow(net *topology.Network, v, a packet.NodeID) bool {
 // pnmlint:noalloc
 func (v *NestedVerifier) resolveProbe(id packet.NodeID) bool {
 	v.rsCandidates++
-	if mac.Equal(v.rsMAC, v.hasher.Schedule(id).Sum(v.enc[:v.rsPrefix], v.suffix[:])) {
+	if mac.Equal(v.rsMAC, v.hasher.Schedule(id).Sum(v.wire[:v.rsPrefix], v.suffix[:])) {
 		v.rsFound, v.rsOK = id, true
 		return true
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"pnm/internal/packet"
 )
@@ -184,64 +185,77 @@ func NewFrameReader(r io.Reader, limits Limits) *FrameReader {
 // nothing per frame.
 // pnmlint:noalloc
 func (fr *FrameReader) Next(msg *packet.Message) error {
-	if _, err := io.ReadFull(fr.br, fr.hdr[:1]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return errHeaderIO(err)
+	p, err := fr.readInto(msg, fr.payload)
+	if cap(p) <= steadyPayloadBytes {
+		fr.payload = p
 	}
-	if _, err := io.ReadFull(fr.br, fr.hdr[1:]); err != nil {
-		return errHeaderIO(err)
-	}
-	_, err := fr.decodeAfterHeader(msg)
 	return err
 }
 
-// decodeAfterHeader validates the header in fr.hdr and reads + decodes
-// the payload into msg, returning the consumed payload length for
-// accounting.
+// readInto reads one frame, its payload into buf's storage (payloadBuf),
+// and decodes the message into msg. It returns the payload read — the
+// bytes msg was decoded from, once the error is nil — and buf's storage
+// for reuse otherwise. The header is one read: io.EOF before its first
+// byte is the stream's clean end, and any shorter header is truncated.
 // pnmlint:noalloc
-func (fr *FrameReader) decodeAfterHeader(msg *packet.Message) (int, error) {
+func (fr *FrameReader) readInto(msg *packet.Message, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
+		if err == io.EOF {
+			return buf, io.EOF
+		}
+		return buf, errHeaderIO(err)
+	}
 	if binary.BigEndian.Uint16(fr.hdr[0:]) != frameMagic {
-		return 0, ErrBadMagic
+		return buf, ErrBadMagic
 	}
 	if fr.hdr[2] != FrameVersion {
-		return 0, errVersion(fr.hdr[2])
+		return buf, errVersion(fr.hdr[2])
 	}
 	if fr.hdr[3] != FrameReport {
-		return 0, errType(fr.hdr[3])
+		return buf, errType(fr.hdr[3])
 	}
 	n := int(binary.BigEndian.Uint32(fr.hdr[4:]))
 	if n > fr.limits.MaxFrameBytes {
-		return 0, errTooBig(n, fr.limits.MaxFrameBytes)
+		return buf, errTooBig(n, fr.limits.MaxFrameBytes)
 	}
-	buf := fr.payloadBuf(n)
+	buf = payloadBuf(buf, n)
 	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return n, errPayloadIO(err)
+		return buf, errPayloadIO(err)
 	}
 	if err := fr.limits.decodeLimit().DecodeInto(msg, buf); err != nil {
 		// The frame boundary held; only the contents are rejected.
-		return n, errPayload(err)
+		return buf, errPayload(err)
 	}
-	return n, nil
+	return buf, nil
 }
 
-// payloadBuf returns an n-byte read buffer. Payloads up to
-// steadyPayloadBytes share one retained buffer; larger ones get a
-// transient allocation, so cap(fr.payload) never exceeds the steady cap
-// no matter what frame sizes a peer sends. Not inlined: its growth and
-// oversize allocations must not land inside callers' noalloc ranges
-// (the steady state allocates nothing).
+// minPayloadCap is the smallest payload buffer payloadBuf makes: an
+// honest report with a few marks fits, and a buffer grows by powers of
+// two from there.
+const minPayloadCap = 256
+
+// payloadBuf returns an n-byte payload buffer in buf's storage when buf
+// is a steady one with room. Payloads up to steadyPayloadBytes reuse buf
+// or get a buffer of the next power of two, at least minPayloadCap
+// bytes; larger ones get a transient allocation, and a buffer over the
+// steady cap is never reused. So whoever keeps the buffers it returns —
+// a FrameReader, a pooled frame — keeps at most steadyPayloadBytes per
+// buffer by dropping any larger one, no matter what frame sizes a peer
+// sends. Sizing a buffer to its frames, not to the cap, also keeps the
+// many pooled frames' payloads from all starting on a page boundary,
+// where they would compete for the same cache sets. Not inlined: its
+// growth and oversize allocations must not land inside callers' noalloc
+// ranges (the steady state allocates nothing).
 //
 //go:noinline
-func (fr *FrameReader) payloadBuf(n int) []byte {
+func payloadBuf(buf []byte, n int) []byte {
 	if n > steadyPayloadBytes {
 		return make([]byte, n)
 	}
-	if cap(fr.payload) < n {
-		fr.payload = make([]byte, steadyPayloadBytes)
+	if cap(buf) < n || cap(buf) > steadyPayloadBytes {
+		buf = make([]byte, max(minPayloadCap, 1<<bits.Len(uint(n-1))))
 	}
-	return fr.payload[:n]
+	return buf[:n]
 }
 
 // DecodeDatagram decodes one datagram carrying exactly one frame — the

@@ -120,6 +120,49 @@ func TestFrameReaderPayloadRetention(t *testing.T) {
 	}
 }
 
+// TestPooledFramePayloadRetention pins the steady-cap rule on the pooled
+// frames, which own the payloads they were read into: a near-limit frame
+// is read into a transient buffer, and neither putFrame nor the next
+// frame read into the same frame keeps more than steadyPayloadBytes of
+// payload capacity, so a hostile peer cannot make the pool pin 64 KiB a
+// frame.
+func TestPooledFramePayloadRetention(t *testing.T) {
+	big := packet.Message{Report: packet.Report{Event: 1}}
+	for i := 0; i < DefaultMaxMarks; i++ {
+		big.Marks = append(big.Marks, packet.Mark{ID: packet.NodeID(i + 1)})
+	}
+	small := packet.Message{Report: packet.Report{Event: 2}, Marks: []packet.Mark{{ID: 3}}}
+	if n := big.WireSize(); n <= steadyPayloadBytes || n > DefaultMaxFrameBytes {
+		t.Fatalf("test frame payload %d bytes is not between the steady cap %d and the frame limit", n, steadyPayloadBytes)
+	}
+	stream := AppendFrame(AppendFrame(AppendFrame(nil, big), small), big)
+	fr := NewFrameReader(bytes.NewReader(stream), Limits{})
+	s := &Server{}
+	f := s.getFrame()
+	if err := f.read(fr); err != nil {
+		t.Fatalf("oversized frame: %v", err)
+	}
+	if !bytes.Equal(f.payload, big.Encode(nil)) {
+		t.Fatal("oversized frame's payload is not its encoding")
+	}
+	if err := f.read(fr); err != nil {
+		t.Fatalf("frame after the oversized one: %v", err)
+	}
+	if c := cap(f.payload); c > steadyPayloadBytes {
+		t.Fatalf("a frame read after an oversized one keeps %d payload bytes, steady cap is %d", c, steadyPayloadBytes)
+	}
+	if !bytes.Equal(f.payload, small.Encode(nil)) {
+		t.Fatal("small frame's payload is not its encoding")
+	}
+	if err := f.read(fr); err != nil {
+		t.Fatalf("second oversized frame: %v", err)
+	}
+	s.putFrame(f)
+	if c := cap(f.payload); c > steadyPayloadBytes {
+		t.Fatalf("a pooled frame keeps %d payload bytes after an oversized frame, steady cap is %d", c, steadyPayloadBytes)
+	}
+}
+
 // TestVerifyPathZeroAllocEndToEnd pins the whole ingest hot path — frame
 // decode, per-mark verification through the topology resolver, and the
 // order-matrix fold — at zero allocations per packet once warm. This is
@@ -134,10 +177,12 @@ func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
 	t.Run("matched", testMatchedPathZeroAlloc)
 }
 
-// testMatchedPathZeroAlloc pins decode, probe, matched verify, fold and
-// publish at zero allocations per frame once warm. The frames name node
-// 7 as their Location on a 9-node chain, so the reader matches the seven
-// marks below it and the sink's resolver finds the eighth.
+// testMatchedPathZeroAlloc pins the server's per-frame path — read into
+// a frame's own payload buffer, probe, matched verify over that payload,
+// fold, and both goroutines' publication — at zero allocations per frame
+// once warm. The frames name node 7 as their Location on a 9-node chain,
+// so the reader matches the seven marks below it and the sink's resolver
+// finds the eighth.
 func testMatchedPathZeroAlloc(t *testing.T) {
 	const n, warmup, runs = 9, 32, 200
 	keys := mac.NewKeyStore([]byte("frame-alloc-pin"))
@@ -161,11 +206,14 @@ func testMatchedPathZeroAlloc(t *testing.T) {
 	fr := NewFrameReader(bytes.NewReader(stream), Limits{})
 	var f frame
 	step := func() bool {
-		if err := fr.Next(&f.msg); err != nil {
-			t.Fatalf("Next: %v", err)
+		if err := f.read(fr); err != nil {
+			t.Fatalf("read: %v", err)
 		}
 		prober.Probe(&f.msg, 0, &f.matches)
+		prober.Publish()
+		f.matches.SetWire(f.payload)
 		ok := h.Fold(f.msg, 0, &f.matches)
+		f.matches.SetWire(nil)
 		h.Publish(1)
 		return ok
 	}

@@ -10,8 +10,12 @@ import (
 )
 
 // FuzzFrame feeds arbitrary bytes to the frame reader and the datagram
-// decoder, proving neither panics, and that every message a reader
-// accepts re-frames to a decodable frame (the framing is canonical).
+// decoder, proving neither panics, that every message a reader accepts
+// re-frames to a decodable frame (the framing is canonical), that on
+// both paths the payload a frame hands the sink to MAC is exactly the
+// accepted message's encoding, and that FrameReader.Next and the read
+// loop's frame.read, each over its own reader, accept the same messages
+// and reject the same frames.
 func FuzzFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	var stream []byte
@@ -32,9 +36,15 @@ func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limits := Limits{MaxFrameBytes: 1 << 12, MaxMarks: 16}
 		fr := NewFrameReader(bytes.NewReader(data), limits)
-		var msg packet.Message // reused across frames, like the read loop does
+		next := NewFrameReader(bytes.NewReader(data), limits)
+		var fm frame          // reused across frames, like the read loop does
+		var nm packet.Message // reused across frames, like Next's callers do
 		for i := 0; i < 1000; i++ {
-			err := fr.Next(&msg)
+			err := fm.read(fr)
+			nerr := next.Next(&nm)
+			if (err == nil) != (nerr == nil) || (err != nil && err.Error() != nerr.Error()) {
+				t.Fatalf("frame %d: frame.read returned %v, Next %v", i, err, nerr)
+			}
 			if err == io.EOF {
 				break
 			}
@@ -43,6 +53,13 @@ func FuzzFrame(f *testing.F) {
 					continue // framing held; keep reading
 				}
 				break
+			}
+			msg := fm.msg
+			if !bytes.Equal(nm.Encode(nil), msg.Encode(nil)) {
+				t.Fatalf("frame %d: Next accepted %+v, frame.read %+v", i, nm, msg)
+			}
+			if !bytes.Equal(fm.payload, msg.Encode(nil)) {
+				t.Fatalf("stream payload handed to the sink is not the message's encoding:\n got: %x\nwant: %x", fm.payload, msg.Encode(nil))
 			}
 			// Anything accepted must re-frame canonically.
 			re := AppendFrame(nil, msg)
@@ -61,9 +78,13 @@ func FuzzFrame(f *testing.F) {
 			}
 		}
 		// The datagram path must hold for the same bytes.
-		if msg, err := DecodeDatagram(data, limits); err == nil {
-			if len(msg.Marks) > limits.MaxMarks {
-				t.Fatalf("datagram accepted %d marks over limit", len(msg.Marks))
+		var dg frame
+		if err := dg.decodeDatagram(data, limits); err == nil {
+			if len(dg.msg.Marks) > limits.MaxMarks {
+				t.Fatalf("datagram accepted %d marks over limit", len(dg.msg.Marks))
+			}
+			if !bytes.Equal(dg.payload, dg.msg.Encode(nil)) {
+				t.Fatalf("datagram payload handed to the sink is not the message's encoding:\n got: %x\nwant: %x", dg.payload, dg.msg.Encode(nil))
 			}
 		}
 	})

@@ -69,19 +69,45 @@ type Config struct {
 }
 
 // frame is the pooled object a queue item points to: one decoded
-// message and its reader's path matches (empty when the server's chain
-// has no topology resolver to match against).
+// message, the payload bytes it was decoded from — the bytes the
+// verifier MACs — and its reader's path matches (empty when the server's
+// chain has no topology resolver to match against). The frame owns the
+// payload buffer, which putFrame bounds at steadyPayloadBytes.
 type frame struct {
 	msg     packet.Message
+	payload []byte
 	matches sink.Matches
 }
 
-// item is one ingested frame annotated with its enqueue instant, so the
-// sink goroutine can histogram queue-to-fold latency. The frame is
-// pooled: see Server.frames for the ownership rule.
+// read fills f from fr's next frame: the payload into f's own buffer
+// and the message decoded from it.
+// pnmlint:noalloc
+func (f *frame) read(fr *FrameReader) error {
+	var err error
+	f.payload, err = fr.readInto(&f.msg, f.payload)
+	return err
+}
+
+// decodeDatagram fills f from one datagram b: the message, and a copy of
+// b's payload in f's own buffer, since the socket's read buffer is
+// reused for the next datagram.
+// pnmlint:noalloc
+func (f *frame) decodeDatagram(b []byte, limits Limits) error {
+	if err := DecodeDatagramInto(&f.msg, b, limits); err != nil {
+		return err
+	}
+	f.payload = payloadBuf(f.payload, len(b)-FrameHeaderLen)
+	copy(f.payload, b[FrameHeaderLen:])
+	return nil
+}
+
+// item is one ingested frame annotated with the instant of the socket
+// read that delivered it, so the sink goroutine can histogram
+// read-to-fold latency. The frame is pooled: see Server.frames for the
+// ownership rule.
 type item struct {
 	f  *frame
-	at int64 // UnixNano at enqueue
+	at int64 // UnixNano just after the socket read that completed the frame
 	// epoch is the topology epoch current at enqueue (always 0 without
 	// Config.Epochs); verification resolves the frame against it. With
 	// Config.Epochs the item holds a pin on it, handed back exactly once
@@ -145,6 +171,8 @@ func (c *counters) bind(reg *obs.Registry) {
 	c.delivered = reg.Counter("transport.delivered")
 	c.batches = reg.Counter("transport.ingest.batches")
 	c.batchOccupancy = reg.Histogram("transport.ingest.batch_occupancy")
+	// Measured from the socket read that delivered the frame (its
+	// reader's one clock reading per read) to the end of its batch's fold.
 	c.ingestLatencyUs = reg.Histogram("transport.ingest.latency_us")
 	c.droppedOnClose = reg.Counter("transport.ingest.dropped_on_close")
 	c.chaosCrashes = reg.Counter("transport.chaos.sink_crashes")
@@ -181,17 +209,18 @@ type Server struct {
 	c      counters
 
 	// frames pools the *frame values flowing reader → queue → sink, so
-	// steady-state ingest recycles mark and match storage instead of
-	// allocating per frame. Ownership rule (see DESIGN.md §13): exactly
-	// one goroutine owns a pooled frame at any instant. A reader owns
-	// what it got from the pool until enqueue returns — it decodes the
-	// message and its prober fills the matches while it does; a true
-	// return transfers ownership to the queue (or, under DropNewest, the
-	// frame was already released), false means enqueue released it. The
-	// sink goroutine owns everything it dequeues and releases the whole
-	// batch after fold returns — the verifiers copy what they keep, so
-	// nothing downstream aliases a released frame. Close releases what
-	// it drains. The pool itself is concurrency-safe; the frames are not.
+	// steady-state ingest recycles mark, payload and match storage
+	// instead of allocating per frame. Ownership rule (see DESIGN.md
+	// §13): exactly one goroutine owns a pooled frame at any instant. A
+	// reader owns what it got from the pool until enqueue returns — it
+	// reads the payload, decodes the message and its prober fills the
+	// matches while it does; a true return transfers ownership to the
+	// queue (or, under DropNewest, the frame was already released), false
+	// means enqueue released it. The sink goroutine owns everything it
+	// dequeues and releases the whole batch after fold returns — the
+	// verifiers copy what they keep, so nothing downstream aliases a
+	// released frame. Close releases what it drains. The pool itself is
+	// concurrency-safe; the frames are not.
 	frames sync.Pool
 
 	// downDrops counts the frames dropped while the sink was down. The
@@ -275,16 +304,21 @@ func (s *Server) getFrame() *frame {
 	return new(frame)
 }
 
-// putFrame releases a frame back to the pool (nil is a no-op). The mark
-// and match storage is kept — its capacity is what steady-state ingest
-// reuses — and is bounded by Limits.MaxMarks, so a pooled frame can
-// never pin more than one hostile frame's worth of marks. The next
-// probe overwrites the matches.
+// putFrame releases a frame back to the pool (nil is a no-op). The mark,
+// match and payload storage is kept — its capacity is what steady-state
+// ingest reuses. Marks and matches are bounded by Limits.MaxMarks, and a
+// payload buffer over steadyPayloadBytes is dropped, so a pooled frame
+// can never pin more than one hostile frame's worth of marks or more
+// than steadyPayloadBytes of payload. The next read overwrites the
+// payload, the next probe the matches.
 func (s *Server) putFrame(f *frame) {
 	if f == nil {
 		return
 	}
 	f.msg.Marks = f.msg.Marks[:0]
+	if cap(f.payload) > steadyPayloadBytes {
+		f.payload = nil
+	}
 	s.frames.Put(f)
 }
 
@@ -418,8 +452,74 @@ func (s *Server) admit(conn net.Conn) bool {
 	return true
 }
 
+// reader is one socket reader's ingest state: its prober, the clock
+// reading of its last socket read, and the frame and byte counts it
+// tallies in plain fields. It publishes the tallies — its own and its
+// prober's — wherever it may wait: before a socket read (Read), before
+// handing the queue a frame that leaves it with nothing buffered, in the
+// queue's stall callback before a Block wait, and on exit. So the shared
+// transport.frames, transport.bytes and transport.prober.* counters are
+// exact whenever the reader waits, and take a few updates per socket
+// read instead of five per frame.
+//
+// pnmlint:single-goroutine — the tallies and the clock reading are
+// unsynchronized; one read loop owns a reader.
+type reader struct {
+	s      *Server
+	conn   net.Conn         // nil on the datagram path, which reads itself
+	fr     *FrameReader     // conn's frame reader; nil on the datagram path
+	prober *sink.PathProber // nil when the chain has nothing to match against
+	at     int64            // UnixNano just after the last socket read returned
+	frames uint64
+	bytes  uint64
+	// stall is onStall bound once, the queue's stall callback.
+	stall func()
+}
+
+// newReader returns the ingest state of one read loop over conn (nil for
+// the datagram socket), with its own prober.
+func (s *Server) newReader(conn net.Conn) *reader {
+	r := &reader{s: s, conn: conn, prober: s.sink.NewProber()}
+	r.stall = r.onStall
+	return r
+}
+
+// Read is the connection under a read loop's FrameReader: it publishes
+// the tallies, since the read may block, reads, and reads the clock once.
+// Every frame the read completes is stamped with that instant.
+func (r *reader) Read(p []byte) (int, error) {
+	r.publish()
+	n, err := r.conn.Read(p)
+	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
+	r.at = time.Now().UnixNano()
+	return n, err
+}
+
+// publish adds the tallied counts to the shared counters.
+// pnmlint:noalloc
+func (r *reader) publish() {
+	if r.frames > 0 {
+		r.s.c.frames.Add(r.frames)
+		r.frames = 0
+	}
+	if r.bytes > 0 {
+		r.s.c.bytes.Add(r.bytes)
+		r.bytes = 0
+	}
+	if r.prober != nil {
+		r.prober.Publish()
+	}
+}
+
+// onStall runs before a Block wait on a full queue: the reader may wait
+// there, so it publishes first.
+func (r *reader) onStall() {
+	r.publish()
+	r.s.c.queueFullBlocks.Inc()
+}
+
 // readLoop decodes one connection's frame stream into the ingest queue,
-// probing each frame's anonymous marks on its own PathProber.
+// probing each frame's anonymous marks on its reader's PathProber.
 // Recoverable (payload) errors are counted and the stream continues; a
 // framing error is counted and kills the connection — the byte stream
 // can no longer be trusted.
@@ -431,8 +531,9 @@ func (s *Server) readLoop(conn net.Conn) {
 		s.connMu.Unlock()
 		conn.Close()
 	}()
-	fr := NewFrameReader(conn, s.cfg.Limits)
-	prober := s.sink.NewProber()
+	r := s.newReader(conn)
+	defer r.publish()
+	r.fr = NewFrameReader(r, s.cfg.Limits)
 	f := s.getFrame()
 	defer func() {
 		if f != nil {
@@ -440,7 +541,7 @@ func (s *Server) readLoop(conn net.Conn) {
 		}
 	}()
 	for {
-		if err := fr.Next(&f.msg); err != nil {
+		if err := f.read(r.fr); err != nil {
 			if err == io.EOF || errors.Is(err, net.ErrClosed) || s.stopping() {
 				// The peer hung up, or Close shut the connection under the
 				// read: a clean exit, not a malformed frame.
@@ -452,9 +553,9 @@ func (s *Server) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		s.c.frames.Inc()
-		s.c.bytes.Add(uint64(FrameHeaderLen + f.msg.WireSize()))
-		if !s.enqueue(f, prober) {
+		r.frames++
+		r.bytes += uint64(FrameHeaderLen + len(f.payload))
+		if !s.enqueue(f, r) {
 			f = nil // enqueue released it
 			return  // server stopping
 		}
@@ -463,13 +564,14 @@ func (s *Server) readLoop(conn net.Conn) {
 }
 
 // udpLoop decodes datagrams — one frame each — into the ingest queue,
-// probing each on its own PathProber as readLoop does. Every rejection
-// is per-datagram and counted; read errors go through retry, as
-// acceptLoop's do.
+// probing each on its reader's PathProber as readLoop does. Every
+// rejection is per-datagram and counted; read errors go through retry,
+// as acceptLoop's do.
 func (s *Server) udpLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, s.cfg.Limits.MaxFrameBytes+FrameHeaderLen)
-	prober := s.sink.NewProber()
+	r := s.newReader(nil)
+	defer r.publish()
 	f := s.getFrame()
 	defer func() {
 		if f != nil {
@@ -479,6 +581,8 @@ func (s *Server) udpLoop() {
 	delay := time.Millisecond
 	for {
 		n, _, err := s.udp.ReadFrom(buf)
+		//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
+		r.at = time.Now().UnixNano()
 		if err != nil {
 			if s.retry(err, s.c.udpReadErrors, &delay) {
 				continue
@@ -488,11 +592,11 @@ func (s *Server) udpLoop() {
 		delay = time.Millisecond
 		s.c.udpDatagrams.Inc()
 		s.c.udpBytes.Add(uint64(n))
-		if err := DecodeDatagramInto(&f.msg, buf[:n], s.cfg.Limits); err != nil {
+		if err := f.decodeDatagram(buf[:n], s.cfg.Limits); err != nil {
 			s.c.countDecodeErr(err)
 			continue // f holds no marks; reuse it for the next datagram
 		}
-		if !s.enqueue(f, prober) {
+		if !s.enqueue(f, r) {
 			f = nil // enqueue released it
 			return
 		}
@@ -500,27 +604,37 @@ func (s *Server) udpLoop() {
 	}
 }
 
-// enqueue stamps f, has prober (when non-nil) match its anonymous marks
-// in the stamped epoch's tree, and hands it to the ingest queue through
-// queue.Offer under the configured overflow policy. It returns false
-// only when the server is stopping. Ownership: a true return means the
-// queue took f (or, under DropNewest, enqueue already released it); a
-// false return means enqueue released it. Either way the caller must
-// not touch f again.
-func (s *Server) enqueue(f *frame, prober *sink.PathProber) bool {
-	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
-	it := item{f: f, at: time.Now().UnixNano()}
+// enqueue stamps f with r's last read instant and the current epoch, has
+// r's prober (when non-nil) match its anonymous marks in the stamped
+// epoch's tree, and hands it to the ingest queue through queue.Offer
+// under the configured overflow policy. When r has nothing buffered —
+// its next read goes to the socket, and a datagram reader never buffers
+// — r publishes its tallies first, so a frame that ends a burst is
+// counted before the sink can fold it. A nil r stamps no read instant
+// and neither probes nor tallies. It returns false only when the server
+// is stopping. Ownership: a true return means the queue took f (or,
+// under DropNewest, enqueue already released it); a false return means
+// enqueue released it. Either way the caller must not touch f again.
+func (s *Server) enqueue(f *frame, r *reader) bool {
+	it := item{f: f}
 	if s.cfg.Epochs != nil {
 		// Stamp and pin the topology epoch current at enqueue — the
 		// transport twin of netsim's arrival stamp.
 		it.epoch = s.cfg.Epochs.Stamp()
 	}
-	if prober != nil {
-		prober.Probe(&f.msg, it.epoch, &f.matches)
+	stall := s.c.queueFullBlocks.Inc
+	if r != nil {
+		it.at, stall = r.at, r.stall
+		if r.prober != nil {
+			r.prober.Probe(&f.msg, it.epoch, &f.matches)
+		}
+		if r.fr == nil || r.fr.br.Buffered() == 0 {
+			r.publish()
+		}
 	}
 	// Each drop path hands the frame back before counting it, so a
 	// reader that sees the ledger balance sees every pin returned.
-	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, s.c.queueFullBlocks.Inc, s.evict) {
+	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, stall, s.evict) {
 	case queue.Refused:
 		s.drop(it)
 		s.c.queueDropNewest.Inc()
@@ -604,9 +718,9 @@ func (s *Server) sinkLoop() {
 }
 
 // fold runs one batch through the sink host, which verifies each frame
-// with its reader's matches outside its lock and takes the lock once to
-// fold it: a Verdict or Delivered read waits behind one fold, never
-// behind a batch of MAC checks. While the sink is down the host drops
+// over its payload, with its reader's matches, outside its lock and
+// takes the lock once to fold it: a Verdict or Delivered read waits
+// behind one fold, never behind a batch of MAC checks. While the sink is down the host drops
 // every frame. Once the batch is verified its epoch pins are handed
 // back; then the delivered count and the progress broadcast are
 // published, once per batch, so a waiter that sees a frame delivered
@@ -615,9 +729,12 @@ func (s *Server) sinkLoop() {
 func (s *Server) fold(batch []item) {
 	folded := 0
 	for i := range batch {
-		if s.sink.Fold(batch[i].f.msg, batch[i].epoch, &batch[i].f.matches) {
+		f := batch[i].f
+		f.matches.SetWire(f.payload)
+		if s.sink.Fold(f.msg, batch[i].epoch, &f.matches) {
 			folded++
 		}
+		f.matches.SetWire(nil)
 	}
 	s.unpinBatch(batch)
 	if dropped := len(batch) - folded; dropped > 0 {
