@@ -79,7 +79,6 @@ func TestSingleGoroutineMarkersPresent(t *testing.T) {
 		"pnm/internal/sink.Tracker",
 		"pnm/internal/sink.ExhaustiveResolver",
 		"pnm/internal/sink.TopologyResolver",
-		"pnm/internal/sink.PathProber",
 	} {
 		if !names[want] {
 			var have []string
@@ -180,9 +179,8 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.layout",
 		"pnm/internal/sink.NestedVerifier.acceptMatch",
 		"pnm/internal/sink.strictlyBelow",
-		"pnm/internal/sink.PathProber.Probe",
-		"pnm/internal/sink.PathProber.Publish",
-		"pnm/internal/sink.PathProber.pathOf",
+		"pnm/internal/sink.TopologyResolver.Probe",
+		"pnm/internal/sink.TopologyResolver.snapshot",
 		"pnm/internal/sink.seedTip",
 		"pnm/internal/sink.rootPath",
 		"pnm/internal/sink.TopologyResolver.Resolve",
@@ -200,9 +198,11 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/packet.DecodeLimit.DecodeInto",
 		"pnm/internal/transport.FrameReader.Next",
 		"pnm/internal/transport.FrameReader.readInto",
+		"pnm/internal/transport.payloadLen",
 		"pnm/internal/transport.frame.read",
 		"pnm/internal/transport.frame.decodeDatagram",
 		"pnm/internal/transport.reader.publish",
+		"pnm/internal/transport.reader.probe",
 		"pnm/internal/transport.DecodeDatagramInto",
 		"pnm/internal/topology.EpochSet.Stamp",
 		"pnm/internal/topology.EpochSet.Done",

@@ -171,17 +171,11 @@ func (n *Network) linkDownLocked(id packet.NodeID) {
 	if id == packet.SinkID || n.inbox[id] == nil {
 		return
 	}
-	n.stateMu.RLock()
-	routable := n.routes.HasRoute(id)
-	var hop packet.NodeID
-	if routable {
-		hop = n.routes.Parent(id)
-	}
-	n.stateMu.RUnlock()
-	if !routable {
+	routes := n.epochs.Current().Net
+	if !routes.HasRoute(id) {
 		return
 	}
-	n.linksDown[id] = append(n.linksDown[id], normLink(id, hop))
+	n.linksDown[id] = append(n.linksDown[id], normLink(id, routes.Parent(id)))
 	n.recomputeRoutesLocked()
 	n.obsFault.linkDown.Inc()
 }
@@ -232,12 +226,10 @@ func (n *Network) recomputeRoutesLocked() {
 			func(a, b packet.NodeID) bool { return cut[normLink(a, b)] },
 		)
 	}
-	n.stateMu.Lock()
-	n.routes = next
-	n.stateMu.Unlock()
-	// Every repair opens a new topology epoch: packets already queued keep
-	// the epoch they arrived under, packets delivered from here on stamp
-	// the new version and resolve against the repaired tree.
+	// Every repair opens a new topology epoch, which nodes forward along
+	// from here on: packets already queued keep the epoch they arrived
+	// under, packets delivered from here on stamp the new version and
+	// resolve against the repaired tree.
 	n.epochs.Advance(next)
 	n.obsFault.reroutes.Inc()
 }

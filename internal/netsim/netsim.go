@@ -107,15 +107,15 @@ type Network struct {
 	injectRng *rand.Rand
 
 	// stateMu guards the hot-path-read fault state: the per-node stacks
-	// (replaced on restart), the down markers, and the current routing
-	// view. Writers are fault applications serialized under faultMu.
+	// (replaced on restart) and the down markers. Writers are fault
+	// applications serialized under faultMu.
 	stateMu  sync.RWMutex
 	nodes    map[packet.NodeID]*node.Node
 	nodeDown map[packet.NodeID]bool
-	routes   *topology.Network
 
 	// epochs is the topology history shared with every topology
-	// resolver; internally synchronized, so it needs no lock here. Route
+	// resolver; its current epoch is the routing view nodes forward
+	// along. Internally synchronized, so it needs no lock here. Route
 	// repairs advance it under faultMu; a frame pins its epoch from the
 	// sink hop until it leaves.
 	epochs *topology.EpochSet
@@ -200,7 +200,6 @@ func Start(cfg Config) (*Network, error) {
 			v, _ := newVerifier()
 			return v
 		}, cfg.Topo, cfg.Obs),
-		routes:      cfg.Topo,
 		epochs:      epochs,
 		nodeDown:    make(map[packet.NodeID]bool),
 		nodeKill:    make(map[packet.NodeID]chan struct{}),
@@ -330,12 +329,11 @@ func (n *Network) noteDrop(c *obs.Counter) {
 // routeOf returns id's current next hop toward the sink, honoring route
 // repair; ok is false while faults leave id orphaned.
 func (n *Network) routeOf(id packet.NodeID) (packet.NodeID, bool) {
-	n.stateMu.RLock()
-	defer n.stateMu.RUnlock()
-	if !n.routes.HasRoute(id) {
+	routes := n.epochs.Current().Net
+	if !routes.HasRoute(id) {
 		return 0, false
 	}
-	return n.routes.Parent(id), true
+	return routes.Parent(id), true
 }
 
 // hopDown reports whether the receiver of a transmission to hop is dead —

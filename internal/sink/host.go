@@ -27,9 +27,9 @@ type Host struct {
 	topo        *topology.Network
 	reg         *obs.Registry
 	// keys and epochs are the first chain's key store and epoch set,
-	// which NewProber hands every reader's PathProber; epochs is nil
-	// unless that chain is a NestedVerifier over a TopologyResolver. Both
-	// are set before the host is shared and never written again.
+	// which NewProber hands every reader's resolver; epochs is nil unless
+	// that chain is a NestedVerifier over a TopologyResolver. Both are
+	// set before the host is shared and never written again.
 	keys   *mac.KeyStore
 	epochs *topology.EpochSet
 
@@ -70,20 +70,28 @@ func NewHost(newVerifier func() Verifier, topo *topology.Network, reg *obs.Regis
 	return h
 }
 
-// NewProber returns a PathProber for one reader goroutine, over the
-// host's verifier chain's key store and epoch set with a Hasher of its
-// own, counting into the host's registry. It returns nil when the chain
-// has no routing tree to match against. Any goroutine may call it.
-func (h *Host) NewProber() *PathProber {
+// NewProber returns a TopologyResolver for one reader goroutine to
+// Probe with, over the host's verifier chain's key store and epoch set
+// with a Hasher of its own. It returns nil when the chain has no routing
+// tree to match against. Any goroutine may call it. The Hasher's
+// schedule misses and core builds count into the host's registry with
+// the sink's, so mac.schedule.core_builds stays store-wide; its hits are
+// never published, since the reader counts its probes, and publishing
+// would share a counter with the sink goroutine on every frame.
+func (h *Host) NewProber() *TopologyResolver {
 	if h.epochs == nil {
 		return nil
 	}
-	return newPathProber(h.keys, h.epochs, h.reg)
+	r := NewTopologyResolverEpochs(h.keys, h.epochs)
+	if h.reg != nil {
+		r.hasher.Instrument(h.reg)
+	}
+	return r
 }
 
 // Fold verifies one frame against the topology epoch it arrived under
 // and folds it into the tracker. m, when non-nil, carries a reader's
-// PathProber matches for the frame, which the verifier checks before
+// Probe matches for the frame, which the verifier checks before
 // searching. It reports false, and folds nothing, while the host is
 // down or if the sink crashed during the verification. Verification
 // runs outside mu, so a Verdict read waits behind one fold at most; the

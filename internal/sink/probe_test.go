@@ -1,10 +1,13 @@
 package sink
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
+	"pnm/internal/analytic"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
 	"pnm/internal/obs"
@@ -12,8 +15,8 @@ import (
 	"pnm/internal/topology"
 )
 
-// The tests in this file pin the reader-side PathProber and the
-// verifier's matched-mark check: an honest chain is matched whole in the
+// The tests in this file pin the reader-side TopologyResolver.Probe and
+// the verifier's matched-mark check: an honest chain is matched whole in the
 // frame's stamped epoch, and a match changes no chain — the verifier
 // takes a matched node only inside the resolver's candidate set and only
 // if its MAC verifies, and resolves everything else as before.
@@ -54,30 +57,31 @@ func sameResult(a, b Result) bool {
 
 // TestProberMatchesHonestChain checks that the prober matches every mark
 // of an honest chain to its marker, that verification with the matches
-// accepts the same chain while the sink's resolver hashes nothing, and
-// that the prober hashes at most one AnonID per path node.
+// accepts the same chain while the sink's resolver hashes nothing and
+// neither resolver builds a tree, and that the prober hashes at most one
+// AnonID per path node.
 func TestProberMatchesHonestChain(t *testing.T) {
 	topo, src := probeField(t, 3, 1.4)
 	set := topology.NewEpochSet(topo)
 	reg := obs.New()
-	prober := newPathProber(testKS, set, reg)
+	prober := NewTopologyResolverEpochs(testKS, set)
+	prober.Instrument(reg)
 	plain := pnmVerifier(t, set)
 	matched := pnmVerifier(t, set)
 	matched.Instrument(reg)
 	rng := rand.New(rand.NewSource(9))
-	pathLen := uint64(topo.Depth(src))
+	pathLen := topo.Depth(src)
 	var m Matches
-	marks := uint64(0)
+	marks, matchedMarks := 0, 0
 	for seq := uint32(1); seq <= 50; seq++ {
 		msg := markAlong(topo, src, 0.5, packet.Message{Report: packet.Report{Event: 7, Location: uint32(src), Seq: seq}}, rng)
-		marks += uint64(len(msg.Marks))
-		before := reg.Counter("transport.prober.probes").Value()
-		prober.Probe(&msg, 0, &m)
-		prober.Publish()
-		if probes := reg.Counter("transport.prober.probes").Value() - before; probes > pathLen {
+		marks += len(msg.Marks)
+		probes, n := prober.Probe(&msg, 0, &m)
+		matchedMarks += n
+		if probes > pathLen {
 			t.Fatalf("packet %d: %d probes on a %d-node path", seq, probes, pathLen)
 		}
-		if len(m.ids) != len(msg.Marks) {
+		if n != len(m.ids) || len(m.ids) != len(msg.Marks) {
 			t.Fatalf("packet %d: matched %d of %d honest marks", seq, len(m.ids), len(msg.Marks))
 		}
 		want := plain.Verify(msg, 0)
@@ -97,11 +101,11 @@ func TestProberMatchesHonestChain(t *testing.T) {
 	if n := reg.Counter("sink.resolver.probes").Value(); n != 0 {
 		t.Errorf("the sink's resolver hashed %d anonymous IDs on fully matched packets", n)
 	}
-	if n := reg.Counter("transport.prober.marks_unmatched").Value(); n != 0 {
-		t.Errorf("%d honest marks left unmatched", n)
+	if matchedMarks != marks {
+		t.Errorf("matched %d of %d honest marks", matchedMarks, marks)
 	}
-	if n := reg.Counter("transport.prober.marks_matched").Value(); n != marks {
-		t.Errorf("published %d matched marks, want all %d", n, marks)
+	if n := reg.Counter("sink.resolver.tree_builds").Value(); n != 0 {
+		t.Errorf("%d tree builds on a fully matched honest stream, want 0", n)
 	}
 }
 
@@ -121,7 +125,7 @@ func TestProberWalksStampedEpoch(t *testing.T) {
 		t.Fatal("no rewire moves the source's route")
 	}
 	set := pinnedEpochs(t, topo, rewired)
-	prober := newPathProber(testKS, set, nil)
+	prober := NewTopologyResolverEpochs(testKS, set)
 	plain := pnmVerifier(t, set)
 	matched := pnmVerifier(t, set)
 	rng := rand.New(rand.NewSource(4))
@@ -188,7 +192,7 @@ func TestMatchOutsideSubtreeFallsBack(t *testing.T) {
 func TestMatchedMarkNeedsMAC(t *testing.T) {
 	topo, src := probeField(t, 3, 1.4)
 	set := topology.NewEpochSet(topo)
-	prober := newPathProber(testKS, set, nil)
+	prober := NewTopologyResolverEpochs(testKS, set)
 	rng := rand.New(rand.NewSource(5))
 	hops := topo.Forwarders(src)
 	if len(hops) < 3 {
@@ -216,5 +220,57 @@ func TestMatchedMarkNeedsMAC(t *testing.T) {
 	}
 	if got := pnmVerifier(t, set).verify(msg, 0, &m); !sameResult(got, Result{Chain: wantChain, Stopped: true}) {
 		t.Fatalf("with matches %+v, without %+v", got, want)
+	}
+}
+
+// keyedField is the keyed-2k workload's deployment: a 2,048-node field
+// (radio degree about ln n + 5, sink at the corner), its 64 deepest nodes
+// as the sources, and the PNM probability that leaves about three marks
+// on the deepest source's packets.
+func keyedField(tb testing.TB) (topo *topology.Network, sources []packet.NodeID, scheme marking.PNM) {
+	tb.Helper()
+	const nodes, hosts = 2048, 64
+	degree := math.Log(nodes) + 5
+	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
+		Nodes: nodes, Side: math.Sqrt(nodes * math.Pi / degree), RadioRange: 1,
+		Seed: 17, SinkAtCorner: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sources = topo.Nodes()
+	sort.SliceStable(sources, func(i, j int) bool { return topo.Depth(sources[i]) > topo.Depth(sources[j]) })
+	sources = sources[:hosts]
+	return topo, sources, marking.PNM{P: analytic.ProbabilityForMarks(topo.Depth(sources[0])-1, 3)}
+}
+
+// BenchmarkReaderProbeKeyed measures a connection reader's per-frame
+// probe on keyed-2k's field: one op is one frame from the 64 deepest
+// sources in turn, each with its own report and marked along its route,
+// probed through a resolver that only probes, as Host.NewProber makes
+// for every reader.
+func BenchmarkReaderProbeKeyed(b *testing.B) {
+	topo, sources, scheme := keyedField(b)
+	rng := rand.New(rand.NewSource(1))
+	msgs := make([]packet.Message, 16*len(sources))
+	for i := range msgs {
+		src := sources[i%len(sources)]
+		msg := packet.Message{Report: packet.Report{Event: uint32(i + 1), Location: uint32(src), Seq: 1}}
+		for _, hop := range topo.Forwarders(src) {
+			msg = scheme.Mark(hop, testKS.Key(hop), msg, rng)
+		}
+		msgs[i] = msg
+	}
+	r := NewTopologyResolverEpochs(testKS, topology.NewEpochSet(topo))
+	var m Matches
+	for i := range msgs {
+		if _, matched := r.Probe(&msgs[i], 0, &m); matched != len(msgs[i].Marks) {
+			b.Fatalf("frame %d: matched %d of %d honest marks", i, matched, len(msgs[i].Marks))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Probe(&msgs[i%len(msgs)], 0, &m)
 	}
 }

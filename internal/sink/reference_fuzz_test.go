@@ -58,8 +58,8 @@ func sameVerdict(a, b Verdict) bool {
 // to 64 packets, each marked in one epoch and stamped with another and
 // some replayed. Every packet goes through four tracker chains, each
 // keeping its own resolver state across the sequence: one over a
-// TopologyResolver, one over a TopologyResolver fed the reader's
-// PathProber matches, one over a TopologyResolver fed forged matches
+// TopologyResolver, one over a TopologyResolver fed a reader
+// resolver's Probe matches, one over a TopologyResolver fed forged matches
 // that name each mark's true marker wherever it sits, and one over the
 // ExhaustiveResolver. The first three must accept the reference's chain
 // when its candidates are the stamped epoch's subtrees; the exhaustive
@@ -132,7 +132,7 @@ func FuzzSinkMatchesReference(f *testing.F) {
 		matchedV, matched := chain(NewTopologyResolverEpochs(testKS, set))
 		forgedV, forged := chain(NewTopologyResolverEpochs(testKS, set))
 		_, exhaustive := chain(NewExhaustiveResolver(testKS, nodes))
-		prober := newPathProber(testKS, set, nil)
+		prober := NewTopologyResolverEpochs(testKS, set)
 
 		rng := rand.New(rand.NewSource(seed))
 		var replays mole.Replayer

@@ -259,11 +259,20 @@ func anonKey(a [packet.AnonIDLen]byte) uint64 {
 // search only, never counts as evidence, and a spoofed one costs a call
 // at most one path more than the plain BFS.
 //
-// The resolver holds at most two routing trees, however many epochs the
-// set accumulates: the current epoch's and the last other one's. A new
-// epoch is rebuilt into the older tree's buffers, so a long-running sink
-// under churn keeps constant resolver state and, once warm, an epoch
-// switch allocates nothing.
+// The resolver holds one epoch's snapshot at a time, the one it last
+// resolved or probed against, and one subtree index (routeTree) over it.
+// An epoch switch only swaps the snapshot and drops the hint memo: the
+// hint probes walk parent pointers, which need no index, so the index is
+// rebuilt, in its own buffers, only when a search is about to run the
+// subtree BFS in a snapshot it does not hold. A long-running sink under
+// churn keeps constant resolver state, an honest stream whose Locations
+// name their sources builds no index at all, and, once warm, a rebuild
+// allocates nothing. Searches that alternate between two epochs rebuild
+// once per switch; no workload does that.
+//
+// Probe is the same walk for a connection reader: a reader owns a
+// resolver it only probes with, which matches a frame's anonymous marks
+// against the hinted root path before the frame is queued.
 //
 // pnmlint:single-goroutine — owned by one goroutine for its lifetime like
 // every sink-side object (see the package doc's Ownership section). The
@@ -277,21 +286,23 @@ type TopologyResolver struct {
 	// unhinted is a test seam: set, every call runs the plain subtree
 	// BFS, the reference the hints' cost bounds are measured against.
 	unhinted bool
-	// cur is the routing tree of the epoch last resolved against and
-	// other the one before it. Sink batches arrive roughly in epoch
-	// order, so a batch straddling an epoch boundary flips between the
-	// two without rebuilding either. Both start unbuilt (nil net); the
-	// first Resolve builds its epoch's tree.
-	cur, other routeTree
+	// epoch and net are the snapshot of the epoch last resolved or
+	// probed against, fetched from the set once per epoch change; net is
+	// nil until the first call.
+	epoch topology.EpochVersion
+	net   *topology.Network
+	// tree indexes the children of one snapshot for the subtree BFS. It
+	// starts unbuilt (nil net); search rebuilds it when net moves on.
+	tree routeTree
 	// frontier/next are the BFS level buffers, reused across Resolve
 	// calls so a steady-state resolution allocates nothing. Safe only
 	// because the type is single-goroutine (see above).
 	frontier []packet.NodeID
 	next     []packet.NodeID
-	// path is the memoized hint's tip root path in the current tree,
-	// indexed by depth (path[0] is the sink), valid while memo.rooted
-	// holds: every mark of a packet slices it instead of re-walking the
-	// parents.
+	// path is the memoized hint's tip root path in net, indexed by depth
+	// (path[0] is the sink), valid while memo.rooted holds: every mark of
+	// a packet slices it instead of re-walking the parents, and the BFS
+	// skips the nodes of it the hint probes hashed.
 	path []packet.NodeID
 	// hints maps Report.Location to the route learned for it. It holds at
 	// most hintCap (the node count) entries and is cleared when full, so
@@ -302,10 +313,6 @@ type TopologyResolver struct {
 	// a packet shares its report's Location, so a packet pays one map
 	// lookup, not one per mark. learn and an epoch switch invalidate it.
 	memo memoHint
-	// stamp[v] == gen marks node v as hashed by the current call's hint
-	// probes, so the BFS never hashes a node twice in one Resolve.
-	stamp []uint16
-	gen   uint16
 	// pending tallies the counts of the calls since the last publish.
 	pending resolveTally
 
@@ -323,26 +330,25 @@ type resolveTally struct {
 	probes, candidates, hintHits, hintMisses uint64
 }
 
-// routeTree is one epoch's routing snapshot and its downlink adjacency in
+// routeTree is one routing snapshot's downlink adjacency in
 // compressed-sparse-row form: node v's children are kids[off[v]:off[v+1]],
 // in ascending ID order. off has NumNodes()+2 entries, one per NodeID
 // (the sink included) plus the end sentinel.
 type routeTree struct {
-	version topology.EpochVersion
-	net     *topology.Network // nil until the first build
-	off     []int32
-	kids    []packet.NodeID
+	net  *topology.Network // the snapshot indexed; nil until the first build
+	off  []int32
+	kids []packet.NodeID
 }
 
-// build makes t epoch v's tree over net, reusing t's buffers: a counting
-// sort of the routed nodes by parent. Orphaned nodes (depth -1 after a
+// build makes t net's tree, reusing t's buffers: a counting sort of the
+// routed nodes by parent. Orphaned nodes (depth -1 after a
 // partition-causing fault) are left out: they have no forwarding parent in
 // that epoch, so no mark can originate downstream of them. Once the
 // buffers have grown to the node count, a rebuild allocates nothing.
 // pnmlint:noalloc
-func (t *routeTree) build(v topology.EpochVersion, net *topology.Network) {
+func (t *routeTree) build(net *topology.Network) {
 	n := net.NumNodes()
-	t.version, t.net = v, net
+	t.net = net
 	// Explicit capacity checks rather than append(s, make(...)...): the
 	// race detector's instrumentation turns that idiom into an allocation.
 	if cap(t.off) < n+2 {
@@ -427,22 +433,16 @@ func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *T
 	}
 }
 
-// useEpoch makes epoch v's tree current. The current tree becomes the
-// other one; the tree swapped in is rebuilt for v unless it already holds
-// it. It also sizes the per-node stamp array to cover the epoch's nodes,
-// and drops the hint memo, whose root path was walked in the old tree.
-func (r *TopologyResolver) useEpoch(v topology.EpochVersion) {
-	r.cur, r.other = r.other, r.cur
-	r.memo = memoHint{} // its root path belongs to the old tree
-	if r.cur.net != nil && r.cur.version == v {
-		return
+// snapshot makes epoch v's tree the one the resolver walks, fetching it
+// from the set only when v is not the epoch of the last call, and then
+// drops the hint memo, whose root path was walked in the old tree.
+// pnmlint:noalloc
+func (r *TopologyResolver) snapshot(v topology.EpochVersion) *topology.Network {
+	if r.net == nil || v != r.epoch {
+		r.epoch, r.net = v, r.epochs.At(v)
+		r.memo = memoHint{}
 	}
-	net := r.epochs.At(v)
-	r.cur.build(v, net)
-	r.treeBuilds.Inc()
-	if n := net.NumNodes() + 1; len(r.stamp) < n {
-		r.stamp = append(r.stamp, make([]uint16, n-len(r.stamp))...)
-	}
+	return r.net
 }
 
 // Instrument binds the resolver's counters into reg.
@@ -486,12 +486,8 @@ func (r *TopologyResolver) publish() {
 // per packet by the verifier.
 // pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
-	if epoch != r.cur.version || r.cur.net == nil {
-		// Swap in the routing tree of the packet's arrival epoch: only
-		// the first packet after a topology change rebuilds one.
-		r.useEpoch(epoch)
-	}
-	probes, candidates, hit := r.search(report, anon, prev, havePrev, epoch, yield)
+	r.snapshot(epoch)
+	probes, candidates, hit := r.search(report, anon, prev, havePrev, yield)
 	r.pending.probes += probes
 	r.pending.candidates += candidates
 	if hit {
@@ -505,11 +501,12 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 	}
 }
 
-// search is Resolve's body: it probes the hinted path and then the
-// subtree BFS, and returns how many nodes it hashed, how many matched
-// anon, and whether the caller accepted a node on the hinted path.
+// search is Resolve's body in the current snapshot: it probes the hinted
+// path and then the subtree BFS, and returns how many nodes it hashed,
+// how many matched anon, and whether the caller accepted a node on the
+// hinted path.
 // pnmlint:noalloc
-func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) (probes, candidates uint64, hit bool) {
+func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, yield func(packet.NodeID) bool) (probes, candidates uint64, hit bool) {
 	start := prev
 	if !havePrev {
 		// The most downstream mark: search the whole routing tree outward
@@ -517,17 +514,15 @@ func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]b
 		start = packet.SinkID
 	}
 	// Probe the hinted path first, shallowest node first: the marker
-	// nearest start is the one an honest chain carries next.
-	hinted := false
+	// nearest start is the one an honest chain carries next. hashed is
+	// the root path whose nodes below start the probes hashed, indexed
+	// by depth, and depth the depth of start's children.
+	var hashed []packet.NodeID
+	depth := 0
 	if _, ok := r.hint(report.Location); ok && !r.unhinted {
 		if path := r.hintPath(start); len(path) > 0 {
-			hinted = true
-			if r.gen++; r.gen == 0 {
-				clear(r.stamp)
-				r.gen = 1
-			}
+			hashed, depth = r.path, len(r.path)-len(path)
 			for _, v := range path {
-				r.stamp[v] = r.gen
 				probes++
 				if r.anonOf(report, v) == anon {
 					candidates++
@@ -540,37 +535,111 @@ func (r *TopologyResolver) search(report packet.Report, anon [packet.AnonIDLen]b
 	}
 	// BFS through the routing subtree of start, streaming matches in
 	// depth order and skipping (but still expanding) the nodes the hint
-	// probes hashed. The expansion continues past levels whose matches
-	// the caller rejects — see the type comment on collision robustness.
-	// The two level buffers live on the resolver and are reused across
-	// calls (their capacities converge on the widest level, after which
-	// a resolution allocates nothing); they are swapped between
-	// iterations, so the initial frontier must be a copy: children's
-	// slices alias the tree. Both headers are stored back before
-	// returning — even on early accept — so growth is never lost.
-	frontier := append(r.frontier[:0], r.cur.children(start)...)
+	// probes hashed: a node at depth d on hashed is hashed[d]. The
+	// expansion continues past levels whose matches the caller rejects —
+	// see the type comment on collision robustness. The index is built
+	// here, the one place that reads children. The two level buffers
+	// live on the resolver and are reused across calls (their capacities
+	// converge on the widest level, after which a resolution allocates
+	// nothing); they are swapped between iterations, so the initial
+	// frontier must be a copy: children's slices alias the tree. Both
+	// headers are stored back before returning — even on early accept —
+	// so growth is never lost.
+	if r.tree.net != r.net {
+		r.tree.build(r.net)
+		r.treeBuilds.Inc()
+	}
+	frontier := append(r.frontier[:0], r.tree.children(start)...)
 	next := r.next[:0]
 	done := false
-	for len(frontier) > 0 && !done {
+	for ; len(frontier) > 0 && !done; depth++ {
 		next = next[:0]
 		for _, v := range frontier {
-			if !hinted || r.stamp[v] != r.gen {
+			if depth >= len(hashed) || hashed[depth] != v {
 				probes++
 				if r.anonOf(report, v) == anon {
 					candidates++
 					if yield(v) {
-						r.learn(report.Location, pathHint{epoch: epoch, tip: v})
+						r.learn(report.Location, pathHint{epoch: r.epoch, tip: v})
 						done = true
 						break
 					}
 				}
 			}
-			next = append(next, r.cur.children(v)...)
+			next = append(next, r.tree.children(v)...)
 		}
 		frontier, next = next, frontier
 	}
 	r.frontier, r.next = frontier, next
 	return probes, candidates, false
+}
+
+// Matches carries what a connection reader found for one frame to the
+// verifier that folds it: the reader resolver's Probe matches for the
+// frame's anonymous marks, and the bytes the frame's message was decoded
+// from. ids[j] is the path node whose anonymous ID equals the j-th mark
+// from the end; only Probe fills them, and the zero value holds none. A
+// match is never evidence: the verifier accepts a matched node only
+// inside the candidate set the resolver would search and only if the
+// mark's MAC verifies under its key, and runs the resolver's search for
+// every mark it does not accept.
+type Matches struct {
+	ids  []packet.NodeID
+	wire []byte
+}
+
+// SetWire records b as the bytes the frame's message was decoded from,
+// so the verifier MACs them instead of re-encoding the message; nil
+// clears it. The caller must not change b until the frame's verify
+// returns. Bytes whose length is not the message's encoded length are
+// ignored.
+func (m *Matches) SetWire(b []byte) { m.wire = b }
+
+// Probe is the reader-side half of anonymous-ID resolution: it fills m
+// with msg's matches on the hinted root path in the tree of epoch, the
+// frame's arrival stamp — on a resolver that only probes, the seed path
+// of the node the report's Location names. From the last mark back, each
+// mark matches the first path node above the previous match whose
+// anonymous ID equals the mark's; the first mark that matches nothing
+// ends the walk, and the marks from it upstream are left to the
+// verifier's resolver. A frame costs at most one AnonID per path node: no
+// BFS, no MAC and no hint learning, so a spoofed Location costs the
+// reader one path of hashes at most and the sink nothing it would not
+// have paid anyway. It returns the AnonIDs hashed and the marks matched;
+// the caller counts them. Probe hashes through the Hasher directly: the
+// anonID test seam applies to searches only.
+//
+// A transport reader owns a resolver from Host.NewProber, over its
+// verifier chain's key store and epoch set, which are synchronized, with
+// a Hasher of its own, and probes each frame while it still owns it, so
+// the sink goroutine that folds the frame checks MACs instead of hashing
+// anonymous IDs.
+// pnmlint:noalloc
+func (r *TopologyResolver) Probe(msg *packet.Message, epoch topology.EpochVersion, m *Matches) (probes, matched int) {
+	m.ids = m.ids[:0]
+	r.snapshot(epoch)
+	var path []packet.NodeID
+	if _, ok := r.hint(msg.Report.Location); ok {
+		path = r.hintPath(packet.SinkID)
+	}
+	if n := min(len(msg.Marks), len(path)); cap(m.ids) < n {
+		m.ids = make([]packet.NodeID, 0, n) //pnmlint:allow noalloc grows only until it covers the frame's marks
+	}
+	j := 0
+	for k := len(msg.Marks) - 1; k >= 0 && msg.Marks[k].Anonymous; k-- {
+		anon := msg.Marks[k].AnonID
+		for j < len(path) && r.hasher.AnonID(path[j], msg.Report) != anon {
+			j++
+			probes++
+		}
+		if j >= len(path) {
+			break
+		}
+		probes++
+		m.ids = append(m.ids, path[j])
+		j++
+	}
+	return probes, len(m.ids)
 }
 
 // anonOf hashes node v's anonymous ID for report.
@@ -583,12 +652,12 @@ func (r *TopologyResolver) anonOf(report packet.Report, v packet.NodeID) [packet
 }
 
 // hintPath returns the nodes of the memoized hint tip's root path
-// strictly below start in the current epoch's tree, shallowest first, or
+// strictly below start in the current snapshot, shallowest first, or
 // nil when start is not an ancestor of the tip. The root path is walked
 // once per memo, not once per mark; the slice aliases it.
 // pnmlint:noalloc
 func (r *TopologyResolver) hintPath(start packet.NodeID) []packet.NodeID {
-	net := r.cur.net
+	net := r.net
 	if !r.memo.rooted {
 		r.path = rootPath(net, r.memo.hint.tip, r.path) //pnmlint:allow noalloc rootPath grows the buffer only until it covers the tree's depth
 		r.memo.rooted = true
@@ -603,18 +672,23 @@ func (r *TopologyResolver) hintPath(start packet.NodeID) []packet.NodeID {
 	return r.path[d+1:]
 }
 
-// hint returns loc's route in the current tree's epoch, served from the
-// memo when the previous lookup was for the same Location: the route
+// hint returns loc's route in the current snapshot's epoch, served from
+// the memo when the previous lookup was for the same Location: the route
 // learned for loc in that epoch, else the seed, the root path of the
-// node loc names when it is routed in the tree, else none.
+// node loc names when it is routed in the tree, else none. A resolver
+// that has learned nothing — a reader's, which only probes — skips the
+// table.
 // pnmlint:noalloc
 func (r *TopologyResolver) hint(loc uint32) (pathHint, bool) {
 	if !r.memo.valid || r.memo.loc != loc {
-		epoch, net := r.cur.version, r.cur.net
-		h, ok := r.hints[loc]
-		if !ok || h.epoch != epoch {
-			h.epoch = epoch
-			h.tip, ok = seedTip(net, loc)
+		var h pathHint
+		ok := false
+		if r.hints != nil {
+			h, ok = r.hints[loc]
+		}
+		if !ok || h.epoch != r.epoch {
+			h.epoch = r.epoch
+			h.tip, ok = seedTip(r.net, loc)
 		}
 		r.memo = memoHint{valid: true, found: ok, loc: loc, hint: h}
 	}
@@ -622,9 +696,8 @@ func (r *TopologyResolver) hint(loc uint32) (pathHint, bool) {
 }
 
 // seedTip returns the node loc names and whether it is routed in net:
-// the seed of the resolver's path hints and of the reader's PathProber,
-// which both walk its root path. An out-of-range or orphaned Location
-// seeds nothing.
+// the seed of the resolver's path hints, whose root path Resolve and
+// Probe walk. An out-of-range or orphaned Location seeds nothing.
 // pnmlint:noalloc
 func seedTip(net *topology.Network, loc uint32) (packet.NodeID, bool) {
 	tip := packet.NodeID(loc)

@@ -492,7 +492,7 @@ func TestHintPathSlicesMemoizedRootPath(t *testing.T) {
 	differ := false
 	for _, tip := range topo.Nodes() {
 		for _, epoch := range []topology.EpochVersion{0, e1, 0} {
-			r.useEpoch(epoch)
+			r.snapshot(epoch)
 			net := set.At(epoch)
 			if h, ok := r.hint(uint32(tip)); ok != net.HasRoute(tip) || ok && h.tip != tip {
 				t.Fatalf("epoch %d: hint for Location %d is %v (found %v), want its seed", epoch, tip, h.tip, ok)

@@ -13,11 +13,11 @@ import (
 	"pnm/internal/topology"
 )
 
-// The tests in this file pin TopologyResolver's two routing-tree slots:
-// switching epochs rebuilds a tree only when neither slot holds it, a
-// reused slot never leaks the previous epoch's children, a warm epoch
-// switch allocates nothing, and resolver state stays flat however many
-// epochs the set accumulates.
+// The tests in this file pin TopologyResolver's one routing tree: only a
+// search builds it, once per snapshot it searches in, a rebuilt tree
+// never leaks the previous epoch's children, a warm rebuild allocates
+// nothing, and resolver state stays flat however many epochs the set
+// accumulates.
 
 // churnedEpochs returns a set over a 40-node geometric field whose epochs
 // after the base alternate Rewire and Reroute snapshots. Each Reroute
@@ -79,12 +79,17 @@ func pinnedEpochs(t testing.TB, base *topology.Network, nets ...*topology.Networ
 	return set
 }
 
-// TestTopologyResolverTreeBuildsCounter pins sink.resolver.tree_builds: a
-// static network builds once, epochs resolved in order build once each,
-// and two epochs alternating after warm-up build nothing further.
+// TestTopologyResolverTreeBuildsCounter pins sink.resolver.tree_builds,
+// which counts the trees searches build: an honest stream whose
+// Locations name their sources resolves along the seeded paths and
+// builds none; the first search in a snapshot builds one, and the
+// searches after it in that snapshot none; and searches that alternate
+// between two epochs build once per switch, since the resolver keeps one
+// tree.
 func TestTopologyResolverTreeBuildsCounter(t *testing.T) {
 	topo := equivGrid(t)
 	deep := topo.DeepestNode()
+	// Location 3 does not lie below deep, so every call searches.
 	rep := testReport(700)
 	anon := realAnonID(deep, rep)
 	accept := func(id packet.NodeID) bool { return id == deep }
@@ -95,7 +100,20 @@ func TestTopologyResolverTreeBuildsCounter(t *testing.T) {
 		return r, reg.Counter("sink.resolver.tree_builds")
 	}
 
-	r, builds := instrumented(topology.NewEpochSet(topo))
+	set := topology.NewEpochSet(topo)
+	r, builds := instrumented(set)
+	v := nestedVerifier(t, topo.NumNodes(), r)
+	rng := rand.New(rand.NewSource(7))
+	for seq := uint32(1); seq <= 40; seq++ {
+		src := topo.Nodes()[rng.Intn(topo.NumNodes())]
+		msg := markAlong(topo, src, 0.5, packet.Message{Report: packet.Report{Event: 7, Location: uint32(src), Seq: seq}}, rng)
+		if res := v.Verify(msg, 0); res.Stopped || len(res.Chain) != len(msg.Marks) {
+			t.Fatalf("packet %d from %v: honest chain verified as %+v", seq, src, res)
+		}
+	}
+	if got := builds.Value(); got != 0 {
+		t.Errorf("honest stream with seeded Locations: %d tree builds, want 0", got)
+	}
 	for i := 0; i < 10; i++ {
 		r.Resolve(rep, anon, packet.SinkID, false, 0, accept)
 	}
@@ -104,7 +122,7 @@ func TestTopologyResolverTreeBuildsCounter(t *testing.T) {
 	}
 
 	const epochs = 6
-	set := rewiredEpochs(t, topo, epochs)
+	set = rewiredEpochs(t, topo, epochs)
 	r, builds = instrumented(set)
 	for e := topology.EpochVersion(0); e < epochs; e++ {
 		for i := 0; i < 3; i++ {
@@ -116,21 +134,21 @@ func TestTopologyResolverTreeBuildsCounter(t *testing.T) {
 	}
 
 	r, builds = instrumented(set)
-	r.Resolve(rep, anon, packet.SinkID, false, 1, accept)
-	r.Resolve(rep, anon, packet.SinkID, false, 2, accept)
-	warm := builds.Value()
-	for i := 0; i < 20; i++ {
-		r.Resolve(rep, anon, packet.SinkID, false, topology.EpochVersion(1+i%2), accept)
+	const switches = 20
+	for i := 0; i <= switches; i++ {
+		for j := 0; j < 3; j++ {
+			r.Resolve(rep, anon, packet.SinkID, false, topology.EpochVersion(1+i%2), accept)
+		}
 	}
-	if got := builds.Value(); warm != 2 || got != warm {
-		t.Errorf("alternating epochs 1 and 2: %d builds to warm up, %d after; want 2 and no more", warm, got)
+	if got := builds.Value(); got != switches+1 {
+		t.Errorf("alternating epochs 1 and 2: %d builds over %d switches, want one per switch and one to start", got, switches)
 	}
 }
 
 // TestTopologyResolverEpochSwitchMatchesFreshProperty resolves random
 // marks under a random sequence of epoch stamps through one long-lived
 // resolver. Every candidate stream must equal, in order, the stream of a
-// fresh resolver built over that epoch's snapshot alone, so a slot rebuilt
+// fresh resolver built over that epoch's snapshot alone, so a tree rebuilt
 // over an older epoch's buffers can never keep a stale child. Anonymous
 // IDs are truncated to three bits, so a stream lists about one node in
 // eight of the searched subtree in BFS order.
@@ -180,9 +198,9 @@ func TestTopologyResolverEpochSwitchMatchesFreshProperty(t *testing.T) {
 	}
 }
 
-// TestTopologyResolverEpochSwitchZeroAlloc cycles three epochs through
-// the two tree slots, so every call rebuilds a tree: once the buffers
-// have grown, neither the rebuild nor the resolution allocates.
+// TestTopologyResolverEpochSwitchZeroAlloc cycles three epochs with a
+// search in each, so every call rebuilds the tree: once the buffers have
+// grown, neither the rebuild nor the resolution allocates.
 func TestTopologyResolverEpochSwitchZeroAlloc(t *testing.T) {
 	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
 		Nodes: 60, Side: 5, RadioRange: 1.4, Seed: 3, SinkAtCorner: true,
@@ -217,7 +235,7 @@ func TestTopologyResolverEpochSwitchZeroAlloc(t *testing.T) {
 
 // TestTopologyResolverStateFlatAcrossEpochs resolves one mark in each of
 // 2,000 Rewire epochs. The epoch set is built before the baseline, so the
-// heap still held afterwards is the resolver's own state: two trees, the
+// heap still held afterwards is the resolver's own state: one tree, the
 // search buffers, hints and key schedules, independent of the epoch count.
 func TestTopologyResolverStateFlatAcrossEpochs(t *testing.T) {
 	topo, err := topology.NewRandomGeometric(topology.GeometricConfig{
@@ -246,5 +264,36 @@ func TestTopologyResolverStateFlatAcrossEpochs(t *testing.T) {
 	runtime.KeepAlive(r)
 	if delta := int64(ms.HeapAlloc) - int64(base); delta > 64<<10 {
 		t.Errorf("resolver holds %d bytes after %d epochs, want under 64 kB", delta, epochs)
+	}
+}
+
+// BenchmarkTopologyResolverSweep measures the full subtree sweep of an
+// anonymous ID that matches nothing, the cost an invalid mark puts on
+// the sink: on keyed-2k's field, with a deep source's Location seeding
+// the hint path, one op probes the path and then every other routed node
+// once, breadth first from the sink over the cached tree.
+func BenchmarkTopologyResolverSweep(b *testing.B) {
+	topo, sources, _ := keyedField(b)
+	rep := packet.Report{Event: 1, Location: uint32(sources[0]), Seq: 1}
+	ids := make(map[[packet.AnonIDLen]byte]bool, topo.NumNodes())
+	for _, id := range topo.Nodes() {
+		ids[realAnonID(id, rep)] = true
+	}
+	var anon [packet.AnonIDLen]byte
+	for v := uint32(0); ids[anon]; v++ {
+		anon = [packet.AnonIDLen]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+	}
+	r := NewTopologyResolverEpochs(testKS, topology.NewEpochSet(topo))
+	reg := obs.New()
+	r.Instrument(reg)
+	reject := func(packet.NodeID) bool { return false }
+	r.Resolve(rep, anon, packet.SinkID, false, 0, reject)
+	if probes := reg.Counter("sink.resolver.probes").Value(); probes != uint64(topo.NumNodes()) {
+		b.Fatalf("a sweep hashed %d nodes, want all %d once", probes, topo.NumNodes())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Resolve(rep, anon, packet.SinkID, false, 0, reject)
 	}
 }

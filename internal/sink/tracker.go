@@ -10,9 +10,9 @@
 // live hosts, with only the fold under its lock; a caller that keeps a
 // whole batch's Results alive calls Verifier.Verify and Tracker.Fold
 // instead. The one optional input is a frame's Matches: the transport
-// server's connection readers each own a PathProber that matches a
-// frame's anonymous marks against its Location's root path before
-// queueing it, and Host.Fold hands the matches to the NestedVerifier,
+// server's connection readers each own a TopologyResolver whose Probe
+// matches a frame's anonymous marks against its Location's root path
+// before queueing it, and Host.Fold hands the matches to the NestedVerifier,
 // which accepts a matched node only inside the resolver's candidate set
 // and only if its MAC verifies, and resolves every other mark as before.
 // Matches also carry the bytes the frame was decoded from, which the
@@ -31,9 +31,9 @@
 // Concurrent experiments get their parallelism run-level instead: each run
 // constructs its own tracker chain (see internal/parallel), which is also
 // what a real deployment does — one sink, one tracker, one goroutine. A
-// PathProber is single-goroutine too: each transport reader owns one, and
-// only the Matches it fills cross to the folding goroutine, with the
-// frame they belong to.
+// transport reader's resolver follows the same rule: each reader owns
+// one and only probes with it, and only the Matches it fills cross to
+// the folding goroutine, with the frame they belong to.
 //
 // Host is the one synchronized type. It is how the live hosts (the
 // concurrent simulator and the transport server) share a sink between

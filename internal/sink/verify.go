@@ -73,11 +73,9 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 			return nil, fmt.Errorf("sink: PNM verification needs a resolver")
 		}
 		v := &NestedVerifier{numNodes: numNodes, resolver: resolver}
-		if tr, ok := resolver.(*TopologyResolver); ok {
-			// Reader matches (Matches) are checked against the routing
-			// tree the resolver searches.
-			v.epochs = tr.epochs
-		}
+		// Reader matches (Matches) are checked against the routing tree
+		// the resolver searches.
+		v.topo, _ = resolver.(*TopologyResolver)
 		if sc, ok := resolver.(scheduleCacher); ok {
 			// The verifier calls its resolver on its own goroutine, so both
 			// can hash through one cache: every node the resolver probes
@@ -156,15 +154,12 @@ type NestedVerifier struct {
 	// curEpoch is the arrival epoch of the packet being verified, set by
 	// Verify and handed to the resolver on every probe of that packet.
 	curEpoch topology.EpochVersion
-	// epochs is the TopologyResolver's epoch set, nil under any other
-	// resolver: the verifier takes reader matches only when it has it.
-	// matches are the current packet's reader matches (nil without), and
-	// matchNet is the tree of matchEpoch their membership checks walk,
-	// fetched once per epoch change.
-	epochs     *topology.EpochSet
-	matches    []packet.NodeID
-	matchEpoch topology.EpochVersion
-	matchNet   *topology.Network
+	// topo is resolver when it is a TopologyResolver, nil under any
+	// other: the verifier takes reader matches only when it has one, and
+	// their membership checks walk its snapshot of the packet's epoch.
+	// matches are the current packet's reader matches (nil without).
+	topo    *TopologyResolver
+	matches []packet.NodeID
 	// singles counts the current packet's anonymous marks that needed
 	// exactly one candidate MAC — almost all of them — so Verify
 	// publishes them to macCandidates in one ObserveN instead of one
@@ -221,7 +216,7 @@ func (v *NestedVerifier) verify(msg packet.Message, epoch topology.EpochVersion,
 	var wire []byte
 	if m != nil {
 		wire = m.wire
-		if v.epochs != nil {
+		if v.topo != nil {
 			v.matches = m.ids
 		}
 	}
@@ -341,16 +336,14 @@ func (v *NestedVerifier) verifyMark(msg packet.Message, k int, prev packet.NodeI
 // routing subtree of prev (of the sink for the last mark) in the
 // packet's arrival epoch — the candidate set the resolver would search —
 // and mk's MAC must verify under id's key. Membership is a parent walk
-// in the epoch's tree, so a matched mark builds no resolver tree.
+// in the resolver's snapshot of the epoch, so a matched mark builds no
+// resolver tree.
 // pnmlint:noalloc
 func (v *NestedVerifier) acceptMatch(id packet.NodeID, k int, prev packet.NodeID, havePrev bool, mk packet.Mark) bool {
-	if v.matchNet == nil || v.matchEpoch != v.curEpoch {
-		v.matchEpoch, v.matchNet = v.curEpoch, v.epochs.At(v.curEpoch)
-	}
 	if !havePrev {
 		prev = packet.SinkID
 	}
-	if !strictlyBelow(v.matchNet, id, prev) {
+	if !strictlyBelow(v.topo.snapshot(v.curEpoch), id, prev) {
 		return false
 	}
 	return mac.Equal(mk.MAC, v.hasher.Schedule(id).Sum(v.wire[:v.off[k]], mk.AnonID[:]))

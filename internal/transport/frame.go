@@ -195,28 +195,21 @@ func (fr *FrameReader) Next(msg *packet.Message) error {
 // readInto reads one frame, its payload into buf's storage (payloadBuf),
 // and decodes the message into msg. It returns the payload read — the
 // bytes msg was decoded from, once the error is nil — and buf's storage
-// for reuse otherwise. The header is one read: io.EOF before its first
-// byte is the stream's clean end, and any shorter header is truncated.
+// for reuse otherwise; on error msg holds no marks. The header is one
+// read: io.EOF before its first byte is the stream's clean end, and any
+// shorter header is truncated.
 // pnmlint:noalloc
 func (fr *FrameReader) readInto(msg *packet.Message, buf []byte) ([]byte, error) {
+	msg.Marks = msg.Marks[:0]
 	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return buf, io.EOF
 		}
 		return buf, errHeaderIO(err)
 	}
-	if binary.BigEndian.Uint16(fr.hdr[0:]) != frameMagic {
-		return buf, ErrBadMagic
-	}
-	if fr.hdr[2] != FrameVersion {
-		return buf, errVersion(fr.hdr[2])
-	}
-	if fr.hdr[3] != FrameReport {
-		return buf, errType(fr.hdr[3])
-	}
-	n := int(binary.BigEndian.Uint32(fr.hdr[4:]))
-	if n > fr.limits.MaxFrameBytes {
-		return buf, errTooBig(n, fr.limits.MaxFrameBytes)
+	n, err := payloadLen(fr.hdr, fr.limits)
+	if err != nil {
+		return buf, err
 	}
 	buf = payloadBuf(buf, n)
 	if _, err := io.ReadFull(fr.br, buf); err != nil {
@@ -227,6 +220,28 @@ func (fr *FrameReader) readInto(msg *packet.Message, buf []byte) ([]byte, error)
 		return buf, errPayload(err)
 	}
 	return buf, nil
+}
+
+// payloadLen checks a frame header — magic, version, type and the
+// length bound of limits, whose defaults are filled — and returns the
+// payload length it declares. Both ingest paths, the stream's readInto
+// and DecodeDatagramInto, check headers here.
+// pnmlint:noalloc
+func payloadLen(hdr [FrameHeaderLen]byte, limits Limits) (int, error) {
+	if binary.BigEndian.Uint16(hdr[0:]) != frameMagic {
+		return 0, ErrBadMagic
+	}
+	if hdr[2] != FrameVersion {
+		return 0, errVersion(hdr[2])
+	}
+	if hdr[3] != FrameReport {
+		return 0, errType(hdr[3])
+	}
+	n := int(binary.BigEndian.Uint32(hdr[4:]))
+	if n > limits.MaxFrameBytes {
+		return 0, errTooBig(n, limits.MaxFrameBytes)
+	}
+	return n, nil
 }
 
 // minPayloadCap is the smallest payload buffer payloadBuf makes: an
@@ -258,38 +273,21 @@ func payloadBuf(buf []byte, n int) []byte {
 	return buf[:n]
 }
 
-// DecodeDatagram decodes one datagram carrying exactly one frame — the
-// UDP ingest path. Every error is per-datagram (there is no stream to
-// corrupt), so callers count and continue.
-func DecodeDatagram(b []byte, limits Limits) (packet.Message, error) {
-	var msg packet.Message
-	if err := DecodeDatagramInto(&msg, b, limits); err != nil {
-		return packet.Message{}, err
-	}
-	return msg, nil
-}
-
-// DecodeDatagramInto is DecodeDatagram decoding into a caller-owned
-// message, reusing its mark storage — the zero-copy UDP read-loop path.
-// Nothing in msg aliases b after return; on error msg holds no marks.
+// DecodeDatagramInto decodes one datagram carrying exactly one frame —
+// the UDP ingest path — into a caller-owned message, reusing its mark
+// storage. Every error is per-datagram (there is no stream to corrupt),
+// so callers count and continue. Nothing in msg aliases b after return;
+// on error msg holds no marks.
 // pnmlint:noalloc
 func DecodeDatagramInto(msg *packet.Message, b []byte, limits Limits) error {
+	msg.Marks = msg.Marks[:0]
 	limits = limits.withDefaults()
 	if len(b) < FrameHeaderLen {
 		return errHeaderIO(io.ErrUnexpectedEOF)
 	}
-	if binary.BigEndian.Uint16(b[0:]) != frameMagic {
-		return ErrBadMagic
-	}
-	if b[2] != FrameVersion {
-		return errVersion(b[2])
-	}
-	if b[3] != FrameReport {
-		return errType(b[3])
-	}
-	n := int(binary.BigEndian.Uint32(b[4:]))
-	if n > limits.MaxFrameBytes {
-		return errTooBig(n, limits.MaxFrameBytes)
+	n, err := payloadLen([FrameHeaderLen]byte(b), limits)
+	if err != nil {
+		return err
 	}
 	if n != len(b)-FrameHeaderLen {
 		return errDatagramLen(len(b)-FrameHeaderLen, n)

@@ -170,8 +170,8 @@ func TestPooledFramePayloadRetention(t *testing.T) {
 // after the schedule caches, the chain arena, the resolver's BFS buffers
 // and the order matrix have converged, a packet crosses the entire sink
 // path without touching the heap. The matched case runs the server's
-// split: a reader's PathProber matches the frame, then Host.Fold checks
-// the matches and resolves the rest.
+// split: a reader's resolver probes the frame, then Host.Fold checks the
+// matches and resolves the rest.
 func TestVerifyPathZeroAllocEndToEnd(t *testing.T) {
 	t.Run("observe", testVerifyPathZeroAlloc)
 	t.Run("matched", testMatchedPathZeroAlloc)
@@ -199,8 +199,10 @@ func testMatchedPathZeroAlloc(t *testing.T) {
 		}
 		return v
 	}, topo, reg)
-	prober := h.NewProber()
-	if prober == nil {
+	s := &Server{}
+	s.c.bind(reg)
+	r := &reader{s: s, prober: h.NewProber()}
+	if r.prober == nil {
 		t.Fatal("a PNM chain over a topology resolver has no prober")
 	}
 	fr := NewFrameReader(bytes.NewReader(stream), Limits{})
@@ -209,8 +211,8 @@ func testMatchedPathZeroAlloc(t *testing.T) {
 		if err := f.read(fr); err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		prober.Probe(&f.msg, 0, &f.matches)
-		prober.Publish()
+		r.probe(&f, 0)
+		r.publish()
 		f.matches.SetWire(f.payload)
 		ok := h.Fold(f.msg, 0, &f.matches)
 		f.matches.SetWire(nil)

@@ -183,21 +183,60 @@ func TestFrameReaderRecoversAfterBadPayload(t *testing.T) {
 func TestDecodeDatagram(t *testing.T) {
 	msg := randomMessage(rand.New(rand.NewSource(2)), 4)
 	b := AppendFrame(nil, msg)
-	got, err := DecodeDatagram(b, Limits{})
-	if err != nil {
+	var got packet.Message
+	if err := DecodeDatagramInto(&got, b, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Encode(nil), msg.Encode(nil)) {
 		t.Fatal("datagram round trip differs")
 	}
-	if _, err := DecodeDatagram(b[:5], Limits{}); err == nil {
+	if err := DecodeDatagramInto(&got, b[:5], Limits{}); err == nil {
 		t.Fatal("want error for truncated datagram")
 	}
-	if _, err := DecodeDatagram(append(b, 1), Limits{}); err == nil {
+	if err := DecodeDatagramInto(&got, append(b, 1), Limits{}); err == nil {
 		t.Fatal("want error for datagram with trailing bytes")
 	}
 	b[0] = 0xFF
-	if _, err := DecodeDatagram(b, Limits{}); !errors.Is(err, ErrBadMagic) {
+	if err := DecodeDatagramInto(&got, b, Limits{}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
+	}
+}
+
+// TestHeaderErrorLeavesNoMarks decodes a 2-mark frame into a message,
+// then feeds each kind of bad header to Next and to DecodeDatagramInto
+// with the same message: both must return the header's error and leave
+// no marks behind, as they document, so a caller that reuses the
+// message after a rejected frame never sees the previous frame's marks.
+func TestHeaderErrorLeavesNoMarks(t *testing.T) {
+	good := AppendFrame(nil, randomMessage(rand.New(rand.NewSource(3)), 2))
+	corrupt := func(at int, b byte) []byte {
+		f := bytes.Clone(good)
+		f[at] = b
+		return f
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"magic", corrupt(0, 0xFF), ErrBadMagic},
+		{"version", corrupt(2, FrameVersion+1), ErrBadVersion},
+		{"type", corrupt(3, FrameReport+1), ErrBadType},
+		{"length", corrupt(4, 0x7F), ErrFrameTooBig},
+	} {
+		var msg packet.Message
+		if err := DecodeDatagramInto(&msg, good, Limits{}); err != nil || len(msg.Marks) != 2 {
+			t.Fatalf("%s: good frame decoded to %d marks, err %v", tc.name, len(msg.Marks), err)
+		}
+		if err := DecodeDatagramInto(&msg, tc.frame, Limits{}); !errors.Is(err, tc.want) || len(msg.Marks) != 0 {
+			t.Errorf("%s: DecodeDatagramInto returned %v and left %d marks, want %v and none", tc.name, err, len(msg.Marks), tc.want)
+		}
+		fr := NewFrameReader(bytes.NewReader(append(bytes.Clone(good), tc.frame...)), Limits{})
+		if err := fr.Next(&msg); err != nil || len(msg.Marks) != 2 {
+			t.Fatalf("%s: good frame read as %d marks, err %v", tc.name, len(msg.Marks), err)
+		}
+		if err := fr.Next(&msg); !errors.Is(err, tc.want) || len(msg.Marks) != 0 {
+			t.Errorf("%s: Next returned %v and left %d marks, want %v and none", tc.name, err, len(msg.Marks), tc.want)
+		}
 	}
 }

@@ -63,8 +63,8 @@ func FuzzFrame(f *testing.F) {
 			}
 			// Anything accepted must re-frame canonically.
 			re := AppendFrame(nil, msg)
-			got, err := DecodeDatagram(re, limits)
-			if err != nil {
+			var got packet.Message
+			if err := DecodeDatagramInto(&got, re, limits); err != nil {
 				t.Fatalf("accepted message does not re-frame: %v", err)
 			}
 			if !bytes.Equal(got.Encode(nil), msg.Encode(nil)) {

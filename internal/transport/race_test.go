@@ -22,7 +22,7 @@ import (
 // message released while a reader still writes into it (or a fold still
 // reads from it) trips the detector; without -race the delivered ledger
 // and the verdict still pin that no packet was lost or corrupted. Each
-// reader probes its frames on its own PathProber while it owns them: on
+// reader probes its frames on its own resolver while it owns them: on
 // this honest stream the readers must match every mark the sink folds,
 // so the sink's own resolver never hashes an anonymous ID.
 func TestPooledMessageReuseRaceFree(t *testing.T) {

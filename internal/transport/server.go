@@ -138,6 +138,10 @@ type counters struct {
 	queueDropNewest *obs.Counter
 	queueDropOldest *obs.Counter
 
+	proberProbes    *obs.Counter
+	proberMatched   *obs.Counter
+	proberUnmatched *obs.Counter
+
 	delivered       *obs.Counter
 	batches         *obs.Counter
 	batchOccupancy  *obs.Histogram
@@ -168,6 +172,9 @@ func (c *counters) bind(reg *obs.Registry) {
 	c.queueFullBlocks = reg.Counter("transport.ingest.queue_full_blocks")
 	c.queueDropNewest = reg.Counter("transport.ingest.queue_drop_newest")
 	c.queueDropOldest = reg.Counter("transport.ingest.queue_drop_oldest")
+	c.proberProbes = reg.Counter("transport.prober.probes")
+	c.proberMatched = reg.Counter("transport.prober.marks_matched")
+	c.proberUnmatched = reg.Counter("transport.prober.marks_unmatched")
 	c.delivered = reg.Counter("transport.delivered")
 	c.batches = reg.Counter("transport.ingest.batches")
 	c.batchOccupancy = reg.Histogram("transport.ingest.batch_occupancy")
@@ -453,25 +460,31 @@ func (s *Server) admit(conn net.Conn) bool {
 }
 
 // reader is one socket reader's ingest state: its prober, the clock
-// reading of its last socket read, and the frame and byte counts it
-// tallies in plain fields. It publishes the tallies — its own and its
-// prober's — wherever it may wait: before a socket read (Read), before
-// handing the queue a frame that leaves it with nothing buffered, in the
-// queue's stall callback before a Block wait, and on exit. So the shared
-// transport.frames, transport.bytes and transport.prober.* counters are
-// exact whenever the reader waits, and take a few updates per socket
-// read instead of five per frame.
+// reading of its last socket read, and the frame, byte and probe counts
+// it tallies in plain fields. It publishes the tallies wherever it may
+// wait: before a socket read (Read), before handing the queue a frame
+// that leaves it with nothing buffered, in the queue's stall callback
+// before a Block wait, and on exit. So the shared transport.frames,
+// transport.bytes and transport.prober.* counters are exact whenever the
+// reader waits, and take a few updates per socket read instead of five
+// per frame.
 //
-// pnmlint:single-goroutine — the tallies and the clock reading are
-// unsynchronized; one read loop owns a reader.
+// pnmlint:single-goroutine — the tallies, the prober and the clock
+// reading are unsynchronized; one read loop owns a reader.
 type reader struct {
-	s      *Server
-	conn   net.Conn         // nil on the datagram path, which reads itself
-	fr     *FrameReader     // conn's frame reader; nil on the datagram path
-	prober *sink.PathProber // nil when the chain has nothing to match against
-	at     int64            // UnixNano just after the last socket read returned
+	s    *Server
+	conn net.Conn     // nil on the datagram path, which reads itself
+	fr   *FrameReader // conn's frame reader; nil on the datagram path
+	// prober is the reader's own resolver, which only probes: it matches
+	// each frame's anonymous marks while the reader owns the frame. nil
+	// when the chain has nothing to match against.
+	prober *sink.TopologyResolver
+	at     int64 // UnixNano just after the last socket read returned
 	frames uint64
 	bytes  uint64
+	// probes, matched and unmatched tally the prober's AnonIDs hashed and
+	// the marks it matched and left to the sink.
+	probes, matched, unmatched uint64
 	// stall is onStall bound once, the queue's stall callback.
 	stall func()
 }
@@ -506,9 +519,32 @@ func (r *reader) publish() {
 		r.s.c.bytes.Add(r.bytes)
 		r.bytes = 0
 	}
-	if r.prober != nil {
-		r.prober.Publish()
+	if r.probes > 0 {
+		r.s.c.proberProbes.Add(r.probes)
+		r.probes = 0
 	}
+	if r.matched > 0 {
+		r.s.c.proberMatched.Add(r.matched)
+		r.matched = 0
+	}
+	if r.unmatched > 0 {
+		r.s.c.proberUnmatched.Add(r.unmatched)
+		r.unmatched = 0
+	}
+}
+
+// probe has r's prober, when it has one, match f's anonymous marks in
+// the tree of epoch, and tallies the frame's counts: the AnonIDs hashed,
+// the marks matched and the marks left to the sink's search.
+// pnmlint:noalloc
+func (r *reader) probe(f *frame, epoch topology.EpochVersion) {
+	if r.prober == nil {
+		return
+	}
+	probes, matched := r.prober.Probe(&f.msg, epoch, &f.matches)
+	r.probes += uint64(probes)
+	r.matched += uint64(matched)
+	r.unmatched += uint64(len(f.msg.Marks) - matched)
 }
 
 // onStall runs before a Block wait on a full queue: the reader may wait
@@ -519,7 +555,7 @@ func (r *reader) onStall() {
 }
 
 // readLoop decodes one connection's frame stream into the ingest queue,
-// probing each frame's anonymous marks on its reader's PathProber.
+// probing each frame's anonymous marks on its reader's prober.
 // Recoverable (payload) errors are counted and the stream continues; a
 // framing error is counted and kills the connection — the byte stream
 // can no longer be trusted.
@@ -564,7 +600,7 @@ func (s *Server) readLoop(conn net.Conn) {
 }
 
 // udpLoop decodes datagrams — one frame each — into the ingest queue,
-// probing each on its reader's PathProber as readLoop does. Every
+// probing each on its reader's prober as readLoop does. Every
 // rejection is per-datagram and counted; read errors go through retry,
 // as acceptLoop's do.
 func (s *Server) udpLoop() {
@@ -610,31 +646,24 @@ func (s *Server) udpLoop() {
 // under the configured overflow policy. When r has nothing buffered —
 // its next read goes to the socket, and a datagram reader never buffers
 // — r publishes its tallies first, so a frame that ends a burst is
-// counted before the sink can fold it. A nil r stamps no read instant
-// and neither probes nor tallies. It returns false only when the server
-// is stopping. Ownership: a true return means the queue took f (or,
+// counted before the sink can fold it. It returns false only when the
+// server is stopping. Ownership: a true return means the queue took f (or,
 // under DropNewest, enqueue already released it); a false return means
 // enqueue released it. Either way the caller must not touch f again.
 func (s *Server) enqueue(f *frame, r *reader) bool {
-	it := item{f: f}
+	it := item{f: f, at: r.at}
 	if s.cfg.Epochs != nil {
 		// Stamp and pin the topology epoch current at enqueue — the
 		// transport twin of netsim's arrival stamp.
 		it.epoch = s.cfg.Epochs.Stamp()
 	}
-	stall := s.c.queueFullBlocks.Inc
-	if r != nil {
-		it.at, stall = r.at, r.stall
-		if r.prober != nil {
-			r.prober.Probe(&f.msg, it.epoch, &f.matches)
-		}
-		if r.fr == nil || r.fr.br.Buffered() == 0 {
-			r.publish()
-		}
+	r.probe(f, it.epoch)
+	if r.fr == nil || r.fr.br.Buffered() == 0 {
+		r.publish()
 	}
 	// Each drop path hands the frame back before counting it, so a
 	// reader that sees the ledger balance sees every pin returned.
-	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, stall, s.evict) {
+	switch queue.Offer(s.ingest, it, s.cfg.Policy, s.stop, nil, r.stall, s.evict) {
 	case queue.Refused:
 		s.drop(it)
 		s.c.queueDropNewest.Inc()

@@ -130,7 +130,8 @@ func TestCloseIdleConnNotTruncated(t *testing.T) {
 // exited; with the fix, closing stop makes every enqueue return false.
 func TestDropOldestEnqueueReturnsAfterStop(t *testing.T) {
 	// A bare Server: no goroutines, no sockets — enqueue only touches the
-	// ingest queue, the stop channel, the policy and the counters.
+	// ingest queue, the stop channel, the policy, the counters and its
+	// reader, here one per racing goroutine with no prober.
 	s := &Server{
 		cfg:    Config{Policy: queue.DropOldest, QueueDepth: 1},
 		ingest: make(chan item, 1),
@@ -145,7 +146,9 @@ func TestDropOldestEnqueueReturnsAfterStop(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for s.enqueue(new(frame), nil) {
+			r := &reader{s: s}
+			r.stall = r.onStall
+			for s.enqueue(new(frame), r) {
 			}
 		}()
 	}
