@@ -87,3 +87,15 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("want error for unknown flag")
 	}
 }
+
+// TestRunRejectsInvalidMarks: -marks sets p = marks/n, so a NaN or a
+// negative count is a probability outside [0, 1], which the scheme
+// factory refuses before any scenario runs.
+func TestRunRejectsInvalidMarks(t *testing.T) {
+	for _, marks := range []string{"NaN", "-1"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-marks", marks}, &buf); err == nil {
+			t.Errorf("-marks %s: want an error, got output:\n%s", marks, buf.String())
+		}
+	}
+}

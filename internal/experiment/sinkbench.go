@@ -433,8 +433,8 @@ func (g *keyedGen) reset() {
 // next generates the stream's next n packets into the generator's
 // buffer, overwriting the previous batch in place: each slot's mark
 // storage is reused, so steady-state generation allocates nothing.
-// Marking runs on cached key schedules through MarkSched, which is
-// byte-identical to Scheme.Mark.
+// Marking runs on cached key schedules through MarkSched, which appends
+// through Scheme.Mark's kernel and so writes the same bytes.
 func (g *keyedGen) next(n int) []packet.Message {
 	batch := g.buf[:n]
 	for k := range batch {

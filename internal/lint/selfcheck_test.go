@@ -139,9 +139,9 @@ func checkGuarded(t *testing.T, pkgs []string, want map[string]string) {
 }
 
 // TestNoallocHotPathsAnnotated pins the zero-alloc kernel set: the MAC
-// schedule, the node-side AnonID, the path scan, the marking encode
-// paths, the sink verify kernels, the wire decode path, the reader's
-// tallies and the epoch pins all carry
+// schedule, the node-side AnonID, the path scan, the marking kernel and
+// its schedule-side callers, the sink verify kernels, the wire decode
+// path, the reader's tallies and the epoch pins all carry
 // // pnmlint:noalloc, so the escape-analysis gate actually covers the
 // functions the AllocsPerRun benchmarks measure.
 func TestNoallocHotPathsAnnotated(t *testing.T) {
@@ -169,8 +169,12 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/mac.Hasher.AnonID",
 		"pnm/internal/mac.Hasher.Publish",
 		"pnm/internal/mac.KeyStore.derive",
-		"pnm/internal/marking.NestedMACAnonSched",
+		"pnm/internal/marking.appendMark",
+		"pnm/internal/marking.markKey.sum",
+		"pnm/internal/marking.markKey.anonID",
+		"pnm/internal/marking.appendAMSInput",
 		"pnm/internal/marking.AMSMACSched",
+		"pnm/internal/marking.PNM.MarkSched",
 		"pnm/internal/sink.NestedVerifier.verifyMark",
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",

@@ -140,9 +140,10 @@ func (s *Scenario) Stream(n int) []packet.Message {
 		rngs[i] = rand.New(rand.NewSource(s.cfg.Seed ^ (int64(id) * nodeSeedSalt)))
 	}
 	// The sched marking path reuses one cached key schedule per forwarder
-	// and one MAC-input scratch buffer across the whole stream instead of
-	// re-deriving and re-encoding per send; TestStreamMatchesSchemeMark
-	// pins it byte-identical to the generic Scheme.Mark path.
+	// and one encode scratch buffer across the whole stream instead of
+	// re-deriving and re-encoding per send. It appends through the same
+	// kernel as Scheme.Mark, under the schedule instead of the cold key;
+	// TestStreamMatchesSchemeMark pins the two byte-identical.
 	scheme, ok := s.Scheme.(marking.PNM)
 	if !ok {
 		panic(fmt.Sprintf("loadgen: scheme %s is not PNM", s.Scheme.Name()))

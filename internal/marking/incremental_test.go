@@ -10,13 +10,16 @@ import (
 )
 
 // TestIncrementalEquivalenceProperty: marking a path with Incremental
-// produces byte-identical messages to the per-hop Scheme.Mark calls, for
-// every nested scheme and any seed.
+// produces byte-identical messages to the per-hop Scheme.Mark calls, and
+// draws the same coins, for every scheme and any seed.
 func TestIncrementalEquivalenceProperty(t *testing.T) {
-	schemes := []Scheme{
-		Nested{},
-		PNM{P: 0.4},
-		NaiveProbNested{P: 0.4},
+	var schemes []Scheme
+	for _, name := range Names() {
+		s, err := New(name, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, s)
 	}
 	f := func(seed int64, hops uint8) bool {
 		n := int(hops%24) + 1
@@ -36,7 +39,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 			if !reflect.DeepEqual(normalize(slow), normalize(fast)) {
 				return false
 			}
-			if inc.WireSize() != slow.WireSize() {
+			if inc.WireSize() != slow.WireSize() || rngA.Int63() != rngB.Int63() {
 				return false
 			}
 		}
@@ -55,23 +58,9 @@ func normalize(m packet.Message) packet.Message {
 	return m
 }
 
-func TestIncrementalFallbackForFlatSchemes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	inc := NewIncremental(packet.Report{Event: 3, Seq: 1})
-	inc.Apply(AMS{P: 1}, 4, testKS.Key(4), rng)
-	msg := inc.Message()
-	if len(msg.Marks) != 1 || msg.Marks[0].ID != 4 {
-		t.Fatalf("marks = %+v", msg.Marks)
-	}
-	want := AMSMAC(testKS.Key(4), msg.Report, 4)
-	if msg.Marks[0].MAC != want {
-		t.Fatal("fallback AMS mark does not verify")
-	}
-}
-
 func TestIncrementalMessageIsCopy(t *testing.T) {
 	inc := NewIncremental(packet.Report{Event: 1})
-	inc.MarkPlain(2, testKS.Key(2))
+	inc.Apply(Nested{}, 2, testKS.Key(2), nil)
 	a := inc.Message()
 	a.Marks[0].ID = 99
 	if b := inc.Message(); b.Marks[0].ID != 2 {
@@ -97,7 +86,7 @@ func BenchmarkIncrementalVsNaive(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			inc := NewIncremental(rep)
 			for j := n; j >= 1; j-- {
-				inc.MarkPlain(packet.NodeID(j), testKS.Key(packet.NodeID(j)))
+				inc.Apply(Nested{}, packet.NodeID(j), testKS.Key(packet.NodeID(j)), nil)
 			}
 		}
 	})
@@ -113,11 +102,45 @@ func TestResumeContinuesChain(t *testing.T) {
 		slow = Nested{}.Mark(id, testKS.Key(id), slow, rng)
 	}
 	inc := Resume(slow)
-	inc.MarkPlain(7, testKS.Key(7))
+	inc.Apply(Nested{}, 7, testKS.Key(7), rng)
 	fast := inc.Message()
 
 	want := Nested{}.Mark(7, testKS.Key(7), slow, rng)
 	if !reflect.DeepEqual(want, fast) {
 		t.Fatalf("Resume chain diverged:\n want %+v\n got %+v", want, fast)
+	}
+}
+
+// TestForgeMatchesMarkAtPOne: a forged mark is the scheme's own mark with
+// the coin taken away, so for every scheme that marks at all, Forge
+// equals Mark at P = 1 on any message.
+func TestForgeMatchesMarkAtPOne(t *testing.T) {
+	f := func(seed int64, hops uint8, id uint16) bool {
+		rep := packet.Report{Event: uint32(seed), Seq: uint32(hops)}
+		rng := rand.New(rand.NewSource(seed))
+		base := packet.Message{Report: rep}
+		for i := int(hops % 12); i >= 1; i-- {
+			base = PNM{P: 0.5}.Mark(packet.NodeID(i+100), testKS.Key(packet.NodeID(i+100)), base, rng)
+			base = Nested{}.Mark(packet.NodeID(i+200), testKS.Key(packet.NodeID(i+200)), base, rng)
+		}
+		node := packet.NodeID(id%4000 + 1)
+		for _, name := range Names() {
+			if name == "none" {
+				continue
+			}
+			s, err := New(name, 1)
+			if err != nil {
+				return false
+			}
+			want := s.Mark(node, testKS.Key(node), base, rng)
+			got := Forge(s, node, testKS.Key(node), base)
+			if !reflect.DeepEqual(want, got) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
 	}
 }

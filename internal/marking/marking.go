@@ -15,8 +15,9 @@
 //     cryptographic protection at all.
 //   - none: no marking, the do-nothing baseline.
 //
-// The package also exports the MAC-input constructions so the sink verifies
-// exactly what nodes compute.
+// Each scheme states one rule — its coin and its mark format — and one
+// kernel appends every mark, so Scheme.Mark, the incremental encoder,
+// PNM.MarkSched and the moles' forged marks agree by construction.
 package marking
 
 import (
@@ -28,76 +29,179 @@ import (
 	"pnm/internal/packet"
 )
 
-// Scheme is the per-hop marking behaviour a forwarding node runs.
-// Implementations must not mutate msg; they return the message to forward.
+// Scheme is the per-hop marking behaviour a forwarding node runs. Every
+// scheme states one mark rule — its coin and its mark format — and every
+// marking path (Mark, Incremental, PNM.MarkSched, Forge) appends marks
+// through the one kernel, appendMark. The interface is sealed: the rule
+// is unexported, so all schemes live in this package.
 type Scheme interface {
 	// Name identifies the scheme ("pnm", "nested", ...).
 	Name() string
 	// Mark produces the message node id sends to its next hop given the
 	// message it received. rng drives probabilistic marking decisions.
+	// It never mutates msg.
 	Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message
+	rule() rule
 }
 
-// idBytes encodes a plaintext node ID exactly as it is appended to the MAC
-// input ("M_{i-1} | i").
-func idBytes(id packet.NodeID) [2]byte {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(id))
-	return b
+// format is how a scheme writes the mark it appends.
+type format uint8
+
+const (
+	// plainNested is ID i and H_k(M_{i-1} | i) over the whole received
+	// message: nested, naive and, for forged marks, none.
+	plainNested format = iota
+	// anonNested is i' = H'_k(M | i) and H_k(M_{i-1} | i'): pnm.
+	anonNested
+	// amsMAC is ID i and H_k(M | i) over the report alone: ams.
+	amsMAC
+	// bareID is ID i with a zero MAC: ppm.
+	bareID
+)
+
+// rule is a scheme's one mark rule: its coin and its mark format.
+type rule struct {
+	format format
+	// p and drawn are the coin. A probabilistic scheme marks when one
+	// rng.Float64() draw falls below p, so a p of NaN or below 0 never
+	// marks and one of 1 or more always does. A deterministic scheme
+	// (drawn false) draws nothing and marks when p is 1.
+	p     float64
+	drawn bool
 }
 
-// NestedMACPlain computes H_k(M_{i-1} | i) for a plaintext-ID nested mark
-// appended at position k of msg (i.e. covering msg's first k marks).
-func NestedMACPlain(key mac.Key, msg packet.Message, k int, id packet.NodeID) [packet.MACLen]byte {
-	buf := msg.EncodePrefix(nil, k)
-	ib := idBytes(id)
-	return mac.Sum(key, append(buf, ib[:]...))
+// marks flips r's coin.
+func (r rule) marks(rng *rand.Rand) bool {
+	if !r.drawn {
+		return r.p == 1
+	}
+	return rng.Float64() < r.p
 }
 
-// NestedMACAnon computes H_k(M_{i-1} | i') for an anonymous-ID nested mark
-// appended at position k of msg.
-func NestedMACAnon(key mac.Key, msg packet.Message, k int, anon [packet.AnonIDLen]byte) [packet.MACLen]byte {
-	buf := msg.EncodePrefix(nil, k)
-	return mac.Sum(key, append(buf, anon[:]...))
+// markKey is a marker's key in either form the kernel hashes under: a
+// node's cold mac.Key, from which each hash derives its subkey as a
+// sensor does (one for a plaintext mark, two for an anonymous one), or
+// a sink-side mac.Schedule, which caches both. Both give the same bytes.
+type markKey struct {
+	node  mac.Key
+	sched mac.Schedule
+	warm  bool
 }
 
-// AMSMAC computes the extended-AMS mark MAC H_k(M | i): it covers only the
-// original report and the marking node's ID, never upstream marks — the
-// structural weakness §3 exploits.
-func AMSMAC(key mac.Key, report packet.Report, id packet.NodeID) [packet.MACLen]byte {
-	buf := report.Encode(nil)
-	ib := idBytes(id)
-	return mac.Sum(key, append(buf, ib[:]...))
-}
-
-// The *Sched variants below compute the same MACs on a cached key schedule
-// with a caller-owned encode buffer: the sink verifies one MAC per
-// received mark (and O(n) per resolver table build), so its hot path must
-// skip both the per-call subkey compression and the per-call encode
-// allocation. Each encodes the message part and the appended ID into buf
-// and MACs them as prefix and suffix through mac.Schedule.Sum — the same
-// two-part call the sink's verifier makes over its once-per-packet
-// encoding. Each returns the MAC plus the (possibly grown) buffer for the
-// caller to reuse. Outputs are bit-identical to the cold functions above,
-// which remain the one-shot node-side path.
-
-// NestedMACAnonSched is NestedMACAnon on the marker's cached schedule.
+// sum is H_k over data, whose first split bytes are the message part
+// and the rest the appended suffix.
 // pnmlint:noalloc
-func NestedMACAnonSched(s mac.Schedule, buf []byte, msg packet.Message, k int, anon [packet.AnonIDLen]byte) ([packet.MACLen]byte, []byte) {
-	buf = msg.EncodePrefix(buf[:0], k)
-	n := len(buf)
-	buf = append(buf, anon[:]...)
-	return s.Sum(buf[:n], buf[n:]), buf
+func (k markKey) sum(data []byte, split int) [packet.MACLen]byte {
+	if k.warm {
+		return k.sched.Sum(data[:split], data[split:])
+	}
+	return mac.Sum(k.node, data)
 }
 
-// AMSMACSched is AMSMAC on node id's cached schedule.
+// anonID is H'_k(M | i).
+// pnmlint:noalloc
+func (k markKey) anonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
+	if k.warm {
+		return k.sched.AnonID(report, id)
+	}
+	return mac.AnonID(k.node, report, id)
+}
+
+// macRoom is the longest MAC input the kernel appends past a message,
+// AMS's report and ID: a buffer with this much spare room past the
+// encoding takes every format's mark without growing.
+const macRoom = packet.ReportLen + 2
+
+// appendMark is the kernel every marking path runs: it appends node id's
+// mark in format f to *msg, whose encoding enc holds, and returns enc
+// with the mark's encoding appended. The MAC input is built in enc's
+// room past the message, then overwritten by the mark.
+// pnmlint:noalloc
+func appendMark(f format, k markKey, enc []byte, msg *packet.Message, id packet.NodeID) []byte {
+	n := len(enc)
+	mk := packet.Mark{ID: id}
+	switch f {
+	case plainNested:
+		enc = binary.BigEndian.AppendUint16(enc, uint16(id))
+		mk.MAC = k.sum(enc, n)
+	case anonNested:
+		mk = packet.Mark{Anonymous: true, AnonID: k.anonID(msg.Report, id)}
+		enc = append(enc, mk.AnonID[:]...)
+		mk.MAC = k.sum(enc, n)
+	case amsMAC:
+		enc = appendAMSInput(enc, msg.Report, id)
+		mk.MAC = k.sum(enc[n:], packet.ReportLen)
+	}
+	msg.Marks = append(msg.Marks, mk)
+	return mk.Encode(enc[:n])
+}
+
+// appendAMSInput appends the extended-AMS MAC input M | i: the report
+// and the marking node's ID, never upstream marks — the structural
+// weakness §3 exploits.
+// pnmlint:noalloc
+func appendAMSInput(dst []byte, report packet.Report, id packet.NodeID) []byte {
+	return binary.BigEndian.AppendUint16(report.Encode(dst), uint16(id))
+}
+
+// AMSMACSched computes the extended-AMS MAC H_k(M | i) on node id's
+// cached schedule, with buf as encode scratch, and returns the MAC and
+// the (possibly grown) buffer for the caller to reuse: the sink's AMS
+// verifier recomputes one per received mark.
 // pnmlint:noalloc
 func AMSMACSched(s mac.Schedule, buf []byte, report packet.Report, id packet.NodeID) ([packet.MACLen]byte, []byte) {
-	buf = report.Encode(buf[:0])
-	n := len(buf)
-	ib := idBytes(id)
-	buf = append(buf, ib[:]...)
-	return s.Sum(buf[:n], buf[n:]), buf
+	buf = appendAMSInput(buf[:0], report, id)
+	return s.Sum(buf[:packet.ReportLen], buf[packet.ReportLen:]), buf
+}
+
+// mark is every Scheme.Mark: flip r's coin, then append the mark.
+func mark(r rule, id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
+	if !r.marks(rng) {
+		return msg
+	}
+	return appendTo(r.format, id, key, msg)
+}
+
+// appendTo clones msg with room for one more mark, encodes it with room
+// for the MAC input, and runs the kernel on the copy.
+func appendTo(f format, id packet.NodeID, key mac.Key, msg packet.Message) packet.Message {
+	out := packet.Message{Report: msg.Report, Marks: make([]packet.Mark, len(msg.Marks), len(msg.Marks)+1)}
+	copy(out.Marks, msg.Marks)
+	appendMark(f, markKey{node: key}, msg.Encode(make([]byte, 0, msg.WireSize()+macRoom)), &out, id)
+	return out
+}
+
+// Forge appends the mark node id leaves under s to a copy of msg without
+// flipping s's coin: the valid mark a mole holding id's key — its own or
+// a colluder's — leaves in the deployed scheme's format. Under None,
+// which deploys no marks, the forged mark takes the plaintext nested
+// format.
+func Forge(s Scheme, id packet.NodeID, key mac.Key, msg packet.Message) packet.Message {
+	return appendTo(s.rule().format, id, key, msg)
+}
+
+// Fake returns a mark in s's format that a mole lacking the claimed
+// node's key inserts: it claims id — a random ID in [1, 2^15] when id is
+// packet.SinkID — or, in PNM's anonymous format, a random anonymous ID,
+// and its MAC is a guess. PPM's marks carry no MAC, so its fakes are as
+// valid as real ones.
+func Fake(s Scheme, id packet.NodeID, rng *rand.Rand) packet.Mark {
+	f := s.rule().format
+	var mk packet.Mark
+	switch {
+	case f == anonNested:
+		mk.Anonymous = true
+		rng.Read(mk.AnonID[:])
+	case id == packet.SinkID:
+		mk.ID = packet.NodeID(1 + rng.Intn(1<<15))
+	default:
+		mk.ID = id
+	}
+	rng.Read(mk.MAC[:])
+	if f == bareID {
+		mk.MAC = [packet.MACLen]byte{}
+	}
+	return mk
 }
 
 // Nested is the basic nested marking scheme: deterministic, plaintext IDs,
@@ -107,14 +211,11 @@ type Nested struct{}
 // Name implements Scheme.
 func (Nested) Name() string { return "nested" }
 
+func (Nested) rule() rule { return rule{format: plainNested, p: 1} }
+
 // Mark implements Scheme.
-func (Nested) Mark(id packet.NodeID, key mac.Key, msg packet.Message, _ *rand.Rand) packet.Message {
-	out := msg.Clone()
-	out.Marks = append(out.Marks, packet.Mark{
-		ID:  id,
-		MAC: NestedMACPlain(key, msg, len(msg.Marks), id),
-	})
-	return out
+func (s Nested) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
+	return mark(s.rule(), id, key, msg, rng)
 }
 
 // PNM is Probabilistic Nested Marking: with probability P a node appends an
@@ -128,40 +229,25 @@ type PNM struct {
 // Name implements Scheme.
 func (PNM) Name() string { return "pnm" }
 
+func (s PNM) rule() rule { return rule{format: anonNested, p: s.P, drawn: true} }
+
 // Mark implements Scheme.
 func (s PNM) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
-	if rng.Float64() >= s.P {
-		return msg
-	}
-	anon := mac.AnonID(key, msg.Report, id)
-	out := msg.Clone()
-	out.Marks = append(out.Marks, packet.Mark{
-		Anonymous: true,
-		AnonID:    anon,
-		MAC:       NestedMACAnon(key, msg, len(msg.Marks), anon),
-	})
-	return out
+	return mark(s.rule(), id, key, msg, rng)
 }
 
-// MarkSched is Mark on the marker's cached schedule: it draws the same
-// marking decision from rng, appends the mark to msg in place (no clone)
-// and reuses buf as MAC-input scratch, returning it for the next call —
-// the allocation-conscious path load generators drive per send. For equal
-// inputs the appended mark is byte-identical to Mark's.
+// MarkSched is Mark on the marker's cached schedule: it flips the same
+// coin, appends the mark to msg in place (no clone) and reuses buf as
+// encode scratch, returning it for the next call — the allocation-free
+// path load generators drive per send. For equal inputs the appended
+// mark is byte-identical to Mark's.
 // pnmlint:noalloc
 func (s PNM) MarkSched(sched mac.Schedule, buf []byte, msg *packet.Message, id packet.NodeID, rng *rand.Rand) []byte {
-	if rng.Float64() >= s.P {
+	r := s.rule()
+	if !r.marks(rng) {
 		return buf
 	}
-	anon := sched.AnonID(msg.Report, id)
-	var m [packet.MACLen]byte
-	m, buf = NestedMACAnonSched(sched, buf, *msg, len(msg.Marks), anon)
-	msg.Marks = append(msg.Marks, packet.Mark{
-		Anonymous: true,
-		AnonID:    anon,
-		MAC:       m,
-	})
-	return buf
+	return appendMark(r.format, markKey{sched: sched, warm: true}, msg.Encode(buf[:0]), msg, id)
 }
 
 // NaiveProbNested is the paper's "incorrect extension": probabilistic nested
@@ -175,17 +261,11 @@ type NaiveProbNested struct {
 // Name implements Scheme.
 func (NaiveProbNested) Name() string { return "naive" }
 
+func (s NaiveProbNested) rule() rule { return rule{format: plainNested, p: s.P, drawn: true} }
+
 // Mark implements Scheme.
 func (s NaiveProbNested) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
-	if rng.Float64() >= s.P {
-		return msg
-	}
-	out := msg.Clone()
-	out.Marks = append(out.Marks, packet.Mark{
-		ID:  id,
-		MAC: NestedMACPlain(key, msg, len(msg.Marks), id),
-	})
-	return out
+	return mark(s.rule(), id, key, msg, rng)
 }
 
 // AMS is the extended Authenticated Marking Scheme baseline: probabilistic,
@@ -199,17 +279,11 @@ type AMS struct {
 // Name implements Scheme.
 func (AMS) Name() string { return "ams" }
 
+func (s AMS) rule() rule { return rule{format: amsMAC, p: s.P, drawn: true} }
+
 // Mark implements Scheme.
 func (s AMS) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
-	if rng.Float64() >= s.P {
-		return msg
-	}
-	out := msg.Clone()
-	out.Marks = append(out.Marks, packet.Mark{
-		ID:  id,
-		MAC: AMSMAC(key, msg.Report, id),
-	})
-	return out
+	return mark(s.rule(), id, key, msg, rng)
 }
 
 // PPM is plaintext probabilistic packet marking with no authentication,
@@ -222,14 +296,11 @@ type PPM struct {
 // Name implements Scheme.
 func (PPM) Name() string { return "ppm" }
 
+func (s PPM) rule() rule { return rule{format: bareID, p: s.P, drawn: true} }
+
 // Mark implements Scheme.
-func (s PPM) Mark(id packet.NodeID, _ mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
-	if rng.Float64() >= s.P {
-		return msg
-	}
-	out := msg.Clone()
-	out.Marks = append(out.Marks, packet.Mark{ID: id})
-	return out
+func (s PPM) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
+	return mark(s.rule(), id, key, msg, rng)
 }
 
 // None never marks.
@@ -238,14 +309,20 @@ type None struct{}
 // Name implements Scheme.
 func (None) Name() string { return "none" }
 
+func (None) rule() rule { return rule{format: plainNested} }
+
 // Mark implements Scheme.
-func (None) Mark(_ packet.NodeID, _ mac.Key, msg packet.Message, _ *rand.Rand) packet.Message {
-	return msg
+func (s None) Mark(id packet.NodeID, key mac.Key, msg packet.Message, rng *rand.Rand) packet.Message {
+	return mark(s.rule(), id, key, msg, rng)
 }
 
 // New returns the scheme with the given name. p is the marking probability
-// for probabilistic schemes and is ignored by deterministic ones.
+// for probabilistic schemes and is ignored by deterministic ones; it must
+// lie in [0, 1] whatever the scheme.
 func New(name string, p float64) (Scheme, error) {
+	if !(p >= 0 && p <= 1) {
+		return nil, fmt.Errorf("marking: probability %v outside [0, 1]", p)
+	}
 	switch name {
 	case "nested":
 		return Nested{}, nil

@@ -1,7 +1,9 @@
 package marking
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pnm/internal/mac"
@@ -12,6 +14,13 @@ var testKS = mac.NewKeyStore([]byte("marking-test"))
 
 func testReport() packet.Report {
 	return packet.Report{Event: 7, Location: 9, Timestamp: 100, Seq: 1}
+}
+
+// prefixMAC is H_k over msg's first k marks' encoding followed by suffix,
+// written out from the packet and mac packages alone: an oracle for the
+// MAC inputs that does not run the kernel.
+func prefixMAC(key mac.Key, msg packet.Message, k int, suffix ...byte) [packet.MACLen]byte {
+	return mac.Sum(key, append(msg.EncodePrefix(nil, k), suffix...))
 }
 
 func TestNestedAppendsOneMarkPerHop(t *testing.T) {
@@ -38,7 +47,7 @@ func TestNestedMACCoversUpstream(t *testing.T) {
 	msg = Nested{}.Mark(2, testKS.Key(2), msg, rng)
 
 	// Node 2's MAC must be recomputable from the prefix it received.
-	want := NestedMACPlain(testKS.Key(2), msg, 1, 2)
+	want := prefixMAC(testKS.Key(2), msg, 1, 0, 2)
 	if !mac.Equal(msg.Marks[1].MAC, want) {
 		t.Fatal("nested MAC does not verify against the received prefix")
 	}
@@ -46,7 +55,7 @@ func TestNestedMACCoversUpstream(t *testing.T) {
 	// Tampering with node 3's mark must invalidate node 2's MAC.
 	tampered := msg.Clone()
 	tampered.Marks[0].MAC[0] ^= 1
-	got := NestedMACPlain(testKS.Key(2), tampered, 1, 2)
+	got := prefixMAC(testKS.Key(2), tampered, 1, 0, 2)
 	if mac.Equal(tampered.Marks[1].MAC, got) {
 		t.Fatal("nested MAC survived upstream tampering")
 	}
@@ -77,7 +86,7 @@ func TestPNMMarksAreAnonymous(t *testing.T) {
 	if want := mac.AnonID(testKS.Key(4), msg.Report, 4); mk.AnonID != want {
 		t.Fatal("anonymous ID does not match H'_k(M|i)")
 	}
-	if want := NestedMACAnon(testKS.Key(4), packet.Message{Report: msg.Report}, 0, mk.AnonID); !mac.Equal(mk.MAC, want) {
+	if want := prefixMAC(testKS.Key(4), msg, 0, mk.AnonID[:]...); !mac.Equal(mk.MAC, want) {
 		t.Fatal("PNM MAC does not verify")
 	}
 }
@@ -133,7 +142,7 @@ func TestAMSMACIgnoresUpstreamMarks(t *testing.T) {
 	tampered := msg.Clone()
 	tampered.Marks[0].ID = 999
 	tampered.Marks[0].MAC[0] ^= 0xFF
-	if want := AMSMAC(testKS.Key(2), tampered.Report, 2); !mac.Equal(tampered.Marks[1].MAC, want) {
+	if want := prefixMAC(testKS.Key(2), tampered, 0, 0, 2); !mac.Equal(tampered.Marks[1].MAC, want) {
 		t.Fatal("AMS MAC unexpectedly depends on upstream marks")
 	}
 }
@@ -169,6 +178,58 @@ func TestNewFactory(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidProbability: a marking probability must lie in
+// [0, 1] for every scheme, deterministic ones included.
+func TestNewRejectsInvalidProbability(t *testing.T) {
+	for _, tt := range []struct {
+		p  float64
+		ok bool
+	}{
+		{math.NaN(), false},
+		{-0.1, false},
+		{0, true},
+		{1, true},
+		{1.5, false},
+	} {
+		for _, name := range Names() {
+			if _, err := New(name, tt.p); (err == nil) != tt.ok {
+				t.Errorf("New(%q, %v): err = %v, want ok %v", name, tt.p, err, tt.ok)
+			}
+		}
+	}
+}
+
+// TestCoinOutsideUnitInterval: a struct literal can still carry a p that
+// New rejects; the one coin then never marks for NaN or a negative p and
+// always marks above 1, on every path.
+func TestCoinOutsideUnitInterval(t *testing.T) {
+	for _, tt := range []struct {
+		p     float64
+		marks int
+	}{
+		{math.NaN(), 0},
+		{-1, 0},
+		{1.5, 3},
+	} {
+		hops := []packet.NodeID{3, 2, 1}
+		rng := rand.New(rand.NewSource(1))
+		msg := packet.Message{Report: testReport()}
+		inc := NewIncremental(testReport())
+		sched := packet.Message{Report: testReport()}
+		var buf []byte
+		for _, id := range hops {
+			msg = PNM{P: tt.p}.Mark(id, testKS.Key(id), msg, rng)
+			inc.Apply(PNM{P: tt.p}, id, testKS.Key(id), rng)
+			buf = PNM{P: tt.p}.MarkSched(mac.NewSchedule(testKS.Key(id)), buf, &sched, id, rng)
+		}
+		for path, got := range map[string]int{"Mark": len(msg.Marks), "Incremental": len(inc.Message().Marks), "MarkSched": len(sched.Marks)} {
+			if got != tt.marks {
+				t.Errorf("P=%v %s: %d marks, want %d", tt.p, path, got, tt.marks)
+			}
+		}
+	}
+}
+
 func TestWireOverheadPerScheme(t *testing.T) {
 	// PNM marks (1+4+8 bytes) are wider than plain marks (1+2+8) — the
 	// anonymity overhead the design pays for selective-drop resistance.
@@ -181,10 +242,10 @@ func TestWireOverheadPerScheme(t *testing.T) {
 	}
 }
 
-// TestSchedVariantsMatchCold pins that the schedule-backed MAC
-// constructions the sink hot path uses are bit-identical to the cold
-// (one-shot SHA-256) node-side ones, and that the shared encode buffer carries
-// no state between calls.
+// TestSchedVariantsMatchCold pins that both key forms the kernel hashes
+// under — a node's cold key and a sink-side schedule — append the same
+// bytes in every format, that AMSMACSched is the cold AMS MAC, and that
+// the shared scratch buffers carry no state between calls.
 func TestSchedVariantsMatchCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	msg := packet.Message{Report: testReport()}
@@ -192,18 +253,22 @@ func TestSchedVariantsMatchCold(t *testing.T) {
 		msg = PNM{P: 1}.Mark(hop, testKS.Key(hop), msg, rng)
 	}
 
-	var buf []byte
-	for k := 0; k <= len(msg.Marks); k++ {
+	var buf, coldEnc, warmEnc []byte
+	for _, f := range []format{plainNested, anonNested, amsMAC, bareID} {
 		for _, id := range []packet.NodeID{1, 9} {
 			s := mac.NewSchedule(testKS.Key(id))
-			var got [packet.MACLen]byte
-			anon := mac.AnonID(testKS.Key(id), msg.Report, id)
-			got, buf = NestedMACAnonSched(s, buf, msg, k, anon)
-			if want := NestedMACAnon(testKS.Key(id), msg, k, anon); got != want {
-				t.Fatalf("NestedMACAnonSched(k=%d, id=%v) = %x, want %x", k, id, got, want)
+			cold, warm := msg.Clone(), msg.Clone()
+			coldEnc = appendMark(f, markKey{node: testKS.Key(id)}, msg.Encode(coldEnc[:0]), &cold, id)
+			warmEnc = appendMark(f, markKey{sched: s, warm: true}, msg.Encode(warmEnc[:0]), &warm, id)
+			if string(coldEnc) != string(warmEnc) || !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("format %d, id %v: schedule mark %x, cold mark %x", f, id, warmEnc, coldEnc)
 			}
+			if string(warm.Encode(nil)) != string(warmEnc) {
+				t.Fatalf("format %d, id %v: returned encoding is not the marked message's", f, id)
+			}
+			var got [packet.MACLen]byte
 			got, buf = AMSMACSched(s, buf, msg.Report, id)
-			if want := AMSMAC(testKS.Key(id), msg.Report, id); got != want {
+			if want := prefixMAC(testKS.Key(id), msg, 0, byte(id>>8), byte(id)); got != want {
 				t.Fatalf("AMSMACSched(id=%v) = %x, want %x", id, got, want)
 			}
 		}
@@ -236,5 +301,29 @@ func TestPNMMarkSchedMatchesMark(t *testing.T) {
 	// The in-place path must not consume RNG draws on skip differently.
 	if a, b := rngA.Uint64(), rngB.Uint64(); a != b {
 		t.Fatalf("RNG streams diverged after marking: %d vs %d", a, b)
+	}
+}
+
+// TestMarkSchedZeroAlloc pins MarkSched's warm path: with the message's
+// mark storage, the scratch buffer and the schedules grown by a first
+// pass, marking a 30-hop path allocates nothing.
+func TestMarkSchedZeroAlloc(t *testing.T) {
+	const hops = 30
+	hasher := testKS.Hasher()
+	rng := rand.New(rand.NewSource(12))
+	msg := packet.Message{Report: testReport()}
+	var buf []byte
+	run := func() {
+		msg.Marks = msg.Marks[:0]
+		for id := packet.NodeID(hops); id >= 1; id-- {
+			buf = PNM{P: 1}.MarkSched(hasher.Schedule(id), buf, &msg, id, rng)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("MarkSched allocates %.1f times per 30-hop path, want 0", n)
+	}
+	if len(msg.Marks) != hops {
+		t.Fatalf("marks = %d, want %d", len(msg.Marks), hops)
 	}
 }

@@ -28,37 +28,6 @@ type Env struct {
 	StolenKeys map[packet.NodeID]mac.Key
 }
 
-// markAs appends a protocol-valid mark claiming identity id (whose key the
-// mole holds) in the deployed scheme's format. It is how moles "leave a
-// valid mark", including with a colluder's identity during identity
-// swapping.
-func markAs(env *Env, id packet.NodeID, msg packet.Message) packet.Message {
-	key := env.StolenKeys[id]
-	out := msg.Clone()
-	switch env.Scheme.(type) {
-	case marking.PNM:
-		anon := mac.AnonID(key, msg.Report, id)
-		out.Marks = append(out.Marks, packet.Mark{
-			Anonymous: true,
-			AnonID:    anon,
-			MAC:       marking.NestedMACAnon(key, msg, len(msg.Marks), anon),
-		})
-	case marking.AMS:
-		out.Marks = append(out.Marks, packet.Mark{
-			ID:  id,
-			MAC: marking.AMSMAC(key, msg.Report, id),
-		})
-	case marking.PPM:
-		out.Marks = append(out.Marks, packet.Mark{ID: id})
-	default: // nested, naive: plaintext-ID nested marks
-		out.Marks = append(out.Marks, packet.Mark{
-			ID:  id,
-			MAC: marking.NestedMACPlain(key, msg, len(msg.Marks), id),
-		})
-	}
-	return out
-}
-
 // Tamper is one mark-manipulation step a forwarding mole applies. Apply
 // returns the tampered message and whether the packet is forwarded at all
 // (false means the mole dropped it).
@@ -286,25 +255,15 @@ func (InsertFake) Name() string { return "insert" }
 // Apply implements Tamper.
 func (t InsertFake) Apply(msg packet.Message, env *Env, rng *rand.Rand) (packet.Message, bool) {
 	out := msg.Clone()
-	_, anonymous := env.Scheme.(marking.PNM)
 	fakes := make([]packet.Mark, 0, t.N)
 	for i := 0; i < t.N; i++ {
-		var mk packet.Mark
-		if anonymous {
-			mk.Anonymous = true
-			rng.Read(mk.AnonID[:])
-		} else if len(t.Impersonate) > 0 {
-			mk.ID = t.Impersonate[i%len(t.Impersonate)]
-		} else {
-			mk.ID = packet.NodeID(1 + rng.Intn(1<<15))
+		// Without the victim's key the mole can only guess the MAC; an
+		// unset claim asks for a random identity.
+		claim := packet.SinkID
+		if len(t.Impersonate) > 0 {
+			claim = t.Impersonate[i%len(t.Impersonate)]
 		}
-		// Without the victim's key the mole can only guess the MAC. For
-		// PPM there is no MAC to forge, so the fake is always "valid".
-		rng.Read(mk.MAC[:])
-		if _, ppm := env.Scheme.(marking.PPM); ppm {
-			mk.MAC = [packet.MACLen]byte{}
-		}
-		fakes = append(fakes, mk)
+		fakes = append(fakes, marking.Fake(env.Scheme, claim, rng))
 	}
 	out.Marks = append(fakes, out.Marks...)
 	return out, true
@@ -352,6 +311,27 @@ const (
 	MarkSwap
 )
 
+// mark applies behaviour b to msg for mole self. MarkHonest runs the
+// scheme, coin and all, under self's key. MarkSwap always leaves a valid
+// forged mark: the partner's with probability swapProb (0.5 when unset),
+// else self's.
+func (b MarkBehavior) mark(msg packet.Message, self, partner packet.NodeID, swapProb float64, env *Env, rng *rand.Rand) packet.Message {
+	switch b {
+	case MarkHonest:
+		return env.Scheme.Mark(self, env.StolenKeys[self], msg, rng)
+	case MarkSwap:
+		if swapProb == 0 {
+			swapProb = 0.5
+		}
+		id := self
+		if rng.Float64() < swapProb {
+			id = partner
+		}
+		return marking.Forge(env.Scheme, id, env.StolenKeys[id], msg)
+	}
+	return msg
+}
+
 // Forwarder is a colluding mole on the forwarding path: it applies its
 // tamper pipeline to each packet, then marks (or not) per its behaviour.
 type Forwarder struct {
@@ -379,21 +359,7 @@ func (f *Forwarder) Process(msg packet.Message, env *Env, rng *rand.Rand) (packe
 			return packet.Message{}, false
 		}
 	}
-	switch f.Behavior {
-	case MarkHonest:
-		cur = env.Scheme.Mark(f.ID, env.StolenKeys[f.ID], cur, rng)
-	case MarkSwap:
-		p := f.SwapProb
-		if p == 0 {
-			p = 0.5
-		}
-		id := f.ID
-		if rng.Float64() < p {
-			id = f.SwapPartner
-		}
-		cur = markAs(env, id, cur)
-	}
-	return cur, true
+	return f.Behavior.mark(cur, f.ID, f.SwapPartner, f.SwapProb, env, rng), true
 }
 
 // Replayer implements the replay attack of §7: a mole records legitimate
@@ -456,19 +422,5 @@ func (s *Source) Next(env *Env, rng *rand.Rand) packet.Message {
 	if s.FakeMarks > 0 {
 		msg, _ = InsertFake{N: s.FakeMarks}.Apply(msg, env, rng)
 	}
-	switch s.Behavior {
-	case MarkHonest:
-		msg = env.Scheme.Mark(s.ID, env.StolenKeys[s.ID], msg, rng)
-	case MarkSwap:
-		p := s.SwapProb
-		if p == 0 {
-			p = 0.5
-		}
-		id := s.ID
-		if rng.Float64() < p {
-			id = s.SwapPartner
-		}
-		msg = markAs(env, id, msg)
-	}
-	return msg
+	return s.Behavior.mark(msg, s.ID, s.SwapPartner, s.SwapProb, env, rng)
 }

@@ -200,7 +200,7 @@ func TestForwarderSwapProducesValidMarksForBothIdentities(t *testing.T) {
 		mk := out.Marks[0]
 		ids[mk.ID] = true
 		// The swapped mark must verify under the claimed identity's key.
-		want := marking.NestedMACPlain(testKS.Key(mk.ID), packet.Message{Report: out.Report}, 0, mk.ID)
+		want := mac.Sum(testKS.Key(mk.ID), append(out.Report.Encode(nil), byte(mk.ID>>8), byte(mk.ID)))
 		if !mac.Equal(mk.MAC, want) {
 			t.Fatalf("swap mark for %v does not verify", mk.ID)
 		}
@@ -262,7 +262,7 @@ func TestSourceHonestMarksWithOwnKey(t *testing.T) {
 	if len(msg.Marks) != 1 || msg.Marks[0].ID != 5 {
 		t.Fatalf("marks = %+v", msg.Marks)
 	}
-	want := marking.NestedMACPlain(testKS.Key(5), packet.Message{Report: msg.Report}, 0, 5)
+	want := mac.Sum(testKS.Key(5), append(msg.Report.Encode(nil), 0, 5))
 	if !mac.Equal(msg.Marks[0].MAC, want) {
 		t.Fatal("honest source mark does not verify")
 	}

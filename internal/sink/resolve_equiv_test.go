@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"pnm/internal/mac"
-	"pnm/internal/marking"
 	"pnm/internal/packet"
 	"pnm/internal/topology"
 )
@@ -34,7 +33,7 @@ func appendAnonMark(msg packet.Message, key mac.Key, anon [packet.AnonIDLen]byte
 	out.Marks = append(out.Marks, packet.Mark{
 		Anonymous: true,
 		AnonID:    anon,
-		MAC:       marking.NestedMACAnon(key, msg, len(msg.Marks), anon),
+		MAC:       mac.Sum(key, append(msg.Encode(nil), anon[:]...)),
 	})
 	return out
 }

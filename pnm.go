@@ -75,7 +75,7 @@ func AMSScheme(p float64) Scheme { return marking.AMS{P: p} }
 func PPMScheme(p float64) Scheme { return marking.PPM{P: p} }
 
 // SchemeByName resolves a scheme name ("pnm", "nested", "naive", "ams",
-// "ppm", "none") with marking probability p.
+// "ppm", "none") with marking probability p, which must lie in [0, 1].
 func SchemeByName(name string, p float64) (Scheme, error) { return marking.New(name, p) }
 
 // MarkingProbability returns the p that yields the given average marks per

@@ -1,6 +1,7 @@
 package pnm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -84,6 +85,11 @@ func TestSchemeByName(t *testing.T) {
 		s, err := SchemeByName(name, 0.3)
 		if err != nil || s.Name() != name {
 			t.Fatalf("SchemeByName(%q) = %v, %v", name, s, err)
+		}
+		for _, p := range []float64{math.NaN(), -0.1, 1.5} {
+			if _, err := SchemeByName(name, p); err == nil {
+				t.Fatalf("SchemeByName(%q, %v): want an error for a probability outside [0, 1]", name, p)
+			}
 		}
 	}
 }
